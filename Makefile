@@ -1,6 +1,6 @@
 # Convenience targets; `make ci` is the tier-1 gate (see ci.sh).
 
-.PHONY: ci build test vet vet-fast vet-baseline bench bench-smoke bench-baseline diff-smoke slo-smoke slo-baseline chaos fuzz
+.PHONY: ci build test vet vet-fast vet-baseline bench bench-sim bench-smoke bench-baseline diff-smoke slo-smoke slo-baseline chaos fuzz
 
 ci:
 	./ci.sh
@@ -29,6 +29,11 @@ vet-baseline:
 
 bench:
 	go test -bench=. -benchmem
+
+# Per-layer Go benchmarks of the engine: one Schedule plus its step,
+# and one Process.Sleep round trip (engine to process and back).
+bench-sim:
+	go test -run '^$$' -bench . -benchmem ./internal/sim
 
 # The bench regression gate: rerun the fast experiment subset with run
 # captures bundled, keep the JSON artifact for inspection, and fail if

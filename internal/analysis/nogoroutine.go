@@ -6,10 +6,12 @@ import (
 )
 
 // NoGoroutine forbids Go concurrency outside internal/sim. The engine's
-// strict hand-off (at most one goroutine — the engine or one process —
-// runs at any moment) is what makes the simulation deterministic;
-// a stray `go` statement or channel operation anywhere else introduces
-// scheduler-dependent interleavings that no test will reliably catch.
+// strict hand-off (at most one of the engine and its coroutine
+// processes runs at any moment) is what makes the simulation
+// deterministic; a stray `go` statement or channel operation anywhere
+// else introduces scheduler-dependent interleavings that no test will
+// reliably catch. Inside internal/sim, only the parallel engine's
+// worker pool uses them.
 var NoGoroutine = &Analyzer{
 	Name: "nogoroutine",
 	Doc:  "forbid go statements and raw channel operations outside internal/sim",

@@ -31,8 +31,8 @@ func TestNoGoroutineFlagsConcurrencyOutsideSim(t *testing.T) {
 }
 
 func TestNoGoroutineAllowsEngineInternals(t *testing.T) {
-	// The same code inside internal/sim is the engine's own hand-off
-	// machinery and is exempt.
+	// The same code inside internal/sim is the engine's own machinery
+	// (the parallel worker pool) and is exempt.
 	got := runOn(t, []*Analyzer{NoGoroutine}, "repro/internal/sim", map[string]string{"f.go": goroutineFixture}, nil)
 	checkFindings(t, got, nil)
 }

@@ -24,9 +24,10 @@ var simFacing = map[string]bool{
 	"repro/internal/obs":   true,
 }
 
-// simEnginePath is the only package allowed to use Go concurrency: the
-// engine's strict hand-off in sim/process.go is the single legal use of
-// goroutines and channels in the module.
+// simEnginePath is the only package allowed to use Go concurrency.
+// Processes are iter.Pull coroutines (sim/process.go) and need neither;
+// the parallel engine's worker pool in sim/parallel.go holds the
+// module's only go statements and channels.
 const simEnginePath = "repro/internal/sim"
 
 // calleeFunc resolves the function or method called by call, or nil if

@@ -5,10 +5,11 @@
 // The engine advances a cycle-granular clock and executes events in
 // (time, sequence) order, so a given configuration always produces the
 // same schedule. Simulated activities are either plain callbacks or
-// processes: goroutines that run in strict hand-off with the engine —
-// at most one goroutine (the engine or a single process) executes at any
-// moment, which makes the simulation deterministic despite using
-// goroutines for control flow.
+// processes: coroutines (iter.Pull) that run in strict hand-off with the
+// engine — at most one of the engine and the processes executes at any
+// moment, which makes the simulation deterministic despite each process
+// having its own stack. A switch between the engine and a process is a
+// direct goroutine switch in the runtime, with no scheduler wake-up.
 //
 // Two engine internals are configurable (Config) without changing any
 // observable schedule: the event queue implementation (an O(1)
@@ -94,9 +95,6 @@ type Engine struct {
 	free *event
 	cfg  Config
 
-	// parked is signalled by the currently running process when it
-	// yields control back to the engine.
-	parked chan struct{}
 	//m3vet:resolve sharedstate owner strict hand-off: set by the engine before waking a process
 	current *Process
 
@@ -133,7 +131,7 @@ func NewEngine() *Engine { return NewEngineWith(Config{}) }
 // NewEngineWith returns an engine with the given configuration. All
 // configurations produce identical schedules; see Config.
 func NewEngineWith(cfg Config) *Engine {
-	e := &Engine{parked: make(chan struct{}), cfg: cfg}
+	e := &Engine{cfg: cfg}
 	switch cfg.Queue {
 	case QueueHeap:
 		e.queue = &heapQueue{}
@@ -190,12 +188,12 @@ func (e *Engine) checkSchedulable() {
 // a Process.
 //
 // Scheduling onto a deadlocked engine (see Deadlocked) panics: any new
-// event could resume a process that the finished run left parked, and
-// the resulting interaction with a drained engine hangs on the internal
-// hand-off channel. A panic names the bug instead. Scheduling from
-// inside a parallel shard callback also panics — shard code must route
-// engine interaction through its ShardCtx, which replays it in
-// deterministic order at the batch barrier.
+// event could resume a process that the finished run already reported
+// as parked forever, silently contradicting Deadlocked. A panic names
+// the bug instead. Scheduling from inside a parallel shard callback
+// also panics — shard code must route engine interaction through its
+// ShardCtx, which replays it in deterministic order at the batch
+// barrier.
 func (e *Engine) Schedule(delay Time, fn func()) {
 	e.checkSchedulable()
 	e.queue.push(e.alloc(e.now+delay, fn, nil, serialShard))
@@ -314,15 +312,14 @@ func (e *Engine) step() {
 	e.stepShard(ev)
 }
 
-// resume hands control to p and blocks the engine until p yields.
+// resume hands control to p and returns when p parks or returns.
 func (e *Engine) resume(p *Process) {
 	if p.dead {
 		return
 	}
 	prev := e.current
 	e.current = p
-	p.resume <- struct{}{}
-	<-e.parked
+	p.next()
 	e.current = prev
 }
 

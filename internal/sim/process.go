@@ -1,18 +1,39 @@
+// iter.Pull needs go1.23, but both go.mod files stay at go 1.22: the
+// benchmark module (perf/go.mod) says go 1.22 and builds with
+// -mod=readonly, which fails once the root module it replaces asks for
+// a newer go line. This constraint raises only this file's language
+// version.
+
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Process is a simulated thread of execution: a goroutine that runs in
-// strict hand-off with the engine. Process methods that block (Sleep,
-// Signal.Wait, Queue.Recv, Resource.Acquire) yield control back to the
-// engine and are resumed by a later event.
+// Process is a simulated thread of execution: a coroutine (iter.Pull)
+// that runs in strict hand-off with the engine. Process methods that
+// block (Sleep, Signal.Wait, Queue.Recv, Resource.Acquire) yield control
+// back to the engine and are resumed by a later event. A switch is a
+// direct goroutine switch in the runtime, with no scheduler wake-up.
 //
-// A Process must only be used from its own goroutine (the function
+// A Process must only be used from its own coroutine (the function
 // passed to Spawn).
 type Process struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
+	eng  *Engine
+	name string
+	// next resumes the coroutine until it parks or returns.
+	//m3vet:resolve sharedstate owner set once at spawn time on the engine goroutine
+	next func() (struct{}, bool)
+	// yield parks the coroutine, handing control back to next's caller.
+	//m3vet:resolve sharedstate owner set once when the coroutine first runs, under the engine's strict hand-off
+	yield func(struct{}) bool
+	// wake is the event callback that resumes the process, built once
+	// so that parking allocates no closure.
+	//m3vet:resolve sharedstate owner set once at spawn time on the engine goroutine
+	wake func()
 	//m3vet:resolve sharedstate owner process lifecycle flags flip under the engine's strict hand-off, never in shard context
 	dead bool
 	//m3vet:resolve sharedstate owner process lifecycle flags flip under the engine's strict hand-off, never in shard context
@@ -26,36 +47,32 @@ type Process struct {
 }
 
 // Spawn creates a process named name and schedules it to start at the
-// current simulated time. The function fn runs on its own goroutine in
+// current simulated time. The function fn runs as a coroutine in
 // hand-off with the engine; when fn returns the process terminates and
-// its Done signal fires.
+// its Done signal fires. A panic in fn propagates out of Engine.Run.
 func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
-	p := &Process{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-	}
+	p := &Process{eng: e, name: name}
 	p.done = NewSignal(e)
-	e.liveProcs++
-	go func() {
-		<-p.resume
-		defer func() {
-			// A killed process never reaches this defer (its goroutine
-			// stays blocked forever); the guard protects the
-			// bookkeeping against any future path that could.
-			if !p.killed {
-				p.dead = true
-				e.liveProcs--
-				if p.daemon {
-					e.daemonProcs--
-				}
-				p.done.Broadcast()
-			}
-			e.parked <- struct{}{}
-		}()
+	p.wake = func() { e.resume(p) }
+	// stop is dropped: a process ends by returning or by Kill, and a
+	// killed coroutine must stay parked rather than unwind.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		fn(p)
-	}()
-	e.Schedule(0, func() { e.resume(p) })
+		// A killed process never gets here (its coroutine is never
+		// resumed); the guard protects the bookkeeping against any
+		// future path that could.
+		if !p.killed {
+			p.dead = true
+			e.liveProcs--
+			if p.daemon {
+				e.daemonProcs--
+			}
+			p.done.Broadcast()
+		}
+	})
+	e.liveProcs++
+	e.Schedule(0, p.wake)
 	return p
 }
 
@@ -79,10 +96,10 @@ func (p *Process) Dead() bool { return p.dead }
 // Kill terminates a parked process without running the rest of its
 // function: the simulated core stopped mid-instruction. The process
 // counts as dead immediately — its Done signal fires and later resume
-// attempts (a Signal broadcast, a Resource grant) are ignored. The
-// backing goroutine stays blocked on its hand-off channel and is
-// leaked deliberately: a crashed PE's program counter never advances
-// again, and the leak is bounded by the number of injected crashes.
+// attempts (a Signal broadcast, a Resource grant) are ignored. Its
+// coroutine is never resumed again; it stays parked and is leaked
+// deliberately: a crashed PE's program counter never advances again,
+// and the leak is bounded by the number of injected crashes.
 //
 // Kill must not target the currently running process — a program
 // cannot crash itself between two of its own instructions here;
@@ -129,15 +146,12 @@ func (p *Process) SetDaemon() {
 
 // park yields control to the engine; the process stays blocked until an
 // event resumes it.
-func (p *Process) park() {
-	p.eng.parked <- struct{}{}
-	<-p.resume
-}
+func (p *Process) park() { p.yield(struct{}{}) }
 
 // Sleep advances the process's simulated time by d cycles. Other events
 // run in the meantime.
 func (p *Process) Sleep(d Time) {
-	p.eng.Schedule(d, func() { p.eng.resume(p) })
+	p.eng.Schedule(d, p.wake)
 	p.park()
 }
 

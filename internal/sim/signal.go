@@ -35,7 +35,7 @@ func (s *Signal) Notify() {
 		if w.dead {
 			continue
 		}
-		s.eng.Schedule(0, func() { s.eng.resume(w) })
+		s.eng.Schedule(0, w.wake)
 		return
 	}
 }
@@ -45,8 +45,7 @@ func (s *Signal) Broadcast() {
 	ws := s.waiters
 	s.waiters = nil
 	for _, w := range ws {
-		w := w
-		s.eng.Schedule(0, func() { s.eng.resume(w) })
+		s.eng.Schedule(0, w.wake)
 	}
 }
 
