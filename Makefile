@@ -1,6 +1,6 @@
 # Convenience targets; `make ci` is the tier-1 gate (see ci.sh).
 
-.PHONY: ci build test vet vet-fast vet-baseline bench bench-sim bench-smoke bench-baseline diff-smoke slo-smoke slo-baseline chaos fuzz
+.PHONY: ci build test vet vet-fast bench bench-sim bench-smoke bench-baseline diff-smoke slo-smoke slo-baseline chaos fuzz
 
 ci:
 	./ci.sh
@@ -15,17 +15,10 @@ vet:
 	go vet ./...
 	go run ./cmd/m3vet ./...
 
-# Syntactic rules only — skips the interprocedural fixpoint (call
-# graph, effect summaries, taint) for quick local iteration.
+# Syntactic rules only — skips the interprocedural passes (call graph,
+# taint, capflow) for quick local iteration.
 vet-fast:
 	go run ./cmd/m3vet -fast ./...
-
-# Regenerate the committed suppression set from the current tree. The
-# sharedstate keys in vet-baseline.json double as the parallel-DES
-# synchronization work-list (ROADMAP item 2); review the diff before
-# committing — a new key is a new shared-state obligation.
-vet-baseline:
-	go run ./cmd/m3vet -write-baseline vet-baseline.json
 
 bench:
 	go test -bench=. -benchmem
@@ -55,11 +48,11 @@ bench-baseline:
 	go run ./cmd/m3bench -e smoke -capture -json BENCH_4.json
 
 # The attribution self-test: capture the tier-1 workload under the
-# serial-heap, serial-calendar, and parallel-4 engines (captures must
-# be byte-identical), re-capture with the kernel's syscall dispatch
-# cost perturbed +10%, and require m3diff to attribute the regression
-# to the kernel — top blame-drift category and a growing kernel
-# profile layer — with byte-stable reports.
+# serial-heap and serial-calendar engines (captures must be
+# byte-identical), re-capture with the kernel's syscall dispatch cost
+# perturbed +10%, and require m3diff to attribute the regression to the
+# kernel — top blame-drift category and a growing kernel profile
+# layer — with byte-stable reports.
 diff-smoke:
 	go run ./cmd/m3diff -selftest
 

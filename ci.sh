@@ -4,16 +4,15 @@
 #   build      the whole module compiles
 #   go vet     the stock Go checks
 #   m3vet      the repo's own determinism & isolation linter, including
-#              the interprocedural passes (sharedstate, timetaint,
-#              capflow); known-accepted findings are suppressed by
-#              vet-baseline.json and the shared-state inventory is kept
-#              as artifacts/sharedstate.json — the parallel-DES
-#              work-list (see docs/ANALYSIS.md)
+#              the interprocedural passes (timetaint, capflow); it must
+#              report zero findings, and the only suppression is a
+#              justified //m3vet:allow comment on the flagged line. The
+#              JSON report is kept as artifacts/m3vet.json
+#              (see docs/ANALYSIS.md)
 #   tests      the full suite under the race detector — any data race
-#              would mean the sim's strict goroutine hand-off (or the
-#              parallel engine's barrier discipline) is broken — with
-#              shuffled test order, so no test can silently depend on
-#              a sibling running first
+#              would mean the engine's strict coroutine hand-off is
+#              broken — with shuffled test order, so no test can
+#              silently depend on a sibling running first
 #   chaos      the fault-injection tier: determinism under faults, the
 #              isolation-survives-failure matrix, service crash
 #              recovery, and the chaos-overload tier — graceful
@@ -29,7 +28,7 @@
 #   diff       the attribution self-test: a seeded +10% kernel
 #              dispatch-cost perturbation must be attributed to the
 #              kernel layer by m3diff, with captures byte-identical
-#              across serial and parallel engines
+#              across the heap and calendar event queues
 #              (docs/OBSERVABILITY.md)
 #   slo        the SLO regression gate: the m3slo attribution report
 #              over the tier-1 workload, byte-compared against the
@@ -38,7 +37,7 @@ set -eux
 
 go build ./...
 go vet ./...
-go run ./cmd/m3vet -json artifacts/sharedstate.json ./...
+go run ./cmd/m3vet -json artifacts/m3vet.json ./...
 go test -race -shuffle=on ./...
 make chaos
 make fuzz

@@ -7,8 +7,8 @@
 //
 // All reports are byte-deterministic: diffing the same two files always
 // produces the same bytes, and captures themselves are byte-identical
-// across serial and parallel simulation engines, so a nonempty diff is
-// a real behavior change, never engine noise.
+// across the heap and calendar event queues, so a nonempty diff is a
+// real behavior change, never engine noise.
 //
 // Usage:
 //
@@ -147,9 +147,9 @@ const selftestWorkload = "tar"
 // runSelftest is `make diff-smoke`: prove the attribution pipeline
 // end to end on a seeded regression.
 //
-//  1. Capture the baseline workload under all three engine variants
-//     (serial-heap, serial-calendar, parallel) and require the capture
-//     JSON to be byte-identical — the differential contract.
+//  1. Capture the baseline workload under both engine variants
+//     (serial-heap, serial-calendar) and require the capture JSON to
+//     be byte-identical — the differential contract.
 //  2. Re-capture with the kernel's syscall dispatch cost perturbed
 //     +10% (core.CostDispatch/10 extra cycles per syscall).
 //  3. Diff base vs perturbed and require the kernel to rank first:
@@ -157,11 +157,7 @@ const selftestWorkload = "tar"
 //     profile-layer delta.
 //  4. Render the report twice and require byte-identical output.
 func runSelftest() error {
-	variants := []bench.EngineVariant{
-		{Name: "serial-heap", Cfg: sim.Config{Queue: sim.QueueHeap}},
-		{Name: "serial-calendar", Cfg: sim.Config{}},
-		{Name: "parallel-4", Cfg: sim.Config{Workers: 4}},
-	}
+	variants := bench.EngineVariants()
 	fmt.Printf("selftest: capturing %s under %d engine variants\n", selftestWorkload, len(variants))
 	var base *obs.RunCapture
 	var baseJSON string

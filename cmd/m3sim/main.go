@@ -38,7 +38,6 @@ func main() {
 	stats := flag.Bool("stats", false, "collect the metrics registry and print the per-PE/per-link utilization table after the run")
 	sample := flag.Int("sample", 4096, "metrics sampling interval in cycles for -stats (0 = no time series)")
 	engine := flag.String("engine", "calendar", "event queue: calendar (O(1) wheel) or heap (reference binary heap)")
-	parallel := flag.Int("parallel", 0, "worker goroutines for the conservative parallel engine (0 or 1 = serial)")
 	flag.Parse()
 
 	var engCfg sim.Config
@@ -50,7 +49,6 @@ func main() {
 	default:
 		log.Fatalf("m3sim: unknown -engine %q (want calendar or heap)", *engine)
 	}
-	engCfg.Workers = *parallel
 
 	b, err := workload.ByName(*name)
 	if err != nil {

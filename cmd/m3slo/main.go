@@ -8,9 +8,8 @@
 // burn-rate table.
 //
 // The report is deterministic: identical (workload, flags) runs
-// produce byte-identical output, including -json, across serial and
-// parallel engines. Exemplar SpanIDs pair with `m3trace -span` to
-// drill into the exact p99 request.
+// produce byte-identical output, including -json. Exemplar SpanIDs
+// pair with `m3trace -span` to drill into the exact p99 request.
 //
 // Usage:
 //
@@ -107,7 +106,6 @@ func main() {
 	pes := flag.Int("pes", 0, "extra application PEs beyond what the workload needs")
 	exemplars := flag.Int("exemplars", 4, "worst-N exemplar span trees to capture")
 	bound := flag.Uint64("bound", 1<<17, "latency objective bound in cycles")
-	parallel := flag.Int("parallel", 0, "parallel engine workers (0/1 = serial)")
 	jsonOut := flag.String("json", "", "write the machine-readable report to this file ('-' for stdout)")
 	folded := flag.String("folded", "", "write folded blame stacks (flamegraph.pl format, m3prof-compatible) to this file")
 	flag.Parse()
@@ -117,7 +115,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	eng := sim.NewEngineWith(sim.Config{Workers: *parallel})
+	eng := sim.NewEngine()
 	cfg := tile.Homogeneous(2 + b.PEs + *pes)
 	slos := obs.NewSLOSet()
 	slos.Objective(sloTail, obs.SLOConfig{

@@ -62,10 +62,10 @@ type Diagnostic struct {
 	Rule    string
 	Message string
 
-	// Key is a stable, position-independent identity for baseline
-	// suppression ("sharedstate:repro/internal/noc.Network.PacketsSent").
-	// Per-package syntactic rules leave it empty; they are gated by
-	// //m3vet:allow comments instead.
+	// Key is a stable, position-independent identity of a module
+	// finding ("capflow:app->hw:repro/internal/dtu.Ping:arg0"), used to
+	// compare findings across runs. Per-package syntactic rules leave
+	// it empty.
 	Key string
 	// Chain is the interprocedural witness for the finding, outermost
 	// step first. Empty for syntactic rules.
@@ -94,12 +94,11 @@ func All() []*Analyzer {
 }
 
 // ModuleAnalyzer is a whole-module rule: it sees every package at
-// once, plus the call graph and effect summaries the interprocedural
-// engine computed over them. The three dataflow passes (sharedstate,
-// timetaint, capflow) are module analyzers; the per-package syntactic
+// once, plus the call graph built over them. The two dataflow passes
+// (timetaint, capflow) are module analyzers; the per-package syntactic
 // rules stay plain Analyzers.
 type ModuleAnalyzer struct {
-	// Name is the rule identifier used in diagnostics, baseline keys
+	// Name is the rule identifier used in diagnostics, finding keys
 	// and //m3vet:allow comments.
 	Name string
 	// Doc is a one-line description of the protected invariant.
@@ -115,16 +114,11 @@ type ModulePass struct {
 	Pkgs []*Package
 	// Graph is the conservative module call graph.
 	Graph *CallGraph
-	// Summaries are the fixpoint effect summaries over Graph.
-	Summaries *Summaries
-	// Inventory is the shared-state inventory, computed once per run.
-	Inventory []InventoryEntry
 
 	report func(Diagnostic)
 }
 
-// Report records a finding with a stable baseline key and a witness
-// chain.
+// Report records a finding with a stable key and a witness chain.
 func (p *ModulePass) Report(pos token.Position, key, message string, chain []Fact) {
 	p.report(Diagnostic{
 		Pos:     pos,
@@ -138,8 +132,6 @@ func (p *ModulePass) Report(pos token.Position, key, message string, chain []Fac
 // AllModule returns the module-level analyzer set in a fixed order.
 func AllModule() []*ModuleAnalyzer {
 	return []*ModuleAnalyzer{
-		SharedState,
-		ParSafe,
 		TimeTaint,
 		CapFlow,
 	}
@@ -250,29 +242,15 @@ func SortDiagnostics(diags []Diagnostic) {
 // errors, not diagnostics: the module must build before it can be
 // vetted.
 func Check(dir string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	res, err := CheckModule(dir, analyzers, nil)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diagnostics, nil
-}
-
-// ModuleResult is everything one m3vet run produces: the findings plus
-// the shared-state inventory (ROADMAP item 2's synchronization
-// work-list), which is emitted even when it produces no diagnostics.
-type ModuleResult struct {
-	Diagnostics []Diagnostic
-	// Inventory is the shared-state inventory; nil when the
-	// interprocedural engine was skipped (fast mode).
-	Inventory []InventoryEntry
+	return CheckModule(dir, analyzers, nil)
 }
 
 // CheckModule loads every package of the module rooted at dir, runs the
 // per-package analyzers over each, then (if any module analyzers are
-// given) builds the call graph and effect summaries once and runs the
-// interprocedural passes. Passing no module analyzers is "fast mode":
-// syntactic rules only, no fixpoint.
-func CheckModule(dir string, analyzers []*Analyzer, mods []*ModuleAnalyzer) (*ModuleResult, error) {
+// given) builds the call graph once and runs the interprocedural
+// passes. Passing no module analyzers is "fast mode": syntactic rules
+// only, no call graph.
+func CheckModule(dir string, analyzers []*Analyzer, mods []*ModuleAnalyzer) ([]Diagnostic, error) {
 	l, err := NewLoader(dir)
 	if err != nil {
 		return nil, err
@@ -289,16 +267,12 @@ func CheckModule(dir string, analyzers []*Analyzer, mods []*ModuleAnalyzer) (*Mo
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	res, err := checkPackages(pkgs, analyzers, mods)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return checkPackages(pkgs, analyzers, mods), nil
 }
 
 // checkPackages is the load-free core of CheckModule, shared with the
 // overlay-fixture tests.
-func checkPackages(pkgs []*Package, analyzers []*Analyzer, mods []*ModuleAnalyzer) (*ModuleResult, error) {
+func checkPackages(pkgs []*Package, analyzers []*Analyzer, mods []*ModuleAnalyzer) []Diagnostic {
 	// Module-rule names are always legal in //m3vet:allow comments —
 	// including in fast mode, when the module passes themselves are
 	// skipped — so an allow for (say) timetaint does not flip between
@@ -315,21 +289,13 @@ func checkPackages(pkgs []*Package, analyzers []*Analyzer, mods []*ModuleAnalyze
 			extraKnown = append(extraKnown, m.Name)
 		}
 	}
-	res := &ModuleResult{}
+	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		res.Diagnostics = append(res.Diagnostics, runAnalyzersKnown(pkg, analyzers, extraKnown)...)
+		diags = append(diags, runAnalyzersKnown(pkg, analyzers, extraKnown)...)
 	}
 	if len(mods) > 0 {
 		graph := BuildCallGraph(pkgs)
-		sums := Summarize(graph)
-		res.Inventory = BuildInventory(graph, sums)
-		// Stamp //m3vet:resolve annotations onto the inventory before
-		// the module passes run: sharedstate skips resolved entries,
-		// parsafe checks shard resolutions. Malformed or stale resolve
-		// comments surface as (unkeyed, unbaselineable) diagnostics.
-		res.Diagnostics = append(res.Diagnostics, applyResolutions(pkgs, res.Inventory)...)
-		// Line-level allow comments apply to module findings too; a
-		// baseline file handles the accepted inventory wholesale.
+		// Line-level allow comments apply to module findings too.
 		allKnown := make(map[string]bool)
 		for _, a := range analyzers {
 			allKnown[a.Name] = true
@@ -345,15 +311,15 @@ func checkPackages(pkgs []*Package, analyzers []*Analyzer, mods []*ModuleAnalyze
 			}
 		}
 		for _, m := range mods {
-			pass := &ModulePass{Analyzer: m, Pkgs: pkgs, Graph: graph, Summaries: sums, Inventory: res.Inventory}
+			pass := &ModulePass{Analyzer: m, Pkgs: pkgs, Graph: graph}
 			pass.report = func(d Diagnostic) {
 				if !allows[allowKey{d.Pos.Filename, d.Pos.Line, d.Rule}] {
-					res.Diagnostics = append(res.Diagnostics, d)
+					diags = append(diags, d)
 				}
 			}
 			m.Run(pass)
 		}
 	}
-	SortDiagnostics(res.Diagnostics)
-	return res, nil
+	SortDiagnostics(diags)
+	return diags
 }

@@ -22,6 +22,24 @@ func runOn(t *testing.T, analyzers []*Analyzer, path string, files map[string]st
 	return RunAnalyzers(pkg, analyzers)
 }
 
+// runModuleOn type-checks the overlay and runs the full module
+// pipeline (call graph, module analyzers) with no per-package
+// analyzers.
+func runModuleOn(t *testing.T, overlay map[string]map[string]string) []Diagnostic {
+	t.Helper()
+	return checkPackages(loadPkgs(t, overlay), nil, AllModule())
+}
+
+func diagsOf(diags []Diagnostic, rule string) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range diags {
+		if d.Rule == rule {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // finding is the (line, rule) fingerprint of one expected diagnostic.
 type finding struct {
 	line int

@@ -9,7 +9,7 @@ import (
 )
 
 // This file builds the conservative call graph that the interprocedural
-// passes (sharedstate, timetaint, capflow) walk. The graph covers every
+// passes (timetaint, capflow) walk. The graph covers every
 // function and method declared in the module plus every function
 // literal, and resolves four call shapes:
 //
@@ -30,7 +30,7 @@ import (
 // over-approximation: it never misses a possible callee inside the
 // module, at the cost of edges that cannot happen at run time. The
 // passes built on top are designed so that over-approximation widens
-// inventories and taint, never shrinks them.
+// taint, never shrinks it.
 
 // FuncNode is one call-graph node: a declared function/method or a
 // function literal.
@@ -115,6 +115,9 @@ type CallGraph struct {
 
 	pkgs     []*Package
 	dynamics []dynamicCall
+	// fieldOwners maps each struct field declared by a named type of
+	// the module to that type's name, for stable Loc identities.
+	fieldOwners map[*types.Var]string
 
 	// bindings maps each func-typed variable or field object to the
 	// functions/literals assigned to it anywhere in the module. A call
@@ -142,6 +145,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		bindingSet:  make(map[types.Object]map[*FuncNode]bool),
 		openBinding: make(map[types.Object]bool),
 	}
+	g.registerFieldOwners()
 	// Pass 1: create nodes for every declared function and literal.
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {

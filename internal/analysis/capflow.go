@@ -192,8 +192,8 @@ func runCapFlow(pass *ModulePass) {
 				// Direct writes into another layer's selector-typed
 				// fields.
 				for _, lhs := range node.Lhs {
-					loc, ok := locOf(info, ast.Unparen(lhs))
-					if !ok || !loc.Field || loc.Var.Pkg() == nil {
+					loc, ok := pass.Graph.locOf(info, ast.Unparen(lhs))
+					if !ok || !loc.Var.IsField() || loc.Var.Pkg() == nil {
 						continue
 					}
 					ownerLayer := layerOf(loc.Var.Pkg().Path())
@@ -216,7 +216,7 @@ func runCapFlow(pass *ModulePass) {
 }
 
 // calleeKey is the position-independent identity of a callee used in
-// baseline keys.
+// finding keys.
 func calleeKey(fn *types.Func) string {
 	if fn.Pkg() == nil {
 		return fn.Name()

@@ -49,7 +49,7 @@ func App() {
 	dtu.Ping(noc.NodeID(3))    // NodeID arg: app->hw, banned
 	dtu.Deleg(kif.CapSel(7))   // CapSel arg: app->hw, banned
 	l := dtu.GetLeaky()        // exported NodeID field result: banned
-	_ = l
+	l.Node = noc.NodeID(5)     // store into an hw-layer NodeID field: banned
 	o := dtu.GetOpaque()       // opaque handle: fine
 	dtu.UseOpaque(o)           // opaque handle arg: fine
 }
@@ -59,13 +59,16 @@ func App() {
 func TestCapFlowLayerCrossings(t *testing.T) {
 	res := runModuleOn(t, capFixture)
 	diags := diagsOf(res, "capflow")
-	if len(diags) != 3 {
-		t.Fatalf("want 3 capflow findings, got %d:\n%s", len(diags), diagText(diags))
+	if len(diags) != 4 {
+		t.Fatalf("want 4 capflow findings, got %d:\n%s", len(diags), diagText(diags))
 	}
+	// The store key names the field by its declaring type; it must not
+	// degrade to "(struct)" when field owners are not registered.
 	wantKeys := map[string]bool{
-		"capflow:app->hw:repro/internal/dtu.Ping:arg0":       true,
-		"capflow:app->hw:repro/internal/dtu.Deleg:arg0":      true,
-		"capflow:hw->app:repro/internal/dtu.GetLeaky:result": true,
+		"capflow:app->hw:repro/internal/dtu.Ping:arg0":        true,
+		"capflow:app->hw:repro/internal/dtu.Deleg:arg0":       true,
+		"capflow:hw->app:repro/internal/dtu.GetLeaky:result":  true,
+		"capflow:app->hw:store:repro/internal/dtu.Leaky.Node": true,
 	}
 	for _, d := range diags {
 		if !wantKeys[d.Key] {
@@ -123,7 +126,8 @@ func TestCapFlowMessages(t *testing.T) {
 	res := runModuleOn(t, capFixture)
 	for _, d := range diagsOf(res, "capflow") {
 		if !strings.Contains(d.Message, "kif syscall/delegation") &&
-			!strings.Contains(d.Message, "translate it at the boundary") {
+			!strings.Contains(d.Message, "translate it at the boundary") &&
+			!strings.Contains(d.Message, "belongs to its own layer") {
 			t.Errorf("message should explain the sanctioned channel: %s", d.Message)
 		}
 	}

@@ -30,11 +30,15 @@ func TestNoGoroutineFlagsConcurrencyOutsideSim(t *testing.T) {
 	})
 }
 
-func TestNoGoroutineAllowsEngineInternals(t *testing.T) {
-	// The same code inside internal/sim is the engine's own machinery
-	// (the parallel worker pool) and is exempt.
+func TestNoGoroutineFlagsEngineToo(t *testing.T) {
+	// internal/sim gets no exemption: processes are iter.Pull
+	// coroutines, so the engine itself needs no go statements or
+	// channels either.
 	got := runOn(t, []*Analyzer{NoGoroutine}, "repro/internal/sim", map[string]string{"f.go": goroutineFixture}, nil)
-	checkFindings(t, got, nil)
+	checkFindings(t, got, []finding{
+		{4, "nogoroutine"}, {5, "nogoroutine"}, {6, "nogoroutine"}, {7, "nogoroutine"},
+		{8, "nogoroutine"}, {9, "nogoroutine"}, {10, "nogoroutine"},
+	})
 }
 
 func TestNoGoroutineCleanCodeIsQuiet(t *testing.T) {

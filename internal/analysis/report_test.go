@@ -8,45 +8,6 @@ import (
 	"testing"
 )
 
-func TestBaselineRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "vet-baseline.json")
-	diags := []Diagnostic{
-		{Rule: "sharedstate", Key: "sharedstate:repro/internal/noc.Delivered"},
-		{Rule: "capflow", Key: "capflow:app->hw:x:arg0"},
-		{Rule: "sharedstate", Key: "sharedstate:repro/internal/noc.Delivered"}, // dup: written once
-		{Rule: "nodeterminism"}, // unkeyed: never baselined
-	}
-	if err := WriteBaseline(path, diags); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Suppressed) != 2 {
-		t.Fatalf("suppressed = %v, want 2 deduped keys", b.Suppressed)
-	}
-	kept, suppressed := b.Filter(diags)
-	if suppressed != 3 {
-		t.Errorf("suppressed %d findings, want 3 (both keyed rules, dup included)", suppressed)
-	}
-	if len(kept) != 1 || kept[0].Rule != "nodeterminism" {
-		t.Errorf("kept = %v, want only the unkeyed syntactic finding", kept)
-	}
-}
-
-func TestLoadBaselineMissingFile(t *testing.T) {
-	b, err := LoadBaseline(filepath.Join(t.TempDir(), "nope.json"))
-	if err != nil {
-		t.Fatalf("missing baseline must not error: %v", err)
-	}
-	kept, suppressed := b.Filter([]Diagnostic{{Rule: "capflow", Key: "capflow:x"}})
-	if suppressed != 0 || len(kept) != 1 {
-		t.Errorf("empty baseline should keep everything: kept=%v suppressed=%d", kept, suppressed)
-	}
-}
-
 func TestBuildReportRelativizesPaths(t *testing.T) {
 	root := string(filepath.Separator) + filepath.Join("mod", "root")
 	diags := []Diagnostic{{
@@ -59,23 +20,12 @@ func TestBuildReportRelativizesPaths(t *testing.T) {
 			Note: "step",
 		}},
 	}}
-	inv := []InventoryEntry{{
-		Key: "repro/internal/noc.Delivered", Kind: "global", Type: "int", Shared: true,
-		Pos:     Fact{Pos: token.Position{Filename: filepath.Join(root, "internal", "noc", "noc.go"), Line: 7}},
-		Writers: []string{"a", "b"},
-	}}
-	rep := BuildReport(root, diags, inv, 5)
-	if rep.Suppressed != 5 {
-		t.Errorf("suppressed = %d", rep.Suppressed)
-	}
+	rep := BuildReport(root, diags)
 	if got := rep.Findings[0].File; got != "internal/x/x.go" {
 		t.Errorf("finding file = %q, want module-relative", got)
 	}
 	if got := rep.Findings[0].Chain[0].File; got != "internal/y/y.go" {
 		t.Errorf("chain file = %q, want module-relative", got)
-	}
-	if got := rep.SharedState[0].File; got != "internal/noc/noc.go" {
-		t.Errorf("inventory file = %q, want module-relative", got)
 	}
 	// And the document must survive a JSON round trip.
 	path := filepath.Join(t.TempDir(), "sub", "report.json")
@@ -90,7 +40,7 @@ func TestBuildReportRelativizesPaths(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Findings) != 1 || len(back.SharedState) != 1 || back.Suppressed != 5 {
+	if len(back.Findings) != 1 || len(back.Findings[0].Chain) != 1 {
 		t.Errorf("round trip lost data: %+v", back)
 	}
 }

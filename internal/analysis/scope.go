@@ -24,12 +24,6 @@ var simFacing = map[string]bool{
 	"repro/internal/obs":   true,
 }
 
-// simEnginePath is the only package allowed to use Go concurrency.
-// Processes are iter.Pull coroutines (sim/process.go) and need neither;
-// the parallel engine's worker pool in sim/parallel.go holds the
-// module's only go statements and channels.
-const simEnginePath = "repro/internal/sim"
-
 // calleeFunc resolves the function or method called by call, or nil if
 // the callee is not a named function (builtin, conversion, func value).
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {

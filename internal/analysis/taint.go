@@ -282,7 +282,7 @@ func (fs *funcState) store(lhs ast.Expr, m *taintMark, params map[int]bool) {
 	lhs = ast.Unparen(lhs)
 	info := fs.node.Pkg.Info
 	// A package-level var or struct field?
-	if loc, ok := locOf(info, lhs); ok {
+	if loc, ok := fs.run.graph.locOf(info, lhs); ok {
 		fs.storeLoc(lhs, loc, m, params)
 		return
 	}
@@ -412,7 +412,7 @@ func (fs *funcState) evalExpr(expr ast.Expr) (*taintMark, map[int]bool) {
 		}
 		return nil, params
 	case *ast.SelectorExpr:
-		if loc, ok := locOf(info, expr); ok {
+		if loc, ok := fs.run.graph.locOf(info, expr); ok {
 			if m := fs.run.globals[loc]; m != nil {
 				return m, nil
 			}

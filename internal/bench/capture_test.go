@@ -22,15 +22,11 @@ func captureJSON(t *testing.T, c *obs.RunCapture) string {
 }
 
 // TestCaptureEngineEquivalence is the differential contract for
-// captures: the serial reference heap, the calendar queue, and the
-// parallel engine must produce byte-identical capture JSON — so an
-// m3diff report can never be engine noise.
+// captures: the reference heap and the calendar queue must produce
+// byte-identical capture JSON — so an m3diff report can never be
+// engine noise.
 func TestCaptureEngineEquivalence(t *testing.T) {
-	variants := []EngineVariant{
-		{Name: "serial-heap", Cfg: sim.Config{Queue: sim.QueueHeap}},
-		{Name: "serial-calendar", Cfg: sim.Config{}},
-		{Name: "parallel-4", Cfg: sim.Config{Workers: 4}},
-	}
+	variants := EngineVariants()
 	var ref string
 	for _, v := range variants {
 		c, err := RunWorkloadCapture(witnessWorkload, CaptureRunOptions{Engine: v.Cfg})

@@ -12,12 +12,10 @@ import (
 
 // The differential engine harness: every workload the tier-1 suite
 // exercises is run under each engine configuration — the reference
-// binary-heap event queue, the production calendar queue, and the
-// conservative parallel engine at several worker counts — and every
-// observable byte of the run is hashed into a witness. Two engine
-// configurations are equivalent exactly when their witnesses are
-// identical; TestEngineEquivalence enforces this for the whole matrix
-// on every CI run.
+// binary-heap event queue and the production calendar queue — and
+// every observable byte of the run is hashed into a witness. Two
+// engine configurations are equivalent exactly when their witnesses
+// are identical; TestEngineEquivalence enforces this on every CI run.
 
 // EngineVariant names one engine configuration under differential test.
 type EngineVariant struct {
@@ -27,14 +25,11 @@ type EngineVariant struct {
 
 // EngineVariants returns the configuration matrix. The first entry is
 // the reference: the binary heap kept precisely so the calendar queue
-// and the parallel engine have a trusted baseline to differ against.
+// has a trusted baseline to differ against.
 func EngineVariants() []EngineVariant {
 	return []EngineVariant{
 		{"serial-heap", sim.Config{Queue: sim.QueueHeap}},
 		{"serial-calendar", sim.Config{}},
-		{"parallel-2", sim.Config{Workers: 2}},
-		{"parallel-4", sim.Config{Workers: 4}},
-		{"parallel-8", sim.Config{Workers: 8}},
 	}
 }
 
@@ -74,10 +69,8 @@ const differentialSampleEvery sim.Time = 4096
 // RunDifferential executes n instances of b under the given fault plan
 // on one engine configuration, with every observability stream armed,
 // and returns the run's witness. The fault plan matters: asynchronous
-// control traffic (acks, nacks) is the only NoC path that uses
-// sharded delivery, and it only exists under fault injection — a
-// lossless differential run would leave the parallel engine's most
-// delicate path untested.
+// control traffic (acks, nacks) only exists under fault injection, so
+// a lossless differential run would leave that NoC path untested.
 func RunDifferential(b workload.Benchmark, n int, plan fault.Plan, cfg sim.Config) (DifferentialWitness, error) {
 	return RunDifferentialOverload(b, n, plan, cfg, nil)
 }

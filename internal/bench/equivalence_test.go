@@ -10,19 +10,17 @@ import (
 
 // differentialPlan is the fault plan every differential run uses: a
 // lossy, corrupting NoC. It exercises retransmission, NACKs, and the
-// asynchronous control traffic that rides the parallel engine's
-// sharded delivery path — the lossless model never sends an async
-// packet.
+// asynchronous control traffic (NoC SendAsync) — the lossless model
+// never sends an async packet.
 func differentialPlan() fault.Plan {
 	return fault.Plan{Seed: chaosSeed, DropRate: 0.01, CorruptRate: 0.002}
 }
 
 // TestEngineEquivalence is the headline differential test: every
-// tier-1 workload runs under the heap queue, the calendar queue, and
-// the parallel engine at 2, 4, and 8 workers, and every observable
-// byte — engine statistics, legacy trace, structured event stream,
-// metrics snapshot, per-instance outcomes — must be identical across
-// the whole matrix.
+// tier-1 workload runs under the reference heap queue and the calendar
+// queue, and every observable byte — engine statistics, legacy trace,
+// structured event stream, metrics snapshot, per-instance outcomes —
+// must be identical.
 func TestEngineEquivalence(t *testing.T) {
 	for _, b := range workload.All() {
 		b := b
@@ -50,9 +48,9 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalenceNoFault: the matrix must also agree on a
-// lossless run (no async control traffic at all), catching a parallel
-// engine that only works when the fault layer perturbs timing.
+// TestEngineEquivalenceNoFault: the variants must also agree on a
+// lossless run (no async control traffic at all), catching a queue
+// that only agrees when the fault layer perturbs timing.
 func TestEngineEquivalenceNoFault(t *testing.T) {
 	b, err := workload.ByName("tar")
 	if err != nil {
@@ -82,16 +80,15 @@ func TestDifferentialRunIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sim.Config{Workers: 4}
-	a, err := RunDifferential(b, 2, differentialPlan(), cfg)
+	a, err := RunDifferential(b, 2, differentialPlan(), sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := RunDifferential(b, 2, differentialPlan(), cfg)
+	c, err := RunDifferential(b, 2, differentialPlan(), sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != c {
-		t.Fatalf("parallel-4 not self-deterministic:\n  1st: %v\n  2nd: %v", a, c)
+		t.Fatalf("default engine not self-deterministic:\n  1st: %v\n  2nd: %v", a, c)
 	}
 }

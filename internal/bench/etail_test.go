@@ -81,9 +81,8 @@ func critPathRun(t *testing.T, b workload.Benchmark, cfg sim.Config) (RunStats, 
 	return st, writeCritPathReport(t, cp, slos)
 }
 
-// TestCritPathReportDeterministic: three serial runs plus a parallel-4
-// run of the same workload must produce byte-identical attribution
-// reports — counters, quantile blame, exemplar span trees, folded
+// TestCritPathReportDeterministic: three runs of the same workload
+// must produce byte-identical attribution reports — counters, quantile blame, exemplar span trees, folded
 // stacks, and SLO snapshot (the m3slo acceptance gate).
 func TestCritPathReportDeterministic(t *testing.T) {
 	b, err := workload.ByName("tar")
@@ -94,18 +93,11 @@ func TestCritPathReportDeterministic(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		st2, rep2 := critPathRun(t, b, sim.Config{})
 		if st1 != st2 {
-			t.Fatalf("serial rerun %d: run stats differ: %+v vs %+v", i+2, st2, st1)
+			t.Fatalf("rerun %d: run stats differ: %+v vs %+v", i+2, st2, st1)
 		}
 		if !bytes.Equal(rep1, rep2) {
-			t.Fatalf("serial rerun %d: report differs:\n%s\n---\n%s", i+2, rep2, rep1)
+			t.Fatalf("rerun %d: report differs:\n%s\n---\n%s", i+2, rep2, rep1)
 		}
-	}
-	stP, repP := critPathRun(t, b, sim.Config{Workers: 4})
-	if st1 != stP {
-		t.Fatalf("parallel-4 run stats differ: %+v vs %+v", stP, st1)
-	}
-	if !bytes.Equal(rep1, repP) {
-		t.Fatalf("parallel-4 report differs from serial:\n%s\n---\n%s", repP, rep1)
 	}
 }
 
@@ -188,17 +180,12 @@ func TestCritPathSLOZeroOverhead(t *testing.T) {
 
 // TestETailEngineEquivalence: the E-tail experiment must produce the
 // identical result — every blame cell, SLO count, and the per-workload
-// population witness — on the serial reference, the calendar queue,
-// and the parallel engine.
+// population witness — on the reference heap and the calendar queue.
 func TestETailEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("engine sweep in -short mode")
 	}
-	variants := []EngineVariant{
-		{"serial-heap", sim.Config{Queue: sim.QueueHeap}},
-		{"serial-calendar", sim.Config{}},
-		{"parallel-4", sim.Config{Workers: 4}},
-	}
+	variants := EngineVariants()
 	ref, err := ETailEngine(variants[0].Cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -69,9 +69,9 @@ type M3Options struct {
 	// one sample. Zero keeps the sampler off, scheduling no extra
 	// events — RunStats stay bit-identical to a sampler-free run.
 	SampleEvery sim.Time
-	// Engine configures the simulation engine (event queue kind,
-	// parallel workers). Every configuration produces byte-identical
-	// runs; the zero value is the production default. The differential
+	// Engine configures the simulation engine (event queue kind).
+	// Every configuration produces byte-identical runs; the zero value
+	// is the production default. The differential
 	// harness (differential.go) sweeps this field.
 	Engine sim.Config
 	// DispatchCostDelta perturbs the kernel's per-syscall dispatch cost
@@ -286,7 +286,7 @@ func RunM3Instances(b workload.Benchmark, n int) (sim.Time, error) {
 }
 
 // RunM3InstancesEngine is RunM3Instances on an explicit engine
-// configuration (m3sim's -engine/-parallel flags).
+// configuration (m3sim's -engine flag).
 func RunM3InstancesEngine(b workload.Benchmark, n int, eng sim.Config) (sim.Time, error) {
 	opt := M3Options{
 		NoCUnlimited: true,

@@ -77,8 +77,7 @@ func TestOverloadGracefulDegradation(t *testing.T) {
 }
 
 // TestOverloadDeterminism: the sweep is bit-reproducible — three runs
-// on the serial engine and three on the 4-worker parallel engine must
-// produce identical witnesses at every load point.
+// must produce identical witnesses at every load point.
 func TestOverloadDeterminism(t *testing.T) {
 	var ref *ELoadResult
 	check := func(name string, cfg sim.Config) {
@@ -103,10 +102,7 @@ func TestOverloadDeterminism(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		check(fmt.Sprintf("serial#%d", i), sim.Config{})
-	}
-	for i := 0; i < 3; i++ {
-		check(fmt.Sprintf("parallel-4#%d", i), sim.Config{Workers: 4})
+		check(fmt.Sprintf("run#%d", i), sim.Config{})
 	}
 }
 
@@ -121,20 +117,17 @@ func TestOverloadIdleBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	idle := &OverloadSpec{} // armed, but every knob at its off default
-	for _, cfg := range []struct {
-		name string
-		cfg  sim.Config
-	}{{"serial", sim.Config{}}, {"parallel-4", sim.Config{Workers: 4}}} {
-		off, err := RunDifferential(b, 2, differentialPlan(), cfg.cfg)
+	for _, v := range EngineVariants() {
+		off, err := RunDifferential(b, 2, differentialPlan(), v.Cfg)
 		if err != nil {
-			t.Fatalf("%s off: %v", cfg.name, err)
+			t.Fatalf("%s off: %v", v.Name, err)
 		}
-		on, err := RunDifferentialOverload(b, 2, differentialPlan(), cfg.cfg, idle)
+		on, err := RunDifferentialOverload(b, 2, differentialPlan(), v.Cfg, idle)
 		if err != nil {
-			t.Fatalf("%s idle: %v", cfg.name, err)
+			t.Fatalf("%s idle: %v", v.Name, err)
 		}
 		if off != on {
-			t.Errorf("%s: idle overload stack perturbed the run:\n  off: %v\n  on:  %v", cfg.name, off, on)
+			t.Errorf("%s: idle overload stack perturbed the run:\n  off: %v\n  on:  %v", v.Name, off, on)
 		}
 	}
 }

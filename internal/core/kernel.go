@@ -41,9 +41,7 @@ func (t *ProgTable) Get(id uint64) Program { return t.progs[id] }
 
 // Stats counts kernel activity.
 type Stats struct {
-	//m3vet:resolve sharedstate owner kernel counters are bumped only by kernel dispatcher/helper processes
-	Syscalls map[kif.SyscallOp]uint64
-	//m3vet:resolve sharedstate owner kernel counters are bumped only by kernel dispatcher/helper processes
+	Syscalls     map[kif.SyscallOp]uint64
 	ServiceCalls uint64
 
 	// Fault-tolerance counters, nonzero only under fault injection:
@@ -51,18 +49,13 @@ type Stats struct {
 	// died or its reply endpoint is unreachable), endpoint
 	// invalidations of a dead PE that timed out, and VPEs reaped by
 	// the death watchdog.
-	//m3vet:resolve sharedstate owner kernel counters are bumped only by kernel dispatcher/helper processes
-	RepliesDropped uint64
-	//m3vet:resolve sharedstate owner kernel counters are bumped only by kernel dispatcher/helper processes
+	RepliesDropped      uint64
 	FailedInvalidations uint64
-	//m3vet:resolve sharedstate owner kernel counters are bumped only by kernel dispatcher/helper processes
-	VPEsReaped uint64
+	VPEsReaped          uint64
 
 	// Recovery counters: kernel→service calls that hit the armed
 	// deadline, and supervised services respawned after a reap.
-	//m3vet:resolve sharedstate owner kernel counters are bumped only by kernel dispatcher/helper processes
 	ServiceTimeouts uint64
-	//m3vet:resolve sharedstate owner kernel counters are bumped only by kernel dispatcher/helper processes
 	ServiceRestarts uint64
 
 	// Overload-control counters, nonzero only with EnableOverload:
@@ -70,14 +63,10 @@ type Stats struct {
 	// open circuit breaker, calls the service DTU refused at its
 	// admission watermark, and supervisor respawns delayed because the
 	// service's breaker was still open.
-	//m3vet:resolve sharedstate owner kernel counters are bumped only by kernel dispatcher/helper processes
-	CallsShed uint64
-	//m3vet:resolve sharedstate owner kernel counters are bumped only by kernel dispatcher/helper processes
+	CallsShed      uint64
 	BreakerRejects uint64
-	//m3vet:resolve sharedstate owner kernel counters are bumped only by kernel dispatcher/helper processes
-	CallsRefused uint64
-	//m3vet:resolve sharedstate owner kernel counters are bumped only by kernel dispatcher/helper processes
-	RestartsHeld uint64
+	CallsRefused   uint64
+	RestartsHeld   uint64
 }
 
 // SyscallCount is one (opcode, count) pair of the syscall counter map.
@@ -159,7 +148,6 @@ type Kernel struct {
 	// regression that m3diff must attribute to the kernel layer. Zero
 	// (the default) charges exactly the cost table and schedules
 	// nothing extra, keeping unperturbed runs bit-identical.
-	//m3vet:resolve sharedstate owner written once before boot (PerturbSyscallCost), read only by the kernel dispatcher
 	costDelta sim.Time
 
 	// overload is the armed overload-control state (shed controllers,
@@ -183,10 +171,8 @@ type Kernel struct {
 	mEPReconfigs        *obs.Counter
 	mCapRevocations     *obs.Counter
 	mSupervisorRestarts *obs.Counter
-	//m3vet:resolve sharedstate owner registered lazily from kernel helper processes only
-	mCallsShed *obs.Counter
-	//m3vet:resolve sharedstate owner registered lazily from kernel helper processes only
-	mBreakerOpens *obs.Counter
+	mCallsShed          *obs.Counter
+	mBreakerOpens       *obs.Counter
 
 	Stats Stats
 }

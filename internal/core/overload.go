@@ -34,10 +34,8 @@ type OverloadConfig struct {
 // kernelOverload is the armed overload state: per-service shed
 // controllers and breakers, created lazily per service name.
 type kernelOverload struct {
-	cfg OverloadConfig
-	//m3vet:resolve sharedstate owner per-service controllers are created and driven by kernel helper processes on the kernel CPU
+	cfg      OverloadConfig
 	shedders map[string]*overload.Shedder
-	//m3vet:resolve sharedstate owner per-service controllers are created and driven by kernel helper processes on the kernel CPU
 	breakers map[string]*overload.Breaker
 }
 

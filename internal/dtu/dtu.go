@@ -37,9 +37,7 @@ type DTU struct {
 	node noc.NodeID
 	spm  *mem.SPM
 
-	//m3vet:resolve sharedstate owner endpoint table is configured and drained in process or serial delivery context
-	eps []epState
-	//m3vet:resolve sharedstate owner flipped only by serial config-request handling
+	eps        []epState
 	privileged bool
 
 	// MsgAvail fires whenever a message or reply arrives at any receive
@@ -50,21 +48,16 @@ type DTU struct {
 	// endpoint.
 	CreditAvail *sim.Signal
 
-	//m3vet:resolve sharedstate owner operation ids are minted in process context
-	nextOp uint64
-	//m3vet:resolve sharedstate owner pending-op table is mutated in process context and serial delivery
+	nextOp  uint64
 	pending map[uint64]*pendingOp
 
 	// Reliability state, live only when faults is non-nil (see
 	// EnableFaults): outstanding acknowledged transfers by sequence
 	// number, received (sender, seq) pairs for duplicate suppression,
 	// and the core-liveness callback probes read.
-	faults *FaultConfig
-	//m3vet:resolve sharedstate owner sequence numbers are minted in transmit, process context
-	nextSeq uint64
-	//m3vet:resolve sharedstate owner the send table is inserted/deleted in transmit; shard delivery only reads it (ack/nack flags are per-entry, see pendingSend)
-	sends map[uint64]*pendingSend
-	//m3vet:resolve sharedstate owner dedup windows are updated in serial Deliver, which shard code reaches through sc.Defer
+	faults     *FaultConfig
+	nextSeq    uint64
+	sends      map[uint64]*pendingSend
 	seen       map[noc.NodeID]*dedupState
 	coreStatus func() bool
 
@@ -80,15 +73,12 @@ type DTU struct {
 	// before receive, so no retransmission resurrects the pointer).
 	// Delivered messages are never recycled: their Data legally
 	// escapes into software (kif.IStream wraps it).
-	//m3vet:resolve sharedstate owner pool head moves in newMessage (process context) and freeMessage (serial receive drops)
 	msgFree *Message
 
 	// waitingSince is the start of the core's in-progress DTU wait
 	// (valid while waiting is true), so utilization measurements see
 	// idle time that has not completed yet.
-	//m3vet:resolve sharedstate owner wait bookkeeping is touched by the owning core's process only
-	waiting bool
-	//m3vet:resolve sharedstate owner wait bookkeeping is touched by the owning core's process only
+	waiting      bool
 	waitingSince sim.Time
 
 	// obs is the structured tracer (nil-safe; see package obs) and
@@ -97,16 +87,14 @@ type DTU struct {
 	// the message or transfer is actually built. The register survives
 	// credit-denied retries because consumption happens only on the
 	// successful attempt.
-	obs *obs.Tracer
-	//m3vet:resolve sharedstate owner the span register is armed and consumed by the owning core's process
+	obs     *obs.Tracer
 	curSpan uint64
 
 	// Overload-control state, live only when overload is non-nil (see
 	// EnableOverload): the admission/deadline configuration and the
 	// one-slot deadline register software arms with StampDeadline, a
 	// sibling of the span register below.
-	overload *OverloadConfig
-	//m3vet:resolve sharedstate owner the deadline register is armed and consumed by the owning core's process
+	overload    *OverloadConfig
 	curDeadline sim.Time
 
 	// Cached metric handles (nil-safe, inert without a tracer); the
@@ -115,9 +103,7 @@ type DTU struct {
 	mCreditStalls  *obs.Counter
 	mRetransmits   *obs.Counter
 	mNacks         *obs.Counter
-	//m3vet:resolve sharedstate owner registered lazily in serial delivery context (admit runs in Deliver)
 	mDeadlineDrops *obs.Counter
-	//m3vet:resolve sharedstate owner registered lazily in serial delivery context (admit runs in Deliver)
 	mAdmitRefusals *obs.Counter
 
 	Stats Stats
@@ -793,60 +779,6 @@ func (d *DTU) Deliver(pkt *noc.Packet) {
 	default:
 		panic(fmt.Sprintf("dtu: unknown packet payload %T", pkt.Payload))
 	}
-}
-
-// DeliverShard implements noc.ShardHandler: it is Deliver for the
-// parallel engine, running on the shard that owns this DTU's node id.
-// Only state owned by the destination DTU is touched inline (the
-// poison counter, the pending-send flags — all written only under this
-// node's shard or in serial context); everything with wider reach —
-// trace/obs emission, control-packet sends, signal broadcasts, and the
-// whole payload-delivery path — is deferred to the serial barrier in
-// the exact order serial Deliver would apply it.
-func (d *DTU) DeliverShard(sc *sim.ShardCtx, pkt *noc.Packet) {
-	if pkt.Corrupt {
-		d.Stats.Poisoned++
-		src, seq, span := pkt.Src, pkt.Seq, pkt.Span
-		if sc.Tracing() {
-			sc.Emit(d.traceName(), fmt.Sprintf("poisoned pkt from node%d seq %d", src, seq))
-		}
-		if tr := d.obs; tr.On() {
-			at := sc.Now()
-			sc.Defer(func() {
-				tr.Emit(obs.Event{At: at, PE: int32(d.node), Layer: obs.LDTU,
-					Kind: obs.EvPoisoned, Span: obs.SpanID(span),
-					Arg0: uint64(src), Arg1: seq})
-			})
-		}
-		if seq != 0 {
-			sc.Defer(func() {
-				if tr := d.obs; tr.On() {
-					d.mNacks.Inc()
-				}
-				d.sendCtrl(src, &nackPacket{Seq: seq})
-			})
-		}
-		return
-	}
-	switch pl := pkt.Payload.(type) {
-	case *ackPacket:
-		if ps, ok := d.sends[pl.Seq]; ok {
-			ps.acked = true
-			sc.Defer(ps.done.Broadcast)
-		}
-		return
-	case *nackPacket:
-		if ps, ok := d.sends[pl.Seq]; ok && !ps.acked {
-			ps.nacked = true
-			sc.Defer(ps.done.Broadcast)
-		}
-		return
-	}
-	// Everything else — dedup bookkeeping, ringbuffer writes, credit
-	// refills, request queuing, op completion — wakes processes or
-	// crosses into shared structures; run the serial path wholesale at
-	// the barrier.
-	sc.Defer(func() { d.Deliver(pkt) })
 }
 
 // receive places a message into the ringbuffer of receive endpoint ep,

@@ -142,10 +142,8 @@ func (fc *FaultConfig) stall(p *sim.Process) {
 
 // pendingSend tracks one reliable outbound transfer awaiting its ack.
 type pendingSend struct {
-	done *sim.Signal
-	//m3vet:resolve sharedstate shard only the destination shard's delivery context flips the flag for packets it received; the sender polls it at the barrier
-	acked bool
-	//m3vet:resolve sharedstate shard only the destination shard's delivery context flips the flag for packets it received; the sender polls it at the barrier
+	done   *sim.Signal
+	acked  bool
 	nacked bool
 }
 
@@ -165,9 +163,7 @@ type seqKey struct {
 // stays bounded by the sender's in-flight window however many
 // transfers the run carries.
 type dedupState struct {
-	//m3vet:resolve sharedstate owner dedup windows advance in serial Deliver only
 	floor uint64
-	//m3vet:resolve sharedstate owner dedup windows advance in serial Deliver only
 	ahead map[uint64]bool
 }
 

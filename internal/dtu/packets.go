@@ -47,21 +47,16 @@ type MemWriteReq struct {
 // Data). A non-empty Err reports an out-of-bounds access.
 type MemResp struct {
 	OpID uint64
-	//m3vet:resolve sharedstate message filled once by the serving tile, then carried to the requester
 	Data []byte
-	//m3vet:resolve sharedstate message filled once by the serving tile, then carried to the requester
-	Err string
+	Err  string
 }
 
 // ConfigReq remotely writes an endpoint's registers. Only packets from
 // privileged DTUs are honoured; this is how a kernel PE exercises
 // NoC-level control over application PEs.
 type ConfigReq struct {
-	//m3vet:resolve sharedstate message filled once by the requesting kernel, then carried to the target DTU
-	OpID uint64
-	//m3vet:resolve sharedstate message filled once by the requesting kernel, then carried to the target DTU
-	Src noc.NodeID
-	//m3vet:resolve sharedstate message filled once by the requesting kernel, then carried to the target DTU
+	OpID       uint64
+	Src        noc.NodeID
 	Privileged bool
 
 	EP  int
@@ -70,15 +65,13 @@ type ConfigReq struct {
 	// SetPrivilege, when non-zero, up/downgrades the target DTU's
 	// privilege instead of writing an endpoint: +1 upgrades, -1
 	// downgrades (the boot-time downgrade of application PEs).
-	//m3vet:resolve sharedstate message filled once by the requesting kernel, then carried to the target DTU
 	SetPrivilege int
 }
 
 // ConfigResp acknowledges a ConfigReq.
 type ConfigResp struct {
 	OpID uint64
-	//m3vet:resolve sharedstate message filled once by the target DTU, then carried back to the requester
-	Err string
+	Err  string
 }
 
 // ackPacket is the hardware acknowledgement of a sequence-numbered

@@ -150,10 +150,8 @@ func (pl Plan) normalized() (Plan, error) {
 type crashState struct {
 	crash   Crash
 	skipped bool // PE out of range or the kernel's own: never fires
-	//m3vet:resolve sharedstate owner crash events fire in serial engine callbacks
-	fired bool
-	//m3vet:resolve sharedstate owner crash events fire in serial engine callbacks
-	victim *core.VPE // the VPE on the PE at crash time, if any
+	fired   bool
+	victim  *core.VPE // the VPE on the PE at crash time, if any
 }
 
 // Injector is an attached fault plan: the hooks are armed and the
@@ -192,11 +190,10 @@ func Attach(kern *core.Kernel, plan Plan) (*Injector, error) {
 		// stateless — a hash of the hop's own identity (link, sequence
 		// number, cycle) rather than the next value of a stream shared
 		// by every PE's send path — so a hop's verdict never depends on
-		// which other PEs transmitted before it. That keeps the fault
-		// schedule well-defined under the planned parallel scheduler
-		// (the old shared stream is exactly what m3vet's sharedstate
-		// pass flags) and gives retransmissions of the same sequence
-		// number fresh draws (they traverse at a later cycle).
+		// which other PEs transmitted before it. That keeps one PE's
+		// fault schedule independent of every other PE's traffic and
+		// gives retransmissions of the same sequence number fresh draws
+		// (they traverse at a later cycle).
 		drop, corrupt := plan.DropRate, plan.CorruptRate
 		seed := plan.Seed ^ saltLink
 		eng := plat.Eng

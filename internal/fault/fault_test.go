@@ -106,8 +106,8 @@ func TestDecodePlanShortInput(t *testing.T) {
 // The injector must own its plan: normalized() reheads the Brownouts
 // and Crashes slices onto private arrays, so mutating the caller's
 // slices after Attach cannot rewrite an armed schedule. (Regression
-// test for an aliasing bug found by m3vet's sharedstate triage: the
-// injector used to retain the caller's backing arrays.)
+// test for an aliasing bug: the injector used to retain the caller's
+// backing arrays.)
 func TestNormalizedCopiesSlices(t *testing.T) {
 	orig := Plan{
 		Seed:      1,

@@ -42,40 +42,30 @@ const (
 type Client struct {
 	env     *m3.Env
 	service string
-	//m3vet:resolve sharedstate owner client state is driven only by the owning VPE's process
-	sess kif.CapSel
-	//m3vet:resolve sharedstate owner client state is driven only by the owning VPE's process
-	sg *m3.SendGate
+	sess    kif.CapSel
+	sg      *m3.SendGate
 
 	// key/seq form the idempotency tokens: key is the client's PE
 	// number, seq a monotonic counter for mutating operations.
 	key uint64
-	//m3vet:resolve sharedstate owner client state is driven only by the owning VPE's process
 	seq uint64
 	// gen counts established sessions; files opened under an older gen
 	// re-open themselves before their next operation.
-	//m3vet:resolve sharedstate owner client state is driven only by the owning VPE's process
-	gen uint64
-	//m3vet:resolve sharedstate owner client state is driven only by the owning VPE's process
-	files []*file
-	//m3vet:resolve sharedstate owner client state is driven only by the owning VPE's process
+	gen        uint64
+	files      []*file
 	recovering bool
 
-	//m3vet:resolve sharedstate owner client state is driven only by the owning VPE's process
 	mSessionReopens *obs.Counter
 
 	// breaker is the client-side circuit breaker, created lazily on the
 	// first call of an overload-armed run (env.DTU().Overloaded()); nil
 	// on every other run, so plain runs allocate and check nothing.
-	//m3vet:resolve sharedstate owner client state is driven only by the owning VPE's process
 	breaker *overload.Breaker
 
 	// ShedRetries counts bounded retries after overload refusals;
 	// BreakerRejects counts calls failed fast by the open client
 	// breaker (tests and the bench harness).
-	//m3vet:resolve sharedstate owner client state is driven only by the owning VPE's process
-	ShedRetries uint64
-	//m3vet:resolve sharedstate owner client state is driven only by the owning VPE's process
+	ShedRetries    uint64
 	BreakerRejects uint64
 
 	// ShedRetryAttempts tunes the bounded retry budget applied to
@@ -83,18 +73,14 @@ type Client struct {
 	// negative value disables retries entirely so refusals surface
 	// immediately (the eload harness uses this to measure the raw
 	// fast-fail latency).
-	//m3vet:resolve sharedstate owner set once by the driving harness before traffic starts, read by the owning VPE's process
 	ShedRetryAttempts int
 
 	// AppendBlocks overrides the per-append preallocation (0 = server
 	// default); NoMerge forces separate extents (Figure 4 experiment).
-	//m3vet:resolve sharedstate owner client state is driven only by the owning VPE's process
 	AppendBlocks int
-	//m3vet:resolve sharedstate owner client state is driven only by the owning VPE's process
-	NoMerge bool
+	NoMerge      bool
 
 	// Recoveries counts successful session re-establishments (tests).
-	//m3vet:resolve sharedstate owner client state is driven only by the owning VPE's process
 	Recoveries uint64
 }
 

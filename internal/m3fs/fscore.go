@@ -20,7 +20,7 @@ import (
 // Extent is a contiguous run of blocks.
 type Extent struct {
 	Start  int // first block
-	Blocks int //m3vet:resolve sharedstate owner extents are mutated only by the m3fs service process that owns the FsCore
+	Blocks int
 }
 
 // Inode is one file or directory.

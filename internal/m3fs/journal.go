@@ -66,11 +66,10 @@ type JRecord struct {
 	// Ino + Size/Blocks/NoMerge for trunc/append). Records are decoded
 	// into fresh values by the m3fs service process (or offline m3fsck
 	// tooling) and never escape to another goroutine.
-	//m3vet:resolve sharedstate owner decoded into fresh values on the m3fs service process; never shared
 	Path, Path2 string
-	Ino         uint64 //m3vet:resolve sharedstate owner decoded into fresh values on the m3fs service process; never shared
+	Ino         uint64
 	Size        int64
-	Blocks      int //m3vet:resolve sharedstate owner decoded into fresh values on the m3fs service process; never shared
+	Blocks      int
 	NoMerge     bool
 }
 
@@ -103,9 +102,9 @@ type token struct{ key, seq uint64 }
 // retransmitted request (reply lost, or lost across a restart) can be
 // answered with the original result instead of being applied twice.
 type appliedEntry struct {
-	ext            Extent //m3vet:resolve sharedstate owner written once by the m3fs service process when the mutation is applied
+	ext            Extent
 	extOff, extLen int64
-	hasExt         bool //m3vet:resolve sharedstate owner written once by the m3fs service process when the mutation is applied
+	hasExt         bool
 }
 
 // encodeRecord renders one record in its on-DRAM framing.

@@ -71,7 +71,6 @@ type DRAM struct {
 	// given simulated time (fault injection: brownout windows).
 	faultDelay func(now sim.Time) sim.Time
 	// BrownoutCycles accumulates the injected extra latency.
-	//m3vet:resolve sharedstate owner accumulated in DRAM access paths, which run in process context
 	BrownoutCycles sim.Time
 }
 

@@ -31,21 +31,15 @@ type NodeID int
 // payload pointer survives in the model, but receivers must treat the
 // packet as poisoned.
 type Packet struct {
-	//m3vet:resolve sharedstate message header fields are written by the packet's current owner under the pool hand-off discipline
 	Src, Dst NodeID
-	//m3vet:resolve sharedstate message written by the packet's current owner under the pool hand-off discipline
-	Size int
-	//m3vet:resolve sharedstate message written by the packet's current owner under the pool hand-off discipline
-	Payload any
-	//m3vet:resolve sharedstate message assigned by the sender before transmit; owner-exclusive per the pool discipline
-	Seq uint64
-	//m3vet:resolve sharedstate message set by the serial fault hook while the network owns the packet
-	Corrupt bool
+	Size     int
+	Payload  any
+	Seq      uint64
+	Corrupt  bool
 
 	// Span is the causal trace id of the request this packet belongs
 	// to (zero: none). The DTU stamps it from the message header so
 	// the observability layer can reconstruct a request's NoC flights.
-	//m3vet:resolve sharedstate message written by the packet's current owner under the pool hand-off discipline
 	Span uint64
 
 	// Retain transfers ownership of a delivered fire-and-forget packet
@@ -54,11 +48,9 @@ type Packet struct {
 	// done. Handlers that queue the packet for later processing (the
 	// DTU's request server) set it inside Deliver. See FreePacket for
 	// the full ownership rules.
-	//m3vet:resolve sharedstate message set inside Deliver by the receiving handler, which owns the packet at that point
 	Retain bool
 
 	// next links the network's packet freelist.
-	//m3vet:resolve sharedstate owner freelist links are only touched by NewPacket/FreePacket, which run serially (shard code frees through sc.Defer)
 	next *Packet
 }
 
@@ -97,24 +89,6 @@ type HandlerFunc func(pkt *Packet)
 // Deliver calls f(pkt).
 func (f HandlerFunc) Deliver(pkt *Packet) { f(pkt) }
 
-// ShardHandler is an optional extension of Handler for nodes that can
-// consume asynchronous control packets in parallel shard context. When
-// the destination handler implements it, SendAsync delivers through
-// DeliverShard on the destination node's shard (shard id == NodeID)
-// instead of a serial event, letting a parallel engine (sim.Config
-// Workers > 1) process same-cycle control traffic to different nodes
-// concurrently.
-//
-// DeliverShard may touch only state owned by the destination node and
-// must route every other effect — scheduling, counters, trace output,
-// packet frees — through the sim.ShardCtx. Implementations unsure
-// about a payload defer the whole delivery: sc.Defer(func() {
-// h.Deliver(pkt) }) reproduces serial semantics exactly.
-type ShardHandler interface {
-	Handler
-	DeliverShard(sc *sim.ShardCtx, pkt *Packet)
-}
-
 // Config parameterizes a mesh network.
 type Config struct {
 	Width, Height int
@@ -138,29 +112,22 @@ type Network struct {
 	eng      *sim.Engine
 	cfg      Config
 	handlers []Handler
-	//m3vet:resolve sharedstate owner link resources are created at boot and arbitrated in process context
-	links map[linkKey]*sim.Resource
-	//m3vet:resolve sharedstate owner lazily created in serial Send paths only
+	links    map[linkKey]*sim.Resource
 	linkBusy map[linkKey]*obs.Counter
 	fault    FaultHook
 	obs      *obs.Tracer
 
 	// PacketsSent counts injected packets; BytesSent the wire bytes.
-	//m3vet:resolve sharedstate owner NoC totals bump in Send/SendAsync, which shard code reaches only through deferred acts
 	PacketsSent uint64
-	//m3vet:resolve sharedstate owner NoC totals bump in Send/SendAsync, which shard code reaches only through deferred acts
-	BytesSent uint64
+	BytesSent   uint64
 	// PacketsDropped and PacketsCorrupted count fault-injected losses
 	// and header corruptions.
-	//m3vet:resolve sharedstate owner fault accounting happens inside serial link hooks
-	PacketsDropped uint64
-	//m3vet:resolve sharedstate owner fault accounting happens inside serial link hooks
+	PacketsDropped   uint64
 	PacketsCorrupted uint64
 
 	// free heads the packet freelist. All alloc/free sites run in
-	// serial engine or process context (shard-context frees are
-	// deferred to the batch barrier), so a plain list suffices.
-	//m3vet:resolve sharedstate owner pool head moves only in NewPacket/FreePacket, serial by the ownership rules above
+	// engine or process context under the strict hand-off, so a plain
+	// list suffices.
 	free *Packet
 }
 
@@ -420,14 +387,6 @@ func (n *Network) Send(p *sim.Process, pkt *Packet) {
 // event. It models autonomous DTU control traffic (acknowledgements,
 // probes) emitted from engine context where no process is available.
 // Link occupancy is not modelled for these few-byte control packets.
-//
-// When the destination handler implements ShardHandler, delivery is
-// scheduled on the destination node's shard: under a parallel engine,
-// same-cycle control packets to different nodes are then consumed
-// concurrently. The hop-latency lookahead makes this safe — the
-// transfer time is at least one cycle, so a delivery event is always
-// scheduled strictly in the future and every event of a cycle was
-// recorded before that cycle's batch starts (docs/PARALLEL.md).
 func (n *Network) SendAsync(pkt *Packet) {
 	n.checkNode(pkt.Src)
 	n.checkNode(pkt.Dst)
@@ -453,18 +412,7 @@ func (n *Network) SendAsync(pkt *Packet) {
 	if h == nil {
 		panic(fmt.Sprintf("noc: packet for unattached node %d", pkt.Dst))
 	}
-	delay := n.TransferTime(pkt.Src, pkt.Dst, pkt.Size)
-	if sh, ok := h.(ShardHandler); ok {
-		n.eng.ScheduleShard(int(pkt.Dst), delay, func(sc *sim.ShardCtx) {
-			sh.DeliverShard(sc, pkt)
-			// The pool is engine-owned shared state: free at the
-			// barrier, after any Retain set inside DeliverShard is
-			// visible.
-			sc.Defer(func() { n.finishDelivery(pkt) })
-		})
-		return
-	}
-	n.eng.Schedule(delay, func() {
+	n.eng.Schedule(n.TransferTime(pkt.Src, pkt.Dst, pkt.Size), func() {
 		h.Deliver(pkt)
 		n.finishDelivery(pkt)
 	})

@@ -9,11 +9,8 @@ import (
 // flightRing is one PE's bounded event ring: the last flightCap events
 // that PE produced, in arrival order.
 type flightRing struct {
-	//m3vet:resolve sharedstate owner ring buffer is written by the emitting simulation context only
-	buf []Event
-	//m3vet:resolve sharedstate owner write cursor advances with each push in the emitting context only
-	next int
-	//m3vet:resolve sharedstate owner lifetime counter is bumped on push only
+	buf   []Event
+	next  int
 	total uint64
 }
 

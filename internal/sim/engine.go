@@ -11,14 +11,12 @@
 // having its own stack. A switch between the engine and a process is a
 // direct goroutine switch in the runtime, with no scheduler wake-up.
 //
-// Two engine internals are configurable (Config) without changing any
-// observable schedule: the event queue implementation (an O(1)
-// calendar queue by default, the original binary heap behind a flag
-// for differential testing) and conservative parallel execution of
-// shard-tagged events (ScheduleShard; see docs/PARALLEL.md). The
-// determinism contract extends across all configurations: every
-// Config must produce byte-identical traces, which is enforced by the
-// differential harness in internal/bench.
+// One engine internal is configurable (Config) without changing any
+// observable schedule: the event queue implementation, an O(1) calendar
+// queue by default and the original binary heap as the reference for
+// differential testing (see docs/ENGINE.md). Both must produce
+// byte-identical traces, which is enforced by the differential harness
+// in internal/bench.
 package sim
 
 import (
@@ -29,28 +27,14 @@ import (
 // Time is a simulated time stamp, measured in cycles.
 type Time uint64
 
-// serialShard tags an event with no shard affinity: it runs in engine
-// context with exclusive access to all simulation state.
-const serialShard int32 = -1
-
 // event is a scheduled callback. Events are engine-pooled: Schedule
 // takes one from the freelist and step returns it zeroed, so the
 // steady-state hot path allocates nothing per event.
 type event struct {
-	//m3vet:resolve sharedstate owner events are created, executed and pooled on the engine goroutine only
-	at Time
-	//m3vet:resolve sharedstate owner written once at Schedule time on the engine goroutine
+	at  Time
 	seq uint64
-	// fn is set for serial events, sfn (with shard >= 0) for sharded
-	// ones; exactly one is non-nil.
-	//m3vet:resolve sharedstate owner written at Schedule and zeroed at pool return, both engine-side
-	fn func()
-	//m3vet:resolve sharedstate owner written at ScheduleShard and zeroed at pool return, both engine-side
-	sfn func(*ShardCtx)
-	//m3vet:resolve sharedstate owner written at Schedule time on the engine goroutine
-	shard int32
+	fn  func()
 	// next links the engine freelist.
-	//m3vet:resolve sharedstate owner freelist links are only touched by the engine's pool get/put
 	next *event
 }
 
@@ -66,18 +50,11 @@ const (
 )
 
 // Config parameterizes an engine. The zero value is the production
-// default: calendar queue, serial execution.
+// default: the calendar queue.
 type Config struct {
 	// Queue selects the event-queue implementation. Both yield events
 	// in the identical (time, sequence) order.
 	Queue QueueKind
-	// Workers > 1 enables conservative parallel execution: maximal
-	// same-cycle runs of shard-tagged events (ScheduleShard) execute on
-	// a worker pool, grouped by shard, with all cross-shard effects
-	// replayed in deterministic order at the batch barrier. Serial
-	// events and Workers <= 1 behave exactly as the sequential engine
-	// always has. See docs/PARALLEL.md.
-	Workers int
 }
 
 // Engine owns the simulated clock and the event queue.
@@ -86,21 +63,14 @@ type Config struct {
 // either from inside a callback scheduled on it or from a process spawned
 // on it. The zero value is not usable; call NewEngine.
 type Engine struct {
-	now Time
-	//m3vet:resolve sharedstate owner bumped by Schedule, which shard contexts reach only through the act log
-	seq uint64
-	//m3vet:resolve sharedstate owner the event queue is pushed and popped on the engine goroutine only
+	now   Time
+	seq   uint64
 	queue eventQueue
-	//m3vet:resolve sharedstate owner event pool mutated by engine-side Schedule and step only
-	free *event
-	cfg  Config
+	free  *event
 
-	//m3vet:resolve sharedstate owner strict hand-off: set by the engine before waking a process
 	current *Process
 
-	//m3vet:resolve sharedstate owner process accounting happens in Spawn and process exit, engine-side
-	liveProcs int
-	//m3vet:resolve sharedstate owner process accounting happens in Spawn and process exit, engine-side
+	liveProcs   int
 	daemonProcs int
 	executed    uint64
 	// flushed tracks how much of executed has been folded into the
@@ -110,28 +80,16 @@ type Engine struct {
 	deadlocked bool
 
 	tracer func(at Time, source, event string)
-
-	// Parallel-batch state (parallel.go). inBatch is set strictly
-	// before the workers start and cleared strictly after they join,
-	// so workers observe it as true race-free; it turns an engine
-	// Schedule from shard context into a panic instead of a data race.
-	inBatch  bool
-	pool     *shardPool
-	batch    []*event
-	batchCtx []*ShardCtx
-	freeCtx  []*ShardCtx
-	groupOf  map[int32]int
-	groups   [][]int
 }
 
-// NewEngine returns a default-configured engine (calendar queue,
-// serial) with an empty event queue at time zero.
+// NewEngine returns a default-configured engine (calendar queue) with
+// an empty event queue at time zero.
 func NewEngine() *Engine { return NewEngineWith(Config{}) }
 
 // NewEngineWith returns an engine with the given configuration. All
 // configurations produce identical schedules; see Config.
 func NewEngineWith(cfg Config) *Engine {
-	e := &Engine{cfg: cfg}
+	e := &Engine{}
 	switch cfg.Queue {
 	case QueueHeap:
 		e.queue = &heapQueue{}
@@ -140,9 +98,6 @@ func NewEngineWith(cfg Config) *Engine {
 	}
 	return e
 }
-
-// Config returns the engine's configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Now returns the current simulated time in cycles.
 func (e *Engine) Now() Time { return e.now }
@@ -153,7 +108,7 @@ func (e *Engine) ExecutedEvents() uint64 { return e.executed }
 
 // alloc takes an event from the freelist (or the heap on a cold
 // start), stamps it with the next sequence number, and fills it.
-func (e *Engine) alloc(at Time, fn func(), sfn func(*ShardCtx), shard int32) *event {
+func (e *Engine) alloc(at Time, fn func()) *event {
 	ev := e.free
 	if ev == nil {
 		ev = &event{}
@@ -161,26 +116,15 @@ func (e *Engine) alloc(at Time, fn func(), sfn func(*ShardCtx), shard int32) *ev
 		e.free = ev.next
 	}
 	e.seq++
-	ev.at, ev.seq, ev.fn, ev.sfn, ev.shard, ev.next = at, e.seq, fn, sfn, shard, nil
+	ev.at, ev.seq, ev.fn, ev.next = at, e.seq, fn, nil
 	return ev
 }
 
-// release zeroes an executed event (pool hygiene: no stale callbacks
-// or shard tags survive on the freelist) and returns it to the pool.
+// release zeroes an executed event (pool hygiene: no stale callback
+// survives on the freelist) and returns it to the pool.
 func (e *Engine) release(ev *event) {
 	*ev = event{next: e.free}
 	e.free = ev
-}
-
-// checkSchedulable panics on the two scheduling bugs the engine can
-// name precisely; see Schedule and ScheduleShard.
-func (e *Engine) checkSchedulable() {
-	if e.inBatch {
-		panic("sim: Schedule from a parallel shard context; use ShardCtx.Schedule/ScheduleShard/Defer")
-	}
-	if e.deadlocked {
-		panic(fmt.Sprintf("sim: Schedule on deadlocked engine (%d processes parked forever)", e.liveProcs))
-	}
 }
 
 // Schedule registers fn to run after delay cycles. Callbacks run in the
@@ -190,33 +134,12 @@ func (e *Engine) checkSchedulable() {
 // Scheduling onto a deadlocked engine (see Deadlocked) panics: any new
 // event could resume a process that the finished run already reported
 // as parked forever, silently contradicting Deadlocked. A panic names
-// the bug instead. Scheduling from inside a parallel shard callback
-// also panics — shard code must route engine interaction through its
-// ShardCtx, which replays it in deterministic order at the batch
-// barrier.
+// the bug instead.
 func (e *Engine) Schedule(delay Time, fn func()) {
-	e.checkSchedulable()
-	e.queue.push(e.alloc(e.now+delay, fn, nil, serialShard))
-}
-
-// ScheduleShard registers fn to run after delay cycles with shard
-// affinity: under a parallel engine (Config.Workers > 1), same-cycle
-// runs of sharded events execute concurrently, grouped by shard, while
-// per-shard order and all observable effects stay identical to serial
-// execution. Under a serial engine the callback runs inline exactly
-// like Schedule, with an immediate-mode ShardCtx.
-//
-// The shard contract: fn may touch only state owned by its shard;
-// everything else — scheduling, trace emission, signals, shared
-// counters — must go through the ShardCtx. m3vet's parsafe pass checks
-// the write set of sharded callbacks against the shared-state
-// inventory (docs/PARALLEL.md, docs/ANALYSIS.md).
-func (e *Engine) ScheduleShard(shard int, delay Time, fn func(*ShardCtx)) {
-	if shard < 0 {
-		panic("sim: ScheduleShard with negative shard")
+	if e.deadlocked {
+		panic(fmt.Sprintf("sim: Schedule on deadlocked engine (%d processes parked forever)", e.liveProcs))
 	}
-	e.checkSchedulable()
-	e.queue.push(e.alloc(e.now+delay, nil, fn, int32(shard)))
+	e.queue.push(e.alloc(e.now+delay, fn))
 }
 
 // Pending reports whether any events remain queued.
@@ -243,7 +166,6 @@ func (e *Engine) Run() Time {
 	for e.queue.len() > 0 {
 		e.step()
 	}
-	e.stopPool()
 	e.flushExecuted()
 	if e.liveProcs > e.daemonProcs {
 		e.deadlocked = true
@@ -288,7 +210,6 @@ func (e *Engine) RunUntil(limit Time) Time {
 		}
 		e.step()
 	}
-	e.stopPool()
 	e.flushExecuted()
 	if e.now < limit {
 		e.now = limit
@@ -302,14 +223,10 @@ func (e *Engine) step() {
 		panic(fmt.Sprintf("sim: event scheduled in the past (%d < %d)", ev.at, e.now))
 	}
 	e.now = ev.at
-	if ev.sfn == nil {
-		fn := ev.fn
-		e.release(ev)
-		e.executed++
-		fn()
-		return
-	}
-	e.stepShard(ev)
+	fn := ev.fn
+	e.release(ev)
+	e.executed++
+	fn()
 }
 
 // resume hands control to p and returns when p parks or returns.
@@ -326,8 +243,6 @@ func (e *Engine) resume(p *Process) {
 // SetTracer installs a callback receiving (time, source, event) lines
 // from instrumented components (DTUs, the kernel). Tracing is off by
 // default; call sites guard event-string formatting with Tracing.
-// Install tracers before running: shard callbacks read the installed
-// state concurrently and rely on it not changing mid-run.
 func (e *Engine) SetTracer(fn func(at Time, source, event string)) { e.tracer = fn }
 
 // Tracing reports whether a tracer is installed.

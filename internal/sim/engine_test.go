@@ -81,6 +81,25 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
+// TestEventPoolHygiene: released events must carry no stale callback or
+// sequence number back out of the freelist.
+func TestEventPoolHygiene(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(1, func() {})
+	e.Schedule(2, func() {})
+	e.Run()
+	seenFree := 0
+	for ev := e.free; ev != nil; ev = ev.next {
+		seenFree++
+		if ev.fn != nil || ev.at != 0 || ev.seq != 0 {
+			t.Fatalf("freelist event not zeroed: %+v", ev)
+		}
+	}
+	if seenFree == 0 {
+		t.Fatal("expected recycled events on the freelist")
+	}
+}
+
 func TestProcessSleep(t *testing.T) {
 	e := NewEngine()
 	var wake []Time

@@ -46,7 +46,6 @@ func (h *eventHeap) Pop() any {
 
 // heapQueue adapts eventHeap to the eventQueue interface.
 type heapQueue struct {
-	//m3vet:resolve sharedstate owner the reference heap is pushed and popped on the engine goroutine only
 	h eventHeap
 }
 

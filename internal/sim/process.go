@@ -25,24 +25,17 @@ type Process struct {
 	eng  *Engine
 	name string
 	// next resumes the coroutine until it parks or returns.
-	//m3vet:resolve sharedstate owner set once at spawn time on the engine goroutine
 	next func() (struct{}, bool)
 	// yield parks the coroutine, handing control back to next's caller.
-	//m3vet:resolve sharedstate owner set once when the coroutine first runs, under the engine's strict hand-off
 	yield func(struct{}) bool
 	// wake is the event callback that resumes the process, built once
 	// so that parking allocates no closure.
-	//m3vet:resolve sharedstate owner set once at spawn time on the engine goroutine
-	wake func()
-	//m3vet:resolve sharedstate owner process lifecycle flags flip under the engine's strict hand-off, never in shard context
-	dead bool
-	//m3vet:resolve sharedstate owner process lifecycle flags flip under the engine's strict hand-off, never in shard context
+	wake   func()
+	dead   bool
 	killed bool
-	//m3vet:resolve sharedstate owner set once at spawn time on the engine goroutine
 	daemon bool
 
 	// done is signalled when the process function returns.
-	//m3vet:resolve sharedstate owner assigned at spawn, signalled at process exit, both engine-side
 	done *Signal
 }
 

@@ -9,7 +9,6 @@ package sim
 // everything in the address space (and are banned by m3vet's
 // nodeterminism rule for exactly that reason).
 type Rand struct {
-	//m3vet:resolve sharedstate owner each stream is advanced by the fault layer inside serial link hooks
 	state uint64
 }
 
@@ -37,8 +36,8 @@ func mix64(z uint64) uint64 {
 // Rand stream: where a stream's next value depends on how many draws
 // came before it (shared mutable position), a hash of an event's own
 // identity — seed, link, sequence number, cycle — yields the same
-// value no matter who else drew in between. Fault hooks that may one
-// day run under a parallel scheduler use this form.
+// value no matter who else drew in between, so a fault verdict does
+// not shift when unrelated traffic is added or removed.
 func Hash(words ...uint64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, w := range words {

@@ -10,8 +10,7 @@ package sim
 //		sig.Wait(p)
 //	}
 type Signal struct {
-	eng *Engine
-	//m3vet:resolve sharedstate owner Wait and Broadcast run in process or barrier context; shard code defers its broadcasts
+	eng     *Engine
 	waiters []*Process
 }
 

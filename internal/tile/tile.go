@@ -33,10 +33,8 @@ type PE struct {
 	SPM  *mem.SPM
 	DTU  *dtu.DTU
 
-	plat *Platform
-	//m3vet:resolve sharedstate owner set at program start and by serial crash callbacks
-	prog *sim.Process
-	//m3vet:resolve sharedstate owner set at program start and by serial crash callbacks
+	plat    *Platform
+	prog    *sim.Process
 	crashed bool
 }
 
