@@ -23,10 +23,14 @@ vet-fast:
 bench:
 	go test -bench=. -benchmem
 
-# Per-layer Go benchmarks of the engine: one Schedule plus its step,
-# and one Process.Sleep round trip (engine to process and back).
+# Per-layer Go benchmarks of the engine and the RDMA path: one Schedule
+# plus its step, with events 1 cycle apart (BenchmarkSchedule) and about
+# 1500 cycles apart (BenchmarkScheduleSparse, the calendar queue's
+# empty-bucket search); one Process.Sleep round trip, engine to process
+# and back; and one 4 KiB WriteMem plus ReadMem between a PE and DRAM
+# (BenchmarkRDMA4K, through the pooled payload buffers).
 bench-sim:
-	go test -run '^$$' -bench . -benchmem ./internal/sim
+	go test -run '^$$' -bench . -benchmem ./internal/sim ./internal/tile
 
 # The bench regression gate: rerun the fast experiment subset with run
 # captures bundled, keep the JSON artifact for inspection, and fail if

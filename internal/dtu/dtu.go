@@ -537,6 +537,7 @@ func (d *DTU) ReadMem(p *sim.Process, ep int, off int, buf []byte) error {
 		return fmt.Errorf("%w: %s", ErrRemote, resp.resp.Err)
 	}
 	copy(buf, resp.resp.Data)
+	d.net.FreePayload(resp.resp.Data)
 	d.Stats.MemReads++
 	d.Stats.BytesRead += uint64(len(buf))
 	return nil
@@ -557,9 +558,13 @@ func (d *DTU) WriteMem(p *sim.Process, ep int, off int, data []byte) error {
 			Arg0: xferWrite, Arg1: uint64(len(data))})
 	}
 	resp, err := d.doOp(p, func(op uint64) {
+		// Every attempt snapshots the caller's bytes into its own
+		// payload, which the target frees after storing it.
+		buf := d.net.NewPayload(len(data))
+		copy(buf, data)
 		pkt := d.net.NewPacket()
 		pkt.Src, pkt.Dst, pkt.Size, pkt.Span = d.node, m.MemTarget, msgWireSize(len(data)), span
-		pkt.Payload = &MemWriteReq{OpID: op, Src: d.node, Addr: m.MemAddr + off, Data: append([]byte(nil), data...)}
+		pkt.Payload = &MemWriteReq{OpID: op, Src: d.node, Addr: m.MemAddr + off, Data: buf}
 		d.net.Send(p, pkt)
 	})
 	if tr := d.obs; tr.On() {
@@ -842,10 +847,11 @@ func (d *DTU) serve(p *sim.Process) {
 		pkt := d.reqs.Recv(p)
 		switch req := pkt.Payload.(type) {
 		case *MemReadReq:
-			buf := make([]byte, req.Len)
+			buf := d.net.NewPayload(req.Len)
 			resp := &MemResp{OpID: req.OpID}
 			if err := d.spm.Read(req.Addr, buf); err != nil {
 				resp.Err = err.Error()
+				d.net.FreePayload(buf)
 			} else {
 				resp.Data = buf
 			}
@@ -859,6 +865,7 @@ func (d *DTU) serve(p *sim.Process) {
 			if err := d.spm.Write(req.Addr, req.Data); err != nil {
 				resp.Err = err.Error()
 			}
+			d.net.FreePayload(req.Data)
 			out := d.net.NewPacket()
 			out.Src, out.Dst, out.Size = d.node, req.Src, ctrlPacketSize
 			out.Payload = resp

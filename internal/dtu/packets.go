@@ -35,7 +35,8 @@ type MemReadReq struct {
 	Len  int
 }
 
-// MemWriteReq asks the target to store Data at Addr.
+// MemWriteReq asks the target to store Data at Addr. Data is a pooled
+// payload (noc.Network.NewPayload) that the target frees once stored.
 type MemWriteReq struct {
 	OpID uint64
 	Src  noc.NodeID
@@ -44,7 +45,8 @@ type MemWriteReq struct {
 }
 
 // MemResp answers a MemReadReq (with Data) or a MemWriteReq (empty
-// Data). A non-empty Err reports an out-of-bounds access.
+// Data). A non-empty Err reports an out-of-bounds access. A read's Data
+// is a pooled payload that ReadMem frees after copying it out.
 type MemResp struct {
 	OpID uint64
 	Data []byte

@@ -13,6 +13,7 @@ package m3fs
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -47,7 +48,7 @@ type FsCore struct {
 	BlockSize   int
 	TotalBlocks int
 
-	bitmap  []bool // block allocation bitmap
+	bitmap  []uint64 // block allocation bitmap: block b is bit b%64 of word b/64
 	used    int
 	inodes  map[uint64]*Inode
 	nextIno uint64
@@ -65,9 +66,20 @@ func NewFsCore(size, blockSize int) *FsCore {
 		TotalBlocks: size / blockSize,
 		inodes:      make(map[uint64]*Inode),
 	}
-	fs.bitmap = make([]bool, fs.TotalBlocks)
+	fs.bitmap = make([]uint64, bitmapWords(fs.TotalBlocks))
 	fs.root = fs.newInode(true)
 	return fs
+}
+
+// bitmapWords returns the number of bitmap words n blocks need.
+func bitmapWords(n int) int { return (n + 63) / 64 }
+
+// grow extends the filesystem to total blocks (>= TotalBlocks); the
+// new blocks are free. Bits past TotalBlocks are always clear, so the
+// last word's tail needs no reset.
+func (fs *FsCore) grow(total int) {
+	fs.bitmap = append(fs.bitmap, make([]uint64, bitmapWords(total)-len(fs.bitmap))...)
+	fs.TotalBlocks = total
 }
 
 func (fs *FsCore) newInode(dir bool) *Inode {
@@ -283,41 +295,78 @@ func (fs *FsCore) Child(dir *Inode, name string) *Inode {
 	return nil
 }
 
-// allocRange finds n free contiguous blocks starting the search at
-// hint, marking them used. It returns the first block, or -1.
+// allocRange finds the first n free contiguous blocks at or after
+// hint, wrapping around to block 0 if none fit there, and marks them
+// used. It returns the first block, or -1.
 func (fs *FsCore) allocRange(n, hint int) int {
 	if n <= 0 || fs.used+n > fs.TotalBlocks {
 		return -1
 	}
-	run := 0
-	for i := hint; i < fs.TotalBlocks; i++ {
-		if fs.bitmap[i] {
+	start := fs.findFree(n, hint, fs.TotalBlocks)
+	if start < 0 && hint > 0 {
+		// No run fits in [hint, end), so a run found now starts below
+		// hint and ends before hint+n-1.
+		start = fs.findFree(n, 0, min(hint+n-1, fs.TotalBlocks))
+	}
+	if start < 0 {
+		return -1
+	}
+	fs.used += fs.markRange(start, n, true)
+	return start
+}
+
+// findFree returns the first block s >= lo with blocks [s, s+n) free
+// and s+n <= hi, or -1. It skips full words and consumes empty words
+// 64 blocks at a time.
+func (fs *FsCore) findFree(n, lo, hi int) int {
+	run, start := 0, lo
+	for i := lo; i < hi; {
+		// Bit 0 of w is block i; span is how many blocks of this word
+		// lie in [i, hi).
+		w := fs.bitmap[i>>6] >> (i & 63)
+		span := min(64-(i&63), hi-i)
+		if w&1 != 0 {
+			i += min(bits.TrailingZeros64(^w), span)
 			run = 0
 			continue
 		}
-		run++
-		if run == n {
-			start := i - n + 1
-			for j := start; j <= i; j++ {
-				fs.bitmap[j] = true
-			}
-			fs.used += n
+		if run == 0 {
+			start = i
+		}
+		free := min(bits.TrailingZeros64(w), span)
+		if run += free; run >= n {
 			return start
 		}
-	}
-	if hint > 0 {
-		return fs.allocRange(n, 0)
+		i += free
 	}
 	return -1
 }
 
-func (fs *FsCore) freeRange(start, n int) {
-	for i := start; i < start+n; i++ {
-		if fs.bitmap[i] {
-			fs.bitmap[i] = false
-			fs.used--
+// markRange sets (used) or clears blocks [start, start+n) a word at a
+// time and returns how many of them changed state.
+func (fs *FsCore) markRange(start, n int, used bool) int {
+	changed := 0
+	for b, end := start, start+n; b < end; {
+		k := min(64-(b&63), end-b)
+		mask := ^uint64(0) >> (64 - k) << (b & 63)
+		w := &fs.bitmap[b>>6]
+		if used {
+			changed += bits.OnesCount64(mask &^ *w)
+			*w |= mask
+		} else {
+			changed += bits.OnesCount64(mask & *w)
+			*w &^= mask
 		}
+		b += k
 	}
+	return changed
+}
+
+// isUsed reports whether block b is allocated.
+func (fs *FsCore) isUsed(b int) bool { return fs.bitmap[b>>6]&(1<<(b&63)) != 0 }
+
+func (fs *FsCore) freeRange(start, n int) {
+	fs.used -= fs.markRange(start, n, false)
 }
 
 // Append reserves blocks extra blocks for ino, extending the last
@@ -415,7 +464,7 @@ func (fs *FsCore) CheckInvariants() error {
 					return fmt.Errorf("m3fs: block %d shared by inodes %d and %d", b, other, ino.Ino)
 				}
 				seen[b] = ino.Ino
-				if !fs.bitmap[b] {
+				if !fs.isUsed(b) {
 					return fmt.Errorf("m3fs: block %d used by inode %d but free in bitmap", b, ino.Ino)
 				}
 				total++

@@ -88,8 +88,8 @@ func (fs *FsCore) MarshalImage(blockData func(block int) []byte) []byte {
 
 	// Data blocks.
 	var used []int
-	for b, set := range fs.bitmap {
-		if set {
+	for b := 0; b < fs.TotalBlocks; b++ {
+		if fs.isUsed(b) {
 			used = append(used, b)
 		}
 	}
@@ -105,30 +105,44 @@ func (fs *FsCore) MarshalImage(blockData func(block int) []byte) []byte {
 	return o.Bytes()
 }
 
+// superblock is an image's header.
+type superblock struct {
+	blockSize, totalBlocks int
+	nextIno, rootIno       uint64
+}
+
+// readSuperblock parses and sanity-checks an image's header.
+func readSuperblock(is *kif.IStream) (superblock, error) {
+	if is.U64() != imageMagic {
+		return superblock{}, fmt.Errorf("m3fs: not an m3fs image")
+	}
+	if v := is.U64(); v != imageVersion {
+		return superblock{}, fmt.Errorf("m3fs: unsupported image version %d", v)
+	}
+	sb := superblock{blockSize: int(is.U64()), totalBlocks: int(is.U64())}
+	sb.nextIno, sb.rootIno = is.U64(), is.U64()
+	if is.Err() != nil || sb.blockSize <= 0 || sb.blockSize > 1<<20 ||
+		sb.totalBlocks <= 0 || sb.totalBlocks > 1<<28 {
+		return superblock{}, fmt.Errorf("m3fs: corrupt superblock")
+	}
+	return sb, nil
+}
+
 // UnmarshalImage reconstructs a filesystem from an image. blockSink
 // (may be nil) receives the content of each used data block, e.g. to
 // write it into the DRAM region backing the mounted filesystem.
 func UnmarshalImage(data []byte, blockSink func(block int, content []byte) error) (*FsCore, error) {
 	is := kif.NewIStream(data)
-	if is.U64() != imageMagic {
-		return nil, fmt.Errorf("m3fs: not an m3fs image")
+	sb, err := readSuperblock(is)
+	if err != nil {
+		return nil, err
 	}
-	if v := is.U64(); v != imageVersion {
-		return nil, fmt.Errorf("m3fs: unsupported image version %d", v)
-	}
-	blockSize := int(is.U64())
-	totalBlocks := int(is.U64())
-	nextIno := is.U64()
-	rootIno := is.U64()
-	if is.Err() != nil || blockSize <= 0 || blockSize > 1<<20 ||
-		totalBlocks <= 0 || totalBlocks > 1<<28 {
-		return nil, fmt.Errorf("m3fs: corrupt superblock")
-	}
+	blockSize, totalBlocks := sb.blockSize, sb.totalBlocks
 	fs := &FsCore{
 		BlockSize:   blockSize,
 		TotalBlocks: totalBlocks,
 		inodes:      make(map[uint64]*Inode),
-		bitmap:      make([]bool, totalBlocks),
+		bitmap:      make([]uint64, bitmapWords(totalBlocks)),
 	}
 
 	nInodes := int(is.U64())
@@ -154,20 +168,19 @@ func UnmarshalImage(data []byte, blockSink func(block int, content []byte) error
 			ino.Extents = append(ino.Extents, ext)
 			ino.AllocBlocks += ext.Blocks
 			for b := ext.Start; b < ext.Start+ext.Blocks; b++ {
-				if fs.bitmap[b] {
+				if fs.isUsed(b) {
 					return nil, fmt.Errorf("m3fs: block %d doubly allocated in image", b)
 				}
-				fs.bitmap[b] = true
-				fs.used++
 			}
+			fs.used += fs.markRange(ext.Start, ext.Blocks, true)
 		}
 		if _, dup := fs.inodes[ino.Ino]; dup {
 			return nil, fmt.Errorf("m3fs: duplicate inode %d", ino.Ino)
 		}
 		fs.inodes[ino.Ino] = ino
 	}
-	fs.nextIno = nextIno
-	fs.root = fs.inodes[rootIno]
+	fs.nextIno = sb.nextIno
+	fs.root = fs.inodes[sb.rootIno]
 	if fs.root == nil || !fs.root.Dir {
 		return nil, fmt.Errorf("m3fs: image has no root directory")
 	}
@@ -224,23 +237,35 @@ func (s *Service) DumpImage() ([]byte, error) {
 	return img, rerr
 }
 
-// loadImage replaces the service's filesystem with the image's,
-// writing the data blocks into the DRAM region (the paper: "m3fs would
-// first load the file into DRAM, i.e., into the buffer cache").
-func (s *Service) loadImage(img []byte) error {
-	fs, err := UnmarshalImage(img, func(block int, content []byte) error {
-		return s.mem.Write(content, block*s.fs.BlockSize)
-	})
+// loadImage replaces the service's filesystem with the image's. On a
+// fresh region it also writes the data blocks into DRAM (the paper:
+// "m3fs would first load the file into DRAM, i.e., into the buffer
+// cache"). A restarted journaled incarnation passes fresh=false: its
+// stable region already holds the data, including every write clients
+// made after boot, so only the metadata is rebuilt.
+func (s *Service) loadImage(img []byte, fresh bool) error {
+	// Check the geometry before anything is written, so a mismatched
+	// image leaves the region untouched.
+	sb, err := readSuperblock(kif.NewIStream(img))
 	if err != nil {
 		return err
 	}
-	if fs.BlockSize != s.fs.BlockSize || fs.TotalBlocks > s.fs.TotalBlocks {
+	if sb.blockSize != s.fs.BlockSize || sb.totalBlocks > s.fs.TotalBlocks {
 		return fmt.Errorf("m3fs: image geometry %d/%d does not fit region %d/%d",
-			fs.BlockSize, fs.TotalBlocks, s.fs.BlockSize, s.fs.TotalBlocks)
+			sb.blockSize, sb.totalBlocks, s.fs.BlockSize, s.fs.TotalBlocks)
+	}
+	var sink func(block int, content []byte) error
+	if fresh {
+		sink = func(block int, content []byte) error {
+			return s.mem.Write(content, block*s.fs.BlockSize)
+		}
+	}
+	fs, err := UnmarshalImage(img, sink)
+	if err != nil {
+		return err
 	}
 	// Adopt the image's metadata but keep the region's full capacity.
-	fs.bitmap = append(fs.bitmap, make([]bool, s.fs.TotalBlocks-fs.TotalBlocks)...)
-	fs.TotalBlocks = s.fs.TotalBlocks
+	fs.grow(s.fs.TotalBlocks)
 	s.fs = fs
 	return nil
 }

@@ -179,13 +179,23 @@ func Start(env *m3.Env, cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, fmt.Errorf("m3fs: request gate: %w", err)
 	}
+	// A valid journal header means an earlier incarnation ran on this
+	// stable region: its data blocks are live, so the image contributes
+	// only the base metadata the journal replays onto.
+	var jlen int
+	recovered := false
+	if cfg.Journal {
+		if jlen, recovered, err = s.readJournalHeader(); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Image != nil {
-		if err := s.loadImage(cfg.Image); err != nil {
+		if err := s.loadImage(cfg.Image, !recovered); err != nil {
 			return nil, err
 		}
 	}
 	if cfg.Journal {
-		if err := s.initJournal(); err != nil {
+		if err := s.initJournal(jlen, recovered); err != nil {
 			return nil, err
 		}
 	}
@@ -201,29 +211,38 @@ func Start(env *m3.Env, cfg Config) (*Service, error) {
 // FS exposes the filesystem core (tests, fsck).
 func (s *Service) FS() *FsCore { return s.fs }
 
-// initJournal reads the journal area from DRAM. A valid header means a
-// previous incarnation ran here: its committed records are replayed on
-// top of the just-(re)built base filesystem, which also rebuilds the
-// idempotency map. Anything else is first boot, and a fresh empty
-// header is committed.
-func (s *Service) initJournal() error {
+// readJournalHeader locates the journal area and reads its header. A
+// valid header (found) means a previous incarnation ran here; clen is
+// its committed record length.
+func (s *Service) readJournalHeader() (clen int, found bool, err error) {
 	s.jbase = s.cfg.RegionSize - s.cfg.JournalSize
 	s.jsize = s.cfg.JournalSize
 	hdr := make([]byte, journalHdrSize)
 	if err := s.mem.Read(hdr, s.jbase); err != nil {
-		return fmt.Errorf("m3fs: journal header read: %w", err)
+		return 0, false, fmt.Errorf("m3fs: journal header read: %w", err)
 	}
 	hs := kif.NewIStream(hdr)
 	magic, _, clen := hs.U64(), hs.U64(), int(int64(hs.U64()))
 	if magic != journalMagic {
+		return 0, false, nil
+	}
+	if clen < 0 || journalHdrSize+clen > s.jsize {
+		return 0, false, fmt.Errorf("m3fs: journal commits %d bytes beyond its %d-byte area", clen, s.jsize)
+	}
+	return clen, true, nil
+}
+
+// initJournal finishes journal start-up on the just-(re)built base
+// filesystem. A found journal's committed records are replayed, which
+// also rebuilds the idempotency map. Otherwise this is first boot, and
+// a fresh empty header is committed.
+func (s *Service) initJournal(clen int, found bool) error {
+	if !found {
 		s.jcommitted = 0
 		if err := s.mem.Write(encodeJournalHeader(0), s.jbase); err != nil {
 			return fmt.Errorf("m3fs: journal format: %w", err)
 		}
 		return nil
-	}
-	if clen < 0 || journalHdrSize+clen > s.jsize {
-		return fmt.Errorf("m3fs: journal commits %d bytes beyond its %d-byte area", clen, s.jsize)
 	}
 	area := make([]byte, journalHdrSize+clen)
 	if err := s.mem.Read(area, s.jbase); err != nil {

@@ -112,10 +112,11 @@ type Network struct {
 	eng      *sim.Engine
 	cfg      Config
 	handlers []Handler
-	links    map[linkKey]*sim.Resource
-	linkBusy map[linkKey]*obs.Counter
-	fault    FaultHook
-	obs      *obs.Tracer
+	// links holds the contended directed links by LinkIndex, each
+	// created at its first use (nil when Unlimited).
+	links []*link
+	fault FaultHook
+	obs   *obs.Tracer
 
 	// PacketsSent counts injected packets; BytesSent the wire bytes.
 	PacketsSent uint64
@@ -129,9 +130,24 @@ type Network struct {
 	// engine or process context under the strict hand-off, so a plain
 	// list suffices.
 	free *Packet
+	// payloads is the free list of payloadClass-byte RDMA payload
+	// buffers (NewPayload/FreePayload).
+	payloads [][]byte
 }
 
-type linkKey struct{ from, to NodeID }
+// link is one contended directed link.
+type link struct {
+	res *sim.Resource
+	// release frees the link once a packet's head and body passed. It
+	// is built once, so a hop schedules no new closure.
+	release func()
+	// busy accumulates MLinkBusy (nil without a tracer).
+	busy *obs.Counter
+}
+
+// payloadClass is the capacity of pooled payload buffers: one 4 KiB
+// transfer, the unit file data moves in.
+const payloadClass = 4 << 10
 
 // New returns a mesh network with Width*Height nodes.
 func New(eng *sim.Engine, cfg Config) *Network {
@@ -144,13 +160,15 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	if cfg.LinkBytesPerCycle == 0 {
 		cfg.LinkBytesPerCycle = 8
 	}
-	return &Network{
+	n := &Network{
 		eng:      eng,
 		cfg:      cfg,
 		handlers: make([]Handler, cfg.Width*cfg.Height),
-		links:    make(map[linkKey]*sim.Resource),
-		linkBusy: make(map[linkKey]*obs.Counter),
 	}
+	if !cfg.Unlimited {
+		n.links = make([]*link, n.Nodes()*n.Nodes())
+	}
+	return n
 }
 
 // Metric names the network registers, keyed by LinkIndex (m3vet:
@@ -209,6 +227,39 @@ func (n *Network) FreePacket(pkt *Packet) {
 	n.free = pkt
 }
 
+// NewPayload returns a size-byte buffer for an in-flight RDMA payload.
+// Requests up to 4 KiB take a buffer from the network's free list (or
+// the heap on a cold start); larger ones always allocate. A pooled
+// buffer still holds an earlier transfer's bytes: the caller must
+// overwrite all size bytes before the buffer leaves it.
+//
+// Ownership rule: whoever copies the bytes out of a payload frees it
+// with FreePayload — the memory tile or the target DTU after storing a
+// write, DTU.ReadMem after copying a read response into the caller's
+// buffer. Drop paths free nothing: a payload lost with its packet
+// (dropped, corrupted, or answering an abandoned op) is left to the
+// garbage collector, so no late copy can alias a reused buffer.
+func (n *Network) NewPayload(size int) []byte {
+	if size > payloadClass {
+		return make([]byte, size)
+	}
+	if k := len(n.payloads) - 1; k >= 0 {
+		b := n.payloads[k]
+		n.payloads[k] = nil
+		n.payloads = n.payloads[:k]
+		return b[:size]
+	}
+	return make([]byte, size, payloadClass)
+}
+
+// FreePayload returns a payload buffer to the free list. Buffers of
+// any other capacity are left to the garbage collector.
+func (n *Network) FreePayload(b []byte) {
+	if cap(b) == payloadClass {
+		n.payloads = append(n.payloads, b[:payloadClass])
+	}
+}
+
 // finishDelivery applies the fire-and-forget ownership rule after a
 // packet was handed to its handler.
 func (n *Network) finishDelivery(pkt *Packet) {
@@ -251,21 +302,29 @@ func (n *Network) ID(x, y int) NodeID {
 // dst (local delivery). On a torus, each dimension walks the shorter
 // direction, wrapping around the edge.
 func (n *Network) Route(src, dst NodeID) []NodeID {
-	sx, sy := n.XY(src)
-	dx, dy := n.XY(dst)
+	n.checkNode(src)
+	n.checkNode(dst)
 	var route []NodeID
-	x, y := sx, sy
-	stepX := n.step(sx, dx, n.cfg.Width)
-	for x != dx {
-		x = wrap(x+stepX, n.cfg.Width)
-		route = append(route, n.ID(x, y))
-	}
-	stepY := n.step(sy, dy, n.cfg.Height)
-	for y != dy {
-		y = wrap(y+stepY, n.cfg.Height)
-		route = append(route, n.ID(x, y))
+	for cur := src; cur != dst; {
+		cur = n.nextHop(cur, dst)
+		route = append(route, cur)
 	}
 	return route
+}
+
+// nextHop returns the node after cur on the XY route to dst (cur !=
+// dst): X first, then Y. Recomputing the direction at every hop picks
+// the same one throughout, on a torus too, because each step only makes
+// the chosen direction shorter. Send, SendAsync and Route all walk
+// routes through it.
+func (n *Network) nextHop(cur, dst NodeID) NodeID {
+	w, h := n.cfg.Width, n.cfg.Height
+	cx, cy := int(cur)%w, int(cur)/w
+	dx, dy := int(dst)%w, int(dst)/w
+	if cx != dx {
+		return NodeID(cy*w + wrap(cx+n.step(cx, dx, w), w))
+	}
+	return NodeID(wrap(cy+n.step(cy, dy, h), h)*w + cx)
 }
 
 // step returns the per-hop delta (+1 or -1) to move from a to b along
@@ -337,27 +396,26 @@ func (n *Network) Send(p *sim.Process, pkt *Packet) {
 			Arg0: uint64(pkt.Dst), Arg1: uint64(pkt.Size)})
 	}
 	dropped := false
-	if pkt.Src != pkt.Dst {
-		prev := pkt.Src
-		for _, next := range n.Route(pkt.Src, pkt.Dst) {
-			link := n.link(prev, next)
-			if link != nil {
-				link.Acquire(p, 1)
-				// The link stays busy while the body streams through;
-				// the head moves on after the router latency.
-				lk := link
-				n.eng.Schedule(n.cfg.HopLatency+ser, func() { lk.Release(1) })
-			}
-			if tr := n.obs; tr.On() {
-				tr.Hist(obs.HLinkOcc).Observe(uint64(n.cfg.HopLatency + ser))
-				n.linkBusy[linkKey{prev, next}].Add(uint64(n.cfg.HopLatency + ser))
-			}
-			p.Sleep(n.cfg.HopLatency)
-			if !dropped {
-				dropped = n.applyFault(prev, next, pkt)
-			}
-			prev = next
+	for cur := pkt.Src; cur != pkt.Dst; {
+		next := n.nextHop(cur, pkt.Dst)
+		l := n.link(cur, next)
+		if l != nil {
+			l.res.Acquire(p, 1)
+			// The link stays busy while the body streams through; the
+			// head moves on after the router latency.
+			n.eng.Schedule(n.cfg.HopLatency+ser, l.release)
 		}
+		if tr := n.obs; tr.On() {
+			tr.Hist(obs.HLinkOcc).Observe(uint64(n.cfg.HopLatency + ser))
+			if l != nil {
+				l.busy.Add(uint64(n.cfg.HopLatency + ser))
+			}
+		}
+		p.Sleep(n.cfg.HopLatency)
+		if !dropped {
+			dropped = n.applyFault(cur, next, pkt)
+		}
+		cur = next
 	}
 	// Body drains into the destination. A dropped packet still occupied
 	// the wire up to the faulty hop; the sender's transfer engine is
@@ -393,14 +451,10 @@ func (n *Network) SendAsync(pkt *Packet) {
 	n.PacketsSent++
 	n.BytesSent += uint64(pkt.Size)
 	dropped := false
-	if pkt.Src != pkt.Dst {
-		prev := pkt.Src
-		for _, next := range n.Route(pkt.Src, pkt.Dst) {
-			if !dropped {
-				dropped = n.applyFault(prev, next, pkt)
-			}
-			prev = next
-		}
+	for cur := pkt.Src; cur != pkt.Dst && !dropped; {
+		next := n.nextHop(cur, pkt.Dst)
+		dropped = n.applyFault(cur, next, pkt)
+		cur = next
 	}
 	if dropped {
 		if pkt.Seq == 0 {
@@ -459,25 +513,25 @@ func (n *Network) applyFault(from, to NodeID, pkt *Packet) bool {
 	return false
 }
 
-// link returns the contention resource for the directed link prev→next,
-// or nil when contention modelling is disabled.
-func (n *Network) link(prev, next NodeID) *sim.Resource {
-	if n.cfg.Unlimited {
+// link returns the directed link from→to, or nil when contention
+// modelling is disabled. A link and its metrics are created at first
+// use, so metric registration follows traffic order.
+func (n *Network) link(from, to NodeID) *link {
+	if n.links == nil {
 		return nil
 	}
-	k := linkKey{prev, next}
-	r, ok := n.links[k]
-	if !ok {
-		r = sim.NewResource(n.eng, 1)
-		n.links[k] = r
+	idx := n.LinkIndex(from, to)
+	l := n.links[idx]
+	if l == nil {
+		res := sim.NewResource(n.eng, 1)
+		l = &link{res: res, release: func() { res.Release(1) }}
+		n.links[idx] = l
 		if tr := n.obs; tr.On() {
-			idx := n.LinkIndex(prev, next)
-			n.linkBusy[k] = tr.Metrics().Counter(MLinkBusy, idx)
-			res := r
+			l.busy = tr.Metrics().Counter(MLinkBusy, idx)
 			tr.Metrics().Series(MLinkQueued, idx, func() int64 { return int64(res.QueueLen()) })
 		}
 	}
-	return r
+	return l
 }
 
 func (n *Network) checkNode(id NodeID) {

@@ -69,6 +69,50 @@ func TestRouteProperty(t *testing.T) {
 	}
 }
 
+// refRoute is the dimension-ordered route as two loops — the direction
+// of each dimension fixed once at the source — kept as the reference
+// for the hop-by-hop walk Send and SendAsync take.
+func refRoute(n *Network, src, dst NodeID) []NodeID {
+	sx, sy := n.XY(src)
+	dx, dy := n.XY(dst)
+	var route []NodeID
+	x, y := sx, sy
+	for stepX := n.step(sx, dx, n.cfg.Width); x != dx; {
+		x = wrap(x+stepX, n.cfg.Width)
+		route = append(route, n.ID(x, y))
+	}
+	for stepY := n.step(sy, dy, n.cfg.Height); y != dy; {
+		y = wrap(y+stepY, n.cfg.Height)
+		route = append(route, n.ID(x, y))
+	}
+	return route
+}
+
+// TestRouteMatchesDimensionOrder: for every node pair on meshes and
+// tori of odd and even extent (even tori have equal-length directions
+// to break), the hop-by-hop route equals the reference.
+func TestRouteMatchesDimensionOrder(t *testing.T) {
+	for _, cfg := range []Config{
+		{Width: 4, Height: 4}, {Width: 5, Height: 3},
+		{Width: 4, Height: 6, Torus: true}, {Width: 5, Height: 4, Torus: true}, {Width: 1, Height: 7, Torus: true},
+	} {
+		n := New(sim.NewEngine(), cfg)
+		for src := NodeID(0); int(src) < n.Nodes(); src++ {
+			for dst := NodeID(0); int(dst) < n.Nodes(); dst++ {
+				got, want := n.Route(src, dst), refRoute(n, src, dst)
+				if len(got) != len(want) {
+					t.Fatalf("%+v %d->%d: route %v, want %v", cfg, src, dst, got, want)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%+v %d->%d: route %v, want %v", cfg, src, dst, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTransferLatency(t *testing.T) {
 	e, n := mesh(t, 4, 1)
 	var arrived sim.Time

@@ -145,6 +145,34 @@ func TestPacketPoolDropRecycle(t *testing.T) {
 	}
 }
 
+// TestPayloadPool: payload buffers up to 4 KiB come from one LIFO free
+// list of 4 KiB buffers, sliced to the requested length; larger ones
+// are plain allocations that FreePayload does not keep.
+func TestPayloadPool(t *testing.T) {
+	n := New(sim.NewEngine(), Config{Width: 2, Height: 1})
+	a := n.NewPayload(100)
+	if len(a) != 100 || cap(a) != payloadClass {
+		t.Fatalf("cold NewPayload(100): len %d cap %d, want 100/%d", len(a), cap(a), payloadClass)
+	}
+	n.FreePayload(a)
+	b := n.NewPayload(payloadClass)
+	if len(b) != payloadClass || &b[0] != &a[0] {
+		t.Fatal("NewPayload did not reuse the freed buffer at full length")
+	}
+	if len(n.payloads) != 0 {
+		t.Fatalf("free list holds %d buffers after reuse, want 0", len(n.payloads))
+	}
+	big := n.NewPayload(payloadClass + 1)
+	if len(big) != payloadClass+1 {
+		t.Fatalf("NewPayload(%d): len %d", payloadClass+1, len(big))
+	}
+	n.FreePayload(big)
+	n.FreePayload(make([]byte, 64))
+	if len(n.payloads) != 0 {
+		t.Fatal("FreePayload kept a buffer outside the pooled class")
+	}
+}
+
 // TestPacketPoolAsyncRecycle: SendAsync delivers via a scheduled event;
 // the fire-and-forget recycle happens after the deferred delivery, not
 // at injection.

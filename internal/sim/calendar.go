@@ -1,6 +1,9 @@
 package sim
 
-import "container/heap"
+import (
+	"container/heap"
+	"math/bits"
+)
 
 // calendarQueue is an O(1)-amortized calendar queue specialized for a
 // cycle-granular DES: a timing wheel of one-cycle buckets for the near
@@ -26,12 +29,16 @@ import "container/heap"
 //     can happen (a direct push requires the cycle to be inside the
 //     window, and the window only grows when cur advances, which
 //     triggers migration) — so bucket append order stays seq order;
+//   - bit i of occ is set exactly when bucket i is non-empty, so the
+//     next occupied cycle is found a 64-bucket word at a time instead
+//     of by walking empty one-cycle buckets;
 //   - cur advances only in pop, to the at of the event being popped.
 //     peek never commits a cursor move: between two engine run calls
 //     the host may legally schedule earlier than the last peeked time,
 //     and those pushes must still land inside the scanned window.
 type calendarQueue struct {
 	buckets [wheelSize]cqBucket
+	occ     [occWords]uint64
 	// cur is the earliest cycle that may still hold events: the at of
 	// the most recently popped event (pushes are never earlier).
 	cur Time
@@ -45,6 +52,7 @@ const (
 	wheelBits = 11 // 2048 one-cycle buckets; DTU timeouts (2000+) overflow
 	wheelSize = 1 << wheelBits
 	wheelMask = wheelSize - 1
+	occWords  = wheelSize / 64
 )
 
 // cqBucket drains front-to-back so same-cycle events stay FIFO (= seq
@@ -60,11 +68,40 @@ func (c *calendarQueue) push(ev *event) {
 	if ev.at >= c.cur+wheelSize {
 		heap.Push(&c.far, ev)
 	} else {
-		b := &c.buckets[ev.at&wheelMask]
-		b.evs = append(b.evs, ev)
-		c.inWheel++
+		c.insert(ev)
 	}
 	c.size++
+}
+
+// insert appends ev to its wheel bucket and marks the bucket occupied.
+func (c *calendarQueue) insert(ev *event) {
+	i := ev.at & wheelMask
+	b := &c.buckets[i]
+	b.evs = append(b.evs, ev)
+	c.occ[i>>6] |= 1 << (i & 63)
+	c.inWheel++
+}
+
+// next returns the earliest occupied wheel cycle. It requires
+// inWheel > 0; the window invariant puts the cycle within wheelSize of
+// cur, so the scan starts at cur's bucket and wraps around the wheel
+// at most once.
+func (c *calendarQueue) next() Time {
+	start := int(c.cur & wheelMask)
+	w := start >> 6
+	word := c.occ[w] &^ (uint64(1)<<(start&63) - 1)
+	// Visit cur's word (from cur's bit), the other words, then cur's
+	// word again for the buckets below cur's bit: the far end of the
+	// window.
+	for i := 0; i <= occWords; i++ {
+		if word != 0 {
+			idx := w<<6 | bits.TrailingZeros64(word)
+			return c.cur + Time((idx-start)&wheelMask)
+		}
+		w = (w + 1) % occWords
+		word = c.occ[w]
+	}
+	panic("sim: calendar queue window invariant violated")
 }
 
 func (c *calendarQueue) pop() *event {
@@ -72,35 +109,27 @@ func (c *calendarQueue) pop() *event {
 		return nil
 	}
 	if c.inWheel == 0 {
-		// Idle gap: jump straight to the overflow minimum instead of
-		// walking empty buckets.
+		// Idle gap: jump straight to the overflow minimum.
 		c.cur = c.far[0].at
 		c.migrate()
 	}
-	// The window invariant guarantees a hit within wheelSize buckets.
-	for cyc := c.cur; ; cyc++ {
-		if cyc-c.cur > wheelMask {
-			panic("sim: calendar queue window invariant violated")
-		}
-		b := &c.buckets[cyc&wheelMask]
-		if b.head == len(b.evs) {
-			continue
-		}
-		if cyc != c.cur {
-			c.cur = cyc
-			c.migrate()
-		}
-		ev := b.evs[b.head]
-		b.evs[b.head] = nil
-		b.head++
-		if b.head == len(b.evs) {
-			b.evs = b.evs[:0]
-			b.head = 0
-		}
-		c.inWheel--
-		c.size--
-		return ev
+	if cyc := c.next(); cyc != c.cur {
+		c.cur = cyc
+		c.migrate()
 	}
+	i := c.cur & wheelMask
+	b := &c.buckets[i]
+	ev := b.evs[b.head]
+	b.evs[b.head] = nil
+	b.head++
+	if b.head == len(b.evs) {
+		b.evs = b.evs[:0]
+		b.head = 0
+		c.occ[i>>6] &^= 1 << (i & 63)
+	}
+	c.inWheel--
+	c.size--
+	return ev
 }
 
 func (c *calendarQueue) peek() *event {
@@ -110,25 +139,15 @@ func (c *calendarQueue) peek() *event {
 	if c.inWheel == 0 {
 		return c.far[0]
 	}
-	for cyc := c.cur; ; cyc++ {
-		if cyc-c.cur > wheelMask {
-			panic("sim: calendar queue window invariant violated")
-		}
-		b := &c.buckets[cyc&wheelMask]
-		if b.head < len(b.evs) {
-			return b.evs[b.head]
-		}
-	}
+	b := &c.buckets[c.next()&wheelMask]
+	return b.evs[b.head]
 }
 
 // migrate pulls overflow events that now fit the window into their
 // buckets, in (at, seq) heap order so bucket FIFO order is preserved.
 func (c *calendarQueue) migrate() {
 	for len(c.far) > 0 && c.far[0].at < c.cur+wheelSize {
-		ev := heap.Pop(&c.far).(*event)
-		b := &c.buckets[ev.at&wheelMask]
-		b.evs = append(b.evs, ev)
-		c.inWheel++
+		c.insert(heap.Pop(&c.far).(*event))
 	}
 }
 

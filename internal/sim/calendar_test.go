@@ -26,53 +26,118 @@ func drainCompare(t *testing.T, cal, hp eventQueue) int {
 }
 
 // TestCalendarMatchesHeap drives calendar and heap queues with an
-// identical deterministic push/pop stream mixing same-cycle ties,
-// near-future, overflow-horizon, and far-future delays, plus idle gaps
-// that exercise the overflow fast-forward path.
+// identical deterministic push/pop stream. The dense mix covers
+// same-cycle ties, near-future, overflow-horizon, and far-future
+// delays, plus idle gaps that exercise the overflow fast-forward path.
+// The sparse mixes leave most of the wheel empty, so the occupancy
+// bitmap search must skip whole words, wrap past the last word, and
+// find events at the far edge of the window.
 func TestCalendarMatchesHeap(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		cal, hp := newCalendarQueue(), &heapQueue{}
-		var now Time
-		var seq uint64
-		live := 0
-		for op := 0; op < 5000; op++ {
-			if rng.Intn(3) != 0 || live == 0 {
-				var d Time
-				switch rng.Intn(5) {
-				case 0:
-					d = 0 // same-cycle tie
-				case 1:
-					d = Time(rng.Intn(16))
-				case 2:
-					d = Time(rng.Intn(wheelSize)) // inside the wheel
-				case 3:
-					d = Time(wheelSize - 2 + rng.Intn(8)) // straddle the horizon
-				case 4:
-					d = Time(rng.Intn(20 * wheelSize)) // deep overflow
-				}
-				seq++
-				cal.push(&event{at: now + d, seq: seq})
-				hp.push(&event{at: now + d, seq: seq})
-				live++
-			} else {
-				a, b := cal.pop(), hp.pop()
-				if a.at != b.at || a.seq != b.seq {
-					t.Fatalf("seed %d op %d: cal (%d,%d) != heap (%d,%d)",
-						seed, op, a.at, a.seq, b.at, b.seq)
-				}
-				now = a.at
-				live--
+	mixes := []struct {
+		name  string
+		delay func(rng *rand.Rand) Time
+	}{
+		{"dense", func(rng *rand.Rand) Time {
+			switch rng.Intn(5) {
+			case 0:
+				return 0 // same-cycle tie
+			case 1:
+				return Time(rng.Intn(16))
+			case 2:
+				return Time(rng.Intn(wheelSize)) // inside the wheel
+			case 3:
+				return Time(wheelSize - 2 + rng.Intn(8)) // straddle the horizon
+			default:
+				return Time(rng.Intn(20 * wheelSize)) // deep overflow
 			}
-			if cal.len() != hp.len() {
-				t.Fatalf("seed %d op %d: len %d != %d", seed, op, cal.len(), hp.len())
+		}},
+		{"sparse", func(rng *rand.Rand) Time {
+			return Time(1000 + rng.Intn(wheelSize-1000)) // gaps of 1000..2047
+		}},
+		{"edge", func(rng *rand.Rand) Time {
+			switch rng.Intn(3) {
+			case 0:
+				return wheelMask // the last bucket of the window
+			case 1:
+				return Time(wheelSize - 64 + rng.Intn(64)) // the last bitmap word's span
+			default:
+				return Time(rng.Intn(4))
 			}
-			pa, pb := cal.peek(), hp.peek()
-			if (pa == nil) != (pb == nil) || (pa != nil && (pa.at != pb.at || pa.seq != pb.seq)) {
-				t.Fatalf("seed %d op %d: peek mismatch", seed, op)
-			}
+		}},
+	}
+	for _, mix := range mixes {
+		for seed := int64(0); seed < 50; seed++ {
+			crossCheck(t, mix.name, seed, mix.delay)
 		}
-		drainCompare(t, cal, hp)
+	}
+}
+
+// crossCheck runs one seeded push/pop stream through both queues,
+// comparing every pop, peek, and length.
+func crossCheck(t *testing.T, mix string, seed int64, delay func(rng *rand.Rand) Time) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	cal, hp := newCalendarQueue(), &heapQueue{}
+	var now Time
+	var seq uint64
+	live := 0
+	for op := 0; op < 5000; op++ {
+		if rng.Intn(3) != 0 || live == 0 {
+			d := delay(rng)
+			seq++
+			cal.push(&event{at: now + d, seq: seq})
+			hp.push(&event{at: now + d, seq: seq})
+			live++
+		} else {
+			a, b := cal.pop(), hp.pop()
+			if a.at != b.at || a.seq != b.seq {
+				t.Fatalf("%s seed %d op %d: cal (%d,%d) != heap (%d,%d)",
+					mix, seed, op, a.at, a.seq, b.at, b.seq)
+			}
+			now = a.at
+			live--
+		}
+		if cal.len() != hp.len() {
+			t.Fatalf("%s seed %d op %d: len %d != %d", mix, seed, op, cal.len(), hp.len())
+		}
+		pa, pb := cal.peek(), hp.peek()
+		if (pa == nil) != (pb == nil) || (pa != nil && (pa.at != pb.at || pa.seq != pb.seq)) {
+			t.Fatalf("%s seed %d op %d: peek mismatch", mix, seed, op)
+		}
+	}
+	drainCompare(t, cal, hp)
+}
+
+// TestCalendarWrapsLastWord pins the bitmap search's wrap-around: with
+// the cursor inside the last bitmap word, the next event may sit in a
+// lower word (the window wrapped past bucket 2047) or in the cursor's
+// own word below the cursor's bit (exactly cur+wheelMask), which only
+// the second visit of that word finds.
+func TestCalendarWrapsLastWord(t *testing.T) {
+	c := newCalendarQueue()
+	const base = Time(3*wheelSize + wheelSize - 8) // bucket 2040: last word, bit 56
+	c.push(&event{at: base, seq: 1})
+	if p := c.pop(); p.at != base {
+		t.Fatalf("pop = %d, want %d", p.at, base)
+	}
+	c.push(&event{at: base + wheelMask, seq: 2}) // bucket 2039: same word, below the cursor
+	if p := c.peek(); p.at != base+wheelMask || p.seq != 2 {
+		t.Fatalf("peek = (%d,%d), want (%d,2)", p.at, p.seq, base+wheelMask)
+	}
+	c.push(&event{at: base + 20, seq: 3}) // bucket 12: first word, after the wrap
+	for _, want := range []struct {
+		at  Time
+		seq uint64
+	}{{base + 20, 3}, {base + wheelMask, 2}} {
+		if p := c.peek(); p.at != want.at || p.seq != want.seq {
+			t.Fatalf("peek = (%d,%d), want (%d,%d)", p.at, p.seq, want.at, want.seq)
+		}
+		if p := c.pop(); p.at != want.at || p.seq != want.seq {
+			t.Fatalf("pop = (%d,%d), want (%d,%d)", p.at, p.seq, want.at, want.seq)
+		}
+	}
+	if c.len() != 0 || c.occ != [occWords]uint64{} {
+		t.Fatalf("drained queue: len %d, occupancy %v", c.len(), c.occ)
 	}
 }
 
@@ -173,6 +238,12 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 200, 255, 0, 0, 9})
 	f.Add([]byte{255, 254, 253, 7, 7, 7})
 	f.Add([]byte{})
+	// Large gaps: bytes 65..125 with b%4 == 1 push 1040..2000 cycles
+	// ahead, so most pops cross a mostly empty wheel; b%4 == 2 lands on
+	// the horizon.
+	f.Add([]byte{65, 200, 125, 200, 101, 69, 200, 200, 121, 200})
+	f.Add([]byte{125, 121, 117, 200, 113, 200, 109, 200, 105, 200, 200, 200})
+	f.Add([]byte{65, 200, 126, 125, 200, 200, 66, 97, 200, 200})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cal, hp := newCalendarQueue(), &heapQueue{}
 		var now Time

@@ -56,7 +56,7 @@ func (m *memTile) serve(p *sim.Process) {
 		pkt := m.reqs.Recv(p)
 		switch req := pkt.Payload.(type) {
 		case *dtu.MemReadReq:
-			buf := make([]byte, req.Len)
+			buf := m.net.NewPayload(req.Len)
 			resp := &dtu.MemResp{OpID: req.OpID}
 			src := req.Src
 			m.net.FreePacket(pkt)
@@ -70,6 +70,8 @@ func (m *memTile) serve(p *sim.Process) {
 				m.net.Send(p, out)
 			})
 			if err != nil {
+				// The access failed before streaming: buf never left.
+				m.net.FreePayload(buf)
 				resp.Err = err.Error()
 				out := m.net.NewPacket()
 				out.Src, out.Dst, out.Size = m.node, src, 16
@@ -81,6 +83,7 @@ func (m *memTile) serve(p *sim.Process) {
 			src := req.Src
 			m.net.FreePacket(pkt)
 			err := m.dram.Access(p, true, req.Addr, req.Data, nil)
+			m.net.FreePayload(req.Data)
 			if err != nil {
 				resp.Err = err.Error()
 			}
