@@ -35,21 +35,21 @@ bench-sim:
 # The bench regression gate: rerun the fast experiment subset with run
 # captures bundled, keep the JSON artifact for inspection, and fail if
 # any gated metric regressed past its tolerance against the committed
-# baseline (BENCH_4.json, refresh with `make bench-baseline` when a
+# baseline (BENCH_5.json, refresh with `make bench-baseline` when a
 # change legitimately moves the numbers — see docs/EXPERIMENTS.md).
 # When the gate is red, the diff attributes every regression via the
 # two files' captures (layer/path cycle deltas, histogram shift, blame
 # drift — docs/OBSERVABILITY.md) and the machine-readable attribution
 # is retained as artifacts/diff-report.json. BENCH_0.json through
-# BENCH_3.json are previous generations' baselines, kept for
+# BENCH_4.json are previous generations' baselines, kept for
 # historical comparison.
 bench-smoke:
 	mkdir -p artifacts
 	go run ./cmd/m3bench -e smoke -capture -json artifacts/bench-smoke.json >artifacts/bench-smoke.log
-	go run ./cmd/m3bench -diff -report artifacts/diff-report.json BENCH_4.json artifacts/bench-smoke.json
+	go run ./cmd/m3bench -diff -report artifacts/diff-report.json BENCH_5.json artifacts/bench-smoke.json
 
 bench-baseline:
-	go run ./cmd/m3bench -e smoke -capture -json BENCH_4.json
+	go run ./cmd/m3bench -e smoke -capture -json BENCH_5.json
 
 # The attribution self-test: capture the tier-1 workload under the
 # serial-heap and serial-calendar engines (captures must be

@@ -12,6 +12,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/bench"
 	"repro/internal/linuxos"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -34,7 +35,7 @@ func BenchmarkFig3FileOps(b *testing.B) {
 		wl := wl
 		b.Run(wl.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m3, err := bench.RunM3(wl, bench.M3Options{})
+				m3, err := bench.Scenario{Workload: wl}.Run()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -46,7 +47,7 @@ func BenchmarkFig3FileOps(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(m3.Total), "m3-cycles")
+				b.ReportMetric(float64(m3.Breakdown().Total), "m3-cycles")
 				b.ReportMetric(float64(warm.Total), "lxwarm-cycles")
 				b.ReportMetric(float64(cold.Total), "lxcold-cycles")
 			}
@@ -90,7 +91,7 @@ func BenchmarkFig5Apps(b *testing.B) {
 		wl := wl
 		b.Run(wl.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m3, err := bench.RunM3(wl, bench.M3Options{})
+				m3, err := bench.Scenario{Workload: wl}.Run()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -98,9 +99,9 @@ func BenchmarkFig5Apps(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(m3.Total), "m3-cycles")
+				b.ReportMetric(float64(m3.Breakdown().Total), "m3-cycles")
 				b.ReportMetric(float64(lx.Total), "lx-cycles")
-				b.ReportMetric(float64(m3.Total)/float64(lx.Total), "m3/lx")
+				b.ReportMetric(float64(m3.Breakdown().Total)/float64(lx.Total), "m3/lx")
 			}
 		})
 	}
@@ -117,11 +118,11 @@ func BenchmarkFig6Scalability(b *testing.B) {
 				if wl.Name == "cat+tr" {
 					baseN = 2 // needs two PEs per instance (§5.7)
 				}
-				base, err := bench.RunM3Instances(wl, baseN)
+				base, err := meanRunTime(wl, baseN)
 				if err != nil {
 					b.Fatal(err)
 				}
-				t16, err := bench.RunM3Instances(wl, 16)
+				t16, err := meanRunTime(wl, 16)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -140,17 +141,27 @@ func BenchmarkFig7Accelerator(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		soft, err := bench.RunM3(accel.FFTChain(false), bench.M3Options{})
+		soft, err := bench.Scenario{Workload: accel.FFTChain(false)}.Run()
 		if err != nil {
 			b.Fatal(err)
 		}
-		acc, err := bench.RunM3(accel.FFTChain(true), bench.M3Options{FFTPEs: 1, ExtraPEs: -1})
+		acc, err := bench.Scenario{Workload: accel.FFTChain(true), M3Options: bench.M3Options{FFTPEs: 1, ExtraPEs: -1}}.Run()
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(lx.Total), "linux-cycles")
-		b.ReportMetric(float64(soft.Total), "m3soft-cycles")
-		b.ReportMetric(float64(acc.Total), "m3accel-cycles")
-		b.ReportMetric(float64(soft.Total)/float64(acc.Total), "accel-speedup")
+		b.ReportMetric(float64(soft.Breakdown().Total), "m3soft-cycles")
+		b.ReportMetric(float64(acc.Breakdown().Total), "m3accel-cycles")
+		b.ReportMetric(float64(soft.Breakdown().Total)/float64(acc.Breakdown().Total), "accel-speedup")
 	}
+}
+
+// meanRunTime runs n instances of wl on the Figure 6 platform and
+// returns the mean instance time.
+func meanRunTime(wl workload.Benchmark, n int) (sim.Time, error) {
+	r, err := bench.Scenario{Workload: wl, Instances: n, M3Options: bench.Fig6Options()}.Run()
+	if err != nil {
+		return 0, err
+	}
+	return r.MeanRunTime()
 }

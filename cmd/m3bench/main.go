@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/sim"
 )
 
 // experiment is one entry of the registry: the single source of truth
@@ -106,23 +105,12 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		ev0 := sim.TotalExecutedEvents()
 		exp, err := e.run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "m3bench: %s failed: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		wall := time.Since(start)
-		// Simulator wall-speed per experiment (ROADMAP item 2): an info
-		// metric, so -diff reports it without ever gating on host speed.
-		//m3vet:allow timetaint wall-clock speed is host-side reporting, never simulation state
-		if dev := sim.TotalExecutedEvents() - ev0; dev > 0 && wall > 0 {
-			exp.Metrics = append(exp.Metrics, bench.BenchMetric{
-				Name:  e.name + "/events_per_sec_wall",
-				Value: float64(dev) / wall.Seconds(),
-				Unit:  "info",
-			})
-		}
 		out.Experiments = append(out.Experiments, exp)
 		fmt.Printf("  [%s took %.1fs wall clock]\n\n", e.name, wall.Seconds())
 	}
@@ -134,7 +122,7 @@ func main() {
 				names = append(names, e.name)
 			}
 		}
-		caps, err := bench.CaptureAll(names, bench.CaptureRunOptions{})
+		caps, err := bench.CaptureAll(names, bench.M3Options{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "m3bench: capture failed: %v\n", err)
 			os.Exit(1)

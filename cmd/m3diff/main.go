@@ -162,7 +162,7 @@ func runSelftest() error {
 	var base *obs.RunCapture
 	var baseJSON string
 	for _, v := range variants {
-		c, err := bench.RunWorkloadCapture(selftestWorkload, bench.CaptureRunOptions{Engine: v.Cfg})
+		c, err := bench.RunWorkloadCapture(selftestWorkload, bench.M3Options{Engine: v.Cfg})
 		if err != nil {
 			return fmt.Errorf("capturing under %s: %w", v.Name, err)
 		}
@@ -181,7 +181,7 @@ func runSelftest() error {
 	fmt.Printf("selftest: captures byte-identical across %d engines\n", len(variants))
 
 	delta := sim.Time(core.CostDispatch) / 10
-	perturbed, err := bench.RunWorkloadCapture(selftestWorkload, bench.CaptureRunOptions{DispatchCostDelta: delta})
+	perturbed, err := bench.RunWorkloadCapture(selftestWorkload, bench.M3Options{DispatchCostDelta: delta})
 	if err != nil {
 		return fmt.Errorf("capturing perturbed run: %w", err)
 	}

@@ -18,12 +18,8 @@ import (
 	"os"
 	"text/tabwriter"
 
-	"repro/internal/core"
-	"repro/internal/m3"
-	"repro/internal/m3fs"
+	"repro/internal/bench"
 	"repro/internal/obs"
-	"repro/internal/sim"
-	"repro/internal/tile"
 	"repro/internal/workload"
 )
 
@@ -39,35 +35,17 @@ func main() {
 		log.Fatal(err)
 	}
 	prof := obs.NewProfiler()
-	eng := sim.NewEngine()
-	cfg := tile.Homogeneous(2 + b.PEs + *pes)
-	cfg.Obs = obs.New(obs.Options{Sink: prof.Consume})
-	plat := tile.NewPlatform(eng, cfg)
-	kern := core.Boot(plat, 0)
-	if _, err := kern.StartInit("m3fs", tile.CoreXtensa, m3fs.Program(kern, m3fs.Config{}, nil)); err != nil {
-		log.Fatal(err)
-	}
-	_, err = kern.StartInit("app", tile.CoreXtensa, func(ctx *tile.Ctx) {
-		env := m3.NewEnv(ctx, kern)
-		os, err := workload.NewM3OS(env)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := b.Setup(os); err != nil {
-			log.Fatal(err)
-		}
-		if err := b.Run(os); err != nil {
-			log.Fatal(err)
-		}
-		env.Exit(0)
-	})
+	r, err := bench.Scenario{Workload: b, M3Options: bench.M3Options{
+		ExtraPEs: *pes,
+		Obs:      obs.New(obs.Options{Sink: prof.Consume}),
+	}}.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	end := eng.Run()
+	end := r.Stats.FinalTime
 
 	fmt.Printf("workload %s: %d cycles simulated on %d PEs + memory tile\n",
-		b.Name, end, len(cfg.PEs))
+		b.Name, end, len(r.Plat.PEs))
 
 	fmt.Printf("  top %d call paths by self-cycles:\n", *top)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)

@@ -19,13 +19,10 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/core"
+	"repro/internal/bench"
 	"repro/internal/linuxos"
-	"repro/internal/m3"
-	"repro/internal/m3fs"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/tile"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -64,14 +61,16 @@ func cmdRecord(args []string) {
 		log.Fatal(err)
 	}
 	var tr *trace.Trace
-	cycles := runOn(*osName, b, func(os workload.OS) error {
+	rb := b
+	rb.Run = func(os workload.OS) error {
 		rec := trace.NewRecorder(os)
 		if err := b.Run(rec); err != nil {
 			return err
 		}
 		tr = rec.T
 		return nil
-	})
+	}
+	cycles := runOn(*osName, rb)
 	path := *out
 	if path == "" {
 		path = *wl + ".trace"
@@ -103,9 +102,8 @@ func cmdReplay(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cycles := runOn(*osName, b, func(os workload.OS) error {
-		return trace.Replay(os, tr)
-	})
+	b.Run = func(os workload.OS) error { return trace.Replay(os, tr) }
+	cycles := runOn(*osName, b)
 	fmt.Printf("replayed %d operations on %s in %d simulated cycles\n", tr.Len(), *osName, cycles)
 }
 
@@ -236,7 +234,7 @@ func cmdExport(args []string) {
 	}
 	var events []obs.Event
 	tracer := obs.New(obs.Options{Sink: func(ev obs.Event) { events = append(events, ev) }})
-	cycles := runM3(b, tracer, func(os workload.OS) error { return b.Run(os) })
+	cycles := runM3(b, tracer)
 	if *span != 0 {
 		kept := events[:0]
 		for _, ev := range events {
@@ -286,64 +284,29 @@ func cmdExport(args []string) {
 	fmt.Printf("exported %d structured events (%d simulated cycles) to %s\n", len(events), cycles, path)
 }
 
-// runOn executes setup + fn on the named OS model and returns the
-// simulated cycles fn took.
-func runOn(osName string, b workload.Benchmark, fn func(workload.OS) error) sim.Time {
-	var took sim.Time
+// runOn executes b on the named OS model and returns the simulated
+// cycles its run phase took.
+func runOn(osName string, b workload.Benchmark) sim.Time {
 	switch osName {
 	case "linux":
-		eng := sim.NewEngine()
-		sys := linuxos.New(eng, linuxos.ProfileXtensa, false)
-		sys.Spawn("app", func(pr *linuxos.Proc) {
-			os := workload.NewLxOS(sys, pr)
-			if err := b.Setup(os); err != nil {
-				log.Fatal(err)
-			}
-			start := pr.P().Now()
-			if err := fn(os); err != nil {
-				log.Fatal(err)
-			}
-			took = pr.P().Now() - start
-		})
-		eng.Run()
-	case "m3":
-		took = runM3(b, nil, fn)
-	default:
-		log.Fatalf("m3trace: unknown os %q (want linux or m3)", osName)
-	}
-	return took
-}
-
-// runM3 boots an M3 system (with the structured tracer wired when
-// non-nil), runs setup + fn, and returns the simulated cycles fn took.
-func runM3(b workload.Benchmark, tracer *obs.Tracer, fn func(workload.OS) error) sim.Time {
-	var took sim.Time
-	eng := sim.NewEngine()
-	cfg := tile.Homogeneous(2 + b.PEs)
-	cfg.Obs = tracer
-	plat := tile.NewPlatform(eng, cfg)
-	kern := core.Boot(plat, 0)
-	if _, err := kern.StartInit("m3fs", tile.CoreXtensa, m3fs.Program(kern, m3fs.Config{}, nil)); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := kern.StartInit("app", tile.CoreXtensa, func(ctx *tile.Ctx) {
-		env := m3.NewEnv(ctx, kern)
-		os, err := workload.NewM3OS(env)
+		bd, err := bench.RunLx(b, linuxos.ProfileXtensa, false)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := b.Setup(os); err != nil {
-			log.Fatal(err)
-		}
-		start := ctx.Now()
-		if err := fn(os); err != nil {
-			log.Fatal(err)
-		}
-		took = ctx.Now() - start
-		env.Exit(0)
-	}); err != nil {
+		return bd.Total
+	case "m3":
+		return runM3(b, nil)
+	}
+	log.Fatalf("m3trace: unknown os %q (want linux or m3)", osName)
+	return 0
+}
+
+// runM3 runs b on M3 (with the structured tracer wired when non-nil)
+// and returns the simulated cycles its run phase took.
+func runM3(b workload.Benchmark, tracer *obs.Tracer) sim.Time {
+	r, err := bench.Scenario{Workload: b, M3Options: bench.M3Options{Obs: tracer}}.Run()
+	if err != nil {
 		log.Fatal(err)
 	}
-	eng.Run()
-	return took
+	return r.Outcomes[0].RunTime
 }

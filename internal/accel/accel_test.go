@@ -60,15 +60,15 @@ func TestFFTChainProducesOutput(t *testing.T) {
 }
 
 func TestAcceleratorBeatsSoftware(t *testing.T) {
-	soft, err := bench.RunM3(accel.FFTChain(false), bench.M3Options{})
+	soft, err := bench.Scenario{Workload: accel.FFTChain(false)}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := bench.RunM3(accel.FFTChain(true), bench.M3Options{FFTPEs: 1, ExtraPEs: -1})
+	fast, err := bench.Scenario{Workload: accel.FFTChain(true), M3Options: bench.M3Options{FFTPEs: 1, ExtraPEs: -1}}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	speedup := float64(soft.Total) / float64(fast.Total)
+	speedup := float64(soft.Breakdown().Total) / float64(fast.Breakdown().Total)
 	if speedup < 8 {
 		t.Fatalf("accelerator speedup = %.1fx, want >= 8x end to end", speedup)
 	}

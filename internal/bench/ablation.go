@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"repro/internal/dtu"
 	"repro/internal/kif"
 	"repro/internal/linuxos"
@@ -176,11 +174,11 @@ func RunExtentBatchAblation(appendBlocks int) (ExtentBatchAblation, error) {
 			return f.Close()
 		},
 	}
-	bd, err := RunM3(b, M3Options{AppendBlocks: appendBlocks, NoMerge: true})
+	r, err := Scenario{Workload: b, M3Options: M3Options{AppendBlocks: appendBlocks, NoMerge: true}}.Run()
 	if err != nil {
 		return res, err
 	}
-	res.WriteCycles = bd.Total
+	res.WriteCycles = r.Outcomes[0].RunTime
 	res.Extents = (512 << 10) / (appendBlocks * 1024)
 	return res, nil
 }
@@ -199,17 +197,11 @@ func RunContentionAblation(n int) (ContentionAblation, error) {
 	if err != nil {
 		return res, err
 	}
-	unlimited, err := RunM3Instances(b, n)
-	if err != nil {
+	if res.Unlimited, err = meanRunTime(b, n, Fig6Options()); err != nil {
 		return res, err
 	}
-	contended, err := runM3InstancesContended(b, n)
-	if err != nil {
-		return res, err
-	}
-	res.Unlimited = unlimited
-	res.Contended = contended
-	return res, nil
+	res.Contended, err = meanRunTime(b, n, contendedOptions())
+	return res, err
 }
 
 // TopologyAblation compares contended multi-instance runs on the 2D
@@ -226,86 +218,28 @@ func RunTopologyAblation(n int) (TopologyAblation, error) {
 	if err != nil {
 		return res, err
 	}
-	if res.Mesh, err = runM3InstancesOpt(b, n, M3Options{
-		DRAMPorts: 1, DRAMSize: 512 << 20, FS: m3fs.Config{RegionSize: 384 << 20},
-	}); err != nil {
+	if res.Mesh, err = meanRunTime(b, n, contendedOptions()); err != nil {
 		return res, err
 	}
-	if res.Torus, err = runM3InstancesOpt(b, n, M3Options{
-		DRAMPorts: 1, DRAMSize: 512 << 20, NoCTorus: true,
-		FS: m3fs.Config{RegionSize: 384 << 20},
-	}); err != nil {
-		return res, err
-	}
-	return res, nil
+	torus := contendedOptions()
+	torus.NoCTorus = true
+	res.Torus, err = meanRunTime(b, n, torus)
+	return res, err
 }
 
-// runM3InstancesContended is RunM3Instances with real link and memory
+// contendedOptions is the Figure 6 platform with real link and memory
 // port contention.
-func runM3InstancesContended(b workload.Benchmark, n int) (sim.Time, error) {
-	opt := M3Options{
-		DRAMPorts: 1,
-		DRAMSize:  512 << 20,
-		FS:        m3fs.Config{RegionSize: 384 << 20},
-	}
-	return runM3InstancesOpt(b, n, opt)
+func contendedOptions() M3Options {
+	return M3Options{DRAMPorts: 1, DRAMSize: 512 << 20, FS: m3fs.Config{RegionSize: 384 << 20}}
 }
 
-// runM3InstancesOpt runs n instances under the given platform options.
-func runM3InstancesOpt(b workload.Benchmark, n int, opt M3Options) (sim.Time, error) {
-	s := bootM3(opt, n*b.PEs)
-	times := make([]sim.Time, 0, n)
-	var runErr error
-	ready := 0
-	startSig := sim.NewSignal(s.eng)
-	for i := 0; i < n; i++ {
-		prefix := fmt.Sprintf("/i%d", i)
-		_, err := s.kern.StartInit(fmt.Sprintf("app%d", i), tile.CoreXtensa, func(ctx *tile.Ctx) {
-			env := m3.NewEnv(ctx, s.kern)
-			os, err := workload.NewM3OS(env)
-			if err != nil {
-				runErr = err
-				return
-			}
-			os.Prefix = prefix
-			if err := os.Mkdir(""); err != nil {
-				runErr = err
-				return
-			}
-			if err := b.Setup(os); err != nil {
-				runErr = err
-				return
-			}
-			ready++
-			if ready == n {
-				startSig.Broadcast()
-			} else {
-				startSig.Wait(ctx.P)
-			}
-			start := ctx.Now()
-			if err := b.Run(os); err != nil {
-				runErr = err
-				return
-			}
-			times = append(times, ctx.Now()-start)
-			env.Exit(0)
-		})
-		if err != nil {
-			return 0, err
-		}
+// meanRunTime runs n instances of b and returns the mean instance time.
+func meanRunTime(b workload.Benchmark, n int, opt M3Options) (sim.Time, error) {
+	r, err := Scenario{Workload: b, Instances: n, M3Options: opt}.Run()
+	if err != nil {
+		return 0, err
 	}
-	s.eng.Run()
-	if runErr != nil {
-		return 0, runErr
-	}
-	var sum sim.Time
-	for _, t := range times {
-		sum += t
-	}
-	if len(times) == 0 {
-		return 0, fmt.Errorf("bench: no instance finished")
-	}
-	return sum / sim.Time(len(times)), nil
+	return r.MeanRunTime()
 }
 
 // RunMmapComparison copies a file of the given size on warm-cache

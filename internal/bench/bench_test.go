@@ -29,10 +29,7 @@ func TestNullSyscallMatchesPaper(t *testing.T) {
 }
 
 func TestFig3ReadShape(t *testing.T) {
-	m3bd, err := RunM3(ReadBench(), M3Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m3bd := mustRun(t, Scenario{Workload: ReadBench()}).Breakdown()
 	warm, err := RunLx(ReadBench(), linuxos.ProfileXtensa, false)
 	if err != nil {
 		t.Fatal(err)
@@ -185,19 +182,19 @@ func TestFig6ShapeSmall(t *testing.T) {
 	// compute-bound).
 	find, _ := workload.ByName("find")
 	sqlite, _ := workload.ByName("sqlite")
-	f1, err := RunM3Instances(find, 1)
+	f1, err := meanRunTime(find, 1, Fig6Options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	f8, err := RunM3Instances(find, 8)
+	f8, err := meanRunTime(find, 8, Fig6Options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := RunM3Instances(sqlite, 1)
+	s1, err := meanRunTime(sqlite, 1, Fig6Options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s8, err := RunM3Instances(sqlite, 8)
+	s8, err := meanRunTime(sqlite, 8, Fig6Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,10 +224,7 @@ func TestReportTables(t *testing.T) {
 }
 
 func TestBreakdownConsistency(t *testing.T) {
-	bd, err := RunM3(ReadBench(), M3Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	bd := mustRun(t, Scenario{Workload: ReadBench()}).Breakdown()
 	if bd.App+bd.Xfer+bd.OS != bd.Total {
 		t.Fatalf("breakdown does not sum: %+v", bd)
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -40,21 +39,14 @@ var CaptureWorkloads = map[string]string{
 	"witness":  witnessWorkload,
 }
 
-// CaptureRunOptions parameterizes one capture run.
-type CaptureRunOptions struct {
-	// Engine selects the simulation engine; captures are byte-identical
-	// across every variant (the differential contract).
-	Engine sim.Config
-	// DispatchCostDelta seeds a kernel-side cost regression (the m3diff
-	// self-test); zero captures the unperturbed tree.
-	DispatchCostDelta sim.Time
-}
-
 // RunWorkloadCapture runs one workload with the folded profiler and
 // the critical-path engine fanned out from the structured tracer and
-// returns the bundled capture. Identical (workload, options) runs
-// return byte-identical captures.
-func RunWorkloadCapture(name string, opt CaptureRunOptions) (*obs.RunCapture, error) {
+// returns the bundled capture. The capture arms its own tracer and
+// sampler over opt: captures are byte-identical across engine variants
+// (the differential contract), and opt.DispatchCostDelta seeds the
+// m3diff self-test's kernel-side regression. Identical (workload,
+// options) runs return byte-identical captures.
+func RunWorkloadCapture(name string, opt M3Options) (*obs.RunCapture, error) {
 	b, err := workload.ByName(name)
 	if err != nil {
 		return nil, err
@@ -65,13 +57,8 @@ func RunWorkloadCapture(name string, opt CaptureRunOptions) (*obs.RunCapture, er
 		prof.Consume(ev)
 		cp.Consume(ev)
 	}})
-	mopt := M3Options{
-		Obs:               tr,
-		SampleEvery:       witnessSampleEvery,
-		Engine:            opt.Engine,
-		DispatchCostDelta: opt.DispatchCostDelta,
-	}
-	if _, _, err := RunM3Stats(b, mopt); err != nil {
+	opt.Obs, opt.SampleEvery = tr, witnessSampleEvery
+	if _, err := (Scenario{Workload: b, M3Options: opt}).Run(); err != nil {
 		return nil, fmt.Errorf("bench: capture run %s: %w", name, err)
 	}
 	hists := append(tr.Histograms(), cp.Hist())
@@ -80,7 +67,7 @@ func RunWorkloadCapture(name string, opt CaptureRunOptions) (*obs.RunCapture, er
 
 // CaptureAll captures the distinct workloads behind the named
 // experiments, in workload-name order.
-func CaptureAll(experiments []string, opt CaptureRunOptions) ([]*obs.RunCapture, error) {
+func CaptureAll(experiments []string, opt M3Options) ([]*obs.RunCapture, error) {
 	seen := map[string]bool{}
 	var names []string
 	for _, e := range experiments {

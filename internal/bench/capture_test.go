@@ -29,7 +29,7 @@ func TestCaptureEngineEquivalence(t *testing.T) {
 	variants := EngineVariants()
 	var ref string
 	for _, v := range variants {
-		c, err := RunWorkloadCapture(witnessWorkload, CaptureRunOptions{Engine: v.Cfg})
+		c, err := RunWorkloadCapture(witnessWorkload, M3Options{Engine: v.Cfg})
 		if err != nil {
 			t.Fatalf("%s: %v", v.Name, err)
 		}
@@ -52,12 +52,12 @@ func TestCaptureEngineEquivalence(t *testing.T) {
 // kernel: top blame-drift category "kernel" and a growing kernel
 // profile layer. This is the in-process twin of `make diff-smoke`.
 func TestCapturePerturbationAttribution(t *testing.T) {
-	base, err := RunWorkloadCapture(witnessWorkload, CaptureRunOptions{})
+	base, err := RunWorkloadCapture(witnessWorkload, M3Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	delta := sim.Time(core.CostDispatch) / 10
-	perturbed, err := RunWorkloadCapture(witnessWorkload, CaptureRunOptions{DispatchCostDelta: delta})
+	perturbed, err := RunWorkloadCapture(witnessWorkload, M3Options{DispatchCostDelta: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,7 @@ func TestCaptureSinksZeroOverhead(t *testing.T) {
 	}
 	run := func(sink func(obs.Event)) RunStats {
 		tr := obs.New(obs.Options{Sink: sink})
-		_, st, err := RunM3Stats(b, M3Options{Obs: tr, SampleEvery: witnessSampleEvery})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
+		return mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: tr, SampleEvery: witnessSampleEvery}}).Stats
 	}
 	null := run(func(obs.Event) {})
 	prof := obs.NewProfiler()
@@ -134,14 +130,8 @@ func TestCaptureSinksZeroOverhead(t *testing.T) {
 	}
 
 	// And a zero cost delta is exactly no perturbation.
-	plain, err := RunM3(b, M3Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeroDelta, err := RunM3(b, M3Options{DispatchCostDelta: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := mustRun(t, Scenario{Workload: b}).Breakdown()
+	zeroDelta := mustRun(t, Scenario{Workload: b, M3Options: M3Options{DispatchCostDelta: 0}}).Breakdown()
 	if plain != zeroDelta {
 		t.Fatalf("zero DispatchCostDelta perturbed the run: %+v vs %+v", zeroDelta, plain)
 	}
@@ -151,7 +141,7 @@ func TestCaptureSinksZeroOverhead(t *testing.T) {
 // survive a write/read cycle byte-identically; files without captures
 // stay valid.
 func TestBenchFileCapturesRoundTrip(t *testing.T) {
-	c, err := RunWorkloadCapture(witnessWorkload, CaptureRunOptions{})
+	c, err := RunWorkloadCapture(witnessWorkload, M3Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +175,12 @@ func TestBenchFileCapturesRoundTrip(t *testing.T) {
 // to its workload's capture diff, and files without captures must
 // degrade to a named missing-capture note instead of failing.
 func TestAttributeReport(t *testing.T) {
-	base, err := RunWorkloadCapture(witnessWorkload, CaptureRunOptions{})
+	base, err := RunWorkloadCapture(witnessWorkload, M3Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	perturbed, err := RunWorkloadCapture(witnessWorkload,
-		CaptureRunOptions{DispatchCostDelta: sim.Time(core.CostDispatch) / 10})
+		M3Options{DispatchCostDelta: sim.Time(core.CostDispatch) / 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"hash/fnv"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dtu"
 	"repro/internal/fault"
 	"repro/internal/m3fs"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -44,7 +44,7 @@ func midRunCrashAt(t *testing.T, b workload.Benchmark, n int, plan fault.Plan) s
 func midRunCrashAtOpt(t *testing.T, b workload.Benchmark, n int, plan fault.Plan, opt M3Options) sim.Time {
 	t.Helper()
 	plan.Crashes = nil
-	cr, err := RunM3Chaos(b, n, plan, opt)
+	cr, err := Scenario{Workload: b, Instances: n, Faults: &plan, M3Options: opt}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,24 +55,23 @@ func midRunCrashAtOpt(t *testing.T, b workload.Benchmark, n int, plan fault.Plan
 	return out.StartAt + out.RunTime*2/5
 }
 
-// tracedChaosRun runs one chaos configuration with a tracer installed
-// and returns the run plus an FNV hash over the complete event stream.
-func tracedChaosRun(t *testing.T, b workload.Benchmark, n int, plan fault.Plan, opt M3Options) (*ChaosRun, uint64) {
+// tracedChaosRun runs one chaos configuration with the structured
+// tracer installed and returns the run plus a hash over the complete
+// event stream.
+func tracedChaosRun(t *testing.T, b workload.Benchmark, n int, plan fault.Plan, opt M3Options) (*Result, uint64) {
 	t.Helper()
-	h := fnv.New64a()
-	opt.Tracer = func(at sim.Time, source, event string) {
-		fmt.Fprintf(h, "%d %s %s\n", at, source, event)
-	}
-	cr, err := RunM3Chaos(b, n, plan, opt)
+	sh := newStreamHash()
+	opt.Obs = obs.New(obs.Options{Sink: sh.Consume})
+	cr, err := Scenario{Workload: b, Instances: n, Faults: &plan, M3Options: opt}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cr, h.Sum64()
+	return cr, sh.Sum64()
 }
 
 // outcomeSummary flattens the per-instance outcomes into a comparable
 // string (errors by message; the VPE pointer is excluded).
-func outcomeSummary(cr *ChaosRun) string {
+func outcomeSummary(cr *Result) string {
 	s := ""
 	for _, o := range cr.Outcomes {
 		s += fmt.Sprintf("%s fin=%v start=%d end=%d err=%v; ", o.Name, o.Finished, o.StartAt, o.EndAt, o.Err)
@@ -86,7 +85,7 @@ func outcomeSummary(cr *ChaosRun) string {
 // PE crash that kills a VPE between syscalls and mid-transfer — three
 // runs of the identical (configuration, seed) pair must execute the
 // identical event schedule: same event count, same final time, same
-// hash over every trace line, same per-instance outcomes.
+// hash over every structured event, same per-instance outcomes.
 //
 // Swapping the fault layer's seeded splitmix64 streams for math/rand
 // global state makes this fail (verified locally; see docs/FAULTS.md).
@@ -135,7 +134,7 @@ func TestFaultDeterminism(t *testing.T) {
 // any chaos run: the engine drained without deadlock, no exited VPE
 // retains a capability, and the filesystem service holds no session
 // state for departed clients.
-func assertIsolation(t *testing.T, cr *ChaosRun) {
+func assertIsolation(t *testing.T, cr *Result) {
 	t.Helper()
 	if cr.Eng.Deadlocked() {
 		t.Error("simulation deadlocked")
@@ -166,7 +165,7 @@ func TestChaosMatrix(t *testing.T) {
 			crashAt := midRunCrashAt(t, b, 2, plan)
 
 			t.Run("none", func(t *testing.T) {
-				cr, err := RunM3Chaos(b, 2, fault.Plan{Seed: chaosSeed}, M3Options{})
+				cr, err := Scenario{Workload: b, Instances: 2, Faults: &fault.Plan{Seed: chaosSeed}}.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,7 +181,7 @@ func TestChaosMatrix(t *testing.T) {
 			})
 
 			t.Run("loss", func(t *testing.T) {
-				cr, err := RunM3Chaos(b, 2, fault.Plan{Seed: chaosSeed, DropRate: 0.01}, M3Options{})
+				cr, err := Scenario{Workload: b, Instances: 2, Faults: &fault.Plan{Seed: chaosSeed, DropRate: 0.01}}.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -199,7 +198,7 @@ func TestChaosMatrix(t *testing.T) {
 
 			t.Run("crash", func(t *testing.T) {
 				plan := fault.Plan{Seed: chaosSeed, Crashes: []fault.Crash{{PE: 2, At: crashAt}}}
-				cr, err := RunM3Chaos(b, 2, plan, M3Options{})
+				cr, err := Scenario{Workload: b, Instances: 2, Faults: &plan}.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -291,7 +290,7 @@ func TestChaosMatrix(t *testing.T) {
 				opts := M3Options{FS: m3fs.Config{Journal: true}}
 				fsCrashAt := midRunCrashAtOpt(t, b, 2, fault.Plan{Seed: chaosSeed}, opts)
 				plan := fault.Plan{Seed: chaosSeed, Crashes: []fault.Crash{{PE: 1, At: fsCrashAt}}}
-				cr, err := RunM3Chaos(b, 2, plan, opts)
+				cr, err := Scenario{Workload: b, Instances: 2, Faults: &plan, M3Options: opts}.Run()
 				if err != nil {
 					t.Fatal(err)
 				}

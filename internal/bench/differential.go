@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"hash"
 	"hash/fnv"
 
 	"repro/internal/fault"
@@ -40,10 +41,8 @@ type DifferentialWitness struct {
 	// Stats is the engine-level run witness: executed events and final
 	// simulated time.
 	Stats RunStats
-	// LegacyHash digests the legacy trace stream ("%d %s %s\n" lines),
-	// ObsHash the structured event stream (fixed binary encoding),
-	// MetricsHash the end-of-run metrics snapshot.
-	LegacyHash  uint64
+	// ObsHash digests the structured event stream (fixed binary
+	// encoding), MetricsHash the end-of-run metrics snapshot.
 	ObsHash     uint64
 	MetricsHash uint64
 	// ObsEvents counts structured events (a hash collision shield and a
@@ -56,9 +55,9 @@ type DifferentialWitness struct {
 
 // String renders the witness compactly for test failure output.
 func (w DifferentialWitness) String() string {
-	return fmt.Sprintf("events=%d final=%d legacy=%016x obs=%016x(%d) metrics=%016x outcomes=%q",
+	return fmt.Sprintf("events=%d final=%d obs=%016x(%d) metrics=%016x outcomes=%q",
 		w.Stats.ExecutedEvents, w.Stats.FinalTime,
-		w.LegacyHash, w.ObsHash, w.ObsEvents, w.MetricsHash, w.Outcomes)
+		w.ObsHash, w.ObsEvents, w.MetricsHash, w.Outcomes)
 }
 
 // differentialSampleEvery keeps the metrics sampler armed during
@@ -79,43 +78,58 @@ func RunDifferential(b workload.Benchmark, n int, plan fault.Plan, cfg sim.Confi
 // armed on the system. Its point is the zero-overhead-when-off proof:
 // an armed-but-idle policy (zero deadline, zero watermarks) must
 // produce a witness bit-identical to a nil policy — not one extra
-// event, trace line, or metric (TestOverloadIdleBitIdentical).
+// engine event, obs event, or metric (TestOverloadIdleBitIdentical).
 func RunDifferentialOverload(b workload.Benchmark, n int, plan fault.Plan, cfg sim.Config, ov *OverloadSpec) (DifferentialWitness, error) {
 	var w DifferentialWitness
-	obsHash := fnv.New64a()
-	var buf [obs.EncodedSize]byte
-	tr := obs.New(obs.Options{Sink: func(ev obs.Event) {
-		obsHash.Write(ev.AppendBinary(buf[:0]))
-		w.ObsEvents++
-	}})
-	legacyHash := fnv.New64a()
+	sh := newStreamHash()
+	tr := obs.New(obs.Options{Sink: sh.Consume})
 	opt := M3Options{
 		Obs:         tr,
 		SampleEvery: differentialSampleEvery,
 		Engine:      cfg,
 		Overload:    ov,
-		Tracer: func(at sim.Time, source, event string) {
-			fmt.Fprintf(legacyHash, "%d %s %s\n", at, source, event)
-		},
 	}
-	cr, err := RunM3Chaos(b, n, plan, opt)
+	cr, err := Scenario{Workload: b, Instances: n, Faults: &plan, M3Options: opt}.Run()
 	if err != nil {
 		return w, err
 	}
 	w.Stats = cr.Stats
-	w.LegacyHash = legacyHash.Sum64()
-	w.ObsHash = obsHash.Sum64()
-	mh := fnv.New64a()
-	mh.Write([]byte(tr.Metrics().Snapshot()))
-	w.MetricsHash = mh.Sum64()
+	w.ObsHash, w.ObsEvents = sh.Sum64(), sh.Events
+	w.MetricsHash = snapshotHash(tr)
 	for i := range cr.Outcomes {
 		o := &cr.Outcomes[i]
 		errText := ""
 		if o.Err != nil {
 			errText = o.Err.Error()
 		}
-		w.Outcomes += fmt.Sprintf("%s fin=%v err=%q start=%d end=%d;",
-			o.Name, o.Finished, errText, o.StartAt, o.EndAt)
+		// The chaos<k> label is part of the witness format, which stays
+		// fixed so that witnesses compare across versions.
+		w.Outcomes += fmt.Sprintf("chaos%d fin=%v err=%q start=%d end=%d;",
+			i, o.Finished, errText, o.StartAt, o.EndAt)
 	}
 	return w, nil
+}
+
+// streamHash digests a structured event stream: an FNV-1a hash over
+// every event's canonical binary encoding, plus the event count. Its
+// Consume is a valid obs.Options.Sink.
+type streamHash struct {
+	hash.Hash64
+	Events int
+	buf    [obs.EncodedSize]byte
+}
+
+func newStreamHash() *streamHash { return &streamHash{Hash64: fnv.New64a()} }
+
+// Consume hashes one event.
+func (s *streamHash) Consume(ev obs.Event) {
+	s.Write(ev.AppendBinary(s.buf[:0]))
+	s.Events++
+}
+
+// snapshotHash digests the tracer's end-of-run metrics snapshot.
+func snapshotHash(tr *obs.Tracer) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(tr.Metrics().Snapshot()))
+	return h.Sum64()
 }

@@ -18,8 +18,8 @@ func differentialPlan() fault.Plan {
 
 // TestEngineEquivalence is the headline differential test: every
 // tier-1 workload runs under the reference heap queue and the calendar
-// queue, and every observable byte — engine statistics, legacy trace,
-// structured event stream, metrics snapshot, per-instance outcomes —
+// queue, and every observable byte — engine statistics, structured
+// event stream, metrics snapshot, per-instance outcomes —
 // must be identical.
 func TestEngineEquivalence(t *testing.T) {
 	for _, b := range workload.All() {
@@ -31,7 +31,7 @@ func TestEngineEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", variants[0].Name, err)
 			}
-			if ref.Stats.ExecutedEvents == 0 || ref.ObsEvents == 0 || ref.LegacyHash == 0 {
+			if ref.Stats.ExecutedEvents == 0 || ref.ObsEvents == 0 || ref.ObsHash == 0 || ref.MetricsHash == 0 {
 				t.Fatalf("%s: empty witness, harness broken: %v", variants[0].Name, ref)
 			}
 			for _, v := range variants[1:] {

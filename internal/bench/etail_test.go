@@ -71,10 +71,7 @@ func critPathRun(t *testing.T, b workload.Benchmark, cfg sim.Config) (RunStats, 
 	slos := benchSLOSet()
 	cp := obs.NewCritPath(obs.CritPathOptions{Exemplars: 4, SLO: slos})
 	tr := obs.New(obs.Options{Sink: cp.Consume})
-	_, st, err := RunM3Stats(b, M3Options{Obs: tr, Engine: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: tr, Engine: cfg}}).Stats
 	if cp.Completed() == 0 {
 		t.Fatal("critpath run completed no requests")
 	}
@@ -110,7 +107,7 @@ func critPathChaosRun(t *testing.T, b workload.Benchmark, plan fault.Plan) (RunS
 	cp := obs.NewCritPath(obs.CritPathOptions{Exemplars: 4, SLO: slos})
 	opt := recoverOpts()
 	opt.Obs = obs.New(obs.Options{Sink: cp.Consume})
-	cr, err := RunM3Chaos(b, 2, plan, opt)
+	cr, err := Scenario{Workload: b, Instances: 2, Faults: &plan, M3Options: opt}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +139,8 @@ func TestCritPathChaosDeterministic(t *testing.T) {
 
 // TestCritPathSLOZeroOverhead: wiring the attribution engine and SLO
 // set as the tracer sink must not change the simulation at all — the
-// engine-level run statistics and the legacy trace stream stay
-// bit-identical to a run with no tracer installed. The SLO layer
+// engine statistics, breakdown, and per-PE DTU, kernel and NoC counters
+// stay bit-identical to a run with no tracer installed. The SLO layer
 // schedules no events; it only observes completions.
 func TestCritPathSLOZeroOverhead(t *testing.T) {
 	for _, name := range []string{"tar", "find"} {
@@ -151,29 +148,15 @@ func TestCritPathSLOZeroOverhead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, base, err := RunM3Stats(b, M3Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		base := fingerprint(mustRun(t, Scenario{Workload: b}))
 		slos := benchSLOSet()
 		cp := obs.NewCritPath(obs.CritPathOptions{SLO: slos})
 		tr := obs.New(obs.Options{Sink: cp.Consume})
-		_, with, err := RunM3Stats(b, M3Options{Obs: tr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if with != base {
-			t.Fatalf("%s: critpath+SLO sink changed the run: %+v vs baseline %+v", name, with, base)
+		if with := fingerprint(mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: tr}})); with != base {
+			t.Fatalf("%s: critpath+SLO sink changed the run:\n%s\nvs baseline\n%s", name, with, base)
 		}
 		if cp.Completed() == 0 {
 			t.Fatalf("%s: attribution engine saw no requests", name)
-		}
-		slosB := benchSLOSet()
-		cpB := obs.NewCritPath(obs.CritPathOptions{SLO: slosB})
-		lh1 := legacyHash(t, b, nil)
-		lh2 := legacyHash(t, b, obs.New(obs.Options{Sink: cpB.Consume}))
-		if lh1 != lh2 {
-			t.Fatalf("%s: critpath+SLO sink perturbed the legacy trace: %#x vs %#x", name, lh2, lh1)
 		}
 	}
 }

@@ -26,11 +26,11 @@ func Fig3() (*Fig3Result, error) {
 	r.SyscallM3, r.SyscallM3Xfer = NullSyscallM3()
 	r.SyscallLx = NullSyscallLx(linuxos.ProfileXtensa)
 	for _, b := range []workload.Benchmark{ReadBench(), WriteBench(), PipeBench()} {
-		row := map[string]Breakdown{}
-		var err error
-		if row["M3"], err = RunM3(b, M3Options{}); err != nil {
+		res, err := Scenario{Workload: b}.Run()
+		if err != nil {
 			return nil, fmt.Errorf("fig3 %s on M3: %w", b.Name, err)
 		}
+		row := map[string]Breakdown{"M3": res.Breakdown()}
 		if row["Lx-$"], err = RunLx(b, linuxos.ProfileXtensa, false); err != nil {
 			return nil, fmt.Errorf("fig3 %s on Lx-$: %w", b.Name, err)
 		}
@@ -175,17 +175,17 @@ func Fig4() (*Fig4Result, error) {
 	r := &Fig4Result{}
 	for bpe := 16; bpe <= 2048; bpe *= 2 {
 		opts := M3Options{AppendBlocks: bpe, NoMerge: true}
-		wbd, err := RunM3(WriteBench(), opts)
+		w, err := Scenario{Workload: WriteBench(), M3Options: opts}.Run()
 		if err != nil {
 			return nil, fmt.Errorf("fig4 write bpe=%d: %w", bpe, err)
 		}
-		rbd, err := RunM3(ReadBench(), opts)
+		rd, err := Scenario{Workload: ReadBench(), M3Options: opts}.Run()
 		if err != nil {
 			return nil, fmt.Errorf("fig4 read bpe=%d: %w", bpe, err)
 		}
 		r.BlocksPerExtent = append(r.BlocksPerExtent, bpe)
-		r.ReadCycles = append(r.ReadCycles, rbd.Total)
-		r.WriteCycles = append(r.WriteCycles, wbd.Total)
+		r.ReadCycles = append(r.ReadCycles, rd.Outcomes[0].RunTime)
+		r.WriteCycles = append(r.WriteCycles, w.Outcomes[0].RunTime)
 	}
 	return r, nil
 }
@@ -210,11 +210,11 @@ type Fig5Result struct {
 func Fig5() (*Fig5Result, error) {
 	r := &Fig5Result{Apps: map[string]map[string]Breakdown{}}
 	for _, b := range workload.All() {
-		row := map[string]Breakdown{}
-		var err error
-		if row["M3"], err = RunM3(b, M3Options{}); err != nil {
+		res, err := Scenario{Workload: b}.Run()
+		if err != nil {
 			return nil, fmt.Errorf("fig5 %s on M3: %w", b.Name, err)
 		}
+		row := map[string]Breakdown{"M3": res.Breakdown()}
 		if row["Lx-$"], err = RunLx(b, linuxos.ProfileXtensa, false); err != nil {
 			return nil, fmt.Errorf("fig5 %s on Lx-$: %w", b.Name, err)
 		}
@@ -268,7 +268,7 @@ func Fig6() (*Fig6Result, error) {
 				series = append(series, 0)
 				continue
 			}
-			t, err := RunM3Instances(b, n)
+			t, err := meanRunTime(b, n, Fig6Options())
 			if err != nil {
 				return nil, fmt.Errorf("fig6 %s n=%d: %w", b.Name, n, err)
 			}
@@ -319,12 +319,15 @@ func Fig7() (*Fig7Result, error) {
 	if r.Linux, err = RunLx(accel.FFTChain(false), linuxos.ProfileXtensa, true); err != nil {
 		return nil, fmt.Errorf("fig7 linux: %w", err)
 	}
-	if r.M3Soft, err = RunM3(accel.FFTChain(false), M3Options{}); err != nil {
+	soft, err := Scenario{Workload: accel.FFTChain(false)}.Run()
+	if err != nil {
 		return nil, fmt.Errorf("fig7 m3 soft: %w", err)
 	}
-	if r.M3Accel, err = RunM3(accel.FFTChain(true), M3Options{FFTPEs: 1, ExtraPEs: -1}); err != nil {
+	acc, err := Scenario{Workload: accel.FFTChain(true), M3Options: M3Options{FFTPEs: 1, ExtraPEs: -1}}.Run()
+	if err != nil {
 		return nil, fmt.Errorf("fig7 m3 accel: %w", err)
 	}
+	r.M3Soft, r.M3Accel = soft.Breakdown(), acc.Breakdown()
 	return r, nil
 }
 

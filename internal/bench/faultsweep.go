@@ -51,7 +51,7 @@ func EFault() (*EFaultResult, error) {
 			DropRate:   rate,
 			MaxRetries: efaultRetries,
 		}
-		cr, err := RunM3Chaos(b, 1, plan, M3Options{})
+		cr, err := Scenario{Workload: b, Instances: 1, Faults: &plan}.Run()
 		if err != nil {
 			return nil, fmt.Errorf("efault rate %g: %w", rate, err)
 		}

@@ -57,9 +57,6 @@ type M3Options struct {
 	// (Figure 4).
 	AppendBlocks int
 	NoMerge      bool
-	// Tracer, if set, receives every trace event of the run; the
-	// determinism regression test hashes this stream.
-	Tracer func(at sim.Time, source, event string)
 	// Obs, if set, is the structured tracer wired through the NoC and
 	// every DTU (spans, histograms, flight recorder). Nil keeps
 	// structured observability fully off.
@@ -138,9 +135,6 @@ func bootM3NoFS(opt M3Options, appPEs int) *m3System {
 	if opt.DRAMSize > 0 {
 		cfg.DRAM.Size = opt.DRAMSize
 	}
-	if opt.Tracer != nil {
-		eng.SetTracer(opt.Tracer)
-	}
 	plat := tile.NewPlatform(eng, cfg)
 	kern := core.Boot(plat, 0)
 	if opt.DispatchCostDelta != 0 {
@@ -193,62 +187,6 @@ type RunStats struct {
 	FinalTime      sim.Time
 }
 
-// RunM3 executes one benchmark on a fresh M3 system and returns the
-// measured breakdown of the run phase.
-func RunM3(b workload.Benchmark, opt M3Options) (Breakdown, error) {
-	bd, _, err := RunM3Stats(b, opt)
-	return bd, err
-}
-
-// RunM3Stats is RunM3 plus engine-level run statistics.
-func RunM3Stats(b workload.Benchmark, opt M3Options) (Breakdown, RunStats, error) {
-	s := bootM3(opt, b.PEs)
-	var bd Breakdown
-	var runErr error
-	_, err := s.kern.StartInit("app", tile.CoreXtensa, func(ctx *tile.Ctx) {
-		env := m3.NewEnv(ctx, s.kern)
-		os, err := workload.NewM3OS(env)
-		if err != nil {
-			runErr = err
-			return
-		}
-		if opt.AppendBlocks > 0 {
-			os.FS.AppendBlocks = opt.AppendBlocks
-		}
-		os.FS.NoMerge = opt.NoMerge
-		if err := b.Setup(os); err != nil {
-			runErr = err
-			return
-		}
-		os.ResetAppCycles()
-		xferBase := s.xferCycles()
-		start := ctx.Now()
-		if err := b.Run(os); err != nil {
-			runErr = err
-			return
-		}
-		bd.Total = ctx.Now() - start
-		// Parent and child PEs overlap (pipes): cap each category at
-		// the remaining wall time, app first, then transfers.
-		bd.App = sim.Time(os.AppCycles())
-		if bd.App > bd.Total {
-			bd.App = bd.Total
-		}
-		bd.Xfer = s.xferCycles() - xferBase
-		if bd.App+bd.Xfer > bd.Total {
-			bd.Xfer = bd.Total - bd.App
-		}
-		bd.OS = bd.Total - bd.App - bd.Xfer
-		env.Exit(0)
-	})
-	if err != nil {
-		return bd, RunStats{}, err
-	}
-	s.eng.Run()
-	st := RunStats{ExecutedEvents: s.eng.ExecutedEvents(), FinalTime: s.eng.Now()}
-	return bd, st, runErr
-}
-
 // RunLx executes one benchmark on a fresh Linux system with the given
 // profile and cache variant.
 func RunLx(b workload.Benchmark, prof linuxos.Profile, cold bool) (Breakdown, error) {
@@ -277,85 +215,16 @@ func RunLx(b workload.Benchmark, prof linuxos.Profile, cold bool) (Breakdown, er
 	return bd, runErr
 }
 
-// RunM3Instances runs n parallel instances of b on one M3 system with
-// a single kernel and a single m3fs (Figure 6). All instances start
-// their run phase together after every setup finished; the returned
-// value is the mean run time per instance.
-func RunM3Instances(b workload.Benchmark, n int) (sim.Time, error) {
-	return RunM3InstancesEngine(b, n, sim.Config{})
-}
-
-// RunM3InstancesEngine is RunM3Instances on an explicit engine
-// configuration (m3sim's -engine flag).
-func RunM3InstancesEngine(b workload.Benchmark, n int, eng sim.Config) (sim.Time, error) {
-	opt := M3Options{
+// Fig6Options is the platform of Figure 6: a perfectly scaling NoC,
+// one DRAM port per possible instance, and memory and an m3fs region
+// large enough for 16 instances of every workload.
+func Fig6Options() M3Options {
+	return M3Options{
 		NoCUnlimited: true,
 		DRAMPorts:    64,
 		DRAMSize:     512 << 20,
 		FS:           m3fs.Config{RegionSize: 384 << 20},
-		Engine:       eng,
 	}
-	s := bootM3(opt, n*b.PEs)
-	ready := 0
-	startSig := sim.NewSignal(s.eng)
-	times := make([]sim.Time, 0, n)
-	var runErr error
-	for i := 0; i < n; i++ {
-		prefix := fmt.Sprintf("/i%d", i)
-		_, err := s.kern.StartInit(fmt.Sprintf("app%d", i), tile.CoreXtensa, func(ctx *tile.Ctx) {
-			env := m3.NewEnv(ctx, s.kern)
-			os, err := workload.NewM3OS(env)
-			if err != nil {
-				runErr = err
-				return
-			}
-			os.Prefix = prefix
-			if err := os.Mkdir(""); err != nil && prefix != "" {
-				runErr = err
-				return
-			}
-			if err := b.Setup(os); err != nil {
-				runErr = err
-				return
-			}
-			// Barrier: start all instances at the same time.
-			ready++
-			if ready == n {
-				startSig.Broadcast()
-			} else {
-				startSig.Wait(ctx.P)
-			}
-			start := ctx.Now()
-			if err := b.Run(os); err != nil {
-				runErr = err
-				return
-			}
-			times = append(times, ctx.Now()-start)
-			env.Exit(0)
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-	s.eng.Run()
-	if runErr != nil {
-		return 0, runErr
-	}
-	var drops uint64
-	for _, pe := range s.plat.PEs {
-		drops += pe.DTU.Stats.MsgsDropped
-	}
-	if drops > 0 {
-		return 0, fmt.Errorf("bench: %d messages dropped (ringbuffer overcommit)", drops)
-	}
-	if len(times) != n {
-		return 0, fmt.Errorf("bench: only %d of %d instances finished", len(times), n)
-	}
-	var sum sim.Time
-	for _, t := range times {
-		sum += t
-	}
-	return sum / sim.Time(n), nil
 }
 
 // NullSyscallM3 measures the M3 null system call and its wire share.

@@ -1,8 +1,7 @@
 package bench
 
 import (
-	"fmt"
-	"hash/fnv"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -23,18 +22,10 @@ import (
 // binary encoding of every emitted event.
 func obsStreamHash(t *testing.T, b workload.Benchmark) (RunStats, uint64, int) {
 	t.Helper()
-	h := fnv.New64a()
-	n := 0
-	var buf [obs.EncodedSize]byte
-	tr := obs.New(obs.Options{Sink: func(ev obs.Event) {
-		h.Write(ev.AppendBinary(buf[:0]))
-		n++
-	}})
-	_, st, err := RunM3Stats(b, M3Options{Obs: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st, h.Sum64(), n
+	sh := newStreamHash()
+	tr := obs.New(obs.Options{Sink: sh.Consume})
+	st := mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: tr}}).Stats
+	return st, sh.Sum64(), sh.Events
 }
 
 // TestObsStreamDeterministic: three runs of the same (configuration,
@@ -65,19 +56,14 @@ func TestObsStreamDeterministic(t *testing.T) {
 // service crash.
 func obsChaosStreamHash(t *testing.T, b workload.Benchmark, plan fault.Plan) (RunStats, uint64, int) {
 	t.Helper()
-	h := fnv.New64a()
-	n := 0
-	var buf [obs.EncodedSize]byte
+	sh := newStreamHash()
 	opt := recoverOpts()
-	opt.Obs = obs.New(obs.Options{Sink: func(ev obs.Event) {
-		h.Write(ev.AppendBinary(buf[:0]))
-		n++
-	}})
-	cr, err := RunM3Chaos(b, 2, plan, opt)
+	opt.Obs = obs.New(obs.Options{Sink: sh.Consume})
+	cr, err := Scenario{Workload: b, Instances: 2, Faults: &plan, M3Options: opt}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cr.Stats, h.Sum64(), n
+	return cr.Stats, sh.Sum64(), sh.Events
 }
 
 // TestObsChaosStreamDeterministic: the stream stays byte-identical
@@ -105,62 +91,31 @@ func TestObsChaosStreamDeterministic(t *testing.T) {
 }
 
 // TestObsZeroOverhead: installing the structured tracer — enabled or
-// disabled — must not change the simulation: same executed-event count
-// and final time as a run with no tracer at all. The tracer observes
-// the schedule; it never becomes part of it.
+// disabled — must not change the simulation: the same engine
+// statistics, breakdown, and per-PE DTU, kernel and NoC counters as a
+// run with no tracer at all. The tracer observes the schedule; it
+// never becomes part of it.
 func TestObsZeroOverhead(t *testing.T) {
 	for _, name := range []string{"tar", "find"} {
 		b, err := workload.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, base, err := RunM3Stats(b, M3Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base.ExecutedEvents == 0 {
+		base := mustRun(t, Scenario{Workload: b})
+		if base.Stats.ExecutedEvents == 0 {
 			t.Fatalf("%s: baseline executed no events", name)
 		}
+		want := fingerprint(base)
 		on := obs.New(obs.Options{Sink: func(obs.Event) {}, FlightRecorder: obs.DefaultFlightRecorder})
-		_, withOn, err := RunM3Stats(b, M3Options{Obs: on})
-		if err != nil {
-			t.Fatal(err)
+		if got := fingerprint(mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: on}})); got != want {
+			t.Fatalf("%s: enabled tracer changed the run:\n%s\nvs baseline\n%s", name, got, want)
 		}
 		off := obs.New(obs.Options{Sink: func(obs.Event) {}})
 		off.SetEnabled(false)
-		_, withOff, err := RunM3Stats(b, M3Options{Obs: off})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if withOn != base {
-			t.Fatalf("%s: enabled tracer changed the run: %+v vs baseline %+v", name, withOn, base)
-		}
-		if withOff != base {
-			t.Fatalf("%s: disabled tracer changed the run: %+v vs baseline %+v", name, withOff, base)
-		}
-		// The legacy string-trace stream must be bit-identical too: the
-		// structured layer observes the same schedule, it does not
-		// perturb it.
-		lh1, lh2 := legacyHash(t, b, nil), legacyHash(t, b,
-			obs.New(obs.Options{Sink: func(obs.Event) {}, FlightRecorder: obs.DefaultFlightRecorder}))
-		if lh1 != lh2 {
-			t.Fatalf("%s: structured tracer perturbed the legacy trace: %#x vs %#x", name, lh2, lh1)
+		if got := fingerprint(mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: off}})); got != want {
+			t.Fatalf("%s: disabled tracer changed the run:\n%s\nvs baseline\n%s", name, got, want)
 		}
 	}
-}
-
-// legacyHash hashes the legacy string-trace stream of one run, with or
-// without the structured tracer installed alongside.
-func legacyHash(t *testing.T, b workload.Benchmark, tr *obs.Tracer) uint64 {
-	t.Helper()
-	h := fnv.New64a()
-	opt := M3Options{Obs: tr, Tracer: func(at sim.Time, source, event string) {
-		fmt.Fprintf(h, "%d %s %s\n", at, source, event)
-	}}
-	if _, _, err := RunM3Stats(b, opt); err != nil {
-		t.Fatal(err)
-	}
-	return h.Sum64()
 }
 
 // TestSyscallNestedSpanChain: at least one syscall must reconstruct as
@@ -175,9 +130,7 @@ func TestSyscallNestedSpanChain(t *testing.T) {
 	}
 	var events []obs.Event
 	tr := obs.New(obs.Options{Sink: func(ev obs.Event) { events = append(events, ev) }})
-	if _, _, err := RunM3Stats(b, M3Options{Obs: tr}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: tr}})
 	intervals, _ := obs.Intervals(events)
 	bySpan := make(map[obs.SpanID][]obs.Interval)
 	for _, iv := range intervals {
@@ -243,7 +196,7 @@ func TestFlightDumpOnFailure(t *testing.T) {
 	fsCrashAt := midRunCrashAt(t, b, 2, fault.Plan{Seed: chaosSeed})
 	plan := fault.Plan{Seed: chaosSeed, Crashes: []fault.Crash{{PE: 1, At: fsCrashAt}}}
 	opt := M3Options{Obs: obs.New(obs.Options{FlightRecorder: obs.DefaultFlightRecorder})}
-	cr, err := RunM3Chaos(b, 2, plan, opt)
+	cr, err := Scenario{Workload: b, Instances: 2, Faults: &plan, M3Options: opt}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +227,7 @@ func TestFlightDumpOnlyOnFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := M3Options{Obs: obs.New(obs.Options{FlightRecorder: obs.DefaultFlightRecorder})}
-	cr, err := RunM3Chaos(b, 2, fault.Plan{Seed: chaosSeed}, opt)
+	cr, err := Scenario{Workload: b, Instances: 2, Faults: &fault.Plan{Seed: chaosSeed}, M3Options: opt}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +242,7 @@ func TestFlightDumpOnlyOnFailure(t *testing.T) {
 
 	fsCrashAt := midRunCrashAt(t, b, 2, fault.Plan{Seed: chaosSeed})
 	plan := fault.Plan{Seed: chaosSeed, Crashes: []fault.Crash{{PE: 1, At: fsCrashAt}}}
-	cr, err = RunM3Chaos(b, 2, plan, M3Options{Obs: obs.New(obs.Options{})})
+	cr, err = Scenario{Workload: b, Instances: 2, Faults: &plan, M3Options: M3Options{Obs: obs.New(obs.Options{})}}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +271,7 @@ func TestFlightDumpOnDeadlock(t *testing.T) {
 	}
 	run := func() string {
 		opt := M3Options{Obs: obs.New(obs.Options{FlightRecorder: obs.DefaultFlightRecorder})}
-		cr, err := RunM3Chaos(wedge, 1, fault.Plan{Seed: chaosSeed}, opt)
+		cr, err := Scenario{Workload: wedge, Instances: 1, Faults: &fault.Plan{Seed: chaosSeed}, M3Options: opt}.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,5 +289,80 @@ func TestFlightDumpOnDeadlock(t *testing.T) {
 	}
 	if d2 := run(); d2 != d1 {
 		t.Fatalf("deadlock dump not byte-stable:\n%s\nvs\n%s", d2, d1)
+	}
+}
+
+// TestKernelCapDropEvents: the kernel's capability drops are the
+// revocation-order witness. On tar, the application VPE's exit drops
+// its table in the sorted-selector walk of revokeAll (tar delegates
+// nothing within its own table, so the walk is strictly ascending);
+// every drop carries no span, and two runs emit the identical sequence.
+func TestKernelCapDropEvents(t *testing.T) {
+	b, err := workload.ByName("tar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drops := func() []obs.Event {
+		var evs []obs.Event
+		tr := obs.New(obs.Options{Sink: func(ev obs.Event) {
+			if ev.Kind == obs.EvCapDrop {
+				evs = append(evs, ev)
+			}
+		}})
+		r := mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: tr}})
+		app := r.Outcomes[0].VPE.ID
+		var sels []uint64
+		for _, ev := range evs {
+			if ev.Span != 0 || ev.Layer != obs.LKernel {
+				t.Fatalf("cap-drop event with span %d on layer %s", ev.Span, ev.Layer)
+			}
+			if ev.Arg2 == app {
+				sels = append(sels, ev.Arg1)
+			}
+		}
+		if len(sels) < 2 {
+			t.Fatalf("application exit dropped %d capabilities, want a full table", len(sels))
+		}
+		for i := 1; i < len(sels); i++ {
+			if sels[i] <= sels[i-1] {
+				t.Fatalf("drops out of revocation order: selectors %v", sels)
+			}
+		}
+		return evs
+	}
+	first := drops()
+	if again := drops(); !reflect.DeepEqual(first, again) {
+		t.Fatalf("cap-drop sequence differs between runs:\n%v\nvs\n%v", again, first)
+	}
+}
+
+// TestKernelRecoveryEventsMatchStats: on a supervised chaos run, the
+// reap and respawn events agree with the kernel's own counters.
+func TestKernelRecoveryEventsMatchStats(t *testing.T) {
+	b, err := workload.ByName("untar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := recoverOpts()
+	fsCrashAt := midRunCrashAtOpt(t, b, 2, fault.Plan{Seed: chaosSeed}, opt)
+	plan := fault.Plan{Seed: chaosSeed, Crashes: []fault.Crash{{PE: 1, At: fsCrashAt}}}
+	var reaps, restarts, held uint64
+	opt.Obs = obs.New(obs.Options{Sink: func(ev obs.Event) {
+		switch {
+		case ev.Kind == obs.EvReap:
+			reaps++
+		case ev.Kind == obs.EvRespawn && ev.Arg0 == obs.RespawnRestarted:
+			restarts++
+		case ev.Kind == obs.EvRespawn && ev.Arg0 == obs.RespawnHeld:
+			held++
+		}
+	}})
+	st := mustRun(t, Scenario{Workload: b, Instances: 2, Faults: &plan, M3Options: opt}).Kern.Stats
+	if st.VPEsReaped == 0 || st.ServiceRestarts == 0 {
+		t.Fatalf("scenario reaped %d VPEs and restarted %d services; the test needs both", st.VPEsReaped, st.ServiceRestarts)
+	}
+	if reaps != st.VPEsReaped || restarts != st.ServiceRestarts || held != st.RestartsHeld {
+		t.Fatalf("events reap=%d restart=%d held=%d, kernel stats reaped=%d restarts=%d held=%d",
+			reaps, restarts, held, st.VPEsReaped, st.ServiceRestarts, st.RestartsHeld)
 	}
 }

@@ -61,7 +61,7 @@ func ERecover() (*ERecoverResult, error) {
 			opt.FSPolicy = core.RestartPolicy{MaxRestarts: n, Backoff: erecoverBackoff}
 		}
 		plan := fault.Plan{Seed: erecoverSeed, Crashes: append([]fault.Crash(nil), crashes[:min(n, len(crashes))]...)}
-		cr, err := RunM3Chaos(b, 1, plan, opt)
+		cr, err := Scenario{Workload: b, Instances: 1, Faults: &plan, M3Options: opt}.Run()
 		if err != nil {
 			return nil, fmt.Errorf("erecover %d crashes: %w", n, err)
 		}
@@ -111,7 +111,7 @@ func ERecover() (*ERecoverResult, error) {
 
 // servicePE locates the PE hosting the live incarnation of the named
 // service VPE after a run.
-func servicePE(cr *ChaosRun, name string) (int, bool) {
+func servicePE(cr *Result, name string) (int, bool) {
 	for _, vpe := range cr.Kern.VPEs() {
 		if vpe.Name == name && !vpe.Exited() {
 			return vpe.PE.ID, true

@@ -3,12 +3,10 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -57,10 +55,8 @@ type BenchExperiment struct {
 
 // BenchFile is the serialized bench run. It deliberately carries no
 // wall-clock timestamps, host names, or toolchain strings: two runs of
-// the same tree produce byte-identical files — with one flagged
-// exception, the witness's events-per-wall-second throughput metric,
-// which is host-dependent by design and rides in an "info" metric so
-// -diff reports it but never gates on it.
+// the same tree produce byte-identical files. Host speed is measured by
+// the separate perf/ harness, not here.
 type BenchFile struct {
 	Schema      int               `json:"schema"`
 	Experiments []BenchExperiment `json:"experiments"`
@@ -162,57 +158,29 @@ const witnessWorkload = "tar"
 const witnessSampleEvery sim.Time = 4096
 
 // RunWitness executes the determinism witness: one fixed workload with
-// the structured tracer, the legacy tracer, and the metrics sampler all
-// armed. It records the engine statistics and content hashes of every
-// observability stream as "info" metrics — byte-identical across runs
-// of the same tree by the determinism contract, but never gated on by
-// -diff (they legitimately change when instrumentation is added).
+// the structured tracer and the metrics sampler armed. It records the
+// engine statistics and content hashes of both streams as "info"
+// metrics — byte-identical across runs of the same tree by the
+// determinism contract, but never gated on by -diff (they legitimately
+// change when instrumentation is added).
 func RunWitness() (BenchExperiment, error) {
 	exp := BenchExperiment{Name: "witness"}
 	b, err := workload.ByName(witnessWorkload)
 	if err != nil {
 		return exp, err
 	}
-	obsHash := fnv.New64a()
-	events := 0
-	var buf [obs.EncodedSize]byte
-	tr := obs.New(obs.Options{Sink: func(ev obs.Event) {
-		obsHash.Write(ev.AppendBinary(buf[:0]))
-		events++
-	}})
-	legacyHash := fnv.New64a()
-	opt := M3Options{
-		Obs:         tr,
-		SampleEvery: witnessSampleEvery,
-		Tracer: func(at sim.Time, source, event string) {
-			fmt.Fprintf(legacyHash, "%d %s %s\n", at, source, event)
-		},
-	}
-	wallStart := time.Now() //m3vet:allow timetaint events/sec throughput is wall-clock by definition; "info" unit keeps it out of the diff gate
-	_, st, err := RunM3Stats(b, opt)
-	wall := time.Since(wallStart)
+	sh := newStreamHash()
+	tr := obs.New(obs.Options{Sink: sh.Consume})
+	r, err := Scenario{Workload: b, M3Options: M3Options{Obs: tr, SampleEvery: witnessSampleEvery}}.Run()
 	if err != nil {
 		return exp, err
 	}
-	// Simulator throughput: executed events per second of host wall
-	// clock. This is the optimization target of the calendar-queue and
-	// pooled-allocation work; recording it in every bench file makes
-	// engine-speed regressions visible in the -diff notes without ever
-	// failing CI on a slow machine.
-	eventsPerSec := 0.0
-	if wall > 0 {
-		eventsPerSec = float64(st.ExecutedEvents) / wall.Seconds()
-	}
-	snapHash := fnv.New64a()
-	snapHash.Write([]byte(tr.Metrics().Snapshot()))
 	exp.Metrics = []BenchMetric{
-		{Name: "witness/executed_events", Value: float64(st.ExecutedEvents), Unit: "info"},
-		{Name: "witness/final_time", Value: float64(st.FinalTime), Unit: "info"},
-		{Name: "witness/obs_events", Value: float64(events), Unit: "info"},
-		{Name: "witness/events_per_sec_wall", Value: eventsPerSec, Unit: "info"},
-		{Name: "witness/obs_stream_hash", Unit: "info", Info: fmt.Sprintf("%016x", obsHash.Sum64())},
-		{Name: "witness/legacy_trace_hash", Unit: "info", Info: fmt.Sprintf("%016x", legacyHash.Sum64())},
-		{Name: "witness/metrics_snapshot_hash", Unit: "info", Info: fmt.Sprintf("%016x", snapHash.Sum64())},
+		{Name: "witness/executed_events", Value: float64(r.Stats.ExecutedEvents), Unit: "info"},
+		{Name: "witness/final_time", Value: float64(r.Stats.FinalTime), Unit: "info"},
+		{Name: "witness/obs_events", Value: float64(sh.Events), Unit: "info"},
+		{Name: "witness/obs_stream_hash", Unit: "info", Info: fmt.Sprintf("%016x", sh.Sum64())},
+		{Name: "witness/metrics_snapshot_hash", Unit: "info", Info: fmt.Sprintf("%016x", snapshotHash(tr))},
 	}
 	return exp, nil
 }

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
-	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -16,30 +14,12 @@ import (
 // (the acceptance witness), the regression gate's pass/fail behaviour,
 // and the sampler's zero-overhead contract.
 
-// witnessJSON runs the determinism witness and serializes it, zeroing
-// the one by-design wall-clock metric (events/sec throughput) so the
-// rest of the file can be compared byte-for-byte.
+// witnessJSON runs the determinism witness and serializes it.
 func witnessJSON(t *testing.T) []byte {
 	t.Helper()
 	exp, err := RunWitness()
 	if err != nil {
 		t.Fatal(err)
-	}
-	sawWall := false
-	for i := range exp.Metrics {
-		if exp.Metrics[i].Name == "witness/events_per_sec_wall" {
-			if exp.Metrics[i].Value <= 0 {
-				t.Fatalf("events_per_sec_wall = %v, want > 0", exp.Metrics[i].Value)
-			}
-			if exp.Metrics[i].Unit != "info" {
-				t.Fatalf("events_per_sec_wall unit = %q; must be \"info\" so -diff never gates on host speed", exp.Metrics[i].Unit)
-			}
-			exp.Metrics[i].Value = 0
-			sawWall = true
-		}
-	}
-	if !sawWall {
-		t.Fatal("witness is missing the events_per_sec_wall throughput metric")
 	}
 	f := &BenchFile{Schema: BenchSchema, Experiments: []BenchExperiment{exp}}
 	var buf bytes.Buffer
@@ -51,8 +31,7 @@ func witnessJSON(t *testing.T) []byte {
 
 // TestBenchJSONDeterministic: three witness runs must serialize to
 // byte-identical JSON — no map ordering, no nondeterministic hashes,
-// and no wall-clock fields beyond the one flagged throughput metric
-// (normalized away by witnessJSON).
+// and no wall-clock fields.
 func TestBenchJSONDeterministic(t *testing.T) {
 	first := witnessJSON(t)
 	if len(first) == 0 || !bytes.Contains(first, []byte(`"schema": 1`)) {
@@ -74,9 +53,7 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 	}
 	snap := func() string {
 		tr := obs.New(obs.Options{})
-		if _, _, err := RunM3Stats(b, M3Options{Obs: tr, SampleEvery: 4096}); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: tr, SampleEvery: 4096}})
 		return tr.Metrics().Snapshot()
 	}
 	s1 := snap()
@@ -94,57 +71,38 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 // TestSamplerOffBitIdentical: with the sampler off (the default), a
 // run with the full metrics instrumentation registered must execute
 // the exact event schedule of a run with no tracer at all — same
-// RunStats, same legacy trace stream.
+// engine statistics, breakdown, and per-PE DTU, kernel and NoC
+// counters.
 func TestSamplerOffBitIdentical(t *testing.T) {
 	b, err := workload.ByName("tar")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(tr *obs.Tracer) (RunStats, uint64) {
-		h := fnv.New64a()
-		opt := M3Options{Obs: tr, Tracer: func(at sim.Time, source, event string) {
-			fmt.Fprintf(h, "%d %s %s\n", at, source, event)
-		}}
-		_, st, err := RunM3Stats(b, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, h.Sum64()
-	}
-	baseSt, baseHash := run(nil)
-	obsSt, obsHash := run(obs.New(obs.Options{}))
-	if obsSt != baseSt {
-		t.Fatalf("metrics instrumentation changed the run: %+v vs baseline %+v", obsSt, baseSt)
-	}
-	if obsHash != baseHash {
-		t.Fatalf("metrics instrumentation perturbed the legacy trace: %#x vs %#x", obsHash, baseHash)
+	base := fingerprint(mustRun(t, Scenario{Workload: b}))
+	if got := fingerprint(mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: obs.New(obs.Options{})}})); got != base {
+		t.Fatalf("metrics instrumentation changed the run:\n%s\nvs baseline\n%s", got, base)
 	}
 }
 
 // TestSamplerOnLeavesTraceIntact: the sampler adds its own tick events
 // (RunStats may differ) but must never reorder or change the
-// simulation's own schedule — the legacy trace stream stays identical.
+// simulation's own schedule — the structured event stream stays
+// identical.
 func TestSamplerOnLeavesTraceIntact(t *testing.T) {
 	b, err := workload.ByName("tar")
 	if err != nil {
 		t.Fatal(err)
 	}
 	trace := func(every sim.Time) uint64 {
-		h := fnv.New64a()
-		opt := M3Options{
-			Obs:         obs.New(obs.Options{}),
+		sh := newStreamHash()
+		mustRun(t, Scenario{Workload: b, M3Options: M3Options{
+			Obs:         obs.New(obs.Options{Sink: sh.Consume}),
 			SampleEvery: every,
-			Tracer: func(at sim.Time, source, event string) {
-				fmt.Fprintf(h, "%d %s %s\n", at, source, event)
-			},
-		}
-		if _, _, err := RunM3Stats(b, opt); err != nil {
-			t.Fatal(err)
-		}
-		return h.Sum64()
+		}})
+		return sh.Sum64()
 	}
 	if off, on := trace(0), trace(4096); off != on {
-		t.Fatalf("sampler perturbed the legacy trace: %#x vs %#x", on, off)
+		t.Fatalf("sampler perturbed the event stream: %#x vs %#x", on, off)
 	}
 }
 

@@ -409,9 +409,6 @@ func (k *Kernel) handleSyscall(p *sim.Process, msg *dtu.Message) {
 		return
 	}
 	k.Stats.Syscalls[op]++
-	if k.Plat.Eng.Tracing() {
-		k.Plat.Eng.Emit("kernel", fmt.Sprintf("syscall %s from vpe %d", op, msg.Label))
-	}
 	if tr := k.Plat.Obs; tr.On() {
 		k.mSyscalls.Inc()
 		tr.Metrics().Counter(MSyscalls, int(op)).Inc()
@@ -483,9 +480,6 @@ func (k *Kernel) reply(p *sim.Process, msg *dtu.Message, o *kif.OStream) {
 			// injection the DTU gives up after its retry budget. The
 			// kernel must stay up — drop the reply and move on.
 			k.Stats.RepliesDropped++
-			if k.Plat.Eng.Tracing() {
-				k.Plat.Eng.Emit("kernel", fmt.Sprintf("reply to vpe %d dropped: %v", msg.Label, err))
-			}
 			if tr := k.Plat.Obs; tr.On() {
 				tr.Emit(obs.Event{At: k.Plat.Eng.Now(), PE: int32(k.PE.Node), Layer: obs.LKernel,
 					Kind: obs.EvReplyDrop, Span: obs.SpanID(msg.Span), Arg0: msg.Label})

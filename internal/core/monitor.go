@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dtu"
 	"repro/internal/noc"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -39,9 +40,9 @@ func (k *Kernel) EnableDeathWatch(period sim.Time, maxMiss int, active func() bo
 				crashed, err := k.PE.DTU.Probe(p, vpe.PE.Node)
 				if err != nil {
 					misses[vpe.ID]++
-					if k.Plat.Eng.Tracing() {
-						k.Plat.Eng.Emit("kernel", fmt.Sprintf("probe vpe %d missed (%d/%d): %v",
-							vpe.ID, misses[vpe.ID], maxMiss, err))
+					if tr := k.Plat.Obs; tr.On() {
+						tr.Emit(obs.Event{At: k.Plat.Eng.Now(), PE: int32(k.PE.Node), Layer: obs.LKernel,
+							Kind: obs.EvProbeMiss, Arg0: vpe.ID, Arg1: uint64(misses[vpe.ID]), Arg2: uint64(maxMiss)})
 					}
 					if misses[vpe.ID] >= maxMiss {
 						k.reapVPE(p, vpe)
@@ -69,8 +70,9 @@ func (k *Kernel) reapVPE(p *sim.Process, vpe *VPE) {
 		return
 	}
 	k.Stats.VPEsReaped++
-	if k.Plat.Eng.Tracing() {
-		k.Plat.Eng.Emit("kernel", fmt.Sprintf("reap vpe %d (%s): pe%d is dead", vpe.ID, vpe.Name, vpe.PE.ID))
+	if tr := k.Plat.Obs; tr.On() {
+		tr.Emit(obs.Event{At: k.Plat.Eng.Now(), PE: int32(k.PE.Node), Layer: obs.LKernel,
+			Kind: obs.EvReap, Arg0: vpe.ID, Arg1: uint64(vpe.PE.ID)})
 	}
 	vpe.exited = true
 	vpe.exitCode = CrashExitCode
@@ -117,8 +119,9 @@ func (k *Kernel) invalidateEP(p *sim.Process, node noc.NodeID, ep int) {
 	}
 	if errors.Is(err, dtu.ErrTimeout) {
 		k.Stats.FailedInvalidations++
-		if k.Plat.Eng.Tracing() {
-			k.Plat.Eng.Emit("kernel", fmt.Sprintf("invalidate ep %d at node %d failed: %v", ep, node, err))
+		if tr := k.Plat.Obs; tr.On() {
+			tr.Emit(obs.Event{At: k.Plat.Eng.Now(), PE: int32(k.PE.Node), Layer: obs.LKernel,
+				Kind: obs.EvInvalFail, Arg0: uint64(ep), Arg1: uint64(node)})
 		}
 		return
 	}

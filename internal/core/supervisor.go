@@ -2,8 +2,8 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tile"
 )
@@ -112,9 +112,7 @@ func (k *Kernel) maybeRespawn(vpe *VPE) {
 	}
 	delete(k.supervised, vpe.ID)
 	if sup.restarts >= sup.policy.MaxRestarts {
-		if k.Plat.Eng.Tracing() {
-			k.Plat.Eng.Emit("kernel", fmt.Sprintf("supervisor: %s exhausted %d restarts", sup.name, sup.restarts))
-		}
+		k.traceRespawn(obs.RespawnExhausted, sup, 0)
 		return
 	}
 	sup.restarts++
@@ -126,17 +124,13 @@ func (k *Kernel) maybeRespawn(vpe *VPE) {
 		// open window has passed (restart-storm suppression).
 		delay += hold
 		k.Stats.RestartsHeld++
-		if k.Plat.Eng.Tracing() {
-			k.Plat.Eng.Emit("kernel", fmt.Sprintf("supervisor: holding %s respawn %d cycles for open breaker", sup.name, hold))
-		}
+		k.traceRespawn(obs.RespawnHeld, sup, uint64(hold))
 	}
 	k.Plat.Eng.Spawn("kernel-respawn", func(p *sim.Process) {
 		p.Sleep(delay)
 		pe := k.allocPE(sup.peType)
 		if pe == nil {
-			if k.Plat.Eng.Tracing() {
-				k.Plat.Eng.Emit("kernel", fmt.Sprintf("supervisor: no spare PE for %s", sup.name))
-			}
+			k.traceRespawn(obs.RespawnNoPE, sup, 0)
 			return
 		}
 		k.compute(p, CostRespawn)
@@ -149,12 +143,17 @@ func (k *Kernel) maybeRespawn(vpe *VPE) {
 		if tr := k.Plat.Obs; tr.On() {
 			k.mSupervisorRestarts.Inc()
 		}
-		if k.Plat.Eng.Tracing() {
-			k.Plat.Eng.Emit("kernel", fmt.Sprintf("supervisor: restarted %s as vpe %d on pe%d (restart %d/%d)",
-				sup.name, nv.ID, pe.ID, sup.restarts, sup.policy.MaxRestarts))
-		}
+		k.traceRespawn(obs.RespawnRestarted, sup, nv.ID)
 		pe.Start(nv.Name, sup.prog)
 	})
+}
+
+// traceRespawn records one supervisor decision as an obs.EvRespawn.
+func (k *Kernel) traceRespawn(outcome uint64, sup *supervised, arg uint64) {
+	if tr := k.Plat.Obs; tr.On() {
+		tr.Emit(obs.Event{At: k.Plat.Eng.Now(), PE: int32(k.PE.Node), Layer: obs.LKernel,
+			Kind: obs.EvRespawn, Arg0: outcome, Arg1: uint64(sup.restarts), Arg2: arg})
+	}
 }
 
 // stableRegionFor returns the pinned region for a supervised VPE

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/dtu"
 	"repro/internal/kif"
+	"repro/internal/obs"
 	"repro/internal/overload"
 	"repro/internal/sim"
 	"repro/internal/tile"
@@ -139,13 +138,12 @@ func (k *Kernel) freePE(pe *tile.PE) {
 //
 // The drop is traced: revocation order is part of the event schedule
 // (session closes and memory releases happen in this order), so the
-// determinism regression test hashes these lines to witness it.
+// determinism regression test hashes these events to witness it.
 func (k *Kernel) onDrop(c *Capability) {
-	if k.Plat.Eng.Tracing() {
-		k.Plat.Eng.Emit("kernel", fmt.Sprintf("drop %s", c))
-	}
 	if tr := k.Plat.Obs; tr.On() {
 		k.mCapRevocations.Inc()
+		tr.Emit(obs.Event{At: k.Plat.Eng.Now(), PE: int32(k.PE.Node), Layer: obs.LKernel,
+			Kind: obs.EvCapDrop, Arg0: uint64(c.Type), Arg1: uint64(c.sel), Arg2: c.table.vpe.ID})
 	}
 	switch obj := c.Obj.(type) {
 	case *MemObj:

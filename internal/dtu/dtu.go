@@ -317,10 +317,6 @@ func (d *DTU) Send(p *sim.Process, ep int, data []byte, replyEP int, replyLabel 
 	}
 	msg.sentAt = d.eng.Now()
 	d.Stats.MsgsSent++
-	if d.eng.Tracing() {
-		d.eng.Emit(d.traceName(), fmt.Sprintf("send ep%d -> node%d/ep%d (%d bytes, label %#x)",
-			ep, s.Target, s.TargetEP, len(data), s.Label))
-	}
 	if tr := d.obs; tr.On() {
 		tr.Emit(obs.Event{At: d.eng.Now(), PE: int32(d.node), Layer: obs.LDTU,
 			Kind: obs.EvMsgSend, Span: obs.SpanID(msg.Span),
@@ -331,9 +327,6 @@ func (d *DTU) Send(p *sim.Process, ep int, data []byte, replyEP int, replyLabel 
 	pkt.Payload = &msgPacket{TargetEP: s.TargetEP, Msg: msg}
 	return d.transmit(p, pkt)
 }
-
-// traceName identifies the DTU in trace output.
-func (d *DTU) traceName() string { return fmt.Sprintf("dtu%d", d.node) }
 
 // RDMA direction tags for EvXferStart/End Arg0.
 const (
@@ -702,9 +695,6 @@ func (d *DTU) waitOp(p *sim.Process, op uint64, timeout sim.Time) *pendingOp {
 func (d *DTU) Deliver(pkt *noc.Packet) {
 	if pkt.Corrupt {
 		d.Stats.Poisoned++
-		if d.eng.Tracing() {
-			d.eng.Emit(d.traceName(), fmt.Sprintf("poisoned pkt from node%d seq %d", pkt.Src, pkt.Seq))
-		}
 		if tr := d.obs; tr.On() {
 			tr.Emit(obs.Event{At: d.eng.Now(), PE: int32(d.node), Layer: obs.LDTU,
 				Kind: obs.EvPoisoned, Span: obs.SpanID(pkt.Span),
@@ -823,10 +813,6 @@ func (d *DTU) receive(ep int, msg *Message, isRequest bool) {
 	r.occupied++
 	r.arrived = append(r.arrived, msg)
 	d.Stats.MsgsReceived++
-	if d.eng.Tracing() {
-		d.eng.Emit(d.traceName(), fmt.Sprintf("recv ep%d slot%d (%d bytes, label %#x)",
-			ep, slot, len(msg.Data), msg.Label))
-	}
 	if tr := d.obs; tr.On() {
 		now := d.eng.Now()
 		tr.Emit(obs.Event{At: now, PE: int32(d.node), Layer: obs.LDTU,
@@ -880,10 +866,6 @@ func (d *DTU) serve(p *sim.Process) {
 			} else if err := d.applyConfig(req.EP, req.Cfg); err != nil {
 				resp.Err = err.Error()
 			} else {
-				if d.eng.Tracing() {
-					d.eng.Emit(d.traceName(), fmt.Sprintf("config ep%d <- node%d (%s)",
-						req.EP, req.Src, req.Cfg.Type))
-				}
 				if tr := d.obs; tr.On() {
 					tr.Emit(obs.Event{At: d.eng.Now(), PE: int32(d.node), Layer: obs.LDTU,
 						Kind: obs.EvConfig, Arg0: uint64(req.EP), Arg1: uint64(req.Src)})

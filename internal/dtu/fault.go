@@ -230,10 +230,6 @@ func (d *DTU) transmit(p *sim.Process, pkt *noc.Packet) error {
 		if attempt >= d.faults.MaxRetries {
 			delete(d.sends, pkt.Seq)
 			d.Stats.SendsAborted++
-			if d.eng.Tracing() {
-				d.eng.Emit(d.traceName(), fmt.Sprintf("xmit seq %d -> node%d aborted after %d attempts",
-					pkt.Seq, pkt.Dst, attempt+1))
-			}
 			if tr := d.obs; tr.On() {
 				tr.Emit(obs.Event{At: d.eng.Now(), PE: int32(d.node), Layer: obs.LDTU,
 					Kind: obs.EvXmitAbort, Span: obs.SpanID(pkt.Span),
@@ -251,10 +247,6 @@ func (d *DTU) transmit(p *sim.Process, pkt *noc.Packet) error {
 		}
 		ps.nacked = false
 		d.Stats.Retransmits++
-		if d.eng.Tracing() {
-			d.eng.Emit(d.traceName(), fmt.Sprintf("xmit seq %d -> node%d retry %d",
-				pkt.Seq, pkt.Dst, attempt+1))
-		}
 		if tr := d.obs; tr.On() {
 			d.mRetransmits.Inc()
 			tr.Emit(obs.Event{At: d.eng.Now(), PE: int32(d.node), Layer: obs.LDTU,
@@ -294,9 +286,6 @@ func (d *DTU) doOp(p *sim.Process, send func(op uint64)) (*pendingOp, error) {
 			return po, nil
 		}
 		d.Stats.OpTimeouts++
-		if d.eng.Tracing() {
-			d.eng.Emit(d.traceName(), fmt.Sprintf("op %d timed out (attempt %d)", op, attempt+1))
-		}
 		if tr := d.obs; tr.On() {
 			tr.Emit(obs.Event{At: d.eng.Now(), PE: int32(d.node), Layer: obs.LDTU,
 				Kind: obs.EvOpTimeout, Arg0: op, Arg1: uint64(attempt + 1)})

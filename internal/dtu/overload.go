@@ -1,8 +1,6 @@
 package dtu
 
 import (
-	"fmt"
-
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -124,10 +122,6 @@ func (d *DTU) admit(ep int, r *epState, msg *Message) bool {
 				Arg0: uint64(ep), Arg1: uint64(msg.replyNode),
 				Arg2: uint64(now - msg.sentAt - msg.Deadline)})
 		}
-		if d.eng.Tracing() {
-			d.eng.Emit(d.traceName(), fmt.Sprintf("deadline-drop ep%d from node%d (%d cycles overdue)",
-				ep, msg.replyNode, now-msg.sentAt-msg.Deadline))
-		}
 		d.fastFail(msg, msgFlagExpired)
 		return false
 	}
@@ -138,10 +132,6 @@ func (d *DTU) admit(ep int, r *epState, msg *Message) bool {
 			tr.Emit(obs.Event{At: now, PE: int32(d.node), Layer: obs.LDTU,
 				Kind: obs.EvAdmitRefuse, Span: obs.SpanID(msg.Span),
 				Arg0: uint64(ep), Arg1: uint64(msg.replyNode), Arg2: uint64(r.occupied)})
-		}
-		if d.eng.Tracing() {
-			d.eng.Emit(d.traceName(), fmt.Sprintf("admit-refuse ep%d from node%d (%d occupied)",
-				ep, msg.replyNode, r.occupied))
 		}
 		d.fastFail(msg, msgFlagOverload)
 		return false

@@ -45,7 +45,7 @@ func FuzzFaultPlan(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		cr, err := bench.RunM3Chaos(workload.Find(), 1, plan, bench.M3Options{})
+		cr, err := bench.Scenario{Workload: workload.Find(), Instances: 1, Faults: &plan}.Run()
 		if err != nil {
 			t.Fatalf("chaos boot failed: %v", err)
 		}

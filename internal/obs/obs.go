@@ -1,18 +1,17 @@
 // Package obs is the structured observability layer: typed,
 // cycle-stamped events with causal span identifiers, deterministic
 // fixed-bucket latency histograms, and a bounded per-PE flight
-// recorder. It replaces the free-form string tracer for the hot
-// instrumentation paths (DTU, NoC, kernel syscalls) so a single
-// request's full path — app PE → NoC hops → kernel/service → reply —
-// reconstructs as nested spans (see docs/OBSERVABILITY.md).
+// recorder. It is the simulator's one event stream: the DTU, the NoC,
+// the tiles and the kernel emit into it, so a single request's full
+// path — app PE → NoC hops → kernel/service → reply — reconstructs as
+// nested spans (see docs/OBSERVABILITY.md).
 //
 // Determinism contract: events carry only simulated time and values
 // derived from the simulation, so identical (configuration, seed)
 // runs produce byte-identical event streams. With no Tracer installed
 // (or a disabled one), instrumented components must not schedule a
 // single extra engine event; call sites therefore guard every Emit
-// and histogram update with On() — the structured analogue of the
-// legacy Tracing() convention, enforced by m3vet's obsguard rule.
+// and histogram update with On(), enforced by m3vet's obsguard rule.
 package obs
 
 import (
@@ -154,6 +153,28 @@ const (
 	EvCreditStall
 	EvCreditOK
 
+	// Kernel recovery decisions (docs/RECOVERY.md). They carry no span:
+	// they are witnesses of the kernel's isolation work, not parts of a
+	// request, so critpath and the profiler pass them by.
+
+	// EvCapDrop marks the kernel releasing one capability; the sequence
+	// of these events is the revocation order. Arg0 = capability type
+	// (core.CapType), Arg1 = selector, Arg2 = owning VPE id.
+	EvCapDrop
+	// EvReap marks the kernel tearing down a VPE whose core died.
+	// Arg0 = VPE id, Arg1 = PE id.
+	EvReap
+	// EvProbeMiss marks one unanswered watchdog liveness probe.
+	// Arg0 = VPE id, Arg1 = consecutive misses, Arg2 = miss budget.
+	EvProbeMiss
+	// EvInvalFail marks an endpoint invalidation that timed out because
+	// the target DTU no longer answers. Arg0 = endpoint, Arg1 = node.
+	EvInvalFail
+	// EvRespawn marks a supervisor decision about a dead supervised
+	// VPE. Arg0 = outcome (Respawn*), Arg1 = restarts so far,
+	// Arg2 = new VPE id (restarted) or held cycles (held).
+	EvRespawn
+
 	numKinds
 )
 
@@ -170,7 +191,16 @@ var kindNames = [numKinds]string{
 	"config", "reply-drop", "crash",
 	"deadline-drop", "admit-refuse", "shed", "breaker",
 	"credit-stall", "credit-ok",
+	"cap-drop", "reap", "probe-miss", "inval-fail", "respawn",
 }
+
+// EvRespawn outcomes (Arg0).
+const (
+	RespawnRestarted uint64 = iota
+	RespawnHeld
+	RespawnExhausted
+	RespawnNoPE
+)
 
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {

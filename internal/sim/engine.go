@@ -19,10 +19,7 @@
 // in internal/bench.
 package sim
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Time is a simulated time stamp, measured in cycles.
 type Time uint64
@@ -73,13 +70,7 @@ type Engine struct {
 	liveProcs   int
 	daemonProcs int
 	executed    uint64
-	// flushed tracks how much of executed has been folded into the
-	// process-wide TotalExecutedEvents aggregate (host-side wall-speed
-	// accounting, not simulation state).
-	flushed    uint64
-	deadlocked bool
-
-	tracer func(at Time, source, event string)
+	deadlocked  bool
 }
 
 // NewEngine returns a default-configured engine (calendar queue) with
@@ -166,32 +157,10 @@ func (e *Engine) Run() Time {
 	for e.queue.len() > 0 {
 		e.step()
 	}
-	e.flushExecuted()
 	if e.liveProcs > e.daemonProcs {
 		e.deadlocked = true
 	}
 	return e.now
-}
-
-// totalExecuted aggregates executed-event counts across every engine
-// in the process. It exists purely for host-side wall-speed reporting
-// (events_per_sec_wall in the bench witness trajectory) and never
-// feeds back into simulation state.
-var totalExecuted atomic.Uint64
-
-// TotalExecutedEvents returns the process-wide number of executed
-// events across all engines whose Run/RunUntil calls have completed.
-// Harnesses diff it around a run to report simulator wall-speed.
-func TotalExecutedEvents() uint64 { return totalExecuted.Load() }
-
-// flushExecuted folds this engine's executed-event delta into the
-// process-wide aggregate. Called once per Run/RunUntil completion, so
-// the per-event hot path pays nothing.
-func (e *Engine) flushExecuted() {
-	if d := e.executed - e.flushed; d > 0 {
-		e.flushed = e.executed
-		totalExecuted.Add(d)
-	}
 }
 
 // Deadlocked reports whether a completed Run left non-daemon
@@ -210,7 +179,6 @@ func (e *Engine) RunUntil(limit Time) Time {
 		}
 		e.step()
 	}
-	e.flushExecuted()
 	if e.now < limit {
 		e.now = limit
 	}
@@ -238,19 +206,4 @@ func (e *Engine) resume(p *Process) {
 	e.current = p
 	p.next()
 	e.current = prev
-}
-
-// SetTracer installs a callback receiving (time, source, event) lines
-// from instrumented components (DTUs, the kernel). Tracing is off by
-// default; call sites guard event-string formatting with Tracing.
-func (e *Engine) SetTracer(fn func(at Time, source, event string)) { e.tracer = fn }
-
-// Tracing reports whether a tracer is installed.
-func (e *Engine) Tracing() bool { return e.tracer != nil }
-
-// Emit delivers one trace event at the current time.
-func (e *Engine) Emit(source, event string) {
-	if e.tracer != nil {
-		e.tracer(e.now, source, event)
-	}
 }

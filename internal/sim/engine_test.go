@@ -419,29 +419,6 @@ func TestSleepZeroRunsAfterQueuedEvents(t *testing.T) {
 	}
 }
 
-func TestTracer(t *testing.T) {
-	e := NewEngine()
-	if e.Tracing() {
-		t.Fatal("tracing on by default")
-	}
-	e.Emit("x", "dropped") // no tracer: no-op
-	var got []string
-	e.SetTracer(func(at Time, source, event string) {
-		got = append(got, source+":"+event)
-	})
-	if !e.Tracing() {
-		t.Fatal("tracer not installed")
-	}
-	e.Spawn("p", func(p *Process) {
-		p.Sleep(5)
-		e.Emit("p", "woke")
-	})
-	e.Run()
-	if len(got) != 1 || got[0] != "p:woke" {
-		t.Fatalf("trace = %v", got)
-	}
-}
-
 func TestResourceAvgWaitAndQueueLen(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, 1)
