@@ -28,9 +28,11 @@ bench:
 # 1500 cycles apart (BenchmarkScheduleSparse, the calendar queue's
 # empty-bucket search); one Process.Sleep round trip, engine to process
 # and back; and one 4 KiB WriteMem plus ReadMem between a PE and DRAM
-# (BenchmarkRDMA4K, through the pooled payload buffers).
+# (BenchmarkRDMA4K, through the pooled payload buffers); and one whole
+# request through the critical-path engine, root open to attribution
+# (BenchmarkCritPathConsume, 0 allocs/op once warm).
 bench-sim:
-	go test -run '^$$' -bench . -benchmem ./internal/sim ./internal/tile
+	go test -run '^$$' -bench . -benchmem ./internal/sim ./internal/tile ./internal/obs
 
 # The bench regression gate: rerun the fast experiment subset with run
 # captures bundled, keep the JSON artifact for inspection, and fail if
@@ -87,12 +89,16 @@ chaos:
 	go test -race -run 'TestFaultDeterminism|TestChaosMatrix|TestObsChaosStreamDeterministic|TestFlightDump|TestOverload' ./internal/bench
 
 # Short fuzz smoke over the crash-facing decoders — the fault-plan
-# parser and the m3fs metadata journal — plus the event-queue
-# cross-check (calendar vs reference heap pop order). The full fuzzers
-# run for as long as you let them: go test -fuzz FuzzFaultPlan
+# parser and the m3fs metadata journal — plus two cross-checks against
+# reference implementations: the event queue (calendar vs reference
+# heap pop order) and the critical-path engine (pooled vs map-based
+# attribution, reports and interval pairing). The full fuzzers run for
+# as long as you let them: go test -fuzz FuzzFaultPlan
 # ./internal/fault, go test -fuzz FuzzJournal ./internal/m3fs,
-# go test -fuzz FuzzEventQueue ./internal/sim.
+# go test -fuzz FuzzEventQueue ./internal/sim,
+# go test -fuzz FuzzCritPath ./internal/obs.
 fuzz:
 	go test -run '^$$' -fuzz FuzzFaultPlan -fuzztime 10s ./internal/fault
 	go test -run '^$$' -fuzz FuzzJournal -fuzztime 10s ./internal/m3fs
 	go test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s ./internal/sim
+	go test -run '^$$' -fuzz FuzzCritPath -fuzztime 10s ./internal/obs

@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -125,7 +128,8 @@ func (o CritPathOptions) withDefaults() CritPathOptions {
 	return o
 }
 
-// reqState is one in-flight root span being assembled.
+// reqState is one in-flight root span being assembled. States and
+// their event buffers are recycled through CritPath.free.
 type reqState struct {
 	root      Event
 	events    []Event
@@ -135,11 +139,17 @@ type reqState struct {
 // CritPath assembles request trees from the span stream and attributes
 // their latency. Engine-local, simulation-context-only state, like the
 // Tracer it feeds from.
+//
+// In steady state it allocates nothing per request (TestConsumeZeroAlloc):
+// request states are pooled, attribution runs in per-CritPath scratch,
+// and only a request that ranks among the exemplars gets a copy of its
+// events.
 type CritPath struct {
 	opt CritPathOptions
 
 	active    map[SpanID]*reqState
-	order     []SpanID
+	free      []*reqState
+	order     []SpanID // roots in opening order; see pushOrder
 	orderHead int
 
 	summaries []Request
@@ -149,6 +159,8 @@ type CritPath struct {
 	hist  Histogram
 
 	completed, failed, evicted, truncated, dropped uint64
+
+	scratch attrScratch
 }
 
 // NewCritPath creates an attribution engine. Install Consume as the
@@ -195,9 +207,9 @@ func (c *CritPath) Consume(ev Event) {
 			return // tail of an evicted or pre-existing span
 		}
 		c.evictOldest()
-		st = &reqState{root: ev, events: make([]Event, 0, 16)}
+		st = c.newState(ev)
 		c.active[ev.Span] = st
-		c.order = append(c.order, ev.Span)
+		c.pushOrder(ev.Span)
 	}
 	if len(st.events) < c.opt.MaxEvents {
 		st.events = append(st.events, ev)
@@ -209,25 +221,57 @@ func (c *CritPath) Consume(ev Event) {
 	}
 }
 
-// evictOldest makes room for a new root if the active set is full.
+// newState takes a request state from the pool, or makes one.
+func (c *CritPath) newState(root Event) *reqState {
+	if n := len(c.free); n > 0 {
+		st := c.free[n-1]
+		c.free = c.free[:n-1]
+		st.root = root
+		return st
+	}
+	return &reqState{root: root, events: make([]Event, 0, 16)}
+}
+
+// release returns a finished or evicted state to the pool.
+func (c *CritPath) release(st *reqState) {
+	st.events, st.truncated = st.events[:0], false
+	c.free = append(c.free, st)
+}
+
+// evictOldest makes room for a new root if the active set is full: it
+// evicts the root opened longest ago that is still active.
 func (c *CritPath) evictOldest() {
 	for len(c.active) >= c.opt.MaxActive && c.orderHead < len(c.order) {
 		span := c.order[c.orderHead]
 		c.orderHead++
-		if _, live := c.active[span]; live {
+		if st, live := c.active[span]; live {
 			delete(c.active, span)
+			c.release(st)
 			c.evicted++
 		}
 	}
-	// Compact the order slice once the dead prefix dominates.
-	if c.orderHead > 0 && c.orderHead*2 >= len(c.order) {
-		c.order = append(c.order[:0], c.order[c.orderHead:]...)
-		c.orderHead = 0
+}
+
+// pushOrder records a newly opened root. Finished roots stay in order
+// until it reaches 2*MaxActive entries; then the evicted prefix and
+// every finished root are compacted out. Eviction skips finished roots
+// anyway, so compaction never changes which root it picks, and order
+// stays bounded whether or not the active set ever fills.
+func (c *CritPath) pushOrder(span SpanID) {
+	if len(c.order) >= 2*c.opt.MaxActive {
+		live := c.order[:0]
+		for _, s := range c.order[c.orderHead:] {
+			if _, ok := c.active[s]; ok {
+				live = append(live, s)
+			}
+		}
+		c.order, c.orderHead = live, 0
 	}
+	c.order = append(c.order, span)
 }
 
 // finish closes a request: attribute, summarize, feed histogram/SLOs,
-// and capture an exemplar if it ranks.
+// capture an exemplar if it ranks, and recycle the state.
 func (c *CritPath) finish(span SpanID, st *reqState, end Event) {
 	delete(c.active, span)
 	req := Request{
@@ -236,7 +280,7 @@ func (c *CritPath) finish(span SpanID, st *reqState, end Event) {
 	}
 	shedAt, shed := firstShed(st.events)
 	req.Fail = end.Arg1 != 0 || shed
-	req.Blame = attribute(st.events, req.Start, req.End, shedAt, shed)
+	req.Blame = c.scratch.attribute(st.events, req.Start, req.End, shedAt, shed)
 	if st.truncated {
 		c.truncated++
 	}
@@ -254,32 +298,32 @@ func (c *CritPath) finish(span SpanID, st *reqState, end Event) {
 	} else {
 		c.dropped++
 	}
-	c.offerExemplar(req, st)
+	c.offerExemplar(&req, st)
+	c.release(st)
 }
 
 // exemplarLess orders worst-first: latency descending, SpanID
 // ascending as the deterministic tie-break.
-func exemplarLess(a, b *Exemplar) bool {
+func exemplarLess(a, b *Request) bool {
 	if a.Latency() != b.Latency() {
 		return a.Latency() > b.Latency()
 	}
 	return a.Span < b.Span
 }
 
-func (c *CritPath) offerExemplar(req Request, st *reqState) {
-	ex := &Exemplar{Request: req, Truncated: st.truncated}
-	if len(c.exemplars) >= c.opt.Exemplars {
-		last := c.exemplars[len(c.exemplars)-1]
-		if !exemplarLess(ex, last) {
-			return
-		}
-		c.exemplars = c.exemplars[:len(c.exemplars)-1]
+// offerExemplar inserts req into the worst-first exemplar list if it
+// ranks, after every exemplar it does not beat.
+func (c *CritPath) offerExemplar(req *Request, st *reqState) {
+	n := len(c.exemplars)
+	if n == c.opt.Exemplars && !exemplarLess(req, &c.exemplars[n-1].Request) {
+		return // the common case: not worse than the current best N
 	}
-	ex.Events = append([]Event(nil), st.events...)
-	c.exemplars = append(c.exemplars, ex)
-	sort.SliceStable(c.exemplars, func(i, j int) bool {
-		return exemplarLess(c.exemplars[i], c.exemplars[j])
-	})
+	i := sort.Search(n, func(i int) bool { return exemplarLess(req, &c.exemplars[i].Request) })
+	if n == c.opt.Exemplars {
+		c.exemplars = c.exemplars[:n-1]
+	}
+	ex := &Exemplar{Request: *req, Events: slices.Clone(st.events), Truncated: st.truncated}
+	c.exemplars = slices.Insert(c.exemplars, i, ex)
 }
 
 // firstShed returns the timestamp of the first overload verdict in the
@@ -299,158 +343,173 @@ type paintIv struct {
 	cat        BlameCat
 }
 
+// peStart is a per-PE timestamp: a handler start, or the start of an
+// open service request or credit stall.
+type peStart struct {
+	pe int32
+	at sim.Time
+}
+
+// peOpens is a small per-PE set of open brackets: the first open on a
+// PE holds until a close on the same PE takes it.
+type peOpens []peStart
+
+func (m *peOpens) open(pe int32, at sim.Time) {
+	for _, o := range *m {
+		if o.pe == pe {
+			return
+		}
+	}
+	*m = append(*m, peStart{pe, at})
+}
+
+func (m *peOpens) close(pe int32) (sim.Time, bool) {
+	for i, o := range *m {
+		if o.pe == pe {
+			(*m)[i] = (*m)[len(*m)-1]
+			*m = (*m)[:len(*m)-1]
+			return o.at, true
+		}
+	}
+	return 0, false
+}
+
+// attrScratch is attribute's reusable working state. Every slice is
+// truncated, never freed, so a warmed-up CritPath attributes without
+// allocating.
+type attrScratch struct {
+	pairer
+	s, e       sim.Time // the request window paints are clipped to
+	paints     []paintIv
+	handlers   []peStart
+	rexmits    []sim.Time
+	svc, stall peOpens
+	bounds     []sim.Time
+}
+
+// paint adds [from,to) in cat, clipped to the request window; degenerate
+// intervals paint nothing.
+func (a *attrScratch) paint(from, to sim.Time, cat BlameCat) {
+	from, to = max(from, a.s), min(to, a.e)
+	if to > from {
+		a.paints = append(a.paints, paintIv{from, to, cat})
+	}
+}
+
 // attribute decomposes the window [s,e] of one request. It builds
 // category intervals from the request's own events and paints every
 // cycle with the highest-priority covering category; the unpainted
 // remainder is app compute. The categories sum exactly to e-s.
-func attribute(events []Event, s, e sim.Time, shedAt sim.Time, shed bool) BlameVec {
-	var paints []paintIv
-	add := func(a, b sim.Time, cat BlameCat) {
-		// Clip to the root window; degenerate intervals paint nothing.
-		if a < s {
-			a = s
-		}
-		if b > e {
-			b = e
-		}
-		if b > a {
-			paints = append(paints, paintIv{a, b, cat})
-		}
-	}
+func (a *attrScratch) attribute(events []Event, s, e sim.Time, shedAt sim.Time, shed bool) BlameVec {
+	a.s, a.e = s, e
+	a.paints, a.handlers, a.rexmits = a.paints[:0], a.handlers[:0], a.rexmits[:0]
+	a.svc, a.stall = a.svc[:0], a.stall[:0]
 
-	intervals, _ := Intervals(events)
-
-	// Handler starts: where kernel/service processing of this span
-	// begins on some PE. Used to close receiver-side queueing gaps.
-	type handlerStart struct {
-		pe int32
-		at sim.Time
-	}
-	var handlers []handlerStart
-	for _, ev := range events {
-		if ev.Kind == EvKSyscallStart || ev.Kind == EvSvcReq {
-			handlers = append(handlers, handlerStart{ev.PE, ev.At})
-		}
-	}
-
-	// Retransmit instants: any message flight whose window contains one
-	// is a lossy flight — its non-wire time is retry/backoff.
-	var rexmits []sim.Time
-	for _, ev := range events {
-		if ev.Kind == EvRetransmit || ev.Kind == EvXmitAbort {
-			rexmits = append(rexmits, ev.At)
-		}
-	}
-
-	// Service handling: EvSvcReq → next reply leaving the same PE.
-	// (The service's reply is the EvReplySend with this span on the
-	// service PE.) Painted as kernel time like kernel-side intervals.
-	pendingSvc := map[int32]sim.Time{}
 	for _, ev := range events {
 		switch ev.Kind {
+		case EvKSyscallStart:
+			// Handler start: where kernel processing of this span begins
+			// on some PE. Used to close receiver-side queueing gaps.
+			a.handlers = append(a.handlers, peStart{ev.PE, ev.At})
 		case EvSvcReq:
-			if _, busy := pendingSvc[ev.PE]; !busy {
-				pendingSvc[ev.PE] = ev.At
-			}
+			// A service handling request is a handler start too, and runs
+			// until the next reply leaving the same PE; it is painted as
+			// kernel time like kernel-side intervals.
+			a.handlers = append(a.handlers, peStart{ev.PE, ev.At})
+			a.svc.open(ev.PE, ev.At)
 		case EvReplySend:
-			if at, busy := pendingSvc[ev.PE]; busy {
-				add(at, ev.At, BlameKernel)
-				delete(pendingSvc, ev.PE)
+			if at, ok := a.svc.close(ev.PE); ok {
+				a.paint(at, ev.At, BlameKernel)
 			}
-		}
-	}
-
-	// Credit stalls: EvCreditStall → EvCreditOK on the same PE.
-	pendingStall := map[int32]sim.Time{}
-	for _, ev := range events {
-		switch ev.Kind {
 		case EvCreditStall:
-			if _, busy := pendingStall[ev.PE]; !busy {
-				pendingStall[ev.PE] = ev.At
-			}
+			a.stall.open(ev.PE, ev.At)
 		case EvCreditOK:
-			if at, busy := pendingStall[ev.PE]; busy {
-				add(at, ev.At, BlameQueue)
-				delete(pendingStall, ev.PE)
+			if at, ok := a.stall.close(ev.PE); ok {
+				a.paint(at, ev.At, BlameQueue)
 			}
+		case EvRetransmit, EvXmitAbort:
+			// Any message flight whose window contains one of these is a
+			// lossy flight: its non-wire time is retry/backoff.
+			a.rexmits = append(a.rexmits, ev.At)
 		}
 	}
 
-	for _, iv := range intervals {
-		switch iv.Kind {
+	a.pair(events)
+	for _, pr := range a.pairs {
+		open := &events[pr.open]
+		start, end := open.At, events[pr.close].At
+		switch open.Kind {
 		case EvKSyscallStart, EvSvcCallStart:
 			// Kernel-side processing. (The app-layer svccall root is the
 			// whole window and paints nothing; kernel-layer ones do.)
-			if iv.Layer != LApp {
-				add(iv.Start, iv.End, BlameKernel)
+			if open.Layer != LApp {
+				a.paint(start, end, BlameKernel)
 			}
 		case EvXferStart:
-			add(iv.Start, iv.End, BlameQueue)
+			a.paint(start, end, BlameQueue)
 		case EvMsgSend, EvReplySend:
-			add(iv.Start, iv.End, BlameQueue)
-			// Receiver-side queueing: the message landed at iv.End but
-			// the handler on the destination PE (Arg1) picked it up
-			// later — paint the gap as queueing, not app.
-			dst := int32(iv.Arg1)
+			a.paint(start, end, BlameQueue)
+			// Receiver-side queueing: the message landed at end but the
+			// handler on the destination PE (Arg1) picked it up later —
+			// paint the gap as queueing, not app.
+			dst := int32(open.Arg1)
 			var gapEnd sim.Time
-			for _, h := range handlers {
-				if h.pe == dst && h.at >= iv.End && (gapEnd == 0 || h.at < gapEnd) {
+			for _, h := range a.handlers {
+				if h.pe == dst && h.at >= end && (gapEnd == 0 || h.at < gapEnd) {
 					gapEnd = h.at
 				}
 			}
-			if gapEnd > iv.End {
-				add(iv.End, gapEnd, BlameQueue)
+			if gapEnd > end {
+				a.paint(end, gapEnd, BlameQueue)
 			}
 			// Lossy flight: everything not covered by wire time inside
 			// it is retransmit/backoff.
-			for _, t := range rexmits {
-				if t >= iv.Start && t <= iv.End {
-					add(iv.Start, iv.End, BlameRetry)
+			for _, t := range a.rexmits {
+				if t >= start && t <= end {
+					a.paint(start, end, BlameRetry)
 					break
 				}
 			}
 		case EvPktInject:
-			add(iv.Start, iv.End, BlameNoC)
+			a.paint(start, end, BlameNoC)
 		}
 	}
 
 	if shed {
-		add(shedAt, e, BlameShed)
+		a.paint(shedAt, e, BlameShed)
 	}
 
-	return paintSweep(paints, s, e)
+	return a.paintSweep()
 }
 
 // paintSweep resolves overlapping paints by priority over [s,e] and
 // returns the per-category totals, with the remainder as BlameApp.
-func paintSweep(paints []paintIv, s, e sim.Time) BlameVec {
+// Which paint wins a segment depends only on the set of paints, never
+// on their order: every category has its own priority.
+func (a *attrScratch) paintSweep() BlameVec {
 	var v BlameVec
+	s, e := a.s, a.e
 	if e <= s {
 		return v
 	}
-	if len(paints) == 0 {
+	if len(a.paints) == 0 {
 		v[BlameApp] = uint64(e - s)
 		return v
 	}
 	// Elementary segments between sorted unique boundaries: a paint
 	// covers a segment iff it covers both endpoints (boundaries include
 	// every paint endpoint, so there is no partial overlap).
-	bounds := make([]sim.Time, 0, 2*len(paints)+2)
-	bounds = append(bounds, s, e)
-	for _, p := range paints {
+	bounds := append(a.bounds[:0], s, e)
+	for _, p := range a.paints {
 		bounds = append(bounds, p.start, p.end)
 	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	uniq := bounds[:1]
-	for _, b := range bounds[1:] {
-		if b != uniq[len(uniq)-1] {
-			uniq = append(uniq, b)
-		}
-	}
-	for i := 0; i+1 < len(uniq); i++ {
-		t0, t1 := uniq[i], uniq[i+1]
+	slices.Sort(bounds)
+	bounds = slices.Compact(bounds)
+	a.bounds = bounds
+	for i := 0; i+1 < len(bounds); i++ {
+		t0, t1 := bounds[i], bounds[i+1]
 		best, bestPrio := BlameApp, -1
-		for _, p := range paints {
+		for _, p := range a.paints {
 			if p.start <= t0 && p.end >= t1 && blamePrio[p.cat] > bestPrio {
 				best, bestPrio = p.cat, blamePrio[p.cat]
 			}
@@ -495,14 +554,20 @@ func (c *CritPath) Completed() uint64 { return c.completed }
 // Requests returns the retained request population sorted by
 // (latency, SpanID) ascending — the quantile order.
 func (c *CritPath) Requests() []Request {
-	out := append([]Request(nil), c.summaries...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Latency() != out[j].Latency() {
-			return out[i].Latency() < out[j].Latency()
+	out := slices.Clone(c.summaries)
+	slices.SortStableFunc(out, func(a, b Request) int {
+		if a.Latency() != b.Latency() {
+			return cmp.Compare(a.Latency(), b.Latency())
 		}
-		return out[i].Span < out[j].Span
+		return cmp.Compare(a.Span, b.Span)
 	})
 	return out
+}
+
+// quantileIndex is the nearest-rank index of quantile q in a sorted
+// population of n > 0.
+func quantileIndex(q float64, n int) int {
+	return min(max(int(q*float64(n)+0.5)-1, 0), n-1)
 }
 
 // RequestAt returns the request at quantile q (nearest-rank), or false
@@ -512,28 +577,23 @@ func (c *CritPath) RequestAt(q float64) (Request, bool) {
 	if len(pop) == 0 {
 		return Request{}, false
 	}
-	idx := int(q*float64(len(pop))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(pop) {
-		idx = len(pop) - 1
-	}
-	return pop[idx], true
+	return pop[quantileIndex(q, len(pop))], true
 }
 
-// ReportAt builds the attribution report for the given quantiles.
+// ReportAt builds the attribution report for the given quantiles. The
+// population is sorted once for all of them.
 func (c *CritPath) ReportAt(qs []float64) Report {
 	r := Report{
 		Completed: c.completed, Failed: c.failed, Evicted: c.evicted,
 		Truncated: c.truncated, Dropped: c.dropped, Total: c.total,
-		Exemplars: append([]*Exemplar(nil), c.exemplars...),
+		Exemplars: slices.Clone(c.exemplars),
 	}
+	if len(c.summaries) == 0 {
+		return r
+	}
+	pop := c.Requests()
 	for _, q := range qs {
-		req, ok := c.RequestAt(q)
-		if !ok {
-			continue
-		}
+		req := pop[quantileIndex(q, len(pop))]
 		r.Quantiles = append(r.Quantiles, ReqQuantile{
 			Q: q, Span: req.Span, Kind: req.Kind.String(),
 			Latency: uint64(req.Latency()), Fail: req.Fail, Blame: req.Blame,
@@ -546,25 +606,23 @@ func (c *CritPath) ReportAt(qs []float64) Report {
 // flamegraph format (root-kind;category cycles), the same shape
 // m3prof's WriteFolded emits, so the two collapse into one flamegraph.
 func (c *CritPath) WriteFolded(w io.Writer) error {
+	var agg [numKinds]BlameVec // by root kind
+	for _, req := range c.summaries {
+		agg[req.Kind].add(req.Blame)
+	}
 	type line struct {
 		path   string
 		cycles uint64
 	}
-	agg := map[string]uint64{}
-	for _, req := range c.summaries {
-		for cat, cyc := range req.Blame {
-			if cyc == 0 {
-				continue
+	var lines []line
+	for k := range agg {
+		for cat, cyc := range agg[k] {
+			if cyc != 0 {
+				lines = append(lines, line{Kind(k).String() + ";" + BlameCat(cat).String(), cyc})
 			}
-			agg[req.Kind.String()+";"+BlameCat(cat).String()] += cyc
 		}
 	}
-	lines := make([]line, 0, len(agg))
-	//m3vet:allow nodeterminism lines are collected then sorted by path before writing
-	for p, cyc := range agg {
-		lines = append(lines, line{p, cyc})
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i].path < lines[j].path })
+	slices.SortFunc(lines, func(a, b line) int { return strings.Compare(a.path, b.path) })
 	for _, l := range lines {
 		if _, err := fmt.Fprintf(w, "%s %d\n", l.path, l.cycles); err != nil {
 			return err

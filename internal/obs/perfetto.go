@@ -3,17 +3,20 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
 )
 
 // Span reconstruction and Chrome-trace ("Perfetto") export. The event
-// stream pairs into intervals mechanically: same-PE kinds
-// (syscall, ksyscall, svccall, xfer) pair start→end on a per-(PE,
-// span) stack; cross-PE flights pair a send (EvMsgSend/EvReplySend →
-// EvMsgRecv, EvPktInject → EvPktDeliver) with the next matching
-// arrival of the same span, FIFO. Everything else is an instant.
+// stream pairs into intervals by one rule, which critpath's attribution
+// uses too (pairer): a same-PE end (syscall, ksyscall, svccall, xfer)
+// closes the most recent open start of its kind on the same (PE, span),
+// LIFO; a cross-PE arrival (EvMsgRecv closes EvMsgSend or EvReplySend,
+// EvPktDeliver closes EvPktInject) closes the oldest unmatched send of
+// its class on the same span, FIFO. Span-0 flights never pair.
+// Everything else is an instant.
 
 // Interval is one reconstructed span segment.
 type Interval struct {
@@ -27,114 +30,129 @@ type Interval struct {
 	Arg1  uint64
 }
 
-// endOf maps closing kinds to their opening kind for same-PE pairs.
-var endOf = map[Kind]Kind{
-	EvSyscallEnd:  EvSyscallStart,
-	EvKSyscallEnd: EvKSyscallStart,
-	EvSvcCallEnd:  EvSvcCallStart,
-	EvXferEnd:     EvXferStart,
+// openKey maps an opening kind to the key a close matches it on: the
+// kind itself for a same-PE start, the flight class for a send
+// (EvMsgSend for both message kinds, EvPktInject for packets).
+// closeKey maps a closing kind to the key of the open it closes.
+var openKey = [numKinds]Kind{
+	EvSyscallStart: EvSyscallStart, EvKSyscallStart: EvKSyscallStart,
+	EvSvcCallStart: EvSvcCallStart, EvXferStart: EvXferStart,
+	EvMsgSend: EvMsgSend, EvReplySend: EvMsgSend, EvPktInject: EvPktInject,
 }
 
-// isFlightSend reports whether k opens a cross-PE flight.
-func isFlightSend(k Kind) bool {
-	return k == EvMsgSend || k == EvReplySend || k == EvPktInject
+var closeKey = [numKinds]Kind{
+	EvSyscallEnd: EvSyscallStart, EvKSyscallEnd: EvKSyscallStart,
+	EvSvcCallEnd: EvSvcCallStart, EvXferEnd: EvXferStart,
+	EvMsgRecv: EvMsgSend, EvPktDeliver: EvPktInject,
 }
 
-// flightEnd maps a flight arrival to the queue it closes: message
-// flights (either send kind) and packet flights.
-func flightClass(k Kind) int {
-	switch k {
-	case EvMsgSend, EvReplySend, EvMsgRecv:
-		return 0
-	case EvPktInject, EvPktDeliver:
-		return 1
+// pairKey returns ev's pairing key from table, or EvNone if ev takes
+// no part in pairing under it.
+func pairKey(table *[numKinds]Kind, ev Event) Kind {
+	if ev.Kind >= numKinds {
+		return EvNone
+	}
+	k := table[ev.Kind]
+	if ev.Span == 0 && isFlightKey(k) {
+		return EvNone
+	}
+	return k
+}
+
+// isFlightKey reports whether k keys a cross-PE (FIFO) flight.
+func isFlightKey(k Kind) bool { return k == EvMsgSend || k == EvPktInject }
+
+// openEv is one not-yet-closed open, with its match key copied out of
+// the event so scans stay in one small array.
+type openEv struct {
+	span SpanID
+	pe   int32
+	key  Kind
+	idx  int
+}
+
+// evPair is one matched interval: the indices of its open and close.
+type evPair struct{ open, close int }
+
+// pairer pairs an event list by index. Its slices are scratch reused
+// across calls, so pairing a request allocates nothing once they have
+// grown to the request's size. Opens wait in one list in emission
+// order; a request has tens of events, so a linear scan beats keyed
+// maps. Over a whole-run stream each close scans the opens still
+// pending, which stay few unless many sends are never delivered.
+type pairer struct {
+	open     []openEv
+	pairs    []evPair // in closing order
+	instants []int    // in emission order, then unclosed opens
+}
+
+// pair matches events. Every index lands in exactly one pair or in
+// instants.
+func (p *pairer) pair(events []Event) {
+	p.open, p.pairs, p.instants = p.open[:0], p.pairs[:0], p.instants[:0]
+	for i, ev := range events {
+		if key := pairKey(&openKey, ev); key != EvNone {
+			p.open = append(p.open, openEv{ev.Span, ev.PE, key, i})
+			continue
+		}
+		j := -1
+		if key := pairKey(&closeKey, ev); isFlightKey(key) {
+			j = p.oldest(ev.Span, key)
+		} else if key != EvNone {
+			j = p.latest(ev.PE, ev.Span, key)
+		}
+		if j < 0 {
+			p.instants = append(p.instants, i)
+			continue
+		}
+		p.pairs = append(p.pairs, evPair{p.open[j].idx, i})
+		p.open = slices.Delete(p.open, j, j+1)
+	}
+	for _, o := range p.open {
+		p.instants = append(p.instants, o.idx)
+	}
+}
+
+// latest finds the most recent open of key on (pe, span): LIFO.
+func (p *pairer) latest(pe int32, span SpanID, key Kind) int {
+	for j := len(p.open) - 1; j >= 0; j-- {
+		if o := p.open[j]; o.key == key && o.span == span && o.pe == pe {
+			return j
+		}
 	}
 	return -1
 }
 
-type stackKey struct {
-	pe   int32
-	span SpanID
-	kind Kind
-}
-
-type flightKey struct {
-	span  SpanID
-	class int
+// oldest finds the oldest unmatched send of class key on span: FIFO.
+func (p *pairer) oldest(span SpanID, key Kind) int {
+	for j, o := range p.open {
+		if o.key == key && o.span == span {
+			return j
+		}
+	}
+	return -1
 }
 
 // Intervals pairs the event stream (in emission order) into intervals
 // and leftover instants. Events that open an interval but never close
 // (and vice versa) are returned as instants, so nothing is silently
-// dropped. The result order is deterministic: intervals in closing
-// order, instants in emission order.
+// dropped and every event lands exactly once. The result order is
+// deterministic: intervals in closing order, instants in emission
+// order, then unclosed opens in emission order.
 func Intervals(events []Event) (intervals []Interval, instants []Event) {
-	stacks := make(map[stackKey][]Event)
-	flights := make(map[flightKey][]Event)
-	for _, ev := range events {
-		switch {
-		case endOf[ev.Kind] != EvNone && ev.Kind != EvNone:
-			key := stackKey{ev.PE, ev.Span, endOf[ev.Kind]}
-			st := stacks[key]
-			if len(st) == 0 {
-				instants = append(instants, ev)
-				continue
-			}
-			open := st[len(st)-1]
-			stacks[key] = st[:len(st)-1]
-			intervals = append(intervals, Interval{
-				Span: open.Span, Kind: open.Kind, Layer: open.Layer, PE: open.PE,
-				Start: open.At, End: ev.At, Arg0: open.Arg0, Arg1: open.Arg1,
-			})
-		case ev.Kind == EvSyscallStart || ev.Kind == EvKSyscallStart ||
-			ev.Kind == EvSvcCallStart || ev.Kind == EvXferStart:
-			key := stackKey{ev.PE, ev.Span, ev.Kind}
-			stacks[key] = append(stacks[key], ev)
-		case isFlightSend(ev.Kind) && ev.Span != 0:
-			key := flightKey{ev.Span, flightClass(ev.Kind)}
-			flights[key] = append(flights[key], ev)
-		case (ev.Kind == EvMsgRecv || ev.Kind == EvPktDeliver) && ev.Span != 0:
-			key := flightKey{ev.Span, flightClass(ev.Kind)}
-			q := flights[key]
-			if len(q) == 0 {
-				instants = append(instants, ev)
-				continue
-			}
-			open := q[0]
-			flights[key] = q[1:]
-			intervals = append(intervals, Interval{
-				Span: open.Span, Kind: open.Kind, Layer: open.Layer, PE: open.PE,
-				Start: open.At, End: ev.At, Arg0: open.Arg0, Arg1: open.Arg1,
-			})
-		default:
-			instants = append(instants, ev)
-		}
+	var p pairer
+	p.pair(events)
+	for _, pr := range p.pairs {
+		open := events[pr.open]
+		intervals = append(intervals, Interval{
+			Span: open.Span, Kind: open.Kind, Layer: open.Layer, PE: open.PE,
+			Start: open.At, End: events[pr.close].At, Arg0: open.Arg0, Arg1: open.Arg1,
+		})
 	}
-	// Unclosed opens become instants too. The pairing maps are walked
-	// via the original event order, not map order, for determinism.
-	for _, ev := range events {
-		switch {
-		case ev.Kind == EvSyscallStart || ev.Kind == EvKSyscallStart ||
-			ev.Kind == EvSvcCallStart || ev.Kind == EvXferStart:
-			if contains(stacks[stackKey{ev.PE, ev.Span, ev.Kind}], ev) {
-				instants = append(instants, ev)
-			}
-		case isFlightSend(ev.Kind) && ev.Span != 0:
-			if contains(flights[flightKey{ev.Span, flightClass(ev.Kind)}], ev) {
-				instants = append(instants, ev)
-			}
-		}
+	for _, i := range p.instants {
+		instants = append(instants, events[i])
 	}
 	return intervals, instants
-}
-
-func contains(evs []Event, ev Event) bool {
-	for _, e := range evs {
-		if e == ev {
-			return true
-		}
-	}
-	return false
 }
 
 // pfEvent is one Chrome-trace record. Field order is fixed by the

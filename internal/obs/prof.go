@@ -134,7 +134,7 @@ func (pr *Profiler) Consume(ev Event) {
 // start and end events: frames stacked above the match never got their
 // end and are discarded unattributed.
 func (pr *Profiler) close(ev Event) {
-	open := endOf[ev.Kind]
+	open := closeKey[ev.Kind]
 	st := pr.stacks[ev.PE]
 	for i := len(st) - 1; i >= 0; i-- {
 		fr := st[i]
