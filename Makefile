@@ -56,14 +56,14 @@ bench-baseline:
 # The attribution self-test: capture the tier-1 workload under the
 # serial-heap and serial-calendar engines (captures must be
 # byte-identical), re-capture with the kernel's syscall dispatch cost
-# perturbed +10%, and require m3diff to attribute the regression to the
-# kernel — top blame-drift category and a growing kernel profile
+# perturbed +10%, and require `m3sim diff` to attribute the regression
+# to the kernel — top blame-drift category and a growing kernel profile
 # layer — with byte-stable reports.
 diff-smoke:
-	go run ./cmd/m3diff -selftest
+	go run ./cmd/m3sim diff -selftest
 
 # The SLO regression gate: run the critical-path attribution + SLO
-# report (cmd/m3slo) over the tier-1 workload and require the JSON
+# report (`m3sim slo`) over the tier-1 workload and require the JSON
 # report — every blame cell, exemplar span tree, and burn rate — to be
 # byte-identical to the committed SLO_0.json golden. The report is
 # deterministic by construction (docs/OBSERVABILITY.md), so any diff
@@ -71,11 +71,11 @@ diff-smoke:
 # change legitimately moves the attribution.
 slo-smoke:
 	mkdir -p artifacts
-	go run ./cmd/m3slo -w tar -json artifacts/slo-smoke.json >artifacts/slo-smoke.log
+	go run ./cmd/m3sim slo -w tar -json artifacts/slo-smoke.json >artifacts/slo-smoke.log
 	diff -u SLO_0.json artifacts/slo-smoke.json
 
 slo-baseline:
-	go run ./cmd/m3slo -w tar -json SLO_0.json
+	go run ./cmd/m3sim slo -w tar -json SLO_0.json
 
 # The chaos tier: determinism under fault injection plus the workload
 # matrix that proves isolation survives packet loss, PE crashes, and —

@@ -27,10 +27,10 @@
 #              for inspection (docs/EXPERIMENTS.md)
 #   diff       the attribution self-test: a seeded +10% kernel
 #              dispatch-cost perturbation must be attributed to the
-#              kernel layer by m3diff, with captures byte-identical
+#              kernel layer by `m3sim diff`, with captures byte-identical
 #              across the heap and calendar event queues
 #              (docs/OBSERVABILITY.md)
-#   slo        the SLO regression gate: the m3slo attribution report
+#   slo        the SLO regression gate: the `m3sim slo` attribution report
 #              over the tier-1 workload, byte-compared against the
 #              committed SLO_0.json golden (docs/OBSERVABILITY.md)
 set -eux

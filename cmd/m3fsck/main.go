@@ -2,7 +2,7 @@
 // inode table, directory table, and data blocks, verifies the block
 // accounting invariants (no sharing, bitmap consistency), and prints a
 // summary. Images come from the m3fs sync operation (see
-// internal/m3fs/image.go) or from m3trace-style tooling.
+// internal/m3fs/image.go) or from any tool that writes the same format.
 //
 // With -journal, it additionally verifies a raw metadata-journal area
 // (the tail of a crashed service's DRAM region, see

@@ -1,13 +1,32 @@
-// Command m3sim boots an M3 system, runs a named workload on it, and
-// reports platform statistics: cycles, per-DTU traffic, kernel load,
-// and NoC totals. It is the exploration tool next to m3bench's fixed
-// experiments. With -n N > 1 it runs N instances behind a start
-// barrier on the Figure 6 platform; every other flag applies to both
-// shapes.
+// Command m3sim is the one tool for running and reading a scenario.
+// Without a subcommand it boots an M3 system, runs a named workload on
+// it, and reports platform statistics: cycles, per-DTU traffic, kernel
+// load, and NoC totals. With -n N > 1 it runs N instances behind a
+// start barrier on the Figure 6 platform.
+//
+// The subcommands read the same run in other ways, and the ones that
+// boot a scenario share its flags (-w, -pes, -n, -engine):
+//
+//	prof    cycle attribution per (PE, layer, span-kind) call path,
+//	        with folded stacks for flame graphs
+//	slo     critical-path blame at p50/p99/p99.9, worst-N exemplar
+//	        span trees and the SLO burn-rate table
+//	trace   the structured event stream as Perfetto JSON or text,
+//	        filtered by request span or cycle window
+//	diff    align two run captures and attribute their cycle delta
+//	record  record a workload's operations on Linux or M3 (§5.6)
+//	replay  replay a recorded trace on Linux or M3
+//	show    print a recorded trace
 //
 // Usage:
 //
 //	m3sim -w tar -pes 4 -n 2 -v
+//	m3sim prof -w find -o find.folded
+//	m3sim slo -w tar -json slo.json
+//	m3sim trace -w tar -span 14 -text
+//	m3sim diff old.json new.json
+//	m3sim record -w tar -os linux -o tar.trace
+//	m3sim replay -i tar.trace -os m3 -w tar
 package main
 
 import (
@@ -33,51 +52,107 @@ func main() {
 	}
 }
 
-// run parses args, runs the scenario they describe, and writes the
-// report to w.
+// run dispatches args to a subcommand, or to the run report when the
+// first argument names none, and writes the output to w.
 func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("m3sim", flag.ContinueOnError)
+	if len(args) > 0 {
+		sub, rest := args[0], args[1:]
+		switch sub {
+		case "prof":
+			return cmdProf(rest, w)
+		case "slo":
+			return cmdSLO(rest, w)
+		case "trace":
+			return cmdTrace(rest, w)
+		case "diff":
+			return cmdDiff(rest, w)
+		case "record":
+			return cmdRecord(rest, w)
+		case "replay":
+			return cmdReplay(rest, w)
+		case "show":
+			return cmdShow(rest, w)
+		}
+	}
+	return cmdReport(args, w)
+}
+
+// scenarioFlags registers the flags every booting subcommand shares on
+// fs and returns the function that builds, after parsing, the Scenario
+// they describe.
+func scenarioFlags(fs *flag.FlagSet) func() (bench.Scenario, error) {
 	name := fs.String("w", "tar", "workload: cat+tr, tar, untar, find, sqlite")
 	pes := fs.Int("pes", 0, "extra application PEs beyond what the workload needs")
 	instances := fs.Int("n", 1, "parallel instances (one kernel, one m3fs)")
-	verbose := fs.Bool("v", false, "per-PE DTU statistics")
-	traceN := fs.Int("trace", 0, "print the first N structured events (DTU sends/receives, syscalls, kernel decisions)")
-	traceOut := fs.String("trace-out", "", "write the run's structured event stream as Chrome-trace/Perfetto JSON to this file")
-	stats := fs.Bool("stats", false, "collect the metrics registry and print the per-PE/per-link utilization table after the run")
-	sample := fs.Int("sample", 4096, "metrics sampling interval in cycles for -stats (0 = no time series)")
 	engine := fs.String("engine", "calendar", "event queue: calendar (O(1) wheel) or heap (reference binary heap)")
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func() (bench.Scenario, error) {
+		b, err := workload.ByName(*name)
+		if err != nil {
+			return bench.Scenario{}, err
+		}
+		sc := bench.Scenario{Workload: b}
+		if *instances > 1 {
+			sc.Instances = *instances
+			sc.M3Options = bench.Fig6Options()
+		}
+		sc.ExtraPEs = *pes
+		switch *engine {
+		case "calendar":
+			sc.Engine.Queue = sim.QueueCalendar
+		case "heap":
+			sc.Engine.Queue = sim.QueueHeap
+		default:
+			return bench.Scenario{}, fmt.Errorf("unknown -engine %q (want calendar or heap)", *engine)
+		}
+		return sc, nil
 	}
+}
 
-	b, err := workload.ByName(*name)
+// writeOut writes through fn to the file at path and then prints done
+// to w; the path "-" writes to w itself and prints nothing more.
+func writeOut(w io.Writer, path, done string, fn func(io.Writer) error) error {
+	if path == "-" {
+		return fn(w)
+	}
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	sc := bench.Scenario{Workload: b}
-	if *instances > 1 {
-		sc.Instances = *instances
-		sc.M3Options = bench.Fig6Options()
+	if err := fn(f); err != nil {
+		_ = f.Close()
+		return err
 	}
-	sc.ExtraPEs = *pes
-	switch *engine {
-	case "calendar":
-		sc.Engine.Queue = sim.QueueCalendar
-	case "heap":
-		sc.Engine.Queue = sim.QueueHeap
-	default:
-		return fmt.Errorf("unknown -engine %q (want calendar or heap)", *engine)
+	if err := f.Close(); err != nil {
+		return err
 	}
-	var events []obs.Event
-	if *traceN > 0 || *traceOut != "" || *stats {
+	_, err = fmt.Fprintln(w, done)
+	return err
+}
+
+// cmdReport runs the scenario and prints the platform report.
+func cmdReport(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("m3sim", flag.ContinueOnError)
+	scenario := scenarioFlags(fs)
+	verbose := fs.Bool("v", false, "per-PE DTU statistics")
+	traceN := fs.Int("trace", 0, "print the first N structured events (DTU sends/receives, syscalls, kernel decisions)")
+	stats := fs.Bool("stats", false, "collect the metrics registry and print the per-PE/per-link utilization table after the run")
+	sample := fs.Int("sample", 4096, "metrics sampling interval in cycles for -stats (0 = no time series)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unknown subcommand %q (want prof, slo, trace, diff, record, replay or show)", fs.Arg(0))
+	}
+	sc, err := scenario()
+	if err != nil {
+		return err
+	}
+	if *traceN > 0 || *stats {
 		printed := 0
 		sc.Obs = obs.New(obs.Options{Sink: func(ev obs.Event) {
 			if printed < *traceN {
 				printed++
 				fmt.Fprintln(w, ev)
-			}
-			if *traceOut != "" {
-				events = append(events, ev)
 			}
 		}})
 		if *stats {
@@ -91,7 +166,7 @@ func run(args []string, w io.Writer) error {
 
 	plat, end := r.Plat, r.Stats.FinalTime
 	fmt.Fprintf(w, "workload %s, %d instance(s) on %d PEs + memory tile (mesh %dx%d), single kernel + single m3fs\n",
-		b.Name, len(r.Outcomes), len(plat.PEs), plat.Net.Config().Width, plat.Net.Config().Height)
+		sc.Workload.Name, len(r.Outcomes), len(plat.PEs), plat.Net.Config().Width, plat.Net.Config().Height)
 	for _, o := range r.Outcomes {
 		fmt.Fprintf(w, "  %-6s setup: %12d cycles  run: %12d cycles\n", o.Name, o.StartAt-o.SetupAt, o.RunTime)
 	}
@@ -109,20 +184,6 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, " %s=%d", op.Op, op.Count)
 	}
 	fmt.Fprintln(w)
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		err = obs.WritePerfetto(f, events)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  trace: %d structured events -> %s\n", len(events), *traceOut)
-	}
 	if *stats {
 		if err := printStats(w, r, sc.Obs.Metrics()); err != nil {
 			return err

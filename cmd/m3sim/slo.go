@@ -1,35 +1,14 @@
-// Command m3slo is the critical-path attribution and SLO reporter: it
-// runs a named workload with the structured tracer wired into the
-// streaming critical-path engine (internal/obs/critpath.go), registers
-// the standard end-to-end objectives, and reports where each request's
-// latency went — app compute, DTU queueing/credit stalls, NoC wire
-// time, kernel service, retransmit/backoff, overload shed — at p50,
-// p99 and p99.9, with worst-N exemplar span trees and the SLO
-// burn-rate table.
-//
-// The report is deterministic: identical (workload, flags) runs
-// produce byte-identical output, including -json. Exemplar SpanIDs
-// pair with `m3trace -span` to drill into the exact p99 request.
-//
-// Usage:
-//
-//	m3slo -w tar
-//	m3slo -w find -json find-slo.json
-//	m3slo -w tar -folded tar-blame.folded
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
-	"os"
+	"io"
 	"text/tabwriter"
 
-	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Standard objective names (package constants: m3vet sloname).
@@ -98,18 +77,30 @@ func blameList(v obs.BlameVec) []blameJSON {
 	return out
 }
 
-func main() {
-	name := flag.String("w", "tar", "workload: cat+tr, tar, untar, find, sqlite")
-	pes := flag.Int("pes", 0, "extra application PEs beyond what the workload needs")
-	exemplars := flag.Int("exemplars", 4, "worst-N exemplar span trees to capture")
-	bound := flag.Uint64("bound", 1<<17, "latency objective bound in cycles")
-	jsonOut := flag.String("json", "", "write the machine-readable report to this file ('-' for stdout)")
-	folded := flag.String("folded", "", "write folded blame stacks (flamegraph.pl format, m3prof-compatible) to this file")
-	flag.Parse()
-
-	b, err := workload.ByName(*name)
+// cmdSLO is the critical-path attribution and SLO reporter: it runs the
+// scenario with the structured tracer wired into the streaming
+// critical-path engine, registers the standard end-to-end objectives,
+// and reports where each request's latency went (app compute, DTU
+// queueing and credit stalls, NoC wire time, kernel service,
+// retransmit and backoff, overload shed) at p50, p99 and p99.9, with
+// the worst-N exemplar span trees and the SLO burn-rate table.
+//
+// The report is deterministic: identical (workload, flags) runs produce
+// byte-identical output, -json included. Exemplar span IDs pair with
+// `m3sim trace -span` to drill into the exact p99 request.
+func cmdSLO(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("slo", flag.ContinueOnError)
+	scenario := scenarioFlags(fs)
+	exemplars := fs.Int("exemplars", 4, "worst-N exemplar span trees to capture")
+	bound := fs.Uint64("bound", 1<<17, "latency objective bound in cycles")
+	jsonOut := fs.String("json", "", "write the machine-readable report to this file ('-' for stdout)")
+	folded := fs.String("folded", "", "write folded blame stacks (flamegraph.pl format, prof-compatible) to this file")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	sc, err := scenario()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	slos := obs.NewSLOSet()
@@ -117,20 +108,15 @@ func main() {
 		Objective: 0.99, LatencyBound: sim.Time(*bound), Window: 1 << 20})
 	slos.Objective(sloAvail, obs.SLOConfig{Objective: 0.999, Window: 1 << 20})
 	cp := obs.NewCritPath(obs.CritPathOptions{Exemplars: *exemplars, SLO: slos})
-	r, err := bench.Scenario{Workload: b, M3Options: bench.M3Options{
-		ExtraPEs: *pes,
-		Obs:      obs.New(obs.Options{Sink: cp.Consume}),
-	}}.Run()
+	sc.Obs = obs.New(obs.Options{Sink: cp.Consume})
+	r, err := sc.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	end := r.Stats.FinalTime
 
-	qs := []float64{0.5, 0.99, 0.999}
-	rep := cp.ReportAt(qs)
-
+	rep := cp.ReportAt([]float64{0.5, 0.99, 0.999})
 	out := reportJSON{
-		Schema: reportSchema, Workload: b.Name,
+		Schema: reportSchema, Workload: sc.Workload.Name,
 		Completed: rep.Completed, Failed: rep.Failed,
 		Evicted: rep.Evicted, Truncated: rep.Truncated,
 		Total: blameList(rep.Total),
@@ -161,44 +147,31 @@ func main() {
 		})
 	}
 
-	printText(os.Stdout, b.Name, end, rep, out)
+	printSLO(w, r.Stats.FinalTime, rep, out)
 
 	if *folded != "" {
-		f, err := os.Create(*folded)
-		if err != nil {
-			log.Fatal(err)
+		if err := writeOut(w, *folded, "  wrote folded blame stacks -> "+*folded, cp.WriteFolded); err != nil {
+			return err
 		}
-		if err := cp.WriteFolded(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  wrote folded blame stacks -> %s\n", *folded)
 	}
-
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(out, "", " ")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		data = append(data, '\n')
-		if *jsonOut == "-" {
-			if _, err := os.Stdout.Write(data); err != nil {
-				log.Fatal(err)
-			}
-		} else {
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  wrote %s\n", *jsonOut)
-		}
+		return writeOut(w, *jsonOut, "  wrote "+*jsonOut, func(f io.Writer) error {
+			_, err := f.Write(data)
+			return err
+		})
 	}
+	return nil
 }
 
-func printText(w *os.File, name string, end sim.Time, rep obs.Report, out reportJSON) {
+// printSLO writes the text report.
+func printSLO(w io.Writer, end sim.Time, rep obs.Report, out reportJSON) {
 	fmt.Fprintf(w, "workload %s: %d cycles simulated, %d requests (%d failed, %d evicted, %d truncated)\n",
-		name, end, rep.Completed, rep.Failed, rep.Evicted, rep.Truncated)
+		out.Workload, end, rep.Completed, rep.Failed, rep.Evicted, rep.Truncated)
 
 	fmt.Fprintln(w, "  aggregate blame (all completed requests):")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -224,7 +197,7 @@ func printText(w *os.File, name string, end sim.Time, rep obs.Report, out report
 	}
 	tw.Flush()
 
-	fmt.Fprintln(w, "  worst exemplars (drill in with m3trace export -span <id> -text):")
+	fmt.Fprintln(w, "  worst exemplars (drill in with m3sim trace -span <id> -text):")
 	for _, ex := range out.Exemplars {
 		fmt.Fprintf(w, "    span %d: %s, %d cycles, %d events (fail=%v)\n",
 			ex.Span, ex.Kind, ex.Latency, len(ex.Tree), ex.Fail)

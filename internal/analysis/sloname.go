@@ -9,7 +9,7 @@ import (
 // by a package-level constant. SLO definitions are contracts — burn
 // rates, breach events, and the snapshot format are all keyed by name,
 // so a name computed at runtime would let the objective set drift with
-// run parameters and break the byte-stable m3slo report
+// run parameters and break the byte-stable `m3sim slo` report
 // (docs/OBSERVABILITY.md). The obs package itself is exempt: it
 // implements the set.
 var SLOName = &Analyzer{

@@ -44,7 +44,7 @@ var CaptureWorkloads = map[string]string{
 // returns the bundled capture. The capture arms its own tracer and
 // sampler over opt: captures are byte-identical across engine variants
 // (the differential contract), and opt.DispatchCostDelta seeds the
-// m3diff self-test's kernel-side regression. Identical (workload,
+// `m3sim diff` self-test's kernel-side regression. Identical (workload,
 // options) runs return byte-identical captures.
 func RunWorkloadCapture(name string, opt M3Options) (*obs.RunCapture, error) {
 	b, err := workload.ByName(name)

@@ -23,7 +23,7 @@ func captureJSON(t *testing.T, c *obs.RunCapture) string {
 
 // TestCaptureEngineEquivalence is the differential contract for
 // captures: the reference heap and the calendar queue must produce
-// byte-identical capture JSON — so an m3diff report can never be
+// byte-identical capture JSON — so an `m3sim diff` report can never be
 // engine noise.
 func TestCaptureEngineEquivalence(t *testing.T) {
 	variants := EngineVariants()

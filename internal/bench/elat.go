@@ -5,10 +5,8 @@ import (
 	"io"
 
 	"repro/internal/linuxos"
-	"repro/internal/m3"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/tile"
 	"repro/internal/workload"
 )
 
@@ -59,67 +57,93 @@ func (o *opHists) all() []*obs.Histogram {
 	return out
 }
 
-// timedOS wraps a workload.OS and observes the latency of each file
-// operation against the simulation clock.
+// timedOS wraps a workload.OS so that every Open, Stat, Read, Write
+// and Close call runs through rec, which times it against the
+// simulation clock and records it: E-lat into per-operation
+// histograms, E-tail's Linux side into its request population. Seek
+// passes through untimed (on M3 it is client-local bookkeeping, never
+// a request).
 type timedOS struct {
 	workload.OS
-	clock func() sim.Time
-	hists *opHists
-}
-
-func (t *timedOS) observe(op int, t0 sim.Time) {
-	t.hists.hs[op].Observe(uint64(t.clock() - t0))
+	rec func(op int, call func() error) error
 }
 
 func (t *timedOS) Open(path string, flags workload.OpenFlags) (workload.File, error) {
-	t0 := t.clock()
-	f, err := t.OS.Open(path, flags)
-	t.observe(opOpen, t0)
+	var f workload.File
+	err := t.rec(opOpen, func() (err error) {
+		f, err = t.OS.Open(path, flags)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &timedFile{f: f, os: t}, nil
+	return &timedFile{f: f, rec: t.rec}, nil
 }
 
 func (t *timedOS) Stat(path string) (workload.Stat, error) {
-	t0 := t.clock()
-	st, err := t.OS.Stat(path)
-	t.observe(opStat, t0)
+	var st workload.Stat
+	err := t.rec(opStat, func() (err error) {
+		st, err = t.OS.Stat(path)
+		return err
+	})
 	return st, err
 }
 
-// timedFile wraps the read/write/close paths of one open file.
+// timedFile times the read/write/close calls of one open file.
 type timedFile struct {
-	f  workload.File
-	os *timedOS
+	f   workload.File
+	rec func(op int, call func() error) error
 }
 
 func (f *timedFile) Read(buf []byte) (int, error) {
-	t0 := f.os.clock()
-	n, err := f.f.Read(buf)
-	f.os.observe(opRead, t0)
+	var n int
+	err := f.rec(opRead, func() (err error) {
+		n, err = f.f.Read(buf)
+		return err
+	})
 	return n, err
 }
 
 func (f *timedFile) Write(buf []byte) (int, error) {
-	t0 := f.os.clock()
-	n, err := f.f.Write(buf)
-	f.os.observe(opWrite, t0)
+	var n int
+	err := f.rec(opWrite, func() (err error) {
+		n, err = f.f.Write(buf)
+		return err
+	})
 	return n, err
 }
 
 func (f *timedFile) Close() error {
-	t0 := f.os.clock()
-	err := f.f.Close()
-	f.os.observe(opClose, t0)
-	return err
+	return f.rec(opClose, f.f.Close)
+}
+
+func (f *timedFile) Seek(off int64, whence int) (int64, error) {
+	if sf, ok := f.f.(workload.SeekableFile); ok {
+		return sf.Seek(off, whence)
+	}
+	return 0, fmt.Errorf("bench: file is not seekable")
+}
+
+// simClock returns the simulation clock of the process behind os.
+func simClock(os workload.OS) func() sim.Time {
+	if m, ok := os.(*workload.M3OS); ok {
+		return m.Env.Ctx.Now
+	}
+	return os.(*workload.LxOS).Proc.P().Now
 }
 
 // elatLoop is the measured phase: elatIters rounds of open, stream the
 // file in elatBufSize reads, stat, close, then one rewrite of the file.
-// The setup (untimed) created /elat.dat beforehand.
-func elatLoop(os workload.OS, h *opHists, clock func() sim.Time) error {
-	t := &timedOS{OS: os, clock: clock, hists: h}
+// The setup (untimed) created /elat.dat beforehand. Every call is
+// observed into h.
+func elatLoop(os workload.OS, h *opHists) error {
+	clock := simClock(os)
+	t := &timedOS{OS: os, rec: func(op int, call func() error) error {
+		t0 := clock()
+		err := call()
+		h.hs[op].Observe(uint64(clock() - t0))
+		return err
+	}}
 	buf := make([]byte, elatBufSize)
 	for i := 0; i < elatIters; i++ {
 		f, err := t.Open("/elat.dat", workload.Read)
@@ -166,50 +190,17 @@ type ELatResult struct {
 // ELat runs experiment E-lat on both systems.
 func ELat() (*ELatResult, error) {
 	res := &ELatResult{M3: newOpHists(), Lx: newOpHists()}
-	tracer := obs.New(obs.Options{})
-	s := bootM3(M3Options{Obs: tracer}, 1)
-	var runErr error
-	if _, err := s.kern.StartInit("elat", tile.CoreXtensa, func(ctx *tile.Ctx) {
-		env := m3.NewEnv(ctx, s.kern)
-		wos, err := workload.NewM3OS(env)
-		if err != nil {
-			runErr = err
-			env.Exit(1)
-			return
-		}
-		if err := elatSetup(wos); err != nil {
-			runErr = err
-			env.Exit(1)
-			return
-		}
-		if err := elatLoop(wos, res.M3, ctx.Now); err != nil {
-			runErr = err
-			env.Exit(1)
-			return
-		}
-		env.Exit(0)
-	}); err != nil {
-		return nil, err
+	elat := func(h *opHists) workload.Benchmark {
+		return workload.Benchmark{Name: "elat", PEs: 1, Setup: elatSetup,
+			Run: func(os workload.OS) error { return elatLoop(os, h) }}
 	}
-	s.eng.Run()
-	if runErr != nil {
-		return nil, fmt.Errorf("elat on M3: %w", runErr)
+	tracer := obs.New(obs.Options{})
+	if _, err := (Scenario{Workload: elat(res.M3), M3Options: M3Options{Obs: tracer}}).Run(); err != nil {
+		return nil, fmt.Errorf("elat on M3: %w", err)
 	}
 	res.DTU = tracer.Histograms()
-
-	eng := sim.NewEngine()
-	sys := linuxos.New(eng, linuxos.ProfileXtensa, false)
-	sys.Spawn("elat", func(pr *linuxos.Proc) {
-		wos := workload.NewLxOS(sys, pr)
-		if err := elatSetup(wos); err != nil {
-			runErr = err
-			return
-		}
-		runErr = elatLoop(wos, res.Lx, pr.P().Now)
-	})
-	eng.Run()
-	if runErr != nil {
-		return nil, fmt.Errorf("elat on Linux: %w", runErr)
+	if _, err := RunLx(elat(res.Lx), linuxos.ProfileXtensa, false); err != nil {
+		return nil, fmt.Errorf("elat on Linux: %w", err)
 	}
 	return res, nil
 }

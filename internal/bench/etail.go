@@ -7,11 +7,9 @@ import (
 	"sort"
 
 	"repro/internal/linuxos"
-	"repro/internal/m3"
 	"repro/internal/obs"
 	"repro/internal/overload"
 	"repro/internal/sim"
-	"repro/internal/tile"
 	"repro/internal/workload"
 )
 
@@ -133,13 +131,9 @@ func etailGen(stream uint64) *overload.Gen {
 	}, stream)
 }
 
-// etailClientSetup prepares one client's namespace: a private
-// directory, the stat probe, and the read file.
-func etailClientSetup(os *workload.M3OS, prefix string) error {
-	os.Prefix = prefix
-	if err := os.Mkdir(""); err != nil {
-		return err
-	}
+// etailClientSetup prepares one client's namespace: the stat probe
+// and the read file.
+func etailClientSetup(os workload.OS) error {
 	if err := writeFilePattern(os, "/probe", 64); err != nil {
 		return err
 	}
@@ -189,76 +183,28 @@ func runETailM3(w ETailWorkload, engCfg sim.Config) (*ETailWorkloadResult, error
 			cp.Consume(ev)
 		}
 	}})
-	s := bootM3(M3Options{Obs: tracer, Engine: engCfg}, etailClients)
-
-	ready := 0
-	startSig := sim.NewSignal(s.eng)
-	setupTurn := 0
-	turnSig := sim.NewSignal(s.eng)
-	var runErr error
-	for i := 0; i < etailClients; i++ {
-		ci := i
-		prefix := fmt.Sprintf("/t%d", ci)
-		_, err := s.kern.StartInit(fmt.Sprintf("tail%d", ci), tile.CoreXtensa, func(ctx *tile.Ctx) {
-			for setupTurn != ci {
-				turnSig.Wait(ctx.P)
-			}
-			env := m3.NewEnv(ctx, s.kern)
-			os, err := workload.NewM3OS(env)
-			if err != nil {
-				runErr = err
-				return
-			}
-			if err := etailClientSetup(os, prefix); err != nil {
-				runErr = err
-				return
-			}
-			setupTurn++
-			turnSig.Broadcast()
-			ready++
-			if ready == etailClients {
-				// Last client through setup: arm the attribution engine
-				// before releasing the fleet, so every measured span
-				// belongs to steady-state traffic.
-				armed = true
-				startSig.Broadcast()
-			} else {
-				startSig.Wait(ctx.P)
-			}
-			base := ctx.Now()
-			gen := etailGen(uint64(ci))
-			buf := make([]byte, etailBufSize)
-			for i := 0; ; i++ {
-				at, ok := gen.Next()
-				if !ok {
-					break
-				}
-				// Open loop: arrivals are absolute; a client running
-				// behind fires immediately.
-				if target := base + at; ctx.Now() < target {
-					ctx.P.Sleep(target - ctx.Now())
-				}
-				if err := etailOp(w, os, i, buf); err != nil {
-					runErr = err
-					return
-				}
-			}
-			env.Exit(0)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	s.eng.Run()
-	if runErr != nil {
-		return nil, runErr
+	buf := make([]byte, etailBufSize)
+	r, err := fleet{
+		clients:  etailClients,
+		setup:    func(os *workload.M3OS) error { return etailClientSetup(os) },
+		arrivals: func(k int) *overload.Gen { return etailGen(uint64(k)) },
+		op: func(_, i int, os *workload.M3OS) error {
+			// The first operation comes from the last client through the
+			// start barrier, before any other client resumes: from here
+			// on every span belongs to steady-state traffic.
+			armed = true
+			return etailOp(w, os, i, buf)
+		},
+	}.run(M3Options{Obs: tracer, Engine: engCfg})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &ETailWorkloadResult{
 		Workload: w.Name,
 		M3:       ETailSystem{System: "m3", Requests: cp.Completed()},
 		SLOState: tail.State().String(),
-		Stats:    RunStats{ExecutedEvents: s.eng.ExecutedEvents(), FinalTime: s.eng.Now()},
+		Stats:    r.Stats,
 	}
 	res.SLOGood, res.SLOTotal = tail.Counts()
 	res.SLOTransitions = tail.Transitions()
@@ -285,75 +231,6 @@ type lxReq struct {
 	blame obs.BlameVec
 }
 
-// lxTimedOS wraps the Linux workload.OS so that every individual call
-// — the same granularity as M3's root spans — lands in the request
-// population via rec.
-type lxTimedOS struct {
-	workload.OS
-	rec func(func() error) error
-}
-
-func (t *lxTimedOS) Open(path string, flags workload.OpenFlags) (workload.File, error) {
-	var f workload.File
-	err := t.rec(func() error {
-		var e error
-		f, e = t.OS.Open(path, flags)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &lxTimedFile{f: f, rec: t.rec}, nil
-}
-
-func (t *lxTimedOS) Stat(path string) (workload.Stat, error) {
-	var st workload.Stat
-	err := t.rec(func() error {
-		var e error
-		st, e = t.OS.Stat(path)
-		return e
-	})
-	return st, err
-}
-
-// lxTimedFile times the read/write/close calls; Seek passes through
-// untimed (on M3 it is client-local bookkeeping, never a request).
-type lxTimedFile struct {
-	f   workload.File
-	rec func(func() error) error
-}
-
-func (f *lxTimedFile) Read(buf []byte) (int, error) {
-	var n int
-	err := f.rec(func() error {
-		var e error
-		n, e = f.f.Read(buf)
-		return e
-	})
-	return n, err
-}
-
-func (f *lxTimedFile) Write(buf []byte) (int, error) {
-	var n int
-	err := f.rec(func() error {
-		var e error
-		n, e = f.f.Write(buf)
-		return e
-	})
-	return n, err
-}
-
-func (f *lxTimedFile) Close() error {
-	return f.rec(func() error { return f.f.Close() })
-}
-
-func (f *lxTimedFile) Seek(off int64, whence int) (int64, error) {
-	if sf, ok := f.f.(workload.SeekableFile); ok {
-		return sf.Seek(off, whence)
-	}
-	return 0, fmt.Errorf("etail: underlying file not seekable")
-}
-
 // runETailLx drives the same offered schedule on the Linux model (one
 // process — the monolithic-kernel baseline has no per-PE fleet) and
 // derives per-operation blame from the linuxos.Stats deltas.
@@ -364,18 +241,16 @@ func runETailLx(w ETailWorkload) (ETailSystem, error) {
 	var runErr error
 	sys.Spawn("tail", func(pr *linuxos.Proc) {
 		os := workload.NewLxOS(sys, pr)
-		if err := writeFilePattern(os, "/probe", 64); err != nil {
+		if err := etailClientSetup(os); err != nil {
 			runErr = err
 			return
 		}
-		if err := writeFilePattern(os, "/data", etailFileSize); err != nil {
-			runErr = err
-			return
-		}
-		record := func(op func() error) error {
+		// Every individual call — the granularity of M3's root spans —
+		// joins the request population.
+		record := func(_ int, call func() error) error {
 			pre := sys.Stats
 			t0 := pr.P().Now()
-			err := op()
+			err := call()
 			if err != nil {
 				return err
 			}
@@ -389,7 +264,7 @@ func runETailLx(w ETailWorkload) (ETailSystem, error) {
 			reqs = append(reqs, lxReq{lat: lat, blame: blame})
 			return nil
 		}
-		tos := &lxTimedOS{OS: os, rec: record}
+		tos := &timedOS{OS: os, rec: record}
 		buf := make([]byte, etailBufSize)
 		base := pr.P().Now()
 		// One process serves the whole fleet's schedule: merge the

@@ -14,7 +14,7 @@ import (
 
 // End-to-end tests for the critical-path attribution and SLO layer:
 // byte-identical reports across repetitions and engine configurations
-// (the m3slo determinism acceptance gate), report stability under
+// (the `m3sim slo` determinism acceptance gate), report stability under
 // chaos-tier fault injection with service recovery, the engine
 // equivalence of the E-tail experiment, and the zero-overhead-when-off
 // proof for the attribution/SLO sink.
@@ -34,7 +34,7 @@ func benchSLOSet() *obs.SLOSet {
 	return s
 }
 
-// writeCritPathReport serializes everything m3slo reports — counters,
+// writeCritPathReport serializes everything `m3sim slo` reports — counters,
 // quantile blame, exemplar trees event by event, folded stacks, and
 // the SLO snapshot — into one deterministic byte blob.
 func writeCritPathReport(t *testing.T, cp *obs.CritPath, slos *obs.SLOSet) []byte {
@@ -80,7 +80,7 @@ func critPathRun(t *testing.T, b workload.Benchmark, cfg sim.Config) (RunStats, 
 
 // TestCritPathReportDeterministic: three runs of the same workload
 // must produce byte-identical attribution reports — counters, quantile blame, exemplar span trees, folded
-// stacks, and SLO snapshot (the m3slo acceptance gate).
+// stacks, and SLO snapshot (the `m3sim slo` acceptance gate).
 func TestCritPathReportDeterministic(t *testing.T) {
 	b, err := workload.ByName("tar")
 	if err != nil {

@@ -73,7 +73,7 @@ type M3Options struct {
 	Engine sim.Config
 	// DispatchCostDelta perturbs the kernel's per-syscall dispatch cost
 	// (core.CostDispatch) by the given number of cycles — the seeded
-	// regression of the m3diff self-test. Zero (the default) leaves the
+	// regression of the `m3sim diff` self-test. Zero (the default) leaves the
 	// cost table untouched and the run bit-identical.
 	DispatchCostDelta sim.Time
 	// Overload, when set, arms the end-to-end overload-control stack
@@ -107,6 +107,9 @@ type m3System struct {
 	kern *core.Kernel
 }
 
+// bootM3 boots a platform with m3fs running, for the measurements that
+// drive libm3 directly instead of a workload (RunEPMuxAblation and
+// NullSyscallM3); every workload run boots through Scenario.
 func bootM3(opt M3Options, appPEs int) *m3System {
 	s := bootM3NoFS(opt, appPEs)
 	if _, err := s.kern.StartInit("m3fs", tile.CoreXtensa, m3fs.Program(s.kern, opt.FS, nil)); err != nil {
@@ -115,8 +118,8 @@ func bootM3(opt M3Options, appPEs int) *m3System {
 	return s
 }
 
-// bootM3NoFS builds the platform and kernel without starting m3fs, for
-// harness variants that need the service handle.
+// bootM3NoFS builds the platform and kernel without starting m3fs;
+// Scenario starts its own, with a handle on the service.
 func bootM3NoFS(opt M3Options, appPEs int) *m3System {
 	eng := sim.NewEngineWith(opt.Engine)
 	types := []tile.CoreType{tile.CoreXtensa, tile.CoreXtensa} // kernel, m3fs
@@ -166,14 +169,14 @@ func bootM3NoFS(opt M3Options, appPEs int) *m3System {
 // xferCycles estimates the DTU data-transfer cycles from the hardware
 // counters: streamed bytes at 8 B/cycle plus the fixed per-transfer
 // DRAM/NoC latency.
-func (s *m3System) xferCycles() sim.Time {
+func xferCycles(plat *tile.Platform) sim.Time {
 	var bytes, ops uint64
-	for _, pe := range s.plat.PEs {
+	for _, pe := range plat.PEs {
 		st := pe.DTU.Stats
 		bytes += st.BytesRead + st.BytesWritten
 		ops += st.MemReads + st.MemWrites
 	}
-	perOp := s.plat.DRAM.Latency() + 8 // latency + a few hops
+	perOp := plat.DRAM.Latency() + 8 // latency + a few hops
 	return sim.Time(bytes/8) + sim.Time(ops)*perOp
 }
 

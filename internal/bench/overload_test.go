@@ -7,10 +7,8 @@ import (
 
 	"repro/internal/dtu"
 	"repro/internal/kif"
-	"repro/internal/m3"
 	"repro/internal/overload"
 	"repro/internal/sim"
-	"repro/internal/tile"
 	"repro/internal/workload"
 )
 
@@ -139,47 +137,23 @@ func TestOverloadIdleBitIdentical(t *testing.T) {
 // slows the herd down without losing anyone.
 func TestOverloadKernelShed(t *testing.T) {
 	const clients = 6
-	s := bootM3(M3Options{Overload: &OverloadSpec{
-		Shed: overload.ShedConfig{LowWatermark: 1},
-	}}, clients)
-	mounted := 0
-	var runErr error
-	for i := 0; i < clients; i++ {
-		ci := i
-		_, err := s.kern.StartInit(fmt.Sprintf("herd%d", ci), tile.CoreXtensa, func(ctx *tile.Ctx) {
-			env := m3.NewEnv(ctx, s.kern)
-			os, err := workload.NewM3OS(env)
-			if err != nil {
-				runErr = fmt.Errorf("client %d: %w", ci, err)
-				return
-			}
-			if err := os.Mkdir(fmt.Sprintf("/h%d", ci)); err != nil {
-				runErr = fmt.Errorf("client %d mkdir: %w", ci, err)
-				return
-			}
-			mounted++
-			env.Exit(0)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.eng.Run()
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if mounted != clients {
-		t.Fatalf("only %d/%d clients mounted", mounted, clients)
-	}
-	if s.kern.Stats.CallsShed == 0 {
+	// Every instance mounts at boot and creates its /i<k> directory;
+	// Run fails unless all six get that far.
+	herd := workload.Benchmark{Name: "herd", PEs: 1,
+		Setup: func(workload.OS) error { return nil },
+		Run:   func(workload.OS) error { return nil }}
+	r := mustRun(t, Scenario{Workload: herd, Instances: clients, M3Options: M3Options{
+		Overload: &OverloadSpec{Shed: overload.ShedConfig{LowWatermark: 1}},
+	}})
+	if r.Kern.Stats.CallsShed == 0 {
 		t.Error("kernel shed controller never fired under a concurrent mount herd at watermark 1")
 	}
-	if s.kern.Stats.CallsShed != s.kern.Stats.CallsRefused {
+	if r.Kern.Stats.CallsShed != r.Kern.Stats.CallsRefused {
 		// Every kernel-side shed surfaces to exactly one caller as a
 		// refusal (the fast-fail refusals counted at callService's reply
 		// collection are the DTU-level ones, counted separately).
 		t.Logf("note: CallsShed=%d CallsRefused=%d (DTU-level refusals ride the same counter)",
-			s.kern.Stats.CallsShed, s.kern.Stats.CallsRefused)
+			r.Kern.Stats.CallsShed, r.Kern.Stats.CallsRefused)
 	}
 }
 
@@ -188,50 +162,36 @@ func TestOverloadKernelShed(t *testing.T) {
 // has its requests dropped at the m3fs DTU before the service ever
 // sees them, and the client observes a timeout — not a hang.
 func TestOverloadDeadlineExpiry(t *testing.T) {
-	s := bootM3(M3Options{Overload: &OverloadSpec{RxWatermark: 64}}, 1)
 	var statErrs []error
-	var runErr error
-	_, err := s.kern.StartInit("deadline", tile.CoreXtensa, func(ctx *tile.Ctx) {
-		env := m3.NewEnv(ctx, s.kern)
-		os, err := workload.NewM3OS(env)
-		if err != nil {
-			runErr = err
-			return
-		}
-		f, err := os.Open("/probe", workload.Write|workload.Create|workload.Trunc)
-		if err != nil {
-			runErr = err
-			return
-		}
-		if err := f.Close(); err != nil {
-			runErr = err
-			return
-		}
-		os.FS.ShedRetryAttempts = -1
-		// Arm an impossible budget on this PE only: every stat now stamps
-		// a 1-cycle deadline that expires in flight.
-		ctx.PE.DTU.EnableOverload(&dtu.OverloadConfig{CallDeadline: 1})
-		for i := 0; i < 4; i++ {
-			if _, serr := os.FS.Stat("/probe"); serr != nil {
-				statErrs = append(statErrs, serr)
+	deadline := workload.Benchmark{Name: "deadline", PEs: 1,
+		Setup: func(os workload.OS) error {
+			f, err := os.Open("/probe", workload.Write|workload.Create|workload.Trunc)
+			if err != nil {
+				return err
 			}
-			ctx.P.Sleep(2048) // let fast-fail credit restoration settle
-		}
-		// Disarm before teardown so exit-path traffic is unbounded again.
-		ctx.PE.DTU.EnableOverload(nil)
-		if _, serr := os.FS.Stat("/probe"); serr != nil {
-			runErr = fmt.Errorf("post-disarm stat: %w", serr)
-			return
-		}
-		env.Exit(0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.eng.Run()
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
+			return f.Close()
+		},
+		Run: func(wos workload.OS) error {
+			os := wos.(*workload.M3OS)
+			ctx := os.Env.Ctx
+			os.FS.ShedRetryAttempts = -1
+			// Arm an impossible budget on this PE only: every stat now
+			// stamps a 1-cycle deadline that expires in flight.
+			ctx.PE.DTU.EnableOverload(&dtu.OverloadConfig{CallDeadline: 1})
+			for i := 0; i < 4; i++ {
+				if _, serr := os.FS.Stat("/probe"); serr != nil {
+					statErrs = append(statErrs, serr)
+				}
+				ctx.P.Sleep(2048) // let fast-fail credit restoration settle
+			}
+			// Disarm before teardown so exit-path traffic is unbounded again.
+			ctx.PE.DTU.EnableOverload(nil)
+			if _, serr := os.FS.Stat("/probe"); serr != nil {
+				return fmt.Errorf("post-disarm stat: %w", serr)
+			}
+			return nil
+		}}
+	r := mustRun(t, Scenario{Workload: deadline, M3Options: M3Options{Overload: &OverloadSpec{RxWatermark: 64}}})
 	if len(statErrs) != 4 {
 		t.Fatalf("expected all 4 deadline-armed stats to fail, got %d errors: %v", len(statErrs), statErrs)
 	}
@@ -246,7 +206,7 @@ func TestOverloadDeadlineExpiry(t *testing.T) {
 	if !errors.Is(statErrs[3], kif.ErrOverload) {
 		t.Errorf("fourth stat surfaced as %v, want the open breaker's overload fast-fail", statErrs[3])
 	}
-	if s.plat.PEs[1].DTU.Stats.DeadlineDrops == 0 {
+	if r.Plat.PEs[1].DTU.Stats.DeadlineDrops == 0 {
 		t.Error("m3fs DTU recorded no deadline drops; expired requests reached the service")
 	}
 }

@@ -8,10 +8,8 @@ import (
 	"sort"
 
 	"repro/internal/kif"
-	"repro/internal/m3"
 	"repro/internal/overload"
 	"repro/internal/sim"
-	"repro/internal/tile"
 	"repro/internal/workload"
 )
 
@@ -105,122 +103,68 @@ func runELoadPoint(interval sim.Time, armed bool, engCfg sim.Config) (*ELoadPoin
 	if armed {
 		opt.Overload = ELoadSpec()
 	}
-	s := bootM3(opt, eloadClients)
 	recs := make([][]eloadRec, eloadClients)
-	starts := make([]sim.Time, eloadClients)
-	ends := make([]sim.Time, eloadClients)
-	ready := 0
-	startSig := sim.NewSignal(s.eng)
-	// Setup (mount, mkdir, file create) runs one client at a time: the
-	// experiment measures overload behavior of the steady-state stat
-	// traffic, not of a thundering-herd boot, and serial setup keeps the
-	// armed runs from shedding their own scaffolding.
-	setupTurn := 0
-	turnSig := sim.NewSignal(s.eng)
-	var runErr error
-	for i := 0; i < eloadClients; i++ {
-		ci := i
-		prefix := fmt.Sprintf("/c%d", ci)
-		_, err := s.kern.StartInit(fmt.Sprintf("load%d", ci), tile.CoreXtensa, func(ctx *tile.Ctx) {
-			for setupTurn != ci {
-				turnSig.Wait(ctx.P)
-			}
-			env := m3.NewEnv(ctx, s.kern)
-			os, err := workload.NewM3OS(env)
-			if err != nil {
-				runErr = err
-				return
-			}
-			os.Prefix = prefix
-			if err := os.Mkdir(""); err != nil {
-				runErr = err
-				return
-			}
+	r, err := fleet{
+		clients: eloadClients,
+		setup: func(os *workload.M3OS) error {
 			f, err := os.Open("/probe", workload.Write|workload.Create|workload.Trunc)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			if _, err := f.Write(make([]byte, 64)); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			if err := f.Close(); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			// The driver measures raw fast-fail latency and counts every
 			// arrival exactly once: client-internal retries off.
 			os.FS.ShedRetryAttempts = -1
-			path := prefix + "/probe"
-			setupTurn++
-			turnSig.Broadcast()
-			ready++
-			if ready == eloadClients {
-				startSig.Broadcast()
-			} else {
-				startSig.Wait(ctx.P)
-			}
-			base := ctx.Now()
-			starts[ci] = base
-			gen := overload.NewGen(overload.BurstConfig{
+			return nil
+		},
+		arrivals: func(k int) *overload.Gen {
+			return overload.NewGen(overload.BurstConfig{
 				Seed:     eloadSeed,
 				Shape:    overload.ShapeConstant,
 				Interval: interval,
 				Count:    eloadOps,
 				Jitter:   eloadJitter,
-			}, uint64(ci))
-			for {
-				at, ok := gen.Next()
-				if !ok {
-					break
-				}
-				if interval > 0 {
-					// Open loop: arrivals are absolute. A client running
-					// behind fires immediately — offered load never slows
-					// down to match the service.
-					if target := base + at; ctx.Now() < target {
-						ctx.P.Sleep(target - ctx.Now())
-					}
-				}
-				t0 := ctx.Now()
-				_, serr := os.FS.Stat(path)
-				rec := eloadRec{lat: ctx.Now() - t0}
-				switch {
-				case serr == nil:
-				case errors.Is(serr, kif.ErrOverload):
-					rec.outcome = 1
-				case errors.Is(serr, kif.ErrTimeout):
-					rec.outcome = 2
-				default:
-					rec.outcome = 3
-				}
-				recs[ci] = append(recs[ci], rec)
+			}, uint64(k))
+		},
+		closed: interval == 0,
+		op: func(k, _ int, os *workload.M3OS) error {
+			ctx := os.Env.Ctx
+			t0 := ctx.Now()
+			_, serr := os.FS.Stat(os.Prefix + "/probe")
+			rec := eloadRec{lat: ctx.Now() - t0}
+			switch {
+			case serr == nil:
+			case errors.Is(serr, kif.ErrOverload):
+				rec.outcome = 1
+			case errors.Is(serr, kif.ErrTimeout):
+				rec.outcome = 2
+			default:
+				rec.outcome = 3
 			}
-			ends[ci] = ctx.Now()
-			env.Exit(0)
-		})
-		if err != nil {
-			return nil, err
-		}
+			recs[k] = append(recs[k], rec)
+			return nil
+		},
+	}.run(opt)
+	if err != nil {
+		return nil, err
 	}
-	s.eng.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	res := &ELoadPoint{
-		Stats: RunStats{ExecutedEvents: s.eng.ExecutedEvents(), FinalTime: s.eng.Now()},
-	}
+	res := &ELoadPoint{Stats: r.Stats}
 	h := fnv.New64a()
 	var sumRTT, sumShed sim.Time
 	var admittedLats []sim.Time
 	var minStart, maxEnd sim.Time
 	for ci := range recs {
-		if ci == 0 || starts[ci] < minStart {
-			minStart = starts[ci]
+		o := r.Outcomes[ci]
+		if ci == 0 || o.StartAt < minStart {
+			minStart = o.StartAt
 		}
-		if ends[ci] > maxEnd {
-			maxEnd = ends[ci]
+		if o.EndAt > maxEnd {
+			maxEnd = o.EndAt
 		}
 		for i, r := range recs[ci] {
 			fmt.Fprintf(h, "%d %d %d %d\n", ci, i, r.outcome, r.lat)
@@ -252,11 +196,11 @@ func runELoadPoint(interval sim.Time, armed bool, engCfg sim.Config) (*ELoadPoin
 	if res.Shed > 0 {
 		res.MeanShedLat = sumShed / sim.Time(res.Shed)
 	}
-	fsDTU := s.plat.PEs[1].DTU
+	fsDTU := r.Plat.PEs[1].DTU
 	res.AdmitRefusals = fsDTU.Stats.OverloadRefused
 	res.DeadlineDrops = fsDTU.Stats.DeadlineDrops
-	res.KernelShed = s.kern.Stats.CallsShed
-	res.BreakerOpens = s.kern.Stats.BreakerRejects
+	res.KernelShed = r.Kern.Stats.CallsShed
+	res.BreakerOpens = r.Kern.Stats.BreakerRejects
 	fmt.Fprintf(h, "ev=%d ft=%d ref=%d dd=%d ks=%d br=%d\n",
 		res.Stats.ExecutedEvents, res.Stats.FinalTime,
 		res.AdmitRefusals, res.DeadlineDrops, res.KernelShed, res.BreakerOpens)

@@ -62,7 +62,7 @@ type BenchFile struct {
 	Experiments []BenchExperiment `json:"experiments"`
 	// Captures are the optional run captures (`m3bench -capture`), one
 	// per distinct experiment workload in workload-name order. They are
-	// input to regression attribution (diffreport.go, cmd/m3diff) and
+	// input to regression attribution (diffreport.go, `m3sim diff`) and
 	// carry their own schema version; files without captures diff and
 	// parse exactly as before.
 	Captures []*obs.RunCapture `json:"captures,omitempty"`

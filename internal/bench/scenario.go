@@ -14,17 +14,24 @@ import (
 
 // Scenario is one M3 run of a workload: a kernel, an m3fs, and the
 // workload's instances on one platform. Every workload.Benchmark run
-// on M3 — the figures, the ablations, the chaos tier, the differential
-// harness and the CLIs — boots through Scenario.Run.
+// on M3 — the figures, the utilization, latency and load experiments,
+// the ablations, the chaos tier, the differential harness and m3sim —
+// boots through Scenario.Run.
 type Scenario struct {
 	// Workload is the benchmark every instance runs.
 	Workload workload.Benchmark
 	// Instances selects the run shape. Zero runs one unprefixed
-	// instance named "app" (Figures 3–5, 7 and the CLIs). n > 0 runs n
+	// instance named "app" (Figures 3–5, 7 and m3sim). n > 0 runs n
 	// instances named "app<k>", each in its own /i<k> directory, that
 	// enter their run phase together behind a start barrier (Figure 6,
-	// the ablations, the chaos tier and the differential harness).
+	// the ablations, the chaos tier, the differential harness and the
+	// client fleets of E-tail and E-load).
 	Instances int
+	// SerialSetup runs the instances' setup phases one at a time in
+	// instance order, the m3fs mount included, so that the run phase
+	// measures steady-state traffic rather than a thundering-herd boot
+	// (E-tail and E-load). It applies only with Instances > 0.
+	SerialSetup bool
 	// Faults, if set, is attached after every VPE is queued and before
 	// the engine runs, so crash times are absolute simulation cycles.
 	// Under faults a failed instance is a result, reported through its
@@ -80,9 +87,20 @@ type Result struct {
 // finish is a harness bug and Run returns its error along with the
 // result.
 func (sc Scenario) Run() (*Result, error) {
-	b := sc.Workload
+	r, err := sc.boot()
+	if err != nil {
+		return nil, err
+	}
+	return r, sc.run(r)
+}
+
+// boot builds the platform and queues m3fs, every instance and the
+// fault layer without running the engine. Callers inside the package
+// that must watch the run from its first cycle (RunUtilization's per-PE
+// idle series) hook in between boot and run.
+func (sc Scenario) boot() (*Result, error) {
 	n := max(sc.Instances, 1)
-	s := bootM3NoFS(sc.M3Options, n*b.PEs)
+	s := bootM3NoFS(sc.M3Options, n*sc.Workload.PEs)
 	r := &Result{Eng: s.eng, Plat: s.plat, Kern: s.kern, Outcomes: make([]Outcome, n)}
 	fsProg := m3fs.Program(s.kern, sc.FS, func(svc *m3fs.Service) {
 		r.FS = svc
@@ -97,28 +115,20 @@ func (sc Scenario) Run() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: starting m3fs: %w", err)
 	}
-	var barrier func(*sim.Process)
+	var g *gate
 	if sc.Instances > 0 {
-		ready := 0
-		startSig := sim.NewSignal(s.eng)
-		barrier = func(p *sim.Process) {
-			ready++
-			if ready == n {
-				startSig.Broadcast()
-			} else {
-				startSig.Wait(p)
-			}
+		g = &gate{n: n, start: sim.NewSignal(s.eng)}
+		if sc.SerialSetup {
+			g.next = sim.NewSignal(s.eng)
 		}
 	}
-	for i := range r.Outcomes {
-		out := &r.Outcomes[i]
+	for k := range r.Outcomes {
+		out := &r.Outcomes[k]
 		out.Name = "app"
-		prefix := ""
 		if sc.Instances > 0 {
-			out.Name = fmt.Sprintf("app%d", i)
-			prefix = fmt.Sprintf("/i%d", i)
+			out.Name = fmt.Sprintf("app%d", k)
 		}
-		if out.VPE, err = s.kern.StartInit(out.Name, tile.CoreXtensa, sc.instance(s, out, prefix, barrier)); err != nil {
+		if out.VPE, err = s.kern.StartInit(out.Name, tile.CoreXtensa, sc.instance(r, k, g)); err != nil {
 			return nil, fmt.Errorf("bench: starting %s: %w", out.Name, err)
 		}
 	}
@@ -127,35 +137,83 @@ func (sc Scenario) Run() (*Result, error) {
 			return nil, fmt.Errorf("bench: attaching faults: %w", err)
 		}
 	}
-	s.eng.Run()
-	r.Stats = RunStats{ExecutedEvents: s.eng.ExecutedEvents(), FinalTime: s.eng.Now()}
-	failed := s.eng.Deadlocked()
+	return r, nil
+}
+
+// run runs a booted scenario to completion and fills in r.
+func (sc Scenario) run(r *Result) error {
+	r.Eng.Run()
+	r.Stats = RunStats{ExecutedEvents: r.Eng.ExecutedEvents(), FinalTime: r.Eng.Now()}
+	failed := r.Eng.Deadlocked()
 	for i := range r.Outcomes {
 		failed = failed || !r.Outcomes[i].Finished
 	}
 	if failed && sc.Obs.FlightRecording() {
 		r.FlightDump = sc.Obs.FlightDump()
 	}
-	if sc.Faults == nil {
-		for _, o := range r.Outcomes {
-			if o.Err != nil {
-				return r, fmt.Errorf("%s: %w", o.Name, o.Err)
-			}
-			if !o.Finished {
-				return r, fmt.Errorf("bench: instance %s did not finish", o.Name)
-			}
+	if sc.Faults != nil {
+		return nil
+	}
+	// A failed instance leaves the others waiting at the start barrier,
+	// so its error comes before any "did not finish".
+	for _, o := range r.Outcomes {
+		if o.Err != nil {
+			return fmt.Errorf("%s: %w", o.Name, o.Err)
 		}
 	}
-	return r, nil
+	for _, o := range r.Outcomes {
+		if !o.Finished {
+			return fmt.Errorf("bench: instance %s did not finish", o.Name)
+		}
+	}
+	return nil
 }
 
-// instance is the program of one workload instance: setup, the start
-// barrier (if any), then the measured run phase. Failures end the
-// instance with exit code 1 and land in out.Err.
-func (sc Scenario) instance(s *m3System, out *Outcome, prefix string, barrier func(*sim.Process)) core.Program {
+// gate sequences the instances of a multi-instance scenario. Under
+// SerialSetup instance k waits for setup turn k before it mounts m3fs
+// and hands the turn on once its setup is done; every instance then
+// waits at the start barrier until all n are ready. A nil gate (one
+// unprefixed instance) never blocks.
+type gate struct {
+	n, ready, turn int
+	start          *sim.Signal
+	next           *sim.Signal // nil without SerialSetup
+}
+
+// awaitTurn blocks instance k until its setup turn.
+func (g *gate) awaitTurn(p *sim.Process, k int) {
+	for g != nil && g.next != nil && g.turn != k {
+		g.next.Wait(p)
+	}
+}
+
+// arrive ends the caller's setup: it hands on the setup turn and
+// waits at the start barrier.
+func (g *gate) arrive(p *sim.Process) {
+	if g == nil {
+		return
+	}
+	if g.next != nil {
+		g.turn++
+		g.next.Broadcast()
+	}
+	g.ready++
+	if g.ready == g.n {
+		g.start.Broadcast()
+	} else {
+		g.start.Wait(p)
+	}
+}
+
+// instance is the program of instance k: setup, the start barrier (if
+// any), then the measured run phase. Failures end the instance with
+// exit code 1 and land in its Outcome's Err.
+func (sc Scenario) instance(r *Result, k int, g *gate) core.Program {
 	b := sc.Workload
+	out := &r.Outcomes[k]
 	return func(ctx *tile.Ctx) {
-		env := m3.NewEnv(ctx, s.kern)
+		g.awaitTurn(ctx.P, k)
+		env := m3.NewEnv(ctx, r.Kern)
 		fail := func(err error) {
 			out.Err = err
 			env.Exit(1)
@@ -170,8 +228,8 @@ func (sc Scenario) instance(s *m3System, out *Outcome, prefix string, barrier fu
 			os.FS.AppendBlocks = sc.AppendBlocks
 		}
 		os.FS.NoMerge = sc.NoMerge
-		if prefix != "" {
-			os.Prefix = prefix
+		if sc.Instances > 0 {
+			os.Prefix = fmt.Sprintf("/i%d", k)
 			if err := os.Mkdir(""); err != nil {
 				fail(err)
 				return
@@ -181,11 +239,9 @@ func (sc Scenario) instance(s *m3System, out *Outcome, prefix string, barrier fu
 			fail(err)
 			return
 		}
-		if barrier != nil {
-			barrier(ctx.P)
-		}
+		g.arrive(ctx.P)
 		os.ResetAppCycles()
-		xferBase := s.xferCycles()
+		xferBase := xferCycles(r.Plat)
 		out.StartAt = ctx.Now()
 		err = b.Run(os)
 		out.EndAt = ctx.Now()
@@ -195,7 +251,7 @@ func (sc Scenario) instance(s *m3System, out *Outcome, prefix string, barrier fu
 		}
 		out.RunTime = out.EndAt - out.StartAt
 		out.App = sim.Time(os.AppCycles())
-		out.Xfer = s.xferCycles() - xferBase
+		out.Xfer = xferCycles(r.Plat) - xferBase
 		out.Finished = true
 		env.Exit(0)
 	}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/m3"
 	"repro/internal/m3fs"
-	"repro/internal/tile"
 	"repro/internal/workload"
 )
 
@@ -17,64 +15,46 @@ import (
 // sessions, and the DRAM allocator must all stay consistent across
 // many create/exit cycles.
 func TestSoakAllBenchmarksOneSystem(t *testing.T) {
-	var fsSvc *m3fs.Service
-	opt := M3Options{ExtraPEs: 2, DRAMSize: 256 << 20, FS: m3fs.Config{RegionSize: 128 << 20}}
-	s := bootM3Soak(opt, 2, &fsSvc)
-	var failed string
-	_, err := s.kern.StartInit("soak", tile.CoreXtensa, func(ctx *tile.Ctx) {
-		env := m3.NewEnv(ctx, s.kern)
-		os, err := workload.NewM3OS(env)
-		if err != nil {
-			failed = err.Error()
-			return
-		}
-		for round := 0; round < 2; round++ {
-			for _, b := range workload.All() {
-				os.Prefix = fmt.Sprintf("/r%d-%s", round, b.Name)
-				if err := os.Mkdir(""); err != nil {
-					failed = fmt.Sprintf("%s round %d mkdir: %v", b.Name, round, err)
-					return
-				}
-				if err := b.Setup(os); err != nil {
-					failed = fmt.Sprintf("%s round %d setup: %v", b.Name, round, err)
-					return
-				}
-				if err := b.Run(os); err != nil {
-					failed = fmt.Sprintf("%s round %d run: %v", b.Name, round, err)
-					return
-				}
-				if fsSvc != nil {
-					if err := fsSvc.FS().CheckInvariants(); err != nil {
-						failed = fmt.Sprintf("%s round %d fsck: %v", b.Name, round, err)
-						return
+	var r *Result
+	soak := workload.Benchmark{Name: "soak", PEs: 2,
+		Setup: func(workload.OS) error { return nil },
+		Run: func(wos workload.OS) error {
+			os := wos.(*workload.M3OS)
+			for round := 0; round < 2; round++ {
+				for _, b := range workload.All() {
+					os.Prefix = fmt.Sprintf("/r%d-%s", round, b.Name)
+					if err := os.Mkdir(""); err != nil {
+						return fmt.Errorf("%s round %d mkdir: %w", b.Name, round, err)
+					}
+					if err := b.Setup(os); err != nil {
+						return fmt.Errorf("%s round %d setup: %w", b.Name, round, err)
+					}
+					if err := b.Run(os); err != nil {
+						return fmt.Errorf("%s round %d run: %w", b.Name, round, err)
+					}
+					if err := r.FS.FS().CheckInvariants(); err != nil {
+						return fmt.Errorf("%s round %d fsck: %w", b.Name, round, err)
 					}
 				}
 			}
-		}
-		env.Exit(0)
-	})
+			return nil
+		}}
+	// Booted and run in two steps, so the program can reach the m3fs
+	// service handle while it runs.
+	sc := Scenario{Workload: soak, M3Options: M3Options{
+		ExtraPEs: 2, DRAMSize: 256 << 20, FS: m3fs.Config{RegionSize: 128 << 20}}}
+	r, err := sc.boot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.eng.Run()
-	if failed != "" {
-		t.Fatal(failed)
+	if err := sc.run(r); err != nil {
+		t.Fatal(err)
 	}
 	var drops uint64
-	for _, pe := range s.plat.PEs {
+	for _, pe := range r.Plat.PEs {
 		drops += pe.DTU.Stats.MsgsDropped
 	}
 	if drops > 0 {
 		t.Fatalf("%d messages dropped during the soak", drops)
 	}
-}
-
-// bootM3Soak is bootM3 with access to the m3fs service handle.
-func bootM3Soak(opt M3Options, appPEs int, svc **m3fs.Service) *m3System {
-	s := bootM3NoFS(opt, appPEs)
-	if _, err := s.kern.StartInit("m3fs", tile.CoreXtensa,
-		m3fs.Program(s.kern, opt.FS, func(sv *m3fs.Service) { *svc = sv })); err != nil {
-		panic(err)
-	}
-	return s
 }

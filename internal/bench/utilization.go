@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/m3"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/tile"
 	"repro/internal/workload"
 )
 
@@ -56,50 +54,38 @@ type UtilizationResult struct {
 
 // RunUtilization executes b once on M3 and reports per-PE utilization
 // over the run phase, derived from the registry-sampled idle series.
+// The series are registered between boot and run, so they are sampled
+// from the first tick on.
 func RunUtilization(b workload.Benchmark) (*UtilizationResult, error) {
 	tr := obs.New(obs.Options{})
-	s := bootM3(M3Options{Obs: tr, SampleEvery: utilSampleEvery}, b.PEs)
-	res := &UtilizationResult{Benchmark: b.Name, SampleEvery: utilSampleEvery}
-	for _, pe := range s.plat.PEs {
-		d := pe.DTU
-		tr.Metrics().Series(MPEIdle, pe.ID, func() int64 {
-			return int64(d.IdleCyclesAt(s.eng.Now()))
-		})
+	var r *Result
+	var idleBase []uint64
+	rb := b
+	rb.Run = func(os workload.OS) error {
+		// The run phase starts: note each PE's idle cycles for the
+		// exact fallback below.
+		for _, pe := range r.Plat.PEs {
+			idleBase = append(idleBase, pe.DTU.IdleCyclesAt(r.Eng.Now()))
+		}
+		return b.Run(os)
 	}
-	var runErr error
-	idleBase := make([]uint64, len(s.plat.PEs))
-	var start, end sim.Time
-	_, err := s.kern.StartInit("app", tile.CoreXtensa, func(ctx *tile.Ctx) {
-		env := m3.NewEnv(ctx, s.kern)
-		os, err := workload.NewM3OS(env)
-		if err != nil {
-			runErr = err
-			return
-		}
-		if err := b.Setup(os); err != nil {
-			runErr = err
-			return
-		}
-		for i, pe := range s.plat.PEs {
-			idleBase[i] = pe.DTU.IdleCyclesAt(ctx.Now())
-		}
-		start = ctx.Now()
-		if err := b.Run(os); err != nil {
-			runErr = err
-			return
-		}
-		end = ctx.Now()
-		res.Elapsed = end - start
-		env.Exit(0)
-	})
+	sc := Scenario{Workload: rb, M3Options: M3Options{Obs: tr, SampleEvery: utilSampleEvery}}
+	r, err := sc.boot()
 	if err != nil {
 		return nil, err
 	}
-	s.eng.Run()
-	if runErr != nil {
-		return nil, runErr
+	for _, pe := range r.Plat.PEs {
+		d := pe.DTU
+		tr.Metrics().Series(MPEIdle, pe.ID, func() int64 {
+			return int64(d.IdleCyclesAt(r.Eng.Now()))
+		})
 	}
-	for i, pe := range s.plat.PEs {
+	if err := sc.run(r); err != nil {
+		return nil, err
+	}
+	res := &UtilizationResult{Benchmark: b.Name, SampleEvery: utilSampleEvery, Elapsed: r.Outcomes[0].RunTime}
+	start, end := r.Outcomes[0].StartAt, r.Outcomes[0].EndAt
+	for i, pe := range r.Plat.PEs {
 		series := tr.Metrics().Series(MPEIdle, pe.ID, nil).Samples()
 		idle, window := idleOverRun(series, utilSampleEvery, start, end)
 		if window == 0 {

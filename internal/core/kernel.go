@@ -145,7 +145,7 @@ type Kernel struct {
 	// costDelta perturbs the syscall dispatch cost (added to
 	// CostDispatch on every handled syscall). It exists for the
 	// differential-observability self-test: a seeded kernel-side cost
-	// regression that m3diff must attribute to the kernel layer. Zero
+	// regression that `m3sim diff` must attribute to the kernel layer. Zero
 	// (the default) charges exactly the cost table and schedules
 	// nothing extra, keeping unperturbed runs bit-identical.
 	costDelta sim.Time
@@ -233,7 +233,7 @@ func Boot(plat *tile.Platform, kernelPE int) *Kernel {
 }
 
 // PerturbSyscallCost adds delta cycles to every syscall dispatch — a
-// seeded kernel-side regression for the m3diff self-test (`make
+// seeded kernel-side regression for the `m3sim diff` self-test (`make
 // diff-smoke`). Call before the engine runs; a zero delta leaves the
 // run bit-identical to an unperturbed one.
 func (k *Kernel) PerturbSyscallCost(delta sim.Time) { k.costDelta = delta }

@@ -10,8 +10,8 @@ import (
 // instrumented run observed — the folded cycle-attribution profile,
 // the metrics registry, the latency histograms, and the critical-path
 // blame summary — bundled into one schema-versioned value. A capture
-// is the unit the differential-observability layer (diff.go, cmd/m3diff)
-// aligns: two captures of the same workload from two trees explain a
+// is the unit the differential-observability layer (diff.go, `m3sim
+// diff`) aligns: two captures of the same workload from two trees explain a
 // bench-gate regression in terms of layers, span paths, histogram
 // shifts, and blame drift instead of a bare "N% slower".
 //

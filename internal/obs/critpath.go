@@ -85,7 +85,7 @@ type Request struct {
 func (r Request) Latency() sim.Time { return r.End - r.Start }
 
 // Exemplar is one worst-N request kept with its full event tree, so
-// the exact p99/p99.9 path can be exported (m3trace -span).
+// the exact p99/p99.9 path can be exported (`m3sim trace -span`).
 type Exemplar struct {
 	Request
 	Events    []Event
@@ -604,7 +604,8 @@ func (c *CritPath) ReportAt(qs []float64) Report {
 
 // WriteFolded writes the aggregate blame decomposition in folded
 // flamegraph format (root-kind;category cycles), the same shape
-// m3prof's WriteFolded emits, so the two collapse into one flamegraph.
+// the profiler's WriteFolded emits (`m3sim prof -o`), so the two
+// collapse into one flamegraph.
 func (c *CritPath) WriteFolded(w io.Writer) error {
 	var agg [numKinds]BlameVec // by root kind
 	for _, req := range c.summaries {
