@@ -28,11 +28,13 @@ bench:
 # 1500 cycles apart (BenchmarkScheduleSparse, the calendar queue's
 # empty-bucket search); one Process.Sleep round trip, engine to process
 # and back; and one 4 KiB WriteMem plus ReadMem between a PE and DRAM
-# (BenchmarkRDMA4K, through the pooled payload buffers); and one whole
+# (BenchmarkRDMA4K, through the pooled payload buffers); one 64-byte
+# packet across six hops of a contended mesh as engine events
+# (BenchmarkSendThenMultiHop, 0 allocs/op once warm); and one whole
 # request through the critical-path engine, root open to attribution
 # (BenchmarkCritPathConsume, 0 allocs/op once warm).
 bench-sim:
-	go test -run '^$$' -bench . -benchmem ./internal/sim ./internal/tile ./internal/obs
+	go test -run '^$$' -bench . -benchmem ./internal/sim ./internal/noc ./internal/tile ./internal/obs
 
 # The bench regression gate: rerun the fast experiment subset with run
 # captures bundled, keep the JSON artifact for inspection, and fail if

@@ -2,6 +2,7 @@
 # ci.sh — the tier-1 gate. Every PR must pass this script unchanged.
 #
 #   build      the whole module compiles
+#   gofmt      every Go file is gofmt-formatted
 #   go vet     the stock Go checks
 #   m3vet      the repo's own determinism & isolation linter, including
 #              the interprocedural passes (timetaint, capflow); it must
@@ -36,6 +37,7 @@
 set -eux
 
 go build ./...
+test -z "$(gofmt -l .)"
 go vet ./...
 go run ./cmd/m3vet -json artifacts/m3vet.json ./...
 go test -race -shuffle=on ./...

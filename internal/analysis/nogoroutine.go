@@ -28,20 +28,20 @@ func runNoGoroutine(pass *Pass) {
 					"go statement: spawn a sim.Process to keep the engine's strict hand-off")
 			case *ast.SendStmt:
 				pass.Reportf(n.Pos(),
-					"channel send: use sim.Queue or sim.Signal")
+					"channel send: queue requests on a sim.Station or wake a process with a sim.Signal")
 			case *ast.SelectStmt:
 				pass.Reportf(n.Pos(),
 					"select statement: use sim.Signal waits")
 			case *ast.UnaryExpr:
 				if n.Op.String() == "<-" {
 					pass.Reportf(n.Pos(),
-						"channel receive: use sim.Queue or sim.Signal")
+						"channel receive: serve requests from a sim.Station or block a process on a sim.Signal")
 				}
 			case *ast.RangeStmt:
 				if t := info.TypeOf(n.X); t != nil {
 					if _, ok := t.Underlying().(*types.Chan); ok {
 						pass.Reportf(n.Pos(),
-							"range over channel: use sim.Queue")
+							"range over channel: serve requests from a sim.Station")
 					}
 				}
 			case *ast.CallExpr:
@@ -52,12 +52,12 @@ func runNoGoroutine(pass *Pass) {
 				if b, isBuiltin := info.Uses[fun].(*types.Builtin); isBuiltin {
 					switch b.Name() {
 					case "close":
-						pass.Reportf(n.Pos(), "close of channel: use sim.Queue or sim.Signal")
+						pass.Reportf(n.Pos(), "close of channel: wake all waiters with sim.Signal.Broadcast")
 					case "make":
 						if len(n.Args) > 0 {
 							if t := info.TypeOf(n.Args[0]); t != nil {
 								if _, isChan := t.Underlying().(*types.Chan); isChan {
-									pass.Reportf(n.Pos(), "channel creation: use sim.Queue or sim.Signal")
+									pass.Reportf(n.Pos(), "channel creation: use a sim.Station or a sim.Signal")
 								}
 							}
 						}

@@ -1,6 +1,9 @@
 package analysis
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 const goroutineFixture = `package p
 
@@ -28,6 +31,21 @@ func TestNoGoroutineFlagsConcurrencyOutsideSim(t *testing.T) {
 		{9, "nogoroutine"},  // make(chan)
 		{10, "nogoroutine"}, // range over channel
 	})
+	// Each diagnostic points at a replacement the engine offers.
+	want := []string{
+		"go statement: spawn a sim.Process",
+		"channel send: queue requests on a sim.Station or wake a process with a sim.Signal",
+		"channel receive: serve requests from a sim.Station or block a process on a sim.Signal",
+		"select statement: use sim.Signal waits",
+		"close of channel: wake all waiters with sim.Signal.Broadcast",
+		"channel creation: use a sim.Station or a sim.Signal",
+		"range over channel: serve requests from a sim.Station",
+	}
+	for i, d := range got {
+		if i < len(want) && !strings.HasPrefix(d.Message, want[i]) {
+			t.Errorf("line %d: message %q, want prefix %q", d.Pos.Line, d.Message, want[i])
+		}
+	}
 }
 
 func TestNoGoroutineFlagsEngineToo(t *testing.T) {

@@ -61,9 +61,13 @@ type DTU struct {
 	seen       map[noc.NodeID]*dedupState
 	coreStatus func() bool
 
-	// reqs feeds the DTU's internal engine that serves incoming RDMA
-	// accesses to the local SPM and remote configuration requests.
-	reqs *sim.Queue[*noc.Packet]
+	// reqs feeds the DTU's request server, a one-worker sim.Station
+	// that serves incoming RDMA accesses to the local SPM, remote
+	// configuration requests and liveness probes; served returns its
+	// worker once a response was delivered. (reqs is an interface only
+	// so the tests can stand the process-based reference server in.)
+	reqs   interface{ Put(*noc.Packet) }
+	served func()
 
 	// msgFree heads this DTU's message freelist. Messages are pooled
 	// conservatively: allocated here at Send/Reply, recycled only where
@@ -211,6 +215,15 @@ func (d *DTU) idleWait(p *sim.Process, sig *sim.Signal) {
 // paper: "all DTUs are privileged at boot"); the kernel downgrades
 // application PEs during boot.
 func New(eng *sim.Engine, net *noc.Network, node noc.NodeID, spm *mem.SPM, numEPs int) *DTU {
+	d := newDTU(eng, net, node, spm, numEPs)
+	reqs := sim.NewStation(eng, 1, d.serve)
+	d.reqs, d.served = reqs, func() { reqs.Done(0) }
+	return d
+}
+
+// newDTU builds the DTU and attaches it to the network, without a
+// request server.
+func newDTU(eng *sim.Engine, net *noc.Network, node noc.NodeID, spm *mem.SPM, numEPs int) *DTU {
 	if numEPs <= 0 {
 		numEPs = DefaultNumEndpoints
 	}
@@ -226,10 +239,8 @@ func New(eng *sim.Engine, net *noc.Network, node noc.NodeID, spm *mem.SPM, numEP
 		pending:     make(map[uint64]*pendingOp),
 		sends:       make(map[uint64]*pendingSend),
 		seen:        make(map[noc.NodeID]*dedupState),
-		reqs:        sim.NewQueue[*noc.Packet](eng),
 	}
 	net.Attach(node, d)
-	eng.Spawn(fmt.Sprintf("dtu%d-server", node), d.serve)
 	return d
 }
 
@@ -752,10 +763,10 @@ func (d *DTU) Deliver(pkt *noc.Packet) {
 			}
 		}
 	case *MemReadReq, *MemWriteReq, *ConfigReq, *probeReq:
-		// The packet outlives Deliver: the request server dequeues and
-		// answers it later. Take ownership from the network's pool.
+		// The packet outlives Deliver: the request server answers it
+		// later. Take ownership from the network's pool.
 		pkt.Retain = true
-		d.reqs.Send(pkt)
+		d.reqs.Put(pkt)
 	case *MemResp:
 		if po, ok := d.pending[pl.OpID]; ok {
 			po.resp = pl
@@ -825,66 +836,56 @@ func (d *DTU) receive(ep int, msg *Message, isRequest bool) {
 	d.MsgAvail.Broadcast()
 }
 
-// serve is the DTU's internal engine handling incoming RDMA accesses to
-// the local SPM, remote configuration writes, and liveness probes.
-func (d *DTU) serve(p *sim.Process) {
-	p.SetDaemon()
-	for {
-		pkt := d.reqs.Recv(p)
-		switch req := pkt.Payload.(type) {
-		case *MemReadReq:
-			buf := d.net.NewPayload(req.Len)
-			resp := &MemResp{OpID: req.OpID}
-			if err := d.spm.Read(req.Addr, buf); err != nil {
-				resp.Err = err.Error()
-				d.net.FreePayload(buf)
-			} else {
-				resp.Data = buf
-			}
-			out := d.net.NewPacket()
-			out.Src, out.Dst, out.Size = d.node, req.Src, msgWireSize(len(resp.Data))
-			out.Payload = resp
-			d.net.FreePacket(pkt)
-			d.net.Send(p, out)
-		case *MemWriteReq:
-			resp := &MemResp{OpID: req.OpID}
-			if err := d.spm.Write(req.Addr, req.Data); err != nil {
-				resp.Err = err.Error()
-			}
-			d.net.FreePayload(req.Data)
-			out := d.net.NewPacket()
-			out.Src, out.Dst, out.Size = d.node, req.Src, ctrlPacketSize
-			out.Payload = resp
-			d.net.FreePacket(pkt)
-			d.net.Send(p, out)
-		case *ConfigReq:
-			resp := &ConfigResp{OpID: req.OpID}
-			if !req.Privileged {
-				resp.Err = ErrNotPrivileged.Error()
-			} else if req.SetPrivilege != 0 {
-				d.privileged = req.SetPrivilege > 0
-			} else if err := d.applyConfig(req.EP, req.Cfg); err != nil {
-				resp.Err = err.Error()
-			} else {
-				if tr := d.obs; tr.On() {
-					tr.Emit(obs.Event{At: d.eng.Now(), PE: int32(d.node), Layer: obs.LDTU,
-						Kind: obs.EvConfig, Arg0: uint64(req.EP), Arg1: uint64(req.Src)})
-				}
-			}
-			out := d.net.NewPacket()
-			out.Src, out.Dst, out.Size = d.node, req.Src, ctrlPacketSize
-			out.Payload = resp
-			d.net.FreePacket(pkt)
-			d.net.Send(p, out)
-		case *probeReq:
-			// The DTU answers for its core: it is a separate hardware
-			// block and keeps serving the NoC after a core crash.
-			crashed := d.coreStatus != nil && d.coreStatus()
-			out := d.net.NewPacket()
-			out.Src, out.Dst, out.Size = d.node, req.Src, ctrlPacketSize
-			out.Payload = &probeResp{OpID: req.OpID, Crashed: crashed}
-			d.net.FreePacket(pkt)
-			d.net.Send(p, out)
+// serve is the DTU's request server: it handles one incoming RDMA
+// access to the local SPM, remote configuration write, or liveness
+// probe, and sends the response. It is hardware, so it runs as a
+// Station callback; the worker is returned once the response was
+// delivered.
+func (d *DTU) serve(_ int, pkt *noc.Packet) {
+	out := d.net.NewPacket()
+	switch req := pkt.Payload.(type) {
+	case *MemReadReq:
+		buf := d.net.NewPayload(req.Len)
+		resp := &MemResp{OpID: req.OpID}
+		if err := d.spm.Read(req.Addr, buf); err != nil {
+			resp.Err = err.Error()
+			d.net.FreePayload(buf)
+		} else {
+			resp.Data = buf
 		}
+		out.Src, out.Dst, out.Size = d.node, req.Src, msgWireSize(len(resp.Data))
+		out.Payload = resp
+	case *MemWriteReq:
+		resp := &MemResp{OpID: req.OpID}
+		if err := d.spm.Write(req.Addr, req.Data); err != nil {
+			resp.Err = err.Error()
+		}
+		d.net.FreePayload(req.Data)
+		out.Src, out.Dst, out.Size = d.node, req.Src, ctrlPacketSize
+		out.Payload = resp
+	case *ConfigReq:
+		resp := &ConfigResp{OpID: req.OpID}
+		if !req.Privileged {
+			resp.Err = ErrNotPrivileged.Error()
+		} else if req.SetPrivilege != 0 {
+			d.privileged = req.SetPrivilege > 0
+		} else if err := d.applyConfig(req.EP, req.Cfg); err != nil {
+			resp.Err = err.Error()
+		} else {
+			if tr := d.obs; tr.On() {
+				tr.Emit(obs.Event{At: d.eng.Now(), PE: int32(d.node), Layer: obs.LDTU,
+					Kind: obs.EvConfig, Arg0: uint64(req.EP), Arg1: uint64(req.Src)})
+			}
+		}
+		out.Src, out.Dst, out.Size = d.node, req.Src, ctrlPacketSize
+		out.Payload = resp
+	case *probeReq:
+		// The DTU answers for its core: it is a separate hardware
+		// block and keeps serving the NoC after a core crash.
+		crashed := d.coreStatus != nil && d.coreStatus()
+		out.Src, out.Dst, out.Size = d.node, req.Src, ctrlPacketSize
+		out.Payload = &probeResp{OpID: req.OpID, Crashed: crashed}
 	}
+	d.net.FreePacket(pkt)
+	d.net.SendThen(nil, out, d.served)
 }

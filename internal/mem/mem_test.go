@@ -68,16 +68,18 @@ func TestDRAMAccessTiming(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDRAM(e, DRAMConfig{Size: 1 << 20, Latency: 20})
 	var done sim.Time
-	e.Spawn("rw", func(p *sim.Process) {
-		buf := []byte("payload")
-		if err := d.Access(p, true, 0, buf, nil); err != nil {
-			t.Error(err)
-		}
-		done = p.Now()
-	})
+	if err := d.AccessThen(true, 0, []byte("payload"), func(release func()) {
+		release()
+		done = e.Now()
+	}); err != nil {
+		t.Fatal(err)
+	}
 	e.Run()
 	if done != 20 {
 		t.Fatalf("write took %d cycles, want 20 (latency only, untimed stream)", done)
+	}
+	if d.Ports().InUse() != 0 {
+		t.Fatal("port still held after release")
 	}
 	got := make([]byte, 7)
 	if err := d.Peek(0, got); err != nil {
@@ -92,18 +94,21 @@ func TestDRAMPortContention(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDRAM(e, DRAMConfig{Size: 1024, Ports: 1, Latency: 10})
 	var t1, t2 sim.Time
-	e.Spawn("a", func(p *sim.Process) {
-		if err := d.Access(p, false, 0, make([]byte, 8), func() { p.Sleep(90) }); err != nil {
-			t.Error(err)
-		}
-		t1 = p.Now()
-	})
-	e.Spawn("b", func(p *sim.Process) {
-		if err := d.Access(p, false, 0, make([]byte, 8), nil); err != nil {
-			t.Error(err)
-		}
-		t2 = p.Now()
-	})
+	// The first access streams for 90 cycles with the port held.
+	if err := d.AccessThen(false, 0, make([]byte, 8), func(release func()) {
+		e.Schedule(90, func() {
+			release()
+			t1 = e.Now()
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AccessThen(false, 0, make([]byte, 8), func(release func()) {
+		release()
+		t2 = e.Now()
+	}); err != nil {
+		t.Fatal(err)
+	}
 	e.Run()
 	if t1 != 100 {
 		t.Fatalf("first access finished at %d, want 100", t1)
@@ -118,12 +123,12 @@ func TestDRAMTwoPortsOverlap(t *testing.T) {
 	d := NewDRAM(e, DRAMConfig{Size: 1024, Ports: 2, Latency: 10})
 	var finished []sim.Time
 	for i := 0; i < 2; i++ {
-		e.Spawn("x", func(p *sim.Process) {
-			if err := d.Access(p, false, 0, make([]byte, 8), nil); err != nil {
-				t.Error(err)
-			}
-			finished = append(finished, p.Now())
-		})
+		if err := d.AccessThen(false, 0, make([]byte, 8), func(release func()) {
+			release()
+			finished = append(finished, e.Now())
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	e.Run()
 	if len(finished) != 2 || finished[0] != 10 || finished[1] != 10 {
@@ -131,15 +136,46 @@ func TestDRAMTwoPortsOverlap(t *testing.T) {
 	}
 }
 
+// TestDRAMBrownoutHoldsPort: a brownout delay is paid with the port
+// held, so it also delays the access queued behind.
+func TestDRAMBrownoutHoldsPort(t *testing.T) {
+	e := sim.NewEngine()
+	d := NewDRAM(e, DRAMConfig{Size: 1024, Ports: 1, Latency: 10})
+	d.SetFaultDelay(func(now sim.Time) sim.Time {
+		if now < 15 {
+			return 7
+		}
+		return 0
+	})
+	var finished []sim.Time
+	for i := 0; i < 2; i++ {
+		if err := d.AccessThen(true, 0, make([]byte, 8), func(release func()) {
+			release()
+			finished = append(finished, e.Now())
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Run()
+	if len(finished) != 2 || finished[0] != 17 || finished[1] != 27 {
+		t.Fatalf("finish times = %v, want [17 27]", finished)
+	}
+	if d.BrownoutCycles != 7 {
+		t.Fatalf("brownout cycles = %d, want 7", d.BrownoutCycles)
+	}
+}
+
 func TestDRAMBounds(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDRAM(e, DRAMConfig{Size: 128})
-	e.Spawn("oob", func(p *sim.Process) {
-		if err := d.Access(p, false, 120, make([]byte, 16), nil); err == nil {
-			t.Error("out-of-bounds access should fail")
-		}
-	})
+	held := false
+	if err := d.AccessThen(false, 120, make([]byte, 16), func(func()) { held = true }); err == nil {
+		t.Error("out-of-bounds access should fail")
+	}
 	e.Run()
+	if held || d.Ports().InUse() != 0 {
+		t.Fatal("a failed access must not take a port")
+	}
 	if err := d.Poke(-1, []byte{1}); err == nil {
 		t.Fatal("negative poke should fail")
 	}

@@ -62,10 +62,18 @@ func (s *SPM) check(addr, n int) error {
 // contend for a fixed number of ports; each access pays a fixed row
 // latency, while streaming bandwidth is modelled by the NoC link into
 // the memory tile (8 B/cycle end to end, as the paper's DTU achieves).
+//
+// The module is hardware, so an access runs as event callbacks
+// (AccessThen), not as a blocking call of a process.
 type DRAM struct {
+	eng     *sim.Engine
 	data    []byte
 	ports   *sim.Resource
 	latency sim.Time
+	// release frees one port; built once, handed to every access.
+	release func()
+	// accesses heads the freelist of in-progress access states.
+	accesses *access
 
 	// faultDelay, when installed, returns extra access latency at a
 	// given simulated time (fault injection: brownout windows).
@@ -95,11 +103,14 @@ func NewDRAM(eng *sim.Engine, cfg DRAMConfig) *DRAM {
 	if cfg.Latency == 0 {
 		cfg.Latency = 16
 	}
-	return &DRAM{
+	d := &DRAM{
+		eng:     eng,
 		data:    make([]byte, cfg.Size),
 		ports:   sim.NewResource(eng, cfg.Ports),
 		latency: cfg.Latency,
 	}
+	d.release = func() { d.ports.Release(1) }
+	return d
 }
 
 // Size returns the module capacity in bytes.
@@ -111,35 +122,72 @@ func (d *DRAM) Latency() sim.Time { return d.latency }
 // Ports exposes the port resource for utilisation statistics.
 func (d *DRAM) Ports() *sim.Resource { return d.ports }
 
-// Access performs a timed read or write of len(buf) bytes at addr: it
-// acquires a port, pays the access latency, runs stream (which models
-// the data streaming out of / into the module, typically a NoC send
-// performed while the port is held), and releases the port. stream may
-// be nil for untimed accesses.
-func (d *DRAM) Access(p *sim.Process, write bool, addr int, buf []byte, stream func()) error {
+// AccessThen performs a timed read or write of len(buf) bytes at addr
+// as event callbacks: it waits for a port (FIFO), pays the access
+// latency plus any brownout delay, copies the bytes, and then calls
+// held with the port still held. held models the data streaming out of
+// or into the module, typically a NoC send; it must call release
+// exactly once when the stream is done, which frees the port. A
+// range error is returned at once, before any port is taken, and held
+// never runs.
+func (d *DRAM) AccessThen(write bool, addr int, buf []byte, held func(release func())) error {
 	if err := d.check(addr, len(buf)); err != nil {
 		return err
 	}
-	d.ports.Acquire(p, 1)
-	p.Sleep(d.latency)
+	a := d.accesses
+	if a == nil {
+		a = &access{d: d}
+		a.onPort, a.onLatency, a.onReady = a.ported, a.latencyDone, a.ready
+	} else {
+		d.accesses = a.next
+		a.next = nil
+	}
+	a.write, a.addr, a.buf, a.held = write, addr, buf, held
+	d.ports.AcquireThen(nil, 1, a.onPort)
+	return nil
+}
+
+// access is the pooled state of one DRAM access; its callbacks are
+// built once per object.
+type access struct {
+	d     *DRAM
+	write bool
+	addr  int
+	buf   []byte
+	held  func(release func())
+	// onPort runs once a port is held, onLatency after the access
+	// latency, onReady after any brownout delay.
+	onPort, onLatency, onReady func()
+	next                       *access
+}
+
+func (a *access) ported() { a.d.eng.Schedule(a.d.latency, a.onLatency) }
+
+func (a *access) latencyDone() {
+	d := a.d
 	if d.faultDelay != nil {
-		if extra := d.faultDelay(p.Now()); extra > 0 {
+		if extra := d.faultDelay(d.eng.Now()); extra > 0 {
 			// A brownout slows the module down while the port is held,
 			// so the slowdown also propagates as queueing delay.
 			d.BrownoutCycles += extra
-			p.Sleep(extra)
+			d.eng.Schedule(extra, a.onReady)
+			return
 		}
 	}
-	if write {
-		copy(d.data[addr:], buf)
+	a.ready()
+}
+
+func (a *access) ready() {
+	d := a.d
+	if a.write {
+		copy(d.data[a.addr:], a.buf)
 	} else {
-		copy(buf, d.data[addr:])
+		copy(a.buf, d.data[a.addr:])
 	}
-	if stream != nil {
-		stream()
-	}
-	d.ports.Release(1)
-	return nil
+	held := a.held
+	a.buf, a.held, a.next = nil, nil, d.accesses
+	d.accesses = a
+	held(d.release)
 }
 
 // SetFaultDelay installs (or, with nil, removes) the brownout hook

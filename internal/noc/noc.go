@@ -78,7 +78,7 @@ type FaultHook func(from, to NodeID, pkt *Packet) LinkFault
 
 // Handler consumes packets delivered at a node. Deliver runs in engine
 // context and must not block; implementations hand work that needs
-// simulated time to a resident process via queues/signals.
+// simulated time to a sim.Station or wake a process via a signal.
 type Handler interface {
 	Deliver(pkt *Packet)
 }
@@ -133,6 +133,8 @@ type Network struct {
 	// payloads is the free list of payloadClass-byte RDMA payload
 	// buffers (NewPayload/FreePayload).
 	payloads [][]byte
+	// flights heads the freelist of in-transit packet states.
+	flights *flight
 }
 
 // link is one contended directed link.
@@ -315,7 +317,7 @@ func (n *Network) Route(src, dst NodeID) []NodeID {
 // nextHop returns the node after cur on the XY route to dst (cur !=
 // dst): X first, then Y. Recomputing the direction at every hop picks
 // the same one throughout, on a torus too, because each step only makes
-// the chosen direction shorter. Send, SendAsync and Route all walk
+// the chosen direction shorter. SendThen, SendAsync and Route all walk
 // routes through it.
 func (n *Network) nextHop(cur, dst NodeID) NodeID {
 	w, h := n.cfg.Width, n.cfg.Height
@@ -383,48 +385,144 @@ func (n *Network) TransferTime(src, dst NodeID, size int) sim.Time {
 // Send injects pkt, blocking p for the end-to-end transfer time plus
 // any link queueing, then delivers it to the destination handler. The
 // calling process models the transfer engine pushing the packet (a DTU
-// command or a memory tile streaming a response).
+// command). It is SendThen with p as the owner and p's wake-up as the
+// completion: the event that delivers the packet resumes p inline.
 func (n *Network) Send(p *sim.Process, pkt *Packet) {
+	n.SendThen(p, pkt, p.Waker())
+	p.Park()
+}
+
+// SendThen injects pkt and moves it hop by hop as engine events: at
+// each hop it waits for the contended link (FIFO, like Send), holds
+// the link for the router latency plus the body's serialization, and
+// pays the router latency; the body then drains into the destination,
+// whose handler gets the packet, and done runs in that same event. A
+// packet dropped by fault injection still pays the full wire time, and
+// done still runs: the sending engine is blind to the loss.
+//
+// owner is the process on whose behalf the packet travels (nil for
+// hardware, which never dies). If it is killed while the packet is at
+// a hop or queued for a link, the packet goes no further: nothing is
+// delivered, done never runs, and a queued link request is skipped so
+// the link passes to the next waiter.
+//
+// SendThen never calls done inline: every transfer takes at least one
+// event.
+func (n *Network) SendThen(owner *sim.Process, pkt *Packet, done func()) {
 	n.checkNode(pkt.Src)
 	n.checkNode(pkt.Dst)
 	n.PacketsSent++
 	n.BytesSent += uint64(pkt.Size)
-	ser := n.SerializationTime(pkt.Size)
 	if tr := n.obs; tr.On() && pkt.Span != 0 {
 		tr.Emit(obs.Event{At: n.eng.Now(), PE: int32(pkt.Src), Layer: obs.LNoC,
 			Kind: obs.EvPktInject, Span: obs.SpanID(pkt.Span),
 			Arg0: uint64(pkt.Dst), Arg1: uint64(pkt.Size)})
 	}
-	dropped := false
-	for cur := pkt.Src; cur != pkt.Dst; {
-		next := n.nextHop(cur, pkt.Dst)
-		l := n.link(cur, next)
-		if l != nil {
-			l.res.Acquire(p, 1)
-			// The link stays busy while the body streams through; the
-			// head moves on after the router latency.
-			n.eng.Schedule(n.cfg.HopLatency+ser, l.release)
-		}
-		if tr := n.obs; tr.On() {
-			tr.Hist(obs.HLinkOcc).Observe(uint64(n.cfg.HopLatency + ser))
-			if l != nil {
-				l.busy.Add(uint64(n.cfg.HopLatency + ser))
-			}
-		}
-		p.Sleep(n.cfg.HopLatency)
-		if !dropped {
-			dropped = n.applyFault(cur, next, pkt)
-		}
-		cur = next
+	f := n.newFlight()
+	f.pkt, f.owner, f.done = pkt, owner, done
+	f.cur, f.ser = pkt.Src, n.SerializationTime(pkt.Size)
+	f.hop()
+}
+
+// flight is the pooled state of one packet in transit. Its callbacks
+// are built once per object, so a hop schedules no new closure.
+type flight struct {
+	n       *Network
+	pkt     *Packet
+	owner   *sim.Process
+	done    func()
+	cur     NodeID
+	next    NodeID
+	l       *link
+	ser     sim.Time
+	dropped bool
+	// onLink runs once the hop's link is held, onHop after the router
+	// latency, onArrive once the body drained into the destination.
+	onLink, onHop, onArrive func()
+	// free links the network's flight freelist.
+	free *flight
+}
+
+// newFlight takes a flight from the pool (or the heap on a cold
+// start).
+func (n *Network) newFlight() *flight {
+	f := n.flights
+	if f == nil {
+		f = &flight{n: n}
+		f.onLink, f.onHop, f.onArrive = f.linked, f.hopped, f.arrived
+		return f
 	}
-	// Body drains into the destination. A dropped packet still occupied
-	// the wire up to the faulty hop; the sender's transfer engine is
-	// blind to the loss and pays the full push either way.
-	p.Sleep(ser)
+	n.flights, f.free = f.free, nil
+	return f
+}
+
+// release zeroes f (no packet, owner or completion survives on the
+// freelist) and returns it to the pool.
+func (f *flight) release() {
+	n := f.n
+	*f = flight{n: n, onLink: f.onLink, onHop: f.onHop, onArrive: f.onArrive, free: n.flights}
+	n.flights = f
+}
+
+// hop starts the next hop, or the body's drain at the destination.
+func (f *flight) hop() {
+	n := f.n
+	if f.cur == f.pkt.Dst {
+		// Body drains into the destination. A dropped packet still
+		// occupied the wire up to the faulty hop.
+		n.eng.Schedule(f.ser, f.onArrive)
+		return
+	}
+	f.next = n.nextHop(f.cur, f.pkt.Dst)
+	f.l = n.link(f.cur, f.next)
+	if f.l != nil {
+		f.l.res.AcquireThen(f.owner, 1, f.onLink)
+		return
+	}
+	f.linked()
+}
+
+// linked holds the link while the body streams through; the head
+// moves on after the router latency.
+func (f *flight) linked() {
+	n := f.n
+	occ := n.cfg.HopLatency + f.ser
+	if f.l != nil {
+		n.eng.Schedule(occ, f.l.release)
+	}
+	if tr := n.obs; tr.On() {
+		tr.Hist(obs.HLinkOcc).Observe(uint64(occ))
+		if f.l != nil {
+			f.l.busy.Add(uint64(occ))
+		}
+	}
+	n.eng.Schedule(n.cfg.HopLatency, f.onHop)
+}
+
+func (f *flight) hopped() {
+	if f.owner != nil && f.owner.Dead() {
+		f.release()
+		return
+	}
+	if !f.dropped {
+		f.dropped = f.n.applyFault(f.cur, f.next, f.pkt)
+	}
+	f.cur = f.next
+	f.hop()
+}
+
+func (f *flight) arrived() {
+	n, pkt, done, dropped := f.n, f.pkt, f.done, f.dropped
+	dead := f.owner != nil && f.owner.Dead()
+	f.release()
+	if dead {
+		return
+	}
 	if dropped {
 		if pkt.Seq == 0 {
 			n.FreePacket(pkt)
 		}
+		done()
 		return
 	}
 	h := n.handlers[pkt.Dst]
@@ -438,13 +536,14 @@ func (n *Network) Send(p *sim.Process, pkt *Packet) {
 	}
 	h.Deliver(pkt)
 	n.finishDelivery(pkt)
+	done()
 }
 
 // SendAsync injects pkt without a sending process: the packet pays the
-// uncontended end-to-end latency and is delivered via a scheduled
+// uncontended end-to-end latency and is delivered via one scheduled
 // event. It models autonomous DTU control traffic (acknowledgements,
-// probes) emitted from engine context where no process is available.
-// Link occupancy is not modelled for these few-byte control packets.
+// NACKs) emitted from engine context. Unlike SendThen, it models no
+// link occupancy for these few-byte control packets.
 func (n *Network) SendAsync(pkt *Packet) {
 	n.checkNode(pkt.Src)
 	n.checkNode(pkt.Dst)

@@ -225,17 +225,19 @@ func TestAttachTwicePanics(t *testing.T) {
 	n.Attach(0, HandlerFunc(func(pkt *Packet) {}))
 }
 
+// TestUnattachedDeliveryPanics: the delivering hop is an engine event,
+// so the panic surfaces from Engine.Run, not inside the sender.
 func TestUnattachedDeliveryPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	n := New(eng, Config{Width: 2, Height: 1})
 	eng.Spawn("tx", func(p *sim.Process) {
-		defer func() {
-			if recover() == nil {
-				t.Error("delivery to unattached node must panic")
-			}
-		}()
 		n.Send(p, &Packet{Src: 0, Dst: 1, Size: 8})
 	})
+	defer func() {
+		if recover() == nil {
+			t.Error("delivery to unattached node must panic")
+		}
+	}()
 	eng.Run()
 }
 

@@ -64,9 +64,9 @@ func TestSLOLatencyBound(t *testing.T) {
 	s := NewSLOSet()
 	o := s.Objective(testSLOTail, SLOConfig{Objective: 0.5, LatencyBound: 100,
 		Window: 1000, Buckets: 10, ShortBuckets: 2, SlowBurn: 1, FastBurn: 1})
-	o.Observe(1, 50, true)   // good: fast and ok
-	o.Observe(2, 150, true)  // bad: ok but over bound
-	o.Observe(3, 50, false)  // bad: fast but failed
+	o.Observe(1, 50, true)  // good: fast and ok
+	o.Observe(2, 150, true) // bad: ok but over bound
+	o.Observe(3, 50, false) // bad: fast but failed
 	good, total := o.Counts()
 	if good != 1 || total != 3 {
 		t.Fatalf("counts = %d/%d, want 1/3", good, total)

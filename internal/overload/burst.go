@@ -66,10 +66,10 @@ type Gen struct {
 	cfg BurstConfig
 	rng *sim.Rand
 
-	t sim.Time
-	i int
+	t       sim.Time
+	i       int
 	spiking int
-	spiked bool
+	spiked  bool
 }
 
 // NewGen builds a generator. stream decorrelates multiple generators

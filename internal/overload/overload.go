@@ -178,11 +178,11 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 type Breaker struct {
 	cfg BreakerConfig
 
-	state State
-	fails int
+	state     State
+	fails     int
 	successes int
-	openedAt sim.Time
-	opens uint64
+	openedAt  sim.Time
+	opens     uint64
 }
 
 // NewBreaker builds a breaker with defaults filled in.
@@ -265,9 +265,9 @@ const (
 // service turns into a clean error instead of amplified load.
 type RetryBudget struct {
 	attempts int
-	delay sim.Time
-	max   sim.Time
-	used int
+	delay    sim.Time
+	max      sim.Time
+	used     int
 }
 
 // NewRetryBudget builds a budget of n retries starting at backoff

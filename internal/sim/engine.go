@@ -147,9 +147,11 @@ func (e *Engine) LiveProcesses() int { return e.liveProcs }
 //
 // If live processes remain when the queue drains, they are parked
 // forever: events are the only wake source, so no future step can
-// resume them. For daemon processes (server loops — m3fs, DTU request
-// servers, the kernel dispatcher — marked via Process.SetDaemon) that
-// is the expected end state of every run. Any *non-daemon* process
+// resume them. For daemon processes (server loops — m3fs, the kernel
+// dispatcher — marked via Process.SetDaemon) that is the expected end
+// state of every run. Hardware (DTU request servers, memory-tile
+// ports) runs as event callbacks on Stations and leaves nothing
+// parked. Any *non-daemon* process
 // parked forever is a genuine deadlock: a client stuck waiting for a
 // message that will never come. Run records that as a deadlock — a
 // state in which scheduling new work is a bug; see Schedule.

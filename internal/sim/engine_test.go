@@ -214,66 +214,6 @@ func TestSignalNotifyWakesFIFO(t *testing.T) {
 	}
 }
 
-func TestQueueFIFO(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int](e)
-	var got []int
-	e.Spawn("recv", func(p *Process) {
-		for i := 0; i < 3; i++ {
-			got = append(got, q.Recv(p))
-		}
-	})
-	e.Spawn("send", func(p *Process) {
-		p.Sleep(5)
-		q.Send(1)
-		q.Send(2)
-		p.Sleep(5)
-		q.Send(3)
-	})
-	e.Run()
-	want := []int{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestQueueMultipleReceivers(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int](e)
-	sum := 0
-	for i := 0; i < 3; i++ {
-		e.Spawn("recv", func(p *Process) { sum += q.Recv(p) })
-	}
-	e.Spawn("send", func(p *Process) {
-		p.Sleep(1)
-		q.Send(1)
-		q.Send(2)
-		q.Send(3)
-	})
-	e.Run()
-	if sum != 6 {
-		t.Fatalf("sum = %d, want 6", sum)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("queue len = %d, want 0", q.Len())
-	}
-}
-
-func TestQueueTryRecv(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[string](e)
-	if _, ok := q.TryRecv(); ok {
-		t.Fatal("TryRecv on empty queue must fail")
-	}
-	q.Send("x")
-	v, ok := q.TryRecv()
-	if !ok || v != "x" {
-		t.Fatalf("TryRecv = %q,%v", v, ok)
-	}
-}
-
 func TestResourceContention(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, 1)
@@ -367,10 +307,14 @@ func TestEventInPastPanics(t *testing.T) {
 }
 
 // simRun runs a randomized but seed-determined scenario and returns a
-// fingerprint of the final state.
+// fingerprint of the final state: processes feed a two-worker station
+// whose service times depend on the request.
 func simRun(nProcs uint8, sleeps []uint16) (Time, uint64) {
 	e := NewEngine()
-	q := NewQueue[int](e)
+	var st *Station[int]
+	st = NewStation(e, 2, func(w, j int) {
+		e.Schedule(Time(j%7), func() { st.Done(w) })
+	})
 	n := int(nProcs%8) + 1
 	for i := 0; i < n; i++ {
 		i := i
@@ -380,8 +324,8 @@ func simRun(nProcs uint8, sleeps []uint16) (Time, uint64) {
 					continue
 				}
 				p.Sleep(Time(s))
-				q.Send(j)
-				if _, ok := q.TryRecv(); !ok {
+				st.Put(j)
+				if j%3 == 0 {
 					p.Yield()
 				}
 			}

@@ -15,7 +15,7 @@ import (
 
 // Process is a simulated thread of execution: a coroutine (iter.Pull)
 // that runs in strict hand-off with the engine. Process methods that
-// block (Sleep, Signal.Wait, Queue.Recv, Resource.Acquire) yield control
+// block (Sleep, Park, Signal.Wait, Resource.Acquire) yield control
 // back to the engine and are resumed by a later event. A switch is a
 // direct goroutine switch in the runtime, with no scheduler wake-up.
 //
@@ -101,10 +101,11 @@ func (p *Process) Dead() bool { return p.dead }
 //
 // A corpse leaks no resource capacity: every Resource unit a process
 // can hold across a blocking point is released by an event scheduled
-// at acquire time (NoC link occupancy) or held by unkillable resident
-// processes (the kernel CPU, the memory tile's ports), and parked
-// acquirers that die in the queue are skipped by the resource's
-// dead-waiter handling.
+// at acquire time (NoC link occupancy) or held by unkillable holders
+// (the kernel CPU, the memory tile's ports, which are event-driven
+// hardware), and acquirers that die in the queue — parked in Acquire
+// or owning an AcquireThen continuation — are skipped by the
+// resource's dead-waiter handling.
 func (p *Process) Kill() {
 	if p.dead {
 		return
@@ -125,11 +126,11 @@ func (p *Process) Kill() {
 // than by returning.
 func (p *Process) Killed() bool { return p.killed }
 
-// SetDaemon marks the process as a forever-running server loop: a DTU
-// request server, a memory-tile port worker, the kernel dispatcher,
-// a service like m3fs. Daemons left parked when the event queue drains
-// are the expected end state of a run, not a deadlock; see
-// Engine.Deadlocked.
+// SetDaemon marks the process as a forever-running server loop: the
+// kernel dispatcher, a service like m3fs. (Hardware servers — DTU
+// request engines, memory-tile ports — are Stations, not processes.)
+// Daemons left parked when the event queue drains are the expected end
+// state of a run, not a deadlock; see Engine.Deadlocked.
 func (p *Process) SetDaemon() {
 	if !p.daemon && !p.dead {
 		p.daemon = true
@@ -140,6 +141,17 @@ func (p *Process) SetDaemon() {
 // park yields control to the engine; the process stays blocked until an
 // event resumes it.
 func (p *Process) park() { p.yield(struct{}{}) }
+
+// Park blocks p until an event calls its Waker. It is the blocking
+// half of a continuation-based operation: start the operation with
+// p.Waker() as its completion, then Park. The completion must run from
+// a later event, never inline before Park.
+func (p *Process) Park() { p.park() }
+
+// Waker returns the callback that resumes p from Park. It is built
+// once at Spawn, so handing it to a continuation allocates nothing.
+// Calling it for a dead process is a no-op.
+func (p *Process) Waker() func() { return p.wake }
 
 // Sleep advances the process's simulated time by d cycles. Other events
 // run in the meantime.

@@ -4,14 +4,17 @@ import "fmt"
 
 // Resource is a counting semaphore with FIFO admission, used to model
 // contended hardware: a DRAM port, a NoC link, a DTU transfer engine.
-// Acquire blocks until the requested units are available; requests are
-// granted strictly in arrival order (no overtaking), which models a
-// fair hardware arbiter.
+// Requests are granted strictly in arrival order (no overtaking),
+// which models a fair hardware arbiter. A process blocks in Acquire;
+// hardware modelled as event callbacks queues a continuation with
+// AcquireThen. Both kinds wait in the same FIFO.
 type Resource struct {
 	eng      *Engine
 	capacity int
 	inUse    int
-	waiters  []resWaiter
+	waiters  fifo[resWaiter]
+	// grants heads the freelist of pending wake-ups.
+	grants *resGrant
 
 	// busyCycles accumulates capacity-weighted busy time for
 	// utilisation statistics.
@@ -21,10 +24,22 @@ type Resource struct {
 	totalWaitFor Time
 }
 
+// resWaiter is one queued acquirer: fn runs once the units are
+// granted, unless owner (nil for hardware, which never dies) was
+// killed first.
 type resWaiter struct {
-	p     *Process
+	owner *Process
+	fn    func()
 	n     int
 	since Time
+}
+
+// resGrant is the pooled wake-up event of one admitted waiter; run is
+// built once per object, so an admission allocates nothing.
+type resGrant struct {
+	w    resWaiter
+	run  func()
+	next *resGrant
 }
 
 // NewResource returns a resource with the given capacity (units).
@@ -38,15 +53,40 @@ func NewResource(eng *Engine, capacity int) *Resource {
 // Acquire blocks p until n units are available and then takes them.
 // n must not exceed the capacity.
 func (r *Resource) Acquire(p *Process, n int) {
+	if r.tryAcquire(n) {
+		return
+	}
+	r.enqueue(p, n, p.wake)
+	p.park()
+}
+
+// AcquireThen takes n units for owner and then runs fn: inline when
+// they are free and nobody queues ahead, otherwise from the event that
+// admits it. Admission is the same FIFO as Acquire's, and a waiter
+// whose owner was killed before its grant is skipped the same way;
+// fn then never runs. A nil owner never dies.
+func (r *Resource) AcquireThen(owner *Process, n int, fn func()) {
+	if r.tryAcquire(n) {
+		fn()
+		return
+	}
+	r.enqueue(owner, n, fn)
+}
+
+// tryAcquire takes n units if they are free and nobody queues ahead.
+func (r *Resource) tryAcquire(n int) bool {
 	if n > r.capacity {
 		panic(fmt.Sprintf("sim: acquire %d exceeds capacity %d", n, r.capacity))
 	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
+	if r.waiters.len() == 0 && r.inUse+n <= r.capacity {
 		r.grant(n, 0)
-		return
+		return true
 	}
-	r.waiters = append(r.waiters, resWaiter{p: p, n: n, since: r.eng.now})
-	p.park()
+	return false
+}
+
+func (r *Resource) enqueue(owner *Process, n int, fn func()) {
+	r.waiters.push(resWaiter{owner: owner, fn: fn, n: n, since: r.eng.now})
 }
 
 // Release returns n units and admits as many FIFO waiters as now fit.
@@ -56,30 +96,43 @@ func (r *Resource) Release(n int) {
 	if r.inUse < 0 {
 		panic("sim: resource released more than acquired")
 	}
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
-		if w.p.dead {
+	for r.waiters.len() > 0 {
+		w := r.waiters.front()
+		if w.owner != nil && w.owner.dead {
 			// The waiter was killed (PE crash) while queued; it must
 			// not consume capacity the survivors need.
-			r.waiters = r.waiters[1:]
+			r.waiters.pop()
 			continue
 		}
 		if r.inUse+w.n > r.capacity {
 			break // strict FIFO: nobody overtakes the head waiter
 		}
-		r.waiters = r.waiters[1:]
+		r.waiters.pop()
 		r.grant(w.n, r.eng.now-w.since)
-		wp, wn := w.p, w.n
-		r.eng.Schedule(0, func() {
-			if wp.dead {
-				// Killed between grant and wake-up: return the units,
-				// which also re-runs admission for later waiters.
-				r.Release(wn)
-				return
-			}
-			r.eng.resume(wp)
-		})
+		g := r.grants
+		if g == nil {
+			g = &resGrant{}
+			g.run = func() { r.wake(g) }
+		} else {
+			r.grants = g.next
+		}
+		g.w = w
+		r.eng.Schedule(0, g.run)
 	}
+}
+
+// wake runs an admitted waiter's continuation and recycles g.
+func (r *Resource) wake(g *resGrant) {
+	w := g.w
+	g.w, g.next = resWaiter{}, r.grants
+	r.grants = g
+	if w.owner != nil && w.owner.dead {
+		// Killed between grant and wake-up: return the units, which
+		// also re-runs admission for later waiters.
+		r.Release(w.n)
+		return
+	}
+	w.fn()
 }
 
 func (r *Resource) grant(n int, waited Time) {
@@ -101,7 +154,7 @@ func (r *Resource) InUse() int { return r.inUse }
 func (r *Resource) Capacity() int { return r.capacity }
 
 // QueueLen returns the number of blocked acquirers.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 // Utilization returns average held units divided by capacity over the
 // simulation so far.

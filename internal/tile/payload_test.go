@@ -171,8 +171,8 @@ func TestRDMARoundTripAllocs(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		run()
 	}
-	if allocs := testing.AllocsPerRun(2000, run); allocs > 20 {
-		t.Errorf("round trip allocates %.0f objects, want <= 20", allocs)
+	if allocs := testing.AllocsPerRun(2000, run); allocs > 17 {
+		t.Errorf("round trip allocates %.0f objects, want <= 17", allocs)
 	}
 	res := testing.Benchmark(func(b *testing.B) {
 		run := rdmaLoop(b)

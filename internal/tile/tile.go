@@ -152,6 +152,14 @@ func Homogeneous(n int) Config {
 
 // NewPlatform builds and wires the platform.
 func NewPlatform(eng *sim.Engine, cfg Config) *Platform {
+	p := newPlatform(eng, cfg)
+	newMemTile(eng, p.Net, p.DRAMNode, p.DRAM)
+	return p
+}
+
+// newPlatform builds the platform up to, but not including, the memory
+// tile on node DRAMNode.
+func newPlatform(eng *sim.Engine, cfg Config) *Platform {
 	n := len(cfg.PEs)
 	if n == 0 {
 		panic("tile: platform needs at least one PE")
@@ -197,7 +205,6 @@ func NewPlatform(eng *sim.Engine, cfg Config) *Platform {
 		p.PEs = append(p.PEs, pe)
 	}
 	p.DRAMNode = noc.NodeID(n)
-	newMemTile(eng, p.Net, p.DRAMNode, p.DRAM)
 	return p
 }
 
