@@ -1,6 +1,6 @@
 # Convenience targets; `make ci` is the tier-1 gate (see ci.sh).
 
-.PHONY: ci build test vet vet-fast bench bench-sim bench-smoke bench-baseline diff-smoke slo-smoke slo-baseline chaos fuzz
+.PHONY: ci build test vet bench bench-sim bench-smoke bench-baseline diff-smoke slo-smoke slo-baseline chaos fuzz
 
 ci:
 	./ci.sh
@@ -14,11 +14,6 @@ test:
 vet:
 	go vet ./...
 	go run ./cmd/m3vet ./...
-
-# Syntactic rules only — skips the interprocedural passes (call graph,
-# taint, capflow) for quick local iteration.
-vet-fast:
-	go run ./cmd/m3vet -fast ./...
 
 bench:
 	go test -bench=. -benchmem
@@ -55,12 +50,11 @@ bench-smoke:
 bench-baseline:
 	go run ./cmd/m3bench -e smoke -capture -json BENCH_5.json
 
-# The attribution self-test: capture the tier-1 workload under the
-# serial-heap and serial-calendar engines (captures must be
-# byte-identical), re-capture with the kernel's syscall dispatch cost
-# perturbed +10%, and require `m3sim diff` to attribute the regression
-# to the kernel — top blame-drift category and a growing kernel profile
-# layer — with byte-stable reports.
+# The attribution self-test: capture the tier-1 workload twice (the
+# captures must be byte-identical), re-capture with the kernel's
+# syscall dispatch cost perturbed +10%, and require `m3sim diff` to
+# attribute the regression to the kernel — top blame-drift category
+# and a growing kernel profile layer — with byte-stable reports.
 diff-smoke:
 	go run ./cmd/m3sim diff -selftest
 

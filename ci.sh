@@ -28,8 +28,8 @@
 #              for inspection (docs/EXPERIMENTS.md)
 #   diff       the attribution self-test: a seeded +10% kernel
 #              dispatch-cost perturbation must be attributed to the
-#              kernel layer by `m3sim diff`, with captures byte-identical
-#              across the heap and calendar event queues
+#              kernel layer by `m3sim diff`, with the baseline captured
+#              twice and the two captures byte-identical
 #              (docs/OBSERVABILITY.md)
 #   slo        the SLO regression gate: the `m3sim slo` attribution report
 #              over the tier-1 workload, byte-compared against the

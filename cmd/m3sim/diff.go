@@ -21,9 +21,9 @@ import (
 // contributors, per-bucket histogram shift with quantile deltas,
 // blame-category drift, and metric-by-metric changes.
 //
-// All reports are byte-deterministic, and captures are byte-identical
-// across the heap and calendar event queues, so a nonempty diff is a
-// real behavior change, never engine noise.
+// All reports are byte-deterministic, and two captures of the same run
+// are byte-identical, so a nonempty diff is a real behavior change,
+// never run noise.
 func cmdDiff(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	wl := fs.String("w", "", "workload to select when an input is a bench JSON with several captures")
@@ -113,9 +113,8 @@ const selftestWorkload = "tar"
 // runSelftest is `make diff-smoke`: prove the attribution pipeline
 // end to end on a seeded regression.
 //
-//  1. Capture the baseline workload under both engine variants
-//     (serial-heap, serial-calendar) and require the capture JSON to
-//     be byte-identical — the differential contract.
+//  1. Capture the baseline workload twice and require the capture JSON
+//     to be byte-identical — the determinism contract.
 //  2. Re-capture with the kernel's syscall dispatch cost perturbed
 //     +10% (core.CostDispatch/10 extra cycles per syscall).
 //  3. Diff base vs perturbed and require the kernel to rank first:
@@ -123,28 +122,23 @@ const selftestWorkload = "tar"
 //     profile-layer delta.
 //  4. Render the report twice and require byte-identical output.
 func runSelftest(w io.Writer) error {
-	variants := bench.EngineVariants()
-	fmt.Fprintf(w, "selftest: capturing %s under %d engine variants\n", selftestWorkload, len(variants))
+	fmt.Fprintf(w, "selftest: capturing %s twice\n", selftestWorkload)
 	var base *obs.RunCapture
-	var baseJSON []byte
-	for _, v := range variants {
-		c, err := bench.RunWorkloadCapture(selftestWorkload, bench.M3Options{Engine: v.Cfg})
+	var js [2]bytes.Buffer
+	for i := range js {
+		c, err := bench.RunWorkloadCapture(selftestWorkload, bench.M3Options{})
 		if err != nil {
-			return fmt.Errorf("capturing under %s: %w", v.Name, err)
+			return fmt.Errorf("capturing baseline: %w", err)
 		}
-		var js bytes.Buffer
-		if err := c.WriteJSON(&js); err != nil {
+		if err := c.WriteJSON(&js[i]); err != nil {
 			return err
 		}
-		if base == nil {
-			base, baseJSON = c, js.Bytes()
-			continue
-		}
-		if !bytes.Equal(js.Bytes(), baseJSON) {
-			return fmt.Errorf("capture under %s differs from %s: the differential contract is broken", v.Name, variants[0].Name)
-		}
+		base = c
 	}
-	fmt.Fprintf(w, "selftest: captures byte-identical across %d engines\n", len(variants))
+	if !bytes.Equal(js[0].Bytes(), js[1].Bytes()) {
+		return errors.New("two baseline captures differ: the determinism contract is broken")
+	}
+	fmt.Fprintln(w, "selftest: captures byte-identical")
 
 	delta := sim.Time(core.CostDispatch) / 10
 	perturbed, err := bench.RunWorkloadCapture(selftestWorkload, bench.M3Options{DispatchCostDelta: delta})

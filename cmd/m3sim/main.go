@@ -5,7 +5,7 @@
 // start barrier on the Figure 6 platform.
 //
 // The subcommands read the same run in other ways, and the ones that
-// boot a scenario share its flags (-w, -pes, -n, -engine):
+// boot a scenario share its flags (-w, -pes, -n):
 //
 //	prof    cycle attribution per (PE, layer, span-kind) call path,
 //	        with folded stacks for flame graphs
@@ -84,7 +84,6 @@ func scenarioFlags(fs *flag.FlagSet) func() (bench.Scenario, error) {
 	name := fs.String("w", "tar", "workload: cat+tr, tar, untar, find, sqlite")
 	pes := fs.Int("pes", 0, "extra application PEs beyond what the workload needs")
 	instances := fs.Int("n", 1, "parallel instances (one kernel, one m3fs)")
-	engine := fs.String("engine", "calendar", "event queue: calendar (O(1) wheel) or heap (reference binary heap)")
 	return func() (bench.Scenario, error) {
 		b, err := workload.ByName(*name)
 		if err != nil {
@@ -96,14 +95,6 @@ func scenarioFlags(fs *flag.FlagSet) func() (bench.Scenario, error) {
 			sc.M3Options = bench.Fig6Options()
 		}
 		sc.ExtraPEs = *pes
-		switch *engine {
-		case "calendar":
-			sc.Engine.Queue = sim.QueueCalendar
-		case "heap":
-			sc.Engine.Queue = sim.QueueHeap
-		default:
-			return bench.Scenario{}, fmt.Errorf("unknown -engine %q (want calendar or heap)", *engine)
-		}
 		return sc, nil
 	}
 }

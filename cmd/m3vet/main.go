@@ -7,9 +7,6 @@
 //
 // Flags:
 //
-//	-fast       skip the interprocedural passes (timetaint, capflow):
-//	            syntactic rules only, no call graph — quick local
-//	            iteration
 //	-json FILE  write the structured report (findings with witness
 //	            chains) to FILE ("-" for stdout)
 //
@@ -31,7 +28,6 @@ import (
 )
 
 func main() {
-	fast := flag.Bool("fast", false, "skip interprocedural passes (no call graph)")
 	jsonOut := flag.String("json", "", "write structured JSON report to this file (- for stdout)")
 	flag.Parse()
 
@@ -40,11 +36,7 @@ func main() {
 		fatal(err)
 	}
 
-	mods := analysis.AllModule()
-	if *fast {
-		mods = nil
-	}
-	diags, err := analysis.CheckModule(root, analysis.All(), mods)
+	diags, err := analysis.CheckModule(root, analysis.All())
 	if err != nil {
 		fatal(err)
 	}

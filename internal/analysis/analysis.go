@@ -15,6 +15,7 @@ package analysis
 import (
 	"fmt"
 	"go/token"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -189,35 +190,38 @@ func collectAllows(pkg *Package, known map[string]bool) (map[allowKey]bool, []Di
 	return allows, bad
 }
 
-// RunAnalyzers executes the analyzers over one package and returns the
-// surviving (non-suppressed) diagnostics, position-sorted.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return runAnalyzersKnown(pkg, analyzers, nil)
-}
-
-// runAnalyzersKnown is RunAnalyzers with additional rule names treated
-// as known in //m3vet:allow comments (the module-level rules, which do
-// not run per package but may be suppressed per line).
-func runAnalyzersKnown(pkg *Package, analyzers []*Analyzer, extraKnown []string) []Diagnostic {
-	known := make(map[string]bool, len(analyzers)+len(extraKnown))
+// knownRules is the set of rule names an //m3vet:allow comment may
+// name: the given per-package analyzers plus every module-level rule.
+func knownRules(analyzers []*Analyzer) map[string]bool {
+	known := make(map[string]bool)
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
-	for _, name := range extraKnown {
-		known[name] = true
+	for _, m := range AllModule() {
+		known[m.Name] = true
 	}
-	allows, diags := collectAllows(pkg, known)
-	for _, a := range analyzers {
-		pass := &Pass{Analyzer: a, Pkg: pkg}
-		pass.report = func(d Diagnostic) {
-			if !allows[allowKey{d.Pos.Filename, d.Pos.Line, d.Rule}] {
-				diags = append(diags, d)
-			}
+	return known
+}
+
+// RunAnalyzers executes the analyzers over one package and returns the
+// surviving (non-suppressed) diagnostics, position-sorted.
+func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
+	allows, diags := collectAllows(pkg, knownRules(analyzers))
+	report := func(d Diagnostic) {
+		if !allows[allowKey{d.Pos.Filename, d.Pos.Line, d.Rule}] {
+			diags = append(diags, d)
 		}
-		a.Run(pass)
 	}
+	runPackage(pkg, analyzers, report)
 	SortDiagnostics(diags)
 	return diags
+}
+
+// runPackage runs the per-package analyzers over pkg.
+func runPackage(pkg *Package, analyzers []*Analyzer, report func(Diagnostic)) {
+	for _, a := range analyzers {
+		a.Run(&Pass{Analyzer: a, Pkg: pkg, report: report})
+	}
 }
 
 // SortDiagnostics orders diagnostics by file, line, column, rule.
@@ -237,20 +241,12 @@ func SortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// Check loads every package of the module rooted at dir and runs the
-// analyzers over each. Load (parse or type) errors are returned as
-// errors, not diagnostics: the module must build before it can be
-// vetted.
-func Check(dir string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return CheckModule(dir, analyzers, nil)
-}
-
 // CheckModule loads every package of the module rooted at dir, runs the
-// per-package analyzers over each, then (if any module analyzers are
-// given) builds the call graph once and runs the interprocedural
-// passes. Passing no module analyzers is "fast mode": syntactic rules
-// only, no call graph.
-func CheckModule(dir string, analyzers []*Analyzer, mods []*ModuleAnalyzer) ([]Diagnostic, error) {
+// per-package analyzers over each, then builds the call graph once and
+// runs the interprocedural passes (AllModule). Load (parse or type)
+// errors are returned as errors, not diagnostics: the module must build
+// before it can be vetted.
+func CheckModule(dir string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	l, err := NewLoader(dir)
 	if err != nil {
 		return nil, err
@@ -267,58 +263,33 @@ func CheckModule(dir string, analyzers []*Analyzer, mods []*ModuleAnalyzer) ([]D
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	return checkPackages(pkgs, analyzers, mods), nil
+	return checkPackages(pkgs, analyzers), nil
 }
 
 // checkPackages is the load-free core of CheckModule, shared with the
 // overlay-fixture tests.
-func checkPackages(pkgs []*Package, analyzers []*Analyzer, mods []*ModuleAnalyzer) []Diagnostic {
-	// Module-rule names are always legal in //m3vet:allow comments —
-	// including in fast mode, when the module passes themselves are
-	// skipped — so an allow for (say) timetaint does not flip between
-	// "valid" and "unknown rule" depending on how m3vet was invoked.
-	extraSet := make(map[string]bool)
-	var extraKnown []string
-	for _, m := range AllModule() {
-		extraSet[m.Name] = true
-		extraKnown = append(extraKnown, m.Name)
-	}
-	for _, m := range mods {
-		if !extraSet[m.Name] {
-			extraSet[m.Name] = true
-			extraKnown = append(extraKnown, m.Name)
-		}
-	}
+func checkPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	// One allow set for the whole module: a line-level allow comment
+	// applies to per-package and module findings alike.
+	known := knownRules(analyzers)
+	allows := make(map[allowKey]bool)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		diags = append(diags, runAnalyzersKnown(pkg, analyzers, extraKnown)...)
+		pkgAllows, bad := collectAllows(pkg, known)
+		maps.Copy(allows, pkgAllows)
+		diags = append(diags, bad...)
 	}
-	if len(mods) > 0 {
-		graph := BuildCallGraph(pkgs)
-		// Line-level allow comments apply to module findings too.
-		allKnown := make(map[string]bool)
-		for _, a := range analyzers {
-			allKnown[a.Name] = true
+	report := func(d Diagnostic) {
+		if !allows[allowKey{d.Pos.Filename, d.Pos.Line, d.Rule}] {
+			diags = append(diags, d)
 		}
-		for _, name := range extraKnown {
-			allKnown[name] = true
-		}
-		allows := make(map[allowKey]bool)
-		for _, pkg := range pkgs {
-			pkgAllows, _ := collectAllows(pkg, allKnown)
-			for k := range pkgAllows {
-				allows[k] = true
-			}
-		}
-		for _, m := range mods {
-			pass := &ModulePass{Analyzer: m, Pkgs: pkgs, Graph: graph}
-			pass.report = func(d Diagnostic) {
-				if !allows[allowKey{d.Pos.Filename, d.Pos.Line, d.Rule}] {
-					diags = append(diags, d)
-				}
-			}
-			m.Run(pass)
-		}
+	}
+	for _, pkg := range pkgs {
+		runPackage(pkg, analyzers, report)
+	}
+	graph := BuildCallGraph(pkgs)
+	for _, m := range AllModule() {
+		m.Run(&ModulePass{Analyzer: m, Pkgs: pkgs, Graph: graph, report: report})
 	}
 	SortDiagnostics(diags)
 	return diags

@@ -27,7 +27,7 @@ func runOn(t *testing.T, analyzers []*Analyzer, path string, files map[string]st
 // analyzers.
 func runModuleOn(t *testing.T, overlay map[string]map[string]string) []Diagnostic {
 	t.Helper()
-	return checkPackages(loadPkgs(t, overlay), nil, AllModule())
+	return checkPackages(loadPkgs(t, overlay), nil)
 }
 
 func diagsOf(diags []Diagnostic, rule string) []Diagnostic {

@@ -42,10 +42,9 @@ var CaptureWorkloads = map[string]string{
 // RunWorkloadCapture runs one workload with the folded profiler and
 // the critical-path engine fanned out from the structured tracer and
 // returns the bundled capture. The capture arms its own tracer and
-// sampler over opt: captures are byte-identical across engine variants
-// (the differential contract), and opt.DispatchCostDelta seeds the
-// `m3sim diff` self-test's kernel-side regression. Identical (workload,
-// options) runs return byte-identical captures.
+// sampler over opt, and opt.DispatchCostDelta seeds the `m3sim diff`
+// self-test's kernel-side regression. Identical (workload, options)
+// runs return byte-identical captures.
 func RunWorkloadCapture(name string, opt M3Options) (*obs.RunCapture, error) {
 	b, err := workload.ByName(name)
 	if err != nil {

@@ -21,29 +21,23 @@ func captureJSON(t *testing.T, c *obs.RunCapture) string {
 	return buf.String()
 }
 
-// TestCaptureEngineEquivalence is the differential contract for
-// captures: the reference heap and the calendar queue must produce
-// byte-identical capture JSON — so an `m3sim diff` report can never be
-// engine noise.
-func TestCaptureEngineEquivalence(t *testing.T) {
-	variants := EngineVariants()
-	var ref string
-	for _, v := range variants {
-		c, err := RunWorkloadCapture(witnessWorkload, M3Options{Engine: v.Cfg})
+// TestCaptureDeterministic is the determinism contract for captures:
+// two captures of the same run must be byte-identical JSON — so an
+// `m3sim diff` report is never run noise.
+func TestCaptureDeterministic(t *testing.T) {
+	var js [2]string
+	for i := range js {
+		c, err := RunWorkloadCapture(witnessWorkload, M3Options{})
 		if err != nil {
-			t.Fatalf("%s: %v", v.Name, err)
+			t.Fatal(err)
 		}
-		js := captureJSON(t, c)
-		if ref == "" {
-			ref = js
-			continue
-		}
-		if js != ref {
-			t.Fatalf("capture under %s differs from %s", v.Name, variants[0].Name)
-		}
+		js[i] = captureJSON(t, c)
 	}
-	if ref == "" || !strings.Contains(ref, "\"workload\": \""+witnessWorkload+"\"") {
-		t.Fatalf("capture JSON malformed:\n%.400s", ref)
+	if js[0] != js[1] {
+		t.Fatal("two captures of the same run differ")
+	}
+	if !strings.Contains(js[0], "\"workload\": \""+witnessWorkload+"\"") {
+		t.Fatalf("capture JSON malformed:\n%.400s", js[0])
 	}
 }
 

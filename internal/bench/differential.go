@@ -11,28 +11,12 @@ import (
 	"repro/internal/workload"
 )
 
-// The differential engine harness: every workload the tier-1 suite
-// exercises is run under each engine configuration — the reference
-// binary-heap event queue and the production calendar queue — and
-// every observable byte of the run is hashed into a witness. Two
-// engine configurations are equivalent exactly when their witnesses
-// are identical; TestEngineEquivalence enforces this on every CI run.
-
-// EngineVariant names one engine configuration under differential test.
-type EngineVariant struct {
-	Name string
-	Cfg  sim.Config
-}
-
-// EngineVariants returns the configuration matrix. The first entry is
-// the reference: the binary heap kept precisely so the calendar queue
-// has a trusted baseline to differ against.
-func EngineVariants() []EngineVariant {
-	return []EngineVariant{
-		{"serial-heap", sim.Config{Queue: sim.QueueHeap}},
-		{"serial-calendar", sim.Config{}},
-	}
-}
+// The differential harness: a workload runs with every observability
+// stream armed, and every observable byte of the run is hashed into a
+// witness. Two runs behave identically exactly when their witnesses
+// are equal. TestEngineEquivalence and TestEngineEquivalenceNoFault pin
+// the witness of every tier-1 workload, lossy and lossless, so any
+// change to the simulated schedule fails CI.
 
 // DifferentialWitness condenses everything observable about one run.
 // Two runs are behaviourally identical iff their witnesses are equal —
@@ -61,32 +45,25 @@ func (w DifferentialWitness) String() string {
 }
 
 // differentialSampleEvery keeps the metrics sampler armed during
-// differential runs so sampler events participate in the equivalence
-// check too.
+// differential runs so sampler events are part of the witness too.
 const differentialSampleEvery sim.Time = 4096
 
-// RunDifferential executes n instances of b under the given fault plan
-// on one engine configuration, with every observability stream armed,
-// and returns the run's witness. The fault plan matters: asynchronous
-// control traffic (acks, nacks) only exists under fault injection, so
-// a lossless differential run would leave that NoC path untested.
-func RunDifferential(b workload.Benchmark, n int, plan fault.Plan, cfg sim.Config) (DifferentialWitness, error) {
-	return RunDifferentialOverload(b, n, plan, cfg, nil)
-}
-
-// RunDifferentialOverload is RunDifferential with an overload policy
-// armed on the system. Its point is the zero-overhead-when-off proof:
-// an armed-but-idle policy (zero deadline, zero watermarks) must
-// produce a witness bit-identical to a nil policy — not one extra
-// engine event, obs event, or metric (TestOverloadIdleBitIdentical).
-func RunDifferentialOverload(b workload.Benchmark, n int, plan fault.Plan, cfg sim.Config, ov *OverloadSpec) (DifferentialWitness, error) {
+// RunDifferential executes n instances of b under the given fault plan,
+// with every observability stream armed, and returns the run's witness.
+// The fault plan matters: asynchronous control traffic (acks, nacks)
+// only exists under fault injection, so a lossless run would leave that
+// NoC path untested. A non-nil ov arms an overload policy on the
+// system. Its point is the zero-overhead-when-off proof: an
+// armed-but-idle policy (zero deadline, zero watermarks) must produce a
+// witness bit-identical to a nil policy — not one extra engine event,
+// obs event, or metric (TestOverloadIdleBitIdentical).
+func RunDifferential(b workload.Benchmark, n int, plan fault.Plan, ov *OverloadSpec) (DifferentialWitness, error) {
 	var w DifferentialWitness
 	sh := newStreamHash()
 	tr := obs.New(obs.Options{Sink: sh.Consume})
 	opt := M3Options{
 		Obs:         tr,
 		SampleEvery: differentialSampleEvery,
-		Engine:      cfg,
 		Overload:    ov,
 	}
 	cr, err := Scenario{Workload: b, Instances: n, Faults: &plan, M3Options: opt}.Run()

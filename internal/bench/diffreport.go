@@ -147,7 +147,6 @@ func (r *DiffReport) WriteText(w io.Writer) error {
 		if err := pr("workload %s (regressed: %s):\n", a.Workload, joinKeys(a.Metrics)); err != nil {
 			return err
 		}
-		//m3vet:allow timetaint the capture diff is simulation-derived; the taint is the host-speed "info" metric riding in the same report struct, which never gates and is reported as-is
 		if err := a.Diff.WriteText(w, attributionTopGroups); err != nil {
 			return err
 		}

@@ -106,8 +106,8 @@ type ETailWorkloadResult struct {
 	SLOState          string
 
 	// Witness digests the entire M3 request population (span, latency,
-	// blame vector) plus the run statistics; the differential tests
-	// compare it across engine configurations.
+	// blame vector) plus the run statistics; the determinism test
+	// compares it across two runs.
 	Witness uint64
 	Stats   RunStats
 }
@@ -171,7 +171,7 @@ func etailOp(w ETailWorkload, os workload.OS, i int, buf []byte) error {
 // runETailM3 drives one workload on M3 with the critical-path engine
 // armed after setup (the measured population is the steady-state
 // fleet traffic, not the scaffolding).
-func runETailM3(w ETailWorkload, engCfg sim.Config) (*ETailWorkloadResult, error) {
+func runETailM3(w ETailWorkload) (*ETailWorkloadResult, error) {
 	slos := obs.NewSLOSet()
 	tail := slos.Objective(etailSLOLatency, obs.SLOConfig{
 		Objective: 0.99, LatencyBound: etailSLOBound, Window: 1 << 18})
@@ -195,7 +195,7 @@ func runETailM3(w ETailWorkload, engCfg sim.Config) (*ETailWorkloadResult, error
 			armed = true
 			return etailOp(w, os, i, buf)
 		},
-	}.run(M3Options{Obs: tracer, Engine: engCfg})
+	}.run(M3Options{Obs: tracer})
 	if err != nil {
 		return nil, err
 	}
@@ -327,16 +327,9 @@ func runETailLx(w ETailWorkload) (ETailSystem, error) {
 
 // ETail runs the blame-at-the-tail sweep on both systems.
 func ETail() (*ETailResult, error) {
-	return ETailEngine(sim.Config{})
-}
-
-// ETailEngine is ETail on an explicit engine configuration (the
-// differential tests sweep it; every configuration must produce the
-// identical witness).
-func ETailEngine(engCfg sim.Config) (*ETailResult, error) {
 	res := &ETailResult{}
 	for _, w := range ETailWorkloads {
-		m3r, err := runETailM3(w, engCfg)
+		m3r, err := runETailM3(w)
 		if err != nil {
 			return nil, fmt.Errorf("etail %s on M3: %w", w.Name, err)
 		}

@@ -8,15 +8,14 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 // End-to-end tests for the critical-path attribution and SLO layer:
-// byte-identical reports across repetitions and engine configurations
-// (the `m3sim slo` determinism acceptance gate), report stability under
-// chaos-tier fault injection with service recovery, the engine
-// equivalence of the E-tail experiment, and the zero-overhead-when-off
+// byte-identical reports across repetitions (the `m3sim slo`
+// determinism acceptance gate), report stability under chaos-tier
+// fault injection with service recovery, the determinism of the E-tail
+// experiment, and the zero-overhead-when-off
 // proof for the attribution/SLO sink.
 
 // The bench-suite SLO names (package constants: m3vet sloname).
@@ -66,12 +65,12 @@ func writeCritPathReport(t *testing.T, cp *obs.CritPath, slos *obs.SLOSet) []byt
 // critPathRun executes one workload with the attribution engine and
 // SLO set wired as the tracer sink and returns the run statistics plus
 // the serialized report.
-func critPathRun(t *testing.T, b workload.Benchmark, cfg sim.Config) (RunStats, []byte) {
+func critPathRun(t *testing.T, b workload.Benchmark) (RunStats, []byte) {
 	t.Helper()
 	slos := benchSLOSet()
 	cp := obs.NewCritPath(obs.CritPathOptions{Exemplars: 4, SLO: slos})
 	tr := obs.New(obs.Options{Sink: cp.Consume})
-	st := mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: tr, Engine: cfg}}).Stats
+	st := mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: tr}}).Stats
 	if cp.Completed() == 0 {
 		t.Fatal("critpath run completed no requests")
 	}
@@ -86,9 +85,9 @@ func TestCritPathReportDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st1, rep1 := critPathRun(t, b, sim.Config{})
+	st1, rep1 := critPathRun(t, b)
 	for i := 0; i < 2; i++ {
-		st2, rep2 := critPathRun(t, b, sim.Config{})
+		st2, rep2 := critPathRun(t, b)
 		if st1 != st2 {
 			t.Fatalf("rerun %d: run stats differ: %+v vs %+v", i+2, st2, st1)
 		}
@@ -161,15 +160,14 @@ func TestCritPathSLOZeroOverhead(t *testing.T) {
 	}
 }
 
-// TestETailEngineEquivalence: the E-tail experiment must produce the
-// identical result — every blame cell, SLO count, and the per-workload
-// population witness — on the reference heap and the calendar queue.
-func TestETailEngineEquivalence(t *testing.T) {
+// TestETailDeterministic: two runs of the E-tail experiment must
+// produce the identical result — every blame cell, SLO count, and the
+// per-workload population witness.
+func TestETailDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("engine sweep in -short mode")
+		t.Skip("two E-tail sweeps in -short mode")
 	}
-	variants := EngineVariants()
-	ref, err := ETailEngine(variants[0].Cfg)
+	ref, err := ETail()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +176,11 @@ func TestETailEngineEquivalence(t *testing.T) {
 			t.Fatalf("%s: empty request population: %+v", wr.Workload, wr)
 		}
 	}
-	for _, v := range variants[1:] {
-		got, err := ETailEngine(v.Cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", v.Name, err)
-		}
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("%s: E-tail result differs from %s:\n%+v\n---\n%+v",
-				v.Name, variants[0].Name, got, ref)
-		}
+	got, err := ETail()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ref, got) {
+		t.Fatalf("E-tail rerun differs:\n%+v\n---\n%+v", got, ref)
 	}
 }

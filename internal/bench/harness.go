@@ -66,11 +66,6 @@ type M3Options struct {
 	// one sample. Zero keeps the sampler off, scheduling no extra
 	// events — RunStats stay bit-identical to a sampler-free run.
 	SampleEvery sim.Time
-	// Engine configures the simulation engine (event queue kind).
-	// Every configuration produces byte-identical runs; the zero value
-	// is the production default. The differential
-	// harness (differential.go) sweeps this field.
-	Engine sim.Config
 	// DispatchCostDelta perturbs the kernel's per-syscall dispatch cost
 	// (core.CostDispatch) by the given number of cycles — the seeded
 	// regression of the `m3sim diff` self-test. Zero (the default) leaves the
@@ -121,7 +116,7 @@ func bootM3(opt M3Options, appPEs int) *m3System {
 // bootM3NoFS builds the platform and kernel without starting m3fs;
 // Scenario starts its own, with a handle on the service.
 func bootM3NoFS(opt M3Options, appPEs int) *m3System {
-	eng := sim.NewEngineWith(opt.Engine)
+	eng := sim.NewEngine()
 	types := []tile.CoreType{tile.CoreXtensa, tile.CoreXtensa} // kernel, m3fs
 	for i := 0; i < appPEs+opt.ExtraPEs; i++ {
 		types = append(types, tile.CoreXtensa)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/dtu"
 	"repro/internal/kif"
 	"repro/internal/overload"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -16,7 +15,7 @@ import (
 // deadline propagation, admission control, kernel shedding, client
 // retry budgets and breakers — driven end to end under open-loop
 // overload, with graceful-degradation acceptance gates, a determinism
-// sweep across engine configurations, and the zero-overhead-when-off
+// check across repeated sweeps, and the zero-overhead-when-off
 // bit-identity proof.
 
 // TestOverloadGracefulDegradation runs the E-load sweep and enforces
@@ -78,8 +77,8 @@ func TestOverloadGracefulDegradation(t *testing.T) {
 // must produce identical witnesses at every load point.
 func TestOverloadDeterminism(t *testing.T) {
 	var ref *ELoadResult
-	check := func(name string, cfg sim.Config) {
-		r, err := ELoadEngine(cfg)
+	check := func(name string) {
+		r, err := ELoad()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -100,7 +99,7 @@ func TestOverloadDeterminism(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		check(fmt.Sprintf("run#%d", i), sim.Config{})
+		check(fmt.Sprintf("run#%d", i))
 	}
 }
 
@@ -115,18 +114,16 @@ func TestOverloadIdleBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	idle := &OverloadSpec{} // armed, but every knob at its off default
-	for _, v := range EngineVariants() {
-		off, err := RunDifferential(b, 2, differentialPlan(), v.Cfg)
-		if err != nil {
-			t.Fatalf("%s off: %v", v.Name, err)
-		}
-		on, err := RunDifferentialOverload(b, 2, differentialPlan(), v.Cfg, idle)
-		if err != nil {
-			t.Fatalf("%s idle: %v", v.Name, err)
-		}
-		if off != on {
-			t.Errorf("%s: idle overload stack perturbed the run:\n  off: %v\n  on:  %v", v.Name, off, on)
-		}
+	off, err := RunDifferential(b, 2, differentialPlan(), nil)
+	if err != nil {
+		t.Fatalf("off: %v", err)
+	}
+	on, err := RunDifferential(b, 2, differentialPlan(), idle)
+	if err != nil {
+		t.Fatalf("idle: %v", err)
+	}
+	if off != on {
+		t.Errorf("idle overload stack perturbed the run:\n  off: %v\n  on:  %v", off, on)
 	}
 }
 

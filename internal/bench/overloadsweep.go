@@ -88,8 +88,7 @@ type ELoadPoint struct {
 	BreakerOpens  uint64
 
 	// Witness digests every per-operation outcome plus the engine run
-	// statistics; the determinism gate compares it across repetitions
-	// and engine configurations.
+	// statistics; the determinism gate compares it across repetitions.
 	Witness uint64
 	Stats   RunStats
 }
@@ -98,8 +97,8 @@ type ELoadPoint struct {
 // interval 0 is the closed-loop capacity probe (clients fire
 // back-to-back); armed false runs the same fleet with every overload
 // knob off (the capacity baseline measures the unarmed system).
-func runELoadPoint(interval sim.Time, armed bool, engCfg sim.Config) (*ELoadPoint, error) {
-	opt := M3Options{Engine: engCfg}
+func runELoadPoint(interval sim.Time, armed bool) (*ELoadPoint, error) {
+	var opt M3Options
 	if armed {
 		opt.Overload = ELoadSpec()
 	}
@@ -209,8 +208,8 @@ func runELoadPoint(interval sim.Time, armed bool, engCfg sim.Config) (*ELoadPoin
 }
 
 // ELoadCapacity measures the closed-loop, unarmed capacity baseline.
-func ELoadCapacity(engCfg sim.Config) (*ELoadPoint, error) {
-	return runELoadPoint(0, false, engCfg)
+func ELoadCapacity() (*ELoadPoint, error) {
+	return runELoadPoint(0, false)
 }
 
 // ELoadIntervalFor converts a capacity measurement and an offered-load
@@ -240,14 +239,7 @@ var ELoadMults = []float64{0.5, 1, 2}
 // ELoad runs the sweep: capacity probe, then the armed open-loop
 // points.
 func ELoad() (*ELoadResult, error) {
-	return ELoadEngine(sim.Config{})
-}
-
-// ELoadEngine is ELoad on an explicit engine configuration (the
-// determinism gate sweeps it; every configuration must produce the
-// identical witness).
-func ELoadEngine(engCfg sim.Config) (*ELoadResult, error) {
-	capacity, err := ELoadCapacity(engCfg)
+	capacity, err := ELoadCapacity()
 	if err != nil {
 		return nil, fmt.Errorf("eload capacity: %w", err)
 	}
@@ -257,7 +249,7 @@ func ELoadEngine(engCfg sim.Config) (*ELoadResult, error) {
 	res := &ELoadResult{Capacity: capacity}
 	for _, mult := range ELoadMults {
 		interval := ELoadIntervalFor(capacity, mult)
-		p, err := runELoadPoint(interval, true, engCfg)
+		p, err := runELoadPoint(interval, true)
 		if err != nil {
 			return nil, fmt.Errorf("eload x%g: %w", mult, err)
 		}

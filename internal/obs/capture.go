@@ -18,8 +18,7 @@ import (
 // Determinism contract: a capture contains only simulation-derived
 // values in fixed orders (profile paths sorted, metrics in registration
 // order, histograms in id order, blame in category order), so identical
-// runs — including across the heap and calendar event queues —
-// marshal to byte-identical JSON. Capturing is pure
+// runs marshal to byte-identical JSON. Capturing is pure
 // post-processing over the existing event stream (Profiler and CritPath
 // are ordinary sinks); with no capture armed, nothing here runs.
 

@@ -197,7 +197,6 @@ func (c *refCritPath) WriteFolded(w io.Writer) error {
 		}
 	}
 	lines := make([]line, 0, len(agg))
-	//m3vet:allow nodeterminism lines are collected then sorted by path before writing
 	for p, cyc := range agg {
 		lines = append(lines, line{p, cyc})
 	}

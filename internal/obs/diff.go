@@ -619,7 +619,7 @@ func WriteFoldedDiff(w io.Writer, old, new *RunCapture) error {
 	}
 	om, nm := cycles(old), cycles(new)
 	var paths []string
-	for p := range om { //m3vet:allow nodeterminism keys are collected and sorted below before any output
+	for p := range om {
 		paths = append(paths, p)
 	}
 	for p := range nm { //m3vet:allow nodeterminism keys are collected and sorted below before any output

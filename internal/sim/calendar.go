@@ -62,8 +62,6 @@ type cqBucket struct {
 	head int
 }
 
-func newCalendarQueue() *calendarQueue { return &calendarQueue{} }
-
 func (c *calendarQueue) push(ev *event) {
 	if ev.at >= c.cur+wheelSize {
 		heap.Push(&c.far, ev)
@@ -152,3 +150,25 @@ func (c *calendarQueue) migrate() {
 }
 
 func (c *calendarQueue) len() int { return c.size }
+
+// eventHeap is a min-heap ordered by (at, seq): the calendar queue's
+// overflow for events beyond the wheel's horizon.
+type eventHeap []*event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	ev := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return ev
+}

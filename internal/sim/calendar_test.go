@@ -1,9 +1,44 @@
 package sim
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 )
+
+// eventQueue is the pop-order contract the calendar queue is tested
+// against: both it and heapQueue yield events in ascending (at, seq)
+// order.
+type eventQueue interface {
+	push(ev *event)
+	pop() *event
+	peek() *event
+	len() int
+}
+
+// heapQueue is the reference queue: a plain binary min-heap over
+// (at, seq), the engine's original event store.
+type heapQueue struct {
+	h eventHeap
+}
+
+func (q *heapQueue) push(ev *event) { heap.Push(&q.h, ev) }
+
+func (q *heapQueue) pop() *event {
+	if len(q.h) == 0 {
+		return nil
+	}
+	return heap.Pop(&q.h).(*event)
+}
+
+func (q *heapQueue) peek() *event {
+	if len(q.h) == 0 {
+		return nil
+	}
+	return q.h[0]
+}
+
+func (q *heapQueue) len() int { return len(q.h) }
 
 // drainCompare pops both queues empty, asserting identical (at, seq)
 // order, and returns the number of events drained.
@@ -77,7 +112,7 @@ func TestCalendarMatchesHeap(t *testing.T) {
 func crossCheck(t *testing.T, mix string, seed int64, delay func(rng *rand.Rand) Time) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	cal, hp := newCalendarQueue(), &heapQueue{}
+	cal, hp := &calendarQueue{}, &heapQueue{}
 	var now Time
 	var seq uint64
 	live := 0
@@ -114,7 +149,7 @@ func crossCheck(t *testing.T, mix string, seed int64, delay func(rng *rand.Rand)
 // own word below the cursor's bit (exactly cur+wheelMask), which only
 // the second visit of that word finds.
 func TestCalendarWrapsLastWord(t *testing.T) {
-	c := newCalendarQueue()
+	c := &calendarQueue{}
 	const base = Time(3*wheelSize + wheelSize - 8) // bucket 2040: last word, bit 56
 	c.push(&event{at: base, seq: 1})
 	if p := c.pop(); p.at != base {
@@ -147,7 +182,7 @@ func TestCalendarWrapsLastWord(t *testing.T) {
 // earlier than the peeked time (RunUntil bumps the clock past the last
 // executed event) and those pushes must still sort first.
 func TestCalendarPeekDoesNotCommitCursor(t *testing.T) {
-	c := newCalendarQueue()
+	c := &calendarQueue{}
 	c.push(&event{at: 50, seq: 1})
 	if p := c.peek(); p.at != 50 {
 		t.Fatalf("peek = %d, want 50", p.at)
@@ -167,7 +202,7 @@ func TestCalendarPeekDoesNotCommitCursor(t *testing.T) {
 // cycle must land in its bucket in seq order, ahead of any later direct
 // pushes to the same cycle.
 func TestCalendarOverflowMigrationOrder(t *testing.T) {
-	c := newCalendarQueue()
+	c := &calendarQueue{}
 	far := Time(3 * wheelSize)
 	c.push(&event{at: far, seq: 1}) // overflow
 	c.push(&event{at: far, seq: 2}) // overflow, same cycle
@@ -198,7 +233,7 @@ func TestCalendarOverflowMigrationOrder(t *testing.T) {
 // repeatedly (modeling a hot simulation loop) and checks the backing
 // arrays behave FIFO across reuse.
 func TestCalendarBucketReuse(t *testing.T) {
-	c := newCalendarQueue()
+	c := &calendarQueue{}
 	var seq uint64
 	var now Time
 	for round := 0; round < 3*wheelSize; round++ {
@@ -219,7 +254,7 @@ func TestCalendarBucketReuse(t *testing.T) {
 
 // TestCalendarEmpty covers the nil returns.
 func TestCalendarEmpty(t *testing.T) {
-	c := newCalendarQueue()
+	c := &calendarQueue{}
 	if c.pop() != nil || c.peek() != nil || c.len() != 0 {
 		t.Fatal("empty queue must return nil/0")
 	}
@@ -245,7 +280,7 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{125, 121, 117, 200, 113, 200, 109, 200, 105, 200, 200, 200})
 	f.Add([]byte{65, 200, 126, 125, 200, 200, 66, 97, 200, 200})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cal, hp := newCalendarQueue(), &heapQueue{}
+		cal, hp := &calendarQueue{}, &heapQueue{}
 		var now Time
 		var seq uint64
 		live := 0
@@ -293,22 +328,18 @@ func FuzzEventQueue(f *testing.F) {
 			}
 		}
 
-		// Schedule-after-deadlock must panic regardless of queue kind.
-		for _, q := range []QueueKind{QueueCalendar, QueueHeap} {
-			e := NewEngineWith(Config{Queue: q})
-			e.Spawn("stuck", func(p *Process) { NewSignal(e).Wait(p) })
-			e.Run()
-			if !e.Deadlocked() {
-				t.Fatal("expected deadlock")
-			}
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("queue %d: Schedule after deadlock must panic", q)
-					}
-				}()
-				e.Schedule(0, func() {})
-			}()
+		// Schedule after a deadlocked Run must panic.
+		e := NewEngine()
+		e.Spawn("stuck", func(p *Process) { NewSignal(e).Wait(p) })
+		e.Run()
+		if !e.Deadlocked() {
+			t.Fatal("expected deadlock")
 		}
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Schedule after deadlock must panic")
+			}
+		}()
+		e.Schedule(0, func() {})
 	})
 }

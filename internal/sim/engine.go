@@ -11,12 +11,11 @@
 // having its own stack. A switch between the engine and a process is a
 // direct goroutine switch in the runtime, with no scheduler wake-up.
 //
-// One engine internal is configurable (Config) without changing any
-// observable schedule: the event queue implementation, an O(1) calendar
-// queue by default and the original binary heap as the reference for
-// differential testing (see docs/ENGINE.md). Both must produce
-// byte-identical traces, which is enforced by the differential harness
-// in internal/bench.
+// The pending events live in an O(1) calendar queue (calendar.go), the
+// engine's only event store. Its tests hold it to the pop order of a
+// binary heap kept in calendar_test.go, and internal/bench pins each
+// workload's run witness, so a change in the schedule fails a test
+// (see docs/ENGINE.md).
 package sim
 
 import "fmt"
@@ -35,34 +34,15 @@ type event struct {
 	next *event
 }
 
-// QueueKind selects the engine's event-queue implementation.
-type QueueKind uint8
-
-const (
-	// QueueCalendar is the default O(1) calendar queue (calendar.go).
-	QueueCalendar QueueKind = iota
-	// QueueHeap is the original binary min-heap, kept as the reference
-	// implementation for differential testing.
-	QueueHeap
-)
-
-// Config parameterizes an engine. The zero value is the production
-// default: the calendar queue.
-type Config struct {
-	// Queue selects the event-queue implementation. Both yield events
-	// in the identical (time, sequence) order.
-	Queue QueueKind
-}
-
 // Engine owns the simulated clock and the event queue.
 //
 // All interaction with an Engine must happen from simulation context:
 // either from inside a callback scheduled on it or from a process spawned
-// on it. The zero value is not usable; call NewEngine.
+// on it. Create one with NewEngine.
 type Engine struct {
 	now   Time
 	seq   uint64
-	queue eventQueue
+	queue calendarQueue
 	free  *event
 
 	current *Process
@@ -73,22 +53,8 @@ type Engine struct {
 	deadlocked  bool
 }
 
-// NewEngine returns a default-configured engine (calendar queue) with
-// an empty event queue at time zero.
-func NewEngine() *Engine { return NewEngineWith(Config{}) }
-
-// NewEngineWith returns an engine with the given configuration. All
-// configurations produce identical schedules; see Config.
-func NewEngineWith(cfg Config) *Engine {
-	e := &Engine{}
-	switch cfg.Queue {
-	case QueueHeap:
-		e.queue = &heapQueue{}
-	default:
-		e.queue = newCalendarQueue()
-	}
-	return e
-}
+// NewEngine returns an engine with an empty event queue at time zero.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time in cycles.
 func (e *Engine) Now() Time { return e.now }
