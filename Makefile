@@ -85,16 +85,19 @@ chaos:
 	go test -race -run 'TestFaultDeterminism|TestChaosMatrix|TestObsChaosStreamDeterministic|TestFlightDump|TestOverload' ./internal/bench
 
 # Short fuzz smoke over the crash-facing decoders — the fault-plan
-# parser and the m3fs metadata journal — plus two cross-checks against
-# reference implementations: the event queue (calendar vs reference
-# heap pop order) and the critical-path engine (pooled vs map-based
-# attribution, reports and interval pairing). The full fuzzers run for
-# as long as you let them: go test -fuzz FuzzFaultPlan
+# parser, the m3fs metadata journal, and the kif message decoder every
+# kernel and service request passes through — plus two cross-checks
+# against reference implementations: the event queue (calendar vs
+# reference heap pop order) and the critical-path engine (pooled vs
+# map-based attribution, reports and interval pairing). The full
+# fuzzers run for as long as you let them: go test -fuzz FuzzFaultPlan
 # ./internal/fault, go test -fuzz FuzzJournal ./internal/m3fs,
+# go test -fuzz FuzzIStream ./internal/kif,
 # go test -fuzz FuzzEventQueue ./internal/sim,
 # go test -fuzz FuzzCritPath ./internal/obs.
 fuzz:
 	go test -run '^$$' -fuzz FuzzFaultPlan -fuzztime 10s ./internal/fault
 	go test -run '^$$' -fuzz FuzzJournal -fuzztime 10s ./internal/m3fs
+	go test -run '^$$' -fuzz FuzzIStream -fuzztime 10s ./internal/kif
 	go test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s ./internal/sim
 	go test -run '^$$' -fuzz FuzzCritPath -fuzztime 10s ./internal/obs

@@ -129,6 +129,13 @@ type Kernel struct {
 	nextServOp  uint64
 	nextSrvEP   int
 
+	// out is the stream replyErr marshals into, and servReply the copy
+	// of the last service reply callService decodes from. Kernel
+	// helpers share them safely: each is filled and consumed without
+	// the kernel yielding in between.
+	out       kif.OStream
+	servReply []byte
+
 	// srvEpochs counts registrations per service name (lookup only,
 	// never walked) so every re-registration gets a fresh epoch.
 	srvEpochs map[string]uint64
@@ -431,41 +438,47 @@ func (k *Kernel) handleSyscall(p *sim.Process, msg *dtu.Message) {
 		k.compute(p, CostNoop)
 		k.replyErr(p, msg, kif.OK)
 	case kif.SysCreateVPE:
-		k.sysCreateVPE(p, vpe, is, msg)
+		k.sysCreateVPE(p, vpe, &is, msg)
 	case kif.SysVPEStart:
-		k.sysVPEStart(p, vpe, is, msg)
+		k.sysVPEStart(p, vpe, &is, msg)
 	case kif.SysVPEWait:
-		k.sysVPEWait(p, vpe, is, msg)
+		k.sysVPEWait(p, vpe, &is, msg)
 	case kif.SysExit:
-		k.sysExit(p, vpe, is, msg)
+		k.sysExit(p, vpe, &is, msg)
 	case kif.SysReqMem:
-		k.sysReqMem(p, vpe, is, msg)
+		k.sysReqMem(p, vpe, &is, msg)
 	case kif.SysDeriveMem:
-		k.sysDeriveMem(p, vpe, is, msg)
+		k.sysDeriveMem(p, vpe, &is, msg)
 	case kif.SysCreateRGate:
-		k.sysCreateRGate(p, vpe, is, msg)
+		k.sysCreateRGate(p, vpe, &is, msg)
 	case kif.SysCreateSGate:
-		k.sysCreateSGate(p, vpe, is, msg)
+		k.sysCreateSGate(p, vpe, &is, msg)
 	case kif.SysActivate:
-		k.sysActivate(p, vpe, is, msg)
+		k.sysActivate(p, vpe, &is, msg)
 	case kif.SysCreateSrv:
-		k.sysCreateSrv(p, vpe, is, msg)
+		k.sysCreateSrv(p, vpe, &is, msg)
 	case kif.SysOpenSess:
-		k.sysOpenSess(p, vpe, is, msg)
+		k.sysOpenSess(p, vpe, &is, msg)
 	case kif.SysExchangeSess:
-		k.sysExchangeSess(p, vpe, is, msg)
+		k.sysExchangeSess(p, vpe, &is, msg)
 	case kif.SysDelegate, kif.SysObtain:
-		k.sysExchangeVPE(p, vpe, is, msg, op == kif.SysObtain)
+		k.sysExchangeVPE(p, vpe, &is, msg, op == kif.SysObtain)
 	case kif.SysRevoke:
-		k.sysRevoke(p, vpe, is, msg)
+		k.sysRevoke(p, vpe, &is, msg)
 	default:
 		k.replyErr(p, msg, kif.ErrInvalidArgs)
 	}
 }
 
-// reply marshals and sends a syscall reply.
+// reply sends a syscall reply the caller marshalled into o.
 func (k *Kernel) reply(p *sim.Process, msg *dtu.Message, o *kif.OStream) {
 	k.compute(p, CostReply)
+	k.sendReply(p, msg, o.Bytes())
+}
+
+// sendReply transmits a syscall reply and acks msg; DTU.Reply copies data
+// before it can yield.
+func (k *Kernel) sendReply(p *sim.Process, msg *dtu.Message, data []byte) {
 	if tr := k.Plat.Obs; tr.On() {
 		tr.Emit(obs.Event{At: k.Plat.Eng.Now(), PE: int32(k.PE.Node), Layer: obs.LKernel,
 			Kind: obs.EvKSyscallEnd, Span: obs.SpanID(msg.Span), Arg1: msg.Label})
@@ -474,7 +487,9 @@ func (k *Kernel) reply(p *sim.Process, msg *dtu.Message, o *kif.OStream) {
 		k.PE.DTU.Ack(kif.KSyscallEP, msg)
 		return
 	}
-	if err := k.PE.DTU.Reply(p, kif.KSyscallEP, msg, o.Bytes()); err != nil {
+	// Read what the error path reports before Reply recycles msg.
+	span, label := msg.Span, msg.Label
+	if err := k.PE.DTU.Reply(p, kif.KSyscallEP, msg, data); err != nil {
 		if errors.Is(err, dtu.ErrTimeout) {
 			// The client (or its reply path) is gone; under fault
 			// injection the DTU gives up after its retry budget. The
@@ -482,7 +497,7 @@ func (k *Kernel) reply(p *sim.Process, msg *dtu.Message, o *kif.OStream) {
 			k.Stats.RepliesDropped++
 			if tr := k.Plat.Obs; tr.On() {
 				tr.Emit(obs.Event{At: k.Plat.Eng.Now(), PE: int32(k.PE.Node), Layer: obs.LKernel,
-					Kind: obs.EvReplyDrop, Span: obs.SpanID(msg.Span), Arg0: msg.Label})
+					Kind: obs.EvReplyDrop, Span: obs.SpanID(span), Arg0: label})
 			}
 			return
 		}
@@ -491,7 +506,7 @@ func (k *Kernel) reply(p *sim.Process, msg *dtu.Message, o *kif.OStream) {
 }
 
 func (k *Kernel) replyErr(p *sim.Process, msg *dtu.Message, e kif.Error) {
-	var o kif.OStream
-	o.Err(e)
-	k.reply(p, msg, &o)
+	k.compute(p, CostReply)
+	k.out.Reset().Err(e)
+	k.sendReply(p, msg, k.out.Bytes())
 }

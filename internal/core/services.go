@@ -58,7 +58,10 @@ func (k *Kernel) sysCreateSrv(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dt
 
 // callService sends a control message to a service and waits for its
 // reply, correlated via the reply label. The calling helper blocks;
-// the kernel CPU is free in the meantime.
+// the kernel CPU is free in the meantime. The reply's slot is acked
+// here; the returned stream decodes the kernel's copy of the payload,
+// which stays valid until the next service call returns, so the caller
+// decodes it before it yields.
 //
 // Both wait points — credits of the control channel and the reply
 // itself — honor the armed service-call deadline: a dead or wedged
@@ -73,9 +76,9 @@ func (k *Kernel) sysCreateSrv(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dt
 // and the outcome feeds the breaker: deadline misses count as
 // failures, admission refusals by the service DTU do not (the service
 // answered promptly — that is control, not collapse).
-func (k *Kernel) callService(p *sim.Process, svc *ServiceObj, payload []byte, span obs.SpanID, pr overload.Priority) (*dtu.Message, kif.Error) {
+func (k *Kernel) callService(p *sim.Process, svc *ServiceObj, payload []byte, span obs.SpanID, pr overload.Priority) (kif.IStream, kif.Error) {
 	if aerr := k.admitServiceCall(svc, span, pr); aerr != kif.OK {
-		return nil, aerr
+		return kif.IStream{}, aerr
 	}
 	deadline := k.servDeadline
 	k.nextServOp++
@@ -131,11 +134,11 @@ func (k *Kernel) callService(p *sim.Process, svc *ServiceObj, payload []byte, sp
 				delete(k.pendingServ, opID)
 				k.Stats.ServiceTimeouts++
 				k.noteServiceCallOutcome(svc, kif.ErrTimeout)
-				return nil, kif.ErrTimeout
+				return kif.IStream{}, kif.ErrTimeout
 			}
 		}
 		delete(k.pendingServ, opID)
-		return nil, kif.ErrNoSuchService
+		return kif.IStream{}, kif.ErrNoSuchService
 	}
 	if deadline > 0 {
 		expired := false
@@ -162,7 +165,7 @@ func (k *Kernel) callService(p *sim.Process, svc *ServiceObj, payload []byte, sp
 		// any other unsolicited message on the reply gate.
 		k.Stats.ServiceTimeouts++
 		k.noteServiceCallOutcome(svc, kif.ErrTimeout)
-		return nil, kif.ErrTimeout
+		return kif.IStream{}, kif.ErrTimeout
 	}
 	if pend.msg.Overloaded() {
 		// The service DTU refused the request at its admission watermark
@@ -170,7 +173,7 @@ func (k *Kernel) callService(p *sim.Process, svc *ServiceObj, payload []byte, sp
 		// not a breaker failure — callers retry under a bounded budget.
 		k.PE.DTU.Ack(kif.KServReplyEP, pend.msg)
 		k.Stats.CallsRefused++
-		return nil, kif.ErrOverload
+		return kif.IStream{}, kif.ErrOverload
 	}
 	if pend.msg.Expired() {
 		// The request outlived its deadline in flight and was dropped
@@ -178,10 +181,12 @@ func (k *Kernel) callService(p *sim.Process, svc *ServiceObj, payload []byte, sp
 		k.PE.DTU.Ack(kif.KServReplyEP, pend.msg)
 		k.Stats.ServiceTimeouts++
 		k.noteServiceCallOutcome(svc, kif.ErrTimeout)
-		return nil, kif.ErrTimeout
+		return kif.IStream{}, kif.ErrTimeout
 	}
 	k.noteServiceCallOutcome(svc, kif.OK)
-	return pend.msg, kif.OK
+	k.servReply = append(k.servReply[:0], pend.msg.Data...)
+	k.PE.DTU.Ack(kif.KServReplyEP, pend.msg)
+	return kif.NewIStream(k.servReply), kif.OK
 }
 
 // sysOpenSess: opensess(dstSel, name, arg) -> err. The kernel asks the
@@ -213,15 +218,13 @@ func (k *Kernel) sysOpenSess(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dtu
 		// Session opens are the first work to shed under load: refusing a
 		// new session is cheap, abandoning an established one is not.
 		//m3vet:nodeadline callService applies servDeadline/overload config internally
-		resp, cerr := k.callService(hp, svc, req.Bytes(), obs.SpanID(msg.Span), overload.PriorityLow)
+		ris, cerr := k.callService(hp, svc, req.Bytes(), obs.SpanID(msg.Span), overload.PriorityLow)
 		if cerr != kif.OK {
 			k.replyErr(hp, msg, cerr)
 			return
 		}
-		ris := kif.NewIStream(resp.Data)
 		serr := ris.ErrCode()
 		ident := ris.U64()
-		k.PE.DTU.Ack(kif.KServReplyEP, resp)
 		k.compute(hp, CostSessSetup)
 		if serr != kif.OK {
 			k.replyErr(hp, msg, serr)
@@ -310,17 +313,15 @@ func (k *Kernel) sysExchangeSess(p *sim.Process, vpe *VPE, is *kif.IStream, msg 
 		}
 		req.U64(capsCount).Blob(args)
 		//m3vet:nodeadline callService applies servDeadline/overload config internally
-		resp, cerr := k.callService(hp, sess.Service, req.Bytes(), obs.SpanID(msg.Span), overload.PriorityNormal)
+		ris, cerr := k.callService(hp, sess.Service, req.Bytes(), obs.SpanID(msg.Span), overload.PriorityNormal)
 		if cerr != kif.OK {
 			k.replyErr(hp, msg, cerr)
 			return
 		}
-		ris := kif.NewIStream(resp.Data)
 		serr := ris.ErrCode()
 		srvStart := ris.Sel()
 		srvCount := ris.U64()
 		retArgs := ris.Blob()
-		k.PE.DTU.Ack(kif.KServReplyEP, resp)
 		if serr != kif.OK {
 			k.replyErr(hp, msg, serr)
 			return

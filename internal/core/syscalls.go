@@ -190,12 +190,10 @@ func (k *Kernel) closeSession(sess *SessObj) {
 		// Session teardown has no originating request: no span. It is
 		// never shed (PriorityHigh): dropping a close leaks service-side
 		// session state, which is exactly what an overloaded service
-		// cannot afford.
+		// cannot afford. Nobody waits for the outcome; callService acks
+		// the reply.
 		//m3vet:nodeadline callService applies servDeadline/overload config internally
-		resp, cerr := k.callService(hp, svc, req.Bytes(), 0, overload.PriorityHigh)
-		if cerr == kif.OK {
-			k.PE.DTU.Ack(kif.KServReplyEP, resp)
-		}
+		k.callService(hp, svc, req.Bytes(), 0, overload.PriorityHigh)
 	})
 }
 

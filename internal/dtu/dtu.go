@@ -50,6 +50,9 @@ type DTU struct {
 
 	nextOp  uint64
 	pending map[uint64]*pendingOp
+	// opFree heads the freelist of completed operation records; each
+	// keeps its done signal for the next operation (see newOp).
+	opFree *pendingOp
 
 	// Reliability state, live only when faults is non-nil (see
 	// EnableFaults): outstanding acknowledged transfers by sequence
@@ -69,14 +72,14 @@ type DTU struct {
 	reqs   interface{ Put(*noc.Packet) }
 	served func()
 
-	// msgFree heads this DTU's message freelist. Messages are pooled
-	// conservatively: allocated here at Send/Reply, recycled only where
-	// a message is provably dead — the receive-side drop paths, where
-	// the message was never inserted into a ringbuffer and no other
-	// reference exists (the reliable layer acked and deduplicated
-	// before receive, so no retransmission resurrects the pointer).
-	// Delivered messages are never recycled: their Data legally
-	// escapes into software (kif.IStream wraps it).
+	// msgFree heads this DTU's message freelist. A message is taken
+	// here at Send/Reply and recycled into the receiving DTU's list
+	// where it dies: at Ack (Reply acks too) once software freed its
+	// ringbuffer slot, or on a receive-side drop path, where it never
+	// entered a ringbuffer. Either way no other reference exists: the
+	// reliable layer acked and deduplicated the carrying packet before
+	// receive, so no retransmission resurrects the pointer, and
+	// software must not keep the message or its Data past the Ack.
 	msgFree *Message
 
 	// waitingSince is the start of the core's in-progress DTU wait
@@ -155,9 +158,10 @@ func (d *DTU) RxQueued() int {
 
 // newMessage takes a message from the freelist (or the heap on a pool
 // miss). The returned message is zeroed except for the fields the
-// caller sets; Data is always nil — data buffers are never recycled
-// across messages, so no receiver can observe another VPE's bytes
-// through the pool.
+// caller sets, and its Data is nil until setData fills it. It keeps
+// its payload buffer from an earlier life, but that buffer was
+// poisoned on free and setData overwrites every byte it exposes, so
+// no receiver can observe another VPE's bytes through the pool.
 func (d *DTU) newMessage() *Message {
 	m := d.msgFree
 	if m == nil {
@@ -165,17 +169,26 @@ func (d *DTU) newMessage() *Message {
 	}
 	d.msgFree = m.next
 	m.next = nil
+	m.acked = false
 	return m
 }
 
-// freeMessage zeroes a provably dead message and returns it to the
-// pool. Pool hygiene is absolute: no stale span, reply capability
-// (replyNode/replyEP/replyLabel/creditEP), label, data, or
-// acked/replied state may survive — a leak here would hand the next
-// receiver a forged reply capability or another VPE's payload
-// (TestMessagePoolHygiene).
+// freeMessage zeroes a dead message and returns it to the pool. Pool
+// hygiene is absolute: no stale span, reply capability
+// (replyNode/replyEP/replyLabel/creditEP), label, or data may survive
+// — a leak here would hand the next receiver a forged reply
+// capability or another VPE's payload (TestMessagePoolHygiene). The
+// payload buffer is kept for reuse and filled with 0xAA, so a Data
+// slice software held past the Ack decodes poison, not the next
+// message. acked stays set while the message is pooled, so a repeated
+// Ack or Reply of the dead message is refused instead of freeing it
+// twice.
 func (d *DTU) freeMessage(m *Message) {
-	*m = Message{next: d.msgFree}
+	buf := m.buf
+	for i := range buf {
+		buf[i] = 0xAA
+	}
+	*m = Message{buf: buf[:0], acked: true, next: d.msgFree}
 	d.msgFree = m
 }
 
@@ -317,7 +330,7 @@ func (d *DTU) Send(p *sim.Process, ep int, data []byte, replyEP int, replyLabel 
 	}
 	msg := d.newMessage()
 	msg.Label = s.Label
-	msg.Data = append([]byte(nil), data...)
+	msg.setData(data)
 	msg.replyNode = d.node
 	msg.replyEP = replyEP
 	msg.replyLabel = replyLabel
@@ -335,7 +348,8 @@ func (d *DTU) Send(p *sim.Process, ep int, data []byte, replyEP int, replyLabel 
 	}
 	pkt := d.net.NewPacket()
 	pkt.Src, pkt.Dst, pkt.Size, pkt.Span = d.node, s.Target, msgWireSize(len(data)), msg.Span
-	pkt.Payload = &msgPacket{TargetEP: s.TargetEP, Msg: msg}
+	msg.req = msgPacket{TargetEP: s.TargetEP, Msg: msg}
+	pkt.Payload = &msg.req
 	return d.transmit(p, pkt)
 }
 
@@ -348,35 +362,38 @@ const (
 // Reply sends data back to the sender of msg, which was fetched from
 // receive endpoint ep. The reply restores one credit at the sender's
 // send endpoint. Each message can be replied to once; replying also
-// acks the message (frees its ringbuffer slot).
+// acks the message (frees its ringbuffer slot), so msg is dead once
+// Reply returns. data may alias msg.Data: it is copied into the reply
+// before the ack recycles msg.
 func (d *DTU) Reply(p *sim.Process, ep int, msg *Message, data []byte) error {
 	if ep < 0 || ep >= len(d.eps) || d.eps[ep].Type != EpReceive {
 		return ErrBadEndpoint
 	}
+	if msg.acked {
+		return fmt.Errorf("%w: already replied or acked", ErrNoReply)
+	}
 	if !msg.CanReply() {
 		return ErrNoReply
 	}
-	if msg.replied {
-		return fmt.Errorf("%w: already replied", ErrNoReply)
-	}
-	msg.replied = true
-	d.Ack(ep, msg)
 	reply := d.newMessage()
 	reply.Label = msg.replyLabel
-	reply.Data = append([]byte(nil), data...)
+	reply.setData(data)
 	reply.replyNode = d.node
 	reply.replyEP = -1
 	reply.Span = msg.Span
 	reply.sentAt = d.eng.Now()
+	reply.rep = replyPacket{TargetEP: msg.replyEP, CreditEP: msg.creditEP, Msg: reply}
+	dst := msg.replyNode
+	d.Ack(ep, msg)
 	d.Stats.Replies++
 	if tr := d.obs; tr.On() {
 		tr.Emit(obs.Event{At: d.eng.Now(), PE: int32(d.node), Layer: obs.LDTU,
 			Kind: obs.EvReplySend, Span: obs.SpanID(reply.Span),
-			Arg0: uint64(ep), Arg1: uint64(msg.replyNode), Arg2: uint64(len(data))})
+			Arg0: uint64(ep), Arg1: uint64(dst), Arg2: uint64(len(data))})
 	}
 	pkt := d.net.NewPacket()
-	pkt.Src, pkt.Dst, pkt.Size, pkt.Span = d.node, msg.replyNode, msgWireSize(len(data)), reply.Span
-	pkt.Payload = &replyPacket{TargetEP: msg.replyEP, CreditEP: msg.creditEP, Msg: reply}
+	pkt.Src, pkt.Dst, pkt.Size, pkt.Span = d.node, dst, msgWireSize(len(data)), reply.Span
+	pkt.Payload = &reply.rep
 	return d.transmit(p, pkt)
 }
 
@@ -387,30 +404,31 @@ func (d *DTU) Fetch(ep int) *Message {
 		return nil
 	}
 	r := &d.eps[ep]
-	if len(r.arrived) == 0 {
+	if r.arrived.Len() == 0 {
 		return nil
 	}
-	m := r.arrived[0]
-	r.arrived = r.arrived[1:]
-	return m
+	return r.arrived.Pop()
 }
 
 // Ack frees the ringbuffer slot of a fetched message (the software
-// advancing the read position).
+// advancing the read position) and recycles the message: it belongs
+// to its slot until the Ack, and neither it nor its Data may be used
+// afterwards. Software that needs the payload longer copies it out
+// first. Acking a message twice is a no-op.
 func (d *DTU) Ack(ep int, msg *Message) {
 	if msg.acked {
 		return
 	}
-	msg.acked = true
 	if ep >= 0 && ep < len(d.eps) && d.eps[ep].Type == EpReceive {
 		d.eps[ep].occupied--
 	}
+	d.freeMessage(msg)
 }
 
 // HasMsg reports whether receive endpoint ep holds an unfetched
 // message.
 func (d *DTU) HasMsg(ep int) bool {
-	return ep >= 0 && ep < len(d.eps) && d.eps[ep].Type == EpReceive && len(d.eps[ep].arrived) > 0
+	return ep >= 0 && ep < len(d.eps) && d.eps[ep].Type == EpReceive && d.eps[ep].arrived.Len() > 0
 }
 
 // WaitMsg blocks until one of the given receive endpoints (all receive
@@ -662,33 +680,49 @@ func (d *DTU) sendConfig(p *sim.Process, target noc.NodeID, req *ConfigReq) erro
 	return nil
 }
 
+// newOp registers a fresh operation id with a pending record taken
+// from the freelist (or the heap, with a new done signal, on a miss).
 func (d *DTU) newOp() uint64 {
 	d.nextOp++
 	op := d.nextOp
-	d.pending[op] = &pendingOp{done: sim.NewSignal(d.eng)}
+	po := d.opFree
+	if po == nil {
+		po = &pendingOp{done: sim.NewSignal(d.eng)}
+	} else {
+		d.opFree = po.next
+		po.next = nil
+	}
+	d.pending[op] = po
 	return op
 }
 
 // waitOp blocks until the operation's response arrived or, when
-// timeout is nonzero, until the timeout expired. A response that
-// lands in the same cycle as the expiry wins: the caller checks the
-// response fields, not the timer.
-func (d *DTU) waitOp(p *sim.Process, op uint64, timeout sim.Time) *pendingOp {
+// timeout is nonzero, until the timeout expired, and returns what
+// arrived. A response that lands in the same cycle as the expiry wins:
+// the caller checks the response fields, not the timer. The pending
+// record is recycled once the id is deregistered: op ids are never
+// reused, so neither a late response nor the timeout callback, which
+// both look the id up first, can reach the record again.
+func (d *DTU) waitOp(p *sim.Process, op uint64, timeout sim.Time) opResult {
 	po := d.pending[op]
 	expired := false
 	if timeout > 0 {
 		d.eng.Schedule(timeout, func() {
-			if _, ok := d.pending[op]; ok && po.resp == nil && po.cfg == nil && po.probe == nil {
+			if _, ok := d.pending[op]; ok && !po.answered() {
 				expired = true
 				po.done.Broadcast()
 			}
 		})
 	}
-	for po.resp == nil && po.cfg == nil && po.probe == nil && !expired {
+	for !po.answered() && !expired {
 		d.idleWait(p, po.done)
 	}
 	delete(d.pending, op)
-	return po
+	res := po.opResult
+	po.opResult = opResult{}
+	po.next = d.opFree
+	d.opFree = po
+	return res
 }
 
 // Deliver implements noc.Handler: it is the DTU's NoC-facing side.
@@ -796,8 +830,7 @@ func (d *DTU) Deliver(pkt *noc.Packet) {
 func (d *DTU) receive(ep int, msg *Message, isRequest bool) {
 	// The drop paths recycle the message: it was never inserted into a
 	// ringbuffer, the reliable layer acked and deduplicated the carrying
-	// packet before receive, and no other reference exists — the message
-	// is provably dead.
+	// packet before receive, and no other reference exists.
 	if ep < 0 || ep >= len(d.eps) || d.eps[ep].Type != EpReceive {
 		d.Stats.MsgsDropped++
 		d.freeMessage(msg)
@@ -822,7 +855,7 @@ func (d *DTU) receive(ep int, msg *Message, isRequest bool) {
 		return
 	}
 	r.occupied++
-	r.arrived = append(r.arrived, msg)
+	r.arrived.Push(msg)
 	d.Stats.MsgsReceived++
 	if tr := d.obs; tr.On() {
 		now := d.eng.Now()

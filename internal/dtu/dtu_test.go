@@ -89,7 +89,7 @@ func TestSendReceiveReply(t *testing.T) {
 		if msg.Label != 42 {
 			t.Errorf("reply label = %d, want 42", msg.Label)
 		}
-		reply = msg.Data
+		reply = append(reply, msg.Data...) // the Ack recycles msg.Data
 		r.d0.Ack(2, msg)
 	})
 	r.eng.Run()

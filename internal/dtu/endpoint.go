@@ -94,20 +94,22 @@ func (e *Endpoint) BufSize() int { return e.SlotSize * e.SlotCount }
 type epState struct {
 	Endpoint
 
-	// Receive state: arrived but not yet fetched messages (FIFO), and
-	// the number of slots holding fetched-but-unacked messages.
-	arrived  []*Message
+	// Receive state: arrived but not yet fetched messages, and the
+	// number of slots holding arrived or fetched-but-unacked messages.
+	arrived  sim.FIFO[*Message]
 	occupied int
 	nextSlot int
 }
 
 // Message is a received message as the software sees it after fetching
-// it from the ringbuffer.
+// it from the ringbuffer. It belongs to its ringbuffer slot: DTU.Ack
+// (and DTU.Reply, which acks) recycles it, and software must not keep
+// a pointer to it or to its Data past that point.
 type Message struct {
 	// Label identifies the sender; it was chosen by the receiver when
 	// the channel was created and cannot be forged by the sender.
 	Label uint64
-	// Data is the message payload.
+	// Data is the message payload, valid until the message is acked.
 	Data []byte
 
 	// Reply routing, taken from the header. The fields are unexported
@@ -137,13 +139,28 @@ type Message struct {
 	// msgFlagExpired); see Overloaded/Expired.
 	flags uint8
 
-	slot    int
-	replied bool
-	acked   bool
-	sentAt  sim.Time
+	slot   int
+	acked  bool
+	sentAt sim.Time
+
+	// buf is the message's own payload buffer, reused across the
+	// message's lives in the pool; Data is buf[:n:n].
+	buf []byte
+	// req and rep are the wire payloads that carry the message as a
+	// request or as a reply, so a send allocates no packet payload.
+	req msgPacket
+	rep replyPacket
 
 	// next links the DTU's message freelist (see DTU.newMessage).
 	next *Message
+}
+
+// setData copies data into the message's own buffer and exposes it as
+// Data, capped at its length so an append by software cannot write
+// into the rest of the buffer.
+func (m *Message) setData(data []byte) {
+	m.buf = append(m.buf[:0], data...)
+	m.Data = m.buf[:len(data):len(data)]
 }
 
 // CanReply reports whether the sender permitted a direct reply.
@@ -186,11 +203,23 @@ type Stats struct {
 	IdleCycles uint64
 }
 
-// pendingOp tracks an outstanding remote operation (RDMA, remote
-// config, or probe) awaiting its response packet.
-type pendingOp struct {
-	done  *sim.Signal
+// opResult is the response a remote operation (RDMA, remote config,
+// or probe) received; exactly one field is set once it arrived.
+type opResult struct {
 	resp  *MemResp
 	cfg   *ConfigResp
 	probe *probeResp
+}
+
+// pendingOp tracks an outstanding remote operation awaiting its
+// response packet. Records are pooled per DTU (see DTU.newOp).
+type pendingOp struct {
+	done *sim.Signal
+	opResult
+	next *pendingOp
+}
+
+// answered reports whether the response came in.
+func (po *pendingOp) answered() bool {
+	return po.resp != nil || po.cfg != nil || po.probe != nil
 }

@@ -270,7 +270,7 @@ func (d *DTU) transmit(p *sim.Process, pkt *noc.Packet) error {
 // these operations are idempotent, and a late response to an
 // abandoned attempt is ignored because its op id is no longer
 // pending.
-func (d *DTU) doOp(p *sim.Process, send func(op uint64)) (*pendingOp, error) {
+func (d *DTU) doOp(p *sim.Process, send func(op uint64)) (opResult, error) {
 	if d.faults == nil {
 		op := d.newOp()
 		send(op)
@@ -281,9 +281,9 @@ func (d *DTU) doOp(p *sim.Process, send func(op uint64)) (*pendingOp, error) {
 	for attempt := 0; ; attempt++ {
 		op := d.newOp()
 		send(op)
-		po := d.waitOp(p, op, timeout)
-		if po.resp != nil || po.cfg != nil || po.probe != nil {
-			return po, nil
+		res := d.waitOp(p, op, timeout)
+		if res != (opResult{}) {
+			return res, nil
 		}
 		d.Stats.OpTimeouts++
 		if tr := d.obs; tr.On() {
@@ -292,7 +292,7 @@ func (d *DTU) doOp(p *sim.Process, send func(op uint64)) (*pendingOp, error) {
 		}
 		if attempt >= d.faults.MaxRetries {
 			d.Stats.SendsAborted++
-			return nil, fmt.Errorf("%w: remote operation unanswered after %d attempts",
+			return opResult{}, fmt.Errorf("%w: remote operation unanswered after %d attempts",
 				ErrTimeout, attempt+1)
 		}
 		timeout = d.faults.nextBackoff(timeout)

@@ -163,7 +163,8 @@ func (d *DTU) fastFail(msg *Message, flag uint8) {
 	reply.sentAt = d.eng.Now()
 	pkt := d.net.NewPacket()
 	pkt.Src, pkt.Dst, pkt.Size, pkt.Span = d.node, msg.replyNode, ctrlPacketSize, reply.Span
-	pkt.Payload = &replyPacket{TargetEP: msg.replyEP, CreditEP: msg.creditEP, Msg: reply}
+	reply.rep = replyPacket{TargetEP: msg.replyEP, CreditEP: msg.creditEP, Msg: reply}
+	pkt.Payload = &reply.rep
 	d.freeMessage(msg)
 	d.net.SendAsync(pkt)
 }

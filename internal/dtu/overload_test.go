@@ -20,7 +20,8 @@ func TestAdmissionWatermarkRefusesRequests(t *testing.T) {
 		// The third request is refused; its fast-fail reply lands on the
 		// reply endpoint like any other reply.
 		msg, _ := r.d0.WaitMsg(p, 2)
-		flagged = msg
+		cp := *msg // the Ack recycles msg
+		flagged = &cp
 		r.d0.Ack(2, msg)
 	})
 	r.eng.Run()
@@ -58,7 +59,8 @@ func TestDeadlineExpiredInFlightDropsBeforeExecution(t *testing.T) {
 			t.Error(err)
 		}
 		msg, _ := r.d0.WaitMsg(p, 2)
-		flagged = msg
+		cp := *msg // the Ack recycles msg
+		flagged = &cp
 		r.d0.Ack(2, msg)
 	})
 	r.eng.Run()

@@ -3,6 +3,16 @@
 // It contains the system-call and service-protocol opcodes and a small
 // marshalling framework (the paper's libm3 overloads C++ shift
 // operators; OStream/IStream are the Go equivalent).
+//
+// Both streams are built for a message round trip that allocates
+// nothing once warm. An OStream's Reset keeps its buffer, so each
+// owner (the kernel, a libm3 environment, an m3fs client or service)
+// marshals every message into one reused stream. An IStream is a value
+// that decodes its bytes in place; over a message payload it is valid
+// only until the message is acked, so callers that decode a reply
+// later copy the payload out first. Decoding is total: truncated or
+// hostile input, including lengths near MaxInt64, sets the sticky
+// error and never panics (FuzzIStream).
 package kif
 
 // Syscall opcodes: messages on an application's syscall send gate,

@@ -12,6 +12,15 @@ type OStream struct {
 	buf []byte
 }
 
+// Reset empties the stream for the next message, keeping its buffer,
+// so an owner that marshals one message at a time reuses one stream
+// instead of growing a fresh one per message. A slice returned by
+// Bytes before the Reset is overwritten by the next message.
+func (o *OStream) Reset() *OStream {
+	o.buf = o.buf[:0]
+	return o
+}
+
 // Bytes returns the marshalled payload.
 func (o *OStream) Bytes() []byte { return o.buf }
 
@@ -51,7 +60,10 @@ func (o *OStream) Blob(b []byte) *OStream {
 }
 
 // IStream unmarshals values from a message payload. Decoding past the
-// end or malformed lengths set a sticky error checked via Err.
+// end or malformed lengths set a sticky error checked via Err. It is
+// a small value that reads buf in place: it stays valid only as long
+// as the bytes it decodes do (for a message payload, until the
+// message is acked).
 type IStream struct {
 	buf []byte
 	pos int
@@ -59,7 +71,7 @@ type IStream struct {
 }
 
 // NewIStream returns a stream decoding buf.
-func NewIStream(buf []byte) *IStream { return &IStream{buf: buf} }
+func NewIStream(buf []byte) IStream { return IStream{buf: buf} }
 
 // Err returns the first decoding error, or nil.
 func (i *IStream) Err() error { return i.err }
@@ -99,7 +111,9 @@ func (i *IStream) ErrCode() Error { return Error(i.U64()) }
 // Str decodes a length-prefixed string.
 func (i *IStream) Str() string {
 	n := int(i.U64())
-	if i.err != nil || n < 0 || i.pos+n > len(i.buf) {
+	// Compare against the remaining length: a hostile length near
+	// MaxInt64 would wrap i.pos+n negative and pass the check.
+	if i.err != nil || n < 0 || n > len(i.buf)-i.pos {
 		i.fail("string")
 		return ""
 	}
@@ -111,7 +125,7 @@ func (i *IStream) Str() string {
 // Blob decodes a length-prefixed byte slice (copied).
 func (i *IStream) Blob() []byte {
 	n := int(i.U64())
-	if i.err != nil || n < 0 || i.pos+n > len(i.buf) {
+	if i.err != nil || n < 0 || n > len(i.buf)-i.pos {
 		i.fail("blob")
 		return nil
 	}

@@ -99,3 +99,77 @@ func TestErrorStrings(t *testing.T) {
 		t.Fatal("unknown opcode name")
 	}
 }
+
+// TestStreamHostileLength: a length field near MaxInt64 must fail the
+// decode, not wrap the bound check negative and panic on the slice.
+func TestStreamHostileLength(t *testing.T) {
+	for _, n := range []uint64{1<<63 - 4, 1<<63 - 1, 1 << 63, ^uint64(0), 1<<63 - 9} {
+		var o OStream
+		o.U64(n).U64(0xFEED)
+		i := NewIStream(o.Bytes())
+		if s := i.Str(); s != "" || i.Err() == nil {
+			t.Errorf("Str with length %#x = %q, err %v; want a decode error", n, s, i.Err())
+		}
+		i = NewIStream(o.Bytes())
+		if b := i.Blob(); b != nil || i.Err() == nil {
+			t.Errorf("Blob with length %#x = %v, err %v; want a decode error", n, b, i.Err())
+		}
+	}
+}
+
+// TestOStreamReset: Reset starts the next message in the same buffer.
+func TestOStreamReset(t *testing.T) {
+	var o OStream
+	o.U64(1).Str("first message")
+	before := &o.Bytes()[0]
+	o.Reset().U64(2)
+	if o.Len() != 8 || &o.Bytes()[0] != before {
+		t.Fatalf("after Reset: len %d, buffer reused %v", o.Len(), &o.Bytes()[0] == before)
+	}
+	if i := NewIStream(o.Bytes()); i.U64() != 2 || i.Remaining() != 0 {
+		t.Fatal("Reset stream does not decode as the new message")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		o.Reset().Op(SysNoop).Sel(3).Str("path/to/file").U64(7)
+		i := NewIStream(o.Bytes())
+		_, _, _ = i.Op(), i.Sel(), i.U64()
+	}); allocs != 0 {
+		t.Fatalf("marshal into a reset stream and decode: %.0f allocs, want 0", allocs)
+	}
+}
+
+// FuzzIStream decodes arbitrary bytes with an arbitrary sequence of
+// decode operations. Any PE can put such bytes on the kernel's syscall
+// gate or a service's request gate, so decoding must never panic, must
+// never read past the buffer, and must keep its error sticky.
+func FuzzIStream(f *testing.F) {
+	var o OStream
+	o.Op(SysOpenSess).Sel(1).Str("m3fs").Blob([]byte{1, 2})
+	f.Add(o.Bytes(), []byte{0, 1, 2, 3})
+	f.Add([]byte{0xfc, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 'x'}, []byte{2})
+	f.Add([]byte{}, []byte{0, 2, 3})
+	f.Fuzz(func(t *testing.T, data, ops []byte) {
+		i := NewIStream(data)
+		failed := false
+		for _, op := range ops {
+			before := i.Remaining()
+			switch op % 4 {
+			case 0:
+				i.U64()
+			case 1:
+				i.I64()
+			case 2:
+				i.Str()
+			case 3:
+				i.Blob()
+			}
+			if i.Remaining() < 0 || i.Remaining() > before {
+				t.Fatalf("remaining went from %d to %d", before, i.Remaining())
+			}
+			if failed && i.Err() == nil {
+				t.Fatal("decode error was not sticky")
+			}
+			failed = i.Err() != nil
+		}
+	})
+}

@@ -30,6 +30,13 @@ type Env struct {
 	rbufNext  int
 	exitCode  int64
 
+	// sysOut is the stream every syscall wrapper marshals its request
+	// into, and sysReply the copy of the last syscall reply, which the
+	// stream Syscall returns decodes: one buffer each, reused across
+	// syscalls.
+	sysOut   kif.OStream
+	sysReply []byte
+
 	// stashed call replies that arrived on the call-reply endpoint
 	// while waiting for a different label (pipes interleaving with
 	// service calls).
@@ -100,61 +107,63 @@ func (e *Env) allocRBuf(size int) (int, error) {
 
 // Syscall sends a request to the kernel over the DTU and waits for the
 // reply: the paper's replacement for the mode switch. The returned
-// stream is positioned after the error code.
+// stream is positioned after the error code. It decodes the Env's copy
+// of the reply, taken before the reply's slot was acked, and stays
+// valid until the next syscall.
 //
 // This is the root of a causal span: the id is allocated here, stamped
 // into the DTU's span register, and rides the message header through
 // the NoC, the kernel, and any service it calls, back to the reply.
-func (e *Env) Syscall(req *kif.OStream) (*kif.IStream, error) {
+func (e *Env) Syscall(req *kif.OStream) (kif.IStream, error) {
 	e.Ctx.Compute(CostSysMarshal)
 	d := e.DTU()
 	var span obs.SpanID
 	var t0 sim.Time
+	var op kif.SyscallOp
 	tr := e.Ctx.PE.Obs()
 	if tr.On() {
+		ris := kif.NewIStream(req.Bytes())
+		op = ris.Op()
 		span, t0 = tr.NewSpan(), e.Ctx.Now()
 		tr.Emit(obs.Event{At: t0, PE: int32(e.Ctx.PE.Node), Layer: obs.LApp,
-			Kind: obs.EvSyscallStart, Span: span,
-			Arg0: uint64(kif.NewIStream(req.Bytes()).Op())})
+			Kind: obs.EvSyscallStart, Span: span, Arg0: uint64(op)})
 		d.StampSpan(span)
 	}
 	if err := d.Send(e.P(), kif.SyscallEP, req.Bytes(), kif.SysReplyEP, 0); err != nil {
 		if tr.On() {
 			tr.Emit(obs.Event{At: e.Ctx.Now(), PE: int32(e.Ctx.PE.Node), Layer: obs.LApp,
-				Kind: obs.EvSyscallEnd, Span: span,
-				Arg0: uint64(kif.NewIStream(req.Bytes()).Op()), Arg1: 1})
+				Kind: obs.EvSyscallEnd, Span: span, Arg0: uint64(op), Arg1: 1})
 		}
 		if errors.Is(err, dtu.ErrTimeout) {
 			// The DTU gave up after its retry budget (fault injection);
 			// surface the protocol-level error so callers can handle it
 			// like any other kernel refusal.
-			return nil, fmt.Errorf("m3: syscall send: %w", kif.ErrTimeout)
+			return kif.IStream{}, fmt.Errorf("m3: syscall send: %w", kif.ErrTimeout)
 		}
-		return nil, fmt.Errorf("m3: syscall send: %w", err)
+		return kif.IStream{}, fmt.Errorf("m3: syscall send: %w", err)
 	}
 	msg, _ := d.WaitMsg(e.P(), kif.SysReplyEP)
 	e.Ctx.Compute(CostSysUnmarshal)
 	if tr.On() {
 		now := e.Ctx.Now()
 		tr.Emit(obs.Event{At: now, PE: int32(e.Ctx.PE.Node), Layer: obs.LApp,
-			Kind: obs.EvSyscallEnd, Span: span,
-			Arg0: uint64(kif.NewIStream(req.Bytes()).Op())})
+			Kind: obs.EvSyscallEnd, Span: span, Arg0: uint64(op)})
 		tr.Hist(obs.HSyscallRTT).Observe(uint64(now - t0))
 	}
-	is := kif.NewIStream(msg.Data)
-	kerr := is.ErrCode()
+	e.sysReply = append(e.sysReply[:0], msg.Data...)
 	d.Ack(kif.SysReplyEP, msg)
-	if kerr != kif.OK {
-		return nil, kerr
+	is := kif.NewIStream(e.sysReply)
+	if kerr := is.ErrCode(); kerr != kif.OK {
+		return kif.IStream{}, kerr
 	}
 	return is, nil
 }
 
 // Noop performs the null system call (Figure 3 micro-benchmark).
 func (e *Env) Noop() error {
-	var o kif.OStream
+	o := e.sysOut.Reset()
 	o.Op(kif.SysNoop)
-	_, err := e.Syscall(&o)
+	_, err := e.Syscall(o)
 	return err
 }
 
@@ -162,7 +171,7 @@ func (e *Env) Noop() error {
 // expected. Program wrappers call it automatically when the program
 // function returns.
 func (e *Env) Exit(code int64) {
-	var o kif.OStream
+	o := e.sysOut.Reset()
 	o.Op(kif.SysExit).I64(code)
 	e.Ctx.Compute(CostSysMarshal)
 	// Best effort: an exiting program cannot do anything about errors.
@@ -186,14 +195,14 @@ func (e *Env) ReqMemStable(size int, perms dtu.Perm) (*MemGate, error) {
 
 func (e *Env) reqMem(size int, perms dtu.Perm, stable bool) (*MemGate, error) {
 	sel := e.AllocSel()
-	var o kif.OStream
+	o := e.sysOut.Reset()
 	o.Op(kif.SysReqMem).Sel(sel).U64(uint64(size)).U64(uint64(perms))
 	if stable {
 		o.U64(1)
 	} else {
 		o.U64(0)
 	}
-	if _, err := e.Syscall(&o); err != nil {
+	if _, err := e.Syscall(o); err != nil {
 		return nil, err
 	}
 	return e.MemGateAt(sel, size), nil
@@ -201,9 +210,9 @@ func (e *Env) reqMem(size int, perms dtu.Perm, stable bool) (*MemGate, error) {
 
 // Revoke undoes all grants of the capability at sel recursively.
 func (e *Env) Revoke(sel kif.CapSel) error {
-	var o kif.OStream
+	o := e.sysOut.Reset()
 	o.Op(kif.SysRevoke).Sel(sel)
-	_, err := e.Syscall(&o)
+	_, err := e.Syscall(o)
 	return err
 }
 
@@ -211,9 +220,9 @@ func (e *Env) Revoke(sel kif.CapSel) error {
 // the request to the service, which may deny it.
 func (e *Env) OpenSess(name, arg string) (kif.CapSel, error) {
 	sel := e.AllocSel()
-	var o kif.OStream
+	o := e.sysOut.Reset()
 	o.Op(kif.SysOpenSess).Sel(sel).Str(name).Str(arg)
-	if _, err := e.Syscall(&o); err != nil {
+	if _, err := e.Syscall(o); err != nil {
 		return kif.InvalidSel, err
 	}
 	return sel, nil
@@ -224,7 +233,7 @@ func (e *Env) OpenSess(name, arg string) (kif.CapSel, error) {
 // starting at caps; delegate pushes the caller's. It returns the
 // service's answer arguments.
 func (e *Env) ExchangeSess(sess kif.CapSel, obtain bool, caps kif.CapSel, capCount uint64, args []byte) ([]byte, error) {
-	var o kif.OStream
+	o := e.sysOut.Reset()
 	o.Op(kif.SysExchangeSess).Sel(sess)
 	if obtain {
 		o.U64(1)
@@ -232,7 +241,7 @@ func (e *Env) ExchangeSess(sess kif.CapSel, obtain bool, caps kif.CapSel, capCou
 		o.U64(0)
 	}
 	o.Sel(caps).U64(capCount).Blob(args)
-	is, err := e.Syscall(&o)
+	is, err := e.Syscall(o)
 	if err != nil {
 		return nil, err
 	}
@@ -242,18 +251,18 @@ func (e *Env) ExchangeSess(sess kif.CapSel, obtain bool, caps kif.CapSel, capCou
 // Delegate grants count capabilities starting at mine to the VPE whose
 // capability the caller holds at vpeSel, placing them at theirs.
 func (e *Env) Delegate(vpeSel, mine, theirs kif.CapSel, count uint64) error {
-	var o kif.OStream
+	o := e.sysOut.Reset()
 	o.Op(kif.SysDelegate).Sel(vpeSel).Sel(mine).Sel(theirs).U64(count)
-	_, err := e.Syscall(&o)
+	_, err := e.Syscall(o)
 	return err
 }
 
 // Obtain pulls count capabilities from the peer VPE's selectors
 // starting at theirs into the caller's table at mine.
 func (e *Env) Obtain(vpeSel, mine, theirs kif.CapSel, count uint64) error {
-	var o kif.OStream
+	o := e.sysOut.Reset()
 	o.Op(kif.SysObtain).Sel(vpeSel).Sel(mine).Sel(theirs).U64(count)
-	_, err := e.Syscall(&o)
+	_, err := e.Syscall(o)
 	return err
 }
 

@@ -114,7 +114,13 @@ func (v *VFS) resolve(path string) (FileSystem, string, error) {
 	if best < 0 {
 		return nil, "", fmt.Errorf("%w: %s", ErrNotMounted, path)
 	}
-	rel := strings.TrimPrefix(path, v.mounts[best].prefix)
+	// The relative path is a slice of the clean path: all of it under
+	// "/", the rest after the prefix elsewhere. Only a prefix that ends
+	// mid-component needs a new string.
+	rel := path
+	if prefix := v.mounts[best].prefix; prefix != "/" {
+		rel = path[len(prefix):]
+	}
 	if !strings.HasPrefix(rel, "/") {
 		rel = "/" + rel
 	}
@@ -259,10 +265,12 @@ func cleanPath(p string) string {
 	return p
 }
 
+// countComponents counts p's non-empty "/"-separated components
+// (at least 1).
 func countComponents(p string) uint64 {
 	n := uint64(0)
-	for _, c := range strings.Split(p, "/") {
-		if c != "" {
+	for i := 0; i < len(p); i++ {
+		if p[i] != '/' && (i == 0 || p[i-1] == '/') {
 			n++
 		}
 	}

@@ -92,9 +92,9 @@ func (g *gateBase) EP() int { return g.ep }
 
 // activate performs the activate system call for g on endpoint ep.
 func (e *Env) activate(g *gateBase, ep int) error {
-	var o kif.OStream
+	o := e.sysOut.Reset()
 	o.Op(kif.SysActivate).Sel(g.sel).I64(int64(ep)).U64(uint64(g.bufAddr))
-	_, err := e.Syscall(&o)
+	_, err := e.Syscall(o)
 	return err
 }
 
@@ -110,9 +110,9 @@ type RecvGate struct {
 // payload slot size and slot count.
 func (e *Env) NewRecvGate(slotSize, slots int) (*RecvGate, error) {
 	sel := e.AllocSel()
-	var o kif.OStream
+	o := e.sysOut.Reset()
 	o.Op(kif.SysCreateRGate).Sel(sel).U64(uint64(slotSize)).U64(uint64(slots))
-	if _, err := e.Syscall(&o); err != nil {
+	if _, err := e.Syscall(o); err != nil {
 		return nil, err
 	}
 	buf, err := e.allocRBuf((slotSize + dtu.HeaderSize) * slots)
@@ -135,9 +135,9 @@ func (e *Env) NewRecvGate(slotSize, slots int) (*RecvGate, error) {
 func (rg *RecvGate) NewSendGate(label uint64, credits int) (kif.CapSel, error) {
 	e := rg.env
 	sel := e.AllocSel()
-	var o kif.OStream
+	o := e.sysOut.Reset()
 	o.Op(kif.SysCreateSGate).Sel(sel).Sel(rg.sel).U64(label).I64(int64(credits))
-	if _, err := e.Syscall(&o); err != nil {
+	if _, err := e.Syscall(o); err != nil {
 		return kif.InvalidSel, err
 	}
 	return sel, nil
@@ -177,6 +177,21 @@ func (rg *RecvGate) Ack(msg *dtu.Message) { rg.env.DTU().Ack(rg.ep, msg) }
 type SendGate struct {
 	gateBase
 	msgSize int
+	// reply is the gate's copy of the last reply it returned, taken
+	// before the reply's slot was acked and reused by the next one.
+	reply []byte
+}
+
+// takeReply copies msg's payload into the gate's reply buffer, acks
+// msg, and returns the copy, which stays valid until the gate's next
+// call or collect. Empty replies come back as a non-nil empty slice.
+func (sg *SendGate) takeReply(msg *dtu.Message) []byte {
+	sg.reply = append(sg.reply[:0], msg.Data...)
+	sg.env.DTU().Ack(kif.CallReplyEP, msg)
+	if sg.reply == nil {
+		return []byte{}
+	}
+	return sg.reply
 }
 
 // SendGateAt wraps an already-held send capability.
@@ -285,6 +300,7 @@ func (sg *SendGate) TrySend(data []byte) error {
 
 // Call sends data and waits for the reply (the common synchronous
 // pattern libm3 builds on top of asynchronous DTU messaging, §4.5.6).
+// The reply is valid until the gate's next call or collect.
 func (sg *SendGate) Call(data []byte) ([]byte, error) {
 	//m3vet:nodeadline Call IS the deliberately unbounded variant; bounded callers use CallDeadline
 	return sg.CallDeadline(data, 0)
@@ -343,9 +359,7 @@ func (sg *SendGate) CallDeadline(data []byte, deadline sim.Time) ([]byte, error)
 		return nil, fmt.Errorf("m3: call expired in flight: %w", kif.ErrTimeout)
 	}
 	e.Ctx.Compute(CostCallUnmarshal)
-	data = msg.Data
-	e.DTU().Ack(kif.CallReplyEP, msg)
-	return data, nil
+	return sg.takeReply(msg), nil
 }
 
 // CollectReplyDeadline is a blocking CollectReply bounded by a cycle
@@ -367,17 +381,12 @@ func (sg *SendGate) CollectReplyDeadline(label uint64, deadline sim.Time) ([]byt
 		e.DTU().Ack(kif.CallReplyEP, msg)
 		return nil, fmt.Errorf("m3: collect reply expired in flight: %w", kif.ErrTimeout)
 	}
-	data := msg.Data
-	e.DTU().Ack(kif.CallReplyEP, msg)
-	if data == nil {
-		data = []byte{}
-	}
-	return data, nil
+	return sg.takeReply(msg), nil
 }
 
 // CollectReply waits for (or polls, if wait is false) the reply to a
 // SendAsync identified by label. It returns nil when polling finds
-// nothing.
+// nothing; a reply is valid until the gate's next call or collect.
 func (sg *SendGate) CollectReply(label uint64, wait bool) []byte {
 	e := sg.env
 	var msg *dtu.Message
@@ -386,12 +395,7 @@ func (sg *SendGate) CollectReply(label uint64, wait bool) []byte {
 	} else if msg = e.tryRecvReply(label); msg == nil {
 		return nil
 	}
-	data := msg.Data
-	e.DTU().Ack(kif.CallReplyEP, msg)
-	if data == nil {
-		data = []byte{}
-	}
-	return data
+	return sg.takeReply(msg)
 }
 
 // MemGate provides RDMA access to a memory region through a memory
@@ -418,9 +422,9 @@ func (mg *MemGate) Drop() { mg.env.eps.release(&mg.gateBase) }
 func (mg *MemGate) Derive(off, size int, perms dtu.Perm) (*MemGate, error) {
 	e := mg.env
 	sel := e.AllocSel()
-	var o kif.OStream
+	o := e.sysOut.Reset()
 	o.Op(kif.SysDeriveMem).Sel(mg.sel).Sel(sel).U64(uint64(off)).U64(uint64(size)).U64(uint64(perms))
-	if _, err := e.Syscall(&o); err != nil {
+	if _, err := e.Syscall(o); err != nil {
 		return nil, err
 	}
 	return e.MemGateAt(sel, size), nil

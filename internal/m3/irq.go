@@ -1,6 +1,8 @@
 package m3
 
 import (
+	"errors"
+
 	"repro/internal/dtu"
 	"repro/internal/kif"
 	"repro/internal/sim"
@@ -115,7 +117,9 @@ func (ig *InterruptGate) TryWait() (TimerTick, bool) {
 // (restoring its credit), a plain buffer release otherwise.
 func (ig *InterruptGate) ack(msg *dtu.Message) {
 	if msg.CanReply() {
-		if err := ig.RG.Reply(msg, nil); err == nil {
+		// A reply lost in transit (ErrTimeout) was acked all the same,
+		// and msg is already recycled.
+		if err := ig.RG.Reply(msg, nil); err == nil || errors.Is(err, dtu.ErrTimeout) {
 			return
 		}
 	}

@@ -44,9 +44,9 @@ type ChildVPE struct {
 // providing complete control of the PE (§4.5.5).
 func (e *Env) NewVPE(name string, peType tile.CoreType) (*ChildVPE, error) {
 	vpeSel, memSel := e.AllocSel(), e.AllocSel()
-	var o kif.OStream
+	o := e.sysOut.Reset()
 	o.Op(kif.SysCreateVPE).Sel(vpeSel).Sel(memSel).Str(name).Str(string(peType))
-	is, err := e.Syscall(&o)
+	is, err := e.Syscall(o)
 	if err != nil {
 		return nil, err
 	}
@@ -143,9 +143,9 @@ func (v *ChildVPE) start(fn func(child *Env)) error {
 		fn(child)
 		child.Exit(child.exitCode)
 	})
-	var o kif.OStream
+	o := v.env.sysOut.Reset()
 	o.Op(kif.SysVPEStart).Sel(v.Sel).U64(progID)
-	if _, err := v.env.Syscall(&o); err != nil {
+	if _, err := v.env.Syscall(o); err != nil {
 		return err
 	}
 	v.started = true
@@ -155,9 +155,9 @@ func (v *ChildVPE) start(fn func(child *Env)) error {
 // Wait blocks until the child exited and returns its exit code
 // (§4.5.5). The kernel defers the reply until then.
 func (v *ChildVPE) Wait() (int64, error) {
-	var o kif.OStream
+	o := v.env.sysOut.Reset()
 	o.Op(kif.SysVPEWait).Sel(v.Sel)
-	is, err := v.env.Syscall(&o)
+	is, err := v.env.Syscall(o)
 	if err != nil {
 		return 0, err
 	}

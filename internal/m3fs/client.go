@@ -44,6 +44,9 @@ type Client struct {
 	service string
 	sess    kif.CapSel
 	sg      *m3.SendGate
+	// out is the stream every request and exchange argument block is
+	// marshalled into, reused across calls.
+	out kif.OStream
 
 	// key/seq form the idempotency tokens: key is the client's PE
 	// number, seq a monotonic counter for mutating operations.
@@ -236,15 +239,16 @@ func (c *Client) recover() error {
 
 // callOnce performs one request-gate call (bounded by the armed
 // deadline) and returns the reply stream positioned after a successful
-// error code.
-func (c *Client) callOnce(o *kif.OStream) (*kif.IStream, error) {
+// error code. The stream decodes the send gate's reply buffer, so it
+// is valid until the client's next call.
+func (c *Client) callOnce(o *kif.OStream) (kif.IStream, error) {
 	data, err := c.sg.CallDeadline(o.Bytes(), c.deadline())
 	if err != nil {
-		return nil, err
+		return kif.IStream{}, err
 	}
 	is := kif.NewIStream(data)
 	if e := is.ErrCode(); e != kif.OK {
-		return nil, e
+		return kif.IStream{}, e
 	}
 	return is, nil
 }
@@ -296,17 +300,17 @@ func (c *Client) overloadRetryable(err error) bool {
 // never via session recovery: the session is fine, the service is
 // busy, and the right client behavior is to back off and come back a
 // bounded number of times (docs/OVERLOAD.md).
-func (c *Client) call(build func() (*kif.OStream, error)) (*kif.IStream, error) {
+func (c *Client) call(build func() (*kif.OStream, error)) (kif.IStream, error) {
 	var lastErr error
 	var budget *overload.RetryBudget
 	for attempt := 0; attempt < maxCallAttempts; attempt++ {
 		if br := c.clientBreaker(); br != nil && !br.Allow(c.env.P().Now()) {
 			c.BreakerRejects++
-			return nil, fmt.Errorf("m3fs: circuit breaker open: %w", kif.ErrOverload)
+			return kif.IStream{}, fmt.Errorf("m3fs: circuit breaker open: %w", kif.ErrOverload)
 		}
 		o, err := build()
 		if err == nil {
-			var is *kif.IStream
+			var is kif.IStream
 			is, err = c.callOnce(o)
 			if err == nil {
 				if br := c.clientBreaker(); br != nil {
@@ -324,25 +328,25 @@ func (c *Client) call(build func() (*kif.OStream, error)) (*kif.IStream, error) 
 			}
 			if budget == nil {
 				if budget = c.shedBudget(); budget == nil {
-					return nil, lastErr
+					return kif.IStream{}, lastErr
 				}
 			}
 			delay, ok := budget.Next()
 			if !ok {
-				return nil, lastErr
+				return kif.IStream{}, lastErr
 			}
 			c.ShedRetries++
 			c.env.P().Sleep(delay)
 			continue
 		}
 		if !c.recoverable(err) {
-			return nil, err
+			return kif.IStream{}, err
 		}
 		if rerr := c.recover(); rerr != nil {
-			return nil, rerr
+			return kif.IStream{}, rerr
 		}
 	}
-	return nil, lastErr
+	return kif.IStream{}, lastErr
 }
 
 func (c *Client) removeFile(f *file) {
@@ -359,9 +363,9 @@ func (c *Client) Open(path string, flags m3.OpenFlags) (m3.File, error) {
 	var fd uint64
 	var size, alloc int64
 	is, err := c.call(func() (*kif.OStream, error) {
-		var o kif.OStream
+		o := c.out.Reset()
 		o.U64(fsOpen).U64(c.key).U64(0).Str(path).U64(wireFlags(flags))
-		return &o, nil
+		return o, nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("m3fs: open %s: %w", path, err)
@@ -383,23 +387,23 @@ func (c *Client) Open(path string, flags m3.OpenFlags) (m3.File, error) {
 // Stat returns metadata for path.
 func (c *Client) Stat(path string) (m3.Stat, error) {
 	is, err := c.call(func() (*kif.OStream, error) {
-		var o kif.OStream
+		o := c.out.Reset()
 		o.U64(fsStat).U64(c.key).U64(0).Str(path)
-		return &o, nil
+		return o, nil
 	})
 	if err != nil {
 		return m3.Stat{}, fmt.Errorf("m3fs: stat %s: %w", path, err)
 	}
-	return decodeStat(is), nil
+	return decodeStat(&is), nil
 }
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(path string) error {
 	key, seq := c.key, c.nextSeq()
 	_, err := c.call(func() (*kif.OStream, error) {
-		var o kif.OStream
+		o := c.out.Reset()
 		o.U64(fsMkdir).U64(key).U64(seq).Str(path)
-		return &o, nil
+		return o, nil
 	})
 	if err != nil {
 		return fmt.Errorf("m3fs: mkdir %s: %w", path, err)
@@ -411,9 +415,9 @@ func (c *Client) Mkdir(path string) error {
 func (c *Client) Unlink(path string) error {
 	key, seq := c.key, c.nextSeq()
 	_, err := c.call(func() (*kif.OStream, error) {
-		var o kif.OStream
+		o := c.out.Reset()
 		o.U64(fsUnlink).U64(key).U64(seq).Str(path)
-		return &o, nil
+		return o, nil
 	})
 	if err != nil {
 		return fmt.Errorf("m3fs: unlink %s: %w", path, err)
@@ -425,9 +429,9 @@ func (c *Client) Unlink(path string) error {
 func (c *Client) Link(oldPath, newPath string) error {
 	key, seq := c.key, c.nextSeq()
 	_, err := c.call(func() (*kif.OStream, error) {
-		var o kif.OStream
+		o := c.out.Reset()
 		o.U64(fsLink).U64(key).U64(seq).Str(oldPath).Str(newPath)
-		return &o, nil
+		return o, nil
 	})
 	if err != nil {
 		return fmt.Errorf("m3fs: link %s -> %s: %w", newPath, oldPath, err)
@@ -439,9 +443,9 @@ func (c *Client) Link(oldPath, newPath string) error {
 func (c *Client) Rename(oldPath, newPath string) error {
 	key, seq := c.key, c.nextSeq()
 	_, err := c.call(func() (*kif.OStream, error) {
-		var o kif.OStream
+		o := c.out.Reset()
 		o.U64(fsRename).U64(key).U64(seq).Str(oldPath).Str(newPath)
-		return &o, nil
+		return o, nil
 	})
 	if err != nil {
 		return fmt.Errorf("m3fs: rename %s -> %s: %w", oldPath, newPath, err)
@@ -453,9 +457,9 @@ func (c *Client) Rename(oldPath, newPath string) error {
 // image.
 func (c *Client) Sync() error {
 	_, err := c.call(func() (*kif.OStream, error) {
-		var o kif.OStream
+		o := c.out.Reset()
 		o.U64(fsSync).U64(c.key).U64(0)
-		return &o, nil
+		return o, nil
 	})
 	if err != nil {
 		return fmt.Errorf("m3fs: sync: %w", err)
@@ -468,9 +472,9 @@ func (c *Client) ReadDir(path string) ([]m3.DirEntry, error) {
 	var out []m3.DirEntry
 	for idx := 0; ; {
 		is, err := c.call(func() (*kif.OStream, error) {
-			var o kif.OStream
+			o := c.out.Reset()
 			o.U64(fsReadDir).U64(c.key).U64(0).Str(path).U64(uint64(idx))
-			return &o, nil
+			return o, nil
 		})
 		if err != nil {
 			return nil, fmt.Errorf("m3fs: readdir %s: %w", path, err)
@@ -563,9 +567,9 @@ func (f *file) ensureOpen() error {
 	if f.gen == c.gen || f.closed {
 		return nil
 	}
-	var o kif.OStream
+	o := c.out.Reset()
 	o.U64(fsOpen).U64(c.key).U64(0).Str(f.path).U64(wireFlags(f.flags &^ (m3.OpenCreate | m3.OpenTrunc)))
-	is, err := c.callOnce(&o)
+	is, err := c.callOnce(o)
 	if err != nil {
 		return err
 	}
@@ -646,9 +650,7 @@ func (f *file) obtain(build func() []byte) (*cext, error) {
 // locate obtains the extent covering off from m3fs.
 func (f *file) locate(off int64) (*cext, error) {
 	return f.obtain(func() []byte {
-		var args kif.OStream
-		args.U64(xLocate).U64(f.fd).U64(uint64(off))
-		return args.Bytes()
+		return f.c.out.Reset().U64(xLocate).U64(f.fd).U64(uint64(off)).Bytes()
 	})
 }
 
@@ -660,8 +662,7 @@ func (f *file) appendExtent() (*cext, error) {
 	c := f.c
 	key, seq := c.key, c.nextSeq()
 	return f.obtain(func() []byte {
-		var args kif.OStream
-		args.U64(xAppend).U64(key).U64(seq).U64(f.fd).U64(uint64(c.AppendBlocks))
+		args := c.out.Reset().U64(xAppend).U64(key).U64(seq).U64(f.fd).U64(uint64(c.AppendBlocks))
 		if c.NoMerge {
 			args.U64(1)
 		} else {
@@ -801,9 +802,9 @@ func (f *file) Close() error {
 		if err := f.ensureOpen(); err != nil {
 			return nil, err
 		}
-		var o kif.OStream
+		o := f.c.out.Reset()
 		o.U64(fsClose).U64(key).U64(seq).U64(f.fd).U64(uint64(f.size))
-		return &o, nil
+		return o, nil
 	})
 	f.closed = true
 	f.c.removeFile(f)
@@ -817,12 +818,12 @@ func (f *file) Stat() (m3.Stat, error) {
 		if err := f.ensureOpen(); err != nil {
 			return nil, err
 		}
-		var o kif.OStream
+		o := f.c.out.Reset()
 		o.U64(fsFStat).U64(f.c.key).U64(0).U64(f.fd)
-		return &o, nil
+		return o, nil
 	})
 	if err != nil {
 		return m3.Stat{}, err
 	}
-	return decodeStat(is), nil
+	return decodeStat(&is), nil
 }

@@ -101,42 +101,65 @@ func (fs *FsCore) Inode(ino uint64) *Inode { return fs.inodes[ino] }
 // UsedBlocks returns the allocated block count.
 func (fs *FsCore) UsedBlocks() int { return fs.used }
 
-// split cleans a path into components.
-func split(path string) []string {
-	var out []string
-	for _, c := range strings.Split(path, "/") {
+// nextComp returns the first component of path at or after index i
+// and the index just past it, skipping empty and "." components; it
+// returns "" once none is left. Walking a path this way slices the
+// input in place instead of building a component list.
+func nextComp(path string, i int) (string, int) {
+	for i < len(path) {
+		j := strings.IndexByte(path[i:], '/')
+		if j < 0 {
+			j = len(path)
+		} else {
+			j += i
+		}
+		c := path[i:j]
+		i = j + 1
 		if c != "" && c != "." {
-			out = append(out, c)
+			return c, i
 		}
 	}
-	return out
+	return "", i
+}
+
+// lastComp returns path's last component, skipping empty and "."
+// components, and the index it starts at; "" if path has none.
+func lastComp(path string) (string, int) {
+	for end := len(path); end > 0; {
+		start := strings.LastIndexByte(path[:end], '/') + 1
+		if c := path[start:end]; c != "" && c != "." {
+			return c, start
+		}
+		end = start - 1
+	}
+	return "", 0
 }
 
 // Lookup resolves path to an inode. The returned depth is the number
 // of components walked (for cost accounting).
 func (fs *FsCore) Lookup(path string) (ino *Inode, depth int, err error) {
 	cur := fs.root
-	comps := split(path)
-	for i, c := range comps {
+	for c, i := nextComp(path, 0); c != ""; c, i = nextComp(path, i) {
 		if !cur.Dir {
-			return nil, i, fmt.Errorf("m3fs: %s: not a directory", path)
+			return nil, depth, fmt.Errorf("m3fs: %s: not a directory", path)
 		}
 		next, ok := cur.entries[c]
 		if !ok {
-			return nil, i, fmt.Errorf("m3fs: %s: no such file or directory", path)
+			return nil, depth, fmt.Errorf("m3fs: %s: no such file or directory", path)
 		}
 		cur = fs.inodes[next]
+		depth++
 	}
-	return cur, len(comps), nil
+	return cur, depth, nil
 }
 
 // lookupParent resolves all but the last component.
 func (fs *FsCore) lookupParent(path string) (*Inode, string, int, error) {
-	comps := split(path)
-	if len(comps) == 0 {
+	name, start := lastComp(path)
+	if name == "" {
 		return nil, "", 0, fmt.Errorf("m3fs: %s: invalid path", path)
 	}
-	dirPath := strings.Join(comps[:len(comps)-1], "/")
+	dirPath := path[:start]
 	dir, depth, err := fs.Lookup(dirPath)
 	if err != nil {
 		return nil, "", depth, err
@@ -144,7 +167,7 @@ func (fs *FsCore) lookupParent(path string) (*Inode, string, int, error) {
 	if !dir.Dir {
 		return nil, "", depth, fmt.Errorf("m3fs: %s: not a directory", dirPath)
 	}
-	return dir, comps[len(comps)-1], depth, nil
+	return dir, name, depth, nil
 }
 
 // Create makes a new regular file at path (parent must exist).

@@ -2,6 +2,8 @@ package m3fs
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -189,5 +191,45 @@ func TestFsckProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// splitRef is the component list a path stands for: its "/"-separated
+// parts without empty and "." ones.
+func splitRef(path string) []string {
+	var out []string
+	for _, c := range strings.Split(path, "/") {
+		if c != "" && c != "." {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// TestPathWalkMatchesSplit: walking a path by index visits exactly the
+// components a split would produce, and lastComp names the last one
+// with everything before it as the parent.
+func TestPathWalkMatchesSplit(t *testing.T) {
+	paths := []string{"", "/", ".", "/.", "a", "/a", "a/", "/a/b", "a//b", "/a/./b/", "./a/b/.",
+		"//a///b//c//", "/i3/tree/d0/f1", "/./././", "a/.b/..", "/x/./"}
+	for _, p := range paths {
+		var got []string
+		for c, i := nextComp(p, 0); c != ""; c, i = nextComp(p, i) {
+			got = append(got, c)
+		}
+		want := splitRef(p)
+		if !slices.Equal(got, want) {
+			t.Errorf("walk(%q) = %q, want %q", p, got, want)
+		}
+		name, start := lastComp(p)
+		if len(want) == 0 {
+			if name != "" {
+				t.Errorf("lastComp(%q) = %q, want none", p, name)
+			}
+			continue
+		}
+		if name != want[len(want)-1] || !slices.Equal(splitRef(p[:start]), want[:len(want)-1]) {
+			t.Errorf("lastComp(%q) = %q at %d, want %q after %q", p, name, start, want[len(want)-1], want[:len(want)-1])
+		}
 	}
 }

@@ -133,7 +133,7 @@ func readSuperblock(is *kif.IStream) (superblock, error) {
 // write it into the DRAM region backing the mounted filesystem.
 func UnmarshalImage(data []byte, blockSink func(block int, content []byte) error) (*FsCore, error) {
 	is := kif.NewIStream(data)
-	sb, err := readSuperblock(is)
+	sb, err := readSuperblock(&is)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +246,8 @@ func (s *Service) DumpImage() ([]byte, error) {
 func (s *Service) loadImage(img []byte, fresh bool) error {
 	// Check the geometry before anything is written, so a mismatched
 	// image leaves the region untouched.
-	sb, err := readSuperblock(kif.NewIStream(img))
+	is := kif.NewIStream(img)
+	sb, err := readSuperblock(&is)
 	if err != nil {
 		return err
 	}

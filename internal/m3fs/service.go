@@ -82,6 +82,10 @@ type Service struct {
 	sessions  map[uint64]*session
 	nextIdent uint64
 
+	// out is the stream every reply is marshalled into, reused across
+	// requests: the service serves one message at a time.
+	out kif.OStream
+
 	// applied remembers the outcome of every tokened mutation (lookup
 	// only, so it stays off m3vet's nondeterminism radar); with the
 	// journal on it is rebuilt across restarts by replay.
@@ -329,9 +333,9 @@ func (s *Service) handleCtrl(msg *dtu.Message) {
 		s.nextIdent++
 		sess := &session{ident: s.nextIdent, files: make(map[uint64]*openFile)}
 		s.sessions[sess.ident] = sess
-		var o kif.OStream
+		o := s.out.Reset()
 		o.Err(kif.OK).U64(sess.ident)
-		s.reply(s.ctrl, msg, &o)
+		s.reply(s.ctrl, msg, o)
 	case kif.ServExchange:
 		ident := is.U64()
 		obtain := is.U64() != 0
@@ -343,13 +347,13 @@ func (s *Service) handleCtrl(msg *dtu.Message) {
 			s.replyXchgErr(msg, kif.ErrInvalidArgs)
 			return
 		}
-		s.handleExchange(sess, args, msg)
+		s.handleExchange(sess, &args, msg)
 	case kif.ServCloseSess:
 		ident := is.U64()
 		delete(s.sessions, ident)
-		var o kif.OStream
+		o := s.out.Reset()
 		o.Err(kif.OK)
-		s.reply(s.ctrl, msg, &o)
+		s.reply(s.ctrl, msg, o)
 	default:
 		s.replyXchgErr(msg, kif.ErrUnsupported)
 	}
@@ -443,15 +447,15 @@ func (s *Service) replyExtent(msg *dtu.Message, of *openFile, ext Extent, extOff
 // replyXchgCaps answers a ServExchange with one capability and
 // optional return arguments.
 func (s *Service) replyXchgCaps(msg *dtu.Message, capSel kif.CapSel, retArgs []byte) {
-	var o kif.OStream
+	o := s.out.Reset()
 	o.Err(kif.OK).Sel(capSel).U64(1).Blob(retArgs)
-	s.reply(s.ctrl, msg, &o)
+	s.reply(s.ctrl, msg, o)
 }
 
 func (s *Service) replyXchgErr(msg *dtu.Message, e kif.Error) {
-	var o kif.OStream
+	o := s.out.Reset()
 	o.Err(e).Sel(kif.InvalidSel).U64(0).Blob(nil)
-	s.reply(s.ctrl, msg, &o)
+	s.reply(s.ctrl, msg, o)
 }
 
 // handleRequest processes direct client requests (meta-data only; data
@@ -481,9 +485,9 @@ func (s *Service) handleRequest(msg *dtu.Message) {
 	}
 	switch op {
 	case fsOpen:
-		s.reqOpen(sess, is, msg)
+		s.reqOpen(sess, &is, msg)
 	case fsClose:
-		s.reqClose(sess, tok, is, msg)
+		s.reqClose(sess, tok, &is, msg)
 	case fsStat:
 		path := is.Str()
 		ino, depth, err := s.lookup(path)
@@ -532,7 +536,7 @@ func (s *Service) handleRequest(msg *dtu.Message) {
 		s.commitMut(tok, rec, appliedEntry{})
 		s.replyOK(msg)
 	case fsReadDir:
-		s.reqReadDir(is, msg)
+		s.reqReadDir(&is, msg)
 	case fsLink:
 		oldPath, newPath := is.Str(), is.Str()
 		rec := encodeRecord(JRecord{Kind: JLink, Key: key, Seq: seq, Path: oldPath, Path2: newPath})
@@ -618,13 +622,13 @@ func (s *Service) reqOpen(sess *session, is *kif.IStream, msg *dtu.Message) {
 	sess.nextFD++
 	fd := sess.nextFD
 	sess.files[fd] = &openFile{ino: ino, writable: flags&flagWrite != 0}
-	var o kif.OStream
+	o := s.out.Reset()
 	// The reply carries size AND allocated bytes, so the client knows
 	// which positions are covered by existing extents (append into a
 	// partially used last block locates instead of allocating).
 	o.Err(kif.OK).U64(fd).U64(uint64(ino.Size)).U64(uint64(len(ino.Extents)))
 	o.U64(uint64(ino.AllocBlocks * s.fs.BlockSize))
-	s.reply(s.reqs, msg, &o)
+	s.reply(s.reqs, msg, o)
 }
 
 func (s *Service) reqClose(sess *session, tok token, is *kif.IStream, msg *dtu.Message) {
@@ -662,7 +666,7 @@ func (s *Service) reqReadDir(is *kif.IStream, msg *dtu.Message) {
 	sortStrings(names)
 	s.compute(costReadDir)
 	const chunk = 8
-	var o kif.OStream
+	o := s.out.Reset()
 	o.Err(kif.OK)
 	end := idx + chunk
 	if end > len(names) {
@@ -681,11 +685,11 @@ func (s *Service) reqReadDir(is *kif.IStream, msg *dtu.Message) {
 			o.U64(0)
 		}
 	}
-	s.reply(s.reqs, msg, &o)
+	s.reply(s.reqs, msg, o)
 }
 
 func (s *Service) replyStat(msg *dtu.Message, ino *Inode) {
-	var o kif.OStream
+	o := s.out.Reset()
 	o.Err(kif.OK).U64(uint64(ino.Size))
 	if ino.Dir {
 		o.U64(1)
@@ -693,19 +697,19 @@ func (s *Service) replyStat(msg *dtu.Message, ino *Inode) {
 		o.U64(0)
 	}
 	o.U64(ino.Ino).U64(uint64(len(ino.Extents))).U64(uint64(ino.Nlink))
-	s.reply(s.reqs, msg, &o)
+	s.reply(s.reqs, msg, o)
 }
 
 func (s *Service) replyOK(msg *dtu.Message) {
-	var o kif.OStream
+	o := s.out.Reset()
 	o.Err(kif.OK)
-	s.reply(s.reqs, msg, &o)
+	s.reply(s.reqs, msg, o)
 }
 
 func (s *Service) replyErr(rg *m3.RecvGate, msg *dtu.Message, e kif.Error) {
-	var o kif.OStream
+	o := s.out.Reset()
 	o.Err(e)
-	s.reply(rg, msg, &o)
+	s.reply(rg, msg, o)
 }
 
 func (s *Service) reply(rg *m3.RecvGate, msg *dtu.Message, o *kif.OStream) {

@@ -1,20 +1,23 @@
 package sim
 
-// fifo is a slice-backed FIFO that keeps reusing its backing array:
-// the hardware queues (Station requests and idle workers, Resource
-// waiters) run for the whole simulation, so a plain reslice-and-append
-// queue would keep reallocating.
-type fifo[T any] struct {
+// FIFO is a slice-backed queue that keeps reusing its backing array:
+// the queues of a simulation (Station requests and idle workers,
+// Resource and Signal waiters, a DTU's arrived messages) live for the
+// whole run, so a plain reslice-and-append queue would keep
+// reallocating. The zero value is an empty queue.
+type FIFO[T any] struct {
 	buf  []T
 	head int
 }
 
-func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+// Len returns the number of queued items.
+func (q *FIFO[T]) Len() int { return len(q.buf) - q.head }
 
-// front returns the oldest item; the queue must not be empty.
-func (q *fifo[T]) front() T { return q.buf[q.head] }
+// Front returns the oldest item; the queue must not be empty.
+func (q *FIFO[T]) Front() T { return q.buf[q.head] }
 
-func (q *fifo[T]) push(v T) {
+// Push appends v.
+func (q *FIFO[T]) Push(v T) {
 	if len(q.buf) == cap(q.buf) && q.head >= len(q.buf)/2 {
 		// At least half the array is consumed: slide the live items
 		// down instead of growing.
@@ -25,9 +28,9 @@ func (q *fifo[T]) push(v T) {
 	q.buf = append(q.buf, v)
 }
 
-// pop removes and returns the oldest item; the queue must not be
+// Pop removes and returns the oldest item; the queue must not be
 // empty.
-func (q *fifo[T]) pop() T {
+func (q *FIFO[T]) Pop() T {
 	v := q.buf[q.head]
 	var zero T
 	q.buf[q.head] = zero

@@ -12,7 +12,7 @@ type Resource struct {
 	eng      *Engine
 	capacity int
 	inUse    int
-	waiters  fifo[resWaiter]
+	waiters  FIFO[resWaiter]
 	// grants heads the freelist of pending wake-ups.
 	grants *resGrant
 
@@ -78,7 +78,7 @@ func (r *Resource) tryAcquire(n int) bool {
 	if n > r.capacity {
 		panic(fmt.Sprintf("sim: acquire %d exceeds capacity %d", n, r.capacity))
 	}
-	if r.waiters.len() == 0 && r.inUse+n <= r.capacity {
+	if r.waiters.Len() == 0 && r.inUse+n <= r.capacity {
 		r.grant(n, 0)
 		return true
 	}
@@ -86,7 +86,7 @@ func (r *Resource) tryAcquire(n int) bool {
 }
 
 func (r *Resource) enqueue(owner *Process, n int, fn func()) {
-	r.waiters.push(resWaiter{owner: owner, fn: fn, n: n, since: r.eng.now})
+	r.waiters.Push(resWaiter{owner: owner, fn: fn, n: n, since: r.eng.now})
 }
 
 // Release returns n units and admits as many FIFO waiters as now fit.
@@ -96,18 +96,18 @@ func (r *Resource) Release(n int) {
 	if r.inUse < 0 {
 		panic("sim: resource released more than acquired")
 	}
-	for r.waiters.len() > 0 {
-		w := r.waiters.front()
+	for r.waiters.Len() > 0 {
+		w := r.waiters.Front()
 		if w.owner != nil && w.owner.dead {
 			// The waiter was killed (PE crash) while queued; it must
 			// not consume capacity the survivors need.
-			r.waiters.pop()
+			r.waiters.Pop()
 			continue
 		}
 		if r.inUse+w.n > r.capacity {
 			break // strict FIFO: nobody overtakes the head waiter
 		}
-		r.waiters.pop()
+		r.waiters.Pop()
 		r.grant(w.n, r.eng.now-w.since)
 		g := r.grants
 		if g == nil {
@@ -154,7 +154,7 @@ func (r *Resource) InUse() int { return r.inUse }
 func (r *Resource) Capacity() int { return r.capacity }
 
 // QueueLen returns the number of blocked acquirers.
-func (r *Resource) QueueLen() int { return r.waiters.len() }
+func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
 // Utilization returns average held units divided by capacity over the
 // simulation so far.

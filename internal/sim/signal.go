@@ -11,7 +11,7 @@ package sim
 //	}
 type Signal struct {
 	eng     *Engine
-	waiters []*Process
+	waiters FIFO[*Process]
 }
 
 // NewSignal returns a signal bound to eng.
@@ -19,7 +19,7 @@ func NewSignal(eng *Engine) *Signal { return &Signal{eng: eng} }
 
 // Wait blocks p until the signal is notified.
 func (s *Signal) Wait(p *Process) {
-	s.waiters = append(s.waiters, p)
+	s.waiters.Push(p)
 	p.park()
 }
 
@@ -28,9 +28,8 @@ func (s *Signal) Wait(p *Process) {
 // cycle. Dead waiters (killed while blocked) are skipped, not counted:
 // a wake-one notification consumed by a corpse would be lost.
 func (s *Signal) Notify() {
-	for len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
+	for s.waiters.Len() > 0 {
+		w := s.waiters.Pop()
 		if w.dead {
 			continue
 		}
@@ -39,15 +38,14 @@ func (s *Signal) Notify() {
 	}
 }
 
-// Broadcast wakes all current waiters in FIFO order.
+// Broadcast wakes all current waiters in FIFO order. Scheduling a
+// wake-up runs nothing, so no waiter can join while the queue drains.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		s.eng.Schedule(0, w.wake)
+	for s.waiters.Len() > 0 {
+		s.eng.Schedule(0, s.waiters.Pop().wake)
 	}
 }
 
 // Waiters returns the number of processes currently blocked on the
 // signal.
-func (s *Signal) Waiters() int { return len(s.waiters) }
+func (s *Signal) Waiters() int { return s.waiters.Len() }

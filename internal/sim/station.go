@@ -17,9 +17,9 @@ package sim
 type Station[T any] struct {
 	eng    *Engine
 	handle func(w int, item T)
-	items  fifo[T]
+	items  FIFO[T]
 	// idle lists the parked workers, oldest first.
-	idle fifo[int]
+	idle FIFO[int]
 	// wakes[w] resumes worker w; built once per worker.
 	wakes []func()
 }
@@ -44,7 +44,7 @@ func NewStation[T any](eng *Engine, n int, handle func(w int, item T)) *Station[
 // Put queues item and wakes the oldest idle worker, if any. Safe to
 // call from callbacks and processes.
 func (s *Station[T]) Put(item T) {
-	s.items.push(item)
+	s.items.Push(item)
 	s.notify()
 }
 
@@ -54,8 +54,8 @@ func (s *Station[T]) Done(w int) { s.next(w) }
 
 // notify schedules the wake-up of the oldest idle worker.
 func (s *Station[T]) notify() {
-	if s.idle.len() > 0 {
-		s.eng.Schedule(0, s.wakes[s.idle.pop()])
+	if s.idle.Len() > 0 {
+		s.eng.Schedule(0, s.wakes[s.idle.Pop()])
 	}
 }
 
@@ -63,12 +63,12 @@ func (s *Station[T]) notify() {
 // none. While requests remain behind the taken one it wakes another
 // worker, so a burst of Puts fans out over the idle workers.
 func (s *Station[T]) next(w int) {
-	if s.items.len() == 0 {
-		s.idle.push(w)
+	if s.items.Len() == 0 {
+		s.idle.Push(w)
 		return
 	}
-	item := s.items.pop()
-	if s.items.len() > 0 {
+	item := s.items.Pop()
+	if s.items.Len() > 0 {
 		s.notify()
 	}
 	s.handle(w, item)

@@ -171,8 +171,11 @@ func TestRDMARoundTripAllocs(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		run()
 	}
-	if allocs := testing.AllocsPerRun(2000, run); allocs > 17 {
-		t.Errorf("round trip allocates %.0f objects, want <= 17", allocs)
+	// What is left: the request and response headers of the two
+	// operations and the op table's rehashing; pending-op records,
+	// their signals and the payloads are pooled.
+	if allocs := testing.AllocsPerRun(2000, run); allocs > 6 {
+		t.Errorf("round trip allocates %.0f objects, want <= 6", allocs)
 	}
 	res := testing.Benchmark(func(b *testing.B) {
 		run := rdmaLoop(b)

@@ -22,6 +22,11 @@ type M3OS struct {
 	// appAcc accumulates application compute cycles across this OS
 	// handle and its children, for the evaluation's stacked bars.
 	appAcc *uint64
+
+	// lastPrefix, lastRel and lastFull memoize the last prefixed path:
+	// callers often name one path in consecutive calls (a stat, then an
+	// open), and the join would otherwise build the same string anew.
+	lastPrefix, lastRel, lastFull string
 }
 
 var _ OS = (*M3OS)(nil)
@@ -41,7 +46,16 @@ func (o *M3OS) AppCycles() uint64 { return *o.appAcc }
 // ResetAppCycles clears the accumulator (between setup and run).
 func (o *M3OS) ResetAppCycles() { *o.appAcc = 0 }
 
-func (o *M3OS) path(p string) string { return o.Prefix + p }
+// path prepends the instance's prefix to p.
+func (o *M3OS) path(p string) string {
+	if o.Prefix == "" {
+		return p
+	}
+	if p != o.lastRel || o.Prefix != o.lastPrefix {
+		o.lastPrefix, o.lastRel, o.lastFull = o.Prefix, p, o.Prefix+p
+	}
+	return o.lastFull
+}
 
 // Compute models application work.
 func (o *M3OS) Compute(cycles uint64) {
