@@ -3,7 +3,10 @@
 #
 #   build      the whole module compiles
 #   gofmt      every Go file is gofmt-formatted
-#   go vet     the stock Go checks
+#   go vet     the stock Go checks, also over the perf/ benchmark
+#              module, which `go vet ./...` skips because it is a
+#              separate module: a change to the internal API it calls
+#              then fails here instead of in the benchmark run
 #   m3vet      the repo's own determinism & isolation linter, including
 #              the interprocedural passes (timetaint, capflow); it must
 #              report zero findings, and the only suppression is a
@@ -39,6 +42,7 @@ set -eux
 go build ./...
 test -z "$(gofmt -l .)"
 go vet ./...
+(cd perf && go vet ./...)
 go run ./cmd/m3vet -json artifacts/m3vet.json ./...
 go test -race -shuffle=on ./...
 make chaos

@@ -66,7 +66,6 @@ func parent(env *m3.Env) {
 	}))
 
 	// Receive the child's message and wait for its exit.
-	//m3vet:nodeadline example code waits for its own child, which cannot be shed
 	msg := rg.Recv()
 	is := kif.NewIStream(msg.Data)
 	fmt.Printf("message from child (label %d): %q\n", msg.Label, is.Str())

@@ -86,7 +86,6 @@ func All() []*Analyzer {
 		MagicCost,
 		CrossLayer,
 		FaultSite,
-		DeadlineGuard,
 		EpochFence,
 		ObsGuard,
 		MetricName,

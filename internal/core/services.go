@@ -107,37 +107,15 @@ func (k *Kernel) callService(p *sim.Process, svc *ServiceObj, payload []byte, sp
 			tr.Hist(obs.HSvcCall).Observe(uint64(now - t0))
 		}
 	}()
-	for {
-		err := k.PE.DTU.Send(p, svc.sendEP, payload, kif.KServReplyEP, opID)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, dtu.ErrNoCredits) {
-			// Bracket the credit wait for critical-path attribution.
-			if tr := k.Plat.Obs; tr.On() {
-				tr.Emit(obs.Event{At: k.Plat.Eng.Now(), PE: int32(k.PE.Node), Layer: obs.LDTU,
-					Kind: obs.EvCreditStall, Span: span, Arg0: uint64(svc.sendEP)})
-			}
-			werr := k.PE.DTU.WaitCreditsDeadline(p, svc.sendEP, deadline)
-			if tr := k.Plat.Obs; tr.On() {
-				expired := uint64(0)
-				if werr != nil {
-					expired = 1
-				}
-				tr.Emit(obs.Event{At: k.Plat.Eng.Now(), PE: int32(k.PE.Node), Layer: obs.LDTU,
-					Kind: obs.EvCreditOK, Span: span, Arg0: uint64(svc.sendEP), Arg2: expired})
-			}
-			if werr == nil {
-				continue
-			}
-			if errors.Is(werr, dtu.ErrTimeout) {
-				delete(k.pendingServ, opID)
-				k.Stats.ServiceTimeouts++
-				k.noteServiceCallOutcome(svc, kif.ErrTimeout)
-				return kif.IStream{}, kif.ErrTimeout
-			}
-		}
+	if err := k.PE.DTU.SendWait(p, svc.sendEP, payload, kif.KServReplyEP, opID, deadline, span); err != nil {
 		delete(k.pendingServ, opID)
+		if errors.Is(err, dtu.ErrNoCredits) {
+			// The credit wait expired: the service is as dead as one
+			// that never replies.
+			k.Stats.ServiceTimeouts++
+			k.noteServiceCallOutcome(svc, kif.ErrTimeout)
+			return kif.IStream{}, kif.ErrTimeout
+		}
 		return kif.IStream{}, kif.ErrNoSuchService
 	}
 	if deadline > 0 {
@@ -217,7 +195,6 @@ func (k *Kernel) sysOpenSess(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dtu
 		req.U64(uint64(kif.ServOpen)).Str(arg)
 		// Session opens are the first work to shed under load: refusing a
 		// new session is cheap, abandoning an established one is not.
-		//m3vet:nodeadline callService applies servDeadline/overload config internally
 		ris, cerr := k.callService(hp, svc, req.Bytes(), obs.SpanID(msg.Span), overload.PriorityLow)
 		if cerr != kif.OK {
 			k.replyErr(hp, msg, cerr)
@@ -312,7 +289,6 @@ func (k *Kernel) sysExchangeSess(p *sim.Process, vpe *VPE, is *kif.IStream, msg 
 			req.U64(0)
 		}
 		req.U64(capsCount).Blob(args)
-		//m3vet:nodeadline callService applies servDeadline/overload config internally
 		ris, cerr := k.callService(hp, sess.Service, req.Bytes(), obs.SpanID(msg.Span), overload.PriorityNormal)
 		if cerr != kif.OK {
 			k.replyErr(hp, msg, cerr)

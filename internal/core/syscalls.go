@@ -192,7 +192,6 @@ func (k *Kernel) closeSession(sess *SessObj) {
 		// session state, which is exactly what an overloaded service
 		// cannot afford. Nobody waits for the outcome; callService acks
 		// the reply.
-		//m3vet:nodeadline callService applies servDeadline/overload config internally
 		k.callService(hp, svc, req.Bytes(), 0, overload.PriorityHigh)
 	})
 }

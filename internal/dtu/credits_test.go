@@ -28,7 +28,7 @@ func TestKernelCreditRefill(t *testing.T) {
 		if err := r.d0.Send(p, 1, []byte("b"), -1, 0); !errors.Is(err, ErrNoCredits) {
 			t.Errorf("second send: %v, want ErrNoCredits", err)
 		}
-		if err := r.d0.WaitCredits(p, 1); err != nil {
+		if err := r.d0.WaitCredits(p, 1, 0); err != nil {
 			t.Error(err)
 		}
 		if err := r.d0.Send(p, 1, []byte("b"), -1, 0); err != nil {

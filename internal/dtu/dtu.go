@@ -436,6 +436,20 @@ func (d *DTU) HasMsg(ep int) bool {
 // returns it together with the endpoint index. It models the core
 // polling the DTU's message-status register.
 func (d *DTU) WaitMsg(p *sim.Process, eps ...int) (*Message, int) {
+	return d.waitMsg(p, eps, nil)
+}
+
+// WaitMsgDeadline is WaitMsg with a cycle budget: if no message arrives
+// within deadline cycles it gives up and returns (nil, -1). A deadline
+// of zero means no budget — the call is WaitMsg and, by the
+// zero-extra-events discipline, schedules nothing.
+func (d *DTU) WaitMsgDeadline(p *sim.Process, deadline sim.Time, eps ...int) (*Message, int) {
+	return d.waitMsg(p, eps, d.expiry(deadline, d.MsgAvail))
+}
+
+// waitMsg is the one message-polling loop. A nil expired flag waits
+// without bound.
+func (d *DTU) waitMsg(p *sim.Process, eps []int, expired *bool) (*Message, int) {
 	for {
 		if len(eps) == 0 {
 			// d.eps is a slice, so this scan is in fixed endpoint order
@@ -452,73 +466,83 @@ func (d *DTU) WaitMsg(p *sim.Process, eps ...int) (*Message, int) {
 				}
 			}
 		}
-		d.idleWait(p, d.MsgAvail)
-	}
-}
-
-// WaitMsgDeadline is WaitMsg with a cycle budget: if no message arrives
-// within deadline cycles it gives up and returns (nil, -1). A deadline
-// of zero means no budget — the call degenerates to WaitMsg and, by the
-// zero-extra-events discipline, schedules nothing.
-func (d *DTU) WaitMsgDeadline(p *sim.Process, deadline sim.Time, eps ...int) (*Message, int) {
-	if deadline <= 0 {
-		return d.WaitMsg(p, eps...)
-	}
-	expired := false
-	d.eng.Schedule(deadline, func() {
-		// The waiter may long since have fetched its message and moved
-		// on; the broadcast then only causes other parked waiters to
-		// re-check their predicates, which is harmless and deterministic.
-		expired = true
-		d.MsgAvail.Broadcast()
-	})
-	for {
-		for _, i := range eps {
-			if m := d.Fetch(i); m != nil {
-				return m, i
-			}
-		}
-		if expired {
+		if expired != nil && *expired {
 			return nil, -1
 		}
 		d.idleWait(p, d.MsgAvail)
 	}
 }
 
-// WaitCredits blocks until send endpoint ep has at least one credit.
-func (d *DTU) WaitCredits(p *sim.Process, ep int) error {
-	if ep < 0 || ep >= len(d.eps) || d.eps[ep].Type != EpSend {
-		return ErrBadEndpoint
+// expiry arms a cycle budget for a wait on sig: it returns a flag the
+// timer sets after deadline cycles, waking the waiters on sig so they
+// re-check it. A zero deadline means no budget: it returns nil and
+// schedules nothing.
+func (d *DTU) expiry(deadline sim.Time, sig *sim.Signal) *bool {
+	if deadline <= 0 {
+		return nil
 	}
-	for d.eps[ep].Credits == 0 {
-		d.idleWait(p, d.CreditAvail)
-	}
-	return nil
+	expired := new(bool)
+	d.eng.Schedule(deadline, func() {
+		// The waiter may long since have been served and moved on; the
+		// broadcast then only causes other parked waiters to re-check
+		// their predicates, which is harmless and deterministic.
+		*expired = true
+		sig.Broadcast()
+	})
+	return expired
 }
 
-// WaitCreditsDeadline is WaitCredits with a cycle budget: if the
-// endpoint regains no credit within deadline cycles it returns
-// ErrTimeout. A zero deadline degenerates to WaitCredits and schedules
-// nothing.
-func (d *DTU) WaitCreditsDeadline(p *sim.Process, ep int, deadline sim.Time) error {
-	if deadline <= 0 {
-		return d.WaitCredits(p, ep)
-	}
+// WaitCredits blocks until send endpoint ep has at least one credit.
+// A nonzero deadline bounds the wait: if the endpoint regains no
+// credit within deadline cycles it returns ErrTimeout. A zero deadline
+// waits without bound and schedules nothing.
+func (d *DTU) WaitCredits(p *sim.Process, ep int, deadline sim.Time) error {
 	if ep < 0 || ep >= len(d.eps) || d.eps[ep].Type != EpSend {
 		return ErrBadEndpoint
 	}
-	expired := false
-	d.eng.Schedule(deadline, func() {
-		expired = true
-		d.CreditAvail.Broadcast()
-	})
+	expired := d.expiry(deadline, d.CreditAvail)
 	for d.eps[ep].Credits == 0 {
-		if expired {
+		if expired != nil && *expired {
 			return ErrTimeout
 		}
 		d.idleWait(p, d.CreditAvail)
 	}
 	return nil
+}
+
+// SendWait is Send for software that waits out credit stalls, as
+// libm3 and the kernel do (§4.5.6): a send denied for lack of credits
+// waits for a credit, bounded by deadline cycles per stall (zero: no
+// bound), and retries. Each stall is bracketed by EvCreditStall and
+// EvCreditOK under span, so the critical-path engine attributes the
+// wait to queueing rather than compute. A stall that outlives its
+// budget returns ErrNoCredits; every other error, including a wrapped
+// ErrTimeout from a transmit that ran out of retries, is Send's own.
+func (d *DTU) SendWait(p *sim.Process, ep int, data []byte, replyEP int, label uint64, deadline sim.Time, span obs.SpanID) error {
+	for {
+		err := d.Send(p, ep, data, replyEP, label)
+		if !errors.Is(err, ErrNoCredits) {
+			return err
+		}
+		if tr := d.obs; tr.On() {
+			tr.Emit(obs.Event{At: d.eng.Now(), PE: int32(d.node), Layer: obs.LDTU,
+				Kind: obs.EvCreditStall, Span: span, Arg0: uint64(ep)})
+		}
+		werr := d.WaitCredits(p, ep, deadline)
+		if tr := d.obs; tr.On() {
+			expired := uint64(0)
+			if werr != nil {
+				expired = 1
+			}
+			tr.Emit(obs.Event{At: d.eng.Now(), PE: int32(d.node), Layer: obs.LDTU,
+				Kind: obs.EvCreditOK, Span: span, Arg0: uint64(ep), Arg2: expired})
+		}
+		if werr != nil {
+			// Send just found ep a send endpoint, so the wait can only
+			// have run out of budget.
+			return ErrNoCredits
+		}
+	}
 }
 
 // Credits returns the remaining credits of send endpoint ep.

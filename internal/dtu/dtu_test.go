@@ -123,7 +123,7 @@ func TestCreditsConsumeAndRestore(t *testing.T) {
 		if err := r.d0.Send(p, 1, []byte("c"), 2, 0); !errors.Is(err, ErrNoCredits) {
 			t.Errorf("err = %v, want ErrNoCredits", err)
 		}
-		if err := r.d0.WaitCredits(p, 1); err != nil {
+		if err := r.d0.WaitCredits(p, 1, 0); err != nil {
 			t.Error(err)
 		}
 		if err := r.d0.Send(p, 1, []byte("c"), 2, 0); err != nil {
@@ -515,7 +515,7 @@ func TestMessagePayloadProperty(t *testing.T) {
 						ok = false
 						return
 					}
-					if err := r.d0.WaitCredits(p, 1); err != nil {
+					if err := r.d0.WaitCredits(p, 1, 0); err != nil {
 						ok = false
 						return
 					}

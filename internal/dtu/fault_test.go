@@ -171,7 +171,7 @@ func TestGrantCreditsRefillUnderRetry(t *testing.T) {
 		if err := r.d0.Send(p, 1, []byte("starved"), -1, 0); !errors.Is(err, ErrNoCredits) {
 			t.Errorf("err = %v, want ErrNoCredits", err)
 		}
-		if err := r.d0.WaitCredits(p, 1); err != nil {
+		if err := r.d0.WaitCredits(p, 1, 0); err != nil {
 			t.Error(err)
 		}
 		if err := r.d0.Send(p, 1, []byte("second"), -1, 0); err != nil {

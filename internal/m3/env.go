@@ -268,15 +268,11 @@ func (e *Env) Obtain(vpeSel, mine, theirs kif.CapSel, count uint64) error {
 
 // recvReply waits for a call reply with the given label on the
 // call-reply endpoint, stashing replies that belong to other labels
-// (e.g. pipe acknowledgements arriving between service calls).
-func (e *Env) recvReply(label uint64) *dtu.Message {
-	return e.recvReplyDeadline(label, 0)
-}
-
-// recvReplyDeadline is recvReply with a cycle budget: nil after
-// deadline cycles without the wanted label. Zero means unbounded (and
-// schedules nothing, preserving the fault-free event schedule).
-func (e *Env) recvReplyDeadline(label uint64, deadline sim.Time) *dtu.Message {
+// (e.g. pipe acknowledgements arriving between service calls). It
+// returns nil after deadline cycles without the wanted label; zero
+// means unbounded (and schedules nothing, preserving the fault-free
+// event schedule).
+func (e *Env) recvReply(label uint64, deadline sim.Time) *dtu.Message {
 	if m, ok := e.stash[label]; ok {
 		delete(e.stash, label)
 		return m
@@ -296,7 +292,7 @@ func (e *Env) recvReplyDeadline(label uint64, deadline sim.Time) *dtu.Message {
 
 // DiscardReply marks a call label abandoned: if its reply already
 // arrived it is acked now, otherwise it will be acked on arrival.
-// Callers use it after recvReplyDeadline gave up, so a late reply from
+// Callers use it after recvReply gave up, so a late reply from
 // a slow (or restarted) service cannot pin a ringbuffer slot forever.
 func (e *Env) DiscardReply(label uint64) {
 	if m, ok := e.stash[label]; ok {

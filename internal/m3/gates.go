@@ -143,17 +143,13 @@ func (rg *RecvGate) NewSendGate(label uint64, credits int) (kif.CapSel, error) {
 	return sel, nil
 }
 
-// Recv blocks until a message arrives.
+// Recv blocks until a message arrives, bounded by the PE's armed call
+// budget (DTU.CallDeadline): with a budget armed it returns nil once
+// the budget expires first, so a sender that died surfaces instead of
+// parking the receiver forever. Without one it never returns nil.
 func (rg *RecvGate) Recv() *dtu.Message {
-	msg, _ := rg.env.DTU().WaitMsg(rg.env.P(), rg.ep)
-	return msg
-}
-
-// RecvDeadline is Recv bounded by a cycle budget: it returns nil when
-// the deadline expires first. A zero deadline is exactly Recv —
-// unbounded, and scheduling no deadline events.
-func (rg *RecvGate) RecvDeadline(deadline sim.Time) *dtu.Message {
-	msg, _ := rg.env.DTU().WaitMsgDeadline(rg.env.P(), deadline, rg.ep)
+	d := rg.env.DTU()
+	msg, _ := d.WaitMsgDeadline(rg.env.P(), d.CallDeadline(), rg.ep)
 	return msg
 }
 
@@ -199,33 +195,26 @@ func (e *Env) SendGateAt(sel kif.CapSel) *SendGate {
 	return &SendGate{gateBase: gateBase{env: e, sel: sel, ep: -1}}
 }
 
-// Send transmits data without expecting a reply.
+// Send transmits data without expecting a reply. Its credit wait
+// ignores the call budget: interrupt forwarding (InterruptProxy) must
+// not drop a tick because the next handler is slow.
 func (sg *SendGate) Send(data []byte) error {
-	return sg.send(data, -1, 0)
+	return sg.send(data, -1, 0, 0, 0)
 }
 
 // SendAsync transmits data and registers the reply under a fresh
 // label, returned for a later CollectReply. Used by pipes to overlap
-// transfers with computation.
+// transfers with computation. The credit wait honours the PE's armed
+// call budget: a receiver that never restores credit makes the send
+// fail with kif.ErrTimeout (wrapped) instead of blocking forever.
 func (sg *SendGate) SendAsync(data []byte) (uint64, error) {
 	label := sg.env.allocLabel()
-	return label, sg.send(data, kif.CallReplyEP, label)
+	return label, sg.send(data, kif.CallReplyEP, label, sg.env.DTU().CallDeadline(), 0)
 }
 
-// SendAsyncDeadline is SendAsync with a cycle budget on the credit
-// wait: a receiver that never restores credit makes the send fail with
-// kif.ErrTimeout (wrapped) instead of blocking forever. Zero deadline
-// is exactly SendAsync.
-func (sg *SendGate) SendAsyncDeadline(data []byte, deadline sim.Time) (uint64, error) {
-	label := sg.env.allocLabel()
-	return label, sg.sendDeadline(data, kif.CallReplyEP, label, deadline, 0)
-}
-
-func (sg *SendGate) send(data []byte, replyEP int, label uint64) error {
-	return sg.sendDeadline(data, replyEP, label, 0, 0)
-}
-
-func (sg *SendGate) sendDeadline(data []byte, replyEP int, label uint64, deadline sim.Time, span obs.SpanID) error {
+// send transmits data, waiting out credit stalls for at most deadline
+// cycles each (zero: without bound).
+func (sg *SendGate) send(data []byte, replyEP int, label uint64, deadline sim.Time, span obs.SpanID) error {
 	e := sg.env
 	ep, err := e.eps.acquire(&sg.gateBase)
 	if err != nil {
@@ -245,39 +234,16 @@ func (sg *SendGate) sendDeadline(data []byte, replyEP int, label uint64, deadlin
 	if deadline > 0 {
 		e.DTU().StampDeadline(deadline)
 	}
-	for {
-		err = e.DTU().Send(e.P(), ep, data, replyEP, label)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, dtu.ErrNoCredits) {
-			// Bracket the credit wait so the critical-path engine can
-			// attribute it to queueing rather than app compute.
-			tr := e.Ctx.PE.Obs()
-			if tr.On() {
-				tr.Emit(obs.Event{At: e.Ctx.Now(), PE: int32(e.Ctx.PE.Node), Layer: obs.LDTU,
-					Kind: obs.EvCreditStall, Span: span, Arg0: uint64(ep)})
-			}
-			werr := e.DTU().WaitCreditsDeadline(e.P(), ep, deadline)
-			if tr.On() {
-				expired := uint64(0)
-				if werr != nil {
-					expired = 1
-				}
-				tr.Emit(obs.Event{At: e.Ctx.Now(), PE: int32(e.Ctx.PE.Node), Layer: obs.LDTU,
-					Kind: obs.EvCreditOK, Span: span, Arg0: uint64(ep), Arg2: expired})
-			}
-			if werr == nil {
-				continue
-			}
-			if errors.Is(werr, dtu.ErrTimeout) {
-				// A receiver that never restores credit is as dead as
-				// one that never replies.
-				return fmt.Errorf("m3: gate send: %w", kif.ErrTimeout)
-			}
-		}
+	err = e.DTU().SendWait(e.P(), ep, data, replyEP, label, deadline, span)
+	if errors.Is(err, dtu.ErrNoCredits) {
+		// A receiver that never restores credit is as dead as one that
+		// never replies.
+		return fmt.Errorf("m3: gate send: %w", kif.ErrTimeout)
+	}
+	if err != nil {
 		return fmt.Errorf("m3: gate send: %w", err)
 	}
+	return nil
 }
 
 // Drop unbinds the gate from its endpoint, if bound. Session recovery
@@ -301,20 +267,17 @@ func (sg *SendGate) TrySend(data []byte) error {
 // Call sends data and waits for the reply (the common synchronous
 // pattern libm3 builds on top of asynchronous DTU messaging, §4.5.6).
 // The reply is valid until the gate's next call or collect.
+//
+// Both wait points — credits and reply — honour the PE's armed call
+// budget (DTU.CallDeadline): if the receiver neither accepts nor
+// answers in time Call returns kif.ErrTimeout (wrapped) and abandons
+// the reply label, so a late answer is acked instead of leaking a
+// ringbuffer slot. With no budget armed the waits are unbounded and
+// schedule no deadline events.
 func (sg *SendGate) Call(data []byte) ([]byte, error) {
-	//m3vet:nodeadline Call IS the deliberately unbounded variant; bounded callers use CallDeadline
-	return sg.CallDeadline(data, 0)
-}
-
-// CallDeadline is Call with a cycle budget applied to both wait points
-// (credits and reply): if the receiver neither accepts nor answers in
-// time it returns kif.ErrTimeout (wrapped) and abandons the reply
-// label, so a late answer is acked instead of leaking a ringbuffer
-// slot. A zero deadline is exactly Call — unbounded, and scheduling no
-// deadline events.
-func (sg *SendGate) CallDeadline(data []byte, deadline sim.Time) ([]byte, error) {
 	e := sg.env
 	e.Ctx.Compute(CostCallMarshal)
+	deadline := e.DTU().CallDeadline()
 	label := e.allocLabel()
 	// A client service call roots its own causal span, like a syscall.
 	var span obs.SpanID
@@ -325,7 +288,7 @@ func (sg *SendGate) CallDeadline(data []byte, deadline sim.Time) ([]byte, error)
 			Kind: obs.EvSvcCallStart, Span: span,
 			Arg0: label, Arg1: uint64(len(data))})
 	}
-	err := sg.sendDeadline(data, kif.CallReplyEP, label, deadline, span)
+	err := sg.send(data, kif.CallReplyEP, label, deadline, span)
 	if err != nil {
 		if tr.On() {
 			tr.Emit(obs.Event{At: e.Ctx.Now(), PE: int32(e.Ctx.PE.Node), Layer: obs.LApp,
@@ -333,7 +296,7 @@ func (sg *SendGate) CallDeadline(data []byte, deadline sim.Time) ([]byte, error)
 		}
 		return nil, err
 	}
-	msg := e.recvReplyDeadline(label, deadline)
+	msg := e.recvReply(label, deadline)
 	if tr.On() {
 		fail := uint64(0)
 		if msg == nil || msg.Overloaded() || msg.Expired() {
@@ -362,13 +325,13 @@ func (sg *SendGate) CallDeadline(data []byte, deadline sim.Time) ([]byte, error)
 	return sg.takeReply(msg), nil
 }
 
-// CollectReplyDeadline is a blocking CollectReply bounded by a cycle
-// budget: on expiry it abandons the label (a late reply is acked, not
-// leaked) and returns kif.ErrTimeout wrapped. Zero deadline blocks
-// unboundedly like CollectReply.
-func (sg *SendGate) CollectReplyDeadline(label uint64, deadline sim.Time) ([]byte, error) {
+// CollectReply waits for the reply to a SendAsync identified by label,
+// bounded by the PE's armed call budget: on expiry it abandons the
+// label (a late reply is acked, not leaked) and returns kif.ErrTimeout
+// wrapped. A reply is valid until the gate's next call or collect.
+func (sg *SendGate) CollectReply(label uint64) ([]byte, error) {
 	e := sg.env
-	msg := e.recvReplyDeadline(label, deadline)
+	msg := e.recvReply(label, e.DTU().CallDeadline())
 	if msg == nil {
 		e.DiscardReply(label)
 		return nil, fmt.Errorf("m3: collect reply: %w", kif.ErrTimeout)
@@ -384,15 +347,12 @@ func (sg *SendGate) CollectReplyDeadline(label uint64, deadline sim.Time) ([]byt
 	return sg.takeReply(msg), nil
 }
 
-// CollectReply waits for (or polls, if wait is false) the reply to a
-// SendAsync identified by label. It returns nil when polling finds
-// nothing; a reply is valid until the gate's next call or collect.
-func (sg *SendGate) CollectReply(label uint64, wait bool) []byte {
-	e := sg.env
-	var msg *dtu.Message
-	if wait {
-		msg = e.recvReply(label)
-	} else if msg = e.tryRecvReply(label); msg == nil {
+// TryCollectReply polls for the reply to a SendAsync identified by
+// label and returns nil when it has not arrived; a reply is valid
+// until the gate's next call or collect.
+func (sg *SendGate) TryCollectReply(label uint64) []byte {
+	msg := sg.env.tryRecvReply(label)
+	if msg == nil {
 		return nil
 	}
 	return sg.takeReply(msg)

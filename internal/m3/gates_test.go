@@ -2,11 +2,13 @@ package m3_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/dtu"
 	"repro/internal/kif"
 	"repro/internal/m3"
+	"repro/internal/sim"
 )
 
 // Direct gate-level tests: the client/server message patterns libm3
@@ -212,4 +214,125 @@ func TestSelectorAllocationMonotonic(t *testing.T) {
 		}
 	})
 	s.eng.Run()
+}
+
+// TestBlockingCallsApplyArmedBudget checks that every blocking libm3
+// operation bounds itself by the PE's armed call budget against a
+// receiver that never answers: each gives up with kif.ErrTimeout
+// exactly budget cycles into its wait. With no budget armed the same
+// operations block for good and schedule no deadline event.
+func TestBlockingCallsApplyArmedBudget(t *testing.T) {
+	const budget = 20000
+	cases := []struct {
+		name    string
+		credits int
+		// setup activates the gates outside the measured wait and
+		// returns the blocking operation.
+		setup func(env *m3.Env, sg *m3.SendGate) (func() error, error)
+	}{
+		{"Call", 2, func(env *m3.Env, sg *m3.SendGate) (func() error, error) {
+			return func() error {
+				_, err := sg.Call([]byte("call"))
+				return err
+			}, sg.TrySend([]byte("warm"))
+		}},
+		{"Recv", 1, func(env *m3.Env, sg *m3.SendGate) (func() error, error) {
+			rg, err := env.NewRecvGate(64, 2)
+			return func() error {
+				if msg := rg.Recv(); msg != nil {
+					return fmt.Errorf("Recv = %v on a silent gate", msg)
+				}
+				return fmt.Errorf("recv: %w", kif.ErrTimeout)
+			}, err
+		}},
+		{"SendAsync", 1, func(env *m3.Env, sg *m3.SendGate) (func() error, error) {
+			// The warm-up spends the only credit, so SendAsync stalls.
+			return func() error {
+				_, err := sg.SendAsync([]byte("async"))
+				return err
+			}, sg.TrySend([]byte("warm"))
+		}},
+		{"CollectReply", 1, func(env *m3.Env, sg *m3.SendGate) (func() error, error) {
+			label, err := sg.SendAsync([]byte("async"))
+			return func() error {
+				_, err := sg.CollectReply(label)
+				return err
+			}, err
+		}},
+	}
+	for _, tc := range cases {
+		for _, armed := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/armed=%v", tc.name, armed), func(t *testing.T) {
+				s := newSystem(t, 4)
+				var start sim.Time
+				var idle uint64
+				var opErr error
+				returned := false
+				s.app(t, "server", func(env *m3.Env) {
+					// The receive gate is never read: a silent receiver.
+					rg, err := env.NewRecvGate(64, 4)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					sgSel, err := rg.NewSendGate(1, tc.credits)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					vpe, err := env.NewVPE("client", "")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if err := vpe.Delegate(sgSel, 500, 1); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := vpe.Run(func(child *m3.Env) {
+						op, serr := tc.setup(child, child.SendGateAt(500))
+						if serr != nil {
+							t.Error(serr)
+							return
+						}
+						d := child.DTU()
+						if armed {
+							d.EnableOverload(&dtu.OverloadConfig{CallDeadline: budget})
+						}
+						start, idle = child.Ctx.Now(), d.Stats.IdleCycles
+						opErr = op()
+						idle = d.Stats.IdleCycles - idle
+						returned = true
+					}); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := vpe.Wait(); err != nil {
+						t.Error(err)
+					}
+				})
+				end := s.eng.Run()
+				if !armed {
+					if returned {
+						t.Fatalf("returned %v without a budget; want an unbounded wait", opErr)
+					}
+					// The engine drained: a deadline timer would have kept
+					// the run going until it fired.
+					if end-start >= 1000 {
+						t.Errorf("run ended %d cycles after the wait began; a deadline event was scheduled", end-start)
+					}
+					return
+				}
+				if !returned {
+					t.Fatal("never returned under an armed budget")
+				}
+				if !errors.Is(opErr, kif.ErrTimeout) {
+					t.Errorf("err = %v, want kif.ErrTimeout", opErr)
+				}
+				if idle != budget {
+					t.Errorf("waited %d cycles, want exactly the budget %d", idle, budget)
+				}
+			})
+		}
+	}
 }

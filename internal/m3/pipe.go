@@ -89,10 +89,10 @@ func (pr *PipeReader) Read(buf []byte) (int, error) {
 		if pr.eof {
 			return 0, io.EOF
 		}
-		// With fault injection's call deadline armed, a writer that
-		// died mid-pipe surfaces as a clean timeout instead of a
-		// blocked reader (docs/RECOVERY.md).
-		msg := pr.rg.RecvDeadline(e.DTU().CallDeadline())
+		// With fault injection's call deadline armed, Recv bounds the
+		// wait: a writer that died mid-pipe surfaces as a clean timeout
+		// instead of a blocked reader (docs/RECOVERY.md).
+		msg := pr.rg.Recv()
 		if msg == nil {
 			return 0, fmt.Errorf("m3: pipe read: %w", kif.ErrTimeout)
 		}
@@ -203,7 +203,7 @@ func (pw *PipeWriter) Write(buf []byte) (int, error) {
 		}
 		var o kif.OStream
 		o.U64(uint64(pw.wpos)).U64(uint64(n))
-		label, err := pw.sg.SendAsyncDeadline(o.Bytes(), e.DTU().CallDeadline())
+		label, err := pw.sg.SendAsync(o.Bytes())
 		if err != nil {
 			return total, err
 		}
@@ -242,19 +242,14 @@ func (pw *PipeWriter) collect(wait bool) error {
 	for len(pw.inMsgs) > 0 {
 		var data []byte
 		if wait {
-			if d := pw.env.DTU().CallDeadline(); d > 0 {
-				var err error
-				data, err = pw.sg.CollectReplyDeadline(pw.inMsgs[0], d)
-				if err != nil {
-					// The acknowledgement is not coming; retire its
-					// label so Close does not wait on it again.
-					pw.inMsgs = pw.inMsgs[1:]
-					return fmt.Errorf("m3: pipe write: %w", err)
-				}
-			} else {
-				data = pw.sg.CollectReply(pw.inMsgs[0], true)
+			var err error
+			if data, err = pw.sg.CollectReply(pw.inMsgs[0]); err != nil {
+				// The acknowledgement is not coming; retire its label
+				// so Close does not wait on it again.
+				pw.inMsgs = pw.inMsgs[1:]
+				return fmt.Errorf("m3: pipe write: %w", err)
 			}
-		} else if data = pw.sg.CollectReply(pw.inMsgs[0], false); data == nil {
+		} else if data = pw.sg.TryCollectReply(pw.inMsgs[0]); data == nil {
 			return nil
 		}
 		is := kif.NewIStream(data)
@@ -274,7 +269,7 @@ func (pw *PipeWriter) Close() error {
 	pw.closed = true
 	var o kif.OStream
 	o.U64(0).U64(0)
-	label, err := pw.sg.SendAsyncDeadline(o.Bytes(), pw.env.DTU().CallDeadline())
+	label, err := pw.sg.SendAsync(o.Bytes())
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/m3"
 	"repro/internal/obs"
 	"repro/internal/overload"
-	"repro/internal/sim"
 )
 
 // Bounded-recovery knobs. Recovery is armed only when fault injection
@@ -164,9 +163,6 @@ func MountAt(env *m3.Env, prefix, service string) (*Client, error) {
 	return c, nil
 }
 
-// deadline is the armed call budget (0 = fault-free, unbounded).
-func (c *Client) deadline() sim.Time { return c.env.DTU().CallDeadline() }
-
 // nextSeq mints a fresh idempotency token sequence number.
 func (c *Client) nextSeq() uint64 {
 	c.seq++
@@ -183,7 +179,7 @@ func (c *Client) nextSeq() uint64 {
 // deliberately never recoverable: it is handled by the bounded retry
 // budget in call, not by session recovery.
 func (c *Client) recoverable(err error) bool {
-	if err == nil || !c.env.DTU().Faulty() || c.deadline() == 0 {
+	if err == nil || !c.env.DTU().Faulty() || c.env.DTU().CallDeadline() == 0 {
 		return false
 	}
 	return errors.Is(err, kif.ErrTimeout) ||
@@ -242,7 +238,7 @@ func (c *Client) recover() error {
 // error code. The stream decodes the send gate's reply buffer, so it
 // is valid until the client's next call.
 func (c *Client) callOnce(o *kif.OStream) (kif.IStream, error) {
-	data, err := c.sg.CallDeadline(o.Bytes(), c.deadline())
+	data, err := c.sg.Call(o.Bytes())
 	if err != nil {
 		return kif.IStream{}, err
 	}
