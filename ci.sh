@@ -29,6 +29,10 @@
 #              machine-readable regression attribution are kept under
 #              artifacts/ — bench-smoke.json and diff-report.json —
 #              for inspection (docs/EXPERIMENTS.md)
+#   bench-all  every registered experiment once (~1.5 s), so each one's
+#              JSON passes the duplicate-metric check, not only the
+#              smoke subset; output kept as artifacts/bench-all.json
+#              and artifacts/bench-all.log
 #   diff       the attribution self-test: a seeded +10% kernel
 #              dispatch-cost perturbation must be attributed to the
 #              kernel layer by `m3sim diff`, with the baseline captured
@@ -48,5 +52,6 @@ go test -race -shuffle=on ./...
 make chaos
 make fuzz
 make bench-smoke
+go run ./cmd/m3bench -e all -json artifacts/bench-all.json >artifacts/bench-all.log
 make diff-smoke
 make slo-smoke

@@ -2,67 +2,35 @@
 // figure from §5, plus this repository's own experiments. Run it with
 // -e all (default), -e smoke (the fast CI subset), or a comma-separated
 // experiment list; -json writes the machine-readable result file and
-// -diff compares two such files under the regression tolerances.
+// -diff compares two such files under the regression tolerances. The
+// experiments and their tables come from internal/bench's registry
+// (bench.Experiments); this command writes them out.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
 )
 
-// experiment is one entry of the registry: the single source of truth
-// for the -e help text, the dispatch order, and the smoke subset.
-type experiment struct {
-	name string
-	desc string
-	// smoke marks the experiment as part of the fast CI subset
-	// (`-e smoke`, wired into make bench-smoke).
-	smoke bool
-	// run executes the experiment, prints its human-readable report,
-	// and returns the metric set for the JSON file.
-	run func() (bench.BenchExperiment, error)
-}
-
-// experiments is the registry. Order is execution and JSON order.
-var experiments = []experiment{
-	{"fig3", "syscall + file-op microbenchmarks vs Linux", true, runFig3},
-	{"sec52", "§5.2 OS-primitive cost table (Xtensa vs ARM)", false, runSec52},
-	{"fig4", "extent-size sweep of read/write throughput", false, runFig4},
-	{"fig5", "application benchmarks vs Linux", false, runFig5},
-	{"fig6", "parallel instance scaling", false, runFig6},
-	{"fig7", "FFT accelerator offload", false, runFig7},
-	{"util", "§3.4 per-PE utilization trade-off", true, runUtil},
-	{"efault", "completion time under packet loss", false, runEFault},
-	{"erecover", "m3fs crash/restart availability sweep", false, runERecover},
-	{"elat", "latency percentile tables", true, runELat},
-	{"eload", "graceful degradation under open-loop overload", true, runELoad},
-	{"etail", "critical-path blame at p50/p99 vs Linux", true, runETail},
-	{"witness", "determinism witness: run stats + stream hashes", true, runWitness},
-}
-
 // expHelp renders the -e flag help from the registry.
 func expHelp() string {
-	var names []string
-	for _, e := range experiments {
-		names = append(names, e.name)
-	}
-	return "experiments to run: all, smoke, or comma-separated of " + strings.Join(names, ",")
+	return "experiments to run: all, smoke, or comma-separated of " + strings.Join(bench.ExperimentNames(), ",")
 }
 
 func main() {
-	exps := flag.String("e", "all", expHelp())
-	csv := flag.String("csv", "", "directory to additionally write CSV tables into")
+	expList := flag.String("e", "all", expHelp())
+	csvDir := flag.String("csv", "", "directory to additionally write CSV tables into")
 	jsonOut := flag.String("json", "", "file to write the schema-versioned bench JSON into")
 	capture := flag.Bool("capture", false, "bundle run captures (profile, metrics, histograms, blame) per experiment workload into the bench JSON, for -diff attribution")
 	diff := flag.Bool("diff", false, "compare two bench JSON files: m3bench -diff old.json new.json; exits 1 on regression")
 	report := flag.String("report", "", "with -diff: write the machine-readable attribution report (diff-report JSON) to this file")
 	flag.Parse()
-	csvDir = *csv
 
 	if *diff {
 		if flag.NArg() != 2 {
@@ -76,53 +44,32 @@ func main() {
 		return
 	}
 
-	want := map[string]bool{}
-	switch *exps {
-	case "all":
-		for _, e := range experiments {
-			want[e.name] = true
-		}
-	case "smoke":
-		for _, e := range experiments {
-			if e.smoke {
-				want[e.name] = true
-			}
-		}
-	default:
-		for _, name := range strings.Split(*exps, ",") {
-			name = strings.TrimSpace(name)
-			if !knownExperiment(name) {
-				fmt.Fprintf(os.Stderr, "m3bench: unknown experiment %q (%s)\n", name, expHelp())
-				os.Exit(2)
-			}
-			want[name] = true
-		}
+	exps, err := bench.SelectExperiments(*expList)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "m3bench: %v\n", err)
+		os.Exit(2)
 	}
-
 	out := &bench.BenchFile{Schema: bench.BenchSchema}
-	for _, e := range experiments {
-		if !want[e.name] {
-			continue
-		}
+	for _, e := range exps {
 		start := time.Now()
-		exp, err := e.run()
+		fmt.Printf("%s: %s\n", e.Name, e.Desc)
+		rep, err := e.Run()
+		if err == nil {
+			err = rep.WriteText(os.Stdout)
+		}
+		if err == nil {
+			err = writeCSV(*csvDir, rep.Tables)
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "m3bench: %s failed: %v\n", e.name, err)
+			fmt.Fprintf(os.Stderr, "m3bench: %s failed: %v\n", e.Name, err)
 			os.Exit(1)
 		}
-		wall := time.Since(start)
-		out.Experiments = append(out.Experiments, exp)
-		fmt.Printf("  [%s took %.1fs wall clock]\n\n", e.name, wall.Seconds())
+		out.Experiments = append(out.Experiments, rep.Metrics)
+		fmt.Printf("  [%s took %.1fs wall clock]\n\n", e.Name, time.Since(start).Seconds())
 	}
 
 	if *capture {
-		var names []string
-		for _, e := range experiments {
-			if want[e.name] {
-				names = append(names, e.name)
-			}
-		}
-		caps, err := bench.CaptureAll(names, bench.M3Options{})
+		caps, err := bench.CaptureAll(exps, bench.M3Options{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "m3bench: capture failed: %v\n", err)
 			os.Exit(1)
@@ -153,13 +100,31 @@ func main() {
 	}
 }
 
-func knownExperiment(name string) bool {
-	for _, e := range experiments {
-		if e.name == name {
-			return true
-		}
+// writeCSV writes each table to dir/<name>.csv; an empty dir writes
+// nothing.
+func writeCSV(dir string, tables []*bench.Table) error {
+	if dir == "" {
+		return nil
 	}
-	return false
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, t := range tables {
+		path := filepath.Join(dir, t.Name+".csv")
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := t.WriteCSV(f); err != nil {
+			_ = f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Printf("  wrote %s\n", path)
+	}
+	return nil
 }
 
 // runDiff loads both files, gates on the comparison, and — when the

@@ -2,9 +2,29 @@ package analysis
 
 import (
 	"fmt"
+	"go/importer"
+	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 )
+
+// Every fixture loader shares one file set and one standard-library
+// importer, so fmt, time and the rest are type-checked from source
+// once per test binary instead of once per fixture. The tests do not
+// run in parallel, and the source importer memoizes what it loads.
+var (
+	fixtureFset = token.NewFileSet()
+	fixtureStd  = importer.ForCompiler(fixtureFset, "source", nil).(types.ImporterFrom)
+)
+
+// newFixtureLoader is NewOverlayLoader on the shared file set and
+// standard-library importer.
+func newFixtureLoader(overlay map[string]map[string]string) *Loader {
+	l := NewOverlayLoader("repro", overlay)
+	l.Fset, l.std = fixtureFset, fixtureStd
+	return l
+}
 
 // runOn type-checks an in-memory fixture package (plus overlay
 // dependencies) and runs the given analyzers over it.
@@ -14,7 +34,7 @@ func runOn(t *testing.T, analyzers []*Analyzer, path string, files map[string]st
 	for p, f := range deps {
 		overlay[p] = f
 	}
-	l := NewOverlayLoader("repro", overlay)
+	l := newFixtureLoader(overlay)
 	pkg, err := l.Load(path)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", path, err)

@@ -10,7 +10,7 @@ import (
 // returns them ready for BuildCallGraph/checkPackages.
 func loadPkgs(t *testing.T, overlay map[string]map[string]string) []*Package {
 	t.Helper()
-	l := NewOverlayLoader("repro", overlay)
+	l := newFixtureLoader(overlay)
 	paths := make([]string, 0, len(overlay))
 	for p := range overlay {
 		paths = append(paths, p)

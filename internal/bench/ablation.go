@@ -98,50 +98,53 @@ type EPMuxAblation struct {
 
 // RunEPMuxAblation touches `gates` memory gates round-robin for
 // `rounds` rounds and reports total cycles plus activation syscalls.
+// The program reads the kernel's syscall counters mid-run, so it boots
+// the scenario and runs it in two steps.
 func RunEPMuxAblation(gates, rounds int) (EPMuxAblation, error) {
-	s := bootM3(M3Options{}, 1)
-	var res EPMuxAblation
-	var ferr error
-	_, err := s.kern.StartInit("app", tile.CoreXtensa, func(ctx *tile.Ctx) {
-		env := m3.NewEnv(ctx, s.kern)
-		var mgs []*m3.MemGate
-		for i := 0; i < gates; i++ {
-			mg, err := env.ReqMem(1024, dtu.PermRW)
-			if err != nil {
-				ferr = err
-				return
+	res := EPMuxAblation{Gates: gates}
+	var r *Result
+	b := workload.Benchmark{
+		Name:  "epmux",
+		PEs:   1,
+		Setup: func(workload.OS) error { return nil },
+		Run: func(os workload.OS) error {
+			env := os.(*workload.M3OS).Env
+			var mgs []*m3.MemGate
+			for i := 0; i < gates; i++ {
+				mg, err := env.ReqMem(1024, dtu.PermRW)
+				if err != nil {
+					return err
+				}
+				mgs = append(mgs, mg)
 			}
-			mgs = append(mgs, mg)
-		}
-		buf := make([]byte, 64)
-		// Warm every gate once so the measured loop sees only
-		// multiplexing-induced re-activations.
-		for _, mg := range mgs {
-			if err := mg.Write(buf, 0); err != nil {
-				ferr = err
-				return
-			}
-		}
-		activatesBefore := s.kern.Stats.Syscalls[kif.SysActivate]
-		start := ctx.Now()
-		for r := 0; r < rounds; r++ {
+			buf := make([]byte, 64)
+			// Warm every gate once so the measured loop sees only
+			// multiplexing-induced re-activations.
 			for _, mg := range mgs {
 				if err := mg.Write(buf, 0); err != nil {
-					ferr = err
-					return
+					return err
 				}
 			}
-		}
-		res.Cycles = ctx.Now() - start
-		res.Activates = s.kern.Stats.Syscalls[kif.SysActivate] - activatesBefore
-		res.Gates = gates
-		env.Exit(0)
-	})
+			activatesBefore := r.Kern.Stats.Syscalls[kif.SysActivate]
+			start := env.Ctx.Now()
+			for i := 0; i < rounds; i++ {
+				for _, mg := range mgs {
+					if err := mg.Write(buf, 0); err != nil {
+						return err
+					}
+				}
+			}
+			res.Cycles = env.Ctx.Now() - start
+			res.Activates = r.Kern.Stats.Syscalls[kif.SysActivate] - activatesBefore
+			return nil
+		},
+	}
+	sc := Scenario{Workload: b}
+	r, err := sc.boot()
 	if err != nil {
 		return res, err
 	}
-	s.eng.Run()
-	return res, ferr
+	return res, sc.run(r)
 }
 
 // ExtentBatchAblation compares writing a file with single-block

@@ -208,21 +208,6 @@ func TestFig6ShapeSmall(t *testing.T) {
 	}
 }
 
-func TestReportTables(t *testing.T) {
-	r, err := Fig3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	r.Print(&sb)
-	out := sb.String()
-	for _, want := range []string{"Figure 3", "M3", "Lx", "read", "write", "pipe"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestBreakdownConsistency(t *testing.T) {
 	bd := mustRun(t, Scenario{Workload: ReadBench()}).Breakdown()
 	if bd.App+bd.Xfer+bd.OS != bd.Total {
@@ -244,17 +229,76 @@ func TestBreakdownConsistency(t *testing.T) {
 	}
 }
 
+// renderTables writes every table of every result as text and as CSV,
+// failing on a write error or an empty CSV, and returns the text.
+func renderTables(t *testing.T, results ...interface{ Tables() []*Table }) string {
+	t.Helper()
+	var sb strings.Builder
+	for _, r := range results {
+		for _, tb := range r.Tables() {
+			if err := tb.WriteText(&sb); err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			if err := tb.WriteCSV(&b); err != nil {
+				t.Fatal(err)
+			}
+			if b.Len() == 0 {
+				t.Fatalf("empty CSV for %s", tb.Name)
+			}
+		}
+	}
+	return sb.String()
+}
+
+func TestReportTables(t *testing.T) {
+	r, err := Fig3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := renderTables(t, r)
+	for _, want := range []string{"Figure 3", "M3", "Lx", "read", "write", "pipe"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestAllPrinters(t *testing.T) {
+	// Render every result type once as text and CSV; rendering must not
+	// panic and must carry the key labels.
+	s52 := &Sec52Result{Rows: []Sec52Row{{Metric: "x", Xtensa: 1, ARM: 2}}}
+	f4 := &Fig4Result{BlocksPerExtent: []int{16, 32}, ReadCycles: []sim.Time{100, 90}, WriteCycles: []sim.Time{110, 95}}
+	f5 := &Fig5Result{Apps: map[string]map[string]Breakdown{
+		"cat+tr": {"M3": {Total: 1}, "Lx-$": {Total: 2}, "Lx": {Total: 3}},
+		"tar":    {"M3": {Total: 1}, "Lx-$": {Total: 2}, "Lx": {Total: 3}},
+		"untar":  {"M3": {Total: 1}, "Lx-$": {Total: 2}, "Lx": {Total: 3}},
+		"find":   {"M3": {Total: 1}, "Lx-$": {Total: 2}, "Lx": {Total: 3}},
+		"sqlite": {"M3": {Total: 1}, "Lx-$": {Total: 2}, "Lx": {Total: 3}},
+	}}
+	f6 := &Fig6Result{Instances: []int{1, 2}, Normalized: map[string][]float64{
+		"cat+tr": {0, 1}, "tar": {1, 1.1}, "untar": {1, 1.2}, "find": {1, 2}, "sqlite": {1, 1},
+	}}
+	f7 := &Fig7Result{Linux: Breakdown{Total: 3}, M3Soft: Breakdown{Total: 2}, M3Accel: Breakdown{Total: 1}}
+	out := renderTables(t, s52, f4, f5, f6, f7)
+	for _, want := range []string{"Section 5.2", "Figure 4", "Figure 5", "Figure 6", "Figure 7", "sqlite", "m3_accel"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("rendering missing %q", want)
+		}
+	}
+}
+
 func TestCSVExport(t *testing.T) {
 	r, err := Fig3()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables := r.CSV()
+	tables := r.Tables()
 	if len(tables) != 2 {
 		t.Fatalf("fig3 CSV tables = %d", len(tables))
 	}
 	var sb strings.Builder
-	if _, err := tables[1].WriteTo(&sb); err != nil {
+	if err := tables[1].WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -269,56 +313,8 @@ func TestCSVExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s52.CSV(); len(got) != 1 || len(got[0].Rows) != 4 {
+	if got := s52.Tables(); len(got) != 1 || len(got[0].Rows) != 4 {
 		t.Fatalf("sec52 CSV shape wrong")
-	}
-}
-
-func TestAllPrinters(t *testing.T) {
-	// Render every result type once; printers must not panic and must
-	// contain the key labels.
-	var sb strings.Builder
-
-	s52 := &Sec52Result{Rows: []Sec52Row{{Metric: "x", Xtensa: 1, ARM: 2}}}
-	s52.Print(&sb)
-
-	f4 := &Fig4Result{BlocksPerExtent: []int{16, 32}, ReadCycles: []sim.Time{100, 90}, WriteCycles: []sim.Time{110, 95}}
-	f4.Print(&sb)
-
-	f5 := &Fig5Result{Apps: map[string]map[string]Breakdown{
-		"cat+tr": {"M3": {Total: 1}, "Lx-$": {Total: 2}, "Lx": {Total: 3}},
-		"tar":    {"M3": {Total: 1}, "Lx-$": {Total: 2}, "Lx": {Total: 3}},
-		"untar":  {"M3": {Total: 1}, "Lx-$": {Total: 2}, "Lx": {Total: 3}},
-		"find":   {"M3": {Total: 1}, "Lx-$": {Total: 2}, "Lx": {Total: 3}},
-		"sqlite": {"M3": {Total: 1}, "Lx-$": {Total: 2}, "Lx": {Total: 3}},
-	}}
-	f5.Print(&sb)
-
-	f6 := &Fig6Result{Instances: []int{1, 2}, Normalized: map[string][]float64{
-		"cat+tr": {0, 1}, "tar": {1, 1.1}, "untar": {1, 1.2}, "find": {1, 2}, "sqlite": {1, 1},
-	}}
-	f6.Print(&sb)
-
-	f7 := &Fig7Result{Linux: Breakdown{Total: 3}, M3Soft: Breakdown{Total: 2}, M3Accel: Breakdown{Total: 1}}
-	f7.Print(&sb)
-
-	out := sb.String()
-	for _, want := range []string{"Section 5.2", "Figure 4", "Figure 5", "Figure 6", "Figure 7", "sqlite", "M3+accelerator"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("printers missing %q", want)
-		}
-	}
-	// CSV variants of the same results.
-	for _, c := range [][]*CSVTable{s52.CSV(), f4.CSV(), f5.CSV(), f6.CSV(), f7.CSV()} {
-		for _, tab := range c {
-			var b strings.Builder
-			if _, err := tab.WriteTo(&b); err != nil {
-				t.Fatal(err)
-			}
-			if b.Len() == 0 {
-				t.Fatalf("empty CSV for %s", tab.Name)
-			}
-		}
 	}
 }
 

@@ -20,25 +20,6 @@ import (
 // experiments and the determinism witness are bit-identical with and
 // without -capture.
 
-// CaptureWorkloads maps each experiment to the workload its capture
-// runs. Several experiments share a workload; -capture runs each
-// distinct workload once.
-var CaptureWorkloads = map[string]string{
-	"fig3":     "tar",
-	"sec52":    "tar",
-	"fig4":     "tar",
-	"fig5":     "tar",
-	"fig6":     "tar",
-	"fig7":     "tar",
-	"util":     "find",
-	"efault":   "tar",
-	"erecover": "tar",
-	"elat":     "tar",
-	"eload":    "tar",
-	"etail":    "tar",
-	"witness":  witnessWorkload,
-}
-
 // RunWorkloadCapture runs one workload with the folded profiler and
 // the critical-path engine fanned out from the structured tracer and
 // returns the bundled capture. The capture arms its own tracer and
@@ -64,18 +45,16 @@ func RunWorkloadCapture(name string, opt M3Options) (*obs.RunCapture, error) {
 	return obs.NewRunCapture(name, prof, cp, tr.Metrics(), hists), nil
 }
 
-// CaptureAll captures the distinct workloads behind the named
-// experiments, in workload-name order.
-func CaptureAll(experiments []string, opt M3Options) ([]*obs.RunCapture, error) {
+// CaptureAll captures the distinct workloads behind the experiments,
+// in workload-name order.
+func CaptureAll(exps []Experiment, opt M3Options) ([]*obs.RunCapture, error) {
 	seen := map[string]bool{}
 	var names []string
-	for _, e := range experiments {
-		w, ok := CaptureWorkloads[e]
-		if !ok || seen[w] {
-			continue
+	for _, e := range exps {
+		if w := e.Capture; !seen[w] {
+			seen[w] = true
+			names = append(names, w)
 		}
-		seen[w] = true
-		names = append(names, w)
 	}
 	sort.Strings(names)
 	caps := make([]*obs.RunCapture, 0, len(names))

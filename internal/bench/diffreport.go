@@ -11,7 +11,7 @@ import (
 
 // Regression attribution: when the bench gate goes red, explain it.
 // Attribute pairs each regression with the capture diff of its
-// experiment's workload (CaptureWorkloads), producing the
+// experiment's capture workload (Experiment.Capture), producing the
 // machine-readable DiffReport ci.sh retains as
 // artifacts/diff-report.json and the per-metric attribution text
 // `m3bench -diff` appends under its REGRESSION lines. With no captures
@@ -62,8 +62,8 @@ func Attribute(d *BenchDiff, old, new *BenchFile) (*DiffReport, error) {
 	missing := map[string]bool{}
 	var order []string
 	for _, r := range d.Regressions {
-		w, ok := CaptureWorkloads[r.Exp]
-		if !ok {
+		w := captureOf(r.Exp)
+		if w == "" {
 			continue
 		}
 		a, seen := byWorkload[w]
@@ -125,7 +125,7 @@ func (r *DiffReport) WriteText(w io.Writer) error {
 		byWorkload[a.Workload] = a
 	}
 	for _, reg := range r.Regressions {
-		wl := CaptureWorkloads[reg.Exp]
+		wl := captureOf(reg.Exp)
 		a := byWorkload[wl]
 		switch {
 		case a != nil:

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/linuxos"
 	"repro/internal/obs"
@@ -205,35 +204,9 @@ func ELat() (*ELatResult, error) {
 	return res, nil
 }
 
-// Print writes the percentile tables.
-func (r *ELatResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "E-lat: per-operation latency percentiles (cycles)\n")
-	tw := newTable(w, "op", "system", "count", "mean", "p50", "p90", "p99", "max")
-	for i, m3h := range r.M3.all() {
-		for _, sh := range []struct {
-			name string
-			h    *obs.Histogram
-		}{{"M3", m3h}, {"Lx", r.Lx.all()[i]}} {
-			h := sh.h
-			tw.row(h.Name, sh.name, fmt.Sprint(h.Count()), fmt.Sprint(h.Mean()),
-				fmt.Sprint(h.Quantile(0.50)), fmt.Sprint(h.Quantile(0.90)),
-				fmt.Sprint(h.Quantile(0.99)), fmt.Sprint(h.Max()))
-		}
-	}
-	tw.flush()
-	fmt.Fprintf(w, "\nE-lat: M3 hardware-level histograms (cycles)\n")
-	tw = newTable(w, "hist", "count", "mean", "p50", "p90", "p99", "max")
-	for _, h := range r.DTU {
-		tw.row(h.Name, fmt.Sprint(h.Count()), fmt.Sprint(h.Mean()),
-			fmt.Sprint(h.Quantile(0.50)), fmt.Sprint(h.Quantile(0.90)),
-			fmt.Sprint(h.Quantile(0.99)), fmt.Sprint(h.Max()))
-	}
-	tw.flush()
-}
-
-// CSV renders the E-lat tables.
-func (r *ELatResult) CSV() []*CSVTable {
-	ops := &CSVTable{Name: "elat_ops", Rows: [][]string{
+// Tables renders the E-lat tables.
+func (r *ELatResult) Tables() []*Table {
+	ops := &Table{Name: "elat_ops", Title: "E-lat: per-operation latency percentiles (cycles)", Rows: [][]string{
 		{"op", "system", "count", "mean_cycles", "p50", "p90", "p99", "max"},
 	}}
 	for i, m3h := range r.M3.all() {
@@ -248,7 +221,7 @@ func (r *ELatResult) CSV() []*CSVTable {
 				fmt.Sprint(h.Quantile(0.99)), fmt.Sprint(h.Max())})
 		}
 	}
-	dtu := &CSVTable{Name: "elat_dtu", Rows: [][]string{
+	dtu := &Table{Name: "elat_dtu", Title: "E-lat: M3 hardware-level histograms (cycles)", Rows: [][]string{
 		{"hist", "count", "mean_cycles", "p50", "p90", "p99", "max"},
 	}}
 	for _, h := range r.DTU {
@@ -257,5 +230,5 @@ func (r *ELatResult) CSV() []*CSVTable {
 			fmt.Sprint(h.Quantile(0.50)), fmt.Sprint(h.Quantile(0.90)),
 			fmt.Sprint(h.Quantile(0.99)), fmt.Sprint(h.Max())})
 	}
-	return []*CSVTable{ops, dtu}
+	return []*Table{ops, dtu}
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"hash/fnv"
-	"io"
 	"sort"
 
 	"repro/internal/linuxos"
@@ -348,36 +347,10 @@ func qLabel(q float64) string {
 	return fmt.Sprintf("p%g", q*100)
 }
 
-// Print writes the blame tables.
-func (r *ETailResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "E-tail: critical-path blame at the tail, %d clients x %d ops, spike of %d (seed %#x)\n",
-		etailClients, etailOps, etailSpikeLen, etailSeed)
-	tw := newTable(w, "workload", "system", "q", "latency", "app", "queue", "noc", "kernel", "retry", "shed")
-	for _, wr := range r.Workloads {
-		for _, s := range []*ETailSystem{&wr.M3, &wr.Lx} {
-			for _, q := range s.Quantiles {
-				tw.row(wr.Workload, s.System, qLabel(q.Q), cyc(sim.Time(q.Latency)),
-					fmt.Sprint(q.Blame[obs.BlameApp]), fmt.Sprint(q.Blame[obs.BlameQueue]),
-					fmt.Sprint(q.Blame[obs.BlameNoC]), fmt.Sprint(q.Blame[obs.BlameKernel]),
-					fmt.Sprint(q.Blame[obs.BlameRetry]), fmt.Sprint(q.Blame[obs.BlameShed]))
-			}
-		}
-	}
-	tw.flush()
-	fmt.Fprintf(w, "E-tail: M3 %s objective (bound %d cycles)\n", etailSLOLatency, etailSLOBound)
-	tw = newTable(w, "workload", "requests", "good/total", "transitions", "state")
-	for _, wr := range r.Workloads {
-		tw.row(wr.Workload, fmt.Sprint(wr.M3.Requests),
-			fmt.Sprintf("%d/%d", wr.SLOGood, wr.SLOTotal),
-			fmt.Sprint(wr.SLOTransitions), wr.SLOState)
-	}
-	tw.flush()
-}
-
-// CSV renders the E-tail tables. Every cell is deterministic, so the
+// Tables renders the E-tail tables. Every cell is deterministic, so the
 // default exact-match tolerance gates them.
-func (r *ETailResult) CSV() []*CSVTable {
-	blame := &CSVTable{Name: "etail_blame", Rows: [][]string{
+func (r *ETailResult) Tables() []*Table {
+	blame := &Table{Name: "etail_blame", Rows: [][]string{
 		{"workload", "system", "q", "latency_cycles",
 			"app", "queue", "noc", "kernel", "retry", "shed"},
 	}}
@@ -393,7 +366,7 @@ func (r *ETailResult) CSV() []*CSVTable {
 			}
 		}
 	}
-	slo := &CSVTable{Name: "etail_slo", Rows: [][]string{
+	slo := &Table{Name: "etail_slo", Rows: [][]string{
 		{"workload", "requests", "slo_good", "slo_total", "transitions", "state"},
 	}}
 	for _, wr := range r.Workloads {
@@ -403,5 +376,8 @@ func (r *ETailResult) CSV() []*CSVTable {
 			fmt.Sprint(wr.SLOTransitions), wr.SLOState,
 		})
 	}
-	return []*CSVTable{blame, slo}
+	blame.Title = fmt.Sprintf("E-tail: critical-path blame at the tail, %d clients x %d ops, spike of %d (seed %#x; cycles)",
+		etailClients, etailOps, etailSpikeLen, etailSeed)
+	slo.Title = fmt.Sprintf("E-tail: M3 %s objective (bound %d cycles)", etailSLOLatency, etailSLOBound)
+	return []*Table{blame, slo}
 }

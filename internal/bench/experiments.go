@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/accel"
 	"repro/internal/linuxos"
@@ -40,24 +39,6 @@ func Fig3() (*Fig3Result, error) {
 		r.FileOps[b.Name] = row
 	}
 	return r, nil
-}
-
-// Print writes the figure's rows.
-func (r *Fig3Result) Print(w io.Writer) {
-	fmt.Fprintf(w, "Figure 3 (left): null system call\n")
-	tw := newTable(w, "system", "total (cycles)", "xfers", "other")
-	tw.row("M3", cyc(r.SyscallM3), cyc(r.SyscallM3Xfer), cyc(r.SyscallM3-r.SyscallM3Xfer))
-	tw.row("Lx", cyc(r.SyscallLx), "0", cyc(r.SyscallLx))
-	tw.flush()
-	fmt.Fprintf(w, "\nFigure 3 (right): 2 MiB file operations, 4 KiB buffers (M cycles)\n")
-	tw = newTable(w, "op", "system", "total", "xfers", "other(OS)")
-	for _, op := range []string{"read", "write", "pipe"} {
-		for _, sys := range []string{"M3", "Lx-$", "Lx"} {
-			b := r.FileOps[op][sys]
-			tw.row(op, sys, mcyc(b.Total), mcyc(b.Xfer), mcyc(b.OS+b.App))
-		}
-	}
-	tw.flush()
 }
 
 // Sec52Result reproduces the §5.2 Xtensa/ARM cross-check.
@@ -152,16 +133,6 @@ func copyBench() workload.Benchmark {
 	}
 }
 
-// Print writes the section's table.
-func (r *Sec52Result) Print(w io.Writer) {
-	fmt.Fprintf(w, "Section 5.2: Linux on Xtensa vs. Linux on ARM\n")
-	tw := newTable(w, "metric", "Xtensa", "ARM")
-	for _, row := range r.Rows {
-		tw.row(row.Metric, cyc(row.Xtensa), cyc(row.ARM))
-	}
-	tw.flush()
-}
-
 // Fig4Result reproduces Figure 4: read/write time of a 2 MiB file
 // depending on blocks per extent.
 type Fig4Result struct {
@@ -190,16 +161,6 @@ func Fig4() (*Fig4Result, error) {
 	return r, nil
 }
 
-// Print writes the figure's series.
-func (r *Fig4Result) Print(w io.Writer) {
-	fmt.Fprintf(w, "Figure 4: read/write 2 MiB vs. file fragmentation (K cycles)\n")
-	tw := newTable(w, "blocks/extent", "read", "write")
-	for i, bpe := range r.BlocksPerExtent {
-		tw.row(fmt.Sprint(bpe), kcyc(r.ReadCycles[i]), kcyc(r.WriteCycles[i]))
-	}
-	tw.flush()
-}
-
 // Fig5Result reproduces Figure 5: the five application benchmarks on
 // M3, Lx-$, and Lx with App/Xfers/OS breakdown.
 type Fig5Result struct {
@@ -224,24 +185,6 @@ func Fig5() (*Fig5Result, error) {
 		r.Apps[b.Name] = row
 	}
 	return r, nil
-}
-
-// Print writes the figure's rows.
-func (r *Fig5Result) Print(w io.Writer) {
-	fmt.Fprintf(w, "Figure 5: application-level benchmarks (K cycles)\n")
-	tw := newTable(w, "benchmark", "system", "total", "app", "xfers", "OS", "vs Lx")
-	for _, name := range []string{"cat+tr", "tar", "untar", "find", "sqlite"} {
-		lx := r.Apps[name]["Lx"].Total
-		for _, sys := range []string{"M3", "Lx-$", "Lx"} {
-			b := r.Apps[name][sys]
-			rel := "1.00x"
-			if lx > 0 {
-				rel = fmt.Sprintf("%.2fx", float64(b.Total)/float64(lx))
-			}
-			tw.row(name, sys, kcyc(b.Total), kcyc(b.App), kcyc(b.Xfer), kcyc(b.OS), rel)
-		}
-	}
-	tw.flush()
 }
 
 // Fig6Result reproduces Figure 6: scalability with 1..16 parallel
@@ -282,28 +225,6 @@ func Fig6() (*Fig6Result, error) {
 	return r, nil
 }
 
-// Print writes the figure's series (flatter is better).
-func (r *Fig6Result) Print(w io.Writer) {
-	fmt.Fprintf(w, "Figure 6: scalability, time per instance normalized to the first run (flatter is better)\n")
-	hdr := []string{"benchmark"}
-	for _, n := range r.Instances {
-		hdr = append(hdr, fmt.Sprintf("%d", n))
-	}
-	tw := newTable(w, hdr...)
-	for _, name := range []string{"cat+tr", "tar", "untar", "find", "sqlite"} {
-		row := []string{name}
-		for _, v := range r.Normalized[name] {
-			if v == 0 {
-				row = append(row, "-")
-			} else {
-				row = append(row, fmt.Sprintf("%.2f", v))
-			}
-		}
-		tw.row(row...)
-	}
-	tw.flush()
-}
-
 // Fig7Result reproduces Figure 7: the FFT filter chain on Linux, on M3
 // with the software FFT, and on M3 with the accelerator core.
 type Fig7Result struct {
@@ -329,17 +250,4 @@ func Fig7() (*Fig7Result, error) {
 	}
 	r.M3Soft, r.M3Accel = soft.Breakdown(), acc.Breakdown()
 	return r, nil
-}
-
-// Print writes the figure's rows.
-func (r *Fig7Result) Print(w io.Writer) {
-	fmt.Fprintf(w, "Figure 7: FFT filter chain, 32 KiB (K cycles; app = generation + FFT)\n")
-	tw := newTable(w, "system", "total", "app(FFT)", "xfers", "OS")
-	for _, e := range []struct {
-		name string
-		b    Breakdown
-	}{{"Linux", r.Linux}, {"M3", r.M3Soft}, {"M3+accelerator", r.M3Accel}} {
-		tw.row(e.name, kcyc(e.b.Total), kcyc(e.b.App), kcyc(e.b.Xfer), kcyc(e.b.OS))
-	}
-	tw.flush()
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/fault"
 	"repro/internal/sim"
@@ -76,24 +75,9 @@ func EFault() (*EFaultResult, error) {
 	return res, nil
 }
 
-// Print writes the sweep table.
-func (r *EFaultResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "E-fault: %s under per-link packet loss (seed %#x, %d retries)\n",
-		r.Workload, efaultSeed, efaultRetries)
-	tw := newTable(w, "drop rate", "run (cycles)", "slowdown", "dropped", "retransmits", "aborts")
-	for _, row := range r.Rows {
-		tw.row(fmt.Sprintf("%.3f%%", row.DropRate*100), cyc(row.RunTime),
-			fmt.Sprintf("%.3fx", row.Slowdown),
-			fmt.Sprintf("%d", row.Dropped),
-			fmt.Sprintf("%d", row.Retransmits),
-			fmt.Sprintf("%d", row.Aborts))
-	}
-	tw.flush()
-}
-
-// CSV renders the sweep.
-func (r *EFaultResult) CSV() []*CSVTable {
-	t := &CSVTable{Name: "efault_degradation", Rows: [][]string{
+// Tables renders the sweep.
+func (r *EFaultResult) Tables() []*Table {
+	t := &Table{Name: "efault_degradation", Rows: [][]string{
 		{"drop_rate", "run_cycles", "slowdown", "packets_dropped", "retransmits", "aborts"},
 	}}
 	for _, row := range r.Rows {
@@ -105,5 +89,7 @@ func (r *EFaultResult) CSV() []*CSVTable {
 			fmt.Sprintf("%d", row.Aborts),
 		})
 	}
-	return []*CSVTable{t}
+	t.Title = fmt.Sprintf("E-fault: %s under per-link packet loss (seed %#x, %d retries)",
+		r.Workload, efaultSeed, efaultRetries)
+	return []*Table{t}
 }

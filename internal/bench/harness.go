@@ -95,27 +95,11 @@ type OverloadSpec struct {
 	Breaker overload.BreakerConfig
 }
 
-// m3System is a booted M3 platform.
-type m3System struct {
-	eng  *sim.Engine
-	plat *tile.Platform
-	kern *core.Kernel
-}
-
-// bootM3 boots a platform with m3fs running, for the measurements that
-// drive libm3 directly instead of a workload (RunEPMuxAblation and
-// NullSyscallM3); every workload run boots through Scenario.
-func bootM3(opt M3Options, appPEs int) *m3System {
-	s := bootM3NoFS(opt, appPEs)
-	if _, err := s.kern.StartInit("m3fs", tile.CoreXtensa, m3fs.Program(s.kern, opt.FS, nil)); err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// bootM3NoFS builds the platform and kernel without starting m3fs;
-// Scenario starts its own, with a handle on the service.
-func bootM3NoFS(opt M3Options, appPEs int) *m3System {
+// bootPlatform builds the platform and kernel of an M3 run, with
+// appPEs application cores, and returns a Result holding them. No
+// software runs yet: Scenario starts m3fs and the instances, and
+// NullSyscallM3 its own m3fs and probe.
+func bootPlatform(opt M3Options, appPEs int) *Result {
 	eng := sim.NewEngine()
 	types := []tile.CoreType{tile.CoreXtensa, tile.CoreXtensa} // kernel, m3fs
 	for i := 0; i < appPEs+opt.ExtraPEs; i++ {
@@ -158,7 +142,7 @@ func bootM3NoFS(opt M3Options, appPEs int) *m3System {
 	if opt.Obs.On() && opt.SampleEvery > 0 {
 		opt.Obs.Metrics().StartSampler(eng, opt.SampleEvery)
 	}
-	return &m3System{eng: eng, plat: plat, kern: kern}
+	return &Result{Eng: eng, Plat: plat, Kern: kern}
 }
 
 // xferCycles estimates the DTU data-transfer cycles from the hardware
@@ -226,11 +210,17 @@ func Fig6Options() M3Options {
 }
 
 // NullSyscallM3 measures the M3 null system call and its wire share.
+// It boots its own platform rather than a Scenario: its loop overlaps
+// m3fs's boot syscalls on the kernel PE, and the reported 195 cycles
+// include that contention (EXPERIMENTS.md E1).
 func NullSyscallM3() (total, xfer sim.Time) {
-	s := bootM3(M3Options{}, 1)
+	s := bootPlatform(M3Options{}, 1)
+	if _, err := s.Kern.StartInit("m3fs", tile.CoreXtensa, m3fs.Program(s.Kern, m3fs.Config{}, nil)); err != nil {
+		panic(err)
+	}
 	var t sim.Time
-	_, err := s.kern.StartInit("app", tile.CoreXtensa, func(ctx *tile.Ctx) {
-		env := m3.NewEnv(ctx, s.kern)
+	_, err := s.Kern.StartInit("app", tile.CoreXtensa, func(ctx *tile.Ctx) {
+		env := m3.NewEnv(ctx, s.Kern)
 		const rounds = 16
 		if err := env.Noop(); err != nil { // warm up
 			panic(err)
@@ -247,13 +237,13 @@ func NullSyscallM3() (total, xfer sim.Time) {
 	if err != nil {
 		panic(err)
 	}
-	s.eng.Run()
+	s.Eng.Run()
 	// Wire share: request and reply transfer times between the app PE
 	// (id 2) and the kernel (id 0).
-	app := s.plat.PEs[2].Node
-	kern := s.plat.PEs[0].Node
-	x := s.plat.Net.TransferTime(app, kern, dtu.HeaderSize+8) +
-		s.plat.Net.TransferTime(kern, app, dtu.HeaderSize+8)
+	app := s.Plat.PEs[2].Node
+	kern := s.Plat.PEs[0].Node
+	x := s.Plat.Net.TransferTime(app, kern, dtu.HeaderSize+8) +
+		s.Plat.Net.TransferTime(kern, app, dtu.HeaderSize+8)
 	return t, x
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"sort"
 
 	"repro/internal/kif"
@@ -258,30 +257,11 @@ func ELoad() (*ELoadResult, error) {
 	return res, nil
 }
 
-// Print writes the sweep table.
-func (r *ELoadResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "E-load: open-loop overload sweep, %d clients x %d stat ops (seed %#x)\n",
-		eloadClients, eloadOps, eloadSeed)
-	fmt.Fprintf(w, "  capacity (closed loop, overload off): %.1f ops/Mcyc, mean rtt %d cycles\n",
-		r.Capacity.GoodputMcyc, r.Capacity.MeanRTT)
-	tw := newTable(w, "offered", "admitted", "shed", "expired", "goodput/Mcyc", "vs capacity",
-		"mean rtt", "p99 rtt", "shed latency")
-	for _, row := range r.Rows {
-		p := row.Point
-		tw.row(row.Label, fmt.Sprintf("%d/%d", p.Admitted, p.Offered),
-			fmt.Sprintf("%d", p.Shed), fmt.Sprintf("%d", p.Expired),
-			fmt.Sprintf("%.1f", p.GoodputMcyc),
-			fmt.Sprintf("%.0f%%", 100*p.GoodputMcyc/r.Capacity.GoodputMcyc),
-			cyc(p.MeanRTT), cyc(p.P99RTT), cyc(p.MeanShedLat))
-	}
-	tw.flush()
-}
-
-// CSV renders the sweep. Counts and latencies are deterministic, so
+// Tables renders the sweep. Counts and latencies are deterministic, so
 // the default diff tolerance holds them steady; the goodput gate rides
 // as goodput_loss (lower is better, like every other bench metric).
-func (r *ELoadResult) CSV() []*CSVTable {
-	t := &CSVTable{Name: "eload_degradation", Rows: [][]string{
+func (r *ELoadResult) Tables() []*Table {
+	t := &Table{Name: "eload_degradation", Rows: [][]string{
 		{"load", "offered", "admitted", "shed", "expired", "goodput_loss",
 			"mean_rtt_cycles", "p99_rtt_cycles", "shed_lat_cycles",
 			"refusals", "deadline_drops", "kernel_shed"},
@@ -303,9 +283,11 @@ func (r *ELoadResult) CSV() []*CSVTable {
 			fmt.Sprintf("%d", p.KernelShed),
 		})
 	}
-	c := &CSVTable{Name: "eload_capacity", Rows: [][]string{
+	c := &Table{Name: "eload_capacity", Title: "E-load: capacity probe (closed loop, overload off)", Rows: [][]string{
 		{"metric", "mean_rtt_cycles", "p99_rtt_cycles"},
 		{"capacity", cyc(r.Capacity.MeanRTT), cyc(r.Capacity.P99RTT)},
 	}}
-	return []*CSVTable{t, c}
+	t.Title = fmt.Sprintf("E-load: open-loop overload sweep, %d clients x %d stat ops (seed %#x), capacity %.1f ops/Mcyc (cycles)",
+		eloadClients, eloadOps, eloadSeed, r.Capacity.GoodputMcyc)
+	return []*Table{t, c}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -120,24 +119,9 @@ func servicePE(cr *Result, name string) (int, bool) {
 	return 0, false
 }
 
-// Print writes the sweep table.
-func (r *ERecoverResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "E-recover: %s under repeated m3fs service crashes (seed %#x, backoff %d)\n",
-		r.Workload, erecoverSeed, erecoverBackoff)
-	tw := newTable(w, "crashes", "run (cycles)", "goodput", "restarts", "mean recover", "replayed")
-	for _, row := range r.Rows {
-		tw.row(fmt.Sprintf("%d", row.Crashes), cyc(row.RunTime),
-			fmt.Sprintf("%.3fx", row.Goodput),
-			fmt.Sprintf("%d", row.Restarts),
-			cyc(row.MeanRecover),
-			fmt.Sprintf("%d", row.Replayed))
-	}
-	tw.flush()
-}
-
-// CSV renders the sweep.
-func (r *ERecoverResult) CSV() []*CSVTable {
-	t := &CSVTable{Name: "erecover_availability", Rows: [][]string{
+// Tables renders the sweep.
+func (r *ERecoverResult) Tables() []*Table {
+	t := &Table{Name: "erecover_availability", Rows: [][]string{
 		{"crashes", "run_cycles", "goodput", "restarts", "mean_recover_cycles", "replayed_records"},
 	}}
 	for _, row := range r.Rows {
@@ -149,5 +133,7 @@ func (r *ERecoverResult) CSV() []*CSVTable {
 			fmt.Sprintf("%d", row.Replayed),
 		})
 	}
-	return []*CSVTable{t}
+	t.Title = fmt.Sprintf("E-recover: %s under repeated m3fs service crashes (seed %#x, backoff %d cycles)",
+		r.Workload, erecoverSeed, erecoverBackoff)
+	return []*Table{t}
 }

@@ -68,10 +68,13 @@ type BenchFile struct {
 	Captures []*obs.RunCapture `json:"captures,omitempty"`
 }
 
-// WriteJSON renders the file as indented JSON with a trailing newline.
-// encoding/json serializes struct slices in order, so the output is
-// deterministic.
+// WriteJSON renders the file as indented JSON with a trailing newline,
+// refusing a file with a duplicate metric key. encoding/json
+// serializes struct slices in order, so the output is deterministic.
 func (f *BenchFile) WriteJSON(w io.Writer) error {
+	if err := f.checkUnique(); err != nil {
+		return err
+	}
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return err
@@ -90,16 +93,37 @@ func ReadBenchJSON(data []byte) (*BenchFile, error) {
 	if f.Schema != BenchSchema {
 		return nil, fmt.Errorf("bench: schema %d, this binary speaks %d", f.Schema, BenchSchema)
 	}
+	if err := f.checkUnique(); err != nil {
+		return nil, err
+	}
 	return &f, nil
 }
 
-// ExperimentFromTables flattens an experiment's CSV tables into
-// metrics: every numeric cell becomes one metric named
-// "table/rowlabel/column", where the row label joins the row's
-// non-numeric cells. Empty cells are skipped. The mapping is purely
-// positional, so a new experiment gets JSON output for free from its
-// CSV() method.
-func ExperimentFromTables(name string, tables []*CSVTable) BenchExperiment {
+// checkUnique rejects a file in which two metrics share an
+// "exp:metric" key: -diff could compare only one of them.
+func (f *BenchFile) checkUnique() error {
+	seen := map[string]bool{}
+	for _, e := range f.Experiments {
+		for _, m := range e.Metrics {
+			k := e.Name + ":" + m.Name
+			if seen[k] {
+				return fmt.Errorf("bench: duplicate metric %s", k)
+			}
+			seen[k] = true
+		}
+	}
+	return nil
+}
+
+// ExperimentFromTables flattens an experiment's tables into metrics:
+// every numeric cell outside column 0 becomes one metric named
+// "table/rowlabel/column". Column 0 is always the row label, numeric
+// or not, so a sweep table keyed by its swept parameter (Figure 4's
+// blocks per extent, E-fault's drop rate) names one metric per row;
+// the row's other non-numeric cells join the label with "+". Empty
+// cells are skipped. The mapping is purely positional, so a new
+// experiment gets JSON output for free from its Tables() method.
+func ExperimentFromTables(name string, tables []*Table) BenchExperiment {
 	exp := BenchExperiment{Name: name}
 	for _, t := range tables {
 		if len(t.Rows) < 2 {
@@ -107,36 +131,23 @@ func ExperimentFromTables(name string, tables []*CSVTable) BenchExperiment {
 		}
 		header := t.Rows[0]
 		for _, row := range t.Rows[1:] {
-			var labels []string
-			type numCell struct {
-				col string
-				v   float64
-			}
-			var nums []numCell
-			for i, cell := range row {
+			labels := []string{row[0]}
+			var metrics []BenchMetric
+			for i, cell := range row[1:] {
+				col := header[i+1]
 				if cell == "" {
 					continue
 				}
 				if v, err := strconv.ParseFloat(cell, 64); err == nil {
-					col := fmt.Sprintf("col%d", i)
-					if i < len(header) {
-						col = header[i]
-					}
-					nums = append(nums, numCell{col, v})
+					metrics = append(metrics, BenchMetric{Name: col, Value: v, Unit: unitOf(col)})
 				} else {
 					labels = append(labels, cell)
 				}
 			}
-			prefix := t.Name
-			if len(labels) > 0 {
-				prefix += "/" + strings.Join(labels, "+")
-			}
-			for _, nc := range nums {
-				exp.Metrics = append(exp.Metrics, BenchMetric{
-					Name:  prefix + "/" + nc.col,
-					Value: nc.v,
-					Unit:  unitOf(nc.col),
-				})
+			prefix := t.Name + "/" + strings.Join(labels, "+") + "/"
+			for _, m := range metrics {
+				m.Name = prefix + m.Name
+				exp.Metrics = append(exp.Metrics, m)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -194,6 +195,42 @@ func TestDiffTolerancesAndDirections(t *testing.T) {
 	}
 }
 
+// TestDiffCatchesSweepRowRegression: Figure 4's rows are keyed by
+// their blocks-per-extent value, so a regression in a row other than
+// the last one fails the gate.
+func TestDiffCatchesSweepRowRegression(t *testing.T) {
+	fig4 := func(read16 sim.Time) *BenchFile {
+		r := &Fig4Result{
+			BlocksPerExtent: []int{16, 32, 64},
+			ReadCycles:      []sim.Time{read16, 470, 420},
+			WriteCycles:     []sim.Time{630, 500, 430},
+		}
+		return &BenchFile{Schema: BenchSchema, Experiments: []BenchExperiment{ExperimentFromTables("fig4", r.Tables())}}
+	}
+	d := DiffBench(fig4(580), fig4(700))
+	if len(d.Regressions) != 1 || d.Regressions[0].Metric != "fig4/16/read_cycles" {
+		t.Fatalf("regressions = %v, want fig4/16/read_cycles", d.Regressions)
+	}
+}
+
+// TestDuplicateMetricRejected: a file in which two metrics share an
+// "exp:metric" key is neither written nor read.
+func TestDuplicateMetricRejected(t *testing.T) {
+	f := sampleFile()
+	f.Experiments[0].Metrics[1].Name = f.Experiments[0].Metrics[0].Name
+	var buf bytes.Buffer
+	if err := f.WriteJSON(&buf); err == nil || !strings.Contains(err.Error(), "duplicate metric fig5:fig5/tar+M3/total_cycles") {
+		t.Fatalf("WriteJSON of a duplicate key: err = %v", err)
+	}
+	data, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBenchJSON(data); err == nil {
+		t.Fatal("file with a duplicate metric key parsed without error")
+	}
+}
+
 // TestReadBenchJSONSchemaGate: -diff refuses files of another schema.
 func TestReadBenchJSONSchemaGate(t *testing.T) {
 	var buf bytes.Buffer
@@ -218,18 +255,24 @@ func TestReadBenchJSONSchemaGate(t *testing.T) {
 	}
 }
 
-// TestExperimentFromTables: the generic CSV-to-metrics flattening.
+// TestExperimentFromTables: the generic table-to-metrics flattening.
+// Column 0 is the row label even when it is numeric.
 func TestExperimentFromTables(t *testing.T) {
-	tbl := &CSVTable{Name: "demo", Rows: [][]string{
+	tbl := &Table{Name: "demo", Rows: [][]string{
 		{"op", "system", "total_cycles", "ratio"},
 		{"read", "m3", "123", "0.5"},
 		{"write", "m3", "456", ""},
 	}}
-	exp := ExperimentFromTables("demo", []*CSVTable{tbl})
+	sweep := &Table{Name: "sweep", Rows: [][]string{
+		{"rate", "run_cycles"},
+		{"0.5", "7"},
+	}}
+	exp := ExperimentFromTables("demo", []*Table{tbl, sweep})
 	want := []BenchMetric{
 		{Name: "demo/read+m3/total_cycles", Value: 123, Unit: "cycles"},
 		{Name: "demo/read+m3/ratio", Value: 0.5, Unit: "ratio"},
 		{Name: "demo/write+m3/total_cycles", Value: 456, Unit: "cycles"},
+		{Name: "sweep/0.5/run_cycles", Value: 7, Unit: "cycles"},
 	}
 	if len(exp.Metrics) != len(want) {
 		t.Fatalf("metrics = %+v, want %+v", exp.Metrics, want)

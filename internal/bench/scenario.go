@@ -97,29 +97,31 @@ func (sc Scenario) Run() (*Result, error) {
 // boot builds the platform and queues m3fs, every instance and the
 // fault layer without running the engine. Callers inside the package
 // that must watch the run from its first cycle (RunUtilization's per-PE
-// idle series) hook in between boot and run.
+// idle series) hook in between boot and run; a program that reads the
+// Result mid-run (RunEPMuxAblation's syscall counters) gets it from
+// boot.
 func (sc Scenario) boot() (*Result, error) {
 	n := max(sc.Instances, 1)
-	s := bootM3NoFS(sc.M3Options, n*sc.Workload.PEs)
-	r := &Result{Eng: s.eng, Plat: s.plat, Kern: s.kern, Outcomes: make([]Outcome, n)}
-	fsProg := m3fs.Program(s.kern, sc.FS, func(svc *m3fs.Service) {
+	r := bootPlatform(sc.M3Options, n*sc.Workload.PEs)
+	r.Outcomes = make([]Outcome, n)
+	fsProg := m3fs.Program(r.Kern, sc.FS, func(svc *m3fs.Service) {
 		r.FS = svc
-		r.FSReadyAt = append(r.FSReadyAt, s.eng.Now())
+		r.FSReadyAt = append(r.FSReadyAt, r.Eng.Now())
 	})
 	var err error
 	if sc.FSPolicy.MaxRestarts > 0 {
-		_, err = s.kern.StartInitSupervised("m3fs", tile.CoreXtensa, fsProg, sc.FSPolicy)
+		_, err = r.Kern.StartInitSupervised("m3fs", tile.CoreXtensa, fsProg, sc.FSPolicy)
 	} else {
-		_, err = s.kern.StartInit("m3fs", tile.CoreXtensa, fsProg)
+		_, err = r.Kern.StartInit("m3fs", tile.CoreXtensa, fsProg)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("bench: starting m3fs: %w", err)
 	}
 	var g *gate
 	if sc.Instances > 0 {
-		g = &gate{n: n, start: sim.NewSignal(s.eng)}
+		g = &gate{n: n, start: sim.NewSignal(r.Eng)}
 		if sc.SerialSetup {
-			g.next = sim.NewSignal(s.eng)
+			g.next = sim.NewSignal(r.Eng)
 		}
 	}
 	for k := range r.Outcomes {
@@ -128,12 +130,12 @@ func (sc Scenario) boot() (*Result, error) {
 		if sc.Instances > 0 {
 			out.Name = fmt.Sprintf("app%d", k)
 		}
-		if out.VPE, err = s.kern.StartInit(out.Name, tile.CoreXtensa, sc.instance(r, k, g)); err != nil {
+		if out.VPE, err = r.Kern.StartInit(out.Name, tile.CoreXtensa, sc.instance(r, k, g)); err != nil {
 			return nil, fmt.Errorf("bench: starting %s: %w", out.Name, err)
 		}
 	}
 	if sc.Faults != nil {
-		if r.Inj, err = fault.Attach(s.kern, *sc.Faults); err != nil {
+		if r.Inj, err = fault.Attach(r.Kern, *sc.Faults); err != nil {
 			return nil, fmt.Errorf("bench: attaching faults: %w", err)
 		}
 	}

@@ -150,3 +150,30 @@ func (r *UtilizationResult) String() string {
 	}
 	return s + ")"
 }
+
+// utilMetrics runs the utilization experiment over every workload. Its
+// metrics are built by hand: busy fractions are higher-is-better, so
+// each PE is gated on its idle fraction instead, under a looser
+// tolerance than cycle counts, since utilization is a coarse trade-off
+// measurement.
+func utilMetrics() (BenchExperiment, error) {
+	exp := BenchExperiment{Name: "util"}
+	for _, b := range workload.All() {
+		r, err := RunUtilization(b)
+		if err != nil {
+			return exp, err
+		}
+		exp.Metrics = append(exp.Metrics, BenchMetric{
+			Name: "util/" + r.Benchmark + "/elapsed_cycles", Value: float64(r.Elapsed), Unit: "cycles",
+		})
+		for _, u := range r.PEs {
+			exp.Metrics = append(exp.Metrics, BenchMetric{
+				Name:  fmt.Sprintf("util/%s/pe%d_%s_idle", r.Benchmark, u.PE, u.Role),
+				Value: 1 - u.Busy,
+				Unit:  "ratio",
+				Tol:   0.25,
+			})
+		}
+	}
+	return exp, nil
+}
