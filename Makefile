@@ -22,7 +22,10 @@ bench:
 # plus its step, with events 1 cycle apart (BenchmarkSchedule) and about
 # 1500 cycles apart (BenchmarkScheduleSparse, the calendar queue's
 # empty-bucket search); one Process.Sleep round trip, engine to process
-# and back; and one 4 KiB WriteMem plus ReadMem between a PE and DRAM
+# and back, with two sleepers tied so neither can skip the switch
+# (BenchmarkProcessSwitch); one Sleep with nothing else queued, which
+# advances the clock in place (BenchmarkSleepInline, 0 allocs/op); and
+# one 4 KiB WriteMem plus ReadMem between a PE and DRAM
 # (BenchmarkRDMA4K, through the pooled payload buffers); one 64-byte
 # packet across six hops of a contended mesh as engine events
 # (BenchmarkSendThenMultiHop, 0 allocs/op once warm); and one whole

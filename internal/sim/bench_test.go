@@ -38,8 +38,27 @@ func BenchmarkScheduleSparse(b *testing.B) {
 }
 
 // BenchmarkProcessSwitch times one Process.Sleep round trip: engine to
-// process and back.
+// process and back. Two sleepers share the b.N Sleeps; their wake-ups
+// tie every cycle, so each Sleep finds the other's wake-up due and
+// parks instead of advancing the clock in place.
 func BenchmarkProcessSwitch(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	for _, n := range []int{(b.N + 1) / 2, b.N / 2} {
+		e.Spawn("sleeper", func(p *Process) {
+			for i := 0; i < n; i++ {
+				p.Sleep(1)
+			}
+		})
+	}
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkSleepInline times one Process.Sleep with nothing else
+// queued: the wake-up would be the next event, so the process advances
+// the clock in place without a coroutine switch.
+func BenchmarkSleepInline(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
 	e.Spawn("sleeper", func(p *Process) {

@@ -32,10 +32,11 @@ import (
 //   - bit i of occ is set exactly when bucket i is non-empty, so the
 //     next occupied cycle is found a 64-bucket word at a time instead
 //     of by walking empty one-cycle buckets;
-//   - cur advances only in pop, to the at of the event being popped.
-//     peek never commits a cursor move: between two engine run calls
-//     the host may legally schedule earlier than the last peeked time,
-//     and those pushes must still land inside the scanned window.
+//   - cur advances in pop, to the at of the event being popped, and in
+//     advance, to a cycle before which nothing is queued. peek never
+//     commits a cursor move: between two engine run calls the host may
+//     legally schedule earlier than the last peeked time, and those
+//     pushes must still land inside the scanned window.
 type calendarQueue struct {
 	buckets [wheelSize]cqBucket
 	occ     [occWords]uint64
@@ -139,6 +140,46 @@ func (c *calendarQueue) peek() *event {
 	}
 	b := &c.buckets[c.next()&wheelMask]
 	return b.evs[b.head]
+}
+
+// dueBy reports whether any queued event is due at or before t, for
+// t >= cur. Unlike peek it never scans past t: it tests the occupancy
+// bits of [cur, t] only, answers from the overflow minimum when the
+// wheel is empty, and answers true at once when t lies beyond the
+// window and the wheel holds events.
+func (c *calendarQueue) dueBy(t Time) bool {
+	if c.inWheel == 0 {
+		return len(c.far) > 0 && c.far[0].at <= t
+	}
+	if t-c.cur >= wheelSize {
+		return true
+	}
+	// Overflow events lie beyond the window, so past t: test the
+	// n buckets of [cur, t] a word at a time.
+	i, n := int(c.cur&wheelMask), int(t-c.cur)+1
+	for n > 0 {
+		word := c.occ[i>>6] >> (i & 63)
+		span := 64 - i&63
+		if n < span {
+			word &= 1<<n - 1
+			span = n
+		}
+		if word != 0 {
+			return true
+		}
+		n -= span
+		i = (i + span) & wheelMask
+	}
+	return false
+}
+
+// advance moves the cursor to t, which must have nothing queued at or
+// before it (dueBy(t) is false), and migrates the overflow events the
+// wider window now holds: the state pop leaves after taking an event
+// at t.
+func (c *calendarQueue) advance(t Time) {
+	c.cur = t
+	c.migrate()
 }
 
 // migrate pulls overflow events that now fit the window into their

@@ -8,12 +8,14 @@ import (
 
 // eventQueue is the pop-order contract the calendar queue is tested
 // against: both it and heapQueue yield events in ascending (at, seq)
-// order.
+// order, and agree on whether any event is due at or before a time.
 type eventQueue interface {
 	push(ev *event)
 	pop() *event
 	peek() *event
 	len() int
+	dueBy(t Time) bool
+	advance(t Time)
 }
 
 // heapQueue is the reference queue: a plain binary min-heap over
@@ -39,6 +41,28 @@ func (q *heapQueue) peek() *event {
 }
 
 func (q *heapQueue) len() int { return len(q.h) }
+
+func (q *heapQueue) dueBy(t Time) bool { return len(q.h) > 0 && q.h[0].at <= t }
+
+// advance is a no-op: a heap has no cursor.
+func (q *heapQueue) advance(Time) {}
+
+// checkDueBy asks both queues whether an event is due at or before t
+// and, when none is, advances both to t the way an inline Sleep does.
+// It reports whether they advanced.
+func checkDueBy(t *testing.T, cal, hp eventQueue, at Time) bool {
+	t.Helper()
+	got, want := cal.dueBy(at), hp.dueBy(at)
+	if got != want {
+		t.Fatalf("dueBy(%d) = %v, heap says %v", at, got, want)
+	}
+	if got {
+		return false
+	}
+	cal.advance(at)
+	hp.advance(at)
+	return true
+}
 
 // drainCompare pops both queues empty, asserting identical (at, seq)
 // order, and returns the number of events drained.
@@ -66,7 +90,9 @@ func drainCompare(t *testing.T, cal, hp eventQueue) int {
 // delays, plus idle gaps that exercise the overflow fast-forward path.
 // The sparse mixes leave most of the wheel empty, so the occupancy
 // bitmap search must skip whole words, wrap past the last word, and
-// find events at the far edge of the window.
+// find events at the far edge of the window. Between pushes and pops
+// the stream asks "any event due at or before now+d?" and, when none
+// is, advances the cursor to now+d, as an inline Sleep does.
 func TestCalendarMatchesHeap(t *testing.T) {
 	mixes := []struct {
 		name  string
@@ -107,8 +133,8 @@ func TestCalendarMatchesHeap(t *testing.T) {
 	}
 }
 
-// crossCheck runs one seeded push/pop stream through both queues,
-// comparing every pop, peek, and length.
+// crossCheck runs one seeded push/pop/dueBy stream through both
+// queues, comparing every pop, peek, dueBy answer and length.
 func crossCheck(t *testing.T, mix string, seed int64, delay func(rng *rand.Rand) Time) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -117,7 +143,12 @@ func crossCheck(t *testing.T, mix string, seed int64, delay func(rng *rand.Rand)
 	var seq uint64
 	live := 0
 	for op := 0; op < 5000; op++ {
-		if rng.Intn(3) != 0 || live == 0 {
+		r := rng.Intn(6)
+		if r == 0 {
+			if at := now + delay(rng); checkDueBy(t, cal, hp, at) {
+				now = at
+			}
+		} else if r <= 3 || live == 0 {
 			d := delay(rng)
 			seq++
 			cal.push(&event{at: now + d, seq: seq})
@@ -267,8 +298,10 @@ func TestCalendarEmpty(t *testing.T) {
 
 // FuzzEventQueue cross-checks calendar vs heap pop order on random
 // (delay, op) streams — same-cycle tie-break stability included, since
-// delay 0 is a reachable case — and, per stream, that Schedule after a
-// deadlocked Run panics at engine level.
+// delay 0 is a reachable case — and the "due at or before t" answer
+// with the cursor advance an inline Sleep makes when nothing is due.
+// Per stream it also checks that Schedule after a deadlocked Run
+// panics at engine level.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 200, 255, 0, 0, 9})
 	f.Add([]byte{255, 254, 253, 7, 7, 7})
@@ -279,6 +312,10 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{65, 200, 125, 200, 101, 69, 200, 200, 121, 200})
 	f.Add([]byte{125, 121, 117, 200, 113, 200, 109, 200, 105, 200, 200, 200})
 	f.Add([]byte{65, 200, 126, 125, 200, 200, 66, 97, 200, 200})
+	// Bytes 224..255 ask whether an event is due within 0..4247 cycles
+	// and advance the cursor there when none is.
+	f.Add([]byte{5, 224, 225, 229, 61, 240, 239, 200, 255, 2, 244, 200})
+	f.Add([]byte{250, 40, 241, 235, 100, 231, 255, 200, 200, 226})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cal, hp := &calendarQueue{}, &heapQueue{}
 		var now Time
@@ -286,7 +323,11 @@ func FuzzEventQueue(f *testing.F) {
 		live := 0
 		for i := 0; i < len(data); i++ {
 			b := data[i]
-			if b < 160 || live == 0 {
+			if b >= 224 {
+				if at := now + Time(b-224)*137; checkDueBy(t, cal, hp, at) {
+					now = at
+				}
+			} else if b < 160 || live == 0 {
 				// Push: spread the byte across the interesting delay
 				// bands (ties, wheel, horizon, deep overflow).
 				d := Time(b)

@@ -10,6 +10,9 @@
 // moment, which makes the simulation deterministic despite each process
 // having its own stack. A switch between the engine and a process is a
 // direct goroutine switch in the runtime, with no scheduler wake-up.
+// A Sleep whose wake-up would be the next event takes no switch at all:
+// the process advances the clock in place, as that event would have
+// (Process.Sleep).
 //
 // The pending events live in an O(1) calendar queue (calendar.go), the
 // engine's only event store. Its tests hold it to the pop order of a
@@ -46,11 +49,19 @@ type Engine struct {
 	free  *event
 
 	current *Process
+	// limit is the last cycle the active Run or RunUntil may reach
+	// (zero until the first run call); a Sleep past it parks instead
+	// of advancing the clock in place.
+	limit Time
 
 	liveProcs   int
 	daemonProcs int
 	executed    uint64
-	deadlocked  bool
+	// resumes counts switches into process coroutines: each start and
+	// each return from park. The process side counts them, which keeps
+	// resume small enough to inline into every wake callback.
+	resumes    uint64
+	deadlocked bool
 }
 
 // NewEngine returns an engine with an empty event queue at time zero.
@@ -60,7 +71,9 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Now() Time { return e.now }
 
 // ExecutedEvents returns the number of events executed so far, a cheap
-// progress and determinism metric.
+// progress and determinism metric. A Sleep that advances the clock in
+// place counts as the wake-up event it stands for, so the count does
+// not depend on which Sleeps took a coroutine switch.
 func (e *Engine) ExecutedEvents() uint64 { return e.executed }
 
 // alloc takes an event from the freelist (or the heap on a cold
@@ -122,6 +135,7 @@ func (e *Engine) LiveProcesses() int { return e.liveProcs }
 // message that will never come. Run records that as a deadlock — a
 // state in which scheduling new work is a bug; see Schedule.
 func (e *Engine) Run() Time {
+	e.limit = ^Time(0)
 	for e.queue.len() > 0 {
 		e.step()
 	}
@@ -137,9 +151,12 @@ func (e *Engine) Run() Time {
 func (e *Engine) Deadlocked() bool { return e.deadlocked }
 
 // RunUntil executes events with time stamps <= limit. Events scheduled
-// later remain queued. It returns the current time after the last
-// executed event.
+// later remain queued, and a Sleep that would end past limit parks
+// until a later run call. It then moves the clock to limit, even if
+// the last executed event was earlier (the clock never moves back),
+// and returns the new time.
 func (e *Engine) RunUntil(limit Time) Time {
+	e.limit = limit
 	for {
 		nx := e.queue.peek()
 		if nx == nil || nx.at > limit {
@@ -163,6 +180,24 @@ func (e *Engine) step() {
 	e.release(ev)
 	e.executed++
 	fn()
+}
+
+// advance moves the clock d cycles ahead in place of scheduling and
+// running a wake-up event, when that event would be the next one run:
+// no queued event is due at or before now+d, and now+d is within the
+// active run's limit. It does the event's bookkeeping (sequence
+// number, executed count, calendar cursor) and reports whether it
+// advanced; on false the caller schedules and parks as usual.
+func (e *Engine) advance(d Time) bool {
+	t := e.now + d
+	if t < e.now || t > e.limit || e.queue.dueBy(t) {
+		return false
+	}
+	e.seq++
+	e.executed++
+	e.now = t
+	e.queue.advance(t)
+	return true
 }
 
 // resume hands control to p and returns when p parks or returns.

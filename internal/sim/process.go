@@ -51,6 +51,7 @@ func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 	// killed coroutine must stay parked rather than unwind.
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
+		e.resumes++
 		fn(p)
 		// A killed process never gets here (its coroutine is never
 		// resumed); the guard protects the bookkeeping against any
@@ -140,7 +141,10 @@ func (p *Process) SetDaemon() {
 
 // park yields control to the engine; the process stays blocked until an
 // event resumes it.
-func (p *Process) park() { p.yield(struct{}{}) }
+func (p *Process) park() {
+	p.yield(struct{}{})
+	p.eng.resumes++
+}
 
 // Park blocks p until an event calls its Waker. It is the blocking
 // half of a continuation-based operation: start the operation with
@@ -155,13 +159,23 @@ func (p *Process) Waker() func() { return p.wake }
 
 // Sleep advances the process's simulated time by d cycles. Other events
 // run in the meantime.
+//
+// When no queued event is due at or before now+d, the wake-up would be
+// the very next event, so Sleep does what that event would do in place:
+// it takes a sequence number, counts as an executed event and moves the
+// clock to now+d, without a coroutine switch. A Sleep that would end
+// past the limit of the active RunUntil always parks.
 func (p *Process) Sleep(d Time) {
+	if p.eng.advance(d) {
+		return
+	}
 	p.eng.Schedule(d, p.wake)
 	p.park()
 }
 
 // Yield reschedules the process at the current time behind all events
-// already queued for this cycle.
+// already queued for this cycle. When nothing else is due this cycle,
+// it returns at once (see Sleep).
 func (p *Process) Yield() { p.Sleep(0) }
 
 // Join blocks until other has terminated. Joining a dead process

@@ -127,8 +127,11 @@ func TestSleepRoundTripAllocatesNothing(t *testing.T) {
 			p.Sleep(1)
 		}
 	})
-	// Warm up: start the process and touch every calendar bucket once,
-	// so the measurement sees only the steady state.
+	// A fresh engine's run limit stays zero until Run or RunUntil sets
+	// one, so every Sleep here parks and each step is a real round
+	// trip. Warm up: start the
+	// process and touch every calendar bucket once, so the measurement
+	// sees only the steady state.
 	for i := 0; i < wheelSize+1; i++ {
 		e.step()
 	}
