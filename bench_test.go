@@ -9,49 +9,26 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/accel"
 	"repro/internal/bench"
-	"repro/internal/linuxos"
-	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
-// BenchmarkFig3Syscall reproduces Figure 3 (left): the null system
-// call on M3 (~200 cycles) vs. Linux (~410 cycles).
-func BenchmarkFig3Syscall(b *testing.B) {
+// BenchmarkFig3 reproduces Figure 3: the null system call on M3
+// (~200 cycles) vs. Linux (~410 cycles), and 2 MiB read, write, and
+// pipe with 4 KiB buffers on M3, Lx-$ (warm), and Lx (cold).
+func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m3Total, m3Xfer := bench.NullSyscallM3()
-		lx := bench.NullSyscallLx(linuxos.ProfileXtensa)
-		b.ReportMetric(float64(m3Total), "m3-cycles")
-		b.ReportMetric(float64(m3Xfer), "m3-xfer-cycles")
-		b.ReportMetric(float64(lx), "lx-cycles")
-	}
-}
-
-// BenchmarkFig3FileOps reproduces Figure 3 (right): 2 MiB read, write,
-// and pipe with 4 KiB buffers on M3, Lx-$ (warm), and Lx (cold).
-func BenchmarkFig3FileOps(b *testing.B) {
-	for _, wl := range []workload.Benchmark{bench.ReadBench(), bench.WriteBench(), bench.PipeBench()} {
-		wl := wl
-		b.Run(wl.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m3, err := bench.Scenario{Workload: wl}.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				warm, err := bench.RunLx(wl, linuxos.ProfileXtensa, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cold, err := bench.RunLx(wl, linuxos.ProfileXtensa, true)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(m3.Breakdown().Total), "m3-cycles")
-				b.ReportMetric(float64(warm.Total), "lxwarm-cycles")
-				b.ReportMetric(float64(cold.Total), "lxcold-cycles")
+		r, err := bench.Fig3()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(r.SyscallM3), "syscall:m3-cycles")
+		b.ReportMetric(float64(r.SyscallM3Xfer), "syscall:m3-xfer-cycles")
+		b.ReportMetric(float64(r.SyscallLx), "syscall:lx-cycles")
+		for op, bars := range r.FileOps {
+			for sys, bd := range bars {
+				b.ReportMetric(float64(bd.Total), op+":"+sys+"-cycles")
 			}
-		})
+		}
 	}
 }
 
@@ -87,49 +64,29 @@ func BenchmarkFig4Fragmentation(b *testing.B) {
 // BenchmarkFig5Apps reproduces Figure 5: the five application-level
 // benchmarks on M3 vs. Linux (cold), reporting M3's relative time.
 func BenchmarkFig5Apps(b *testing.B) {
-	for _, wl := range workload.All() {
-		wl := wl
-		b.Run(wl.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m3, err := bench.Scenario{Workload: wl}.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				lx, err := bench.RunLx(wl, linuxos.ProfileXtensa, true)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(m3.Breakdown().Total), "m3-cycles")
-				b.ReportMetric(float64(lx.Total), "lx-cycles")
-				b.ReportMetric(float64(m3.Breakdown().Total)/float64(lx.Total), "m3/lx")
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		r, err := bench.Fig5()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for app, bars := range r.Apps {
+			b.ReportMetric(float64(bars["M3"].Total)/float64(bars["Lx"].Total), app+":m3/lx")
+		}
 	}
 }
 
 // BenchmarkFig6Scalability reproduces Figure 6: per-instance time with
-// 1 and 16 parallel instances on a single kernel and m3fs instance.
+// up to 16 parallel instances on a single kernel and m3fs instance,
+// relative to one instance (two for cat+tr, §5.7).
 func BenchmarkFig6Scalability(b *testing.B) {
-	for _, wl := range workload.All() {
-		wl := wl
-		b.Run(wl.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				baseN := 1
-				if wl.Name == "cat+tr" {
-					baseN = 2 // needs two PEs per instance (§5.7)
-				}
-				base, err := meanRunTime(wl, baseN)
-				if err != nil {
-					b.Fatal(err)
-				}
-				t16, err := meanRunTime(wl, 16)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(base), "base-cycles")
-				b.ReportMetric(float64(t16)/float64(base), "slowdown@16")
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		r, err := bench.Fig6()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for app, series := range r.Normalized {
+			b.ReportMetric(series[len(series)-1], app+":slowdown@16")
+		}
 	}
 }
 
@@ -137,31 +94,13 @@ func BenchmarkFig6Scalability(b *testing.B) {
 // on Linux, M3 with the software FFT, and M3 with the accelerator.
 func BenchmarkFig7Accelerator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		lx, err := bench.RunLx(accel.FFTChain(false), linuxos.ProfileXtensa, true)
+		r, err := bench.Fig7()
 		if err != nil {
 			b.Fatal(err)
 		}
-		soft, err := bench.Scenario{Workload: accel.FFTChain(false)}.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc, err := bench.Scenario{Workload: accel.FFTChain(true), M3Options: bench.M3Options{FFTPEs: 1, ExtraPEs: -1}}.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(lx.Total), "linux-cycles")
-		b.ReportMetric(float64(soft.Breakdown().Total), "m3soft-cycles")
-		b.ReportMetric(float64(acc.Breakdown().Total), "m3accel-cycles")
-		b.ReportMetric(float64(soft.Breakdown().Total)/float64(acc.Breakdown().Total), "accel-speedup")
+		b.ReportMetric(float64(r.Linux.Total), "linux-cycles")
+		b.ReportMetric(float64(r.M3Soft.Total), "m3soft-cycles")
+		b.ReportMetric(float64(r.M3Accel.Total), "m3accel-cycles")
+		b.ReportMetric(float64(r.M3Soft.Total)/float64(r.M3Accel.Total), "accel-speedup")
 	}
-}
-
-// meanRunTime runs n instances of wl on the Figure 6 platform and
-// returns the mean instance time.
-func meanRunTime(wl workload.Benchmark, n int) (sim.Time, error) {
-	r, err := bench.Scenario{Workload: wl, Instances: n, M3Options: bench.Fig6Options()}.Run()
-	if err != nil {
-		return 0, err
-	}
-	return r.MeanRunTime()
 }

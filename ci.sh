@@ -29,9 +29,10 @@
 #              machine-readable regression attribution are kept under
 #              artifacts/ — bench-smoke.json and diff-report.json —
 #              for inspection (docs/EXPERIMENTS.md)
-#   bench-all  every registered experiment once (~1.5 s), so each one's
-#              JSON passes the duplicate-metric check, not only the
-#              smoke subset; output kept as artifacts/bench-all.json
+#   bench-all  every registered experiment twice (~1.5 s each), so
+#              each one's JSON passes the duplicate-metric check, not
+#              only the smoke subset, and the two JSON files must be
+#              byte-identical; output kept as artifacts/bench-all.json
 #              and artifacts/bench-all.log
 #   diff       the attribution self-test: a seeded +10% kernel
 #              dispatch-cost perturbation must be attributed to the
@@ -52,6 +53,6 @@ go test -race -shuffle=on ./...
 make chaos
 make fuzz
 make bench-smoke
-go run ./cmd/m3bench -e all -json artifacts/bench-all.json >artifacts/bench-all.log
+make bench-all
 make diff-smoke
 make slo-smoke

@@ -58,7 +58,8 @@ func TestDiffSelftest(t *testing.T) {
 }
 
 // TestRecordReplayRoundTrip records tar on the Linux model and replays
-// every recorded operation on M3.
+// every recorded operation on M3. The Linux model runs one instance, so
+// record and replay on it refuse -n instead of ignoring it.
 func TestRecordReplayRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tar.trace")
 	var out bytes.Buffer
@@ -75,6 +76,14 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	}
 	if want := fmt.Sprintf("replayed %d operations on m3 in ", ops); !strings.HasPrefix(out.String(), want) {
 		t.Errorf("replay printed %q, want prefix %q", out.String(), want)
+	}
+	for _, args := range [][]string{
+		{"record", "-w", "tar", "-os", "linux", "-n", "4", "-o", path},
+		{"replay", "-w", "tar", "-os", "linux", "-n", "4", "-i", path},
+	} {
+		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), "one instance") {
+			t.Errorf("%v: err = %v, want a one-instance error", args, err)
+		}
 	}
 }
 

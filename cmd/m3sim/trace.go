@@ -11,7 +11,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/linuxos"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -125,6 +124,9 @@ func cmdRecord(args []string, w io.Writer) error {
 	if sc.Instances > 0 {
 		return errors.New("record: a trace holds one instance; drop -n")
 	}
+	if sc.Lx, err = osModel(*osName); err != nil {
+		return err
+	}
 	var tr *trace.Trace
 	b := sc.Workload
 	sc.Workload.Run = func(os workload.OS) error {
@@ -135,7 +137,7 @@ func cmdRecord(args []string, w io.Writer) error {
 		tr = rec.T
 		return nil
 	}
-	cycles, err := runOn(*osName, sc)
+	r, err := sc.Run()
 	if err != nil {
 		return err
 	}
@@ -144,7 +146,7 @@ func cmdRecord(args []string, w io.Writer) error {
 		path = b.Name + ".trace"
 	}
 	return writeOut(w, path,
-		fmt.Sprintf("recorded %d operations (%d simulated cycles) to %s", tr.Len(), cycles, path),
+		fmt.Sprintf("recorded %d operations (%d simulated cycles) to %s", tr.Len(), r.Outcomes[0].RunTime, path),
 		func(f io.Writer) error {
 			_, err := f.Write(tr.Marshal())
 			return err
@@ -169,32 +171,28 @@ func cmdReplay(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if sc.Lx, err = osModel(*osName); err != nil {
+		return err
+	}
 	sc.Workload.Run = func(os workload.OS) error { return trace.Replay(os, tr) }
-	cycles, err := runOn(*osName, sc)
+	r, err := sc.Run()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "replayed %d operations on %s in %d simulated cycles\n", tr.Len(), *osName, cycles)
+	fmt.Fprintf(w, "replayed %d operations on %s in %d simulated cycles\n", tr.Len(), *osName, r.Outcomes[0].RunTime)
 	return nil
 }
 
-// runOn runs sc's workload on the named OS model and returns the
-// simulated cycles of the first instance's run phase. The Linux model
-// runs one instance of the workload alone; the other scenario flags
-// apply to M3.
-func runOn(osName string, sc bench.Scenario) (sim.Time, error) {
-	switch osName {
+// osModel returns the Scenario.Lx selector of the -os model: the
+// Linux model runs on the Xtensa profile with warm caches (Lx-$).
+func osModel(name string) (*bench.LxModel, error) {
+	switch name {
 	case "linux":
-		bd, err := bench.RunLx(sc.Workload, linuxos.ProfileXtensa, false)
-		return bd.Total, err
+		return &bench.LxModel{Profile: linuxos.ProfileXtensa}, nil
 	case "m3":
-		r, err := sc.Run()
-		if err != nil {
-			return 0, err
-		}
-		return r.Outcomes[0].RunTime, nil
+		return nil, nil
 	}
-	return 0, fmt.Errorf("unknown -os %q (want linux or m3)", osName)
+	return nil, fmt.Errorf("unknown -os %q (want linux or m3)", name)
 }
 
 // readTrace loads the trace file named by -i.

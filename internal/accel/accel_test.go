@@ -5,56 +5,30 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/linuxos"
-	"repro/internal/m3"
-	"repro/internal/m3fs"
-	"repro/internal/sim"
-	"repro/internal/tile"
 	"repro/internal/workload"
 )
 
 func TestFFTChainProducesOutput(t *testing.T) {
-	eng := sim.NewEngine()
-	plat := tile.NewPlatform(eng, tile.Config{PEs: []tile.CoreType{
-		tile.CoreXtensa, tile.CoreXtensa, tile.CoreXtensa, tile.CoreFFT,
-	}})
-	kern := core.Boot(plat, 0)
-	var svc *m3fs.Service
-	if _, err := kern.StartInit("m3fs", "", m3fs.Program(kern, m3fs.Config{}, func(s *m3fs.Service) { svc = s })); err != nil {
-		t.Fatal(err)
-	}
+	b := accel.FFTChain(true)
 	var size int64
-	_, err := kern.StartInit("app", tile.CoreXtensa, func(ctx *tile.Ctx) {
-		env := m3.NewEnv(ctx, kern)
-		os, err := workload.NewM3OS(env)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := accel.FFTChain(true).Run(os); err != nil {
-			t.Error(err)
-			return
+	run := b.Run
+	b.Run = func(os workload.OS) error {
+		if err := run(os); err != nil {
+			return err
 		}
 		st, err := os.Stat("/fft.out")
-		if err != nil {
-			t.Error(err)
-			return
-		}
 		size = st.Size
-		env.Exit(0)
-	})
+		return err
+	}
+	r, err := bench.Scenario{Workload: b, M3Options: bench.M3Options{FFTPEs: 1, ExtraPEs: -1}}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
 	if size != accel.InputSize {
 		t.Fatalf("fft output = %d bytes, want %d", size, accel.InputSize)
 	}
-	if svc == nil {
-		t.Fatal("m3fs not ready")
-	}
-	if err := svc.FS().CheckInvariants(); err != nil {
+	if err := r.FS.FS().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -89,19 +63,22 @@ func TestIdenticalParentCodeBothVariants(t *testing.T) {
 }
 
 func TestFFTChainOnLinux(t *testing.T) {
-	bd, err := bench.RunLx(accel.FFTChain(false), linuxos.ProfileXtensa, false)
+	lx := &bench.LxModel{Profile: linuxos.ProfileXtensa}
+	r, err := bench.Scenario{Workload: accel.FFTChain(false), Lx: lx}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	bd := r.Breakdown()
 	if bd.Total == 0 || bd.App == 0 {
 		t.Fatalf("breakdown = %+v", bd)
 	}
 	// On Linux there is no accelerator to reach: requesting one runs
 	// the software path on the same core.
-	bd2, err := bench.RunLx(accel.FFTChain(true), linuxos.ProfileXtensa, false)
+	r, err = bench.Scenario{Workload: accel.FFTChain(true), Lx: lx}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	bd2 := r.Breakdown()
 	if bd2.App != bd.App {
 		t.Fatalf("Linux app cycles differ between variants: %d vs %d", bd2.App, bd.App)
 	}

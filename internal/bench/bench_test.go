@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/accel"
 	"repro/internal/linuxos"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -30,14 +31,8 @@ func TestNullSyscallMatchesPaper(t *testing.T) {
 
 func TestFig3ReadShape(t *testing.T) {
 	m3bd := mustRun(t, Scenario{Workload: ReadBench()}).Breakdown()
-	warm, err := RunLx(ReadBench(), linuxos.ProfileXtensa, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := RunLx(ReadBench(), linuxos.ProfileXtensa, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := mustRun(t, Scenario{Workload: ReadBench(), Lx: &LxModel{Profile: linuxos.ProfileXtensa}}).Breakdown()
+	cold := mustRun(t, Scenario{Workload: ReadBench(), Lx: &LxModel{Profile: linuxos.ProfileXtensa, Cold: true}}).Breakdown()
 	// Paper's Figure 3 ordering: M3 << Lx-$ < Lx.
 	if !(m3bd.Total < warm.Total && warm.Total < cold.Total) {
 		t.Fatalf("ordering broken: m3=%d warm=%d cold=%d", m3bd.Total, warm.Total, cold.Total)
@@ -58,14 +53,8 @@ func TestFig3ReadShape(t *testing.T) {
 }
 
 func TestFig3WriteZeroFillAsymmetry(t *testing.T) {
-	read, err := RunLx(ReadBench(), linuxos.ProfileXtensa, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	write, err := RunLx(WriteBench(), linuxos.ProfileXtensa, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	read := mustRun(t, Scenario{Workload: ReadBench(), Lx: &LxModel{Profile: linuxos.ProfileXtensa}}).Breakdown()
+	write := mustRun(t, Scenario{Workload: WriteBench(), Lx: &LxModel{Profile: linuxos.ProfileXtensa}}).Breakdown()
 	// Linux overwrites each block with zeros before handing it out
 	// (§5.4): writing must cost more than reading.
 	if write.Total <= read.Total {
@@ -213,19 +202,29 @@ func TestBreakdownConsistency(t *testing.T) {
 	if bd.App+bd.Xfer+bd.OS != bd.Total {
 		t.Fatalf("breakdown does not sum: %+v", bd)
 	}
-	lx, err := RunLx(ReadBench(), linuxos.ProfileXtensa, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := lx.App + lx.Xfer + lx.OS
-	// Linux stats may differ slightly from wall time due to waiting,
-	// but must be close.
-	diff := float64(sum) - float64(lx.Total)
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff/float64(lx.Total) > 0.05 {
-		t.Fatalf("Lx breakdown sum %d vs wall %d", sum, lx.Total)
+	// On Linux every bar must equal the run phase's linuxos.Stats
+	// delta exactly: Breakdown's caps never bind there.
+	bs := append([]workload.Benchmark{ReadBench(), WriteBench(), PipeBench(), copyBench(), accel.FFTChain(false)}, workload.All()...)
+	for _, b := range bs {
+		for _, lx := range []LxModel{
+			{Profile: linuxos.ProfileXtensa}, {Profile: linuxos.ProfileXtensa, Cold: true},
+			{Profile: linuxos.ProfileARM}, {Profile: linuxos.ProfileARM, Cold: true},
+		} {
+			var before, after linuxos.Stats
+			probe := b
+			probe.Run = func(os workload.OS) error {
+				sys := os.(*workload.LxOS).Sys
+				before = sys.Stats
+				defer func() { after = sys.Stats }()
+				return b.Run(os)
+			}
+			got := mustRun(t, Scenario{Workload: probe, Lx: &lx}).Breakdown()
+			want := Breakdown{App: after.App - before.App, Xfer: after.Xfer - before.Xfer,
+				OS: after.OS - before.OS, Total: after.Total() - before.Total()}
+			if got != want {
+				t.Errorf("%s on %s (cold %v): bars %v, stats deltas %v", b.Name, lx.Profile.Name, lx.Cold, got, want)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/linuxos"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -102,16 +103,16 @@ func TestLxRunDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := RunLx(b, linuxos.ProfileXtensa, true)
-	if err != nil {
-		t.Fatal(err)
+	sc := Scenario{Workload: b, Lx: &LxModel{Profile: linuxos.ProfileXtensa, Cold: true}}
+	first, again := mustRun(t, sc), mustRun(t, sc)
+	if again.Breakdown() != first.Breakdown() || again.Stats != first.Stats {
+		t.Fatalf("runs differ: %v %+v vs %v %+v", again.Breakdown(), again.Stats, first.Breakdown(), first.Stats)
 	}
-	again, err := RunLx(b, linuxos.ProfileXtensa, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != first {
-		t.Fatalf("runs differ: %+v vs %+v", again, first)
+	// The Linux model runs one instance without faults; it refuses the rest.
+	for _, bad := range []Scenario{{Workload: b, Lx: sc.Lx, Instances: 2}, {Workload: b, Lx: sc.Lx, Faults: &fault.Plan{}}} {
+		if _, err := bad.Run(); err == nil {
+			t.Errorf("Linux run with instances %d, faults %v succeeded", bad.Instances, bad.Faults != nil)
+		}
 	}
 }
 

@@ -198,7 +198,7 @@ func ELat() (*ELatResult, error) {
 		return nil, fmt.Errorf("elat on M3: %w", err)
 	}
 	res.DTU = tracer.Histograms()
-	if _, err := RunLx(elat(res.Lx), linuxos.ProfileXtensa, false); err != nil {
+	if _, err := (Scenario{Workload: elat(res.Lx), Lx: &LxModel{Profile: linuxos.ProfileXtensa}}).Run(); err != nil {
 		return nil, fmt.Errorf("elat on Linux: %w", err)
 	}
 	return res, nil

@@ -234,75 +234,64 @@ type lxReq struct {
 // process — the monolithic-kernel baseline has no per-PE fleet) and
 // derives per-operation blame from the linuxos.Stats deltas.
 func runETailLx(w ETailWorkload) (ETailSystem, error) {
-	eng := sim.NewEngine()
-	sys := linuxos.New(eng, linuxos.ProfileXtensa, false)
 	var reqs []lxReq
-	var runErr error
-	sys.Spawn("tail", func(pr *linuxos.Proc) {
-		os := workload.NewLxOS(sys, pr)
-		if err := etailClientSetup(os); err != nil {
-			runErr = err
-			return
-		}
-		// Every individual call — the granularity of M3's root spans —
-		// joins the request population.
-		record := func(_ int, call func() error) error {
-			pre := sys.Stats
-			t0 := pr.P().Now()
-			err := call()
-			if err != nil {
-				return err
+	b := workload.Benchmark{Name: "etail", PEs: 1, Setup: etailClientSetup,
+		Run: func(os workload.OS) error {
+			lx := os.(*workload.LxOS)
+			p, sys := lx.Proc.P(), lx.Sys
+			// Every individual call — the granularity of M3's root spans —
+			// joins the request population.
+			record := func(_ int, call func() error) error {
+				pre := sys.Stats
+				t0 := p.Now()
+				err := call()
+				if err != nil {
+					return err
+				}
+				lat := p.Now() - t0
+				var blame obs.BlameVec
+				blame[obs.BlameKernel] = uint64(sys.Stats.OS - pre.OS)
+				blame[obs.BlameQueue] = uint64(sys.Stats.Xfer - pre.Xfer)
+				if attributed := blame[obs.BlameKernel] + blame[obs.BlameQueue]; uint64(lat) > attributed {
+					blame[obs.BlameApp] = uint64(lat) - attributed
+				}
+				reqs = append(reqs, lxReq{lat: lat, blame: blame})
+				return nil
 			}
-			lat := pr.P().Now() - t0
-			var blame obs.BlameVec
-			blame[obs.BlameKernel] = uint64(sys.Stats.OS - pre.OS)
-			blame[obs.BlameQueue] = uint64(sys.Stats.Xfer - pre.Xfer)
-			if attributed := blame[obs.BlameKernel] + blame[obs.BlameQueue]; uint64(lat) > attributed {
-				blame[obs.BlameApp] = uint64(lat) - attributed
+			tos := &timedOS{OS: os, rec: record}
+			buf := make([]byte, etailBufSize)
+			base := p.Now()
+			// One process serves the whole fleet's schedule: every
+			// client's arrivals in time order, ties in client order, so
+			// the offered sequence matches the M3 run's.
+			type arrival struct {
+				at sim.Time
+				i  int
 			}
-			reqs = append(reqs, lxReq{lat: lat, blame: blame})
-			return nil
-		}
-		tos := &timedOS{OS: os, rec: record}
-		buf := make([]byte, etailBufSize)
-		base := pr.P().Now()
-		// One process serves the whole fleet's schedule: merge the
-		// per-client generators by next-arrival order, so the offered
-		// sequence matches the M3 run's.
-		gens := make([]*overload.Gen, etailClients)
-		next := make([]sim.Time, etailClients)
-		live := make([]bool, etailClients)
-		for ci := range gens {
-			gens[ci] = etailGen(uint64(ci))
-			next[ci], live[ci] = gens[ci].Next()
-		}
-		count := make([]int, etailClients)
-		for {
-			best := -1
-			for ci := range gens {
-				if live[ci] && (best < 0 || next[ci] < next[best]) {
-					best = ci
+			var arrivals []arrival
+			for ci := range etailClients {
+				gen := etailGen(uint64(ci))
+				for i := 0; ; i++ {
+					at, ok := gen.Next()
+					if !ok {
+						break
+					}
+					arrivals = append(arrivals, arrival{at, i})
 				}
 			}
-			if best < 0 {
-				break
+			sort.SliceStable(arrivals, func(a, b int) bool { return arrivals[a].at < arrivals[b].at })
+			for _, a := range arrivals {
+				if target := base + a.at; p.Now() < target {
+					p.Sleep(target - p.Now())
+				}
+				if err := etailOp(w, tos, a.i, buf); err != nil {
+					return err
+				}
 			}
-			at := next[best]
-			i := count[best]
-			count[best]++
-			next[best], live[best] = gens[best].Next()
-			if target := base + at; pr.P().Now() < target {
-				pr.P().Sleep(target - pr.P().Now())
-			}
-			if err := etailOp(w, tos, i, buf); err != nil {
-				runErr = err
-				return
-			}
-		}
-	})
-	eng.Run()
-	if runErr != nil {
-		return ETailSystem{}, runErr
+			return nil
+		}}
+	if _, err := (Scenario{Workload: b, Lx: &LxModel{Profile: linuxos.ProfileXtensa}}).Run(); err != nil {
+		return ETailSystem{}, err
 	}
 	res := ETailSystem{System: "lx", Requests: uint64(len(reqs))}
 	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].lat < reqs[j].lat })

@@ -21,24 +21,40 @@ type Fig3Result struct {
 
 // Fig3 runs experiment E1+E2.
 func Fig3() (*Fig3Result, error) {
-	r := &Fig3Result{FileOps: map[string]map[string]Breakdown{}}
+	r := &Fig3Result{}
 	r.SyscallM3, r.SyscallM3Xfer = NullSyscallM3()
 	r.SyscallLx = NullSyscallLx(linuxos.ProfileXtensa)
-	for _, b := range []workload.Benchmark{ReadBench(), WriteBench(), PipeBench()} {
-		res, err := Scenario{Workload: b}.Run()
-		if err != nil {
-			return nil, fmt.Errorf("fig3 %s on M3: %w", b.Name, err)
-		}
-		row := map[string]Breakdown{"M3": res.Breakdown()}
-		if row["Lx-$"], err = RunLx(b, linuxos.ProfileXtensa, false); err != nil {
-			return nil, fmt.Errorf("fig3 %s on Lx-$: %w", b.Name, err)
-		}
-		if row["Lx"], err = RunLx(b, linuxos.ProfileXtensa, true); err != nil {
-			return nil, fmt.Errorf("fig3 %s on Lx: %w", b.Name, err)
-		}
-		r.FileOps[b.Name] = row
+	var err error
+	if r.FileOps, err = onEachOS("fig3", []workload.Benchmark{ReadBench(), WriteBench(), PipeBench()}); err != nil {
+		return nil, err
 	}
 	return r, nil
+}
+
+// onEachOS runs each benchmark on M3, Lx-$ and Lx (Figures 3 and 5)
+// and returns the bars, keyed by benchmark, then system.
+func onEachOS(exp string, bs []workload.Benchmark) (map[string]map[string]Breakdown, error) {
+	systems := []struct {
+		name string
+		lx   *LxModel
+	}{
+		{"M3", nil},
+		{"Lx-$", &LxModel{Profile: linuxos.ProfileXtensa}},
+		{"Lx", &LxModel{Profile: linuxos.ProfileXtensa, Cold: true}},
+	}
+	bars := map[string]map[string]Breakdown{}
+	for _, b := range bs {
+		row := map[string]Breakdown{}
+		for _, sys := range systems {
+			res, err := Scenario{Workload: b, Lx: sys.lx}.Run()
+			if err != nil {
+				return nil, fmt.Errorf("%s %s on %s: %w", exp, b.Name, sys.name, err)
+			}
+			row[sys.name] = res.Breakdown()
+		}
+		bars[b.Name] = row
+	}
+	return bars, nil
 }
 
 // Sec52Result reproduces the §5.2 Xtensa/ARM cross-check.
@@ -64,35 +80,31 @@ func Sec52() (*Sec52Result, error) {
 	// "Overhead" is everything beyond the raw memcpy of the data:
 	// syscalls, fd lookups, page-cache work, and the zero-filling of
 	// fresh blocks (warm caches, as the paper's numbers imply).
-	memcpyTime := func(p linuxos.Profile, bytes int) sim.Time {
-		return sim.Time(float64(bytes) / p.MemcpyBytesPerCycle)
+	overhead := func(b workload.Benchmark, p linuxos.Profile, bytes int) (sim.Time, error) {
+		r, err := Scenario{Workload: b, Lx: &LxModel{Profile: p}}.Run()
+		if err != nil {
+			return 0, err
+		}
+		return r.Outcomes[0].RunTime - sim.Time(float64(bytes)/p.MemcpyBytesPerCycle), nil
 	}
-	create := func(p linuxos.Profile) (sim.Time, error) {
-		bd, err := RunLx(WriteBench(), p, false)
-		return bd.Total - memcpyTime(p, microFileSize), err
+	for _, m := range []struct {
+		metric string
+		b      workload.Benchmark
+		bytes  int
+	}{
+		{"create 2 MiB file overhead", WriteBench(), microFileSize},
+		{"copy 2 MiB file overhead", copyBench(), 2 * microFileSize},
+	} {
+		row := Sec52Row{Metric: m.metric}
+		var err error
+		if row.Xtensa, err = overhead(m.b, linuxos.ProfileXtensa, m.bytes); err != nil {
+			return nil, err
+		}
+		if row.ARM, err = overhead(m.b, linuxos.ProfileARM, m.bytes); err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, row)
 	}
-	copyOp := func(p linuxos.Profile) (sim.Time, error) {
-		bd, err := RunLx(copyBench(), p, false)
-		return bd.Total - memcpyTime(p, 2*microFileSize), err
-	}
-	xt, err := create(linuxos.ProfileXtensa)
-	if err != nil {
-		return nil, err
-	}
-	arm, err := create(linuxos.ProfileARM)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, Sec52Row{Metric: "create 2 MiB file overhead", Xtensa: xt, ARM: arm})
-	xt, err = copyOp(linuxos.ProfileXtensa)
-	if err != nil {
-		return nil, err
-	}
-	arm, err = copyOp(linuxos.ProfileARM)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, Sec52Row{Metric: "copy 2 MiB file overhead", Xtensa: xt, ARM: arm})
 	return res, nil
 }
 
@@ -169,22 +181,11 @@ type Fig5Result struct {
 
 // Fig5 runs experiment E5.
 func Fig5() (*Fig5Result, error) {
-	r := &Fig5Result{Apps: map[string]map[string]Breakdown{}}
-	for _, b := range workload.All() {
-		res, err := Scenario{Workload: b}.Run()
-		if err != nil {
-			return nil, fmt.Errorf("fig5 %s on M3: %w", b.Name, err)
-		}
-		row := map[string]Breakdown{"M3": res.Breakdown()}
-		if row["Lx-$"], err = RunLx(b, linuxos.ProfileXtensa, false); err != nil {
-			return nil, fmt.Errorf("fig5 %s on Lx-$: %w", b.Name, err)
-		}
-		if row["Lx"], err = RunLx(b, linuxos.ProfileXtensa, true); err != nil {
-			return nil, fmt.Errorf("fig5 %s on Lx: %w", b.Name, err)
-		}
-		r.Apps[b.Name] = row
+	apps, err := onEachOS("fig5", workload.All())
+	if err != nil {
+		return nil, err
 	}
-	return r, nil
+	return &Fig5Result{Apps: apps}, nil
 }
 
 // Fig6Result reproduces Figure 6: scalability with 1..16 parallel
@@ -235,9 +236,8 @@ type Fig7Result struct {
 
 // Fig7 runs experiment E7.
 func Fig7() (*Fig7Result, error) {
-	r := &Fig7Result{}
-	var err error
-	if r.Linux, err = RunLx(accel.FFTChain(false), linuxos.ProfileXtensa, true); err != nil {
+	lx, err := Scenario{Workload: accel.FFTChain(false), Lx: &LxModel{Profile: linuxos.ProfileXtensa, Cold: true}}.Run()
+	if err != nil {
 		return nil, fmt.Errorf("fig7 linux: %w", err)
 	}
 	soft, err := Scenario{Workload: accel.FFTChain(false)}.Run()
@@ -248,6 +248,5 @@ func Fig7() (*Fig7Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fig7 m3 accel: %w", err)
 	}
-	r.M3Soft, r.M3Accel = soft.Breakdown(), acc.Breakdown()
-	return r, nil
+	return &Fig7Result{Linux: lx.Breakdown(), M3Soft: soft.Breakdown(), M3Accel: acc.Breakdown()}, nil
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/overload"
 	"repro/internal/sim"
 	"repro/internal/tile"
-	"repro/internal/workload"
 )
 
 // Breakdown splits a measured run into the paper's stacked-bar
@@ -167,34 +166,6 @@ func xferCycles(plat *tile.Platform) sim.Time {
 type RunStats struct {
 	ExecutedEvents uint64
 	FinalTime      sim.Time
-}
-
-// RunLx executes one benchmark on a fresh Linux system with the given
-// profile and cache variant.
-func RunLx(b workload.Benchmark, prof linuxos.Profile, cold bool) (Breakdown, error) {
-	eng := sim.NewEngine()
-	sys := linuxos.New(eng, prof, cold)
-	var bd Breakdown
-	var runErr error
-	sys.Spawn("app", func(pr *linuxos.Proc) {
-		os := workload.NewLxOS(sys, pr)
-		if err := b.Setup(os); err != nil {
-			runErr = err
-			return
-		}
-		base := sys.Stats
-		start := pr.P().Now()
-		if err := b.Run(os); err != nil {
-			runErr = err
-			return
-		}
-		bd.Total = pr.P().Now() - start
-		bd.App = sys.Stats.App - base.App
-		bd.Xfer = sys.Stats.Xfer - base.Xfer
-		bd.OS = sys.Stats.OS - base.OS
-	})
-	eng.Run()
-	return bd, runErr
 }
 
 // Fig6Options is the platform of Figure 6: a perfectly scaling NoC,

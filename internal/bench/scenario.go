@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/linuxos"
 	"repro/internal/m3"
 	"repro/internal/m3fs"
 	"repro/internal/sim"
@@ -12,14 +14,18 @@ import (
 	"repro/internal/workload"
 )
 
-// Scenario is one M3 run of a workload: a kernel, an m3fs, and the
-// workload's instances on one platform. Every workload.Benchmark run
-// on M3 — the figures, the utilization, latency and load experiments,
-// the ablations, the chaos tier, the differential harness and m3sim —
-// boots through Scenario.Run.
+// Scenario is one run of a workload: on M3 a kernel, an m3fs, and the
+// workload's instances on one platform; on the Linux model one process.
+// Every workload.Benchmark run — the figures, the utilization, latency
+// and load experiments, the ablations, the chaos tier, the differential
+// harness and m3sim — boots through Scenario.Run, on either model.
 type Scenario struct {
 	// Workload is the benchmark every instance runs.
 	Workload workload.Benchmark
+	// Lx, if set, runs the workload on the Linux model instead of M3.
+	// The M3Options do not apply there, and Instances or Faults make
+	// Run fail.
+	Lx *LxModel
 	// Instances selects the run shape. Zero runs one unprefixed
 	// instance named "app" (Figures 3–5, 7 and m3sim). n > 0 runs n
 	// instances named "app<k>", each in its own /i<k> directory, that
@@ -41,6 +47,12 @@ type Scenario struct {
 	M3Options
 }
 
+// LxModel is the Linux model's CPU profile and cache variant (§5.1).
+type LxModel struct {
+	Profile linuxos.Profile
+	Cold    bool // Lx; false is Lx-$
+}
+
 // Outcome is one instance's result. A crashed instance simply stops:
 // Finished stays false and EndAt marks how far it got (zero if it
 // never left the start barrier).
@@ -54,8 +66,8 @@ type Outcome struct {
 	StartAt sim.Time
 	EndAt   sim.Time
 	RunTime sim.Time
-	// App is the run phase's application compute; Xfer the DTU data
-	// transfer cycles the whole platform spent during it.
+	// App is the run phase's application compute; Xfer the data
+	// transfer cycles (DTUs, or Linux's memcpy) spent during it.
 	App  sim.Time
 	Xfer sim.Time
 	Err  error
@@ -64,6 +76,7 @@ type Outcome struct {
 // Result exposes the full system state after a run, so callers can
 // assert isolation properties (no live capabilities of dead VPEs,
 // deconfigured endpoints, closed sessions) rather than just completion.
+// A Linux run fills in only Eng, Stats and Outcomes.
 type Result struct {
 	Eng      *sim.Engine
 	Plat     *tile.Platform
@@ -94,13 +107,16 @@ func (sc Scenario) Run() (*Result, error) {
 	return r, sc.run(r)
 }
 
-// boot builds the platform and queues m3fs, every instance and the
-// fault layer without running the engine. Callers inside the package
-// that must watch the run from its first cycle (RunUtilization's per-PE
-// idle series) hook in between boot and run; a program that reads the
-// Result mid-run (RunEPMuxAblation's syscall counters) gets it from
-// boot.
+// boot builds the system and queues its software — on M3 m3fs, every
+// instance and the fault layer, on Linux the one process — without
+// running the engine. Callers inside the package that must watch an M3
+// run from its first cycle (RunUtilization's per-PE idle series) hook
+// in between boot and run; a program that reads the Result mid-run
+// (RunEPMuxAblation's syscall counters) gets it from boot.
 func (sc Scenario) boot() (*Result, error) {
+	if sc.Lx != nil {
+		return sc.bootLx()
+	}
 	n := max(sc.Instances, 1)
 	r := bootPlatform(sc.M3Options, n*sc.Workload.PEs)
 	r.Outcomes = make([]Outcome, n)
@@ -139,6 +155,20 @@ func (sc Scenario) boot() (*Result, error) {
 			return nil, fmt.Errorf("bench: attaching faults: %w", err)
 		}
 	}
+	return r, nil
+}
+
+// bootLx boots the Linux model with the workload's one process.
+func (sc Scenario) bootLx() (*Result, error) {
+	if sc.Instances > 0 || sc.Faults != nil {
+		return nil, errors.New("bench: the Linux model runs one instance without faults")
+	}
+	r := &Result{Eng: sim.NewEngine(), Outcomes: []Outcome{{Name: "app"}}}
+	sys := linuxos.New(r.Eng, sc.Lx.Profile, sc.Lx.Cold)
+	sys.Spawn("app", func(pr *linuxos.Proc) {
+		r.Outcomes[0].Err = sc.measure(pr.P(), workload.NewLxOS(sys, pr), nil, &r.Outcomes[0],
+			func() (app, xfer sim.Time) { return sys.Stats.App, sys.Stats.Xfer })
+	})
 	return r, nil
 }
 
@@ -207,56 +237,60 @@ func (g *gate) arrive(p *sim.Process) {
 	}
 }
 
-// instance is the program of instance k: setup, the start barrier (if
-// any), then the measured run phase. Failures end the instance with
-// exit code 1 and land in its Outcome's Err.
+// instance is the M3 program of instance k: the m3fs mount, then
+// measure. Failures end the instance with exit code 1 and land in its
+// Outcome's Err.
 func (sc Scenario) instance(r *Result, k int, g *gate) core.Program {
-	b := sc.Workload
 	out := &r.Outcomes[k]
 	return func(ctx *tile.Ctx) {
 		g.awaitTurn(ctx.P, k)
 		env := m3.NewEnv(ctx, r.Kern)
-		fail := func(err error) {
-			out.Err = err
-			env.Exit(1)
-		}
 		os, err := workload.NewM3OS(env)
-		if err != nil {
-			fail(err)
-			return
-		}
-		out.SetupAt = ctx.Now()
-		if sc.AppendBlocks > 0 {
-			os.FS.AppendBlocks = sc.AppendBlocks
-		}
-		os.FS.NoMerge = sc.NoMerge
-		if sc.Instances > 0 {
-			os.Prefix = fmt.Sprintf("/i%d", k)
-			if err := os.Mkdir(""); err != nil {
-				fail(err)
-				return
+		if err == nil {
+			if sc.AppendBlocks > 0 {
+				os.FS.AppendBlocks = sc.AppendBlocks
 			}
+			os.FS.NoMerge = sc.NoMerge
+			if sc.Instances > 0 {
+				os.Prefix = fmt.Sprintf("/i%d", k)
+			}
+			err = sc.measure(ctx.P, os, g, out,
+				func() (app, xfer sim.Time) { return sim.Time(os.AppCycles()), xferCycles(r.Plat) })
 		}
-		if err := b.Setup(os); err != nil {
-			fail(err)
-			return
+		if out.Err = err; err != nil {
+			env.Exit(1)
+		} else {
+			env.Exit(0)
 		}
-		g.arrive(ctx.P)
-		os.ResetAppCycles()
-		xferBase := xferCycles(r.Plat)
-		out.StartAt = ctx.Now()
-		err = b.Run(os)
-		out.EndAt = ctx.Now()
-		if err != nil {
-			fail(err)
-			return
-		}
-		out.RunTime = out.EndAt - out.StartAt
-		out.App = sim.Time(os.AppCycles())
-		out.Xfer = xferCycles(r.Plat) - xferBase
-		out.Finished = true
-		env.Exit(0)
 	}
+}
+
+// measure is an instance's life on either model: its private directory
+// (os carries the prefix), the workload's setup, the start barrier g,
+// and the timed run phase, whose App and Xfer are the difference of two
+// readings of the model's cumulative counters by meter.
+func (sc Scenario) measure(p *sim.Process, os workload.OS, g *gate, out *Outcome, meter func() (app, xfer sim.Time)) error {
+	out.SetupAt = p.Now()
+	if sc.Instances > 0 {
+		if err := os.Mkdir(""); err != nil {
+			return err
+		}
+	}
+	if err := sc.Workload.Setup(os); err != nil {
+		return err
+	}
+	g.arrive(p)
+	app, xfer := meter()
+	out.StartAt = p.Now()
+	err := sc.Workload.Run(os)
+	out.EndAt = p.Now()
+	if err != nil {
+		return err
+	}
+	endApp, endXfer := meter()
+	out.RunTime, out.App, out.Xfer = out.EndAt-out.StartAt, endApp-app, endXfer-xfer
+	out.Finished = true
+	return nil
 }
 
 // Breakdown splits the first instance's run phase into the paper's

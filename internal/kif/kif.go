@@ -90,6 +90,8 @@ const (
 	// fast failure: clients retry it under a bounded retry budget
 	// rather than triggering session recovery (docs/OVERLOAD.md).
 	ErrOverload
+	// ErrIsDir refuses to open a directory for writing or truncation.
+	ErrIsDir
 )
 
 var errNames = map[Error]string{
@@ -99,7 +101,7 @@ var errNames = map[Error]string{
 	ErrNoSuchFile: "no such file or directory", ErrExists: "already exists",
 	ErrUnsupported: "unsupported", ErrEndOfFile: "end of file",
 	ErrVPEGone: "vpe gone", ErrRefused: "refused by service",
-	ErrTimeout: "timed out", ErrOverload: "overloaded",
+	ErrTimeout: "timed out", ErrOverload: "overloaded", ErrIsDir: "is a directory",
 }
 
 func (e Error) Error() string {

@@ -49,7 +49,10 @@ func (pr *Proc) Open(path string, flags OpenFlags) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	if flags&OTrunc != 0 && !node.dir {
+	if node.dir && flags&(OWrite|OTrunc) != 0 {
+		return -1, errors.New("linuxos: is a directory")
+	}
+	if flags&OTrunc != 0 {
 		node.data = node.data[:0]
 	}
 	f := &fdesc{node: node, flags: flags, refs: 1}
@@ -182,6 +185,8 @@ func (pr *Proc) Seek(fd int, off int64, whence int) (int64, error) {
 		f.pos += off
 	case io.SeekEnd:
 		f.pos = int64(len(f.node.data)) + off
+	default:
+		return 0, errors.New("linuxos: bad whence")
 	}
 	if f.pos < 0 {
 		f.pos = 0

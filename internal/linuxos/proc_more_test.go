@@ -24,7 +24,23 @@ func TestSeekWhenceVariants(t *testing.T) {
 		if pos, _ := pr.Seek(fd, -500, io.SeekStart); pos != 0 {
 			t.Errorf("negative clamped = %d", pos)
 		}
+		if _, err := pr.Seek(fd, 0, 7); err == nil {
+			t.Error("an invalid whence must fail")
+		}
 		_ = pr.Close(fd)
+	})
+	eng.Run()
+}
+
+func TestOpenDirForWritingFails(t *testing.T) {
+	eng, s := lx(t, false)
+	s.Spawn("dir", func(pr *Proc) {
+		_ = pr.Mkdir("/d")
+		for _, flags := range []OpenFlags{OWrite, ORead | OTrunc, OWrite | OCreate} {
+			if _, err := pr.Open("/d", flags); err == nil {
+				t.Errorf("open of a directory with flags %#x succeeded", flags)
+			}
+		}
 	})
 	eng.Run()
 }

@@ -589,11 +589,15 @@ func (s *Service) lookup(path string) (*Inode, int, error) {
 // reqOpen opens (and possibly creates or truncates) a file. Open is
 // naturally idempotent — a retried create finds the file, a retried
 // truncate re-truncates to the same zero — so it carries no token, but
-// its side effects are still journaled.
+// its side effects are still journaled. A directory opens read-only.
 func (s *Service) reqOpen(sess *session, is *kif.IStream, msg *dtu.Message) {
 	path, flags := is.Str(), is.U64()
 	ino, depth, err := s.fs.Lookup(path)
 	s.compute(costOpen + costPerComponent*sim.Time(depth))
+	if err == nil && ino.Dir && flags&(flagWrite|flagTrunc) != 0 {
+		s.replyErr(s.reqs, msg, kif.ErrIsDir)
+		return
+	}
 	if err != nil {
 		if flags&flagCreate == 0 {
 			s.replyErr(s.reqs, msg, kif.ErrNoSuchFile)
@@ -610,7 +614,7 @@ func (s *Service) reqOpen(sess *session, is *kif.IStream, msg *dtu.Message) {
 			return
 		}
 		s.commitMut(token{}, rec, appliedEntry{})
-	} else if flags&flagTrunc != 0 && !ino.Dir {
+	} else if flags&flagTrunc != 0 {
 		rec := encodeRecord(JRecord{Kind: JTrunc, Ino: ino.Ino})
 		if !s.journalFits(len(rec)) {
 			s.replyErr(s.reqs, msg, kif.ErrNoSpace)

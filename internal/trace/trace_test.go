@@ -4,38 +4,40 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
+	"repro/internal/bench"
 	"repro/internal/linuxos"
-	"repro/internal/m3"
-	"repro/internal/m3fs"
 	"repro/internal/sim"
-	"repro/internal/tile"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
+// linux selects the Linux model (Lx-$); a nil selector runs on M3.
+var linux = &bench.LxModel{Profile: linuxos.ProfileXtensa}
+
+// empty is a benchmark with nothing to set up.
+var empty = workload.Benchmark{Name: "empty", PEs: 1, Setup: func(workload.OS) error { return nil }}
+
+// runOn runs b's setup and then fn in b's place on the OS model lx
+// selects and returns fn's duration.
+func runOn(lx *bench.LxModel, b workload.Benchmark, fn func(os workload.OS) error) (sim.Time, error) {
+	b.Run = fn
+	r, err := bench.Scenario{Workload: b, Lx: lx}.Run()
+	if err != nil {
+		return 0, err
+	}
+	return r.Outcomes[0].RunTime, nil
+}
+
 // recordOnLinux runs b's setup natively and records its run phase.
 func recordOnLinux(t *testing.T, b workload.Benchmark) *trace.Trace {
 	t.Helper()
-	eng := sim.NewEngine()
-	sys := linuxos.New(eng, linuxos.ProfileXtensa, false)
 	var tr *trace.Trace
-	sys.Spawn("rec", func(pr *linuxos.Proc) {
-		os := workload.NewLxOS(sys, pr)
-		if err := b.Setup(os); err != nil {
-			t.Error(err)
-			return
-		}
+	if _, err := runOn(linux, b, func(os workload.OS) error {
 		rec := trace.NewRecorder(os)
-		if err := b.Run(rec); err != nil {
-			t.Error(err)
-			return
-		}
 		tr = rec.T
-	})
-	eng.Run()
-	if tr == nil {
-		t.Fatal("recording failed")
+		return b.Run(rec)
+	}); err != nil {
+		t.Fatal(err)
 	}
 	return tr
 }
@@ -44,36 +46,10 @@ func recordOnLinux(t *testing.T, b workload.Benchmark) *trace.Trace {
 // duration.
 func timeOnM3(t *testing.T, b workload.Benchmark, fn func(os workload.OS) error) sim.Time {
 	t.Helper()
-	eng := sim.NewEngine()
-	plat := tile.NewPlatform(eng, tile.Homogeneous(2+b.PEs))
-	kern := core.Boot(plat, 0)
-	if _, err := kern.StartInit("m3fs", "", m3fs.Program(kern, m3fs.Config{}, nil)); err != nil {
-		t.Fatal(err)
-	}
-	var took sim.Time
-	_, err := kern.StartInit("app", "", func(ctx *tile.Ctx) {
-		env := m3.NewEnv(ctx, kern)
-		os, err := workload.NewM3OS(env)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := b.Setup(os); err != nil {
-			t.Error(err)
-			return
-		}
-		start := ctx.Now()
-		if err := fn(os); err != nil {
-			t.Error(err)
-			return
-		}
-		took = ctx.Now() - start
-		env.Exit(0)
-	})
+	took, err := runOn(nil, b, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
 	return took
 }
 
@@ -193,29 +169,16 @@ func TestUnmarshalCorrupt(t *testing.T) {
 
 func TestReplayUnknownFD(t *testing.T) {
 	tr := &trace.Trace{Records: []trace.Record{{Kind: trace.KRead, FD: 99, Size: 16}}}
-	eng := sim.NewEngine()
-	sys := linuxos.New(eng, linuxos.ProfileXtensa, false)
-	var rerr error
-	sys.Spawn("replay", func(pr *linuxos.Proc) {
-		rerr = trace.Replay(workload.NewLxOS(sys, pr), tr)
-	})
-	eng.Run()
-	if rerr == nil {
+	if _, err := runOn(linux, empty, func(os workload.OS) error { return trace.Replay(os, tr) }); err == nil {
 		t.Fatal("replay with unknown fd must fail")
 	}
 }
 
 func TestRecorderRefusesPipes(t *testing.T) {
-	eng := sim.NewEngine()
-	sys := linuxos.New(eng, linuxos.ProfileXtensa, false)
-	var gotErr bool
-	sys.Spawn("rec", func(pr *linuxos.Proc) {
-		rec := trace.NewRecorder(workload.NewLxOS(sys, pr))
-		_, _, err := rec.PipeFromChild("x", func(workload.OS, workload.File) {})
-		gotErr = err != nil
-	})
-	eng.Run()
-	if !gotErr {
+	if _, err := runOn(linux, empty, func(os workload.OS) error {
+		_, _, err := trace.NewRecorder(os).PipeFromChild("x", func(workload.OS, workload.File) {})
+		return err
+	}); err == nil {
 		t.Fatal("recording a pipe must fail")
 	}
 }
@@ -235,23 +198,11 @@ func TestReplaySeekAndMeta(t *testing.T) {
 		{Kind: trace.KCompute, Cycles: 1234},
 		{Kind: trace.KUnlink, Path: "/d/f"},
 	}}
-	// Linux.
-	eng := sim.NewEngine()
-	sys := linuxos.New(eng, linuxos.ProfileXtensa, false)
-	var lerr error
-	sys.Spawn("replay", func(pr *linuxos.Proc) {
-		lerr = trace.Replay(workload.NewLxOS(sys, pr), tr)
-	})
-	eng.Run()
-	if lerr != nil {
-		t.Fatalf("linux replay: %v", lerr)
+	replay := func(os workload.OS) error { return trace.Replay(os, tr) }
+	if _, err := runOn(linux, empty, replay); err != nil {
+		t.Fatalf("linux replay: %v", err)
 	}
-	// M3.
-	b := workload.Benchmark{Name: "empty", PEs: 1,
-		Setup: func(os workload.OS) error { return nil },
-		Run:   func(os workload.OS) error { return nil }}
-	took := timeOnM3(t, b, func(os workload.OS) error { return trace.Replay(os, tr) })
-	if took < 1234 {
+	if took := timeOnM3(t, empty, replay); took < 1234 {
 		t.Fatalf("m3 replay took %d cycles, must include the compute record", took)
 	}
 }

@@ -43,9 +43,6 @@ func NewM3OS(env *m3.Env) (*M3OS, error) {
 // AppCycles returns the accumulated application compute cycles.
 func (o *M3OS) AppCycles() uint64 { return *o.appAcc }
 
-// ResetAppCycles clears the accumulator (between setup and run).
-func (o *M3OS) ResetAppCycles() { *o.appAcc = 0 }
-
 // path prepends the instance's prefix to p.
 func (o *M3OS) path(p string) string {
 	if o.Prefix == "" {

@@ -6,57 +6,32 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/bench"
 	"repro/internal/linuxos"
-	"repro/internal/m3"
-	"repro/internal/m3fs"
-	"repro/internal/sim"
-	"repro/internal/tile"
 	"repro/internal/workload"
 )
 
-// runOnM3 executes fn inside a booted M3 system with enough PEs.
-func runOnM3(t *testing.T, appPEs int, fn func(os *workload.M3OS) error) {
+// m3 runs fn on M3 with appPEs application PEs; lx runs it on Lx-$.
+var (
+	lx = &bench.LxModel{Profile: linuxos.ProfileXtensa}
+	m3 *bench.LxModel
+)
+
+// runOn executes fn as the run phase of a benchmark on the OS model
+// sys selects; appPEs sizes the M3 platform.
+func runOn(t *testing.T, sys *bench.LxModel, appPEs int, fn func(os workload.OS) error) {
 	t.Helper()
-	eng := sim.NewEngine()
-	plat := tile.NewPlatform(eng, tile.Homogeneous(2+appPEs))
-	kern := core.Boot(plat, 0)
-	if _, err := kern.StartInit("m3fs", "", m3fs.Program(kern, m3fs.Config{}, nil)); err != nil {
+	b := workload.Benchmark{Name: "test", PEs: appPEs, Setup: func(workload.OS) error { return nil }, Run: fn}
+	if _, err := (bench.Scenario{Workload: b, Lx: sys}).Run(); err != nil {
 		t.Fatal(err)
-	}
-	var ferr error
-	_, err := kern.StartInit("app", "", func(ctx *tile.Ctx) {
-		env := m3.NewEnv(ctx, kern)
-		os, err := workload.NewM3OS(env)
-		if err != nil {
-			ferr = err
-			return
-		}
-		ferr = fn(os)
-		env.Exit(0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if ferr != nil {
-		t.Fatal(ferr)
 	}
 }
 
-// runOnLx executes fn inside a Linux system.
-func runOnLx(t *testing.T, fn func(os *workload.LxOS) error) {
+// runOnBoth executes fn on M3 and on Lx-$.
+func runOnBoth(t *testing.T, appPEs int, fn func(os workload.OS) error) {
 	t.Helper()
-	eng := sim.NewEngine()
-	sys := linuxos.New(eng, linuxos.ProfileXtensa, false)
-	var ferr error
-	sys.Spawn("app", func(pr *linuxos.Proc) {
-		ferr = fn(workload.NewLxOS(sys, pr))
-	})
-	eng.Run()
-	if ferr != nil {
-		t.Fatal(ferr)
-	}
+	runOn(t, m3, appPEs, fn)
+	runOn(t, lx, appPEs, fn)
 }
 
 // runBench runs setup+run and verify on one OS handle.
@@ -95,11 +70,11 @@ func verifyCatTr(os workload.OS) error {
 		return err
 	}
 	if len(out) != 64<<10 {
-		return errorsNew("cat+tr output size %d", len(out))
+		return fmt.Errorf("cat+tr output size %d", len(out))
 	}
 	for i, c := range out {
 		if c != 'b' {
-			return errorsNew("cat+tr byte %d = %q", i, c)
+			return fmt.Errorf("cat+tr byte %d = %q", i, c)
 		}
 	}
 	return nil
@@ -112,7 +87,7 @@ func verifyUntar(os workload.OS) error {
 		return err
 	}
 	if len(srcs) != 6 {
-		return errorsNew("src files = %d", len(srcs))
+		return fmt.Errorf("src files = %d", len(srcs))
 	}
 	for _, name := range srcs {
 		want, err := readAll(os, "/src/"+name)
@@ -124,30 +99,20 @@ func verifyUntar(os workload.OS) error {
 			return err
 		}
 		if len(got) != len(want) {
-			return errorsNew("%s: %d bytes, want %d", name, len(got), len(want))
+			return fmt.Errorf("%s: %d bytes, want %d", name, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				return errorsNew("%s: byte %d differs", name, i)
+				return fmt.Errorf("%s: byte %d differs", name, i)
 			}
 		}
 	}
 	return nil
 }
 
-func errorsNew(format string, args ...any) error {
-	return fmt.Errorf(format, args...)
-}
-
 func TestCatTrCorrectOnBothOSes(t *testing.T) {
 	b := workload.CatTr()
-	runOnM3(t, b.PEs+1, func(os *workload.M3OS) error {
-		if err := runBench(b, os); err != nil {
-			return err
-		}
-		return verifyCatTr(os)
-	})
-	runOnLx(t, func(os *workload.LxOS) error {
+	runOnBoth(t, b.PEs+1, func(os workload.OS) error {
 		if err := runBench(b, os); err != nil {
 			return err
 		}
@@ -157,13 +122,7 @@ func TestCatTrCorrectOnBothOSes(t *testing.T) {
 
 func TestTarUntarRoundTripOnBothOSes(t *testing.T) {
 	b := workload.Untar() // setup includes tar
-	runOnM3(t, b.PEs, func(os *workload.M3OS) error {
-		if err := runBench(b, os); err != nil {
-			return err
-		}
-		return verifyUntar(os)
-	})
-	runOnLx(t, func(os *workload.LxOS) error {
+	runOnBoth(t, b.PEs, func(os workload.OS) error {
 		if err := runBench(b, os); err != nil {
 			return err
 		}
@@ -173,20 +132,19 @@ func TestTarUntarRoundTripOnBothOSes(t *testing.T) {
 
 func TestFindOnBothOSes(t *testing.T) {
 	b := workload.Find()
-	runOnM3(t, b.PEs, func(os *workload.M3OS) error { return runBench(b, os) })
-	runOnLx(t, func(os *workload.LxOS) error { return runBench(b, os) })
+	runOnBoth(t, b.PEs, func(os workload.OS) error { return runBench(b, os) })
 }
 
 func TestSqliteOnBothOSes(t *testing.T) {
 	b := workload.Sqlite()
-	runOnM3(t, b.PEs, func(os *workload.M3OS) error { return runBench(b, os) })
-	runOnLx(t, func(os *workload.LxOS) error { return runBench(b, os) })
+	runOnBoth(t, b.PEs, func(os workload.OS) error { return runBench(b, os) })
 }
 
 func TestPrefixNamespaces(t *testing.T) {
 	// Two prefixed instances of tar must not interfere.
 	b := workload.Tar()
-	runOnM3(t, 1, func(os *workload.M3OS) error {
+	runOn(t, m3, 1, func(wos workload.OS) error {
+		os := wos.(*workload.M3OS)
 		for _, prefix := range []string{"/a", "/b"} {
 			os.Prefix = prefix
 			if err := os.Mkdir(""); err != nil {
@@ -200,7 +158,7 @@ func TestPrefixNamespaces(t *testing.T) {
 				return err
 			}
 			if st.Size < 1<<20 {
-				return errorsNew("%s archive too small: %d", prefix, st.Size)
+				return fmt.Errorf("%s archive too small: %d", prefix, st.Size)
 			}
 		}
 		return nil
@@ -294,14 +252,13 @@ func TestThreeStagePipeline(t *testing.T) {
 		return nil
 	}
 	// M3: parent + 2 child VPEs = 3 app PEs.
-	runOnM3(t, 3, func(os *workload.M3OS) error { return run(os) })
-	runOnLx(t, func(os *workload.LxOS) error { return run(os) })
+	runOnBoth(t, 3, run)
 }
 
 // TestCopyRangeFallbacks: sendfile only applies to regular files; pipe
 // ends and the M3 adapter fall back to read+write.
 func TestCopyRangeFallbacks(t *testing.T) {
-	runOnLx(t, func(os *workload.LxOS) error {
+	runOn(t, lx, 1, func(os workload.OS) error {
 		f1, err := os.Open("/a", workload.Write|workload.Create)
 		if err != nil {
 			return err
@@ -326,7 +283,7 @@ func TestCopyRangeFallbacks(t *testing.T) {
 		wait()
 		return f1.Close()
 	})
-	runOnM3(t, 1, func(os *workload.M3OS) error {
+	runOn(t, m3, 1, func(os workload.OS) error {
 		f1, err := os.Open("/a", workload.Write|workload.Create)
 		if err != nil {
 			return err
