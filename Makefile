@@ -42,9 +42,8 @@ bench-sim:
 # When the gate is red, the diff attributes every regression via the
 # two files' captures (layer/path cycle deltas, histogram shift, blame
 # drift — docs/OBSERVABILITY.md) and the machine-readable attribution
-# is retained as artifacts/diff-report.json. BENCH_0.json through
-# BENCH_4.json are previous generations' baselines, kept for
-# historical comparison.
+# is retained as artifacts/diff-report.json. Earlier generations'
+# baselines live only in git history.
 bench-smoke:
 	mkdir -p artifacts
 	go run ./cmd/m3bench -e smoke -capture -json artifacts/bench-smoke.json >artifacts/bench-smoke.log
@@ -64,13 +63,14 @@ bench-all:
 	go run ./cmd/m3bench -e all -json artifacts/bench-all-again.json >/dev/null
 	cmp artifacts/bench-all.json artifacts/bench-all-again.json
 
-# The attribution self-test: capture the tier-1 workload twice (the
-# captures must be byte-identical), re-capture with the kernel's
-# syscall dispatch cost perturbed +10%, and require `m3sim diff` to
-# attribute the regression to the kernel — top blame-drift category
-# and a growing kernel profile layer — with byte-stable reports.
+# The attribution battery: capture the tier-1 workload twice (the
+# captures must be byte-identical), and diff base and changed captures
+# of real single-layer changes (DTU stalls, NoC contention, DRAM
+# ports, extra syscalls, a journaling m3fs, app compute) against the
+# verdicts pinned for them, hits and misses alike, each miss with its
+# cause, every report byte-stable (docs/OBSERVABILITY.md).
 diff-smoke:
-	go run ./cmd/m3sim diff -selftest
+	go test -count=1 -run 'TestAttributionBattery|TestCaptureDeterministic' ./internal/bench
 
 # The SLO regression gate: run the critical-path attribution + SLO
 # report (`m3sim slo`) over the tier-1 workload and require the JSON

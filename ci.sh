@@ -34,10 +34,10 @@
 #              only the smoke subset, and the two JSON files must be
 #              byte-identical; output kept as artifacts/bench-all.json
 #              and artifacts/bench-all.log
-#   diff       the attribution self-test: a seeded +10% kernel
-#              dispatch-cost perturbation must be attributed to the
-#              kernel layer by `m3sim diff`, with the baseline captured
-#              twice and the two captures byte-identical
+#   diff       the attribution battery: what `m3sim diff` reports on
+#              real single-layer changes, hits and misses alike, must
+#              match the verdicts pinned in TestAttributionBattery, and
+#              two captures of one run must be byte-identical
 #              (docs/OBSERVABILITY.md)
 #   slo        the SLO regression gate: the `m3sim slo` attribution report
 #              over the tier-1 workload, byte-compared against the

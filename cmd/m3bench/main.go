@@ -69,7 +69,7 @@ func main() {
 	}
 
 	if *capture {
-		caps, err := bench.CaptureAll(exps, bench.M3Options{})
+		caps, err := bench.CaptureAll(exps)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "m3bench: capture failed: %v\n", err)
 			os.Exit(1)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -9,9 +8,7 @@ import (
 	"os"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // cmdDiff is differential observability: it aligns two run captures,
@@ -30,18 +27,11 @@ func cmdDiff(args []string, w io.Writer) error {
 	top := fs.Int("top", 10, "cap the (PE, layer, kind) group table in the text report (0 = all)")
 	jsonOut := fs.String("json", "", "write the machine-readable diff to this file ('-' for stdout)")
 	folded := fs.String("folded", "", "write the flamegraph difffolded profile ('path old new' lines) to this file")
-	selftest := fs.Bool("selftest", false, "run the attribution self-test: seed a +10% kernel dispatch-cost regression and require the kernel layer to rank first")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *selftest {
-		if err := runSelftest(w); err != nil {
-			return fmt.Errorf("selftest: %w", err)
-		}
-		return nil
-	}
 	if fs.NArg() != 2 {
-		return errors.New("diff: need exactly two arguments: old.json new.json (or -selftest)")
+		return errors.New("diff: need exactly two arguments: old.json new.json")
 	}
 	oldCap, err := loadCapture(fs.Arg(0), *wl)
 	if err != nil {
@@ -105,102 +95,4 @@ func loadCapture(path, wl string) (*obs.RunCapture, error) {
 		return c, nil
 	}
 	return nil, fmt.Errorf("%s: no capture of workload %q", path, wl)
-}
-
-// selftestWorkload is the workload the self-test captures.
-const selftestWorkload = "tar"
-
-// runSelftest is `make diff-smoke`: prove the attribution pipeline
-// end to end on a seeded regression.
-//
-//  1. Capture the baseline workload twice and require the capture JSON
-//     to be byte-identical — the determinism contract.
-//  2. Re-capture with the kernel's syscall dispatch cost perturbed
-//     +10% (core.CostDispatch/10 extra cycles per syscall).
-//  3. Diff base vs perturbed and require the kernel to rank first:
-//     top blame-drift category "kernel" and a positive kernel
-//     profile-layer delta.
-//  4. Render the report twice and require byte-identical output.
-func runSelftest(w io.Writer) error {
-	fmt.Fprintf(w, "selftest: capturing %s twice\n", selftestWorkload)
-	var base *obs.RunCapture
-	var js [2]bytes.Buffer
-	for i := range js {
-		c, err := bench.RunWorkloadCapture(selftestWorkload, bench.M3Options{})
-		if err != nil {
-			return fmt.Errorf("capturing baseline: %w", err)
-		}
-		if err := c.WriteJSON(&js[i]); err != nil {
-			return err
-		}
-		base = c
-	}
-	if !bytes.Equal(js[0].Bytes(), js[1].Bytes()) {
-		return errors.New("two baseline captures differ: the determinism contract is broken")
-	}
-	fmt.Fprintln(w, "selftest: captures byte-identical")
-
-	delta := sim.Time(core.CostDispatch) / 10
-	perturbed, err := bench.RunWorkloadCapture(selftestWorkload, bench.M3Options{DispatchCostDelta: delta})
-	if err != nil {
-		return fmt.Errorf("capturing perturbed run: %w", err)
-	}
-	d, err := obs.DiffCaptures(base, perturbed)
-	if err != nil {
-		return err
-	}
-	if d.Empty() {
-		return fmt.Errorf("+%d cycles/syscall perturbation produced an empty diff", delta)
-	}
-	if err := d.WriteText(w, 5); err != nil {
-		return err
-	}
-
-	blame, ok := d.TopBlame()
-	if !ok || blame.Category != "kernel" {
-		return fmt.Errorf("top blame drift = %+v (ok=%v), want category kernel", blame, ok)
-	}
-	kernelGrew := false
-	for _, l := range d.Layers {
-		if l.Layer == "kernel" && l.Delta() > 0 {
-			kernelGrew = true
-		}
-	}
-	if !kernelGrew {
-		return fmt.Errorf("kernel profile layer did not grow: %+v", d.Layers)
-	}
-
-	r1, err := diffBytes(d, base, perturbed)
-	if err != nil {
-		return err
-	}
-	d2, err := obs.DiffCaptures(base, perturbed)
-	if err != nil {
-		return err
-	}
-	r2, err := diffBytes(d2, base, perturbed)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(r1, r2) {
-		return errors.New("diff report not byte-deterministic")
-	}
-	fmt.Fprintf(w, "selftest: +%d cycles/syscall attributed to kernel (blame %s, share %.1f%% -> %.1f%%); reports byte-stable\n",
-		delta, blame.Category, 100*blame.OldShare, 100*blame.NewShare)
-	return nil
-}
-
-// diffBytes renders every diff format into one buffer.
-func diffBytes(d *obs.CaptureDiff, old, new *obs.RunCapture) ([]byte, error) {
-	var b bytes.Buffer
-	if err := d.WriteText(&b, 0); err != nil {
-		return nil, err
-	}
-	if err := d.WriteJSON(&b); err != nil {
-		return nil, err
-	}
-	if err := obs.WriteFoldedDiff(&b, old, new); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
 }

@@ -8,6 +8,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/m3fs"
+	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // TestRunInstancesHonorsFlags: with -n 2 every flag still applies.
@@ -50,10 +55,45 @@ func TestSLOJSONMatchesGolden(t *testing.T) {
 	}
 }
 
-func TestDiffSelftest(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"diff", "-selftest"}, &out); err != nil {
-		t.Fatalf("%v\n%s", err, out.String())
+// TestDiffReadsCaptureFiles: `diff a b` over two capture files prints
+// the text report of obs.DiffCaptures over the same two captures.
+func TestDiffReadsCaptureFiles(t *testing.T) {
+	b, err := workload.ByName("tar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var caps [2]*obs.RunCapture
+	var paths [2]string
+	for i, fs := range []m3fs.Config{{}, {Journal: true}} {
+		if caps[i], _, err = bench.Capture(bench.Scenario{Workload: b, M3Options: bench.M3Options{FS: fs}}); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := caps[i].WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		paths[i] = filepath.Join(dir, fmt.Sprintf("%d.json", i))
+		if err := os.WriteFile(paths[i], buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := obs.DiffCaptures(caps[0], caps[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Empty() {
+		t.Fatal("journaling m3fs left the tar capture unchanged")
+	}
+	var want, got bytes.Buffer
+	if err := d.WriteText(&want, 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"diff", paths[0], paths[1]}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("diff printed\n%s\nwant\n%s", got.String(), want.String())
 	}
 }
 

@@ -25,14 +25,13 @@ const faultPkg = "repro/internal/fault"
 // package — beyond internal/fault and the defining package itself —
 // allowed to call it.
 var faultEntryPoints = map[[2]string]string{
-	{"repro/internal/noc", "SetFaultHook"}:            "",
-	{"repro/internal/dtu", "EnableFaults"}:            "",
-	{"repro/internal/dtu", "ResetEndpoints"}:          "repro/internal/tile",
-	{"repro/internal/mem", "SetFaultDelay"}:           "",
-	{"repro/internal/tile", "Crash"}:                  "",
-	{"repro/internal/sim", "Kill"}:                    "repro/internal/tile",
-	{"repro/internal/core", "EnableDeathWatch"}:       "",
-	{"repro/internal/core", "SetServiceCallDeadline"}: "",
+	{"repro/internal/noc", "SetFaultHook"}:      "",
+	{"repro/internal/dtu", "EnableFaults"}:      "",
+	{"repro/internal/dtu", "ResetEndpoints"}:    "repro/internal/tile",
+	{"repro/internal/mem", "SetFaultDelay"}:     "",
+	{"repro/internal/tile", "Crash"}:            "",
+	{"repro/internal/sim", "Kill"}:              "repro/internal/tile",
+	{"repro/internal/core", "EnableDeathWatch"}: "",
 }
 
 func runFaultSite(pass *Pass) {

@@ -20,34 +20,32 @@ import (
 // experiments and the determinism witness are bit-identical with and
 // without -capture.
 
-// RunWorkloadCapture runs one workload with the folded profiler and
-// the critical-path engine fanned out from the structured tracer and
-// returns the bundled capture. The capture arms its own tracer and
-// sampler over opt, and opt.DispatchCostDelta seeds the `m3sim diff`
-// self-test's kernel-side regression. Identical (workload, options)
-// runs return byte-identical captures.
-func RunWorkloadCapture(name string, opt M3Options) (*obs.RunCapture, error) {
-	b, err := workload.ByName(name)
-	if err != nil {
-		return nil, err
-	}
+// Capture runs the scenario with the folded profiler and the
+// critical-path engine fanned out from the structured tracer and
+// returns the bundled capture, named after the scenario's workload,
+// with the run's result. It arms its own tracer and sampler over the
+// scenario's options, so any M3 scenario captures: instances, faults,
+// a wrapped workload. Identical scenarios return byte-identical
+// captures.
+func Capture(sc Scenario) (*obs.RunCapture, *Result, error) {
 	prof := obs.NewProfiler()
 	cp := obs.NewCritPath(obs.CritPathOptions{})
 	tr := obs.New(obs.Options{Sink: func(ev obs.Event) {
 		prof.Consume(ev)
 		cp.Consume(ev)
 	}})
-	opt.Obs, opt.SampleEvery = tr, witnessSampleEvery
-	if _, err := (Scenario{Workload: b, M3Options: opt}).Run(); err != nil {
-		return nil, fmt.Errorf("bench: capture run %s: %w", name, err)
+	sc.Obs, sc.SampleEvery = tr, witnessSampleEvery
+	r, err := sc.Run()
+	if err != nil {
+		return nil, nil, fmt.Errorf("bench: capture run %s: %w", sc.Workload.Name, err)
 	}
 	hists := append(tr.Histograms(), cp.Hist())
-	return obs.NewRunCapture(name, prof, cp, tr.Metrics(), hists), nil
+	return obs.NewRunCapture(sc.Workload.Name, prof, cp, tr.Metrics(), hists), r, nil
 }
 
-// CaptureAll captures the distinct workloads behind the experiments,
-// in workload-name order.
-func CaptureAll(exps []Experiment, opt M3Options) ([]*obs.RunCapture, error) {
+// CaptureAll captures the distinct workloads behind the experiments on
+// the default platform, in workload-name order.
+func CaptureAll(exps []Experiment) ([]*obs.RunCapture, error) {
 	seen := map[string]bool{}
 	var names []string
 	for _, e := range exps {
@@ -59,7 +57,11 @@ func CaptureAll(exps []Experiment, opt M3Options) ([]*obs.RunCapture, error) {
 	sort.Strings(names)
 	caps := make([]*obs.RunCapture, 0, len(names))
 	for _, w := range names {
-		c, err := RunWorkloadCapture(w, opt)
+		b, err := workload.ByName(w)
+		if err != nil {
+			return nil, err
+		}
+		c, _, err := Capture(Scenario{Workload: b})
 		if err != nil {
 			return nil, err
 		}

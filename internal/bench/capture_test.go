@@ -5,9 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/m3fs"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -21,81 +20,33 @@ func captureJSON(t *testing.T, c *obs.RunCapture) string {
 	return buf.String()
 }
 
+// tarCapture captures the witness workload with the given options.
+func tarCapture(t *testing.T, opt M3Options) *obs.RunCapture {
+	t.Helper()
+	b, err := workload.ByName(witnessWorkload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := Capture(Scenario{Workload: b, M3Options: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestCaptureDeterministic is the determinism contract for captures:
 // two captures of the same run must be byte-identical JSON — so an
 // `m3sim diff` report is never run noise.
 func TestCaptureDeterministic(t *testing.T) {
 	var js [2]string
 	for i := range js {
-		c, err := RunWorkloadCapture(witnessWorkload, M3Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		js[i] = captureJSON(t, c)
+		js[i] = captureJSON(t, tarCapture(t, M3Options{}))
 	}
 	if js[0] != js[1] {
 		t.Fatal("two captures of the same run differ")
 	}
 	if !strings.Contains(js[0], "\"workload\": \""+witnessWorkload+"\"") {
 		t.Fatalf("capture JSON malformed:\n%.400s", js[0])
-	}
-}
-
-// TestCapturePerturbationAttribution seeds a +10% kernel dispatch-cost
-// regression and requires the capture diff to attribute it to the
-// kernel: top blame-drift category "kernel" and a growing kernel
-// profile layer. This is the in-process twin of `make diff-smoke`.
-func TestCapturePerturbationAttribution(t *testing.T) {
-	base, err := RunWorkloadCapture(witnessWorkload, M3Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta := sim.Time(core.CostDispatch) / 10
-	perturbed, err := RunWorkloadCapture(witnessWorkload, M3Options{DispatchCostDelta: delta})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := obs.DiffCaptures(base, perturbed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Empty() {
-		t.Fatalf("+%d cycles/syscall produced an empty diff", delta)
-	}
-	blame, ok := d.TopBlame()
-	if !ok || blame.Category != "kernel" {
-		t.Fatalf("top blame = %+v (ok=%v), want kernel", blame, ok)
-	}
-	kernelGrew := false
-	for _, l := range d.Layers {
-		if l.Layer == "kernel" && l.Delta() > 0 {
-			kernelGrew = true
-		}
-	}
-	if !kernelGrew {
-		t.Fatalf("kernel profile layer did not grow: %+v", d.Layers)
-	}
-
-	// The report renders byte-identically across repeated diffs.
-	render := func() string {
-		d2, err := obs.DiffCaptures(base, perturbed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := d2.WriteText(&buf, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := d2.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := obs.WriteFoldedDiff(&buf, base, perturbed); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	if render() != render() {
-		t.Fatal("diff report not byte-deterministic")
 	}
 }
 
@@ -122,23 +73,13 @@ func TestCaptureSinksZeroOverhead(t *testing.T) {
 	if null != armed {
 		t.Fatalf("capture sinks perturbed the run: %+v vs %+v", armed, null)
 	}
-
-	// And a zero cost delta is exactly no perturbation.
-	plain := mustRun(t, Scenario{Workload: b}).Breakdown()
-	zeroDelta := mustRun(t, Scenario{Workload: b, M3Options: M3Options{DispatchCostDelta: 0}}).Breakdown()
-	if plain != zeroDelta {
-		t.Fatalf("zero DispatchCostDelta perturbed the run: %+v vs %+v", zeroDelta, plain)
-	}
 }
 
 // TestBenchFileCapturesRoundTrip: captures ride in the bench JSON and
 // survive a write/read cycle byte-identically; files without captures
 // stay valid.
 func TestBenchFileCapturesRoundTrip(t *testing.T) {
-	c, err := RunWorkloadCapture(witnessWorkload, M3Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := tarCapture(t, M3Options{})
 	f := sampleFile()
 	f.Captures = []*obs.RunCapture{c}
 	var buf bytes.Buffer
@@ -169,15 +110,10 @@ func TestBenchFileCapturesRoundTrip(t *testing.T) {
 // to its workload's capture diff, and files without captures must
 // degrade to a named missing-capture note instead of failing.
 func TestAttributeReport(t *testing.T) {
-	base, err := RunWorkloadCapture(witnessWorkload, M3Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	perturbed, err := RunWorkloadCapture(witnessWorkload,
-		M3Options{DispatchCostDelta: sim.Time(core.CostDispatch) / 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The regressed capture is the battery's m3fs row: tar on a
+	// journaling m3fs, whose top blame is pinned as kernel.
+	base := tarCapture(t, M3Options{})
+	perturbed := tarCapture(t, M3Options{FS: m3fs.Config{Journal: true}})
 
 	old := sampleFile() // fig5 + witness experiments
 	old.Captures = []*obs.RunCapture{base}

@@ -65,11 +65,6 @@ type M3Options struct {
 	// one sample. Zero keeps the sampler off, scheduling no extra
 	// events — RunStats stay bit-identical to a sampler-free run.
 	SampleEvery sim.Time
-	// DispatchCostDelta perturbs the kernel's per-syscall dispatch cost
-	// (core.CostDispatch) by the given number of cycles — the seeded
-	// regression of the `m3sim diff` self-test. Zero (the default) leaves the
-	// cost table untouched and the run bit-identical.
-	DispatchCostDelta sim.Time
 	// Overload, when set, arms the end-to-end overload-control stack
 	// (docs/OVERLOAD.md): deadline stamping on every PE DTU, admission
 	// control on the m3fs PE, and the kernel's shed controller and
@@ -118,9 +113,6 @@ func bootPlatform(opt M3Options, appPEs int) *Result {
 	}
 	plat := tile.NewPlatform(eng, cfg)
 	kern := core.Boot(plat, 0)
-	if opt.DispatchCostDelta != 0 {
-		kern.PerturbSyscallCost(opt.DispatchCostDelta)
-	}
 	if ov := opt.Overload; ov != nil {
 		// Arm every PE DTU so deadlines ride in all message headers; the
 		// m3fs PE (index 1 by construction) additionally enforces the
@@ -132,11 +124,7 @@ func bootPlatform(opt M3Options, appPEs int) *Result {
 			}
 			pe.DTU.EnableOverload(c)
 		}
-		kern.EnableOverload(core.OverloadConfig{
-			CallDeadline: ov.CallDeadline,
-			Shed:         ov.Shed,
-			Breaker:      ov.Breaker,
-		})
+		kern.EnableOverload(core.OverloadConfig{Shed: ov.Shed, Breaker: ov.Breaker})
 	}
 	if opt.Obs.On() && opt.SampleEvery > 0 {
 		opt.Obs.Metrics().StartSampler(eng, opt.SampleEvery)

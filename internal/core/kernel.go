@@ -144,19 +144,6 @@ type Kernel struct {
 	// incarnation to its restart record (lookup only, never walked).
 	supervised map[uint64]*supervised
 
-	// servDeadline bounds kernel→service calls in cycles; zero (the
-	// default) keeps them unbounded and schedules no deadline events.
-	// Armed by internal/fault (m3vet: faultsite) or EnableOverload.
-	servDeadline sim.Time
-
-	// costDelta perturbs the syscall dispatch cost (added to
-	// CostDispatch on every handled syscall). It exists for the
-	// differential-observability self-test: a seeded kernel-side cost
-	// regression that `m3sim diff` must attribute to the kernel layer. Zero
-	// (the default) charges exactly the cost table and schedules
-	// nothing extra, keeping unperturbed runs bit-identical.
-	costDelta sim.Time
-
 	// overload is the armed overload-control state (shed controllers,
 	// circuit breakers); nil means every gate below is a no-op.
 	overload *kernelOverload
@@ -238,12 +225,6 @@ func Boot(plat *tile.Platform, kernelPE int) *Kernel {
 	kpe.Start("kernel", k.run)
 	return k
 }
-
-// PerturbSyscallCost adds delta cycles to every syscall dispatch — a
-// seeded kernel-side regression for the `m3sim diff` self-test (`make
-// diff-smoke`). Call before the engine runs; a zero delta leaves the
-// run bit-identical to an unperturbed one.
-func (k *Kernel) PerturbSyscallCost(delta sim.Time) { k.costDelta = delta }
 
 func mustConfig(err error) {
 	if err != nil {
@@ -422,12 +403,6 @@ func (k *Kernel) handleSyscall(p *sim.Process, msg *dtu.Message) {
 		tr.Emit(obs.Event{At: k.Plat.Eng.Now(), PE: int32(k.PE.Node), Layer: obs.LKernel,
 			Kind: obs.EvKSyscallStart, Span: obs.SpanID(msg.Span),
 			Arg0: uint64(op), Arg1: msg.Label})
-	}
-	if k.costDelta != 0 {
-		// Seeded dispatch-cost regression (PerturbSyscallCost), charged
-		// inside the [KSyscallStart, KSyscallEnd] window so the critical
-		// path books it as kernel time.
-		k.compute(p, k.costDelta)
 	}
 	if vpe == nil || vpe.exited {
 		k.replyErr(p, msg, kif.ErrVPEGone)

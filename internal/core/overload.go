@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/dtu"
 	"repro/internal/kif"
 	"repro/internal/obs"
 	"repro/internal/overload"
@@ -9,18 +8,14 @@ import (
 )
 
 // OverloadConfig arms the kernel's overload-control layer
-// (docs/OVERLOAD.md): a cycle budget on kernel→service calls, a
-// per-service shed controller fed by the service DTU's receive queue
-// depth (the same quantity the registry samples as dtu_rx_queued), and
-// a per-service circuit breaker tripped by consecutive deadline
-// misses. All default off; a kernel without EnableOverload schedules
-// not a single extra event and keeps bit-identical traces.
+// (docs/OVERLOAD.md): a per-service shed controller fed by the service
+// DTU's receive queue depth (the same quantity the registry samples as
+// dtu_rx_queued), and a per-service circuit breaker tripped by
+// consecutive deadline misses. The budget on kernel→service calls is
+// the kernel DTU's (DTU.CallDeadline), armed with the other PEs' by
+// the harness. All default off; a kernel without EnableOverload
+// schedules not a single extra event and keeps bit-identical traces.
 type OverloadConfig struct {
-	// CallDeadline bounds every kernel→service control call in cycles
-	// (and is stamped into the request headers so downstream DTUs can
-	// drop expired work). Zero keeps the calls unbounded unless the
-	// fault layer armed its own deadline.
-	CallDeadline sim.Time
 	// Shed parameterizes the per-service shed controllers; the zero
 	// value sheds nothing.
 	Shed overload.ShedConfig
@@ -55,22 +50,14 @@ func (ov *kernelOverload) breakerFor(name string) *overload.Breaker {
 	return b
 }
 
-// EnableOverload arms the kernel's overload control and, so the
-// deadline actually rides in message headers, the kernel DTU's
-// deadline register. It is harness-level policy (bench options, not
-// internal/fault): overload control is a capacity experiment, not a
-// fault model.
+// EnableOverload arms the kernel's overload control. It is
+// harness-level policy (bench options, not internal/fault): overload
+// control is a capacity experiment, not a fault model.
 func (k *Kernel) EnableOverload(cfg OverloadConfig) {
 	k.overload = &kernelOverload{
 		cfg:      cfg,
 		shedders: make(map[string]*overload.Shedder),
 		breakers: make(map[string]*overload.Breaker),
-	}
-	if cfg.CallDeadline > 0 {
-		k.servDeadline = cfg.CallDeadline
-	}
-	if !k.PE.DTU.Overloaded() {
-		k.PE.DTU.EnableOverload(&dtu.OverloadConfig{CallDeadline: cfg.CallDeadline})
 	}
 }
 

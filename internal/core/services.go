@@ -64,7 +64,8 @@ func (k *Kernel) sysCreateSrv(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dt
 // decodes it before it yields.
 //
 // Both wait points — credits of the control channel and the reply
-// itself — honor the armed service-call deadline: a dead or wedged
+// itself — honor the call budget armed on the kernel PE's DTU
+// (DTU.CallDeadline, as libm3 reads it): a dead or wedged
 // service earns the caller kif.ErrTimeout instead of stalling the
 // helper forever. With no deadline armed (every fault-free run) the
 // waits are unbounded and not a single extra event is scheduled.
@@ -80,7 +81,7 @@ func (k *Kernel) callService(p *sim.Process, svc *ServiceObj, payload []byte, sp
 	if aerr := k.admitServiceCall(svc, span, pr); aerr != kif.OK {
 		return kif.IStream{}, aerr
 	}
-	deadline := k.servDeadline
+	deadline := k.PE.DTU.CallDeadline()
 	k.nextServOp++
 	opID := k.nextServOp
 	pend := &servPending{sig: sim.NewSignal(k.Plat.Eng)}

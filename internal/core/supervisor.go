@@ -70,15 +70,6 @@ func (k *Kernel) StartInitSupervised(name string, peType tile.CoreType, prog Pro
 	return vpe, nil
 }
 
-// SetServiceCallDeadline arms a cycle budget on every kernel→service
-// control call (callService): a service that neither answers nor
-// restores credits within the budget earns the caller a kif.ErrTimeout
-// instead of stalling a kernel helper forever. Zero disarms. Only
-// internal/fault may call this (m3vet: faultsite) — without fault
-// injection services cannot die and the unbounded wait is part of the
-// bit-identical baseline schedule.
-func (k *Kernel) SetServiceCallDeadline(d sim.Time) { k.servDeadline = d }
-
 // serviceCurrent reports whether svc is still the live registration of
 // its name: same object, same epoch. Kernel helpers acting on stored
 // service references (session records, close notifications) must check

@@ -249,7 +249,6 @@ func Attach(kern *core.Kernel, plan Plan) (*Injector, error) {
 		// deadline would schedule timer events a fault-free-equivalent
 		// run does not have.
 		base.CallDeadline = plan.CallDeadline
-		kern.SetServiceCallDeadline(plan.CallDeadline)
 		kern.EnableDeathWatch(plan.HeartbeatPeriod, plan.MaxMissedBeats, inj.watchActive)
 	}
 	for _, pe := range plat.PEs {

@@ -92,6 +92,10 @@ const (
 	ErrOverload
 	// ErrIsDir refuses to open a directory for writing or truncation.
 	ErrIsDir
+	// ErrNotEmpty refuses to unlink a directory that has entries.
+	ErrNotEmpty
+	// ErrNotDir reports a path component that is not a directory.
+	ErrNotDir
 )
 
 var errNames = map[Error]string{
@@ -102,6 +106,7 @@ var errNames = map[Error]string{
 	ErrUnsupported: "unsupported", ErrEndOfFile: "end of file",
 	ErrVPEGone: "vpe gone", ErrRefused: "refused by service",
 	ErrTimeout: "timed out", ErrOverload: "overloaded", ErrIsDir: "is a directory",
+	ErrNotEmpty: "directory not empty", ErrNotDir: "not a directory",
 }
 
 func (e Error) Error() string {

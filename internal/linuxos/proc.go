@@ -88,6 +88,9 @@ func (pr *Proc) Read(fd int, buf []byte) (int, error) {
 	if f.node == nil || f.node.dir {
 		return 0, errors.New("linuxos: read on directory")
 	}
+	if f.flags&ORead == 0 {
+		return 0, errors.New("linuxos: fd not readable")
+	}
 	if f.pos >= int64(len(f.node.data)) {
 		return 0, io.EOF
 	}

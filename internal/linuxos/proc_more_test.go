@@ -229,3 +229,26 @@ func TestIsDirEntry(t *testing.T) {
 	eng.Run()
 	_ = s
 }
+
+// TestReadWriteOnlyFileFails: a read on a write-only fd fails after
+// charging the syscall, as a write on a read-only fd does.
+func TestReadWriteOnlyFileFails(t *testing.T) {
+	eng, s := lx(t, false)
+	s.Spawn("wronly", func(pr *Proc) {
+		fd, _ := pr.Open("/f", OWrite|OCreate)
+		_, _ = pr.Write(fd, []byte("data"))
+		_, _ = pr.Seek(fd, 0, io.SeekStart)
+		before := pr.sys.Stats.OS
+		if n, err := pr.Read(fd, make([]byte, 4)); err == nil {
+			t.Errorf("read of a write-only fd returned %d bytes", n)
+		}
+		if pr.sys.Stats.OS == before {
+			t.Error("the refused read charged no syscall")
+		}
+		rw, _ := pr.Open("/f", ORead|OWrite)
+		if n, err := pr.Read(rw, make([]byte, 4)); n != 4 || err != nil {
+			t.Errorf("read of a read-write fd: %d, %v", n, err)
+		}
+	})
+	eng.Run()
+}

@@ -676,6 +676,9 @@ func (f *file) Read(buf []byte) (int, error) {
 	if f.closed {
 		return 0, errors.New("m3fs: read on closed file")
 	}
+	if f.flags&m3.OpenRead == 0 {
+		return 0, fmt.Errorf("m3fs: file not open for reading: %w", kif.ErrNoPerm)
+	}
 	for attempt := 0; ; attempt++ {
 		if f.pos >= f.size {
 			return 0, io.EOF

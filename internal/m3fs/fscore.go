@@ -16,6 +16,8 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
+
+	"repro/internal/kif"
 )
 
 // Extent is a contiguous run of blocks.
@@ -141,11 +143,11 @@ func (fs *FsCore) Lookup(path string) (ino *Inode, depth int, err error) {
 	cur := fs.root
 	for c, i := nextComp(path, 0); c != ""; c, i = nextComp(path, i) {
 		if !cur.Dir {
-			return nil, depth, fmt.Errorf("m3fs: %s: not a directory", path)
+			return nil, depth, fmt.Errorf("m3fs: %s: %w", path, kif.ErrNotDir)
 		}
 		next, ok := cur.entries[c]
 		if !ok {
-			return nil, depth, fmt.Errorf("m3fs: %s: no such file or directory", path)
+			return nil, depth, fmt.Errorf("m3fs: %s: %w", path, kif.ErrNoSuchFile)
 		}
 		cur = fs.inodes[next]
 		depth++
@@ -157,7 +159,7 @@ func (fs *FsCore) Lookup(path string) (ino *Inode, depth int, err error) {
 func (fs *FsCore) lookupParent(path string) (*Inode, string, int, error) {
 	name, start := lastComp(path)
 	if name == "" {
-		return nil, "", 0, fmt.Errorf("m3fs: %s: invalid path", path)
+		return nil, "", 0, fmt.Errorf("m3fs: %s: invalid path: %w", path, kif.ErrInvalidArgs)
 	}
 	dirPath := path[:start]
 	dir, depth, err := fs.Lookup(dirPath)
@@ -165,7 +167,7 @@ func (fs *FsCore) lookupParent(path string) (*Inode, string, int, error) {
 		return nil, "", depth, err
 	}
 	if !dir.Dir {
-		return nil, "", depth, fmt.Errorf("m3fs: %s: not a directory", dirPath)
+		return nil, "", depth, fmt.Errorf("m3fs: %s: %w", dirPath, kif.ErrNotDir)
 	}
 	return dir, name, depth, nil
 }
@@ -191,7 +193,7 @@ func (fs *FsCore) Mkdir(path string) (int, error) {
 		return depth, err
 	}
 	if _, exists := dir.entries[name]; exists {
-		return depth, fmt.Errorf("m3fs: %s: already exists", path)
+		return depth, fmt.Errorf("m3fs: %s: %w", path, kif.ErrExists)
 	}
 	ino := fs.newInode(true)
 	dir.entries[name] = ino.Ino
@@ -207,11 +209,11 @@ func (fs *FsCore) Unlink(path string) (int, error) {
 	}
 	inoNum, ok := dir.entries[name]
 	if !ok {
-		return depth, fmt.Errorf("m3fs: %s: no such file or directory", path)
+		return depth, fmt.Errorf("m3fs: %s: %w", path, kif.ErrNoSuchFile)
 	}
 	ino := fs.inodes[inoNum]
 	if ino.Dir && len(ino.entries) > 0 {
-		return depth, fmt.Errorf("m3fs: %s: directory not empty", path)
+		return depth, fmt.Errorf("m3fs: %s: %w", path, kif.ErrNotEmpty)
 	}
 	delete(dir.entries, name)
 	ino.Nlink--

@@ -515,7 +515,7 @@ func (s *Service) handleRequest(msg *dtu.Message) {
 		depth, err := s.fs.Mkdir(path)
 		s.compute(costMkdir + costPerComponent*sim.Time(depth))
 		if err != nil {
-			s.replyErr(s.reqs, msg, kif.ErrExists)
+			s.replyErr(s.reqs, msg, errKind(err))
 			return
 		}
 		s.commitMut(tok, rec, appliedEntry{})
@@ -530,7 +530,7 @@ func (s *Service) handleRequest(msg *dtu.Message) {
 		depth, err := s.fs.Unlink(path)
 		s.compute(costUnlink + costPerComponent*sim.Time(depth))
 		if err != nil {
-			s.replyErr(s.reqs, msg, kif.ErrNoSuchFile)
+			s.replyErr(s.reqs, msg, errKind(err))
 			return
 		}
 		s.commitMut(tok, rec, appliedEntry{})
@@ -708,6 +708,16 @@ func (s *Service) replyOK(msg *dtu.Message) {
 	o := s.out.Reset()
 	o.Err(kif.OK)
 	s.reply(s.reqs, msg, o)
+}
+
+// errKind returns the kif error kind a namespace error of FsCore
+// wraps.
+func errKind(err error) kif.Error {
+	var e kif.Error
+	if errors.As(err, &e) {
+		return e
+	}
+	return kif.ErrInvalidArgs
 }
 
 func (s *Service) replyErr(rg *m3.RecvGate, msg *dtu.Message, e kif.Error) {

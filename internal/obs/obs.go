@@ -267,7 +267,6 @@ const DefaultFlightRecorder = 64
 // A nil *Tracer is valid everywhere and permanently off, so components
 // hold a plain field and call On() without nil checks.
 type Tracer struct {
-	enabled  bool
 	nextSpan SpanID
 	sink     func(Event)
 
@@ -279,9 +278,9 @@ type Tracer struct {
 	slos    *SLOSet
 }
 
-// New creates an enabled tracer.
+// New creates a tracer.
 func New(opt Options) *Tracer {
-	t := &Tracer{enabled: true, sink: opt.Sink, flightCap: opt.FlightRecorder,
+	t := &Tracer{sink: opt.Sink, flightCap: opt.FlightRecorder,
 		metrics: NewRegistry(), slos: NewSLOSet()}
 	for i := range t.hists {
 		t.hists[i].Name = HistID(i).String()
@@ -289,14 +288,11 @@ func New(opt Options) *Tracer {
 	return t
 }
 
-// On reports whether events should be produced. Every instrumentation
-// site guards event construction and histogram updates with it (m3vet:
-// obsguard), so a disabled tracer costs one branch and nothing else.
-func (t *Tracer) On() bool { return t != nil && t.enabled }
-
-// SetEnabled toggles collection, e.g. to scope a trace to the measured
-// phase of a benchmark.
-func (t *Tracer) SetEnabled(v bool) { t.enabled = v }
+// On reports whether events should be produced: whether the tracer
+// is installed. Every instrumentation site guards event construction
+// and histogram updates with it (m3vet: obsguard), so a run without a
+// tracer costs one branch and nothing else.
+func (t *Tracer) On() bool { return t != nil }
 
 // NewSpan allocates a fresh causal span id.
 func (t *Tracer) NewSpan() SpanID {
@@ -307,7 +303,7 @@ func (t *Tracer) NewSpan() SpanID {
 // Emit records one event: into the per-PE flight ring (if armed) and
 // the sink (if installed).
 func (t *Tracer) Emit(ev Event) {
-	if t == nil || !t.enabled {
+	if t == nil {
 		return
 	}
 	if t.flightCap > 0 && ev.PE >= 0 {

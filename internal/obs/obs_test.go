@@ -35,22 +35,6 @@ func TestNilTracerSafe(t *testing.T) {
 	}
 }
 
-func TestSetEnabledGatesSink(t *testing.T) {
-	var got int
-	tr := New(Options{Sink: func(Event) { got++ }})
-	tr.Emit(Event{Kind: EvMsgSend})
-	tr.SetEnabled(false)
-	if tr.On() {
-		t.Fatalf("disabled tracer reports On")
-	}
-	tr.Emit(Event{Kind: EvMsgSend})
-	tr.SetEnabled(true)
-	tr.Emit(Event{Kind: EvMsgSend})
-	if got != 2 {
-		t.Fatalf("sink saw %d events, want 2 (middle emit disabled)", got)
-	}
-}
-
 func TestNewSpanSequential(t *testing.T) {
 	tr := New(Options{})
 	if a, b := tr.NewSpan(), tr.NewSpan(); a != 1 || b != 2 {
