@@ -11,7 +11,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Standard objective names (package constants: m3vet sloname).
+// Standard objective names (package constants: m3vet obsname).
 const (
 	// sloTail: the p99-style latency objective over completed requests.
 	sloTail = "e2e_latency"

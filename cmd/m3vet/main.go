@@ -1,21 +1,19 @@
 // Command m3vet runs the repository's determinism and isolation
 // analyzers (internal/analysis) over every package of the module and
 // prints one "file:line:col: rule: message" diagnostic per finding.
-// It exits non-zero if anything is flagged, so CI can gate on it:
+// A finding of the interprocedural timetaint pass is followed by its
+// witness chain, one indented step per line. It exits non-zero if
+// anything is flagged, so CI can gate on it:
 //
 //	go run ./cmd/m3vet ./...
-//
-// Flags:
-//
-//	-json FILE  write the structured report (findings with witness
-//	            chains) to FILE ("-" for stdout)
 //
 // Arguments are accepted for `go vet`-style muscle memory but the tool
 // always analyzes the whole module containing the working directory;
 // the invariants it checks are module-global (import-graph rules have
 // no meaning for a single package). Suppress any finding with a
 // `//m3vet:allow <rule> <reason>` comment on or above the flagged
-// line. See docs/ANALYSIS.md for the rule catalogue.
+// line; an allow comment that suppresses nothing is itself a finding.
+// See docs/ANALYSIS.md for the rule catalogue.
 package main
 
 import (
@@ -28,7 +26,6 @@ import (
 )
 
 func main() {
-	jsonOut := flag.String("json", "", "write structured JSON report to this file (- for stdout)")
 	flag.Parse()
 
 	root, err := moduleRoot()
@@ -39,12 +36,6 @@ func main() {
 	diags, err := analysis.CheckModule(root, analysis.All())
 	if err != nil {
 		fatal(err)
-	}
-
-	if *jsonOut != "" {
-		if err := analysis.BuildReport(root, diags).WriteJSON(*jsonOut); err != nil {
-			fatal(err)
-		}
 	}
 
 	for _, d := range diags {

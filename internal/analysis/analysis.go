@@ -15,12 +15,12 @@ package analysis
 import (
 	"fmt"
 	"go/token"
-	"maps"
 	"sort"
 	"strings"
 )
 
-// Analyzer is one independently testable rule.
+// Analyzer is one independently testable rule. It sets exactly one of
+// Run and RunModule.
 type Analyzer struct {
 	// Name is the rule identifier used in diagnostics and in
 	// //m3vet:allow comments.
@@ -30,6 +30,9 @@ type Analyzer struct {
 	// Run inspects one type-checked package and reports findings on the
 	// pass.
 	Run func(*Pass)
+	// RunModule inspects every package at once, over the call graph
+	// built for them (the interprocedural timetaint pass).
+	RunModule func(*ModulePass)
 }
 
 // Pass carries one analyzer's run over one package.
@@ -49,6 +52,20 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
+// ModulePass carries one module analyzer's run.
+type ModulePass struct {
+	Analyzer *Analyzer
+	// Graph is the conservative call graph over every module package.
+	Graph *CallGraph
+
+	report func(Diagnostic)
+}
+
+// Report records a finding with its witness chain.
+func (p *ModulePass) Report(pos token.Position, message string, chain []Fact) {
+	p.report(Diagnostic{Pos: pos, Rule: p.Analyzer.Name, Message: message, Chain: chain})
+}
+
 // Fact is one step of a finding's witness chain: a position and a note
 // explaining what the dataflow engine concluded there ("kernel.run
 // calls dtu.Send", "dtu.Send writes Network.PacketsSent").
@@ -63,13 +80,8 @@ type Diagnostic struct {
 	Rule    string
 	Message string
 
-	// Key is a stable, position-independent identity of a module
-	// finding ("capflow:app->hw:repro/internal/dtu.Ping:arg0"), used to
-	// compare findings across runs. Per-package syntactic rules leave
-	// it empty.
-	Key string
 	// Chain is the interprocedural witness for the finding, outermost
-	// step first. Empty for syntactic rules.
+	// step first. Empty for per-package rules.
 	Chain []Fact
 }
 
@@ -81,59 +93,14 @@ func (d Diagnostic) String() string {
 func All() []*Analyzer {
 	return []*Analyzer{
 		NoDeterminism,
-		NoGoroutine,
 		ErrCheckLite,
 		MagicCost,
 		CrossLayer,
 		FaultSite,
-		EpochFence,
 		ObsGuard,
-		MetricName,
-		SLOName,
-	}
-}
-
-// ModuleAnalyzer is a whole-module rule: it sees every package at
-// once, plus the call graph built over them. The two dataflow passes
-// (timetaint, capflow) are module analyzers; the per-package syntactic
-// rules stay plain Analyzers.
-type ModuleAnalyzer struct {
-	// Name is the rule identifier used in diagnostics, finding keys
-	// and //m3vet:allow comments.
-	Name string
-	// Doc is a one-line description of the protected invariant.
-	Doc string
-	// Run inspects the whole module and reports findings on the pass.
-	Run func(*ModulePass)
-}
-
-// ModulePass carries one module analyzer's run.
-type ModulePass struct {
-	Analyzer *ModuleAnalyzer
-	// Pkgs are all module packages in path order.
-	Pkgs []*Package
-	// Graph is the conservative module call graph.
-	Graph *CallGraph
-
-	report func(Diagnostic)
-}
-
-// Report records a finding with a stable key and a witness chain.
-func (p *ModulePass) Report(pos token.Position, key, message string, chain []Fact) {
-	p.report(Diagnostic{
-		Pos:     pos,
-		Rule:    p.Analyzer.Name,
-		Message: message,
-		Key:     p.Analyzer.Name + ":" + key,
-		Chain:   chain,
-	})
-}
-
-// AllModule returns the module-level analyzer set in a fixed order.
-func AllModule() []*ModuleAnalyzer {
-	return []*ModuleAnalyzer{
-		TimeTaint,
+		ObsName,
 		CapFlow,
+		TimeTaint,
 	}
 }
 
@@ -143,7 +110,7 @@ func AllModule() []*ModuleAnalyzer {
 //
 // placed on the flagged line or on the line directly above it. The
 // reason is mandatory — a suppression without a recorded justification
-// is itself a diagnostic.
+// is itself a diagnostic, and so is one that suppresses nothing.
 const AllowPrefix = "m3vet:allow"
 
 // allowKey identifies one (file, line, rule) suppression slot.
@@ -153,11 +120,19 @@ type allowKey struct {
 	rule string
 }
 
-// collectAllows parses //m3vet:allow comments of a package. It returns
-// the suppression set and diagnostics for malformed or unknown-rule
-// comments (those must never silently disable nothing).
-func collectAllows(pkg *Package, known map[string]bool) (map[allowKey]bool, []Diagnostic) {
-	allows := make(map[allowKey]bool)
+// allow is one well-formed //m3vet:allow comment.
+type allow struct {
+	pos    token.Position
+	rule   string
+	nested bool // in a nested module's package (Package.Nested)
+	used   bool
+}
+
+// collectAllows parses the //m3vet:allow comments of a package. It
+// returns the well-formed ones and diagnostics for malformed or
+// unknown-rule comments (those must never silently disable nothing).
+func collectAllows(pkg *Package, known map[string]bool) ([]*allow, []Diagnostic) {
+	var allows []*allow
 	var bad []Diagnostic
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
@@ -177,50 +152,12 @@ func collectAllows(pkg *Package, known map[string]bool) (map[allowKey]bool, []Di
 					bad = append(bad, Diagnostic{Pos: pos, Rule: "m3vet",
 						Message: fmt.Sprintf("allow comment names unknown rule %q", fields[0])})
 				default:
-					// Suppress on the comment's own line (trailing
-					// comment) and on the next line (standalone comment
-					// above the flagged statement).
-					allows[allowKey{pos.Filename, pos.Line, fields[0]}] = true
-					allows[allowKey{pos.Filename, pos.Line + 1, fields[0]}] = true
+					allows = append(allows, &allow{pos: pos, rule: fields[0], nested: pkg.Nested})
 				}
 			}
 		}
 	}
 	return allows, bad
-}
-
-// knownRules is the set of rule names an //m3vet:allow comment may
-// name: the given per-package analyzers plus every module-level rule.
-func knownRules(analyzers []*Analyzer) map[string]bool {
-	known := make(map[string]bool)
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-	for _, m := range AllModule() {
-		known[m.Name] = true
-	}
-	return known
-}
-
-// RunAnalyzers executes the analyzers over one package and returns the
-// surviving (non-suppressed) diagnostics, position-sorted.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	allows, diags := collectAllows(pkg, knownRules(analyzers))
-	report := func(d Diagnostic) {
-		if !allows[allowKey{d.Pos.Filename, d.Pos.Line, d.Rule}] {
-			diags = append(diags, d)
-		}
-	}
-	runPackage(pkg, analyzers, report)
-	SortDiagnostics(diags)
-	return diags
-}
-
-// runPackage runs the per-package analyzers over pkg.
-func runPackage(pkg *Package, analyzers []*Analyzer, report func(Diagnostic)) {
-	for _, a := range analyzers {
-		a.Run(&Pass{Analyzer: a, Pkg: pkg, report: report})
-	}
 }
 
 // SortDiagnostics orders diagnostics by file, line, column, rule.
@@ -240,11 +177,10 @@ func SortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// CheckModule loads every package of the module rooted at dir, runs the
-// per-package analyzers over each, then builds the call graph once and
-// runs the interprocedural passes (AllModule). Load (parse or type)
-// errors are returned as errors, not diagnostics: the module must build
-// before it can be vetted.
+// CheckModule loads every package of the module rooted at dir and runs
+// the analyzers over them. Load (parse or type) errors are returned as
+// errors, not diagnostics: the module must build before it can be
+// vetted.
 func CheckModule(dir string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	l, err := NewLoader(dir)
 	if err != nil {
@@ -266,29 +202,64 @@ func CheckModule(dir string, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // checkPackages is the load-free core of CheckModule, shared with the
-// overlay-fixture tests.
+// overlay-fixture tests: it runs the per-package analyzers over each
+// package, builds the call graph once if a module analyzer is among
+// them, applies the allow comments, and reports every allow of a rule
+// that ran but suppressed nothing as stale (outside nested modules).
 func checkPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	known := make(map[string]bool)
+	for _, a := range All() {
+		known[a.Name] = true
+	}
+	ran := make(map[string]bool)
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
 	// One allow set for the whole module: a line-level allow comment
-	// applies to per-package and module findings alike.
-	known := knownRules(analyzers)
-	allows := make(map[allowKey]bool)
+	// applies to per-package and module findings alike. It covers its
+	// own line (trailing comment) and the next one (standalone comment
+	// above the flagged statement).
+	var allows []*allow
+	slots := make(map[allowKey][]*allow)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		pkgAllows, bad := collectAllows(pkg, known)
-		maps.Copy(allows, pkgAllows)
 		diags = append(diags, bad...)
+		for _, a := range pkgAllows {
+			allows = append(allows, a)
+			for _, line := range []int{a.pos.Line, a.pos.Line + 1} {
+				key := allowKey{a.pos.Filename, line, a.rule}
+				slots[key] = append(slots[key], a)
+			}
+		}
 	}
 	report := func(d Diagnostic) {
-		if !allows[allowKey{d.Pos.Filename, d.Pos.Line, d.Rule}] {
+		slot := slots[allowKey{d.Pos.Filename, d.Pos.Line, d.Rule}]
+		for _, a := range slot {
+			a.used = true
+		}
+		if len(slot) == 0 {
 			diags = append(diags, d)
 		}
 	}
-	for _, pkg := range pkgs {
-		runPackage(pkg, analyzers, report)
+	var graph *CallGraph
+	for _, a := range analyzers {
+		if a.Run != nil {
+			for _, pkg := range pkgs {
+				a.Run(&Pass{Analyzer: a, Pkg: pkg, report: report})
+			}
+			continue
+		}
+		if graph == nil {
+			graph = BuildCallGraph(pkgs)
+		}
+		a.RunModule(&ModulePass{Analyzer: a, Graph: graph, report: report})
 	}
-	graph := BuildCallGraph(pkgs)
-	for _, m := range AllModule() {
-		m.Run(&ModulePass{Analyzer: m, Pkgs: pkgs, Graph: graph, report: report})
+	for _, a := range allows {
+		if ran[a.rule] && !a.used && !a.nested {
+			diags = append(diags, Diagnostic{Pos: a.pos, Rule: "m3vet",
+				Message: fmt.Sprintf("stale allow comment: no %s finding on this line or the next to suppress", a.rule)})
+		}
 	}
 	SortDiagnostics(diags)
 	return diags

@@ -27,7 +27,8 @@ func newFixtureLoader(overlay map[string]map[string]string) *Loader {
 }
 
 // runOn type-checks an in-memory fixture package (plus overlay
-// dependencies) and runs the given analyzers over it.
+// dependencies) and runs the given analyzers over it, through the same
+// allow handling as the module check.
 func runOn(t *testing.T, analyzers []*Analyzer, path string, files map[string]string, deps map[string]map[string]string) []Diagnostic {
 	t.Helper()
 	overlay := map[string]map[string]string{path: files}
@@ -39,15 +40,14 @@ func runOn(t *testing.T, analyzers []*Analyzer, path string, files map[string]st
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", path, err)
 	}
-	return RunAnalyzers(pkg, analyzers)
+	return checkPackages([]*Package{pkg}, analyzers)
 }
 
-// runModuleOn type-checks the overlay and runs the full module
-// pipeline (call graph, module analyzers) with no per-package
-// analyzers.
-func runModuleOn(t *testing.T, overlay map[string]map[string]string) []Diagnostic {
+// runModuleOn type-checks every overlay package and runs the given
+// analyzers over all of them, as m3vet does over the module.
+func runModuleOn(t *testing.T, analyzers []*Analyzer, overlay map[string]map[string]string) []Diagnostic {
 	t.Helper()
-	return checkPackages(loadPkgs(t, overlay), nil)
+	return checkPackages(loadPkgs(t, overlay), analyzers)
 }
 
 func diagsOf(diags []Diagnostic, rule string) []Diagnostic {
@@ -99,10 +99,20 @@ func f(m map[int]int) {
 	for _, v := range m { // line 11: not suppressed
 		_ = v
 	}
+	//m3vet:allow nodeterminism line 14: stale, a slice keeps its order
+	for _, v := range []int{1} {
+		_ = v
+	}
+	//m3vet:allow magiccost not stale: the rule does not run here
+	for range m {
+	}
 }
 `
-	got := runOn(t, All(), "repro/internal/noc", map[string]string{"f.go": src}, nil)
-	checkFindings(t, got, []finding{{11, "nodeterminism"}})
+	got := runOn(t, []*Analyzer{NoDeterminism}, "repro/internal/noc", map[string]string{"f.go": src}, nil)
+	checkFindings(t, got, []finding{{11, "nodeterminism"}, {14, "m3vet"}, {19, "nodeterminism"}})
+	if len(got) == 3 && !strings.Contains(got[1].Message, "stale allow") {
+		t.Errorf("line 14 should be reported as a stale allow: %s", got[1].Message)
+	}
 }
 
 func TestAllowCommentValidation(t *testing.T) {

@@ -5,11 +5,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // This file builds the conservative call graph that the interprocedural
-// passes (timetaint, capflow) walk. The graph covers every
+// timetaint pass walks. The graph covers every
 // function and method declared in the module plus every function
 // literal, and resolves four call shapes:
 //
@@ -65,16 +64,7 @@ type FuncNode struct {
 // "pkg/path.Parent$lit@line" for literals.
 func (n *FuncNode) Name() string {
 	if n.Obj != nil {
-		if recv := n.Sig.Recv(); recv != nil {
-			t := recv.Type()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			if named, ok := t.(*types.Named); ok {
-				return fmt.Sprintf("%s.(%s).%s", n.Pkg.Path, named.Obj().Name(), n.Obj.Name())
-			}
-		}
-		return fmt.Sprintf("%s.%s", n.Pkg.Path, n.Obj.Name())
+		return funcName(n.Pkg.Path, n.Obj)
 	}
 	pos := n.Pkg.Fset.Position(n.Lit.Pos())
 	parent := "func"
@@ -82,6 +72,21 @@ func (n *FuncNode) Name() string {
 		parent = n.Parent.Name()
 	}
 	return fmt.Sprintf("%s$lit@%d", parent, pos.Line)
+}
+
+// funcName names a function declared in the package at path:
+// "pkg/path.Func" or "pkg/path.(Type).Method".
+func funcName(path string, fn *types.Func) string {
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		t := recv.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if named, ok := t.(*types.Named); ok {
+			return fmt.Sprintf("%s.(%s).%s", path, named.Obj().Name(), fn.Name())
+		}
+	}
+	return fmt.Sprintf("%s.%s", path, fn.Name())
 }
 
 // Pos returns the node's source position.
@@ -115,9 +120,6 @@ type CallGraph struct {
 
 	pkgs     []*Package
 	dynamics []dynamicCall
-	// fieldOwners maps each struct field declared by a named type of
-	// the module to that type's name, for stable Loc identities.
-	fieldOwners map[*types.Var]string
 
 	// bindings maps each func-typed variable or field object to the
 	// functions/literals assigned to it anywhere in the module. A call
@@ -131,9 +133,6 @@ type CallGraph struct {
 	openBinding map[types.Object]bool
 }
 
-// NodeFor returns the node of a declared function, or nil.
-func (g *CallGraph) NodeFor(fn *types.Func) *FuncNode { return g.ByObj[fn] }
-
 // BuildCallGraph constructs the call graph over the given packages
 // (every package of the module, in path order).
 func BuildCallGraph(pkgs []*Package) *CallGraph {
@@ -145,7 +144,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		bindingSet:  make(map[types.Object]map[*FuncNode]bool),
 		openBinding: make(map[types.Object]bool),
 	}
-	g.registerFieldOwners()
 	// Pass 1: create nodes for every declared function and literal.
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -664,39 +662,4 @@ func signaturesCompatible(want, have *types.Signature) bool {
 		}
 	}
 	return true
-}
-
-// Reachable returns the set of nodes reachable from the given roots
-// (roots included), following call edges.
-func (g *CallGraph) Reachable(roots []*FuncNode) map[*FuncNode]bool {
-	seen := make(map[*FuncNode]bool)
-	var stack []*FuncNode
-	for _, r := range roots {
-		if r != nil && !seen[r] {
-			seen[r] = true
-			stack = append(stack, r)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range n.Calls {
-			if !seen[c] {
-				seen[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
-	return seen
-}
-
-// SortNodes orders nodes by (package path, position) for deterministic
-// output.
-func SortNodes(nodes []*FuncNode) {
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].Pkg.Path != nodes[j].Pkg.Path {
-			return nodes[i].Pkg.Path < nodes[j].Pkg.Path
-		}
-		return nodes[i].Pos() < nodes[j].Pos()
-	})
 }

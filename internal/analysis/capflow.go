@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 )
@@ -30,7 +29,7 @@ import (
 // hw = dtu, noc, mem, tile, accel. Everything else (kif, sim, obs,
 // fault) is neutral glue and may carry either type — kif *is* the
 // sanctioned channel.
-var CapFlow = &ModuleAnalyzer{
+var CapFlow = &Analyzer{
 	Name: "capflow",
 	Doc:  "forbid capability selectors and raw PE ids from crossing layer boundaries outside the syscall/delegation APIs",
 	Run:  runCapFlow,
@@ -141,85 +140,74 @@ func crossingBanned(kind, a, b string) bool {
 	return false
 }
 
-func runCapFlow(pass *ModulePass) {
-	for _, n := range pass.Graph.Nodes {
-		// Literal nodes' bodies are nested inside their parents', which
-		// this walk already covers.
-		if n.Body == nil || n.Lit != nil {
-			continue
-		}
-		callerLayer := layerOf(n.Pkg.Path)
-		info := n.Pkg.Info
-		fset := n.Pkg.Fset
-		ast.Inspect(n.Body, func(node ast.Node) bool {
-			switch node := node.(type) {
-			case *ast.CallExpr:
-				fn := calleeFunc(info, node)
-				if fn == nil || fn.Pkg() == nil {
-					return true
-				}
-				calleePath := fn.Pkg().Path()
-				if capFlowAllowed(calleePath) || capFlowAllowed(n.Pkg.Path) {
-					return true
-				}
-				calleeLayer := layerOf(calleePath)
-				// Arguments crossing caller -> callee.
-				for i, arg := range node.Args {
-					kind := selKind(info.TypeOf(arg))
-					if kind == "" || !crossingBanned(kind, callerLayer, calleeLayer) {
-						continue
-					}
-					pass.Report(fset.Position(arg.Pos()),
-						fmt.Sprintf("%s->%s:%s:arg%d", callerLayer, calleeLayer, calleeKey(fn), i),
-						fmt.Sprintf("%s passed from %s layer (%s) into %s layer (%s.%s): selectors and node ids cross layers only through the kif syscall/delegation APIs",
-							kind, callerLayer, n.Name(), calleeLayer, calleePath, fn.Name()),
-						[]Fact{
-							{Pos: fset.Position(node.Pos()), Note: fmt.Sprintf("%s calls %s.%s", n.Name(), calleePath, fn.Name())},
-							{Pos: fset.Position(arg.Pos()), Note: fmt.Sprintf("argument %d carries a %s", i, kind)},
-						})
-				}
-				// Results crossing callee -> caller.
-				if kind := selKind(info.TypeOf(node)); kind != "" && crossingBanned(kind, calleeLayer, callerLayer) {
-					pass.Report(fset.Position(node.Pos()),
-						fmt.Sprintf("%s->%s:%s:result", calleeLayer, callerLayer, calleeKey(fn)),
-						fmt.Sprintf("%s returned from %s layer (%s.%s) into %s layer (%s): translate it at the boundary instead of leaking the raw value",
-							kind, calleeLayer, calleePath, fn.Name(), callerLayer, n.Name()),
-						[]Fact{
-							{Pos: fset.Position(node.Pos()), Note: fmt.Sprintf("%s receives a %s from %s.%s", n.Name(), kind, calleePath, fn.Name())},
-						})
-				}
-			case *ast.AssignStmt:
-				// Direct writes into another layer's selector-typed
-				// fields.
-				for _, lhs := range node.Lhs {
-					loc, ok := pass.Graph.locOf(info, ast.Unparen(lhs))
-					if !ok || !loc.Var.IsField() || loc.Var.Pkg() == nil {
-						continue
-					}
-					ownerLayer := layerOf(loc.Var.Pkg().Path())
-					kind := selKind(loc.Var.Type())
-					if kind == "" || capFlowAllowed(n.Pkg.Path) || !crossingBanned(kind, callerLayer, ownerLayer) {
-						continue
-					}
-					pass.Report(fset.Position(lhs.Pos()),
-						fmt.Sprintf("%s->%s:store:%s", callerLayer, ownerLayer, loc),
-						fmt.Sprintf("%s stored by %s layer (%s) into %s layer field %s: selector state belongs to its own layer",
-							kind, callerLayer, n.Name(), ownerLayer, loc),
-						[]Fact{
-							{Pos: fset.Position(lhs.Pos()), Note: fmt.Sprintf("%s writes %s", n.Name(), loc)},
-						})
-				}
+func runCapFlow(pass *Pass) {
+	pkg := pass.Pkg
+	callerLayer := layerOf(pkg.Path)
+	owners := fieldOwners{}
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
 			}
-			return true
-		})
+			if obj, _ := pkg.Info.Defs[fd.Name].(*types.Func); obj != nil {
+				checkCapFlow(pass, owners, callerLayer, funcName(pkg.Path, obj), fd.Body)
+			}
+		}
 	}
 }
 
-// calleeKey is the position-independent identity of a callee used in
-// finding keys.
-func calleeKey(fn *types.Func) string {
-	if fn.Pkg() == nil {
-		return fn.Name()
-	}
-	return fn.Pkg().Path() + "." + fn.Name()
+// checkCapFlow checks the calls and stores in the body of the function
+// called name, function literals included.
+func checkCapFlow(pass *Pass, owners fieldOwners, callerLayer, name string, body *ast.BlockStmt) {
+	info := pass.Pkg.Info
+	path := pass.Pkg.Path
+	ast.Inspect(body, func(node ast.Node) bool {
+		switch node := node.(type) {
+		case *ast.CallExpr:
+			fn := calleeFunc(info, node)
+			if fn == nil || fn.Pkg() == nil {
+				return true
+			}
+			calleePath := fn.Pkg().Path()
+			if capFlowAllowed(calleePath) || capFlowAllowed(path) {
+				return true
+			}
+			calleeLayer := layerOf(calleePath)
+			// Arguments crossing caller -> callee.
+			for _, arg := range node.Args {
+				kind := selKind(info.TypeOf(arg))
+				if kind == "" || !crossingBanned(kind, callerLayer, calleeLayer) {
+					continue
+				}
+				pass.Reportf(arg.Pos(),
+					"%s passed from %s layer (%s) into %s layer (%s.%s): selectors and node ids cross layers only through the kif syscall/delegation APIs",
+					kind, callerLayer, name, calleeLayer, calleePath, fn.Name())
+			}
+			// Results crossing callee -> caller.
+			if kind := selKind(info.TypeOf(node)); kind != "" && crossingBanned(kind, calleeLayer, callerLayer) {
+				pass.Reportf(node.Pos(),
+					"%s returned from %s layer (%s.%s) into %s layer (%s): translate it at the boundary instead of leaking the raw value",
+					kind, calleeLayer, calleePath, fn.Name(), callerLayer, name)
+			}
+		case *ast.AssignStmt:
+			// Direct writes into another layer's selector-typed
+			// fields.
+			for _, lhs := range node.Lhs {
+				loc, ok := owners.locOf(info, ast.Unparen(lhs))
+				if !ok || !loc.Var.IsField() || loc.Var.Pkg() == nil {
+					continue
+				}
+				ownerLayer := layerOf(loc.Var.Pkg().Path())
+				kind := selKind(loc.Var.Type())
+				if kind == "" || capFlowAllowed(path) || !crossingBanned(kind, callerLayer, ownerLayer) {
+					continue
+				}
+				pass.Reportf(lhs.Pos(),
+					"%s stored by %s layer (%s) into %s layer field %s: selector state belongs to its own layer",
+					kind, callerLayer, name, ownerLayer, loc)
+			}
+		}
+		return true
+	})
 }

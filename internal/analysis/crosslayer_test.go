@@ -68,3 +68,30 @@ import _ "repro/internal/core"
 		map[string]map[string]string{"repro/internal/core": crossDeps["repro/internal/core"]})
 	checkFindings(t, got, nil)
 }
+
+// Mutation fixture from the rule audit (docs/ANALYSIS.md): a workload
+// marks a failed pipe child with the kernel's crash exit code, which
+// couples a user program to the kernel package instead of the syscall
+// ABI. It builds and passes every tier-1 test; only crosslayer flags
+// it.
+func TestCrossLayerMutationWorkloadReadsKernelConstant(t *testing.T) {
+	src := `package workload
+
+import "repro/internal/core"
+
+type Env struct{ code int64 }
+
+func (e *Env) SetExit(code int64) { e.code = code }
+
+func pipeChild(child *Env, err error) {
+	if err != nil {
+		child.SetExit(core.CrashExitCode)
+	}
+}
+`
+	deps := map[string]map[string]string{
+		"repro/internal/core": {"objects.go": "package core\n\nconst CrashExitCode int64 = -2\n"},
+	}
+	got := runOn(t, []*Analyzer{CrossLayer}, "repro/internal/workload", map[string]string{"m3os.go": src}, deps)
+	checkFindings(t, got, []finding{{3, "crosslayer"}})
+}

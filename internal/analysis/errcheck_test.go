@@ -86,3 +86,46 @@ func f(d *dtu.DTU, tab *core.Table) error {
 	got := runOn(t, []*Analyzer{ErrCheckLite}, "repro/internal/m3", map[string]string{"f.go": src}, errcheckDeps)
 	checkFindings(t, got, nil)
 }
+
+// The defects errchecklite caught when it landed: sysRevoke dropped the
+// error of the remote endpoint invalidation, which would leave revoked
+// rights live in hardware (now mustConfig), and libm3's Exit dropped
+// its syscall send's error (kept, with an allow comment: the program is
+// gone either way).
+func TestErrCheckLiteMutationDroppedKernelErrors(t *testing.T) {
+	deps := map[string]map[string]string{
+		"repro/internal/dtu": {"dtu.go": `package dtu
+
+type Endpoint struct{ Type int }
+
+type DTU struct{}
+
+func (d *DTU) ConfigureRemote(node, ep int, cfg Endpoint) error { return nil }
+
+func (d *DTU) Send(ep int, data []byte) error { return nil }
+`},
+	}
+	kernel := `package core
+
+import "repro/internal/dtu"
+
+func sysRevoke(d *dtu.DTU, nodes []int) {
+	for _, n := range nodes {
+		_ = d.ConfigureRemote(n, 3, dtu.Endpoint{})
+	}
+}
+`
+	got := runOn(t, []*Analyzer{ErrCheckLite}, "repro/internal/core", map[string]string{"syscalls.go": kernel}, deps)
+	checkFindings(t, got, []finding{{7, "errchecklite"}})
+	lib := `package m3
+
+import "repro/internal/dtu"
+
+func Exit(d *dtu.DTU, msg []byte) {
+	// Best effort: an exiting program cannot do anything about errors.
+	_ = d.Send(0, msg)
+}
+`
+	got = runOn(t, []*Analyzer{ErrCheckLite}, "repro/internal/m3", map[string]string{"env.go": lib}, deps)
+	checkFindings(t, got, []finding{{7, "errchecklite"}})
+}

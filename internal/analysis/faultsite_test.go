@@ -89,3 +89,33 @@ func f(j *job)                  { j.Kill(); j.EnableFaults() }
 		map[string]string{"f.go": src}, nil)
 	checkFindings(t, got, nil)
 }
+
+// Mutation fixtures from the rule audit (docs/ANALYSIS.md): the kernel
+// clears a PE's endpoint registers itself, once when respawning a
+// service on a spare PE and once in place of the reap's per-endpoint
+// invalidation over the NoC. Both reach into another PE's DTU without a
+// message, and both pass every tier-1 test; only faultsite flags them.
+func TestFaultSiteMutationKernelResetsEndpoints(t *testing.T) {
+	src := `package core
+
+import "repro/internal/tile"
+
+type Kernel struct{}
+
+func (k *Kernel) invalidateEP(pe *tile.PE, ep int) {}
+
+func (k *Kernel) respawn(pe *tile.PE) {
+	pe.DTU.ResetEndpoints()
+}
+
+func (k *Kernel) reapVPE(pe *tile.PE) {
+	pe.DTU.ResetEndpoints()
+}
+`
+	deps := map[string]map[string]string{
+		"repro/internal/dtu":  {"dtu.go": "package dtu\n\ntype DTU struct{}\n\nfunc (d *DTU) ResetEndpoints() {}\n"},
+		"repro/internal/tile": {"tile.go": "package tile\n\nimport \"repro/internal/dtu\"\n\ntype PE struct{ DTU *dtu.DTU }\n"},
+	}
+	got := runOn(t, []*Analyzer{FaultSite}, "repro/internal/core", map[string]string{"supervisor.go": src}, deps)
+	checkFindings(t, got, []finding{{10, "faultsite"}, {14, "faultsite"}})
+}

@@ -22,6 +22,12 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+	// Nested marks a package of a separate module nested below the
+	// module root (perf/). m3vet checks it like any other package but
+	// does not report its stale allow comments. It exists only for
+	// perf/'s four stale timetaint allows and goes with them (ROADMAP
+	// item 10); no other check reads it.
+	Nested bool
 }
 
 // Loader loads module packages from a directory tree, with an optional
@@ -165,9 +171,21 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkg := &Package{Path: path, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Fset: l.Fset, Files: files, Types: tpkg, Info: info,
+		Nested: overlay == nil && l.inNestedModule(dir)}
 	l.pkgs[path] = pkg
 	return pkg, nil
+}
+
+// inNestedModule reports whether dir lies in a module nested below the
+// loader's root: some directory between them has its own go.mod.
+func (l *Loader) inNestedModule(dir string) bool {
+	for d := dir; d != l.Dir && strings.HasPrefix(d, l.Dir); d = filepath.Dir(d) {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // Import implements types.Importer.

@@ -36,12 +36,23 @@ func (l Loc) String() string {
 	return fmt.Sprintf("%s.(struct).%s", pkg, v.Name())
 }
 
-// registerFieldOwners fills the graph's field→owning-type map from the
-// named struct types declared at package scope.
-func (g *CallGraph) registerFieldOwners() {
-	g.fieldOwners = make(map[*types.Var]string)
-	for _, pkg := range g.pkgs {
-		scope := pkg.Types.Scope()
+// fieldOwners names the struct type declaring each field, for stable
+// Loc identities. A package's named struct types are registered the
+// first time one of its fields is looked up, so the map works for any
+// package a rule sees, the module's own and its imports alike.
+type fieldOwners map[*types.Package]map[*types.Var]string
+
+// owner returns the name of the package-level struct type declaring
+// field v, or "" for a field of an anonymous struct.
+func (o fieldOwners) owner(v *types.Var) string {
+	pkg := v.Pkg()
+	if pkg == nil {
+		return ""
+	}
+	names, ok := o[pkg]
+	if !ok {
+		names = make(map[*types.Var]string)
+		scope := pkg.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
 			if !ok {
@@ -52,16 +63,18 @@ func (g *CallGraph) registerFieldOwners() {
 				continue
 			}
 			for i := 0; i < st.NumFields(); i++ {
-				g.fieldOwners[st.Field(i)] = tn.Name()
+				names[st.Field(i)] = tn.Name()
 			}
 		}
+		o[pkg] = names
 	}
+	return names[v]
 }
 
 // locOf resolves an assignable expression to an abstract location:
 // package-level var, or struct field (through any number of
 // selectors/indexes/stars). Locals and parameters return ok=false.
-func (g *CallGraph) locOf(info *types.Info, expr ast.Expr) (Loc, bool) {
+func (o fieldOwners) locOf(info *types.Info, expr ast.Expr) (Loc, bool) {
 	switch expr := ast.Unparen(expr).(type) {
 	case *ast.Ident:
 		if v, ok := info.Uses[expr].(*types.Var); ok && isPackageLevel(v) {
@@ -70,7 +83,7 @@ func (g *CallGraph) locOf(info *types.Info, expr ast.Expr) (Loc, bool) {
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[expr]; ok && sel.Kind() == types.FieldVal {
 			if v, ok := sel.Obj().(*types.Var); ok {
-				return Loc{Var: v, Owner: g.fieldOwners[v]}, true
+				return Loc{Var: v, Owner: o.owner(v)}, true
 			}
 		}
 		// Package-qualified var: pkg.V
@@ -79,9 +92,9 @@ func (g *CallGraph) locOf(info *types.Info, expr ast.Expr) (Loc, bool) {
 		}
 	case *ast.IndexExpr:
 		// m[k] = v mutates whatever m is: attribute to m's location.
-		return g.locOf(info, expr.X)
+		return o.locOf(info, expr.X)
 	case *ast.StarExpr:
-		return g.locOf(info, expr.X)
+		return o.locOf(info, expr.X)
 	}
 	return Loc{}, false
 }

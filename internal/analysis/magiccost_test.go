@@ -67,3 +67,46 @@ func f(p Proc) { p.Sleep(500) }
 	got = runOn(t, []*Analyzer{MagicCost}, "repro/internal/bench", map[string]string{"f.go": host}, nil)
 	checkFindings(t, got, nil)
 }
+
+// The defects magiccost caught when it landed: the kernel charged its
+// service-reply routing and session setup as bare literals, and the
+// m3fs client its mount retry. They are CostServReply, CostSessSetup
+// and costMountRetry in the costs.go tables now.
+func TestMagicCostMutationLiteralKernelCosts(t *testing.T) {
+	kernel := `package core
+
+type Time uint64
+
+type Process struct{}
+
+func (*Process) Sleep(d Time) {}
+
+type Kernel struct{}
+
+func (k *Kernel) compute(p *Process, n Time) { p.Sleep(n) }
+
+func (k *Kernel) run(p *Process) {
+	k.compute(p, 20)
+}
+
+func (k *Kernel) openSess(hp *Process) {
+	k.compute(hp, 40)
+}
+`
+	got := runOn(t, []*Analyzer{MagicCost}, "repro/internal/core", map[string]string{"kernel.go": kernel}, nil)
+	checkFindings(t, got, []finding{{14, "magiccost"}, {18, "magiccost"}})
+	client := `package m3fs
+
+type Process struct{}
+
+func (*Process) Sleep(d uint64) {}
+
+func mount(p *Process, tries int) {
+	for i := 0; i < tries; i++ {
+		p.Sleep(1000)
+	}
+}
+`
+	got = runOn(t, []*Analyzer{MagicCost}, "repro/internal/m3fs", map[string]string{"client.go": client}, nil)
+	checkFindings(t, got, []finding{{9, "magiccost"}})
+}

@@ -86,3 +86,54 @@ func values(m map[string]int) []int {
 	got := runOn(t, []*Analyzer{NoDeterminism}, "repro/internal/core", map[string]string{"f.go": src}, nil)
 	checkFindings(t, got, []finding{{5, "nodeterminism"}})
 }
+
+// The defects nodeterminism caught when it landed: the kernel's
+// revokeAll and findServiceSel walked a capability table in map order.
+// revokeAll's order is the order of session closes and memory releases,
+// so the walk moved events between runs. The sorted walk that replaced
+// both is clean.
+func TestNoDeterminismMutationCapTableWalks(t *testing.T) {
+	src := `package core
+
+import "sort"
+
+type CapSel uint64
+
+type Capability struct{ Obj any }
+
+type CapTable struct{ caps map[CapSel]*Capability }
+
+func (t *CapTable) revoke(sel CapSel, onDrop func(*Capability)) { delete(t.caps, sel) }
+
+func (t *CapTable) revokeAll(onDrop func(*Capability)) {
+	for sel := range t.caps {
+		t.revoke(sel, onDrop)
+	}
+}
+
+func findServiceSel(t *CapTable, svc any) CapSel {
+	for sel, c := range t.caps {
+		if c.Obj == svc {
+			return sel
+		}
+	}
+	return 0
+}
+
+func (t *CapTable) revokeAllSorted(onDrop func(*Capability)) {
+	sels := make([]CapSel, 0, len(t.caps))
+	for sel := range t.caps {
+		sels = append(sels, sel)
+	}
+	sort.Slice(sels, func(i, j int) bool { return sels[i] < sels[j] })
+	for _, sel := range sels {
+		t.revoke(sel, onDrop)
+	}
+}
+`
+	got := runOn(t, []*Analyzer{NoDeterminism}, "repro/internal/core", map[string]string{"caps.go": src}, nil)
+	checkFindings(t, got, []finding{
+		{14, "nodeterminism"}, // revokeAll
+		{20, "nodeterminism"}, // findServiceSel
+	})
+}

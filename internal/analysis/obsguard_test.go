@@ -165,3 +165,36 @@ func (d *DTU) send() {
 		map[string]map[string]string{"repro/internal/obs": metricsOverlay})
 	checkFindings(t, got, []finding{{12, "obsguard"}, {13, "obsguard"}})
 }
+
+// Mutation fixtures from the rule audit (docs/ANALYSIS.md): the
+// kernel's capability-drop trace and its respawn trace lose their
+// On() guard. Emit and the counters are nil-safe, so a run without a
+// tracer still behaves the same and every tier-1 test passes, but each
+// site now builds its event on every execution; only obsguard flags
+// them.
+func TestObsGuardMutationUnguardedKernelTraces(t *testing.T) {
+	src := `package core
+
+import "repro/internal/obs"
+
+type Kernel struct{ obs *obs.Tracer }
+
+func (k *Kernel) onDrop(sel uint64) {
+	tr := k.obs
+	{
+		tr.Emit(obs.Event{Arg0: sel})
+	}
+}
+
+func (k *Kernel) traceRespawn(outcome uint64) {
+	tr := k.obs
+	{
+		tr.Emit(obs.Event{Arg0: outcome})
+	}
+}
+`
+	got := runOn(t, []*Analyzer{ObsGuard}, "repro/internal/core",
+		map[string]string{"syscalls.go": src},
+		map[string]map[string]string{"repro/internal/obs": obsOverlay})
+	checkFindings(t, got, []finding{{10, "obsguard"}, {17, "obsguard"}})
+}

@@ -14,7 +14,7 @@ import (
 // across function boundaries via per-function summaries, and records a
 // sink whenever a tainted value reaches simulation state, the obs
 // layer, or bench JSON. Every sink carries a witness chain — the list
-// of steps from source to sink — for `m3vet -json`.
+// of steps from source to sink — that m3vet prints under the finding.
 
 // taintMark is one link of a taint witness chain. prev points toward
 // the source, so walking prev yields the chain sink-to-source; chain()
@@ -65,6 +65,7 @@ func (s TaintSink) Chain() []Fact {
 
 type taintRun struct {
 	graph   *CallGraph
+	owners  fieldOwners
 	sums    map[*FuncNode]*taintSummary
 	globals map[Loc]*taintMark
 	sinks   map[string]TaintSink // keyed by pos+note for dedup
@@ -79,6 +80,7 @@ type taintRun struct {
 func RunTaint(g *CallGraph) []TaintSink {
 	t := &taintRun{
 		graph:   g,
+		owners:  fieldOwners{},
 		sums:    make(map[*FuncNode]*taintSummary, len(g.Nodes)),
 		globals: make(map[Loc]*taintMark),
 		sinks:   make(map[string]TaintSink),
@@ -282,7 +284,7 @@ func (fs *funcState) store(lhs ast.Expr, m *taintMark, params map[int]bool) {
 	lhs = ast.Unparen(lhs)
 	info := fs.node.Pkg.Info
 	// A package-level var or struct field?
-	if loc, ok := fs.run.graph.locOf(info, lhs); ok {
+	if loc, ok := fs.run.owners.locOf(info, lhs); ok {
 		fs.storeLoc(lhs, loc, m, params)
 		return
 	}
@@ -412,7 +414,7 @@ func (fs *funcState) evalExpr(expr ast.Expr) (*taintMark, map[int]bool) {
 		}
 		return nil, params
 	case *ast.SelectorExpr:
-		if loc, ok := fs.run.graph.locOf(info, expr); ok {
+		if loc, ok := fs.run.owners.locOf(info, expr); ok {
 			if m := fs.run.globals[loc]; m != nil {
 				return m, nil
 			}

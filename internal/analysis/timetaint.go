@@ -11,10 +11,10 @@ import "fmt"
 // map-ordered slice fed to the bench JSON encoder. TimeTaint runs the
 // taint engine (taint.go) over the whole module and reports every
 // source-to-sink flow with its witness chain.
-var TimeTaint = &ModuleAnalyzer{
-	Name: "timetaint",
-	Doc:  "forbid wall-clock, host-randomness, or map-order values from reaching sim state, traces, metrics, or bench JSON",
-	Run:  runTimeTaint,
+var TimeTaint = &Analyzer{
+	Name:      "timetaint",
+	Doc:       "forbid wall-clock, host-randomness, or map-order values from reaching sim state, traces, metrics, or bench JSON",
+	RunModule: runTimeTaint,
 }
 
 func runTimeTaint(pass *ModulePass) {
@@ -24,10 +24,7 @@ func runTimeTaint(pass *ModulePass) {
 		if len(chain) > 0 {
 			src = chain[0].Note
 		}
-		// The key is position-independent: the source kind plus the
-		// sink description survive unrelated line churn.
-		key := fmt.Sprintf("%s->%s", src, sink.Pos.Note)
-		pass.Report(sink.Pos.Pos, key,
+		pass.Report(sink.Pos.Pos,
 			fmt.Sprintf("%s reaches a determinism-sensitive sink: %s", src, sink.Pos.Note),
 			chain)
 	}

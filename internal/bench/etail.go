@@ -47,7 +47,7 @@ const (
 	etailBufSize  = 4 << 10
 )
 
-// E-tail SLO names (package constants: m3vet sloname) and the latency
+// E-tail SLO names (package constants: m3vet obsname) and the latency
 // bound fed to the tail objective.
 const (
 	etailSLOLatency = "etail_tail_latency"

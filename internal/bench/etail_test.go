@@ -18,7 +18,7 @@ import (
 // experiment, and the zero-overhead-when-off
 // proof for the attribution/SLO sink.
 
-// The bench-suite SLO names (package constants: m3vet sloname).
+// The bench-suite SLO names (package constants: m3vet obsname).
 const (
 	benchSLOTail  = "bench_critpath_tail"
 	benchSLOAvail = "bench_critpath_avail"

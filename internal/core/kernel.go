@@ -91,7 +91,7 @@ func (s *Stats) SortedSyscalls() []SyscallCount {
 	return out
 }
 
-// Metric names the kernel registers (m3vet: metricname).
+// Metric names the kernel registers (m3vet: obsname).
 const (
 	// MSyscalls counts handled syscalls: index -1 is the total, index
 	// op the per-opcode count.

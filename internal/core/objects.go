@@ -104,9 +104,8 @@ type ServiceObj struct {
 
 	// Epoch is the service incarnation number: 1 for the first
 	// registration of a name, bumped every time the supervisor (or
-	// anyone) re-registers the same name. Kernel helpers that talk to a
-	// service on behalf of older state must fence on it — a stale
-	// ServiceObj must never receive new requests (m3vet: epochfence).
+	// anyone) re-registers the same name. A stale ServiceObj never
+	// receives new requests: callService refuses it.
 	Epoch uint64
 }
 

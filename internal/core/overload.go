@@ -61,7 +61,7 @@ func (k *Kernel) EnableOverload(cfg OverloadConfig) {
 	}
 }
 
-// Overload metric names (m3vet: metricname), registered lazily on
+// Overload metric names (m3vet: obsname), registered lazily on
 // first increment so off-or-idle runs keep identical metric snapshots.
 const (
 	// MCallsShed counts service calls rejected by the shed controller.

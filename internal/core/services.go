@@ -69,7 +69,10 @@ func (k *Kernel) sysCreateSrv(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dt
 // service earns the caller kif.ErrTimeout instead of stalling the
 // helper forever. With no deadline armed (every fault-free run) the
 // waits are unbounded and not a single extra event is scheduled.
-// Callers fence stale incarnations with serviceCurrent before calling.
+// A superseded incarnation (serviceCurrent fails: the service died,
+// possibly already re-registered at a newer epoch) is refused with
+// kif.ErrNoSuchService before anything is admitted, counted or sent,
+// so no request of a dead incarnation ever reaches its successor.
 //
 // With overload control armed (EnableOverload) the call first passes
 // the service's circuit breaker and shed controller, its header
@@ -78,6 +81,9 @@ func (k *Kernel) sysCreateSrv(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dt
 // failures, admission refusals by the service DTU do not (the service
 // answered promptly — that is control, not collapse).
 func (k *Kernel) callService(p *sim.Process, svc *ServiceObj, payload []byte, span obs.SpanID, pr overload.Priority) (kif.IStream, kif.Error) {
+	if !k.serviceCurrent(svc) {
+		return kif.IStream{}, kif.ErrNoSuchService
+	}
 	if aerr := k.admitServiceCall(svc, span, pr); aerr != kif.OK {
 		return kif.IStream{}, aerr
 	}
@@ -185,17 +191,13 @@ func (k *Kernel) sysOpenSess(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dtu
 	}
 	k.compute(p, CostOpenSess)
 	k.Plat.Eng.Spawn("kernel-opensess", func(hp *sim.Process) {
-		if !k.serviceCurrent(svc) {
-			// The registration this open raced against is gone (service
-			// died, possibly already re-registered at a newer epoch);
-			// the client must retry against the current incarnation.
-			k.replyErr(hp, msg, kif.ErrNoSuchService)
-			return
-		}
 		var req kif.OStream
 		req.U64(uint64(kif.ServOpen)).Str(arg)
 		// Session opens are the first work to shed under load: refusing a
-		// new session is cheap, abandoning an established one is not.
+		// new session is cheap, abandoning an established one is not. If
+		// the registration this open raced against is gone, the call
+		// fails with ErrNoSuchService and the client retries against the
+		// current incarnation.
 		ris, cerr := k.callService(hp, svc, req.Bytes(), obs.SpanID(msg.Span), overload.PriorityLow)
 		if cerr != kif.OK {
 			k.replyErr(hp, msg, cerr)
@@ -275,10 +277,10 @@ func (k *Kernel) sysExchangeSess(p *sim.Process, vpe *VPE, is *kif.IStream, msg 
 	k.compute(p, CostExchange)
 	k.Plat.Eng.Spawn("kernel-exchange", func(hp *sim.Process) {
 		if !k.serviceCurrent(sess.Service) {
-			// Epoch fence: the session belongs to a dead incarnation of
-			// the service. Its successor never heard of the session
-			// ident, so the exchange must fail here, cleanly, instead of
-			// confusing the new incarnation.
+			// The session belongs to a dead incarnation of the service,
+			// whose successor never heard of its ident: the client is
+			// told the session is gone (callService would say the
+			// service is), so it reopens one.
 			k.replyErr(hp, msg, kif.ErrNoSuchSession)
 			return
 		}

@@ -71,11 +71,9 @@ func (k *Kernel) StartInitSupervised(name string, peType tile.CoreType, prog Pro
 }
 
 // serviceCurrent reports whether svc is still the live registration of
-// its name: same object, same epoch. Kernel helpers acting on stored
-// service references (session records, close notifications) must check
-// this before calling the service, so requests belonging to a dead
-// incarnation are fenced off instead of being delivered to its
-// successor (m3vet: epochfence).
+// its name: same object, same epoch. callService checks it before every
+// call, so requests belonging to a dead incarnation are fenced off
+// instead of being delivered to its successor.
 func (k *Kernel) serviceCurrent(svc *ServiceObj) bool {
 	cur, ok := k.services[svc.Name]
 	return ok && cur == svc && cur.Epoch == svc.Epoch

@@ -176,15 +176,13 @@ func (k *Kernel) onDrop(c *Capability) {
 // closeSession notifies a service that a client session disappeared.
 func (k *Kernel) closeSession(sess *SessObj) {
 	svc := sess.Service
-	if svc.Owner.exited || !k.serviceCurrent(svc) {
-		// Dead or superseded incarnation (epoch fence): its successor
-		// never issued this session ident, there is nobody to notify.
+	if svc.Owner.exited {
+		// Dead incarnation: there is nobody to notify, so no helper is
+		// spawned. A superseded one is refused by callService, whose
+		// successor never issued this session ident.
 		return
 	}
 	k.Plat.Eng.Spawn("kernel-closesess", func(hp *sim.Process) {
-		if !k.serviceCurrent(svc) {
-			return
-		}
 		var req kif.OStream
 		req.U64(uint64(kif.ServCloseSess)).U64(sess.Ident)
 		// Session teardown has no originating request: no span. It is

@@ -117,7 +117,7 @@ type DTU struct {
 }
 
 // Metric names this DTU registers, keyed by NoC node id (m3vet:
-// metricname — names must stay package-level constants).
+// obsname — names must stay package-level constants).
 const (
 	// MCreditStalls counts send attempts denied for lack of credits:
 	// the paper's flow-control backpressure made visible.

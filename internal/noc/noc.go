@@ -174,7 +174,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 }
 
 // Metric names the network registers, keyed by LinkIndex (m3vet:
-// metricname).
+// obsname).
 const (
 	// MLinkBusy accumulates the cycles each directed link was occupied
 	// by packet heads and bodies (router latency + serialization).

@@ -15,7 +15,7 @@ import (
 //
 // Determinism contract. A metric is identified by (name, index); names
 // are package-level constants in the instrumented packages (m3vet:
-// metricname) and registration order is the deterministic order the
+// obsname) and registration order is the deterministic order the
 // simulation reaches each site in, so Snapshot renders byte-identical
 // output for identical runs. Values carry only simulation-derived
 // quantities — never wall-clock time. Sampling is opt-in

@@ -260,7 +260,7 @@ func (o *SLO) Transitions() uint64 {
 
 // SLOSet is the per-tracer objective registry. Registration order is
 // snapshot and iteration order; names must be unique and — enforced by
-// m3vet's sloname rule — package-level constants, so the set of
+// m3vet's obsname rule — package-level constants, so the set of
 // objectives is a static property of the build, never data-dependent.
 type SLOSet struct {
 	slos  []*SLO
