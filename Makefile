@@ -28,8 +28,11 @@ bench:
 # one 4 KiB WriteMem plus ReadMem between a PE and DRAM
 # (BenchmarkRDMA4K, through the pooled payload buffers); one 64-byte
 # packet across six hops of a contended mesh as engine events
-# (BenchmarkSendThenMultiHop, 0 allocs/op once warm); and one whole
-# request through the critical-path engine, root open to attribution
+# (BenchmarkSendThenMultiHop, 0 allocs/op once warm); one 64-byte and
+# one 4 KiB Network.Send across six hops of an uncontended mesh, riding
+# in its sender through a clear window or parking behind a busy one
+# (BenchmarkSendRide, 0 allocs/op); and one whole request through the
+# critical-path engine, root open to attribution
 # (BenchmarkCritPathConsume, 0 allocs/op once warm).
 bench-sim:
 	go test -run '^$$' -bench . -benchmem ./internal/sim ./internal/noc ./internal/tile ./internal/obs

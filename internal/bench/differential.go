@@ -52,20 +52,17 @@ const differentialSampleEvery sim.Time = 4096
 // with every observability stream armed, and returns the run's witness.
 // The fault plan matters: asynchronous control traffic (acks, nacks)
 // only exists under fault injection, so a lossless run would leave that
-// NoC path untested. A non-nil ov arms an overload policy on the
-// system. Its point is the zero-overhead-when-off proof: an
+// NoC path untested. opt configures the platform; its Obs and
+// SampleEvery are set here. An opt.Overload arms an overload policy on
+// the system. Its point is the zero-overhead-when-off proof: an
 // armed-but-idle policy (zero deadline, zero watermarks) must produce a
 // witness bit-identical to a nil policy — not one extra engine event,
 // obs event, or metric (TestOverloadIdleBitIdentical).
-func RunDifferential(b workload.Benchmark, n int, plan fault.Plan, ov *OverloadSpec) (DifferentialWitness, error) {
+func RunDifferential(b workload.Benchmark, n int, plan fault.Plan, opt M3Options) (DifferentialWitness, error) {
 	var w DifferentialWitness
 	sh := newStreamHash()
 	tr := obs.New(obs.Options{Sink: sh.Consume})
-	opt := M3Options{
-		Obs:         tr,
-		SampleEvery: differentialSampleEvery,
-		Overload:    ov,
-	}
+	opt.Obs, opt.SampleEvery = tr, differentialSampleEvery
 	cr, err := Scenario{Workload: b, Instances: n, Faults: &plan, M3Options: opt}.Run()
 	if err != nil {
 		return w, err

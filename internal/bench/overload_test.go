@@ -114,11 +114,11 @@ func TestOverloadIdleBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	idle := &OverloadSpec{} // armed, but every knob at its off default
-	off, err := RunDifferential(b, 2, differentialPlan(), nil)
+	off, err := RunDifferential(b, 2, differentialPlan(), M3Options{})
 	if err != nil {
 		t.Fatalf("off: %v", err)
 	}
-	on, err := RunDifferential(b, 2, differentialPlan(), idle)
+	on, err := RunDifferential(b, 2, differentialPlan(), M3Options{Overload: idle})
 	if err != nil {
 		t.Fatalf("idle: %v", err)
 	}

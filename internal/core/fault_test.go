@@ -8,6 +8,7 @@ package core_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/kif"
 	"repro/internal/m3"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tile"
 )
@@ -168,5 +170,109 @@ func TestActivateConfigErrorSurfaces(t *testing.T) {
 	eng.Run()
 	if !ran {
 		t.Fatal("app never finished")
+	}
+}
+
+// TestReapInvalidatesOverTheNoC pins what a PE crash costs the kernel.
+// The victim owns a receive gate whose send gate the parent obtained
+// and activated, so reaping the victim must deconfigure that endpoint
+// at the surviving parent, then every endpoint of the dead PE, each by
+// a remote configuration over the NoC, one round trip after the
+// other. The test pins each configuration's endpoint and its cycle
+// relative to the reap's start. A kernel that reset the dead PE's
+// endpoints directly would skip both the configurations and their
+// cycles.
+func TestReapInvalidatesOverTheNoC(t *testing.T) {
+	eng := sim.NewEngine()
+	type cfg struct {
+		at     sim.Time
+		pe, ep uint64
+	}
+	var (
+		reapAt     sim.Time
+		configs    []cfg
+		collecting bool
+		sgSel      = kif.InvalidSel
+	)
+	tr := obs.New(obs.Options{Sink: func(ev obs.Event) {
+		switch {
+		case ev.Kind == obs.EvReap:
+			reapAt, collecting = ev.At, true
+		case collecting && ev.Kind == obs.EvConfig:
+			configs = append(configs, cfg{ev.At - reapAt, uint64(ev.PE), ev.Arg0})
+		}
+	}})
+	pc := tile.Homogeneous(3)
+	pc.Obs = tr
+	plat := tile.NewPlatform(eng, pc)
+	kern := core.Boot(plat, 0)
+	_, err := kern.StartInit("parent", "", func(ctx *tile.Ctx) {
+		env := m3.NewEnv(ctx, kern)
+		vpe, err := env.NewVPE("victim", "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := vpe.Run(func(child *m3.Env) {
+			rg, err := child.NewRecvGate(64, 4)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if sgSel, err = rg.NewSendGate(1, 4); err != nil {
+				t.Error(err)
+				return
+			}
+			for {
+				if msg := rg.Recv(); msg != nil {
+					rg.Ack(msg)
+				}
+			}
+		}); err != nil {
+			t.Error(err)
+			return
+		}
+		for sgSel == kif.InvalidSel {
+			ctx.Compute(1000)
+		}
+		mine := env.AllocSel()
+		if err := vpe.Obtain(mine, sgSel, 1); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := env.SendGateAt(mine).Send([]byte{1}); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := vpe.Wait(); err != nil {
+			t.Error(err)
+			return
+		}
+		// The parent's own exit configures endpoints too.
+		collecting = false
+		env.Exit(0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Attach(kern, fault.Plan{
+		Seed:            1,
+		Crashes:         []fault.Crash{{PE: 2, At: 200000}},
+		HeartbeatPeriod: 5000,
+		MaxMissedBeats:  2,
+	})
+	eng.Run()
+	if kern.Stats.VPEsReaped != 1 {
+		t.Fatalf("VPEsReaped = %d, want 1", kern.Stats.VPEsReaped)
+	}
+	// The parent activated the send gate on its endpoint 4; the
+	// configurations then run back to back, 16 cycles apart.
+	parentNode, deadNode := uint64(plat.PEs[1].Node), uint64(plat.PEs[2].Node)
+	want := []cfg{{221, parentNode, 4}}
+	for ep := 0; ep < plat.PEs[2].DTU.NumEndpoints(); ep++ {
+		want = append(want, cfg{237 + 16*sim.Time(ep), deadNode, uint64(ep)})
+	}
+	if !reflect.DeepEqual(configs, want) {
+		t.Errorf("reap at %d configured (cycles after the reap, node, endpoint)\n got %v\nwant %v", reapAt, configs, want)
 	}
 }

@@ -21,8 +21,12 @@ import (
 // the kernel on EP0/EP1 before the program started).
 type Env struct {
 	Ctx  *tile.Ctx
-	Kern *core.Kernel
 	Args []string
+	// kern stands in for the boot environment block: the program
+	// registry a child VPE's program is loaded from (ChildVPE.start).
+	// It is unexported so that a program reaches the kernel only
+	// through syscalls.
+	kern *core.Kernel
 
 	nextSel   kif.CapSel
 	nextLabel uint64
@@ -57,8 +61,8 @@ type Env struct {
 func NewEnv(ctx *tile.Ctx, kern *core.Kernel, args ...string) *Env {
 	e := &Env{
 		Ctx:       ctx,
-		Kern:      kern,
 		Args:      args,
+		kern:      kern,
 		nextSel:   1,
 		rbufNext:  kif.RBufSpaceBegin,
 		stash:     make(map[uint64]*dtu.Message),

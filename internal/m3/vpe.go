@@ -137,7 +137,7 @@ func (v *ChildVPE) start(fn func(child *Env)) error {
 	if v.started {
 		return fmt.Errorf("m3: VPE already started")
 	}
-	kern := v.env.Kern
+	kern := v.env.kern
 	progID := kern.Progs.Register(func(ctx *tile.Ctx) {
 		child := NewEnv(ctx, kern)
 		fn(child)

@@ -299,6 +299,17 @@ func (s *Service) commitMut(tok token, rec []byte, entry appliedEntry) {
 	}
 }
 
+// appliedOf returns the remembered outcome of tok's mutation, if it
+// was applied. An untokened request (seq 0: stat, open, readdir, the
+// idempotent ops) never is, so it skips the map lookup.
+func (s *Service) appliedOf(tok token) (appliedEntry, bool) {
+	if tok.seq == 0 {
+		return appliedEntry{}, false
+	}
+	e, done := s.applied[tok]
+	return e, done
+}
+
 // Serve handles control (kernel) and request (client) messages forever.
 // The server loop is a daemon: it parking idle at the end of a run is
 // the expected state, not a deadlock.
@@ -397,7 +408,7 @@ func (s *Service) handleExchange(sess *session, args *kif.IStream, msg *dtu.Mess
 		if blocks <= 0 {
 			blocks = s.cfg.AppendBlocks
 		}
-		if prev, done := s.applied[tok]; seq != 0 && done {
+		if prev, done := s.appliedOf(tok); done {
 			// Retransmit (reply lost, or lost with the incarnation that
 			// sent it): hand back the original extent, never a new one,
 			// or the client's file offsets diverge from the metadata.
@@ -475,7 +486,7 @@ func (s *Service) handleRequest(msg *dtu.Message) {
 		s.replyErr(s.reqs, msg, kif.ErrNoSuchSession)
 		return
 	}
-	if _, done := s.applied[tok]; seq != 0 && done {
+	if _, done := s.appliedOf(tok); done {
 		// Retransmit of an already applied mutation (all tokened
 		// request-gate ops reply a bare OK, so the original outcome
 		// needs no replaying beyond the status).

@@ -385,11 +385,46 @@ func (n *Network) TransferTime(src, dst NodeID, size int) sim.Time {
 // Send injects pkt, blocking p for the end-to-end transfer time plus
 // any link queueing, then delivers it to the destination handler. The
 // calling process models the transfer engine pushing the packet (a DTU
-// command). It is SendThen with p as the owner and p's wake-up as the
-// completion: the event that delivers the packet resumes p inline.
+// command).
+//
+// On a mesh without link contention, a flight whose whole window, from
+// injection to arrival, is clear of other events rides with its sender
+// (ride). Otherwise Send is SendThen with p as the owner and p's
+// wake-up as the completion: the event that delivers the packet
+// resumes p inline. A contended mesh never rides, because each hop's
+// link release is an event due exactly at the packet's arrival.
 func (n *Network) Send(p *sim.Process, pkt *Packet) {
+	if n.links == nil && n.eng.Clear(n.TransferTime(pkt.Src, pkt.Dst, pkt.Size)) {
+		n.ride(p, pkt)
+		return
+	}
 	n.SendThen(p, pkt, p.Waker())
 	p.Park()
+}
+
+// ride carries pkt to its destination in p, through a window that
+// Send found clear: the flight SendThen would run, with each hop and
+// the drain a Sleep that takes that event's place in the clock,
+// without a coroutine switch. If anything run on the way (the fault
+// hook, a tracer sink) queued an event inside the window, the Sleep it
+// overtakes parks as usual, so the ride stays exact either way.
+func (n *Network) ride(p *sim.Process, pkt *Packet) {
+	n.inject(pkt)
+	ser := n.SerializationTime(pkt.Size)
+	dropped := false
+	for cur := pkt.Src; cur != pkt.Dst; {
+		next := n.nextHop(cur, pkt.Dst)
+		if tr := n.obs; tr.On() {
+			tr.Hist(obs.HLinkOcc).Observe(uint64(n.cfg.HopLatency + ser))
+		}
+		p.Sleep(n.cfg.HopLatency)
+		if !dropped {
+			dropped = n.applyFault(cur, next, pkt)
+		}
+		cur = next
+	}
+	p.Sleep(ser)
+	n.arrive(pkt, dropped)
 }
 
 // SendThen injects pkt and moves it hop by hop as engine events: at
@@ -409,6 +444,15 @@ func (n *Network) Send(p *sim.Process, pkt *Packet) {
 // SendThen never calls done inline: every transfer takes at least one
 // event.
 func (n *Network) SendThen(owner *sim.Process, pkt *Packet, done func()) {
+	n.inject(pkt)
+	f := n.newFlight()
+	f.pkt, f.owner, f.done = pkt, owner, done
+	f.cur, f.ser = pkt.Src, n.SerializationTime(pkt.Size)
+	f.hop()
+}
+
+// inject counts pkt onto the wire and traces its injection.
+func (n *Network) inject(pkt *Packet) {
 	n.checkNode(pkt.Src)
 	n.checkNode(pkt.Dst)
 	n.PacketsSent++
@@ -418,10 +462,6 @@ func (n *Network) SendThen(owner *sim.Process, pkt *Packet, done func()) {
 			Kind: obs.EvPktInject, Span: obs.SpanID(pkt.Span),
 			Arg0: uint64(pkt.Dst), Arg1: uint64(pkt.Size)})
 	}
-	f := n.newFlight()
-	f.pkt, f.owner, f.done = pkt, owner, done
-	f.cur, f.ser = pkt.Src, n.SerializationTime(pkt.Size)
-	f.hop()
 }
 
 // flight is the pooled state of one packet in transit. Its callbacks
@@ -518,11 +558,18 @@ func (f *flight) arrived() {
 	if dead {
 		return
 	}
+	n.arrive(pkt, dropped)
+	done()
+}
+
+// arrive ends a flight whose body drained into its destination: the
+// handler gets the packet, or a dropped fire-and-forget packet returns
+// to the pool.
+func (n *Network) arrive(pkt *Packet, dropped bool) {
 	if dropped {
 		if pkt.Seq == 0 {
 			n.FreePacket(pkt)
 		}
-		done()
 		return
 	}
 	h := n.handlers[pkt.Dst]
@@ -536,7 +583,6 @@ func (f *flight) arrived() {
 	}
 	h.Deliver(pkt)
 	n.finishDelivery(pkt)
-	done()
 }
 
 // SendAsync injects pkt without a sending process: the packet pays the

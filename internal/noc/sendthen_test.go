@@ -122,9 +122,9 @@ func (l meshLoad) run(send func(n *Network, p *sim.Process, pkt *Packet)) (log [
 	return log, e.ExecutedEvents(), end
 }
 
-// TestSendThenMatchesProcessHops: Send, which is SendThen plus one
-// park, schedules event for event what the per-hop process engine did on a
-// contended mesh with link queueing, fault injection and senders
+// TestSendThenMatchesProcessHops: Send, which on a contended mesh is
+// SendThen plus one park, schedules event for event what the per-hop
+// process engine did, with link queueing, fault injection and senders
 // killed at hops and in link queues.
 func TestSendThenMatchesProcessHops(t *testing.T) {
 	for seed := uint64(1); seed <= 300; seed++ {

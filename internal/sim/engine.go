@@ -76,6 +76,17 @@ func (e *Engine) Now() Time { return e.now }
 // not depend on which Sleeps took a coroutine switch.
 func (e *Engine) ExecutedEvents() uint64 { return e.executed }
 
+// Sequence returns the number of sequence numbers issued so far: one
+// per scheduled event and one per wake-up a process took in place.
+// Two runs that are event for event identical issue the same number.
+func (e *Engine) Sequence() uint64 { return e.seq }
+
+// Resumes returns the number of switches into process coroutines so
+// far: each process start and each return from a park. It measures the
+// simulator's host cost, not simulated behaviour: a Sleep or a
+// Network.Send that runs in place takes none.
+func (e *Engine) Resumes() uint64 { return e.resumes }
+
 // alloc takes an event from the freelist (or the heap on a cold
 // start), stamps it with the next sequence number, and fills it.
 func (e *Engine) alloc(at Time, fn func()) *event {
@@ -182,15 +193,28 @@ func (e *Engine) step() {
 	fn()
 }
 
+// Clear reports whether the next d cycles are clear: no queued event
+// is due at or before now+d, and now+d is within the active run's
+// limit. A process that finds them clear, and schedules nothing into
+// them on the way, can take them in any number of Sleeps that all run
+// in place (Network.Send).
+func (e *Engine) Clear(d Time) bool { return e.clearTo(e.now + d) }
+
+// clearTo reports whether the cycles up to t are Clear. It is small
+// enough to inline into advance, which runs on every Sleep.
+func (e *Engine) clearTo(t Time) bool {
+	return t >= e.now && t <= e.limit && !e.queue.dueBy(t)
+}
+
 // advance moves the clock d cycles ahead in place of scheduling and
 // running a wake-up event, when that event would be the next one run:
-// no queued event is due at or before now+d, and now+d is within the
-// active run's limit. It does the event's bookkeeping (sequence
-// number, executed count, calendar cursor) and reports whether it
-// advanced; on false the caller schedules and parks as usual.
+// the next d cycles are Clear. It does the event's bookkeeping
+// (sequence number, executed count, calendar cursor) and reports
+// whether it advanced; on false the caller schedules and parks as
+// usual.
 func (e *Engine) advance(d Time) bool {
 	t := e.now + d
-	if t < e.now || t > e.limit || e.queue.dueBy(t) {
+	if !e.clearTo(t) {
 		return false
 	}
 	e.seq++
