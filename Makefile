@@ -31,9 +31,11 @@ bench:
 # (BenchmarkSendThenMultiHop, 0 allocs/op once warm); one 64-byte and
 # one 4 KiB Network.Send across six hops of an uncontended mesh, riding
 # in its sender through a clear window or parking behind a busy one
-# (BenchmarkSendRide, 0 allocs/op); and one whole request through the
-# critical-path engine, root open to attribution
-# (BenchmarkCritPathConsume, 0 allocs/op once warm).
+# (BenchmarkSendRide, 0 allocs/op); one 8-byte control packet across
+# six hops with SendAsync, paced by an engine event, the way a DTU sends
+# acks and NACKs (BenchmarkSendAsync, 0 allocs/op once warm); and one
+# whole request through the critical-path engine, root open to
+# attribution (BenchmarkCritPathConsume, 0 allocs/op once warm).
 bench-sim:
 	go test -run '^$$' -bench . -benchmem ./internal/sim ./internal/noc ./internal/tile ./internal/obs
 

@@ -89,7 +89,7 @@ func f(d *dtu.DTU, tab *core.Table) error {
 
 // The defects errchecklite caught when it landed: sysRevoke dropped the
 // error of the remote endpoint invalidation, which would leave revoked
-// rights live in hardware (now mustConfig), and libm3's Exit dropped
+// rights live in hardware (now invalidateEP), and libm3's Exit dropped
 // its syscall send's error (kept, with an allow comment: the program is
 // gone either way).
 func TestErrCheckLiteMutationDroppedKernelErrors(t *testing.T) {

@@ -148,6 +148,11 @@ func assertIsolation(t *testing.T, cr *Result) {
 	if cr.FS != nil && cr.FS.SessionCount() != 0 {
 		t.Errorf("m3fs still holds %d sessions", cr.FS.SessionCount())
 	}
+	// Every configured endpoint of a live VPE traces to a capability in
+	// its table, and no crashed PE keeps a configured endpoint.
+	if err := cr.Kern.CheckEndpoints(); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestChaosMatrix drives every application workload through the fault
@@ -307,6 +312,11 @@ func TestChaosMatrix(t *testing.T) {
 					if !o.Finished && o.Err == nil {
 						t.Errorf("%s neither finished nor failed cleanly (end=%d)", o.Name, o.EndAt)
 					}
+				}
+				// The dead service still counts its sessions, so only the
+				// endpoint invariant of assertIsolation applies here.
+				if err := cr.Kern.CheckEndpoints(); err != nil {
+					t.Error(err)
 				}
 			})
 		})

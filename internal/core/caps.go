@@ -60,12 +60,6 @@ type Capability struct {
 	sel      kif.CapSel
 	parent   *Capability
 	children []*Capability
-
-	// Activation state: the endpoint this capability was activated on
-	// (send and memory gates). Revoking the capability invalidates the
-	// endpoint, so the hardware stops honouring it immediately.
-	actVPE *VPE
-	actEP  int
 }
 
 // Sel returns the selector under which the capability is installed.

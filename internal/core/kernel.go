@@ -47,8 +47,8 @@ type Stats struct {
 	// Fault-tolerance counters, nonzero only under fault injection:
 	// syscall replies abandoned after the DTU retry budget (the client
 	// died or its reply endpoint is unreachable), endpoint
-	// invalidations of a dead PE that timed out, and VPEs reaped by
-	// the death watchdog.
+	// invalidations that timed out (any drop's, not only a reap's), and
+	// VPEs reaped by the death watchdog.
 	RepliesDropped      uint64
 	FailedInvalidations uint64
 	VPEsReaped          uint64
@@ -296,19 +296,21 @@ func (k *Kernel) newVPE(name string, pe *tile.PE) *VPE {
 		ID:      k.nextVPE,
 		Name:    name,
 		PE:      pe,
-		epCaps:  make(map[int]*Capability),
+		epCaps:  make([]*Capability, pe.DTU.NumEndpoints()),
 		exitSig: sim.NewSignal(k.Plat.Eng),
-		kern:    k,
 	}
 	vpe.Caps = newCapTable(vpe)
 	k.vpes[vpe.ID] = vpe
 	return vpe
 }
 
+// allocPE hands out an unused, live PE, reset: an exit leaves its PE's
+// endpoints configured, and the next occupant must not inherit them.
 func (k *Kernel) allocPE(peType tile.CoreType) *tile.PE {
 	for _, pe := range k.Plat.PEs {
 		if !k.peUsed[pe.ID] && !pe.Crashed() && (peType == "" || pe.Type == peType) {
 			k.peUsed[pe.ID] = true
+			pe.Reset()
 			return pe
 		}
 	}

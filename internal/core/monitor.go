@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/dtu"
+	"repro/internal/kif"
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -58,13 +59,10 @@ func (k *Kernel) EnableDeathWatch(period sim.Time, maxMiss int, active func() bo
 	})
 }
 
-// reapVPE tears down a VPE whose core died: record the crash exit
-// code, revoke every capability (which closes service sessions and
-// releases memory, exactly like a normal exit), deconfigure every
-// endpoint a revoked capability was still activated on at a *live*
-// PE, and finally blanket-invalidate all endpoints of the dead PE so
-// no communication right survives the crash in hardware. The PE is
-// never returned to the allocator — its core is gone for good.
+// reapVPE tears down a VPE whose core died through the drop routine an
+// exit takes, with the crash exit code, and also invalidates every
+// endpoint of the dead PE so no communication right survives the crash
+// in hardware. The PE is never returned to the allocator.
 func (k *Kernel) reapVPE(p *sim.Process, vpe *VPE) {
 	if vpe.exited {
 		return
@@ -74,35 +72,12 @@ func (k *Kernel) reapVPE(p *sim.Process, vpe *VPE) {
 		tr.Emit(obs.Event{At: k.Plat.Eng.Now(), PE: int32(k.PE.Node), Layer: obs.LKernel,
 			Kind: obs.EvReap, Arg0: vpe.ID, Arg1: uint64(vpe.PE.ID)})
 	}
-	vpe.exited = true
-	vpe.exitCode = CrashExitCode
-	type actRec struct {
-		vpe *VPE
-		ep  int
-	}
-	var acts []actRec
-	dropped := 0
-	vpe.Caps.revokeAll(func(c *Capability) {
-		dropped++
-		if v := c.actVPE; v != nil && !v.exited && v.epCaps[c.actEP] == c {
-			if v != vpe {
-				// Endpoints at the dead PE get the blanket invalidation
-				// below; only survivors need a targeted one.
-				acts = append(acts, actRec{v, c.actEP})
-			}
-			delete(v.epCaps, c.actEP)
+	k.revoke(p, CostReap, CostRevokeCap, func(w *dropWalk) {
+		w.end(vpe, CrashExitCode)
+		for ep := 0; ep < vpe.PE.DTU.NumEndpoints(); ep++ {
+			w.eps = append(w.eps, epRef{vpe.PE.Node, ep})
 		}
-		k.onDrop(c)
 	})
-	k.compute(p, CostReap+CostRevokeCap*sim.Time(dropped))
-	for _, a := range acts {
-		k.invalidateEP(p, a.vpe.PE.Node, a.ep)
-	}
-	for ep := 0; ep < vpe.PE.DTU.NumEndpoints(); ep++ {
-		k.invalidateEP(p, vpe.PE.Node, ep)
-	}
-	vpe.exitSig.Broadcast()
-	k.actSig.Broadcast()
 	// Supervisor hook: a supervised service gets respawned on a spare
 	// PE after its policy's backoff (no-op for everything else).
 	k.maybeRespawn(vpe)
@@ -126,4 +101,27 @@ func (k *Kernel) invalidateEP(p *sim.Process, node noc.NodeID, ep int) {
 		return
 	}
 	panic(fmt.Sprintf("core: endpoint invalidation failed: %v", err))
+}
+
+// CheckEndpoints validates the kernel's isolation invariant at the NoC:
+// every configured endpoint at the PE of a non-exited VPE is a standard
+// endpoint or active for a capability still in that VPE's table, and no
+// crashed PE has a configured endpoint (the kernel's PE holds no VPE).
+func (k *Kernel) CheckEndpoints() error {
+	for _, vpe := range k.VPEs() {
+		for ep := kif.FirstFreeEP; !vpe.exited && ep < len(vpe.epCaps); ep++ {
+			c := vpe.epCaps[ep]
+			if typ := vpe.PE.DTU.EP(ep).Type; typ != dtu.EpInvalid && (c == nil || vpe.Caps.caps[c.sel] != c) {
+				return fmt.Errorf("vpe %d (%s): endpoint %d configured as %v for no capability in its table", vpe.ID, vpe.Name, ep, typ)
+			}
+		}
+	}
+	for _, pe := range k.Plat.PEs {
+		for ep := 0; pe.Crashed() && ep < pe.DTU.NumEndpoints(); ep++ {
+			if typ := pe.DTU.EP(ep).Type; typ != dtu.EpInvalid {
+				return fmt.Errorf("crashed PE %d: endpoint %d still configured as %v", pe.ID, ep, typ)
+			}
+		}
+	}
+	return nil
 }

@@ -16,17 +16,14 @@ type VPE struct {
 
 	Caps *CapTable
 
-	// epCaps tracks which capability each endpoint of the VPE's DTU is
-	// currently activated for, so revocation invalidates exactly the
-	// endpoints that still belong to revoked capabilities.
-	epCaps map[int]*Capability
+	// epCaps, indexed by endpoint, is the kernel's only record of which
+	// capability of the VPE's own table each endpoint is activated for.
+	epCaps []*Capability
 
 	started  bool
 	exited   bool
 	exitCode int64
 	exitSig  *sim.Signal
-
-	kern *Kernel
 }
 
 // CrashExitCode is the exit code recorded for a VPE whose PE crashed

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/dtu"
 	"repro/internal/kif"
+	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/overload"
 	"repro/internal/sim"
@@ -28,7 +29,7 @@ func (k *Kernel) sysCreateVPE(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dt
 	}
 	child := k.newVPE(name, pe)
 	if _, err := vpe.Caps.Install(vpeSel, CapVPE, child); err != kif.OK {
-		k.freePE(pe)
+		k.peUsed[pe.ID] = false
 		delete(k.vpes, child.ID)
 		k.replyErr(p, msg, err)
 		return
@@ -95,51 +96,81 @@ func (k *Kernel) sysVPEWait(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dtu.
 	})
 }
 
-// sysExit: exit(code). No reply is expected; the kernel tears down the
+// sysExit: exit(code). No reply is expected; the kernel drops the
 // VPE's capabilities and frees its PE for reuse.
 func (k *Kernel) sysExit(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dtu.Message) {
 	code := is.I64()
 	k.compute(p, CostExit)
-	k.destroyVPE(vpe, code)
+	k.revoke(p, 0, 0, func(w *dropWalk) { w.end(vpe, code) })
 	k.PE.DTU.Ack(kif.KSyscallEP, msg)
 }
 
-func (k *Kernel) destroyVPE(vpe *VPE, code int64) {
-	k.teardownVPE(vpe, code, false)
+// dropWalk is one revocation walk's own record (the watchdog's reap and
+// the dispatcher walk in different processes): how many capabilities it
+// dropped, the endpoints they were active on, and the VPEs it ended.
+type dropWalk struct {
+	k       *Kernel
+	dropped int
+	eps     []epRef
+	ended   []*VPE
 }
 
-// teardownVPE ends a VPE: revoke all capabilities, optionally reset the
-// PE (kill the program and clear its DTU endpoints, §4.5.5), and wake
-// waiters. A crashed PE is never returned to the allocator.
-func (k *Kernel) teardownVPE(vpe *VPE, code int64, reset bool) {
-	if vpe.exited {
-		return
+type epRef struct {
+	node noc.NodeID
+	ep   int
+}
+
+// revoke is the kernel's one drop routine, behind revoke, exit, the
+// revocation of a VPE capability and the reap: it runs walk, charges
+// fixed plus perCap per dropped capability, invalidates the endpoints
+// the walk collected, and only then wakes the waiters of ended VPEs and
+// deferred activations, so nobody learns of a drop while its rights are
+// still live in hardware.
+func (k *Kernel) revoke(p *sim.Process, fixed, perCap sim.Time, walk func(w *dropWalk)) {
+	w := &dropWalk{k: k}
+	walk(w)
+	if cost := fixed + perCap*sim.Time(w.dropped); cost > 0 {
+		k.compute(p, cost)
 	}
-	vpe.exited = true
-	vpe.exitCode = code
-	vpe.Caps.revokeAll(k.onDrop)
-	if reset {
-		vpe.PE.Reset()
+	for _, e := range w.eps {
+		k.invalidateEP(p, e.node, e.ep)
 	}
+	for _, vpe := range w.ended {
+		vpe.exitSig.Broadcast()
+	}
+	if len(w.ended) > 0 {
+		k.actSig.Broadcast()
+	}
+}
+
+// end marks vpe exited with code and drops its whole capability table
+// in this walk. Its PE is cleared when it is next handed out (allocPE);
+// a crashed PE is never returned to the allocator.
+func (w *dropWalk) end(vpe *VPE, code int64) {
+	vpe.exited, vpe.exitCode = true, code
+	w.ended = append(w.ended, vpe)
+	vpe.Caps.revokeAll(w.onDrop)
 	if !vpe.PE.Crashed() {
-		k.freePE(vpe.PE)
-	}
-	vpe.exitSig.Broadcast()
-	k.actSig.Broadcast()
-}
-
-func (k *Kernel) freePE(pe *tile.PE) {
-	if pe != nil {
-		k.peUsed[pe.ID] = false
+		w.k.peUsed[vpe.PE.ID] = false
 	}
 }
 
-// onDrop releases the kernel object of a removed capability.
-//
-// The drop is traced: revocation order is part of the event schedule
-// (session closes and memory releases happen in this order), so the
-// determinism regression test hashes these events to witness it.
-func (k *Kernel) onDrop(c *Capability) {
+// onDrop collects every endpoint of a live owner that the dropped c is
+// active on and releases c's kernel object. The drop is traced:
+// revocation order is part of the event schedule (session closes and
+// memory releases happen in this order), so the determinism regression
+// test hashes these events to witness it.
+func (w *dropWalk) onDrop(c *Capability) {
+	k := w.k
+	w.dropped++
+	if v := c.table.vpe; !v.exited {
+		for ep, act := range v.epCaps {
+			if act == c {
+				v.epCaps[ep] = nil
+				w.eps = append(w.eps, epRef{v.PE.Node, ep})
+			}
+		}
+	}
 	if tr := k.Plat.Obs; tr.On() {
 		k.mCapRevocations.Inc()
 		tr.Emit(obs.Event{At: k.Plat.Eng.Now(), PE: int32(k.PE.Node), Layer: obs.LKernel,
@@ -167,9 +198,12 @@ func (k *Kernel) onDrop(c *Capability) {
 			k.closeSession(obj)
 		}
 	case *VPE:
-		// Revoking a VPE capability resets the PE and makes it
-		// available again (the paper, §4.5.5).
-		k.teardownVPE(obj, -1, true)
+		// Revoking a VPE capability ends the VPE and resets its PE,
+		// killing the program (the paper, §4.5.5).
+		if !obj.exited {
+			w.end(obj, -1)
+			obj.PE.Reset()
+		}
 	}
 }
 
@@ -331,14 +365,10 @@ func (k *Kernel) sysActivate(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dtu
 	k.compute(p, CostActivate)
 	switch obj := cap.Obj.(type) {
 	case *MemObj:
-		cfgErr := k.configRemote(p, vpe.PE.Node, ep, dtu.Endpoint{
+		k.replyConfig(p, msg, vpe, ep, cap, k.configRemote(p, vpe.PE.Node, ep, dtu.Endpoint{
 			Type: dtu.EpMemory, MemTarget: obj.Node, MemAddr: obj.Addr,
 			MemSize: obj.Size, MemPerms: obj.Perms,
-		})
-		if cfgErr == nil {
-			recordActivation(vpe, ep, cap)
-		}
-		k.replyConfig(p, msg, cfgErr)
+		}))
 	case *RGateObj:
 		if obj.Owner != vpe {
 			k.replyErr(p, msg, kif.ErrNoPerm)
@@ -349,23 +379,13 @@ func (k *Kernel) sysActivate(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dtu
 			SlotSize: obj.SlotSize + dtu.HeaderSize, SlotCount: obj.Slots,
 		})
 		if cfgErr == nil {
-			obj.EP = ep
-			obj.BufAddr = bufAddr
-			// Claim the endpoint in the kernel's bookkeeping: if a
-			// multiplexed gate was evicted from this endpoint earlier, a
-			// later revocation of that gate's capability must not
-			// invalidate the receive gate now living here.
-			recordActivation(vpe, ep, cap)
+			obj.EP, obj.BufAddr = ep, bufAddr
 			k.actSig.Broadcast()
 		}
-		k.replyConfig(p, msg, cfgErr)
+		k.replyConfig(p, msg, vpe, ep, cap, cfgErr)
 	case *SGateObj:
 		if obj.RGate.Activated() {
-			err := k.configSend(p, vpe, ep, obj)
-			if err == nil {
-				recordActivation(vpe, ep, cap)
-			}
-			k.replyConfig(p, msg, err)
+			k.replyConfig(p, msg, vpe, ep, cap, k.configSend(p, vpe, ep, obj))
 			return
 		}
 		// Defer until the receiver is ready. The helper also wakes on
@@ -380,25 +400,11 @@ func (k *Kernel) sysActivate(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dtu
 				k.replyErr(hp, msg, kif.ErrVPEGone)
 				return
 			}
-			err := k.configSend(hp, vpe, ep, obj)
-			if err == nil {
-				recordActivation(vpe, ep, cap)
-			}
-			k.replyConfig(hp, msg, err)
+			k.replyConfig(hp, msg, vpe, ep, cap, k.configSend(hp, vpe, ep, obj))
 		})
 	default:
 		k.replyErr(p, msg, kif.ErrInvalidArgs)
 	}
-}
-
-// recordActivation updates the kernel's endpoint bookkeeping: cap now
-// owns ep at vpe; whatever was there before no longer does.
-func recordActivation(vpe *VPE, ep int, cap *Capability) {
-	if prev := vpe.epCaps[ep]; prev != nil && prev != cap {
-		prev.actVPE, prev.actEP = nil, 0
-	}
-	vpe.epCaps[ep] = cap
-	cap.actVPE, cap.actEP = vpe, ep
 }
 
 func (k *Kernel) configSend(p *sim.Process, vpe *VPE, ep int, sg *SGateObj) error {
@@ -408,11 +414,25 @@ func (k *Kernel) configSend(p *sim.Process, vpe *VPE, ep int, sg *SGateObj) erro
 	})
 }
 
-func (k *Kernel) replyConfig(p *sim.Process, msg *dtu.Message, cfgErr error) {
+// replyConfig answers an activation. If the endpoint was configured, cap
+// now owns it in the kernel's record, and whatever gate was there before
+// no longer does: a later revocation of a gate evicted from a
+// multiplexed endpoint must not invalidate its new occupant. A cap
+// dropped while the kernel configured it (a deferred activation waits)
+// gets its endpoint invalidated instead.
+func (k *Kernel) replyConfig(p *sim.Process, msg *dtu.Message, vpe *VPE, ep int, cap *Capability, cfgErr error) {
 	if cfgErr != nil {
 		k.replyErr(p, msg, kif.ErrInvalidArgs)
 		return
 	}
+	if vpe.Caps.caps[cap.sel] != cap {
+		if !vpe.exited {
+			k.invalidateEP(p, vpe.PE.Node, ep)
+		}
+		k.replyErr(p, msg, kif.ErrNoSuchCap)
+		return
+	}
+	vpe.epCaps[ep] = cap
 	k.replyErr(p, msg, kif.OK)
 }
 
@@ -428,29 +448,7 @@ func (k *Kernel) sysRevoke(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dtu.M
 		k.replyErr(p, msg, err)
 		return
 	}
-	dropped := 0
-	type actRec struct {
-		vpe *VPE
-		ep  int
-	}
-	var acts []actRec
-	cap.Revoke(func(c *Capability) {
-		dropped++
-		if v := c.actVPE; v != nil && !v.exited && v.epCaps[c.actEP] == c {
-			acts = append(acts, actRec{v, c.actEP})
-			delete(v.epCaps, c.actEP)
-		}
-		k.onDrop(c)
-	})
-	k.compute(p, CostRevokeCap*sim.Time(dropped))
-	// Invalidate every endpoint a dropped capability was activated on:
-	// isolation is enforced at the NoC level, so the DTUs must stop
-	// honouring the revoked rights immediately.
-	for _, a := range acts {
-		// A failed invalidation would leave the revoked rights live in
-		// hardware — an isolation hole, not a recoverable error.
-		mustConfig(k.configRemote(p, a.vpe.PE.Node, a.ep, dtu.Endpoint{Type: dtu.EpInvalid}))
-	}
+	k.revoke(p, 0, CostRevokeCap, func(w *dropWalk) { cap.Revoke(w.onDrop) })
 	k.replyErr(p, msg, kif.OK)
 }
 

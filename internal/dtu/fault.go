@@ -125,8 +125,8 @@ func (d *DTU) SetCoreStatus(fn func() bool) { d.coreStatus = fn }
 
 // ResetEndpoints clears every endpoint register, dropping any
 // buffered messages. The tile layer invokes this when the kernel
-// resets a PE (VPE teardown, §4.5.5), so a freed PE leaks no stale
-// communication rights to its next occupant.
+// resets a PE (VPE revocation, §4.5.5, and PE hand-out), so a reused
+// PE leaks no stale communication rights to its next occupant.
 func (d *DTU) ResetEndpoints() {
 	for i := range d.eps {
 		d.eps[i] = epState{}

@@ -327,3 +327,239 @@ func TestRevokeDoesNotClobberReusedEndpoint(t *testing.T) {
 	})
 	s.eng.Run()
 }
+
+// TestReusedPEInheritsNoEndpoint: a PE handed to a second VPE carries
+// none of its previous occupant's endpoints. The second child reads
+// through the endpoint index the first child's memory gate used and
+// must get an error, not the first child's bytes.
+func TestReusedPEInheritsNoEndpoint(t *testing.T) {
+	s := newSystem(t, 4)
+	s.app(t, "parent", func(env *m3.Env) {
+		const secret = "secret-of-c1"
+		ep := -1
+		c1, err := env.NewVPE("c1", "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := c1.Run(func(child *m3.Env) {
+			mg, err := child.ReqMem(4096, dtu.PermRW)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := mg.Write([]byte(secret), 0); err != nil {
+				t.Error(err)
+				return
+			}
+			ep = mg.EP()
+		}); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := c1.Wait(); err != nil || ep < 0 {
+			t.Errorf("c1: wait %v, endpoint %d", err, ep)
+			return
+		}
+		c2, err := env.NewVPE("c2", "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if c2.PEID != c1.PEID {
+			t.Errorf("c2 on PE %d, want c1's PE %d", c2.PEID, c1.PEID)
+			return
+		}
+		got := make([]byte, len(secret))
+		var rerr error
+		if err := c2.Run(func(child *m3.Env) {
+			rerr = child.DTU().ReadMem(child.P(), ep, 0, got)
+		}); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := c2.Wait(); err != nil {
+			t.Error(err)
+		}
+		if rerr == nil || string(got) == secret {
+			t.Errorf("c2 read %q through c1's endpoint %d (err %v)", got, ep, rerr)
+		}
+		if err := s.kern.CheckEndpoints(); err != nil {
+			t.Error(err)
+		}
+	})
+	s.eng.Run()
+}
+
+// TestExitInvalidatesSurvivorEndpoint: a parent obtains and activates
+// its child's pipe-writer memory capability. The child's exit drops
+// it, and by the time the parent's wait returns the endpoint is
+// already invalid in hardware.
+func TestExitInvalidatesSurvivorEndpoint(t *testing.T) {
+	s := newSystem(t, 4)
+	s.app(t, "parent", func(env *m3.Env) {
+		c, err := env.NewVPE("reader", "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := c.Run(func(child *m3.Env) {
+			// NewPipe allocates selectors 1..4: rgate, ringbuffer,
+			// sgate(3), writer memory gate(4).
+			pr, err := m3.NewPipe(child, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			buf := make([]byte, 64)
+			for {
+				if _, err := pr.Read(buf); err != nil {
+					return
+				}
+			}
+		}); err != nil {
+			t.Error(err)
+			return
+		}
+		mine := env.AllocSels(2)
+		for attempt := 0; c.Obtain(mine, 3, 2) != nil; attempt++ {
+			if attempt == 100 {
+				t.Error("child never created its pipe")
+				return
+			}
+			env.P().Sleep(500)
+		}
+		wmem := env.MemGateAt(mine+1, m3.DefaultPipeSize)
+		if err := wmem.Write([]byte("x"), 0); err != nil {
+			t.Error(err)
+			return
+		}
+		ep := wmem.EP()
+		if err := m3.OpenPipeWriter(env, mine, mine+1, 0).Close(); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := c.Wait(); err != nil {
+			t.Error(err)
+			return
+		}
+		if typ := env.DTU().EP(ep).Type; typ != dtu.EpInvalid {
+			t.Errorf("endpoint %d still configured as %v after the child's exit", ep, typ)
+		}
+		if err := wmem.Write([]byte("late"), 0); err == nil {
+			t.Error("write into the exited child's released ringbuffer succeeded")
+		}
+		if err := s.kern.CheckEndpoints(); err != nil {
+			t.Error(err)
+		}
+	})
+	s.eng.Run()
+}
+
+// TestRevokeInvalidatesEveryActivation: one selector activated on two
+// endpoints loses both when it is revoked.
+func TestRevokeInvalidatesEveryActivation(t *testing.T) {
+	s := newSystem(t, 3)
+	s.app(t, "twins", func(env *m3.Env) {
+		mg, err := env.ReqMem(4096, dtu.PermRW)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		twin := env.MemGateAt(mg.Sel(), 4096)
+		for _, g := range []*m3.MemGate{mg, twin} {
+			if err := g.Write([]byte("live"), 0); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		eps := []int{mg.EP(), twin.EP()}
+		if eps[0] == eps[1] {
+			t.Errorf("both gates on endpoint %d", eps[0])
+			return
+		}
+		if err := env.Revoke(mg.Sel()); err != nil {
+			t.Error(err)
+			return
+		}
+		for _, ep := range eps {
+			if typ := env.DTU().EP(ep).Type; typ != dtu.EpInvalid {
+				t.Errorf("endpoint %d still configured as %v after the revoke", ep, typ)
+			}
+		}
+		if err := s.kern.CheckEndpoints(); err != nil {
+			t.Error(err)
+		}
+	})
+	s.eng.Run()
+}
+
+// TestDeferredActivationOfRevokedCapFails: a send gate whose
+// activation waits for its receive gate is revoked meanwhile. When the
+// receiver arrives, the activation fails and leaves no configured
+// endpoint behind.
+func TestDeferredActivationOfRevokedCapFails(t *testing.T) {
+	s := newSystem(t, 4)
+	s.app(t, "parent", func(env *m3.Env) {
+		// Create the receive gate and a send gate for it, but activate
+		// the receive gate only after the child asked for the send gate.
+		var o kif.OStream
+		rsel, ssel := env.AllocSel(), env.AllocSel()
+		o.Op(kif.SysCreateRGate).Sel(rsel).U64(64).U64(4)
+		if _, err := env.Syscall(&o); err != nil {
+			t.Error(err)
+			return
+		}
+		o.Reset().Op(kif.SysCreateSGate).Sel(ssel).Sel(rsel).U64(7).I64(1)
+		if _, err := env.Syscall(&o); err != nil {
+			t.Error(err)
+			return
+		}
+		c, err := env.NewVPE("sender", "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := c.Delegate(ssel, 10, 1); err != nil {
+			t.Error(err)
+			return
+		}
+		sent, ep := false, -1
+		var sendErr error
+		if err := c.Run(func(child *m3.Env) {
+			sg := child.SendGateAt(10)
+			sendErr, sent, ep = sg.Send([]byte("hi")), true, sg.EP()
+		}); err != nil {
+			t.Error(err)
+			return
+		}
+		env.P().Sleep(20000)
+		if sent {
+			t.Error("send gate activated before its receive gate")
+			return
+		}
+		if err := env.Revoke(ssel); err != nil {
+			t.Error(err)
+			return
+		}
+		buf := kif.RBufSpaceEnd - 4*(64+dtu.HeaderSize)
+		o.Reset().Op(kif.SysActivate).Sel(rsel).I64(int64(kif.FirstFreeEP)).U64(uint64(buf))
+		if _, err := env.Syscall(&o); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := c.Wait(); err != nil {
+			t.Error(err)
+		}
+		if !errors.Is(sendErr, kif.ErrNoSuchCap) {
+			t.Errorf("send through the revoked gate: %v, want ErrNoSuchCap", sendErr)
+		}
+		if pe := s.plat.PEs[c.PEID]; ep >= 0 || pe.DTU.EP(kif.FirstFreeEP).Type != dtu.EpInvalid {
+			t.Errorf("revoked gate left endpoint %d configured as %v", ep, pe.DTU.EP(kif.FirstFreeEP).Type)
+		}
+		if err := s.kern.CheckEndpoints(); err != nil {
+			t.Error(err)
+		}
+	})
+	s.eng.Run()
+}

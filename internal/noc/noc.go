@@ -477,8 +477,9 @@ type flight struct {
 	ser     sim.Time
 	dropped bool
 	// onLink runs once the hop's link is held, onHop after the router
-	// latency, onArrive once the body drained into the destination.
-	onLink, onHop, onArrive func()
+	// latency, onArrive once the body drained into the destination, and
+	// onDeliver at the end of a SendAsync.
+	onLink, onHop, onArrive, onDeliver func()
 	// free links the network's flight freelist.
 	free *flight
 }
@@ -489,7 +490,7 @@ func (n *Network) newFlight() *flight {
 	f := n.flights
 	if f == nil {
 		f = &flight{n: n}
-		f.onLink, f.onHop, f.onArrive = f.linked, f.hopped, f.arrived
+		f.onLink, f.onHop, f.onArrive, f.onDeliver = f.linked, f.hopped, f.arrived, f.delivered
 		return f
 	}
 	n.flights, f.free = f.free, nil
@@ -500,7 +501,7 @@ func (n *Network) newFlight() *flight {
 // freelist) and returns it to the pool.
 func (f *flight) release() {
 	n := f.n
-	*f = flight{n: n, onLink: f.onLink, onHop: f.onHop, onArrive: f.onArrive, free: n.flights}
+	*f = flight{n: n, onLink: f.onLink, onHop: f.onHop, onArrive: f.onArrive, onDeliver: f.onDeliver, free: n.flights}
 	n.flights = f
 }
 
@@ -607,14 +608,21 @@ func (n *Network) SendAsync(pkt *Packet) {
 		}
 		return
 	}
-	h := n.handlers[pkt.Dst]
-	if h == nil {
+	if n.handlers[pkt.Dst] == nil {
 		panic(fmt.Sprintf("noc: packet for unattached node %d", pkt.Dst))
 	}
-	n.eng.Schedule(n.TransferTime(pkt.Src, pkt.Dst, pkt.Size), func() {
-		h.Deliver(pkt)
-		n.finishDelivery(pkt)
-	})
+	f := n.newFlight()
+	f.pkt = pkt
+	n.eng.Schedule(n.TransferTime(pkt.Src, pkt.Dst, pkt.Size), f.onDeliver)
+}
+
+// delivered ends a SendAsync: the destination's handler gets the
+// packet, untraced like its injection.
+func (f *flight) delivered() {
+	n, pkt := f.n, f.pkt
+	f.release()
+	n.handlers[pkt.Dst].Deliver(pkt)
+	n.finishDelivery(pkt)
 }
 
 // SetFaultHook installs (or, with nil, removes) the per-hop fault

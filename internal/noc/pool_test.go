@@ -1,8 +1,10 @@
 package noc
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -198,4 +200,64 @@ func TestPacketPoolAsyncRecycle(t *testing.T) {
 		t.Fatal("async packet not recycled after delivery")
 	}
 	assertZeroed(t, pkt)
+}
+
+// asyncSender returns a function that sends count 8-byte control
+// packets corner to corner across a contended 4×4 mesh with SendAsync,
+// one per cycle from an engine event (as a DTU emits acks and NACKs),
+// and runs the engine until the last is delivered.
+func asyncSender(n *Network) func(count int) {
+	left := 0
+	var tick func()
+	tick = func() {
+		pkt := n.NewPacket()
+		pkt.Src, pkt.Dst, pkt.Size, pkt.Span = 0, 15, 8, 1
+		n.SendAsync(pkt)
+		if left--; left > 0 {
+			n.eng.Schedule(1, tick)
+		}
+	}
+	return func(count int) {
+		left = count
+		n.eng.Schedule(0, tick)
+		n.eng.Run()
+	}
+}
+
+// TestSendAsyncPooledAndUntraced: a warm SendAsync allocates nothing,
+// delivers in one event at the uncontended transfer time, and, unlike
+// Send, traces neither injection nor delivery, even of a packet that
+// carries a span.
+func TestSendAsyncPooledAndUntraced(t *testing.T) {
+	eng := sim.NewEngine()
+	n := New(eng, Config{Width: 4, Height: 4})
+	var kinds []obs.Kind
+	n.SetObserver(obs.New(obs.Options{Sink: func(ev obs.Event) { kinds = append(kinds, ev.Kind) }}))
+	var at []sim.Time
+	n.Attach(15, HandlerFunc(func(*Packet) { at = append(at, eng.Now()) }))
+	send := asyncSender(n)
+	send(1)
+	if want := []sim.Time{n.TransferTime(0, 15, 8)}; !reflect.DeepEqual(at, want) || eng.ExecutedEvents() != 2 {
+		t.Fatalf("delivered at %v in %d events, want %v in 2", at, eng.ExecutedEvents(), want)
+	}
+	if len(kinds) != 0 {
+		t.Fatalf("SendAsync traced %v", kinds)
+	}
+	// Many turns of the calendar wheel warm its buckets.
+	send(5000)
+	if allocs := testing.AllocsPerRun(100, func() { send(10) }); allocs != 0 {
+		t.Fatalf("a warm SendAsync allocates %.1f objects per 10 sends, want 0", allocs)
+	}
+}
+
+// BenchmarkSendAsync times one control packet across six hops with
+// SendAsync, injection to delivery, on a warm mesh.
+func BenchmarkSendAsync(b *testing.B) {
+	n := New(sim.NewEngine(), Config{Width: 4, Height: 4})
+	n.Attach(15, HandlerFunc(func(*Packet) {}))
+	send := asyncSender(n)
+	send(5000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	send(b.N)
 }

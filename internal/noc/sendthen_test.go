@@ -274,7 +274,7 @@ func TestFlightPoolHygiene(t *testing.T) {
 	if f.pkt != nil || f.owner != nil || f.done != nil || f.l != nil || f.dropped {
 		t.Fatalf("pooled flight not scrubbed: %+v", f)
 	}
-	if f.onLink == nil || f.onHop == nil || f.onArrive == nil {
+	if f.onLink == nil || f.onHop == nil || f.onArrive == nil || f.onDeliver == nil {
 		t.Fatal("pooled flight lost its prebuilt callbacks")
 	}
 	if n.newFlight() != f {

@@ -96,10 +96,10 @@ func (pe *PE) Obs() *obs.Tracer { return pe.plat.Obs }
 // Crashed reports whether the core was crashed by fault injection.
 func (pe *PE) Crashed() bool { return pe.crashed }
 
-// Reset stops the PE on the kernel's behalf (teardown of a revoked
-// VPE, §4.5.5: the kernel "resets the PE"): the program is killed and
-// the DTU's endpoint registers are cleared, so the freed PE carries no
-// stale communication rights to its next occupant.
+// Reset stops the PE on the kernel's behalf (the revocation of a VPE,
+// §4.5.5: the kernel "resets the PE", and every hand-out of a PE): the
+// program is killed and the DTU's endpoint registers are cleared, so
+// the PE carries no stale communication rights to its next occupant.
 func (pe *PE) Reset() {
 	if pe.prog != nil && !pe.prog.Dead() {
 		pe.prog.Kill()
