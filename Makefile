@@ -33,9 +33,13 @@ bench:
 # in its sender through a clear window or parking behind a busy one
 # (BenchmarkSendRide, 0 allocs/op); one 8-byte control packet across
 # six hops with SendAsync, paced by an engine event, the way a DTU sends
-# acks and NACKs (BenchmarkSendAsync, 0 allocs/op once warm); and one
+# acks and NACKs (BenchmarkSendAsync, 0 allocs/op once warm); one
 # whole request through the critical-path engine, root open to
-# attribution (BenchmarkCritPathConsume, 0 allocs/op once warm).
+# attribution (BenchmarkCritPathConsume, 0 allocs/op once warm); four
+# interleaved requests the way perf's tail4 feeds them, default
+# population bound and two SLOs attached (BenchmarkCritPathConsumeTail4,
+# whose B/op is the summaries kept); and one SLO observation
+# (BenchmarkSLOObserve).
 bench-sim:
 	go test -run '^$$' -bench . -benchmem ./internal/sim ./internal/noc ./internal/tile ./internal/obs
 
@@ -108,15 +112,18 @@ chaos:
 # kernel and service request passes through — plus two cross-checks
 # against reference implementations: the event queue (calendar vs
 # reference heap pop order) and the critical-path engine (pooled vs
-# map-based attribution, reports and interval pairing). The full
-# fuzzers run for as long as you let them: go test -fuzz FuzzFaultPlan
+# map-based attribution, reports and interval pairing), and the SLO
+# windows (running sums vs re-summing the ring). The full fuzzers run
+# for as long as you let them: go test -fuzz FuzzFaultPlan
 # ./internal/fault, go test -fuzz FuzzJournal ./internal/m3fs,
 # go test -fuzz FuzzIStream ./internal/kif,
 # go test -fuzz FuzzEventQueue ./internal/sim,
-# go test -fuzz FuzzCritPath ./internal/obs.
+# go test -fuzz FuzzCritPath ./internal/obs,
+# go test -fuzz FuzzSLO ./internal/obs.
 fuzz:
 	go test -run '^$$' -fuzz FuzzFaultPlan -fuzztime 10s ./internal/fault
 	go test -run '^$$' -fuzz FuzzJournal -fuzztime 10s ./internal/m3fs
 	go test -run '^$$' -fuzz FuzzIStream -fuzztime 10s ./internal/kif
 	go test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s ./internal/sim
 	go test -run '^$$' -fuzz FuzzCritPath -fuzztime 10s ./internal/obs
+	go test -run '^$$' -fuzz FuzzSLO -fuzztime 10s ./internal/obs

@@ -207,16 +207,17 @@ func runETailM3(w ETailWorkload) (*ETailWorkloadResult, error) {
 	}
 	res.SLOGood, res.SLOTotal = tail.Counts()
 	res.SLOTransitions = tail.Transitions()
+	pop := cp.Requests()
+	if len(pop) == 0 {
+		return nil, fmt.Errorf("etail %s: no completed requests on M3", w.Name)
+	}
 	for _, q := range ETailQuantiles {
-		req, ok := cp.RequestAt(q)
-		if !ok {
-			return nil, fmt.Errorf("etail %s: no completed requests on M3", w.Name)
-		}
+		req := pop[obs.NearestRank(q, len(pop))]
 		res.M3.Quantiles = append(res.M3.Quantiles, ETailQ{
 			Q: q, Latency: uint64(req.Latency()), Blame: req.Blame})
 	}
 	h := fnv.New64a()
-	for _, req := range cp.Requests() {
+	for _, req := range pop {
 		fmt.Fprintf(h, "%d %d %v\n", req.Span, req.Latency(), req.Blame)
 	}
 	fmt.Fprintf(h, "ev=%d ft=%d\n", res.Stats.ExecutedEvents, res.Stats.FinalTime)
@@ -295,18 +296,11 @@ func runETailLx(w ETailWorkload) (ETailSystem, error) {
 	}
 	res := ETailSystem{System: "lx", Requests: uint64(len(reqs))}
 	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].lat < reqs[j].lat })
+	if len(reqs) == 0 {
+		return ETailSystem{}, fmt.Errorf("etail %s: no operations on lx", w.Name)
+	}
 	for _, q := range ETailQuantiles {
-		if len(reqs) == 0 {
-			return ETailSystem{}, fmt.Errorf("etail %s: no operations on lx", w.Name)
-		}
-		// Nearest rank, the same selection rule CritPath.RequestAt uses.
-		idx := int(q*float64(len(reqs))+0.5) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(reqs) {
-			idx = len(reqs) - 1
-		}
+		idx := obs.NearestRank(q, len(reqs))
 		res.Quantiles = append(res.Quantiles, ETailQ{
 			Q: q, Latency: uint64(reqs[idx].lat), Blame: reqs[idx].blame})
 	}

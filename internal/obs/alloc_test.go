@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -60,35 +62,41 @@ func allocReq(span SpanID, at sim.Time) []Event {
 // TestConsumeZeroAlloc pins the critical-path engine's steady state: a
 // warmed-up request that does not rank among the exemplars allocates
 // nothing — its state and event buffer come from the pool, pairing and
-// painting run in the engine's scratch. The population slice grows by
-// doubling up to MaxRequests like any append; the test leaves it room
-// so the count measures the per-request path alone.
+// painting run in the engine's scratch — apart from one population
+// block per summaryBlock requests, and no summary is ever copied to
+// make room: 20,000 more requests allocate little more than their
+// 20,000 summaries.
 func TestConsumeZeroAlloc(t *testing.T) {
 	c := NewCritPath(CritPathOptions{})
-	const warm, runs = 64, 1000
+	const warm, runs, bulk = 64, 1000, 20000
 	span := SpanID(0)
+	events := allocReq(0, 0)
 	feed := func() {
 		span++
-		for _, ev := range allocReq(span, sim.Time(span)*100) {
+		for _, ev := range events {
+			ev.Span, ev.At = span, ev.At+sim.Time(span)*100
 			c.Consume(ev)
 		}
 	}
 	for range warm {
 		feed()
 	}
-	c.summaries = slices.Grow(c.summaries, runs+1)
-	events := allocReq(0, 0)
-	if allocs := testing.AllocsPerRun(runs, func() {
-		span++
-		for _, ev := range events {
-			ev.Span, ev.At = span, ev.At+sim.Time(span)*100
-			c.Consume(ev)
-		}
-	}); allocs != 0 {
+	if allocs := testing.AllocsPerRun(runs, feed); allocs != 0 {
 		t.Fatalf("Consume allocates %v objects per request, want 0", allocs)
 	}
-	if c.Completed() != warm+runs+1 {
-		t.Fatalf("completed = %d, want %d", c.Completed(), warm+runs+1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range bulk {
+		feed()
+	}
+	runtime.ReadMemStats(&after)
+	summaries := uint64(bulk * unsafe.Sizeof(Request{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got > summaries*11/10 {
+		t.Fatalf("%d requests allocate %d B, want <= %d (1.1x their %d B of summaries)",
+			bulk, got, summaries*11/10, summaries)
+	}
+	if want := uint64(warm + runs + 1 + bulk); c.Completed() != want {
+		t.Fatalf("completed = %d, want %d", c.Completed(), want)
 	}
 }
 
@@ -104,5 +112,56 @@ func BenchmarkCritPathConsume(b *testing.B) {
 			ev.Span, ev.At = span, ev.At+sim.Time(span)*100
 			c.Consume(ev)
 		}
+	}
+}
+
+// tail4Requests is how many requests one iteration of perf's tail4
+// workload finishes, each on a fresh engine.
+const tail4Requests = 24000
+
+// BenchmarkCritPathConsumeTail4 feeds requests the way perf's tail4
+// workload does: four requests in flight at once, their events
+// interleaved in runs of five (so most events carry the span of the
+// one before, as in the workload), the default MaxRequests, two SLOs
+// attached, and a fresh engine every tail4Requests requests, so the
+// population and the SLO windows cost what they cost there. One op is
+// the four requests.
+func BenchmarkCritPathConsumeTail4(b *testing.B) {
+	const inFlight, run = 4, 5
+	var batch []Event
+	reqs := make([][]Event, inFlight)
+	for k := range reqs {
+		reqs[k] = allocReq(SpanID(k), sim.Time(k)*20)
+	}
+	for from := 0; from < len(reqs[0]); from += run {
+		for _, r := range reqs {
+			batch = append(batch, r[from:min(from+run, len(r))]...)
+		}
+	}
+	var c *CritPath
+	b.ReportAllocs()
+	for i := range b.N {
+		if i%(tail4Requests/inFlight) == 0 {
+			slos := NewSLOSet()
+			slos.Objective(testSLOTail, SLOConfig{Objective: 0.99, LatencyBound: 1 << 17, Window: 1 << 20})
+			slos.Objective(testSLOAvail, SLOConfig{Objective: 0.999, Window: 1 << 20})
+			c = NewCritPath(CritPathOptions{Exemplars: 4, SLO: slos})
+		}
+		base := SpanID(i * inFlight)
+		for _, ev := range batch {
+			ev.Span += base + 1
+			ev.At += sim.Time(i) * 800 * inFlight
+			c.Consume(ev)
+		}
+	}
+}
+
+// BenchmarkSLOObserve is one observation of a default-shaped objective
+// (32 buckets, a 4-bucket short window), 800 cycles after the last.
+func BenchmarkSLOObserve(b *testing.B) {
+	o := NewSLOSet().Objective(testSLOTail, SLOConfig{Objective: 0.99, LatencyBound: 1 << 17, Window: 1 << 20})
+	b.ReportAllocs()
+	for i := range b.N {
+		o.Observe(sim.Time(i)*800, sim.Time(i%256)<<10, i%64 != 0)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -136,23 +137,30 @@ type reqState struct {
 	truncated bool
 }
 
+// summaryBlock is how many request summaries one population block
+// holds. The population grows a block at a time, so keeping a summary
+// never copies the ones before it.
+const summaryBlock = 1024
+
 // CritPath assembles request trees from the span stream and attributes
 // their latency. Engine-local, simulation-context-only state, like the
 // Tracer it feeds from.
 //
-// In steady state it allocates nothing per request (TestConsumeZeroAlloc):
-// request states are pooled, attribution runs in per-CritPath scratch,
-// and only a request that ranks among the exemplars gets a copy of its
-// events.
+// Its work is constant per event and per finished request
+// (TestConsumeZeroAlloc): request states are pooled, attribution runs
+// in per-CritPath scratch, summaries fill fixed blocks, and only a
+// request that ranks among the exemplars gets a copy of its events.
 type CritPath struct {
 	opt CritPathOptions
 
 	active    map[SpanID]*reqState
+	last      *reqState // state of the last event's span, or nil
 	free      []*reqState
 	order     []SpanID // roots in opening order; see pushOrder
 	orderHead int
 
-	summaries []Request
+	summaries [][]Request // blocks of up to summaryBlock, all full but the last
+	nSummary  int
 	exemplars []*Exemplar
 
 	total BlameVec
@@ -201,15 +209,19 @@ func (c *CritPath) Consume(ev Event) {
 	if c == nil || ev.Span == 0 {
 		return
 	}
-	st, ok := c.active[ev.Span]
-	if !ok {
-		if !isRoot(ev) {
-			return // tail of an evicted or pre-existing span
+	st := c.last
+	if st == nil || st.root.Span != ev.Span {
+		var ok bool
+		if st, ok = c.active[ev.Span]; !ok {
+			if !isRoot(ev) {
+				return // tail of an evicted or pre-existing span
+			}
+			c.evictOldest()
+			st = c.newState(ev)
+			c.active[ev.Span] = st
+			c.pushOrder(ev.Span)
 		}
-		c.evictOldest()
-		st = c.newState(ev)
-		c.active[ev.Span] = st
-		c.pushOrder(ev.Span)
+		c.last = st
 	}
 	if len(st.events) < c.opt.MaxEvents {
 		st.events = append(st.events, ev)
@@ -232,10 +244,12 @@ func (c *CritPath) newState(root Event) *reqState {
 	return &reqState{root: root, events: make([]Event, 0, 16)}
 }
 
-// release returns a finished or evicted state to the pool.
+// release returns a finished or evicted state to the pool. A pooled
+// state is reused for another span, so the last-span cache forgets it.
 func (c *CritPath) release(st *reqState) {
 	st.events, st.truncated = st.events[:0], false
 	c.free = append(c.free, st)
+	c.last = nil
 }
 
 // evictOldest makes room for a new root if the active set is full: it
@@ -293,13 +307,27 @@ func (c *CritPath) finish(span SpanID, st *reqState, end Event) {
 	if c.opt.SLO != nil {
 		c.opt.SLO.ObserveAll(req.End, req.Latency(), !req.Fail)
 	}
-	if len(c.summaries) < c.opt.MaxRequests {
-		c.summaries = append(c.summaries, req)
+	if c.nSummary < c.opt.MaxRequests {
+		c.keep(req)
 	} else {
 		c.dropped++
 	}
 	c.offerExemplar(&req, st)
 	c.release(st)
+}
+
+// keep appends req to the population, starting a new block when the
+// last one is full. A block holds at most what MaxRequests still
+// admits, so a small bound never reserves a whole block.
+func (c *CritPath) keep(req Request) {
+	n := len(c.summaries)
+	if n == 0 || len(c.summaries[n-1]) == cap(c.summaries[n-1]) {
+		size := min(summaryBlock, c.opt.MaxRequests-c.nSummary)
+		c.summaries = append(c.summaries, make([]Request, 0, size))
+		n++
+	}
+	c.summaries[n-1] = append(c.summaries[n-1], req)
+	c.nSummary++
 }
 
 // exemplarLess orders worst-first: latency descending, SpanID
@@ -335,12 +363,6 @@ func firstShed(events []Event) (sim.Time, bool) {
 		}
 	}
 	return 0, false
-}
-
-// paintIv is one blame-painted interval.
-type paintIv struct {
-	start, end sim.Time
-	cat        BlameCat
 }
 
 // peStart is a per-PE timestamp: a handler start, or the start of an
@@ -380,19 +402,22 @@ func (m *peOpens) close(pe int32) (sim.Time, bool) {
 type attrScratch struct {
 	pairer
 	s, e       sim.Time // the request window paints are clipped to
-	paints     []paintIv
+	edges      []uint64 // paint edges, see paint
 	handlers   []peStart
 	rexmits    []sim.Time
 	svc, stall peOpens
-	bounds     []sim.Time
 }
 
-// paint adds [from,to) in cat, clipped to the request window; degenerate
-// intervals paint nothing.
+// A paint edge is one uint64, time<<4 | open<<3 | cat, so sorting the
+// edges orders them by time. Simulated time stays far below 1<<60.
+const edgeOpen = 1 << 3
+
+// paint adds [from,to) in cat, clipped to the request window, as an
+// open and a close edge; degenerate intervals paint nothing.
 func (a *attrScratch) paint(from, to sim.Time, cat BlameCat) {
 	from, to = max(from, a.s), min(to, a.e)
 	if to > from {
-		a.paints = append(a.paints, paintIv{from, to, cat})
+		a.edges = append(a.edges, uint64(from)<<4|edgeOpen|uint64(cat), uint64(to)<<4|uint64(cat))
 	}
 }
 
@@ -402,7 +427,7 @@ func (a *attrScratch) paint(from, to sim.Time, cat BlameCat) {
 // remainder is app compute. The categories sum exactly to e-s.
 func (a *attrScratch) attribute(events []Event, s, e sim.Time, shedAt sim.Time, shed bool) BlameVec {
 	a.s, a.e = s, e
-	a.paints, a.handlers, a.rexmits = a.paints[:0], a.handlers[:0], a.rexmits[:0]
+	a.edges, a.handlers, a.rexmits = a.edges[:0], a.handlers[:0], a.rexmits[:0]
 	a.svc, a.stall = a.svc[:0], a.stall[:0]
 
 	for _, ev := range events {
@@ -482,40 +507,49 @@ func (a *attrScratch) attribute(events []Event, s, e sim.Time, shedAt sim.Time, 
 	return a.paintSweep()
 }
 
+// prioCat maps a painting priority back to its category.
+var prioCat = func() (p [NumBlame]BlameCat) {
+	for cat, prio := range blamePrio {
+		p[prio] = BlameCat(cat)
+	}
+	return p
+}()
+
 // paintSweep resolves overlapping paints by priority over [s,e] and
 // returns the per-category totals, with the remainder as BlameApp.
-// Which paint wins a segment depends only on the set of paints, never
-// on their order: every category has its own priority.
+// It sweeps the sorted edges, keeping how many paints of each category
+// are open; every segment between two edge times goes to the
+// highest-priority category open over it. Which paint wins a segment
+// depends only on the set of paints, never on their order: every
+// category has its own priority.
 func (a *attrScratch) paintSweep() BlameVec {
 	var v BlameVec
 	s, e := a.s, a.e
 	if e <= s {
 		return v
 	}
-	if len(a.paints) == 0 {
-		v[BlameApp] = uint64(e - s)
-		return v
-	}
-	// Elementary segments between sorted unique boundaries: a paint
-	// covers a segment iff it covers both endpoints (boundaries include
-	// every paint endpoint, so there is no partial overlap).
-	bounds := append(a.bounds[:0], s, e)
-	for _, p := range a.paints {
-		bounds = append(bounds, p.start, p.end)
-	}
-	slices.Sort(bounds)
-	bounds = slices.Compact(bounds)
-	a.bounds = bounds
-	for i := 0; i+1 < len(bounds); i++ {
-		t0, t1 := bounds[i], bounds[i+1]
-		best, bestPrio := BlameApp, -1
-		for _, p := range a.paints {
-			if p.start <= t0 && p.end >= t1 && blamePrio[p.cat] > bestPrio {
-				best, bestPrio = p.cat, blamePrio[p.cat]
-			}
+	slices.Sort(a.edges)
+	var open [NumBlame]int32 // open paints per category
+	mask := uint8(1)         // bit blamePrio[cat] set while cat is open; app always is
+	at := s
+	for _, edge := range a.edges {
+		if t := sim.Time(edge >> 4); t > at {
+			v[prioCat[bits.Len8(mask)-1]] += uint64(t - at)
+			at = t
 		}
-		v[best] += uint64(t1 - t0)
+		cat := BlameCat(edge & (edgeOpen - 1))
+		if edge&edgeOpen != 0 {
+			open[cat]++
+		} else {
+			open[cat]--
+		}
+		if open[cat] > 0 {
+			mask |= 1 << blamePrio[cat]
+		} else {
+			mask &^= 1 << blamePrio[cat]
+		}
 	}
+	v[BlameApp] += uint64(e - at)
 	return v
 }
 
@@ -552,9 +586,10 @@ func (c *CritPath) Hist() *Histogram { return &c.hist }
 func (c *CritPath) Completed() uint64 { return c.completed }
 
 // Requests returns the retained request population sorted by
-// (latency, SpanID) ascending — the quantile order.
+// (latency, SpanID) ascending — the quantile order. Pick quantiles
+// from it with NearestRank.
 func (c *CritPath) Requests() []Request {
-	out := slices.Clone(c.summaries)
+	out := slices.Concat(c.summaries...)
 	slices.SortStableFunc(out, func(a, b Request) int {
 		if a.Latency() != b.Latency() {
 			return cmp.Compare(a.Latency(), b.Latency())
@@ -564,20 +599,10 @@ func (c *CritPath) Requests() []Request {
 	return out
 }
 
-// quantileIndex is the nearest-rank index of quantile q in a sorted
+// NearestRank is the nearest-rank index of quantile q in a sorted
 // population of n > 0.
-func quantileIndex(q float64, n int) int {
+func NearestRank(q float64, n int) int {
 	return min(max(int(q*float64(n)+0.5)-1, 0), n-1)
-}
-
-// RequestAt returns the request at quantile q (nearest-rank), or false
-// if none completed.
-func (c *CritPath) RequestAt(q float64) (Request, bool) {
-	pop := c.Requests()
-	if len(pop) == 0 {
-		return Request{}, false
-	}
-	return pop[quantileIndex(q, len(pop))], true
 }
 
 // ReportAt builds the attribution report for the given quantiles. The
@@ -588,12 +613,12 @@ func (c *CritPath) ReportAt(qs []float64) Report {
 		Truncated: c.truncated, Dropped: c.dropped, Total: c.total,
 		Exemplars: slices.Clone(c.exemplars),
 	}
-	if len(c.summaries) == 0 {
+	if c.nSummary == 0 {
 		return r
 	}
 	pop := c.Requests()
 	for _, q := range qs {
-		req := pop[quantileIndex(q, len(pop))]
+		req := pop[NearestRank(q, len(pop))]
 		r.Quantiles = append(r.Quantiles, ReqQuantile{
 			Q: q, Span: req.Span, Kind: req.Kind.String(),
 			Latency: uint64(req.Latency()), Fail: req.Fail, Blame: req.Blame,
@@ -608,8 +633,10 @@ func (c *CritPath) ReportAt(qs []float64) Report {
 // collapse into one flamegraph.
 func (c *CritPath) WriteFolded(w io.Writer) error {
 	var agg [numKinds]BlameVec // by root kind
-	for _, req := range c.summaries {
-		agg[req.Kind].add(req.Blame)
+	for _, b := range c.summaries {
+		for _, req := range b {
+			agg[req.Kind].add(req.Blame)
+		}
 	}
 	type line struct {
 		path   string

@@ -148,32 +148,25 @@ func (c *refCritPath) Requests() []Request {
 	return out
 }
 
-func (c *refCritPath) RequestAt(q float64) (Request, bool) {
-	pop := c.Requests()
-	if len(pop) == 0 {
-		return Request{}, false
-	}
-	idx := int(q*float64(len(pop))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(pop) {
-		idx = len(pop) - 1
-	}
-	return pop[idx], true
-}
-
 func (c *refCritPath) ReportAt(qs []float64) Report {
 	r := Report{
 		Completed: c.completed, Failed: c.failed, Evicted: c.evicted,
 		Truncated: c.truncated, Dropped: c.dropped, Total: c.total,
 		Exemplars: append([]*Exemplar(nil), c.exemplars...),
 	}
+	pop := c.Requests()
 	for _, q := range qs {
-		req, ok := c.RequestAt(q)
-		if !ok {
-			continue
+		if len(pop) == 0 {
+			break
 		}
+		idx := int(q*float64(len(pop))+0.5) - 1
+		if idx < 0 {
+			idx = 0
+		}
+		if idx >= len(pop) {
+			idx = len(pop) - 1
+		}
+		req := pop[idx]
 		r.Quantiles = append(r.Quantiles, ReqQuantile{
 			Q: q, Span: req.Span, Kind: req.Kind.String(),
 			Latency: uint64(req.Latency()), Fail: req.Fail, Blame: req.Blame,
@@ -309,6 +302,12 @@ func refAttribute(events []Event, s, e sim.Time, shedAt sim.Time, shed bool) Bla
 	}
 
 	return refPaintSweep(paints, s, e)
+}
+
+// paintIv is one blame-painted interval.
+type paintIv struct {
+	start, end sim.Time
+	cat        BlameCat
 }
 
 func refPaintSweep(paints []paintIv, s, e sim.Time) BlameVec {

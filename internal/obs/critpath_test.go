@@ -208,14 +208,17 @@ func TestCritPathQuantileSelection(t *testing.T) {
 		c.Consume(Event{At: 0, PE: 0, Layer: LApp, Kind: EvSyscallStart, Span: span})
 		c.Consume(Event{At: sim.Time(i), PE: 0, Layer: LApp, Kind: EvSyscallEnd, Span: span})
 	}
-	if req, _ := c.RequestAt(0.5); req.Latency() != 50 {
-		t.Fatalf("p50 latency = %d, want 50", req.Latency())
+	r := c.ReportAt([]float64{0.5, 0.99, 1.0})
+	if len(r.Quantiles) != 3 {
+		t.Fatalf("report has %d quantiles, want 3", len(r.Quantiles))
 	}
-	if req, _ := c.RequestAt(0.99); req.Latency() != 99 {
-		t.Fatalf("p99 latency = %d, want 99", req.Latency())
+	for i, want := range []uint64{50, 99, 100} {
+		if got := r.Quantiles[i]; got.Latency != want || got.Span != SpanID(want) {
+			t.Fatalf("p%v = span %d latency %d, want %d", got.Q*100, got.Span, got.Latency, want)
+		}
 	}
-	if req, _ := c.RequestAt(1.0); req.Latency() != 100 {
-		t.Fatalf("p100 latency = %d, want 100", req.Latency())
+	if r := NewCritPath(CritPathOptions{}).ReportAt([]float64{0.5}); r.Quantiles != nil {
+		t.Fatalf("empty population reports quantiles %+v", r.Quantiles)
 	}
 }
 
@@ -308,6 +311,30 @@ func TestCritPathMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCritPathSummaryBlocks: a population over several blocks, the
+// last one cut short by MaxRequests, reads back like the reference's
+// single slice.
+func TestCritPathSummaryBlocks(t *testing.T) {
+	opt := CritPathOptions{MaxRequests: 2*summaryBlock + 300}
+	c, ref := NewCritPath(opt), newRefCritPath(opt)
+	rng := rand.New(rand.NewPCG(20160402, 3))
+	for span := SpanID(1); span <= 3*summaryBlock; span++ {
+		end := sim.Time(rng.IntN(500))
+		for _, ev := range []Event{
+			{At: 0, Layer: LApp, Kind: EvSyscallStart, Span: span},
+			{At: end, Layer: LApp, Kind: EvSyscallEnd, Span: span},
+		} {
+			c.Consume(ev)
+			ref.Consume(ev)
+		}
+	}
+	if n := len(c.summaries); n != 3 || len(c.summaries[n-1]) != 300 || cap(c.summaries[n-1]) != 300 {
+		t.Fatalf("%d blocks, last %d of %d, want 3 blocks, last 300 of 300",
+			n, len(c.summaries[n-1]), cap(c.summaries[n-1]))
+	}
+	assertSameAsRef(t, c, ref)
+}
+
 // TestIntervalsEachEventOnce: two identical opens, one of them closed,
 // must report one interval and one instant — not the leftover twice.
 func TestIntervalsEachEventOnce(t *testing.T) {
@@ -342,13 +369,6 @@ func assertSameAsRef(t testing.TB, c *CritPath, ref *refCritPath) {
 	qs := []float64{0, 0.1, 0.5, 0.9, 0.99, 0.999, 1}
 	if got, want := c.ReportAt(qs), ref.ReportAt(qs); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reports differ:\n got %+v\nwant %+v", got, want)
-	}
-	for _, q := range qs {
-		got, gok := c.RequestAt(q)
-		want, wok := ref.RequestAt(q)
-		if got != want || gok != wok {
-			t.Fatalf("RequestAt(%v) = %+v %v, want %+v %v", q, got, gok, want, wok)
-		}
 	}
 	if !reflect.DeepEqual(c.hist, ref.hist) {
 		t.Fatalf("histograms differ")

@@ -96,12 +96,20 @@ type sloBucket struct {
 	good, total uint64
 }
 
+func (b *sloBucket) add(o sloBucket) { b.good, b.total = b.good+o.good, b.total+o.total }
+func (b *sloBucket) sub(o sloBucket) { b.good, b.total = b.good-o.good, b.total-o.total }
+
 // SLO is one registered objective.
 type SLO struct {
 	name string
 	cfg  SLOConfig
 
+	// ring holds the window's buckets: slot i%Buckets is absolute
+	// bucket i, for every i in (cur-Buckets, cur]. long and short are
+	// running sums over the last Buckets and ShortBuckets of them, kept
+	// as slots enter and leave, so no observation re-sums the ring.
 	ring        []sloBucket
+	long, short sloBucket
 	cur         int64 // absolute bucket index of ring head, -1 before first obs
 	good, total uint64
 	state       SLOState
@@ -147,8 +155,15 @@ func (o *SLO) bucketWidth() sim.Time {
 	return w
 }
 
+// slot returns the ring slot of absolute bucket i.
+func (o *SLO) slot(i int64) *sloBucket {
+	n := int64(len(o.ring))
+	return &o.ring[(i%n+n)%n]
+}
+
 // rotate advances the ring so that the bucket for time at is current,
-// zeroing skipped slots.
+// zeroing skipped slots and taking each slot out of the running sums
+// as it leaves their window.
 func (o *SLO) rotate(at sim.Time) {
 	idx := int64(at / o.bucketWidth())
 	if o.cur < 0 {
@@ -157,15 +172,19 @@ func (o *SLO) rotate(at sim.Time) {
 	}
 	if idx-o.cur >= int64(len(o.ring)) {
 		// The whole window elapsed since the last observation.
-		for i := range o.ring {
-			o.ring[i] = sloBucket{}
-		}
+		clear(o.ring)
+		o.long, o.short = sloBucket{}, sloBucket{}
 		o.cur = idx
 		return
 	}
+	// The slot leaving the short window is read before the new head's
+	// slot is zeroed: with ShortBuckets == Buckets they are one slot.
 	for o.cur < idx {
 		o.cur++
-		o.ring[int(o.cur)%len(o.ring)] = sloBucket{}
+		o.short.sub(*o.slot(o.cur - int64(o.cfg.ShortBuckets)))
+		b := o.slot(o.cur)
+		o.long.sub(*b)
+		*b = sloBucket{}
 	}
 }
 
@@ -181,42 +200,37 @@ func (o *SLO) Observe(at sim.Time, latency sim.Time, ok bool) {
 		good = ok && latency <= o.cfg.LatencyBound
 	}
 	o.rotate(at)
-	b := &o.ring[int(o.cur)%len(o.ring)]
-	b.total++
-	o.total++
+	ob := sloBucket{total: 1}
 	if good {
-		b.good++
-		o.good++
+		ob.good = 1
 	}
+	o.slot(o.cur).add(ob)
+	o.long.add(ob)
+	o.short.add(ob)
+	o.good += ob.good
+	o.total++
 	o.evaluate(at)
 }
 
-// burn computes the burn rate over the last n buckets: the observed
-// bad fraction divided by the budgeted bad fraction. Windows with no
+// burn computes the burn rate of one window's counts: the observed bad
+// fraction divided by the budgeted bad fraction. Windows with no
 // observations burn nothing.
-func (o *SLO) burn(n int) float64 {
-	var good, total uint64
-	for i := 0; i < n; i++ {
-		b := o.ring[int(o.cur-int64(i)+int64(len(o.ring))*4)%len(o.ring)]
-		good += b.good
-		total += b.total
-	}
-	if total == 0 {
+func (o *SLO) burn(w sloBucket) float64 {
+	if w.total == 0 {
 		return 0
 	}
 	budget := 1 - o.cfg.Objective
 	if budget <= 0 {
 		budget = 1e-9
 	}
-	bad := float64(total-good) / float64(total)
+	bad := float64(w.total-w.good) / float64(w.total)
 	return bad / budget
 }
 
 // evaluate recomputes the multi-window state and notifies subscribers
 // on transitions.
 func (o *SLO) evaluate(at sim.Time) {
-	long := o.burn(o.cfg.Buckets)
-	short := o.burn(o.cfg.ShortBuckets)
+	long, short := o.burn(o.long), o.burn(o.short)
 	next := o.state
 	if long >= o.cfg.SlowBurn && short >= o.cfg.FastBurn {
 		next = SLOBreached
@@ -239,7 +253,7 @@ func (o *SLO) BurnRates() (float64, float64) {
 	if o == nil || o.cur < 0 {
 		return 0, 0
 	}
-	return o.burn(o.cfg.Buckets), o.burn(o.cfg.ShortBuckets)
+	return o.burn(o.long), o.burn(o.short)
 }
 
 // Counts returns lifetime (good, total) observation counts.
