@@ -26,7 +26,8 @@ bench:
 # (BenchmarkProcessSwitch); one Sleep with nothing else queued, which
 # advances the clock in place (BenchmarkSleepInline, 0 allocs/op); and
 # one 4 KiB WriteMem plus ReadMem between a PE and DRAM
-# (BenchmarkRDMA4K, through the pooled payload buffers); one 64-byte
+# (BenchmarkRDMA4K, through the pooled payload buffers and RDMA
+# records, 0 allocs/op); one 64-byte
 # packet across six hops of a contended mesh as engine events
 # (BenchmarkSendThenMultiHop, 0 allocs/op once warm); one 64-byte and
 # one 4 KiB Network.Send across six hops of an uncontended mesh, riding
@@ -38,10 +39,12 @@ bench:
 # attribution (BenchmarkCritPathConsume, 0 allocs/op once warm); four
 # interleaved requests the way perf's tail4 feeds them, default
 # population bound and two SLOs attached (BenchmarkCritPathConsumeTail4,
-# whose B/op is the summaries kept); and one SLO observation
-# (BenchmarkSLOObserve).
+# whose B/op is the summaries kept); one SLO observation
+# (BenchmarkSLOObserve); and one 4 KiB Peek or Poke of the DRAM's page
+# store, within a written page, of a never-written page and straddling
+# two pages (BenchmarkDRAMAccess4K, 0 allocs/op).
 bench-sim:
-	go test -run '^$$' -bench . -benchmem ./internal/sim ./internal/noc ./internal/tile ./internal/obs
+	go test -run '^$$' -bench . -benchmem ./internal/sim ./internal/noc ./internal/tile ./internal/obs ./internal/mem
 
 # The bench regression gate: rerun the fast experiment subset with run
 # captures bundled, keep the JSON artifact for inspection, and fail if
@@ -112,14 +115,16 @@ chaos:
 # kernel and service request passes through — plus two cross-checks
 # against reference implementations: the event queue (calendar vs
 # reference heap pop order) and the critical-path engine (pooled vs
-# map-based attribution, reports and interval pairing), and the SLO
-# windows (running sums vs re-summing the ring). The full fuzzers run
+# map-based attribution, reports and interval pairing), the SLO
+# windows (running sums vs re-summing the ring), and the DRAM's page
+# store (vs the flat byte slice it replaced). The full fuzzers run
 # for as long as you let them: go test -fuzz FuzzFaultPlan
 # ./internal/fault, go test -fuzz FuzzJournal ./internal/m3fs,
 # go test -fuzz FuzzIStream ./internal/kif,
 # go test -fuzz FuzzEventQueue ./internal/sim,
 # go test -fuzz FuzzCritPath ./internal/obs,
-# go test -fuzz FuzzSLO ./internal/obs.
+# go test -fuzz FuzzSLO ./internal/obs,
+# go test -fuzz FuzzDRAM ./internal/mem.
 fuzz:
 	go test -run '^$$' -fuzz FuzzFaultPlan -fuzztime 10s ./internal/fault
 	go test -run '^$$' -fuzz FuzzJournal -fuzztime 10s ./internal/m3fs
@@ -127,3 +132,4 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s ./internal/sim
 	go test -run '^$$' -fuzz FuzzCritPath -fuzztime 10s ./internal/obs
 	go test -run '^$$' -fuzz FuzzSLO -fuzztime 10s ./internal/obs
+	go test -run '^$$' -fuzz FuzzDRAM -fuzztime 10s ./internal/mem

@@ -48,11 +48,16 @@ type DTU struct {
 	// endpoint.
 	CreditAvail *sim.Signal
 
-	nextOp  uint64
-	pending map[uint64]*pendingOp
+	nextOp uint64
+	// ops holds the operations in flight, in no particular order. Few
+	// are ever outstanding at once, so a scan finds one, and the
+	// stream of fresh op ids never grows or rehashes a table.
+	ops []*pendingOp
 	// opFree heads the freelist of completed operation records; each
 	// keeps its done signal for the next operation (see newOp).
 	opFree *pendingOp
+	// memFree heads the freelist of RDMA records (see memOp).
+	memFree *memOp
 
 	// Reliability state, live only when faults is non-nil (see
 	// EnableFaults): outstanding acknowledged transfers by sequence
@@ -249,7 +254,6 @@ func newDTU(eng *sim.Engine, net *noc.Network, node noc.NodeID, spm *mem.SPM, nu
 		privileged:  true,
 		MsgAvail:    sim.NewSignal(eng),
 		CreditAvail: sim.NewSignal(eng),
-		pending:     make(map[uint64]*pendingOp),
 		sends:       make(map[uint64]*pendingSend),
 		seen:        make(map[noc.NodeID]*dedupState),
 	}
@@ -564,9 +568,11 @@ func (d *DTU) ReadMem(p *sim.Process, ep int, off int, buf []byte) error {
 			Arg0: xferRead, Arg1: uint64(len(buf))})
 	}
 	resp, err := d.doOp(p, func(op uint64) {
+		r := d.newMemOp(op)
+		r.read = MemReadReq{OpID: op, Src: d.node, Addr: m.MemAddr + off, Len: len(buf), Resp: &r.resp}
 		pkt := d.net.NewPacket()
 		pkt.Src, pkt.Dst, pkt.Size, pkt.Span = d.node, m.MemTarget, ctrlPacketSize, span
-		pkt.Payload = &MemReadReq{OpID: op, Src: d.node, Addr: m.MemAddr + off, Len: len(buf)}
+		pkt.Payload = &r.read
 		d.net.Send(p, pkt)
 	})
 	if tr := d.obs; tr.On() {
@@ -579,11 +585,12 @@ func (d *DTU) ReadMem(p *sim.Process, ep int, off int, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	if resp.resp.Err != "" {
-		return fmt.Errorf("%w: %s", ErrRemote, resp.resp.Err)
-	}
+	// A remote error comes without data, so this copies nothing then.
 	copy(buf, resp.resp.Data)
 	d.net.FreePayload(resp.resp.Data)
+	if err := d.memDone(resp.resp); err != nil {
+		return err
+	}
 	d.Stats.MemReads++
 	d.Stats.BytesRead += uint64(len(buf))
 	return nil
@@ -608,9 +615,11 @@ func (d *DTU) WriteMem(p *sim.Process, ep int, off int, data []byte) error {
 		// payload, which the target frees after storing it.
 		buf := d.net.NewPayload(len(data))
 		copy(buf, data)
+		r := d.newMemOp(op)
+		r.write = MemWriteReq{OpID: op, Src: d.node, Addr: m.MemAddr + off, Data: buf, Resp: &r.resp}
 		pkt := d.net.NewPacket()
 		pkt.Src, pkt.Dst, pkt.Size, pkt.Span = d.node, m.MemTarget, msgWireSize(len(data)), span
-		pkt.Payload = &MemWriteReq{OpID: op, Src: d.node, Addr: m.MemAddr + off, Data: buf}
+		pkt.Payload = &r.write
 		d.net.Send(p, pkt)
 	})
 	if tr := d.obs; tr.On() {
@@ -623,12 +632,44 @@ func (d *DTU) WriteMem(p *sim.Process, ep int, off int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if resp.resp.Err != "" {
-		return fmt.Errorf("%w: %s", ErrRemote, resp.resp.Err)
+	if err := d.memDone(resp.resp); err != nil {
+		return err
 	}
 	d.Stats.MemWrites++
 	d.Stats.BytesWritten += uint64(len(data))
 	return nil
+}
+
+// newMemOp takes an RDMA record from the freelist (or the heap on a
+// miss) for operation op; its response carries the op id and is
+// otherwise empty.
+func (d *DTU) newMemOp(op uint64) *memOp {
+	r := d.memFree
+	if r == nil {
+		r = &memOp{}
+	} else {
+		d.memFree, r.next = r.next, nil
+	}
+	r.resp = MemResp{OpID: op, op: r}
+	return r
+}
+
+// freeMemOp clears an answered RDMA record, so that no payload or
+// address outlives its operation, and returns it to the freelist.
+func (d *DTU) freeMemOp(r *memOp) {
+	*r = memOp{next: d.memFree}
+	d.memFree = r
+}
+
+// memDone recycles an answered RDMA record, whose data the caller
+// took, and returns the remote error it reported as ErrRemote.
+func (d *DTU) memDone(resp *MemResp) error {
+	var err error
+	if resp.Err != "" {
+		err = fmt.Errorf("%w: %s", ErrRemote, resp.Err)
+	}
+	d.freeMemOp(resp.op)
+	return err
 }
 
 func (d *DTU) memEP(ep, off, n int, need Perm) (*epState, error) {
@@ -706,9 +747,8 @@ func (d *DTU) sendConfig(p *sim.Process, target noc.NodeID, req *ConfigReq) erro
 
 // newOp registers a fresh operation id with a pending record taken
 // from the freelist (or the heap, with a new done signal, on a miss).
-func (d *DTU) newOp() uint64 {
+func (d *DTU) newOp() *pendingOp {
 	d.nextOp++
-	op := d.nextOp
 	po := d.opFree
 	if po == nil {
 		po = &pendingOp{done: sim.NewSignal(d.eng)}
@@ -716,8 +756,20 @@ func (d *DTU) newOp() uint64 {
 		d.opFree = po.next
 		po.next = nil
 	}
-	d.pending[op] = po
-	return op
+	po.id = d.nextOp
+	d.ops = append(d.ops, po)
+	return po
+}
+
+// findOp returns the pending record of operation op, or nil once the
+// operation was deregistered.
+func (d *DTU) findOp(op uint64) *pendingOp {
+	for _, po := range d.ops {
+		if po.id == op {
+			return po
+		}
+	}
+	return nil
 }
 
 // waitOp blocks until the operation's response arrived or, when
@@ -726,24 +778,30 @@ func (d *DTU) newOp() uint64 {
 // the caller checks the response fields, not the timer. The pending
 // record is recycled once the id is deregistered: op ids are never
 // reused, so neither a late response nor the timeout callback, which
-// both look the id up first, can reach the record again.
-func (d *DTU) waitOp(p *sim.Process, op uint64, timeout sim.Time) opResult {
-	po := d.pending[op]
-	expired := false
+// both check the record's id first, can reach the record again.
+func (d *DTU) waitOp(p *sim.Process, po *pendingOp, timeout sim.Time) opResult {
 	if timeout > 0 {
+		op := po.id
 		d.eng.Schedule(timeout, func() {
-			if _, ok := d.pending[op]; ok && !po.answered() {
-				expired = true
+			if po.id == op && !po.answered() {
+				po.expired = true
 				po.done.Broadcast()
 			}
 		})
 	}
-	for !po.answered() && !expired {
+	for !po.answered() && !po.expired {
 		d.idleWait(p, po.done)
 	}
-	delete(d.pending, op)
+	for i, q := range d.ops {
+		if q == po {
+			last := len(d.ops) - 1
+			d.ops[i], d.ops[last] = d.ops[last], nil
+			d.ops = d.ops[:last]
+			break
+		}
+	}
 	res := po.opResult
-	po.opResult = opResult{}
+	po.id, po.expired, po.opResult = 0, false, opResult{}
 	po.next = d.opFree
 	d.opFree = po
 	return res
@@ -826,17 +884,17 @@ func (d *DTU) Deliver(pkt *noc.Packet) {
 		pkt.Retain = true
 		d.reqs.Put(pkt)
 	case *MemResp:
-		if po, ok := d.pending[pl.OpID]; ok {
+		if po := d.findOp(pl.OpID); po != nil {
 			po.resp = pl
 			po.done.Broadcast()
 		}
 	case *ConfigResp:
-		if po, ok := d.pending[pl.OpID]; ok {
+		if po := d.findOp(pl.OpID); po != nil {
 			po.cfg = pl
 			po.done.Broadcast()
 		}
 	case *probeResp:
-		if po, ok := d.pending[pl.OpID]; ok {
+		if po := d.findOp(pl.OpID); po != nil {
 			po.probe = pl
 			po.done.Broadcast()
 		}
@@ -903,7 +961,7 @@ func (d *DTU) serve(_ int, pkt *noc.Packet) {
 	switch req := pkt.Payload.(type) {
 	case *MemReadReq:
 		buf := d.net.NewPayload(req.Len)
-		resp := &MemResp{OpID: req.OpID}
+		resp := req.Resp
 		if err := d.spm.Read(req.Addr, buf); err != nil {
 			resp.Err = err.Error()
 			d.net.FreePayload(buf)
@@ -913,7 +971,7 @@ func (d *DTU) serve(_ int, pkt *noc.Packet) {
 		out.Src, out.Dst, out.Size = d.node, req.Src, msgWireSize(len(resp.Data))
 		out.Payload = resp
 	case *MemWriteReq:
-		resp := &MemResp{OpID: req.OpID}
+		resp := req.Resp
 		if err := d.spm.Write(req.Addr, req.Data); err != nil {
 			resp.Err = err.Error()
 		}

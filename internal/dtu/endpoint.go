@@ -214,7 +214,11 @@ type opResult struct {
 // pendingOp tracks an outstanding remote operation awaiting its
 // response packet. Records are pooled per DTU (see DTU.newOp).
 type pendingOp struct {
-	done *sim.Signal
+	// id is the operation's id while it is registered, 0 once done.
+	id uint64
+	// expired is set when the operation's timeout ran out unanswered.
+	expired bool
+	done    *sim.Signal
 	opResult
 	next *pendingOp
 }

@@ -272,16 +272,17 @@ func (d *DTU) transmit(p *sim.Process, pkt *noc.Packet) error {
 // pending.
 func (d *DTU) doOp(p *sim.Process, send func(op uint64)) (opResult, error) {
 	if d.faults == nil {
-		op := d.newOp()
-		send(op)
-		return d.waitOp(p, op, 0), nil
+		po := d.newOp()
+		send(po.id)
+		return d.waitOp(p, po, 0), nil
 	}
 	d.faults.stall(p)
 	timeout := d.faults.Timeout
 	for attempt := 0; ; attempt++ {
-		op := d.newOp()
+		po := d.newOp()
+		op := po.id
 		send(op)
-		res := d.waitOp(p, op, timeout)
+		res := d.waitOp(p, po, timeout)
 		if res != (opResult{}) {
 			return res, nil
 		}

@@ -28,29 +28,51 @@ type creditPacket struct {
 }
 
 // MemReadReq asks the target to return Len bytes starting at Addr.
+// The target answers with Resp.
 type MemReadReq struct {
 	OpID uint64
 	Src  noc.NodeID
 	Addr int
 	Len  int
+	Resp *MemResp
 }
 
 // MemWriteReq asks the target to store Data at Addr. Data is a pooled
 // payload (noc.Network.NewPayload) that the target frees once stored.
+// The target answers with Resp.
 type MemWriteReq struct {
 	OpID uint64
 	Src  noc.NodeID
 	Addr int
 	Data []byte
+	Resp *MemResp
 }
 
 // MemResp answers a MemReadReq (with Data) or a MemWriteReq (empty
 // Data). A non-empty Err reports an out-of-bounds access. A read's Data
-// is a pooled payload that ReadMem frees after copying it out.
+// is a pooled payload that ReadMem frees after copying it out. The
+// requester built it along with the request, OpID set; the target
+// fills in only Data or Err and sends it back.
 type MemResp struct {
 	OpID uint64
 	Data []byte
 	Err  string
+	op   *memOp
+}
+
+// memOp is the pooled record of one RDMA attempt: its request and the
+// response the target answers with. The requesting DTU takes it from
+// its freelist (newMemOp), the request carries it to the target, and
+// the response carries it home, where the requester recycles it once
+// it read the answer (freeMemOp). So one operation allocates nothing, and the record is
+// never in two places: a retry takes a record of its own, and one lost
+// with its packet or answering an abandoned attempt is left to the GC,
+// as its payload is (noc.Network.NewPayload).
+type memOp struct {
+	read  MemReadReq
+	write MemWriteReq
+	resp  MemResp
+	next  *memOp
 }
 
 // ConfigReq remotely writes an endpoint's registers. Only packets from

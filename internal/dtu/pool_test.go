@@ -2,6 +2,7 @@ package dtu
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -237,9 +238,13 @@ func TestPendingOpRecycled(t *testing.T) {
 		if first == nil {
 			t.Fatal("completed op was not recycled")
 		}
-		if first.opResult != (opResult{}) || first.next != nil || first.done == nil ||
+		if first.id != 0 || first.opResult != (opResult{}) || first.next != nil || first.done == nil ||
 			first.done.Waiters() != 0 {
 			t.Errorf("recycled op not zeroed: %+v", first)
+		}
+		rec := r.d0.memFree
+		if rec == nil || !reflect.ValueOf(*rec).IsZero() {
+			t.Fatalf("RDMA record not recycled and zeroed: %+v", rec)
 		}
 		buf := make([]byte, 4)
 		if err := r.d0.ReadMem(p, 3, 0, buf); err != nil || string(buf) != "abcd" {
@@ -248,9 +253,12 @@ func TestPendingOpRecycled(t *testing.T) {
 		if r.d0.opFree != first {
 			t.Error("the next op did not reuse the recycled record")
 		}
+		if r.d0.memFree != rec || !reflect.ValueOf(*rec).IsZero() {
+			t.Error("the read did not reuse and clear the write's RDMA record")
+		}
 	})
 	r.eng.Run()
-	if len(r.d0.pending) != 0 {
-		t.Fatalf("%d ops still pending", len(r.d0.pending))
+	if len(r.d0.ops) != 0 {
+		t.Fatalf("%d ops still pending", len(r.d0.ops))
 	}
 }

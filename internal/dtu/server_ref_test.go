@@ -56,7 +56,7 @@ func refServe(d *DTU, p *sim.Process, pkt *noc.Packet) {
 	switch req := pkt.Payload.(type) {
 	case *MemReadReq:
 		buf := d.net.NewPayload(req.Len)
-		resp := &MemResp{OpID: req.OpID}
+		resp := req.Resp
 		if err := d.spm.Read(req.Addr, buf); err != nil {
 			resp.Err = err.Error()
 			d.net.FreePayload(buf)
@@ -69,7 +69,7 @@ func refServe(d *DTU, p *sim.Process, pkt *noc.Packet) {
 		d.net.FreePacket(pkt)
 		d.net.Send(p, out)
 	case *MemWriteReq:
-		resp := &MemResp{OpID: req.OpID}
+		resp := req.Resp
 		if err := d.spm.Write(req.Addr, req.Data); err != nil {
 			resp.Err = err.Error()
 		}

@@ -67,7 +67,8 @@ func (s *SPM) check(addr, n int) error {
 // (AccessThen), not as a blocking call of a process.
 type DRAM struct {
 	eng     *sim.Engine
-	data    []byte
+	size    int
+	data    pageStore
 	ports   *sim.Resource
 	latency sim.Time
 	// release frees one port; built once, handed to every access.
@@ -105,7 +106,8 @@ func NewDRAM(eng *sim.Engine, cfg DRAMConfig) *DRAM {
 	}
 	d := &DRAM{
 		eng:     eng,
-		data:    make([]byte, cfg.Size),
+		size:    cfg.Size,
+		data:    pageStore{index: make([]uint32, (cfg.Size+pageSize-1)/pageSize)},
 		ports:   sim.NewResource(eng, cfg.Ports),
 		latency: cfg.Latency,
 	}
@@ -114,7 +116,7 @@ func NewDRAM(eng *sim.Engine, cfg DRAMConfig) *DRAM {
 }
 
 // Size returns the module capacity in bytes.
-func (d *DRAM) Size() int { return len(d.data) }
+func (d *DRAM) Size() int { return d.size }
 
 // Latency returns the fixed access latency in cycles.
 func (d *DRAM) Latency() sim.Time { return d.latency }
@@ -180,9 +182,9 @@ func (a *access) latencyDone() {
 func (a *access) ready() {
 	d := a.d
 	if a.write {
-		copy(d.data[a.addr:], a.buf)
+		d.data.write(a.addr, a.buf)
 	} else {
-		copy(a.buf, d.data[a.addr:])
+		d.data.read(a.addr, a.buf)
 	}
 	held := a.held
 	a.buf, a.held, a.next = nil, nil, d.accesses
@@ -201,7 +203,7 @@ func (d *DRAM) Peek(addr int, buf []byte) error {
 	if err := d.check(addr, len(buf)); err != nil {
 		return err
 	}
-	copy(buf, d.data[addr:])
+	d.data.read(addr, buf)
 	return nil
 }
 
@@ -210,13 +212,86 @@ func (d *DRAM) Poke(addr int, buf []byte) error {
 	if err := d.check(addr, len(buf)); err != nil {
 		return err
 	}
-	copy(d.data[addr:], buf)
+	d.data.write(addr, buf)
 	return nil
 }
 
+// Resident returns the host bytes that hold the module's written
+// pages, whole slabs included; never-written memory costs nothing.
+func (d *DRAM) Resident() int { return len(d.data.slabs) * slabSize }
+
 func (d *DRAM) check(addr, n int) error {
-	if addr < 0 || n < 0 || addr+n > len(d.data) {
-		return fmt.Errorf("mem: DRAM access [%d,%d) out of range [0,%d)", addr, addr+n, len(d.data))
+	if addr < 0 || n < 0 || addr+n > d.size {
+		return fmt.Errorf("mem: DRAM access [%d,%d) out of range [0,%d)", addr, addr+n, d.size)
 	}
 	return nil
+}
+
+// The DRAM's contents live in a page store, so host memory follows
+// what the simulated software wrote rather than the module's size: a
+// 512 MiB module costs a 512 KiB index until something is written.
+// Pages get their slots in first-write order, packed into slabs, so
+// the pages of many small files share slabs instead of each claiming
+// an aligned chunk, and a page costs no heap object of its own. A slab
+// holds 256 KiB: every slab is a large object that Go allocates on a
+// slow path of its own, and 64 KiB slabs made that path cost untar16
+// several percent of its run time.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	slabPages = 64
+	slabSize  = slabPages * pageSize
+)
+
+type pageStore struct {
+	// index holds each page's slot number plus one; 0 means the page
+	// was never written and reads as zeros. It holds no pointers, so
+	// the GC never scans it.
+	index []uint32
+	// slabs hold the written pages: slot s lives in slabs[s/slabPages]
+	// at (s%slabPages)*pageSize.
+	slabs []*[slabSize]byte
+	// used counts the slots handed out.
+	used uint32
+}
+
+// page returns the bytes of slot s.
+func (ps *pageStore) page(s uint32) []byte {
+	off := int(s%slabPages) * pageSize
+	return ps.slabs[s/slabPages][off : off+pageSize]
+}
+
+// read copies the bytes at addr into buf; a never-written page reads
+// as zeros and allocates nothing. The range is checked by the caller.
+func (ps *pageStore) read(addr int, buf []byte) {
+	for len(buf) > 0 {
+		off := addr & (pageSize - 1)
+		n := min(len(buf), pageSize-off)
+		if s := ps.index[addr>>pageShift]; s == 0 {
+			clear(buf[:n])
+		} else {
+			copy(buf[:n], ps.page(s - 1)[off:])
+		}
+		addr, buf = addr+n, buf[n:]
+	}
+}
+
+// write copies buf to addr, handing a page its slot on its first
+// write. The range is checked by the caller.
+func (ps *pageStore) write(addr int, buf []byte) {
+	for len(buf) > 0 {
+		off := addr & (pageSize - 1)
+		n := min(len(buf), pageSize-off)
+		s := ps.index[addr>>pageShift]
+		if s == 0 {
+			if ps.used%slabPages == 0 {
+				ps.slabs = append(ps.slabs, new([slabSize]byte))
+			}
+			ps.used++
+			s = ps.used
+			ps.index[addr>>pageShift] = s
+		}
+		copy(ps.page(s - 1)[off:], buf[:n])
+		addr, buf = addr+n, buf[n:]
+	}
 }

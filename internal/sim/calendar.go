@@ -54,6 +54,8 @@ const (
 	wheelSize = 1 << wheelBits
 	wheelMask = wheelSize - 1
 	occWords  = wheelSize / 64
+	// bucketCap is the room init gives every bucket up front.
+	bucketCap = 4
 )
 
 // cqBucket drains front-to-back so same-cycle events stay FIFO (= seq
@@ -61,6 +63,17 @@ const (
 type cqBucket struct {
 	evs  []*event
 	head int
+}
+
+// init gives every bucket room for bucketCap events, carved from one
+// block, so that the clock's first pass over the wheel allocates
+// nothing; a bucket that needs more grows its own array once. A zero
+// calendarQueue works too, growing every bucket on first use.
+func (c *calendarQueue) init() {
+	block := make([]*event, wheelSize*bucketCap)
+	for i := range c.buckets {
+		c.buckets[i].evs = block[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
+	}
 }
 
 func (c *calendarQueue) push(ev *event) {

@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -139,6 +140,7 @@ func crossCheck(t *testing.T, mix string, seed int64, delay func(rng *rand.Rand)
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cal, hp := &calendarQueue{}, &heapQueue{}
+	cal.init() // as the engine's: pre-sized buckets that outgrow their room
 	var now Time
 	var seq uint64
 	live := 0
@@ -283,6 +285,26 @@ func TestCalendarBucketReuse(t *testing.T) {
 	}
 }
 
+// TestFirstWheelPassAllocatesNothing: a fresh engine's calendar has
+// room in every bucket, so the clock's first pass over the wheel
+// allocates no bucket array.
+func TestFirstWheelPassAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	f := func() {}
+	e.Schedule(1, f)
+	e.Run() // the event freelist now holds the one event reused below
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 2*wheelSize; i++ {
+		e.Schedule(1, f)
+		e.Run()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("two passes over the wheel allocate %d objects, want 0", n)
+	}
+}
+
 // TestCalendarEmpty covers the nil returns.
 func TestCalendarEmpty(t *testing.T) {
 	c := &calendarQueue{}
@@ -318,6 +340,7 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{250, 40, 241, 235, 100, 231, 255, 200, 200, 226})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cal, hp := &calendarQueue{}, &heapQueue{}
+		cal.init()
 		var now Time
 		var seq uint64
 		live := 0

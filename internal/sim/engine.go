@@ -65,7 +65,11 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with an empty event queue at time zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine {
+	e := &Engine{}
+	e.queue.init()
+	return e
+}
 
 // Now returns the current simulated time in cycles.
 func (e *Engine) Now() Time { return e.now }

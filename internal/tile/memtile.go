@@ -83,7 +83,7 @@ func (m *memTile) serve(i int, pkt *noc.Packet) {
 	switch req := pkt.Payload.(type) {
 	case *dtu.MemReadReq:
 		buf := m.net.NewPayload(req.Len)
-		w.resp, w.src, w.buf = &dtu.MemResp{OpID: req.OpID}, req.Src, buf
+		w.resp, w.src, w.buf = req.Resp, req.Src, buf
 		m.net.FreePacket(pkt)
 		if err := m.dram.AccessThen(false, req.Addr, buf, w.streamRead); err != nil {
 			// The access failed before streaming: buf never left.
@@ -93,7 +93,7 @@ func (m *memTile) serve(i int, pkt *noc.Packet) {
 			w.respond(16, w.answered)
 		}
 	case *dtu.MemWriteReq:
-		w.resp, w.src, w.buf = &dtu.MemResp{OpID: req.OpID}, req.Src, req.Data
+		w.resp, w.src, w.buf = req.Resp, req.Src, req.Data
 		m.net.FreePacket(pkt)
 		if err := m.dram.AccessThen(true, req.Addr, req.Data, w.storeWrite); err != nil {
 			w.buf = nil

@@ -99,7 +99,7 @@ func (m *refMemTile) serve(p *sim.Process) {
 		switch req := pkt.Payload.(type) {
 		case *dtu.MemReadReq:
 			buf := m.net.NewPayload(req.Len)
-			resp := &dtu.MemResp{OpID: req.OpID}
+			resp := req.Resp
 			src := req.Src
 			m.net.FreePacket(pkt)
 			err := m.refAccess(p, false, req.Addr, buf, func() {
@@ -118,7 +118,7 @@ func (m *refMemTile) serve(p *sim.Process) {
 				m.net.Send(p, out)
 			}
 		case *dtu.MemWriteReq:
-			resp := &dtu.MemResp{OpID: req.OpID}
+			resp := req.Resp
 			src := req.Src
 			m.net.FreePacket(pkt)
 			err := m.refAccess(p, true, req.Addr, req.Data, nil)
