@@ -276,3 +276,88 @@ func TestReapInvalidatesOverTheNoC(t *testing.T) {
 		t.Errorf("reap at %d configured (cycles after the reap, node, endpoint)\n got %v\nwant %v", reapAt, configs, want)
 	}
 }
+
+// TestExitSkipsEndpointsOfResetPE: a parent exits while its child
+// runs with a delegated memory capability activated on one of its
+// endpoints. The exit walk drops the delegated copy (the parent's
+// memory capability has the lower selector) and then the child's VPE
+// capability, which resets the child's PE and with it every endpoint.
+// So the walk must not invalidate the child's endpoint over the NoC
+// afterwards, and the isolation invariant still holds.
+func TestExitSkipsEndpointsOfResetPE(t *testing.T) {
+	eng := sim.NewEngine()
+	const delegatedSel = kif.CapSel(40)
+	var (
+		childID   uint64
+		exitAt    sim.Time
+		exiting   bool
+		writing   bool
+		childCfgs int
+		childNode = -1
+	)
+	tr := obs.New(obs.Options{Sink: func(ev obs.Event) {
+		if exiting && ev.Kind == obs.EvConfig && int(ev.PE) == childNode {
+			childCfgs++
+		}
+	}})
+	pc := tile.Homogeneous(3)
+	pc.Obs = tr
+	plat := tile.NewPlatform(eng, pc)
+	kern := core.Boot(plat, 0)
+	_, err := kern.StartInit("parent", "", func(ctx *tile.Ctx) {
+		env := m3.NewEnv(ctx, kern)
+		mg, err := env.ReqMem(4096, dtu.PermRW)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		vpe, err := env.NewVPE("child", "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		childID, childNode = vpe.VPEID, int(plat.PEs[vpe.PEID].Node)
+		if err := vpe.Delegate(mg.Sel(), delegatedSel, 1); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := vpe.Run(func(child *m3.Env) {
+			cmg := child.MemGateAt(delegatedSel, 4096)
+			buf := make([]byte, 64)
+			for {
+				if err := cmg.Write(buf, 0); err != nil {
+					return
+				}
+				writing = true
+			}
+		}); err != nil {
+			t.Error(err)
+			return
+		}
+		for !writing {
+			ctx.Compute(1000)
+		}
+		exitAt, exiting = eng.Now(), true
+		env.Exit(0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	child := kern.VPEByID(childID)
+	if exitAt == 0 || child == nil || !child.Exited() {
+		t.Fatalf("the parent never exited with its child running (exit at %d)", exitAt)
+	}
+	if childCfgs != 0 {
+		t.Errorf("the exit walk configured %d endpoints of the PE it reset, want 0", childCfgs)
+	}
+	d := child.PE.DTU
+	for ep := 0; ep < d.NumEndpoints(); ep++ {
+		if typ := d.EP(ep).Type; typ != dtu.EpInvalid {
+			t.Errorf("reset PE endpoint %d still configured as %s", ep, typ)
+		}
+	}
+	if err := kern.CheckEndpoints(); err != nil {
+		t.Error(err)
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/dtu"
 	"repro/internal/kif"
 	"repro/internal/noc"
@@ -107,12 +109,14 @@ func (k *Kernel) sysExit(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dtu.Mes
 
 // dropWalk is one revocation walk's own record (the watchdog's reap and
 // the dispatcher walk in different processes): how many capabilities it
-// dropped, the endpoints they were active on, and the VPEs it ended.
+// dropped, the endpoints they were active on, the VPEs it ended and the
+// nodes of the PEs it reset.
 type dropWalk struct {
 	k       *Kernel
 	dropped int
 	eps     []epRef
 	ended   []*VPE
+	reset   []noc.NodeID
 }
 
 type epRef struct {
@@ -125,7 +129,9 @@ type epRef struct {
 // fixed plus perCap per dropped capability, invalidates the endpoints
 // the walk collected, and only then wakes the waiters of ended VPEs and
 // deferred activations, so nobody learns of a drop while its rights are
-// still live in hardware.
+// still live in hardware. An endpoint on a PE the walk reset is gone
+// already and costs no invalidation; a crashed PE is never reset, so
+// the reap still invalidates all of its endpoints.
 func (k *Kernel) revoke(p *sim.Process, fixed, perCap sim.Time, walk func(w *dropWalk)) {
 	w := &dropWalk{k: k}
 	walk(w)
@@ -133,7 +139,9 @@ func (k *Kernel) revoke(p *sim.Process, fixed, perCap sim.Time, walk func(w *dro
 		k.compute(p, cost)
 	}
 	for _, e := range w.eps {
-		k.invalidateEP(p, e.node, e.ep)
+		if !slices.Contains(w.reset, e.node) {
+			k.invalidateEP(p, e.node, e.ep)
+		}
 	}
 	for _, vpe := range w.ended {
 		vpe.exitSig.Broadcast()
@@ -203,6 +211,7 @@ func (w *dropWalk) onDrop(c *Capability) {
 		if !obj.exited {
 			w.end(obj, -1)
 			obj.PE.Reset()
+			w.reset = append(w.reset, obj.PE.Node)
 		}
 	}
 }

@@ -54,10 +54,13 @@ type DTU struct {
 	// stream of fresh op ids never grows or rehashes a table.
 	ops []*pendingOp
 	// opFree heads the freelist of completed operation records; each
-	// keeps its done signal for the next operation (see newOp).
+	// keeps its done signal and timeout callback for the next
+	// operation (see newOp).
 	opFree *pendingOp
-	// memFree heads the freelist of RDMA records (see memOp).
+	// memFree heads the freelist of RDMA records (see memOp), cfgFree
+	// that of remote-configuration records (see cfgOp).
 	memFree *memOp
+	cfgFree *cfgOp
 
 	// Reliability state, live only when faults is non-nil (see
 	// EnableFaults): outstanding acknowledged transfers by sequence
@@ -710,39 +713,51 @@ func (d *DTU) GrantCredits(p *sim.Process, target noc.NodeID, sendEP, credits in
 // privileged DTUs may issue config packets; this is the kernel's
 // mechanism for NoC-level isolation.
 func (d *DTU) ConfigureRemote(p *sim.Process, target noc.NodeID, ep int, cfg Endpoint) error {
-	return d.sendConfig(p, target, &ConfigReq{EP: ep, Cfg: cfg})
+	return d.sendConfig(p, target, ConfigReq{EP: ep, Cfg: cfg})
 }
 
 // SetPrivilegedRemote up/downgrades the privilege of the DTU at target.
 // The kernel downgrades all application PEs during boot.
 func (d *DTU) SetPrivilegedRemote(p *sim.Process, target noc.NodeID, privileged bool) error {
-	req := &ConfigReq{SetPrivilege: -1}
+	req := ConfigReq{SetPrivilege: -1}
 	if privileged {
 		req.SetPrivilege = 1
 	}
 	return d.sendConfig(p, target, req)
 }
 
-func (d *DTU) sendConfig(p *sim.Process, target noc.NodeID, req *ConfigReq) error {
+// sendConfig sends req, the endpoint or privilege fields filled in,
+// to target; every attempt carries a copy in a record of its own.
+func (d *DTU) sendConfig(p *sim.Process, target noc.NodeID, req ConfigReq) error {
 	if !d.privileged {
 		return ErrNotPrivileged
 	}
 	req.Src = d.node
 	req.Privileged = true
 	resp, err := d.doOp(p, func(op uint64) {
-		req.OpID = op
+		r := d.cfgFree
+		if r == nil {
+			r = &cfgOp{}
+		} else {
+			d.cfgFree, r.next = r.next, nil
+		}
+		r.req, r.resp = req, ConfigResp{OpID: op, op: r}
+		r.req.OpID, r.req.Resp = op, &r.resp
 		pkt := d.net.NewPacket()
 		pkt.Src, pkt.Dst, pkt.Size = d.node, target, ctrlPacketSize+48 // register file on the wire
-		pkt.Payload = req
+		pkt.Payload = &r.req
 		d.net.Send(p, pkt)
 	})
 	if err != nil {
 		return err
 	}
-	if resp.cfg.Err != "" {
-		return fmt.Errorf("%w: %s", ErrRemote, resp.cfg.Err)
+	if msg := resp.cfg.Err; msg != "" {
+		err = fmt.Errorf("%w: %s", ErrRemote, msg)
 	}
-	return nil
+	r := resp.cfg.op
+	*r = cfgOp{next: d.cfgFree}
+	d.cfgFree = r
+	return err
 }
 
 // newOp registers a fresh operation id with a pending record taken
@@ -752,6 +767,7 @@ func (d *DTU) newOp() *pendingOp {
 	po := d.opFree
 	if po == nil {
 		po = &pendingOp{done: sim.NewSignal(d.eng)}
+		po.onTimeout = func() { d.opTimedOut(po) }
 	} else {
 		d.opFree = po.next
 		po.next = nil
@@ -775,19 +791,16 @@ func (d *DTU) findOp(op uint64) *pendingOp {
 // waitOp blocks until the operation's response arrived or, when
 // timeout is nonzero, until the timeout expired, and returns what
 // arrived. A response that lands in the same cycle as the expiry wins:
-// the caller checks the response fields, not the timer. The pending
-// record is recycled once the id is deregistered: op ids are never
-// reused, so neither a late response nor the timeout callback, which
-// both check the record's id first, can reach the record again.
+// the caller checks the response fields, not the timer. The operation
+// is deregistered on return: op ids are never reused, so a late
+// response, which looks its id up, cannot reach the record again. The
+// record goes back to the freelist at once, or, while its timeout
+// event is pending, when that event fires (opTimedOut), so the event
+// never meets a later operation's record.
 func (d *DTU) waitOp(p *sim.Process, po *pendingOp, timeout sim.Time) opResult {
 	if timeout > 0 {
-		op := po.id
-		d.eng.Schedule(timeout, func() {
-			if po.id == op && !po.answered() {
-				po.expired = true
-				po.done.Broadcast()
-			}
-		})
+		po.timing = true
+		d.eng.Schedule(timeout, po.onTimeout)
 	}
 	for !po.answered() && !po.expired {
 		d.idleWait(p, po.done)
@@ -802,9 +815,31 @@ func (d *DTU) waitOp(p *sim.Process, po *pendingOp, timeout sim.Time) opResult {
 	}
 	res := po.opResult
 	po.id, po.expired, po.opResult = 0, false, opResult{}
+	if !po.timing {
+		d.freeOp(po)
+	}
+	return res
+}
+
+// opTimedOut is a record's timeout event. While the operation waits,
+// it expires unless the response came in; once the operation is done
+// (id 0), the timer was the last reference and the record is freed.
+func (d *DTU) opTimedOut(po *pendingOp) {
+	po.timing = false
+	if po.id == 0 {
+		d.freeOp(po)
+		return
+	}
+	if !po.answered() {
+		po.expired = true
+		po.done.Broadcast()
+	}
+}
+
+// freeOp returns a done operation record to the freelist.
+func (d *DTU) freeOp(po *pendingOp) {
 	po.next = d.opFree
 	d.opFree = po
-	return res
 }
 
 // Deliver implements noc.Handler: it is the DTU's NoC-facing side.
@@ -979,7 +1014,7 @@ func (d *DTU) serve(_ int, pkt *noc.Packet) {
 		out.Src, out.Dst, out.Size = d.node, req.Src, ctrlPacketSize
 		out.Payload = resp
 	case *ConfigReq:
-		resp := &ConfigResp{OpID: req.OpID}
+		resp := req.Resp
 		if !req.Privileged {
 			resp.Err = ErrNotPrivileged.Error()
 		} else if req.SetPrivilege != 0 {

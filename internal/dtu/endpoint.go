@@ -218,7 +218,12 @@ type pendingOp struct {
 	id uint64
 	// expired is set when the operation's timeout ran out unanswered.
 	expired bool
-	done    *sim.Signal
+	// timing is set while the record's timeout event is pending; the
+	// record is not reused until it fired.
+	timing bool
+	done   *sim.Signal
+	// onTimeout is the timeout event, built once per record.
+	onTimeout func()
 	opResult
 	next *pendingOp
 }

@@ -90,12 +90,27 @@ type ConfigReq struct {
 	// privilege instead of writing an endpoint: +1 upgrades, -1
 	// downgrades (the boot-time downgrade of application PEs).
 	SetPrivilege int
+
+	// Resp is the acknowledgement the target answers with.
+	Resp *ConfigResp
 }
 
-// ConfigResp acknowledges a ConfigReq.
+// ConfigResp acknowledges a ConfigReq. The requester built it along
+// with the request, OpID set; the target fills in only Err.
 type ConfigResp struct {
 	OpID uint64
 	Err  string
+	op   *cfgOp
+}
+
+// cfgOp is the pooled record of one remote-configuration attempt, as
+// memOp is of an RDMA attempt: sendConfig takes one from the
+// requester's freelist for every attempt and recycles the answered
+// one once it read the answer.
+type cfgOp struct {
+	req  ConfigReq
+	resp ConfigResp
+	next *cfgOp
 }
 
 // ackPacket is the hardware acknowledgement of a sequence-numbered

@@ -221,7 +221,8 @@ func TestMessageRoundTripAllocs(t *testing.T) {
 
 // TestPendingOpRecycled: a completed remote operation's record goes
 // back to the freelist zeroed, keeping its done signal, and the next
-// operation reuses it.
+// operation reuses it; a record with a pending timeout goes back only
+// when the timeout fired.
 func TestPendingOpRecycled(t *testing.T) {
 	r := newRig(t)
 	if err := r.d0.Configure(3, Endpoint{
@@ -260,5 +261,90 @@ func TestPendingOpRecycled(t *testing.T) {
 	r.eng.Run()
 	if len(r.d0.ops) != 0 {
 		t.Fatalf("%d ops still pending", len(r.d0.ops))
+	}
+
+	// A record whose timeout event is still pending stays out of the
+	// freelist until the event fired, so the event never meets a later
+	// operation's record, and the late event neither expires nor wakes
+	// anything.
+	r.eng.Spawn("timed", func(p *sim.Process) {
+		answer := func(po *pendingOp) {
+			r.eng.Schedule(10, func() {
+				po.cfg = &ConfigResp{OpID: po.id}
+				po.done.Broadcast()
+			})
+		}
+		r.d0.opFree = nil
+		po := r.d0.newOp()
+		answer(po)
+		if res := r.d0.waitOp(p, po, 100); res.cfg == nil {
+			t.Fatal("timed op returned no response")
+		}
+		if r.d0.opFree != nil || !po.timing {
+			t.Fatalf("a record went back to the freelist before its timer fired (timing %v)", po.timing)
+		}
+		po2 := r.d0.newOp()
+		if po2 == po {
+			t.Fatal("the next op reused a record whose timer is pending")
+		}
+		answer(po2)
+		r.d0.waitOp(p, po2, 0)
+		if r.d0.opFree != po2 || po2.next != nil {
+			t.Fatal("an untimed op's record was not recycled at once")
+		}
+		p.Sleep(200)
+		if r.d0.opFree != po || po.next != po2 {
+			t.Fatal("the record was not recycled when its timer fired")
+		}
+		if po.id != 0 || po.expired || po.timing || po.opResult != (opResult{}) || po.done.Waiters() != 0 {
+			t.Errorf("record after its late timer: %+v", po)
+		}
+	})
+	r.eng.Run()
+}
+
+// TestFaultArmedOpAllocs: with a fault plan armed, every RDMA and
+// remote-configuration attempt arms a timeout event. The event is the
+// record's own prebuilt callback, so a warm round trip of each still
+// allocates nothing.
+func TestFaultArmedOpAllocs(t *testing.T) {
+	r := newFaultRig(t, FaultConfig{Timeout: 500}, nil)
+	if err := r.d0.Configure(3, Endpoint{
+		Type: EpMemory, MemTarget: 1, MemAddr: 0, MemSize: 4096, MemPerms: PermRW,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	kick := sim.NewSignal(r.eng)
+	buf := make([]byte, 256)
+	recv := Endpoint{Type: EpReceive, BufAddr: 8192, SlotSize: 64 + HeaderSize, SlotCount: 2}
+	var err error
+	r.eng.Spawn("ops", func(p *sim.Process) {
+		p.SetDaemon()
+		for {
+			kick.Wait(p)
+			if err = r.d0.WriteMem(p, 3, 0, buf); err == nil {
+				if err = r.d0.ReadMem(p, 3, 0, buf); err == nil {
+					err = r.d0.ConfigureRemote(p, 1, 5, recv)
+				}
+			}
+		}
+	})
+	r.eng.Run()
+	notify := kick.Notify
+	run := func() {
+		r.eng.Schedule(0, notify)
+		r.eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(500, run); allocs != 0 {
+		t.Errorf("a warm RDMA write, read and remote configuration allocate %.1f objects, want 0", allocs)
+	}
+	if r.d0.Stats.OpTimeouts != 0 {
+		t.Errorf("%d operations timed out on a lossless rig", r.d0.Stats.OpTimeouts)
 	}
 }

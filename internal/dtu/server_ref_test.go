@@ -80,7 +80,7 @@ func refServe(d *DTU, p *sim.Process, pkt *noc.Packet) {
 		d.net.FreePacket(pkt)
 		d.net.Send(p, out)
 	case *ConfigReq:
-		resp := &ConfigResp{OpID: req.OpID}
+		resp := req.Resp
 		if !req.Privileged {
 			resp.Err = ErrNotPrivileged.Error()
 		} else if req.SetPrivilege != 0 {

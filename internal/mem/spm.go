@@ -217,7 +217,9 @@ func (d *DRAM) Poke(addr int, buf []byte) error {
 }
 
 // Resident returns the host bytes that hold the module's written
-// pages, whole slabs included; never-written memory costs nothing.
+// pages, whole slabs included; never-written memory costs nothing. The
+// spare slab a helper prepared for the next handout holds no page yet
+// and is not counted.
 func (d *DRAM) Resident() int { return len(d.data.slabs) * slabSize }
 
 func (d *DRAM) check(addr, n int) error {
@@ -236,6 +238,14 @@ func (d *DRAM) check(addr, n int) error {
 // holds 256 KiB: every slab is a large object that Go allocates on a
 // slow path of its own, and 64 KiB slabs made that path cost untar16
 // several percent of its run time.
+//
+// A fresh slab is memory the host kernel has not mapped yet, so the
+// first write to each of its pages takes a page fault. Once a store
+// holds two slabs, it prepares each next one on a helper goroutine
+// (prepareSlab), which faults the slab in on another host core while
+// the simulation runs. The helper touches nothing but the slab it
+// allocated, and the channel hands that slab over, so the simulation
+// sees the same bytes, events and cycles either way.
 const (
 	pageShift = 12
 	pageSize  = 1 << pageShift
@@ -253,6 +263,10 @@ type pageStore struct {
 	slabs []*[slabSize]byte
 	// used counts the slots handed out.
 	used uint32
+	// spare delivers the slab a helper prepared for the next handout.
+	// It is made with the second slab, so a store that never fills
+	// one slab starts no helper.
+	spare chan *[slabSize]byte
 }
 
 // page returns the bytes of slot s.
@@ -285,7 +299,7 @@ func (ps *pageStore) write(addr int, buf []byte) {
 		s := ps.index[addr>>pageShift]
 		if s == 0 {
 			if ps.used%slabPages == 0 {
-				ps.slabs = append(ps.slabs, new([slabSize]byte))
+				ps.slabs = append(ps.slabs, ps.newSlab())
 			}
 			ps.used++
 			s = ps.used
@@ -294,4 +308,36 @@ func (ps *pageStore) write(addr int, buf []byte) {
 		copy(ps.page(s - 1)[off:], buf[:n])
 		addr, buf = addr+n, buf[n:]
 	}
+}
+
+// newSlab hands out the store's next slab. The first two come from
+// the heap on the caller's thread; each handout from the second on
+// starts a helper that prepares the one after it, and the next handout
+// takes that slab, waiting for it if the helper is not done.
+func (ps *pageStore) newSlab() *[slabSize]byte {
+	var s *[slabSize]byte
+	switch {
+	case len(ps.slabs) == 0:
+		return new([slabSize]byte)
+	case ps.spare == nil:
+		ps.spare = make(chan *[slabSize]byte, 1)
+		s = new([slabSize]byte)
+	default:
+		s = <-ps.spare
+	}
+	go prepareSlab(ps.spare)
+	return s
+}
+
+// prepareSlab allocates a slab, writes a zero to each of its pages,
+// which faults them in, and sends it on out. The one slot of out is
+// empty whenever a helper starts, so the send never blocks and the
+// helper always exits; a store dropped before its next handout leaves
+// the slab to the garbage collector.
+func prepareSlab(out chan<- *[slabSize]byte) {
+	s := new([slabSize]byte)
+	for off := 0; off < slabSize; off += pageSize {
+		s[off] = 0
+	}
+	out <- s
 }
