@@ -49,7 +49,7 @@ bench-sim:
 # The bench regression gate: rerun the fast experiment subset with run
 # captures bundled, keep the JSON artifact for inspection, and fail if
 # any gated metric regressed past its tolerance against the committed
-# baseline (BENCH_5.json, refresh with `make bench-baseline` when a
+# baseline (BENCH_6.json, refresh with `make bench-baseline` when a
 # change legitimately moves the numbers — see docs/EXPERIMENTS.md).
 # When the gate is red, the diff attributes every regression via the
 # two files' captures (layer/path cycle deltas, histogram shift, blame
@@ -59,10 +59,10 @@ bench-sim:
 bench-smoke:
 	mkdir -p artifacts
 	go run ./cmd/m3bench -e smoke -capture -json artifacts/bench-smoke.json >artifacts/bench-smoke.log
-	go run ./cmd/m3bench -diff -report artifacts/diff-report.json BENCH_5.json artifacts/bench-smoke.json
+	go run ./cmd/m3bench -diff -report artifacts/diff-report.json BENCH_6.json artifacts/bench-smoke.json
 
 bench-baseline:
-	go run ./cmd/m3bench -e smoke -capture -json BENCH_5.json
+	go run ./cmd/m3bench -e smoke -capture -json BENCH_6.json
 
 # Every registered experiment, run twice: each one's JSON passes the
 # duplicate-metric check, not only the smoke subset, and the two JSON
@@ -103,8 +103,9 @@ slo-baseline:
 # matrix that proves isolation survives packet loss, PE crashes, and —
 # with the supervisor armed — service crashes that must recover
 # (docs/FAULTS.md, docs/RECOVERY.md), plus the chaos-overload tier:
-# graceful degradation, kernel shedding, deadline expiry, and the
-# zero-overhead-when-off bit-identity proof (docs/OVERLOAD.md).
+# graceful degradation under the admission watermark, its pinned
+# witnesses, and the zero-overhead-when-idle bit-identity proof
+# (docs/OVERLOAD.md).
 # Race-enabled — fault events must not break the engine's strict
 # hand-off.
 chaos:

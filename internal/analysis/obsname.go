@@ -11,11 +11,11 @@ import (
 // constant. Metric snapshots, SLO burn rates and breach events are all
 // keyed by name, so a name computed at runtime lets the set drift with
 // run parameters. The witnesses and goldens hold the names of the runs
-// they replay only; a name drifting in a run they do not cover (an
-// overload-armed run, an E-tail workload) passes every test
-// (docs/ANALYSIS.md, the rule audit). A constant per name also gives it
-// exactly one greppable definition site. The obs package itself is
-// exempt: it implements the registry.
+// they replay only; a name drifting in a run they do not cover (a run
+// whose admission watermark refuses, an E-tail workload) passes every
+// test (docs/ANALYSIS.md, the rule audit). A constant per name also
+// gives it exactly one greppable definition site. The obs package
+// itself is exempt: it implements the registry.
 var ObsName = &Analyzer{
 	Name: "obsname",
 	Doc:  "metric and SLO names passed to obs registration must be package-level constants",

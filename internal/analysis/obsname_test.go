@@ -123,27 +123,30 @@ func f(r *reg)                                  { r.Counter("x", 0) }
 	checkFindings(t, got, nil)
 }
 
-// Mutation fixture from the rule audit (docs/ANALYSIS.md): the kernel's
-// shed counter is named per service. It is registered only in
-// overload-armed runs, which no witness or golden replays, so every
-// tier-1 test passes; only obsname flags it.
+// Mutation fixture from the rule audit (docs/ANALYSIS.md, MN5): the
+// DTU's admission-refusal counter is named per endpoint. It is
+// registered only when a watermark refuses a request, and no witness
+// or golden hashes the metrics of such a run, so every tier-1 test
+// passes; only obsname flags it.
 func TestMetricNameMutationShedCounterPerService(t *testing.T) {
-	src := `package core
+	src := `package dtu
 
-import "repro/internal/obs"
+import (
+	"fmt"
 
-const MCallsShed = "kernel_calls_shed_total"
+	"repro/internal/obs"
+)
 
-type ServiceObj struct{ Name string }
+const MAdmitRefusals = "dtu_admit_refusals_total"
 
-func admitServiceCall(m *obs.Registry, svc *ServiceObj) {
-	m.Counter(MCallsShed+"_"+svc.Name, -1).Inc()
+func admit(m *obs.Registry, node, ep int) {
+	m.Counter(fmt.Sprintf("%s_ep%d", MAdmitRefusals, ep), node).Inc()
 }
 `
-	got := runOn(t, []*Analyzer{ObsName}, "repro/internal/core",
+	got := runOn(t, []*Analyzer{ObsName}, "repro/internal/dtu",
 		map[string]string{"overload.go": src},
 		map[string]map[string]string{"repro/internal/obs": registryOverlay})
-	checkFindings(t, got, []finding{{10, "obsname"}})
+	checkFindings(t, got, []finding{{12, "obsname"}})
 }
 
 // sloOverlay is a minimal obs package exposing the SLO registration

@@ -53,11 +53,11 @@ const differentialSampleEvery sim.Time = 4096
 // The fault plan matters: asynchronous control traffic (acks, nacks)
 // only exists under fault injection, so a lossless run would leave that
 // NoC path untested. opt configures the platform; its Obs and
-// SampleEvery are set here. An opt.Overload arms an overload policy on
-// the system. Its point is the zero-overhead-when-off proof: an
-// armed-but-idle policy (zero deadline, zero watermarks) must produce a
-// witness bit-identical to a nil policy — not one extra engine event,
-// obs event, or metric (TestOverloadIdleBitIdentical).
+// SampleEvery are set here. An opt.RxWatermark arms admission control
+// on the m3fs PE. Its point is the zero-overhead-when-idle proof: a
+// watermark no ring can reach must produce a witness bit-identical to
+// an unarmed run — not one extra engine event, obs event, or metric
+// (TestOverloadIdleBitIdentical).
 func RunDifferential(b workload.Benchmark, n int, plan fault.Plan, opt M3Options) (DifferentialWitness, error) {
 	var w DifferentialWitness
 	sh := newStreamHash()

@@ -10,7 +10,7 @@ import (
 // fleet is the open-loop client fleet of E-tail and E-load: a Scenario
 // of single-PE clients with SerialSetup, so the clients mount and set
 // up one at a time: the experiments measure steady-state traffic, not
-// a thundering-herd boot, and an armed overload stack never sheds the
+// a thundering-herd boot, and an armed watermark never refuses the
 // fleet's own scaffolding.
 // The start barrier releases them together, and each then fires its
 // operations at the absolute arrival times of its own schedule. A

@@ -13,7 +13,6 @@ import (
 	"repro/internal/m3"
 	"repro/internal/m3fs"
 	"repro/internal/obs"
-	"repro/internal/overload"
 	"repro/internal/sim"
 	"repro/internal/tile"
 )
@@ -65,28 +64,12 @@ type M3Options struct {
 	// one sample. Zero keeps the sampler off, scheduling no extra
 	// events — RunStats stay bit-identical to a sampler-free run.
 	SampleEvery sim.Time
-	// Overload, when set, arms the end-to-end overload-control stack
-	// (docs/OVERLOAD.md): deadline stamping on every PE DTU, admission
-	// control on the m3fs PE, and the kernel's shed controller and
-	// circuit breakers. Nil (the default) keeps every knob off and the
-	// run bit-identical to the unarmed baseline.
-	Overload *OverloadSpec
-}
-
-// OverloadSpec is the harness-level overload policy: one struct arms
-// all three layers consistently.
-type OverloadSpec struct {
-	// CallDeadline is the cycle budget stamped into service-call
-	// headers platform-wide (DTU deadline registers + kernel calls).
-	CallDeadline sim.Time
-	// RxWatermark is the admission watermark on the m3fs service PE's
-	// DTU: requests arriving with this many messages already queued are
-	// refused with a fast-fail NACK instead of being buffered.
+	// RxWatermark, when > 0, arms admission control on the m3fs
+	// service PE's DTU (docs/OVERLOAD.md): a request arriving with this
+	// many messages already queued is refused with a fast-fail reply
+	// instead of being buffered. Zero (the default) leaves the run
+	// bit-identical to an unarmed one.
 	RxWatermark int
-	// Shed/Breaker parameterize the kernel's per-service shed
-	// controllers and circuit breakers.
-	Shed    overload.ShedConfig
-	Breaker overload.BreakerConfig
 }
 
 // bootPlatform builds the platform and kernel of an M3 run, with
@@ -113,19 +96,8 @@ func bootPlatform(opt M3Options, appPEs int) *Result {
 	}
 	plat := tile.NewPlatform(eng, cfg)
 	kern := core.Boot(plat, 0)
-	if ov := opt.Overload; ov != nil {
-		// Arm every PE DTU so deadlines ride in all message headers; the
-		// m3fs PE (index 1 by construction) additionally enforces the
-		// admission watermark on its receive gates.
-		for i, pe := range plat.PEs {
-			c := &dtu.OverloadConfig{CallDeadline: ov.CallDeadline}
-			if i == 1 {
-				c.RxWatermark = ov.RxWatermark
-			}
-			pe.DTU.EnableOverload(c)
-		}
-		kern.EnableOverload(core.OverloadConfig{Shed: ov.Shed, Breaker: ov.Breaker})
-	}
+	// The m3fs PE is index 1 by construction.
+	plat.PEs[1].DTU.SetRxWatermark(opt.RxWatermark)
 	if opt.Obs.On() && opt.SampleEvery > 0 {
 		opt.Obs.Metrics().StartSampler(eng, opt.SampleEvery)
 	}

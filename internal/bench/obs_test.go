@@ -340,23 +340,21 @@ func TestKernelRecoveryEventsMatchStats(t *testing.T) {
 	opt := recoverOpts()
 	fsCrashAt := midRunCrashAtOpt(t, b, 2, fault.Plan{Seed: chaosSeed}, opt)
 	plan := fault.Plan{Seed: chaosSeed, Crashes: []fault.Crash{{PE: 1, At: fsCrashAt}}}
-	var reaps, restarts, held uint64
+	var reaps, restarts uint64
 	opt.Obs = obs.New(obs.Options{Sink: func(ev obs.Event) {
 		switch {
 		case ev.Kind == obs.EvReap:
 			reaps++
 		case ev.Kind == obs.EvRespawn && ev.Arg0 == obs.RespawnRestarted:
 			restarts++
-		case ev.Kind == obs.EvRespawn && ev.Arg0 == obs.RespawnHeld:
-			held++
 		}
 	}})
 	st := mustRun(t, Scenario{Workload: b, Instances: 2, Faults: &plan, M3Options: opt}).Kern.Stats
 	if st.VPEsReaped == 0 || st.ServiceRestarts == 0 {
 		t.Fatalf("scenario reaped %d VPEs and restarted %d services; the test needs both", st.VPEsReaped, st.ServiceRestarts)
 	}
-	if reaps != st.VPEsReaped || restarts != st.ServiceRestarts || held != st.RestartsHeld {
-		t.Fatalf("events reap=%d restart=%d held=%d, kernel stats reaped=%d restarts=%d held=%d",
-			reaps, restarts, held, st.VPEsReaped, st.ServiceRestarts, st.RestartsHeld)
+	if reaps != st.VPEsReaped || restarts != st.ServiceRestarts {
+		t.Fatalf("events reap=%d restart=%d, kernel stats reaped=%d restarts=%d",
+			reaps, restarts, st.VPEsReaped, st.ServiceRestarts)
 	}
 }

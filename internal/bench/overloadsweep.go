@@ -16,12 +16,11 @@ import (
 // A fleet of clients fires m3fs metadata operations (stat) on
 // generator-scheduled arrival times — open loop, so offered load does
 // not slow down when the service does — at 0.5x, 1x, and 2x of the
-// measured closed-loop capacity, with the full overload stack armed
-// (deadline propagation, admission watermark, kernel shed controller,
-// client retry budgets; docs/OVERLOAD.md). The gates: goodput at 2x
-// stays above 70% of capacity, shed requests fast-fail in under 10% of
+// measured closed-loop capacity, with the m3fs DTU's admission
+// watermark armed (docs/OVERLOAD.md). The gates: goodput at 2x stays
+// above 70% of capacity, refused requests fast-fail in under 10% of
 // the mean admitted RTT, and the admitted p99 stays bounded by the
-// admission watermark instead of growing with offered load.
+// watermark instead of growing with offered load.
 
 const (
 	// eloadSeed pins the arrival schedules (per-client jitter streams).
@@ -33,33 +32,14 @@ const (
 	// eloadWatermark is the admission watermark on the m3fs PE: requests
 	// arriving with this many messages already queued are refused.
 	eloadWatermark = 4
-	// eloadDeadline is the per-call cycle budget stamped into headers.
-	// Generous on purpose: the steady-state sweep demonstrates admission
-	// control and shedding; tight-deadline expiry is the chaos tier's
-	// job (TestOverloadDeadline* in overload_test.go).
-	eloadDeadline sim.Time = 1 << 17
 	// eloadJitter decorrelates the per-client arrival schedules.
 	eloadJitter = 0.2
 )
 
-// ELoadSpec is the harness overload policy of the sweep (exported so
-// the chaos tests run the same configuration).
-func ELoadSpec() *OverloadSpec {
-	return &OverloadSpec{
-		CallDeadline: eloadDeadline,
-		RxWatermark:  eloadWatermark,
-		Shed: overload.ShedConfig{
-			LowWatermark:  eloadWatermark + 2,
-			HighWatermark: eloadWatermark + 6,
-		},
-		Breaker: overload.BreakerConfig{},
-	}
-}
-
 // eloadRec is one client-observed operation outcome.
 type eloadRec struct {
 	lat     sim.Time
-	outcome uint8 // 0 admitted, 1 shed (refused), 2 expired/timeout, 3 other error
+	outcome uint8 // 0 admitted, 1 shed (refused), 2 timeout, 3 other error
 }
 
 // ELoadPoint is the aggregated result of one load point.
@@ -67,8 +47,8 @@ type ELoadPoint struct {
 	Offered  uint64
 	Admitted uint64
 	Shed     uint64
-	Expired  uint64
-	Errors   uint64
+	// Errors counts every other outcome, a timeout included.
+	Errors uint64
 
 	// Window is the measurement window: first client start to last
 	// client end. GoodputMcyc is admitted operations per million cycles
@@ -80,11 +60,8 @@ type ELoadPoint struct {
 	P99RTT      sim.Time
 	MeanShedLat sim.Time // shed operations (raw fast-fail, no retries)
 
-	// Service/kernel-side counters after the run.
+	// AdmitRefusals counts the requests the m3fs DTU refused.
 	AdmitRefusals uint64
-	DeadlineDrops uint64
-	KernelShed    uint64
-	BreakerOpens  uint64
 
 	// Witness digests every per-operation outcome plus the engine run
 	// statistics; the determinism gate compares it across repetitions.
@@ -94,12 +71,12 @@ type ELoadPoint struct {
 
 // runELoadPoint boots a fresh armed system and drives one load point.
 // interval 0 is the closed-loop capacity probe (clients fire
-// back-to-back); armed false runs the same fleet with every overload
-// knob off (the capacity baseline measures the unarmed system).
+// back-to-back); armed false runs the same fleet without the watermark
+// (the capacity baseline measures the unarmed system).
 func runELoadPoint(interval sim.Time, armed bool) (*ELoadPoint, error) {
 	var opt M3Options
 	if armed {
-		opt.Overload = ELoadSpec()
+		opt.RxWatermark = eloadWatermark
 	}
 	recs := make([][]eloadRec, eloadClients)
 	r, err := fleet{
@@ -112,13 +89,7 @@ func runELoadPoint(interval sim.Time, armed bool) (*ELoadPoint, error) {
 			if _, err := f.Write(make([]byte, 64)); err != nil {
 				return err
 			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			// The driver measures raw fast-fail latency and counts every
-			// arrival exactly once: client-internal retries off.
-			os.FS.ShedRetryAttempts = -1
-			return nil
+			return f.Close()
 		},
 		arrivals: func(k int) *overload.Gen {
 			return overload.NewGen(overload.BurstConfig{
@@ -175,8 +146,6 @@ func runELoadPoint(interval sim.Time, armed bool) (*ELoadPoint, error) {
 			case 1:
 				res.Shed++
 				sumShed += r.lat
-			case 2:
-				res.Expired++
 			default:
 				res.Errors++
 			}
@@ -194,14 +163,9 @@ func runELoadPoint(interval sim.Time, armed bool) (*ELoadPoint, error) {
 	if res.Shed > 0 {
 		res.MeanShedLat = sumShed / sim.Time(res.Shed)
 	}
-	fsDTU := r.Plat.PEs[1].DTU
-	res.AdmitRefusals = fsDTU.Stats.OverloadRefused
-	res.DeadlineDrops = fsDTU.Stats.DeadlineDrops
-	res.KernelShed = r.Kern.Stats.CallsShed
-	res.BreakerOpens = r.Kern.Stats.BreakerRejects
-	fmt.Fprintf(h, "ev=%d ft=%d ref=%d dd=%d ks=%d br=%d\n",
-		res.Stats.ExecutedEvents, res.Stats.FinalTime,
-		res.AdmitRefusals, res.DeadlineDrops, res.KernelShed, res.BreakerOpens)
+	res.AdmitRefusals = r.Plat.PEs[1].DTU.Stats.OverloadRefused
+	fmt.Fprintf(h, "ev=%d ft=%d ref=%d\n",
+		res.Stats.ExecutedEvents, res.Stats.FinalTime, res.AdmitRefusals)
 	res.Witness = h.Sum64()
 	return res, nil
 }
@@ -262,9 +226,8 @@ func ELoad() (*ELoadResult, error) {
 // as goodput_loss (lower is better, like every other bench metric).
 func (r *ELoadResult) Tables() []*Table {
 	t := &Table{Name: "eload_degradation", Rows: [][]string{
-		{"load", "offered", "admitted", "shed", "expired", "goodput_loss",
-			"mean_rtt_cycles", "p99_rtt_cycles", "shed_lat_cycles",
-			"refusals", "deadline_drops", "kernel_shed"},
+		{"load", "offered", "admitted", "shed", "goodput_loss",
+			"mean_rtt_cycles", "p99_rtt_cycles", "shed_lat_cycles", "refusals"},
 	}}
 	for _, row := range r.Rows {
 		p := row.Point
@@ -275,15 +238,13 @@ func (r *ELoadResult) Tables() []*Table {
 		t.Rows = append(t.Rows, []string{
 			row.Label,
 			fmt.Sprintf("%d", p.Offered), fmt.Sprintf("%d", p.Admitted),
-			fmt.Sprintf("%d", p.Shed), fmt.Sprintf("%d", p.Expired),
+			fmt.Sprintf("%d", p.Shed),
 			fmt.Sprintf("%.4f", loss),
 			cyc(p.MeanRTT), cyc(p.P99RTT), cyc(p.MeanShedLat),
 			fmt.Sprintf("%d", p.AdmitRefusals),
-			fmt.Sprintf("%d", p.DeadlineDrops),
-			fmt.Sprintf("%d", p.KernelShed),
 		})
 	}
-	c := &Table{Name: "eload_capacity", Title: "E-load: capacity probe (closed loop, overload off)", Rows: [][]string{
+	c := &Table{Name: "eload_capacity", Title: "E-load: capacity probe (closed loop, watermark off)", Rows: [][]string{
 		{"metric", "mean_rtt_cycles", "p99_rtt_cycles"},
 		{"capacity", cyc(r.Capacity.MeanRTT), cyc(r.Capacity.P99RTT)},
 	}}

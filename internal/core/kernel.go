@@ -58,15 +58,9 @@ type Stats struct {
 	ServiceTimeouts uint64
 	ServiceRestarts uint64
 
-	// Overload-control counters, nonzero only with EnableOverload:
-	// calls rejected by the shed controller, calls failed fast by an
-	// open circuit breaker, calls the service DTU refused at its
-	// admission watermark, and supervisor respawns delayed because the
-	// service's breaker was still open.
-	CallsShed      uint64
-	BreakerRejects uint64
-	CallsRefused   uint64
-	RestartsHeld   uint64
+	// CallsRefused counts calls the service DTU refused at its
+	// admission watermark (docs/OVERLOAD.md).
+	CallsRefused uint64
 }
 
 // SyscallCount is one (opcode, count) pair of the syscall counter map.
@@ -144,10 +138,6 @@ type Kernel struct {
 	// incarnation to its restart record (lookup only, never walked).
 	supervised map[uint64]*supervised
 
-	// overload is the armed overload-control state (shed controllers,
-	// circuit breakers); nil means every gate below is a no-op.
-	overload *kernelOverload
-
 	inits  []initAction
 	booted bool
 
@@ -158,15 +148,11 @@ type Kernel struct {
 	// waits on a gate owned by a dead VPE.
 	actSig *sim.Signal
 
-	// Cached metric handles (nil-safe, inert without a tracer). The
-	// overload pair registers lazily on first increment so runs that
-	// never shed keep identical metric snapshots.
+	// Cached metric handles (nil-safe, inert without a tracer).
 	mSyscalls           *obs.Counter
 	mEPReconfigs        *obs.Counter
 	mCapRevocations     *obs.Counter
 	mSupervisorRestarts *obs.Counter
-	mCallsShed          *obs.Counter
-	mBreakerOpens       *obs.Counter
 
 	Stats Stats
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dtu"
 	"repro/internal/kif"
 	"repro/internal/obs"
-	"repro/internal/overload"
 	"repro/internal/sim"
 )
 
@@ -64,28 +63,21 @@ func (k *Kernel) sysCreateSrv(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dt
 // decodes it before it yields.
 //
 // Both wait points — credits of the control channel and the reply
-// itself — honor the call budget armed on the kernel PE's DTU
-// (DTU.CallDeadline, as libm3 reads it): a dead or wedged
+// itself — honor the call budget the fault plan arms on the kernel
+// PE's DTU (DTU.CallDeadline, as libm3 reads it): a dead or wedged
 // service earns the caller kif.ErrTimeout instead of stalling the
-// helper forever. With no deadline armed (every fault-free run) the
+// helper forever. With no budget armed (every fault-free run) the
 // waits are unbounded and not a single extra event is scheduled.
 // A superseded incarnation (serviceCurrent fails: the service died,
 // possibly already re-registered at a newer epoch) is refused with
-// kif.ErrNoSuchService before anything is admitted, counted or sent,
-// so no request of a dead incarnation ever reaches its successor.
-//
-// With overload control armed (EnableOverload) the call first passes
-// the service's circuit breaker and shed controller, its header
-// carries the deadline so downstream DTUs can drop it once expired,
-// and the outcome feeds the breaker: deadline misses count as
-// failures, admission refusals by the service DTU do not (the service
-// answered promptly — that is control, not collapse).
-func (k *Kernel) callService(p *sim.Process, svc *ServiceObj, payload []byte, span obs.SpanID, pr overload.Priority) (kif.IStream, kif.Error) {
+// kif.ErrNoSuchService before anything is counted or sent, so no
+// request of a dead incarnation ever reaches its successor. A request
+// the service DTU refuses at its admission watermark (docs/OVERLOAD.md)
+// comes back as kif.ErrOverload after one round trip, counted in
+// Stats.CallsRefused and not retried.
+func (k *Kernel) callService(p *sim.Process, svc *ServiceObj, payload []byte, span obs.SpanID) (kif.IStream, kif.Error) {
 	if !k.serviceCurrent(svc) {
 		return kif.IStream{}, kif.ErrNoSuchService
-	}
-	if aerr := k.admitServiceCall(svc, span, pr); aerr != kif.OK {
-		return kif.IStream{}, aerr
 	}
 	deadline := k.PE.DTU.CallDeadline()
 	k.nextServOp++
@@ -99,12 +91,9 @@ func (k *Kernel) callService(p *sim.Process, svc *ServiceObj, payload []byte, sp
 			Kind: obs.EvSvcCallStart, Span: span,
 			Arg0: uint64(svc.sendEP), Arg1: opID})
 	}
-	// Arm the span and deadline registers once: the DTU consumes them
-	// only when a send succeeds, so credit-denied retries keep both.
+	// Arm the span register once: the DTU consumes it only when a send
+	// succeeds, so credit-denied retries keep it.
 	k.PE.DTU.StampSpan(span)
-	if k.overload != nil && deadline > 0 {
-		k.PE.DTU.StampDeadline(deadline)
-	}
 	defer func() {
 		if tr := k.Plat.Obs; tr.On() {
 			now := k.Plat.Eng.Now()
@@ -120,7 +109,6 @@ func (k *Kernel) callService(p *sim.Process, svc *ServiceObj, payload []byte, sp
 			// The credit wait expired: the service is as dead as one
 			// that never replies.
 			k.Stats.ServiceTimeouts++
-			k.noteServiceCallOutcome(svc, kif.ErrTimeout)
 			return kif.IStream{}, kif.ErrTimeout
 		}
 		return kif.IStream{}, kif.ErrNoSuchService
@@ -149,26 +137,15 @@ func (k *Kernel) callService(p *sim.Process, svc *ServiceObj, payload []byte, sp
 		// is acked by the dispatcher, which is exactly the behavior for
 		// any other unsolicited message on the reply gate.
 		k.Stats.ServiceTimeouts++
-		k.noteServiceCallOutcome(svc, kif.ErrTimeout)
 		return kif.IStream{}, kif.ErrTimeout
 	}
 	if pend.msg.Overloaded() {
 		// The service DTU refused the request at its admission watermark
-		// and fast-failed it; the slot never held real work, so this is
-		// not a breaker failure — callers retry under a bounded budget.
+		// and fast-failed it; the slot never held real work.
 		k.PE.DTU.Ack(kif.KServReplyEP, pend.msg)
 		k.Stats.CallsRefused++
 		return kif.IStream{}, kif.ErrOverload
 	}
-	if pend.msg.Expired() {
-		// The request outlived its deadline in flight and was dropped
-		// before execution: a deadline miss, and breaker food.
-		k.PE.DTU.Ack(kif.KServReplyEP, pend.msg)
-		k.Stats.ServiceTimeouts++
-		k.noteServiceCallOutcome(svc, kif.ErrTimeout)
-		return kif.IStream{}, kif.ErrTimeout
-	}
-	k.noteServiceCallOutcome(svc, kif.OK)
 	k.servReply = append(k.servReply[:0], pend.msg.Data...)
 	k.PE.DTU.Ack(kif.KServReplyEP, pend.msg)
 	return kif.NewIStream(k.servReply), kif.OK
@@ -193,12 +170,10 @@ func (k *Kernel) sysOpenSess(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dtu
 	k.Plat.Eng.Spawn("kernel-opensess", func(hp *sim.Process) {
 		var req kif.OStream
 		req.U64(uint64(kif.ServOpen)).Str(arg)
-		// Session opens are the first work to shed under load: refusing a
-		// new session is cheap, abandoning an established one is not. If
-		// the registration this open raced against is gone, the call
+		// If the registration this open raced against is gone, the call
 		// fails with ErrNoSuchService and the client retries against the
 		// current incarnation.
-		ris, cerr := k.callService(hp, svc, req.Bytes(), obs.SpanID(msg.Span), overload.PriorityLow)
+		ris, cerr := k.callService(hp, svc, req.Bytes(), obs.SpanID(msg.Span))
 		if cerr != kif.OK {
 			k.replyErr(hp, msg, cerr)
 			return
@@ -292,7 +267,7 @@ func (k *Kernel) sysExchangeSess(p *sim.Process, vpe *VPE, is *kif.IStream, msg 
 			req.U64(0)
 		}
 		req.U64(capsCount).Blob(args)
-		ris, cerr := k.callService(hp, sess.Service, req.Bytes(), obs.SpanID(msg.Span), overload.PriorityNormal)
+		ris, cerr := k.callService(hp, sess.Service, req.Bytes(), obs.SpanID(msg.Span))
 		if cerr != kif.OK {
 			k.replyErr(hp, msg, cerr)
 			return

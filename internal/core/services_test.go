@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/kif"
 	"repro/internal/obs"
-	"repro/internal/overload"
 	"repro/internal/sim"
 	"repro/internal/tile"
 )
@@ -29,7 +28,7 @@ func TestCallServiceRefusesSupersededService(t *testing.T) {
 	k.services["echo"] = &ServiceObj{Name: "echo", Epoch: 2, sendEP: kif.KFirstSrvEP}
 	var got kif.Error
 	eng.Spawn("caller", func(p *sim.Process) {
-		_, got = k.callService(p, stale, []byte{byte(kif.ServOpen)}, 0, overload.PriorityNormal)
+		_, got = k.callService(p, stale, []byte{byte(kif.ServOpen)}, 0)
 	})
 	eng.Run()
 	if got != kif.ErrNoSuchService {

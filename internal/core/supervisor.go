@@ -106,15 +106,6 @@ func (k *Kernel) maybeRespawn(vpe *VPE) {
 	}
 	sup.restarts++
 	delay := sup.policy.Backoff << (sup.restarts - 1)
-	if hold := k.respawnHold(sup.name); hold > 0 {
-		// The service's circuit breaker is still open: clients are being
-		// failed fast anyway, so restarting into the standing overload
-		// would only feed the storm. Hold the respawn until the breaker's
-		// open window has passed (restart-storm suppression).
-		delay += hold
-		k.Stats.RestartsHeld++
-		k.traceRespawn(obs.RespawnHeld, sup, uint64(hold))
-	}
 	k.Plat.Eng.Spawn("kernel-respawn", func(p *sim.Process) {
 		p.Sleep(delay)
 		pe := k.allocPE(sup.peType)

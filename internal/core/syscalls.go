@@ -7,7 +7,6 @@ import (
 	"repro/internal/kif"
 	"repro/internal/noc"
 	"repro/internal/obs"
-	"repro/internal/overload"
 	"repro/internal/sim"
 	"repro/internal/tile"
 )
@@ -228,12 +227,9 @@ func (k *Kernel) closeSession(sess *SessObj) {
 	k.Plat.Eng.Spawn("kernel-closesess", func(hp *sim.Process) {
 		var req kif.OStream
 		req.U64(uint64(kif.ServCloseSess)).U64(sess.Ident)
-		// Session teardown has no originating request: no span. It is
-		// never shed (PriorityHigh): dropping a close leaks service-side
-		// session state, which is exactly what an overloaded service
-		// cannot afford. Nobody waits for the outcome; callService acks
-		// the reply.
-		k.callService(hp, svc, req.Bytes(), 0, overload.PriorityHigh)
+		// Session teardown has no originating request: no span. Nobody
+		// waits for the outcome; callService acks the reply.
+		k.callService(hp, svc, req.Bytes(), 0)
 	})
 }
 

@@ -58,9 +58,11 @@ type DTU struct {
 	// operation (see newOp).
 	opFree *pendingOp
 	// memFree heads the freelist of RDMA records (see memOp), cfgFree
-	// that of remote-configuration records (see cfgOp).
-	memFree *memOp
-	cfgFree *cfgOp
+	// that of remote-configuration records (see cfgOp) and probeFree
+	// that of probe records (see probeOp).
+	memFree   *memOp
+	cfgFree   *cfgOp
+	probeFree *probeOp
 
 	// Reliability state, live only when faults is non-nil (see
 	// EnableFaults): outstanding acknowledged transfers by sequence
@@ -105,20 +107,16 @@ type DTU struct {
 	obs     *obs.Tracer
 	curSpan uint64
 
-	// Overload-control state, live only when overload is non-nil (see
-	// EnableOverload): the admission/deadline configuration and the
-	// one-slot deadline register software arms with StampDeadline, a
-	// sibling of the span register below.
-	overload    *OverloadConfig
-	curDeadline sim.Time
+	// rxWatermark is the admission watermark of the receive endpoints
+	// (SetRxWatermark); zero disarms admission control.
+	rxWatermark int
 
 	// Cached metric handles (nil-safe, inert without a tracer); the
-	// registry entries are keyed by node id. The overload counters are
+	// registry entries are keyed by node id. The admission counter is
 	// registered lazily on first increment — see overload.go.
 	mCreditStalls  *obs.Counter
 	mRetransmits   *obs.Counter
 	mNacks         *obs.Counter
-	mDeadlineDrops *obs.Counter
 	mAdmitRefusals *obs.Counter
 
 	Stats Stats
@@ -343,9 +341,6 @@ func (d *DTU) Send(p *sim.Process, ep int, data []byte, replyEP int, replyLabel 
 	msg.replyLabel = replyLabel
 	msg.creditEP = ep
 	msg.Span = d.takeSpan()
-	if d.overload != nil {
-		msg.Deadline = d.takeDeadline()
-	}
 	msg.sentAt = d.eng.Now()
 	d.Stats.MsgsSent++
 	if tr := d.obs; tr.On() {
@@ -941,9 +936,9 @@ func (d *DTU) Deliver(pkt *noc.Packet) {
 // receive places a message into the ringbuffer of receive endpoint ep,
 // writing it into the SPM like the hardware does, or drops it when the
 // buffer is full or the endpoint is not receiving. isRequest separates
-// request messages from replies: only requests are subject to overload
-// admission — a reply's slot was budgeted by the requester's credit,
-// and refusing it would strand the caller.
+// request messages from replies: only requests are subject to the
+// admission watermark — a reply's slot was budgeted by the requester's
+// credit, and refusing it would strand the caller.
 func (d *DTU) receive(ep int, msg *Message, isRequest bool) {
 	// The drop paths recycle the message: it was never inserted into a
 	// ringbuffer, the reliable layer acked and deduplicated the carrying
@@ -954,7 +949,7 @@ func (d *DTU) receive(ep int, msg *Message, isRequest bool) {
 		return
 	}
 	r := &d.eps[ep]
-	if d.overload != nil && isRequest && !d.admit(ep, r, msg) {
+	if d.rxWatermark > 0 && isRequest && !d.admit(ep, r, msg) {
 		return
 	}
 	if r.occupied >= r.SlotCount || HeaderSize+len(msg.Data) > r.SlotSize {
@@ -1032,9 +1027,9 @@ func (d *DTU) serve(_ int, pkt *noc.Packet) {
 	case *probeReq:
 		// The DTU answers for its core: it is a separate hardware
 		// block and keeps serving the NoC after a core crash.
-		crashed := d.coreStatus != nil && d.coreStatus()
+		req.Resp.Crashed = d.coreStatus != nil && d.coreStatus()
 		out.Src, out.Dst, out.Size = d.node, req.Src, ctrlPacketSize
-		out.Payload = &probeResp{OpID: req.OpID, Crashed: crashed}
+		out.Payload = req.Resp
 	}
 	d.net.FreePacket(pkt)
 	d.net.SendThen(nil, out, d.served)

@@ -130,14 +130,9 @@ type Message struct {
 	// path reconstructs from the event stream.
 	Span uint64
 
-	// Deadline is the propagated cycle budget riding in the header of
-	// an overload-controlled request (zero: none). Receivers compare
-	// the sim clock against sentAt+Deadline and drop expired work
-	// before it enters a ringbuffer (docs/OVERLOAD.md).
-	Deadline sim.Time
-	// flags marks overload fast-fail replies (msgFlagOverload,
-	// msgFlagExpired); see Overloaded/Expired.
-	flags uint8
+	// refused marks the fast-fail reply to a request refused by the
+	// admission watermark; see Overloaded.
+	refused bool
 
 	slot   int
 	acked  bool
@@ -190,10 +185,8 @@ type Stats struct {
 	DupsDropped  uint64
 	Poisoned     uint64
 
-	// Overload-control counters, nonzero only with EnableOverload:
-	// requests dropped because their propagated deadline expired in
-	// flight, and requests refused by the admission watermark.
-	DeadlineDrops   uint64
+	// OverloadRefused counts requests refused by the admission
+	// watermark, nonzero only with SetRxWatermark.
 	OverloadRefused uint64
 
 	// IdleCycles accumulates the time the attached core spent waiting

@@ -95,26 +95,15 @@ func (fc *FaultConfig) nextBackoff(t sim.Time) sim.Time {
 }
 
 // CallDeadline reports the call cycle budget of the armed fault
-// configuration — or, when the fault layer arms none, of the overload
-// configuration (see EnableOverload) — zero when neither arms one.
-// Reading it is safe from any layer: it only tells software whether
-// the run wants bounded calls, it arms nothing.
+// configuration, zero when none is armed. Reading it is safe from any
+// layer: it only tells software whether the run wants bounded calls,
+// it arms nothing.
 func (d *DTU) CallDeadline() sim.Time {
-	if d.faults != nil && d.faults.CallDeadline > 0 {
+	if d.faults != nil {
 		return d.faults.CallDeadline
-	}
-	if d.overload != nil {
-		return d.overload.CallDeadline
 	}
 	return 0
 }
-
-// Faulty reports whether the fault layer is armed on this DTU.
-// Software uses it to pick its failure semantics: with faults armed a
-// timeout may mean a dead service incarnation (worth a session
-// recovery); with only overload armed it means shed or expired work,
-// which a bounded retry handles without touching the session.
-func (d *DTU) Faulty() bool { return d.faults != nil }
 
 // SetCoreStatus installs the callback a probe response reads to learn
 // whether the attached core is alive. The DTU is a separate hardware
@@ -310,16 +299,28 @@ func (d *DTU) Probe(p *sim.Process, target noc.NodeID) (bool, error) {
 	if !d.privileged {
 		return false, ErrNotPrivileged
 	}
-	po, err := d.doOp(p, func(op uint64) {
+	res, err := d.doOp(p, func(op uint64) {
+		r := d.probeFree
+		if r == nil {
+			r = &probeOp{}
+		} else {
+			d.probeFree, r.next = r.next, nil
+		}
+		r.resp = probeResp{OpID: op, op: r}
+		r.req = probeReq{OpID: op, Src: d.node, Resp: &r.resp}
 		pkt := d.net.NewPacket()
 		pkt.Src, pkt.Dst, pkt.Size = d.node, target, ctrlPacketSize
-		pkt.Payload = &probeReq{OpID: op, Src: d.node}
+		pkt.Payload = &r.req
 		d.net.Send(p, pkt)
 	})
 	if err != nil {
 		return false, err
 	}
-	return po.probe.Crashed, nil
+	crashed := res.probe.Crashed
+	r := res.probe.op
+	*r = probeOp{next: d.probeFree}
+	d.probeFree = r
+	return crashed, nil
 }
 
 // sendCtrl emits an autonomous control packet (ack, nack) from engine

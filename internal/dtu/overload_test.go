@@ -8,7 +8,7 @@ import (
 
 func TestAdmissionWatermarkRefusesRequests(t *testing.T) {
 	r := newRig(t)
-	r.d1.EnableOverload(&OverloadConfig{RxWatermark: 2})
+	r.d1.SetRxWatermark(2)
 	r.channel(t, 4)
 	var flagged *Message
 	r.eng.Spawn("sender", func(p *sim.Process) {
@@ -31,7 +31,7 @@ func TestAdmissionWatermarkRefusesRequests(t *testing.T) {
 	if r.d1.Stats.MsgsReceived != 2 {
 		t.Fatalf("admitted = %d, want the watermark's 2", r.d1.Stats.MsgsReceived)
 	}
-	if flagged == nil || !flagged.Overloaded() || flagged.Expired() {
+	if flagged == nil || !flagged.Overloaded() {
 		t.Fatalf("fast-fail reply flags wrong: %+v", flagged)
 	}
 	if flagged.Label != 7 {
@@ -40,68 +40,6 @@ func TestAdmissionWatermarkRefusesRequests(t *testing.T) {
 	// The refusal restored the sender's credit: 4 - 3 sends + 1 refund.
 	if got := r.d0.Credits(1); got != 2 {
 		t.Fatalf("credits = %d, want 2 (refusal must refund)", got)
-	}
-}
-
-func TestDeadlineExpiredInFlightDropsBeforeExecution(t *testing.T) {
-	r := newRig(t)
-	// Both sides are armed, as the harness does platform-wide: the
-	// sender's DTU stamps the header, the receiver's enforces it.
-	r.d0.EnableOverload(&OverloadConfig{})
-	r.d1.EnableOverload(&OverloadConfig{})
-	r.channel(t, 4)
-	var flagged *Message
-	r.eng.Spawn("sender", func(p *sim.Process) {
-		// A 1-cycle budget cannot survive the NoC traversal: the receiver
-		// must drop the request at arrival and fast-fail it.
-		r.d0.StampDeadline(1)
-		if err := r.d0.Send(p, 1, []byte("late"), 2, 9); err != nil {
-			t.Error(err)
-		}
-		msg, _ := r.d0.WaitMsg(p, 2)
-		cp := *msg // the Ack recycles msg
-		flagged = &cp
-		r.d0.Ack(2, msg)
-	})
-	r.eng.Run()
-	if r.d1.Stats.DeadlineDrops != 1 {
-		t.Fatalf("deadline drops = %d, want 1", r.d1.Stats.DeadlineDrops)
-	}
-	if r.d1.Stats.MsgsReceived != 0 {
-		t.Fatalf("delivered = %d, want none (expired work must not execute)", r.d1.Stats.MsgsReceived)
-	}
-	if flagged == nil || !flagged.Expired() || flagged.Overloaded() {
-		t.Fatalf("fast-fail reply flags wrong: %+v", flagged)
-	}
-	if got := r.d0.Credits(1); got != 4 {
-		t.Fatalf("credits = %d, want all 4 back", got)
-	}
-}
-
-func TestDeadlineRegisterIsOneShot(t *testing.T) {
-	r := newRig(t)
-	r.d1.EnableOverload(&OverloadConfig{})
-	r.d0.EnableOverload(&OverloadConfig{})
-	r.channel(t, 4)
-	r.eng.Spawn("pair", func(p *sim.Process) {
-		// First send consumes the stamped deadline; the second must go
-		// out unbounded (deadline 0), so a generous budget on the first
-		// message cannot leak onto later traffic.
-		r.d0.StampDeadline(1 << 40)
-		if err := r.d0.Send(p, 1, []byte("bounded"), -1, 0); err != nil {
-			t.Error(err)
-		}
-		if err := r.d0.Send(p, 1, []byte("unbounded"), -1, 0); err != nil {
-			t.Error(err)
-		}
-	})
-	r.eng.Run()
-	first, _ := fetchAll(r.d1, 0)
-	if len(first) != 2 {
-		t.Fatalf("delivered %d messages, want 2", len(first))
-	}
-	if first[0].Deadline != 1<<40 || first[1].Deadline != 0 {
-		t.Fatalf("deadlines = %d/%d, want %d/0", first[0].Deadline, first[1].Deadline, sim.Time(1)<<40)
 	}
 }
 
@@ -121,7 +59,7 @@ func TestRepliesBypassAdmission(t *testing.T) {
 	// Replies must land even past the watermark: their slot was budgeted
 	// by the requester's credit, and refusing them would strand callers.
 	r := newRig(t)
-	r.d0.EnableOverload(&OverloadConfig{RxWatermark: 1})
+	r.d0.SetRxWatermark(1)
 	r.channel(t, 4)
 	r.eng.Spawn("receiver", func(p *sim.Process) {
 		msg, _ := r.d1.WaitMsg(p, 0)
@@ -162,34 +100,33 @@ func TestRepliesBypassAdmission(t *testing.T) {
 func TestOverloadOffIsInert(t *testing.T) {
 	r := newRig(t)
 	r.channel(t, 4)
-	// StampDeadline without EnableOverload must not arm anything.
-	r.d0.StampDeadline(123)
+	// Without a watermark no request is refused.
 	r.eng.Spawn("pair", func(p *sim.Process) {
-		if err := r.d0.Send(p, 1, []byte("plain"), -1, 0); err != nil {
+		if err := r.d0.Send(p, 1, []byte("plain"), 2, 0); err != nil {
 			t.Error(err)
 		}
 	})
 	r.eng.Run()
 	msgs, n := fetchAll(r.d1, 0)
-	if n != 1 || msgs[0].Deadline != 0 {
-		t.Fatalf("disarmed DTU stamped a deadline: %d msgs, deadline %d", n, msgs[0].Deadline)
+	if n != 1 || msgs[0].Overloaded() {
+		t.Fatalf("disarmed DTU: %d msgs delivered, want 1 plain request", n)
 	}
-	if r.d0.Overloaded() || r.d1.Overloaded() {
-		t.Fatal("Overloaded() true without EnableOverload")
+	if r.d1.Stats.OverloadRefused != 0 {
+		t.Fatalf("disarmed DTU refused %d requests", r.d1.Stats.OverloadRefused)
 	}
 	if r.d0.CallDeadline() != 0 {
 		t.Fatalf("CallDeadline = %d, want 0", r.d0.CallDeadline())
 	}
 }
 
+// TestOverloadCallDeadlineExposed: the call budget software reads is
+// the fault plan's, and only the fault plan's.
 func TestOverloadCallDeadlineExposed(t *testing.T) {
 	r := newRig(t)
-	r.d0.EnableOverload(&OverloadConfig{CallDeadline: 5000})
-	if got := r.d0.CallDeadline(); got != 5000 {
-		t.Fatalf("CallDeadline = %d, want 5000", got)
+	r.d0.SetRxWatermark(4)
+	if got := r.d0.CallDeadline(); got != 0 {
+		t.Fatalf("CallDeadline with only a watermark = %d, want 0", got)
 	}
-	// An armed fault-layer deadline takes precedence (recovery policy
-	// owns the budget when crashes are in play).
 	r.d0.EnableFaults(&FaultConfig{CallDeadline: 777})
 	if got := r.d0.CallDeadline(); got != 777 {
 		t.Fatalf("CallDeadline with faults = %d, want 777", got)

@@ -125,15 +125,26 @@ type nackPacket struct{ Seq uint64 }
 // probeReq asks a DTU whether its attached core is alive; probeResp is
 // its autonomous answer. This is the kernel's death-detection channel
 // (the DTU "error report" of a PE whose core can no longer speak for
-// itself).
+// itself). As with ConfigReq, the requester builds the response along
+// with the request and the target fills in only Crashed.
 type probeReq struct {
 	OpID uint64
 	Src  noc.NodeID
+	Resp *probeResp
 }
 
 type probeResp struct {
 	OpID    uint64
 	Crashed bool
+	op      *probeOp
+}
+
+// probeOp is the pooled record of one probe attempt, as cfgOp is of a
+// configuration attempt.
+type probeOp struct {
+	req  probeReq
+	resp probeResp
+	next *probeOp
 }
 
 // wire size helpers: requests and acks are small control packets.

@@ -303,10 +303,11 @@ func TestPendingOpRecycled(t *testing.T) {
 	r.eng.Run()
 }
 
-// TestFaultArmedOpAllocs: with a fault plan armed, every RDMA and
-// remote-configuration attempt arms a timeout event. The event is the
-// record's own prebuilt callback, so a warm round trip of each still
-// allocates nothing.
+// TestFaultArmedOpAllocs: with a fault plan armed, every RDMA,
+// remote-configuration and probe attempt arms a timeout event. The
+// event is the record's own prebuilt callback, and the request and
+// response travel in a pooled record, so a warm round trip of each
+// still allocates nothing.
 func TestFaultArmedOpAllocs(t *testing.T) {
 	r := newFaultRig(t, FaultConfig{Timeout: 500}, nil)
 	if err := r.d0.Configure(3, Endpoint{
@@ -324,7 +325,9 @@ func TestFaultArmedOpAllocs(t *testing.T) {
 			kick.Wait(p)
 			if err = r.d0.WriteMem(p, 3, 0, buf); err == nil {
 				if err = r.d0.ReadMem(p, 3, 0, buf); err == nil {
-					err = r.d0.ConfigureRemote(p, 1, 5, recv)
+					if err = r.d0.ConfigureRemote(p, 1, 5, recv); err == nil {
+						_, err = r.d0.Probe(p, 1)
+					}
 				}
 			}
 		}
@@ -342,7 +345,7 @@ func TestFaultArmedOpAllocs(t *testing.T) {
 		run()
 	}
 	if allocs := testing.AllocsPerRun(500, run); allocs != 0 {
-		t.Errorf("a warm RDMA write, read and remote configuration allocate %.1f objects, want 0", allocs)
+		t.Errorf("a warm RDMA write, read, remote configuration and probe allocate %.1f objects, want 0", allocs)
 	}
 	if r.d0.Stats.OpTimeouts != 0 {
 		t.Errorf("%d operations timed out on a lossless rig", r.d0.Stats.OpTimeouts)

@@ -94,10 +94,10 @@ func refServe(d *DTU, p *sim.Process, pkt *noc.Packet) {
 		d.net.FreePacket(pkt)
 		d.net.Send(p, out)
 	case *probeReq:
-		crashed := d.coreStatus != nil && d.coreStatus()
+		req.Resp.Crashed = d.coreStatus != nil && d.coreStatus()
 		out := d.net.NewPacket()
 		out.Src, out.Dst, out.Size = d.node, req.Src, ctrlPacketSize
-		out.Payload = &probeResp{OpID: req.OpID, Crashed: crashed}
+		out.Payload = req.Resp
 		d.net.FreePacket(pkt)
 		d.net.Send(p, out)
 	}

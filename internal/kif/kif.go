@@ -84,11 +84,10 @@ const (
 	ErrVPEGone
 	ErrRefused
 	ErrTimeout
-	// ErrOverload reports a request refused by overload control —
-	// admission watermark, shed controller, or an open circuit
-	// breaker — before any work was done. Unlike ErrTimeout it is a
-	// fast failure: clients retry it under a bounded retry budget
-	// rather than triggering session recovery (docs/OVERLOAD.md).
+	// ErrOverload reports a request refused at the receiving DTU's
+	// admission watermark before any work was done. Unlike ErrTimeout
+	// it is a fast failure from a healthy service, so it never
+	// triggers session recovery (docs/OVERLOAD.md).
 	ErrOverload
 	// ErrIsDir refuses to open a directory for writing or truncation.
 	ErrIsDir

@@ -227,13 +227,6 @@ func (sg *SendGate) send(data []byte, replyEP int, label uint64, deadline sim.Ti
 	if span != 0 {
 		e.DTU().StampSpan(span)
 	}
-	// A bounded call also propagates its budget in the message header
-	// (overload-armed DTUs only; the stamp is a no-op otherwise), so
-	// every downstream hop can drop the request once it is already
-	// dead. Like the span register, it survives credit-denied retries.
-	if deadline > 0 {
-		e.DTU().StampDeadline(deadline)
-	}
 	err = e.DTU().SendWait(e.P(), ep, data, replyEP, label, deadline, span)
 	if errors.Is(err, dtu.ErrNoCredits) {
 		// A receiver that never restores credit is as dead as one that
@@ -269,11 +262,14 @@ func (sg *SendGate) TrySend(data []byte) error {
 // The reply is valid until the gate's next call or collect.
 //
 // Both wait points — credits and reply — honour the PE's armed call
-// budget (DTU.CallDeadline): if the receiver neither accepts nor
-// answers in time Call returns kif.ErrTimeout (wrapped) and abandons
-// the reply label, so a late answer is acked instead of leaking a
-// ringbuffer slot. With no budget armed the waits are unbounded and
-// schedule no deadline events.
+// budget (DTU.CallDeadline, set by the fault plan): if the receiver
+// neither accepts nor answers in time Call returns kif.ErrTimeout
+// (wrapped) and abandons the reply label, so a late answer is acked
+// instead of leaking a ringbuffer slot. With no budget armed the waits
+// are unbounded and schedule no deadline events. A request the
+// receiving DTU refuses at its admission watermark (docs/OVERLOAD.md)
+// returns kif.ErrOverload (wrapped) after one round trip; Call does
+// not retry it.
 func (sg *SendGate) Call(data []byte) ([]byte, error) {
 	e := sg.env
 	e.Ctx.Compute(CostCallMarshal)
@@ -299,7 +295,7 @@ func (sg *SendGate) Call(data []byte) ([]byte, error) {
 	msg := e.recvReply(label, deadline)
 	if tr.On() {
 		fail := uint64(0)
-		if msg == nil || msg.Overloaded() || msg.Expired() {
+		if msg == nil || msg.Overloaded() {
 			fail = 1
 		}
 		tr.Emit(obs.Event{At: e.Ctx.Now(), PE: int32(e.Ctx.PE.Node), Layer: obs.LApp,
@@ -309,17 +305,9 @@ func (sg *SendGate) Call(data []byte) ([]byte, error) {
 		e.DiscardReply(label)
 		return nil, fmt.Errorf("m3: call reply: %w", kif.ErrTimeout)
 	}
-	// Overload fast-fail replies (docs/OVERLOAD.md): an admission
-	// refusal surfaces as the typed kif.ErrOverload — retry it under a
-	// budget, not via session recovery — while an in-flight deadline
-	// expiry is a deadline miss like any other timeout.
 	if msg.Overloaded() {
 		e.DTU().Ack(kif.CallReplyEP, msg)
 		return nil, fmt.Errorf("m3: call refused: %w", kif.ErrOverload)
-	}
-	if msg.Expired() {
-		e.DTU().Ack(kif.CallReplyEP, msg)
-		return nil, fmt.Errorf("m3: call expired in flight: %w", kif.ErrTimeout)
 	}
 	e.Ctx.Compute(CostCallUnmarshal)
 	return sg.takeReply(msg), nil
@@ -339,10 +327,6 @@ func (sg *SendGate) CollectReply(label uint64) ([]byte, error) {
 	if msg.Overloaded() {
 		e.DTU().Ack(kif.CallReplyEP, msg)
 		return nil, fmt.Errorf("m3: collect reply refused: %w", kif.ErrOverload)
-	}
-	if msg.Expired() {
-		e.DTU().Ack(kif.CallReplyEP, msg)
-		return nil, fmt.Errorf("m3: collect reply expired in flight: %w", kif.ErrTimeout)
 	}
 	return sg.takeReply(msg), nil
 }

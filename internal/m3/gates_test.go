@@ -217,12 +217,17 @@ func TestSelectorAllocationMonotonic(t *testing.T) {
 }
 
 // TestBlockingCallsApplyArmedBudget checks that every blocking libm3
-// operation bounds itself by the PE's armed call budget against a
-// receiver that never answers: each gives up with kif.ErrTimeout
-// exactly budget cycles into its wait. With no budget armed the same
-// operations block for good and schedule no deadline event.
+// operation bounds itself by the PE's armed call budget, the fault
+// configuration's CallDeadline, against a receiver that never answers:
+// each gives up with kif.ErrTimeout exactly budget cycles into its
+// wait. With no budget armed the same operations block for good and
+// schedule no deadline event.
 func TestBlockingCallsApplyArmedBudget(t *testing.T) {
 	const budget = 20000
+	// ackWait is the hardware ack a send waits for under the fault
+	// layer before Call's reply wait begins; only Call sends inside the
+	// measured operation, and its setup measures the ack on a warm send.
+	var ackWait uint64
 	cases := []struct {
 		name    string
 		credits int
@@ -230,11 +235,20 @@ func TestBlockingCallsApplyArmedBudget(t *testing.T) {
 		// returns the blocking operation.
 		setup func(env *m3.Env, sg *m3.SendGate) (func() error, error)
 	}{
-		{"Call", 2, func(env *m3.Env, sg *m3.SendGate) (func() error, error) {
-			return func() error {
+		{"Call", 3, func(env *m3.Env, sg *m3.SendGate) (func() error, error) {
+			call := func() error {
 				_, err := sg.Call([]byte("call"))
 				return err
-			}, sg.TrySend([]byte("warm"))
+			}
+			// The first send activates the gate; the second is a bare
+			// send of the call's size, so its wait is the ack alone.
+			if err := sg.TrySend([]byte("warm")); err != nil {
+				return call, err
+			}
+			idle := env.DTU().Stats.IdleCycles
+			err := sg.TrySend([]byte("warm"))
+			ackWait = env.DTU().Stats.IdleCycles - idle
+			return call, err
 		}},
 		{"Recv", 1, func(env *m3.Env, sg *m3.SendGate) (func() error, error) {
 			rg, err := env.NewRecvGate(64, 2)
@@ -290,14 +304,15 @@ func TestBlockingCallsApplyArmedBudget(t *testing.T) {
 						return
 					}
 					if err := vpe.Run(func(child *m3.Env) {
+						d := child.DTU()
+						if armed {
+							d.EnableFaults(&dtu.FaultConfig{CallDeadline: budget})
+						}
+						ackWait = 0
 						op, serr := tc.setup(child, child.SendGateAt(500))
 						if serr != nil {
 							t.Error(serr)
 							return
-						}
-						d := child.DTU()
-						if armed {
-							d.EnableOverload(&dtu.OverloadConfig{CallDeadline: budget})
 						}
 						start, idle = child.Ctx.Now(), d.Stats.IdleCycles
 						opErr = op()
@@ -329,8 +344,8 @@ func TestBlockingCallsApplyArmedBudget(t *testing.T) {
 				if !errors.Is(opErr, kif.ErrTimeout) {
 					t.Errorf("err = %v, want kif.ErrTimeout", opErr)
 				}
-				if idle != budget {
-					t.Errorf("waited %d cycles, want exactly the budget %d", idle, budget)
+				if idle != budget+ackWait {
+					t.Errorf("waited %d cycles, want exactly the budget %d after a %d-cycle ack", idle, budget, ackWait)
 				}
 			})
 		}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/kif"
 	"repro/internal/m3"
 	"repro/internal/obs"
-	"repro/internal/overload"
 )
 
 // Bounded-recovery knobs. Recovery is armed only when fault injection
@@ -59,24 +58,6 @@ type Client struct {
 
 	mSessionReopens *obs.Counter
 
-	// breaker is the client-side circuit breaker, created lazily on the
-	// first call of an overload-armed run (env.DTU().Overloaded()); nil
-	// on every other run, so plain runs allocate and check nothing.
-	breaker *overload.Breaker
-
-	// ShedRetries counts bounded retries after overload refusals;
-	// BreakerRejects counts calls failed fast by the open client
-	// breaker (tests and the bench harness).
-	ShedRetries    uint64
-	BreakerRejects uint64
-
-	// ShedRetryAttempts tunes the bounded retry budget applied to
-	// overload refusals: 0 picks the overload package default, a
-	// negative value disables retries entirely so refusals surface
-	// immediately (the eload harness uses this to measure the raw
-	// fast-fail latency).
-	ShedRetryAttempts int
-
 	// AppendBlocks overrides the per-append preallocation (0 = server
 	// default); NoMerge forces separate extents (Figure 4 experiment).
 	AppendBlocks int
@@ -104,9 +85,9 @@ func Mount(env *m3.Env, service string) (*Client, error) {
 		sess, err := env.OpenSess(service, "")
 		if err != nil {
 			lastErr = fmt.Errorf("m3fs: open session: %w", err)
-			// Not registered yet (boot race) or shed by the overloaded
-			// kernel/service: back off and retry, bounded by the attempt
-			// budget.
+			// Not registered yet (boot race) or refused at the service
+			// DTU's admission watermark: back off and retry, bounded by
+			// the attempt budget.
 			if errors.Is(err, kif.ErrNoSuchService) || errors.Is(err, kif.ErrOverload) {
 				env.P().Sleep(costMountRetry)
 				continue
@@ -170,16 +151,13 @@ func (c *Client) nextSeq() uint64 {
 }
 
 // recoverable reports whether err indicates a dead or superseded
-// service incarnation worth a session re-establishment. Without the
-// fault layer armed nothing is: the errors below then signify real
-// protocol violations that should surface — and under pure overload
-// (EnableOverload without faults) a timeout means shed or expired
-// work on a perfectly healthy service, where re-opening the session
-// would only add open-session load to the storm. kif.ErrOverload is
-// deliberately never recoverable: it is handled by the bounded retry
-// budget in call, not by session recovery.
+// service incarnation worth a session re-establishment. Without a call
+// budget armed by the fault plan nothing is: the errors below then
+// signify real protocol violations that should surface.
+// kif.ErrOverload is never recoverable: the service is healthy but
+// full, and the refusal reaches the caller (docs/OVERLOAD.md).
 func (c *Client) recoverable(err error) bool {
-	if err == nil || !c.env.DTU().Faulty() || c.env.DTU().CallDeadline() == 0 {
+	if err == nil || c.env.DTU().CallDeadline() == 0 {
 		return false
 	}
 	return errors.Is(err, kif.ErrTimeout) ||
@@ -249,92 +227,23 @@ func (c *Client) callOnce(o *kif.OStream) (kif.IStream, error) {
 	return is, nil
 }
 
-// clientBreaker returns the client-side circuit breaker, lazily
-// created on overload-armed runs and nil everywhere else.
-func (c *Client) clientBreaker() *overload.Breaker {
-	if !c.env.DTU().Overloaded() {
-		return nil
-	}
-	if c.breaker == nil {
-		c.breaker = overload.NewBreaker(overload.BreakerConfig{})
-	}
-	return c.breaker
-}
-
-// shedBudget mints the per-operation retry budget for overload
-// refusals, honoring the ShedRetryAttempts override; nil when retries
-// are disabled.
-func (c *Client) shedBudget() *overload.RetryBudget {
-	if c.ShedRetryAttempts < 0 {
-		return nil
-	}
-	b := overload.NewRetryBudget(c.ShedRetryAttempts, 0, 0)
-	return &b
-}
-
-// overloadRetryable reports whether err is worth a bounded retry under
-// the overload discipline: an explicit admission refusal always, a
-// timeout only when overload is armed without the fault layer (then it
-// means shed or expired work, not a dead service).
-func (c *Client) overloadRetryable(err error) bool {
-	if errors.Is(err, kif.ErrOverload) {
-		return true
-	}
-	return c.env.DTU().Overloaded() && !c.env.DTU().Faulty() &&
-		(errors.Is(err, kif.ErrTimeout) || errors.Is(err, dtu.ErrTimeout))
-}
-
 // call runs build and sends the result, transparently re-establishing
 // the session and retrying on recoverable errors. The builder runs
 // once per attempt so fd-bearing requests pick up post-recovery
 // descriptors; idempotency tokens must be minted once by the caller
 // and captured, so every retry replays the same logical operation.
-//
-// Under overload control the call additionally passes the client's
-// circuit breaker, and refusals (kif.ErrOverload) or shed-induced
-// timeouts are retried under a deterministic bounded retry budget —
-// never via session recovery: the session is fine, the service is
-// busy, and the right client behavior is to back off and come back a
-// bounded number of times (docs/OVERLOAD.md).
 func (c *Client) call(build func() (*kif.OStream, error)) (kif.IStream, error) {
 	var lastErr error
-	var budget *overload.RetryBudget
 	for attempt := 0; attempt < maxCallAttempts; attempt++ {
-		if br := c.clientBreaker(); br != nil && !br.Allow(c.env.P().Now()) {
-			c.BreakerRejects++
-			return kif.IStream{}, fmt.Errorf("m3fs: circuit breaker open: %w", kif.ErrOverload)
-		}
 		o, err := build()
 		if err == nil {
 			var is kif.IStream
 			is, err = c.callOnce(o)
 			if err == nil {
-				if br := c.clientBreaker(); br != nil {
-					br.Success(c.env.P().Now())
-				}
 				return is, nil
 			}
 		}
 		lastErr = err
-		if c.overloadRetryable(err) {
-			if br := c.clientBreaker(); br != nil && !errors.Is(err, kif.ErrOverload) {
-				// Deadline misses feed the breaker; admission refusals do
-				// not — the service answered promptly, it is in control.
-				br.Failure(c.env.P().Now())
-			}
-			if budget == nil {
-				if budget = c.shedBudget(); budget == nil {
-					return kif.IStream{}, lastErr
-				}
-			}
-			delay, ok := budget.Next()
-			if !ok {
-				return kif.IStream{}, lastErr
-			}
-			c.ShedRetries++
-			c.env.P().Sleep(delay)
-			continue
-		}
 		if !c.recoverable(err) {
 			return kif.IStream{}, err
 		}
@@ -595,7 +504,6 @@ func (f *file) findExtent(off int64) *cext {
 func (f *file) obtain(build func() []byte) (*cext, error) {
 	c := f.c
 	var lastErr error
-	var budget *overload.RetryBudget
 	for attempt := 0; attempt < maxCallAttempts; attempt++ {
 		err := f.ensureOpen()
 		if err == nil {
@@ -617,22 +525,6 @@ func (f *file) obtain(build func() []byte) (*cext, error) {
 			}
 		}
 		lastErr = err
-		if c.overloadRetryable(err) {
-			// Shed or refused exchange: bounded retry, same discipline as
-			// call — the session is intact, the service is busy.
-			if budget == nil {
-				if budget = c.shedBudget(); budget == nil {
-					return nil, lastErr
-				}
-			}
-			delay, ok := budget.Next()
-			if !ok {
-				return nil, lastErr
-			}
-			c.ShedRetries++
-			c.env.P().Sleep(delay)
-			continue
-		}
 		if !c.recoverable(err) {
 			return nil, err
 		}

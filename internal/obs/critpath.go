@@ -33,7 +33,7 @@ const (
 	BlameNoC                    // wire time: packet inject→deliver flights
 	BlameKernel                 // kernel syscall handling, kernel→service calls, service handling
 	BlameRetry                  // retransmit/backoff gaps inside unreliable flights
-	BlameShed                   // overload fast-fail aftermath: first shed verdict → root end
+	BlameShed                   // overload fast-fail aftermath: first admission refusal → root end
 	NumBlame
 )
 
@@ -78,7 +78,7 @@ type Request struct {
 	Op    uint64   // root Arg0 (opcode / endpoint)
 	Start sim.Time // root open
 	End   sim.Time // root close
-	Fail  bool     // root closed with an error, or a shed verdict fired
+	Fail  bool     // root closed with an error, or an admission refusal fired
 	Blame BlameVec
 }
 
@@ -196,12 +196,6 @@ func rootEnd(k Kind) Kind {
 		return EvSyscallEnd
 	}
 	return EvSvcCallEnd
-}
-
-// isShedVerdict reports whether k is an overload fast-fail verdict:
-// from its first occurrence the request is living in the shed path.
-func isShedVerdict(k Kind) bool {
-	return k == EvShed || k == EvAdmitRefuse || k == EvDeadlineDrop || k == EvBreaker
 }
 
 // Consume ingests one event. It is shaped to serve as Options.Sink.
@@ -354,11 +348,11 @@ func (c *CritPath) offerExemplar(req *Request, st *reqState) {
 	c.exemplars = slices.Insert(c.exemplars, i, ex)
 }
 
-// firstShed returns the timestamp of the first overload verdict in the
-// request, if any.
+// firstShed returns the timestamp of the request's first admission
+// refusal, if any: from there on the request lives in the shed path.
 func firstShed(events []Event) (sim.Time, bool) {
 	for _, ev := range events {
-		if isShedVerdict(ev.Kind) {
+		if ev.Kind == EvAdmitRefuse {
 			return ev.At, true
 		}
 	}

@@ -68,7 +68,7 @@ func TestCritPathShedPainting(t *testing.T) {
 	events := []Event{
 		{At: 0, PE: 0, Layer: LApp, Kind: EvSvcCallStart, Span: span, Arg0: 9},
 		{At: 0, PE: 0, Layer: LDTU, Kind: EvMsgSend, Span: span, Arg0: 1, Arg1: 2},
-		{At: 30, PE: 2, Layer: LKernel, Kind: EvShed, Span: span},
+		{At: 30, PE: 2, Layer: LDTU, Kind: EvAdmitRefuse, Span: span},
 		{At: 70, PE: 0, Layer: LApp, Kind: EvSvcCallEnd, Span: span, Arg0: 9},
 	}
 	c := NewCritPath(CritPathOptions{})

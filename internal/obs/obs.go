@@ -126,24 +126,20 @@ const (
 	// EvCrash marks a PE core crash (fault injection).
 	EvCrash
 
-	// Overload-control kinds (docs/OVERLOAD.md), emitted only when the
-	// subsystem is armed.
+	// kind 24 is retired (a request dropped for an expired deadline).
+	// Every surviving kind keeps its number: the determinism witnesses
+	// hash each event's binary encoding, kind included.
+	_
 
-	// EvDeadlineDrop marks a request dropped at the receiving DTU
-	// because its propagated deadline had already expired in flight.
-	// Arg0 = endpoint, Arg1 = sender node, Arg2 = cycles overdue.
-	EvDeadlineDrop
 	// EvAdmitRefuse marks a request refused by the receiving DTU's
-	// admission watermark instead of being queued.
+	// admission watermark instead of being queued (docs/OVERLOAD.md).
 	// Arg0 = endpoint, Arg1 = sender node, Arg2 = occupied slots.
 	EvAdmitRefuse
-	// EvShed marks a service call rejected by the kernel's shed
-	// controller before any work was done.
-	// Arg0 = service PE, Arg1 = queue depth, Arg2 = priority class.
-	EvShed
-	// EvBreaker marks a circuit-breaker trip for a service.
-	// Arg0 = service PE, Arg1 = total opens.
-	EvBreaker
+
+	// kinds 26 and 27 are retired (kernel shed verdicts and breaker
+	// trips).
+	_
+	_
 
 	// EvCreditStall/EvCreditOK bracket one credit-exhaustion wait at a
 	// send site: the sender found the endpoint out of credits and
@@ -172,7 +168,7 @@ const (
 	EvInvalFail
 	// EvRespawn marks a supervisor decision about a dead supervised
 	// VPE. Arg0 = outcome (Respawn*), Arg1 = restarts so far,
-	// Arg2 = new VPE id (restarted) or held cycles (held).
+	// Arg2 = new VPE id (restarted).
 	EvRespawn
 
 	numKinds
@@ -189,17 +185,17 @@ var kindNames = [numKinds]string{
 	"pkt-inject", "pkt-deliver", "pkt-drop", "pkt-corrupt",
 	"poisoned", "retransmit", "xmit-abort", "op-timeout",
 	"config", "reply-drop", "crash",
-	"deadline-drop", "admit-refuse", "shed", "breaker",
+	"", "admit-refuse", "", "",
 	"credit-stall", "credit-ok",
 	"cap-drop", "reap", "probe-miss", "inval-fail", "respawn",
 }
 
-// EvRespawn outcomes (Arg0).
+// EvRespawn outcomes (Arg0). Outcome 1 is retired (a respawn held
+// back by an open breaker); the others keep their numbers.
 const (
-	RespawnRestarted uint64 = iota
-	RespawnHeld
-	RespawnExhausted
-	RespawnNoPE
+	RespawnRestarted uint64 = 0
+	RespawnExhausted uint64 = 2
+	RespawnNoPE      uint64 = 3
 )
 
 func (k Kind) String() string {

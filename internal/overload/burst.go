@@ -1,3 +1,8 @@
+// Package overload generates the open-loop arrival schedules of the
+// load experiments (E-load, E-tail and perf's tail4): constant, step
+// and spike shapes with seeded per-client jitter. Nothing in it
+// schedules events: a generator is a pure function of its
+// configuration, so identical runs see identical arrivals.
 package overload
 
 import "repro/internal/sim"
