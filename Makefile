@@ -49,7 +49,7 @@ bench-sim:
 # The bench regression gate: rerun the fast experiment subset with run
 # captures bundled, keep the JSON artifact for inspection, and fail if
 # any gated metric regressed past its tolerance against the committed
-# baseline (BENCH_6.json, refresh with `make bench-baseline` when a
+# baseline (BENCH_7.json, refresh with `make bench-baseline` when a
 # change legitimately moves the numbers — see docs/EXPERIMENTS.md).
 # When the gate is red, the diff attributes every regression via the
 # two files' captures (layer/path cycle deltas, histogram shift, blame
@@ -59,10 +59,10 @@ bench-sim:
 bench-smoke:
 	mkdir -p artifacts
 	go run ./cmd/m3bench -e smoke -capture -json artifacts/bench-smoke.json >artifacts/bench-smoke.log
-	go run ./cmd/m3bench -diff -report artifacts/diff-report.json BENCH_6.json artifacts/bench-smoke.json
+	go run ./cmd/m3bench -diff -report artifacts/diff-report.json BENCH_7.json artifacts/bench-smoke.json
 
 bench-baseline:
-	go run ./cmd/m3bench -e smoke -capture -json BENCH_6.json
+	go run ./cmd/m3bench -e smoke -capture -json BENCH_7.json
 
 # Every registered experiment, run twice: each one's JSON passes the
 # duplicate-metric check, not only the smoke subset, and the two JSON
@@ -126,11 +126,13 @@ chaos:
 # go test -fuzz FuzzCritPath ./internal/obs,
 # go test -fuzz FuzzSLO ./internal/obs,
 # go test -fuzz FuzzDRAM ./internal/mem.
+# -fuzzminimizetime caps the minimization of a new interesting input
+# at 200 runs, so a 10 s smoke spends its time fuzzing, not shrinking.
 fuzz:
-	go test -run '^$$' -fuzz FuzzFaultPlan -fuzztime 10s ./internal/fault
-	go test -run '^$$' -fuzz FuzzJournal -fuzztime 10s ./internal/m3fs
-	go test -run '^$$' -fuzz FuzzIStream -fuzztime 10s ./internal/kif
-	go test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s ./internal/sim
-	go test -run '^$$' -fuzz FuzzCritPath -fuzztime 10s ./internal/obs
-	go test -run '^$$' -fuzz FuzzSLO -fuzztime 10s ./internal/obs
-	go test -run '^$$' -fuzz FuzzDRAM -fuzztime 10s ./internal/mem
+	go test -run '^$$' -fuzz FuzzFaultPlan -fuzztime 10s -fuzzminimizetime 200x ./internal/fault
+	go test -run '^$$' -fuzz FuzzJournal -fuzztime 10s -fuzzminimizetime 200x ./internal/m3fs
+	go test -run '^$$' -fuzz FuzzIStream -fuzztime 10s -fuzzminimizetime 200x ./internal/kif
+	go test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s -fuzzminimizetime 200x ./internal/sim
+	go test -run '^$$' -fuzz FuzzCritPath -fuzztime 10s -fuzzminimizetime 200x ./internal/obs
+	go test -run '^$$' -fuzz FuzzSLO -fuzztime 10s -fuzzminimizetime 200x ./internal/obs
+	go test -run '^$$' -fuzz FuzzDRAM -fuzztime 10s -fuzzminimizetime 200x ./internal/mem

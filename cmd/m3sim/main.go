@@ -127,7 +127,6 @@ func cmdReport(args []string, w io.Writer) error {
 	verbose := fs.Bool("v", false, "per-PE DTU statistics")
 	traceN := fs.Int("trace", 0, "print the first N structured events (DTU sends/receives, syscalls, kernel decisions)")
 	stats := fs.Bool("stats", false, "collect the metrics registry and print the per-PE/per-link utilization table after the run")
-	sample := fs.Int("sample", 4096, "metrics sampling interval in cycles for -stats (0 = no time series)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -146,9 +145,6 @@ func cmdReport(args []string, w io.Writer) error {
 				fmt.Fprintln(w, ev)
 			}
 		}})
-		if *stats {
-			sc.SampleEvery = sim.Time(*sample)
-		}
 	}
 	r, err := sc.Run()
 	if err != nil {
@@ -209,22 +205,21 @@ func printStats(w io.Writer, r *bench.Result, m *obs.Registry) error {
 	plat, end := r.Plat, r.Stats.FinalTime
 	fmt.Fprintln(w, "  per-PE utilization:")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "  PE\ttype\tbusy\tcredit-stalls\tretransmits\tnacks\trx-queued")
+	fmt.Fprintln(tw, "  PE\ttype\tbusy\tcredit-stalls\tretransmits\tnacks")
 	for _, pe := range plat.PEs {
 		node := int(pe.Node)
-		fmt.Fprintf(tw, "  %d\t%s\t%.0f%%\t%d\t%d\t%d\t%d\n",
+		fmt.Fprintf(tw, "  %d\t%s\t%.0f%%\t%d\t%d\t%d\n",
 			pe.ID, pe.Type, busy(pe.DTU, end),
 			m.Counter(dtu.MCreditStalls, node).Value(),
 			m.Counter(dtu.MRetransmits, node).Value(),
-			m.Counter(dtu.MNacks, node).Value(),
-			m.Series(dtu.MRxQueued, node, nil).Last())
+			m.Counter(dtu.MNacks, node).Value())
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "  per-link utilization (links with traffic):")
 	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "  link\tbusy-cycles\tbusy\tqueued")
+	fmt.Fprintln(tw, "  link\tbusy-cycles\tbusy")
 	links := 0
 	for _, e := range m.Entries() {
 		if e.Name != noc.MLinkBusy || e.Value() == 0 {
@@ -236,9 +231,7 @@ func printStats(w io.Writer, r *bench.Result, m *obs.Registry) error {
 		if end > 0 {
 			share = 100 * float64(e.Value()) / float64(end)
 		}
-		fmt.Fprintf(tw, "  %d->%d\t%d\t%.1f%%\t%d\n",
-			from, to, e.Value(), share,
-			m.Series(noc.MLinkQueued, e.Idx, nil).Last())
+		fmt.Fprintf(tw, "  %d->%d\t%d\t%.1f%%\n", from, to, e.Value(), share)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
@@ -248,7 +241,7 @@ func printStats(w io.Writer, r *bench.Result, m *obs.Registry) error {
 	}
 	fmt.Fprintln(w, "  kernel counters:")
 	for _, e := range m.Entries() {
-		if e.Idx == -1 && e.Kind != obs.KindSeries {
+		if e.Idx == -1 {
 			fmt.Fprintf(w, "    %s = %d\n", e.Name, e.Value())
 		}
 	}

@@ -39,6 +39,35 @@ func TestRunInstancesHonorsFlags(t *testing.T) {
 	}
 }
 
+// TestStatsKeepsTheRun: -stats only reads the registry after the run,
+// so the run it reports is the plain run: the same total cycles and
+// executed events, and the utilization tables follow.
+func TestStatsKeepsTheRun(t *testing.T) {
+	total := func(args ...string) (string, string) {
+		var out bytes.Buffer
+		if err := run(append([]string{"-w", "tar"}, args...), &out); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "total:") {
+				return line, out.String()
+			}
+		}
+		t.Fatalf("no total line in:\n%s", out.String())
+		return "", ""
+	}
+	plain, _ := total()
+	stats, report := total("-stats")
+	if stats != plain {
+		t.Errorf("-stats changed the run:\n%s\nwant\n%s", stats, plain)
+	}
+	for _, want := range []string{"per-PE utilization:", "per-link utilization", "kernel_syscalls_total = "} {
+		if !strings.Contains(report, want) {
+			t.Errorf("-stats report is missing %q:\n%s", want, report)
+		}
+	}
+}
+
 // TestSLOJSONMatchesGolden: the JSON report of `slo -w tar -json -`
 // is byte-identical to the committed SLO_0.json golden.
 func TestSLOJSONMatchesGolden(t *testing.T) {

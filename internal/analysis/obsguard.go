@@ -25,8 +25,8 @@ const obsPkg = "repro/internal/obs"
 
 // obsGuarded names the obs functions that produce data and therefore
 // belong under a guard. Read-side accessors (Quantile, Histograms,
-// FlightDump, ...) run after the simulation and stay free. Metric
-// mutations (Inc/Add/Set) are guarded for the same reason as Emit:
+// FlightDump, ...) run after the simulation and stay free. Counter
+// updates (Inc/Add) are guarded for the same reason as Emit:
 // with the tracer off, not even an atomic-free counter bump may run.
 var obsGuarded = map[string]bool{
 	"Emit":    true,
@@ -35,7 +35,6 @@ var obsGuarded = map[string]bool{
 	"NewSpan": true,
 	"Inc":     true,
 	"Add":     true,
-	"Set":     true,
 }
 
 func runObsGuard(pass *Pass) {

@@ -125,7 +125,7 @@ func f(q *queue)                  { q.Emit(); q.Observe(1) }
 }
 
 func TestObsGuardFlagsUnguardedMetricMutations(t *testing.T) {
-	// Counter/gauge updates are producers too: with the tracer off not
+	// Counter updates are producers too: with the tracer off not
 	// even a nil-safe Inc may run on the hot path.
 	metricsOverlay := map[string]string{"obs.go": `package obs
 
@@ -133,10 +133,6 @@ type Counter struct{}
 
 func (c *Counter) Inc()         {}
 func (c *Counter) Add(n uint64) {}
-
-type Gauge struct{}
-
-func (g *Gauge) Set(v int64) {}
 
 type Tracer struct{}
 
@@ -149,12 +145,11 @@ import "repro/internal/obs"
 type DTU struct {
 	obs *obs.Tracer
 	c   *obs.Counter
-	g   *obs.Gauge
 }
 
 func (d *DTU) send() {
-	d.c.Inc()    // line 12: unguarded
-	d.g.Set(3)   // line 13: unguarded
+	d.c.Inc()  // line 11: unguarded
+	d.c.Add(3) // line 12: unguarded
 	if tr := d.obs; tr.On() {
 		d.c.Add(2) // guarded: fine
 	}
@@ -163,7 +158,7 @@ func (d *DTU) send() {
 	got := runOn(t, []*Analyzer{ObsGuard}, "repro/internal/dtu",
 		map[string]string{"f.go": src},
 		map[string]map[string]string{"repro/internal/obs": metricsOverlay})
-	checkFindings(t, got, []finding{{12, "obsguard"}, {13, "obsguard"}})
+	checkFindings(t, got, []finding{{11, "obsguard"}, {12, "obsguard"}})
 }
 
 // Mutation fixtures from the rule audit (docs/ANALYSIS.md): the

@@ -6,8 +6,8 @@ import (
 )
 
 // ObsName pins the observability namespace down at compile time: every
-// name registered with the obs package — a metric (Counter, Gauge,
-// Series) or an SLO objective (Objective) — must be a package-level
+// name registered with the obs package — a metric (Counter) or an SLO
+// objective (Objective) — must be a package-level
 // constant. Metric snapshots, SLO burn rates and breach events are all
 // keyed by name, so a name computed at runtime lets the set drift with
 // run parameters. The witnesses and goldens hold the names of the runs
@@ -26,8 +26,6 @@ var ObsName = &Analyzer{
 // registered name, and what the name identifies.
 var obsRegistration = map[string]string{
 	"Counter":   "metric",
-	"Gauge":     "metric",
-	"Series":    "metric",
 	"Objective": "SLO",
 }
 

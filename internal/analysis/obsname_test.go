@@ -10,15 +10,9 @@ type Counter struct{}
 
 func (c *Counter) Inc() {}
 
-type Gauge struct{}
-
-type Series struct{}
-
 type Registry struct{}
 
-func (r *Registry) Counter(name string, idx int) *Counter              { return nil }
-func (r *Registry) Gauge(name string, idx int) *Gauge                  { return nil }
-func (r *Registry) Series(name string, idx int, src func() int64) *Series { return nil }
+func (r *Registry) Counter(name string, idx int) *Counter { return nil }
 `}
 
 func TestMetricNameFlagsDynamicNames(t *testing.T) {
@@ -31,10 +25,10 @@ import (
 )
 
 func f(m *obs.Registry, node int) {
-	m.Counter("dtu_stalls_total", node)               // line 10: literal
+	m.Counter("dtu_stalls_total", node)             // line 10: literal
 	name := "dtu_retries_total"
-	m.Gauge(name, node)                               // line 12: local
-	m.Series(fmt.Sprintf("dtu_rx_%d", node), node, nil) // line 13: computed
+	m.Counter(name, node)                           // line 12: local
+	m.Counter(fmt.Sprintf("dtu_rx_%d", node), node) // line 13: computed
 }
 `
 	got := runOn(t, []*Analyzer{ObsName}, "repro/internal/dtu",
@@ -53,7 +47,6 @@ const MStalls = "dtu_stalls_total"
 
 func f(m *obs.Registry, node int) {
 	m.Counter(MStalls, node)
-	m.Series(MStalls, node, nil)
 }
 `
 	got := runOn(t, []*Analyzer{ObsName}, "repro/internal/dtu",

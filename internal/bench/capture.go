@@ -23,7 +23,7 @@ import (
 // Capture runs the scenario with the folded profiler and the
 // critical-path engine fanned out from the structured tracer and
 // returns the bundled capture, named after the scenario's workload,
-// with the run's result. It arms its own tracer and sampler over the
+// with the run's result. It arms its own tracer over the
 // scenario's options, so any M3 scenario captures: instances, faults,
 // a wrapped workload. Identical scenarios return byte-identical
 // captures.
@@ -34,7 +34,7 @@ func Capture(sc Scenario) (*obs.RunCapture, *Result, error) {
 		prof.Consume(ev)
 		cp.Consume(ev)
 	}})
-	sc.Obs, sc.SampleEvery = tr, witnessSampleEvery
+	sc.Obs = tr
 	r, err := sc.Run()
 	if err != nil {
 		return nil, nil, fmt.Errorf("bench: capture run %s: %w", sc.Workload.Name, err)

@@ -61,7 +61,7 @@ func TestCaptureSinksZeroOverhead(t *testing.T) {
 	}
 	run := func(sink func(obs.Event)) RunStats {
 		tr := obs.New(obs.Options{Sink: sink})
-		return mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: tr, SampleEvery: witnessSampleEvery}}).Stats
+		return mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: tr}}).Stats
 	}
 	null := run(func(obs.Event) {})
 	prof := obs.NewProfiler()

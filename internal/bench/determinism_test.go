@@ -58,13 +58,13 @@ func fingerprint(r *Result) string {
 }
 
 // tracedRun executes one full workload with the structured tracer and
-// the metrics sampler armed and returns the engine statistics plus
+// the metrics registry armed and returns the engine statistics plus
 // hashes of the complete event stream and the metrics snapshot.
 func tracedRun(t *testing.T, b workload.Benchmark) (RunStats, uint64, uint64) {
 	t.Helper()
 	sh := newStreamHash()
 	tr := obs.New(obs.Options{Sink: sh.Consume})
-	st := mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: tr, SampleEvery: witnessSampleEvery}}).Stats
+	st := mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: tr}}).Stats
 	return st, sh.Sum64(), snapshotHash(tr)
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -44,16 +43,12 @@ func (w DifferentialWitness) String() string {
 		w.ObsHash, w.ObsEvents, w.MetricsHash, w.Outcomes)
 }
 
-// differentialSampleEvery keeps the metrics sampler armed during
-// differential runs so sampler events are part of the witness too.
-const differentialSampleEvery sim.Time = 4096
-
 // RunDifferential executes n instances of b under the given fault plan,
 // with every observability stream armed, and returns the run's witness.
 // The fault plan matters: asynchronous control traffic (acks, nacks)
 // only exists under fault injection, so a lossless run would leave that
-// NoC path untested. opt configures the platform; its Obs and
-// SampleEvery are set here. An opt.RxWatermark arms admission control
+// NoC path untested. opt configures the platform; its Obs is set
+// here. An opt.RxWatermark arms admission control
 // on the m3fs PE. Its point is the zero-overhead-when-idle proof: a
 // watermark no ring can reach must produce a witness bit-identical to
 // an unarmed run — not one extra engine event, obs event, or metric
@@ -62,7 +57,7 @@ func RunDifferential(b workload.Benchmark, n int, plan fault.Plan, opt M3Options
 	var w DifferentialWitness
 	sh := newStreamHash()
 	tr := obs.New(obs.Options{Sink: sh.Consume})
-	opt.Obs, opt.SampleEvery = tr, differentialSampleEvery
+	opt.Obs = tr
 	cr, err := Scenario{Workload: b, Instances: n, Faults: &plan, M3Options: opt}.Run()
 	if err != nil {
 		return w, err

@@ -32,29 +32,29 @@ type witnessRow struct{ lossy, lossless, uncontended string }
 // CHANGES.md.
 var pinnedWitnesses = map[string]witnessRow{
 	"cat+tr": {
-		`events=6392 final=159744 obs=a06653739ffe868b(1726) metrics=ef9dace8a6f47d9a outcomes="chaos0 fin=true err=\"\" start=36091 end=157284;chaos1 fin=true err=\"\" start=36091 end=151843;"`,
-		`events=6261 final=139264 obs=2deb61524aee294a(1685) metrics=b5abb9484dad84a2 outcomes="chaos0 fin=true err=\"\" start=26189 end=135283;chaos1 fin=true err=\"\" start=26189 end=132274;"`,
-		`events=5003 final=151552 obs=3d33c7a471a82dec(1735) metrics=7b5c7a12598f6005 outcomes="chaos0 fin=true err=\"\" start=25633 end=146054;chaos1 fin=true err=\"\" start=25633 end=138780;"`,
+		`events=6353 final=159557 obs=a06653739ffe868b(1726) metrics=d170fe71101b8901 outcomes="chaos0 fin=true err=\"\" start=36091 end=157284;chaos1 fin=true err=\"\" start=36091 end=151843;"`,
+		`events=6227 final=137556 obs=2deb61524aee294a(1685) metrics=53eff8b3bf87b871 outcomes="chaos0 fin=true err=\"\" start=26189 end=135283;chaos1 fin=true err=\"\" start=26189 end=132274;"`,
+		`events=4966 final=148327 obs=3d33c7a471a82dec(1735) metrics=5a6f96385f99d26e outcomes="chaos0 fin=true err=\"\" start=25633 end=146054;chaos1 fin=true err=\"\" start=25633 end=138780;"`,
 	},
 	"tar": {
-		`events=33838 final=909312 obs=c943a11018a6e445(6749) metrics=34663e011913474c outcomes="chaos0 fin=true err=\"\" start=298838 end=903757;chaos1 fin=true err=\"\" start=298838 end=860061;"`,
-		`events=32849 final=770048 obs=454c337a39719777(6501) metrics=2470c745ebacdeb3 outcomes="chaos0 fin=true err=\"\" start=253808 end=766615;chaos1 fin=true err=\"\" start=253808 end=767484;"`,
-		`events=27203 final=884736 obs=e4e92d644590875f(6695) metrics=c9cc92aa29a023fb outcomes="chaos0 fin=true err=\"\" start=295828 end=881521;chaos1 fin=true err=\"\" start=295828 end=852925;"`,
+		`events=33616 final=906030 obs=c943a11018a6e445(6749) metrics=ce7cb00dabcd3ae7 outcomes="chaos0 fin=true err=\"\" start=298838 end=903757;chaos1 fin=true err=\"\" start=298838 end=860061;"`,
+		`events=32661 final=769754 obs=454c337a39719777(6501) metrics=24494ab7f4b92cd8 outcomes="chaos0 fin=true err=\"\" start=253808 end=766615;chaos1 fin=true err=\"\" start=253808 end=767484;"`,
+		`events=26987 final=883794 obs=e4e92d644590875f(6695) metrics=1ff1d1d6c060d1e0 outcomes="chaos0 fin=true err=\"\" start=295828 end=881521;chaos1 fin=true err=\"\" start=295828 end=852925;"`,
 	},
 	"untar": {
-		`events=55424 final=1449984 obs=2d9656261fe88788(10862) metrics=bdbb8dba40f3dc0a outcomes="chaos0 fin=true err=\"\" start=877212 end=1444513;chaos1 fin=true err=\"\" start=877212 end=1435187;"`,
-		`events=53980 final=1277952 obs=a8518b3ab75ba613(10521) metrics=431ecb26a0dfaacd outcomes="chaos0 fin=true err=\"\" start=760520 end=1270796;chaos1 fin=true err=\"\" start=760520 end=1271665;"`,
-		`events=44645 final=1486848 obs=2b98abfff2ad1590(10863) metrics=d2d5a339151e7171 outcomes="chaos0 fin=true err=\"\" start=887186 end=1480956;chaos1 fin=true err=\"\" start=887186 end=1434384;"`,
+		`events=55070 final=1446786 obs=2d9656261fe88788(10862) metrics=d72d8080ebdb31d3 outcomes="chaos0 fin=true err=\"\" start=877212 end=1444513;chaos1 fin=true err=\"\" start=877212 end=1435187;"`,
+		`events=53668 final=1273935 obs=a8518b3ab75ba613(10521) metrics=9165307365604ab5 outcomes="chaos0 fin=true err=\"\" start=760520 end=1270796;chaos1 fin=true err=\"\" start=760520 end=1271665;"`,
+		`events=44282 final=1483229 obs=2b98abfff2ad1590(10863) metrics=9f12220aab560799 outcomes="chaos0 fin=true err=\"\" start=887186 end=1480956;chaos1 fin=true err=\"\" start=887186 end=1434384;"`,
 	},
 	"find": {
-		`events=13959 final=442368 obs=ea718dcd9bdc4120(6926) metrics=7b3e87398f15b62d outcomes="chaos0 fin=true err=\"\" start=267793 end=434167;chaos1 fin=true err=\"\" start=267793 end=439734;"`,
-		`events=13603 final=397312 obs=8cb9faa0d9200a7e(6739) metrics=9ef349ccf83642ca outcomes="chaos0 fin=true err=\"\" start=229114 end=391852;chaos1 fin=true err=\"\" start=229114 end=393632;"`,
-		`events=11805 final=442368 obs=258dd3c97939ac0f(6876) metrics=dd837fc3d328d622 outcomes="chaos0 fin=true err=\"\" start=267241 end=435617;chaos1 fin=true err=\"\" start=267241 end=436796;"`,
+		`events=13851 final=442004 obs=ea718dcd9bdc4120(6926) metrics=2fefdbf0b3c6fe52 outcomes="chaos0 fin=true err=\"\" start=267793 end=434167;chaos1 fin=true err=\"\" start=267793 end=439734;"`,
+		`events=13506 final=395902 obs=8cb9faa0d9200a7e(6739) metrics=69b159131280e0dc outcomes="chaos0 fin=true err=\"\" start=229114 end=391852;chaos1 fin=true err=\"\" start=229114 end=393632;"`,
+		`events=11697 final=439066 obs=258dd3c97939ac0f(6876) metrics=e879a5257853ce97 outcomes="chaos0 fin=true err=\"\" start=267241 end=435617;chaos1 fin=true err=\"\" start=267241 end=436796;"`,
 	},
 	"sqlite": {
-		`events=3056 final=2646016 obs=f6bf4c81326432cc(907) metrics=4cfd8c3fb2eed7b7 outcomes="chaos0 fin=true err=\"\" start=7058 end=2636697;chaos1 fin=true err=\"\" start=7058 end=2638166;"`,
-		`events=2934 final=2633728 obs=7b76f1454c052833(847) metrics=534272062c0b9e13 outcomes="chaos0 fin=true err=\"\" start=4345 end=2628704;chaos1 fin=true err=\"\" start=4345 end=2630669;"`,
-		`events=2597 final=2637824 obs=73fc1b4877a1e561(867) metrics=919b1282055447d4 outcomes="chaos0 fin=true err=\"\" start=6398 end=2631926;chaos1 fin=true err=\"\" start=6398 end=2635540;"`,
+		`events=2410 final=2644145 obs=f6bf4c81326432cc(907) metrics=f8d6c9425fe7cecc outcomes="chaos0 fin=true err=\"\" start=7058 end=2636697;chaos1 fin=true err=\"\" start=7058 end=2638166;"`,
+		`events=2291 final=2632939 obs=7b76f1454c052833(847) metrics=9690c0991110f0c2 outcomes="chaos0 fin=true err=\"\" start=4345 end=2628704;chaos1 fin=true err=\"\" start=4345 end=2630669;"`,
+		`events=1953 final=2637810 obs=73fc1b4877a1e561(867) metrics=11bef14e9579171c outcomes="chaos0 fin=true err=\"\" start=6398 end=2631926;chaos1 fin=true err=\"\" start=6398 end=2635540;"`,
 	},
 }
 

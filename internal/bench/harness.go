@@ -59,11 +59,6 @@ type M3Options struct {
 	// every DTU (spans, histograms, flight recorder). Nil keeps
 	// structured observability fully off.
 	Obs *obs.Tracer
-	// SampleEvery, when nonzero (and Obs is set), starts the metrics
-	// sampler: every SampleEvery cycles each registered series records
-	// one sample. Zero keeps the sampler off, scheduling no extra
-	// events — RunStats stay bit-identical to a sampler-free run.
-	SampleEvery sim.Time
 	// RxWatermark, when > 0, arms admission control on the m3fs
 	// service PE's DTU (docs/OVERLOAD.md): a request arriving with this
 	// many messages already queued is refused with a fast-fail reply
@@ -98,9 +93,6 @@ func bootPlatform(opt M3Options, appPEs int) *Result {
 	kern := core.Boot(plat, 0)
 	// The m3fs PE is index 1 by construction.
 	plat.PEs[1].DTU.SetRxWatermark(opt.RxWatermark)
-	if opt.Obs.On() && opt.SampleEvery > 0 {
-		opt.Obs.Metrics().StartSampler(eng, opt.SampleEvery)
-	}
 	return &Result{Eng: eng, Plat: plat, Kern: kern}
 }
 

@@ -30,7 +30,7 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Errorf("experiment %s: capture workload: %v", e.Name, err)
 		}
 	}
-	data, err := os.ReadFile("../../BENCH_6.json")
+	data, err := os.ReadFile("../../BENCH_7.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestExperimentRegistry(t *testing.T) {
 		got = append(got, e.Name)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("smoke set = %v, BENCH_6.json has %v", got, want)
+		t.Fatalf("smoke set = %v, BENCH_7.json has %v", got, want)
 	}
 	if sel, err := SelectExperiments("efault, fig4"); err != nil || len(sel) != 2 || sel[0].Name != "fig4" {
 		t.Fatalf("SelectExperiments(efault, fig4) = %v, %v; want fig4, efault in registry order", sel, err)

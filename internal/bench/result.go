@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -165,11 +164,8 @@ func unitOf(col string) string {
 // witnessWorkload is the fixed workload the determinism witness runs.
 const witnessWorkload = "tar"
 
-// witnessSampleEvery is the witness run's metrics sampling interval.
-const witnessSampleEvery sim.Time = 4096
-
 // RunWitness executes the determinism witness: one fixed workload with
-// the structured tracer and the metrics sampler armed. It records the
+// the structured tracer and the metrics registry armed. It records the
 // engine statistics and content hashes of both streams as "info"
 // metrics — byte-identical across runs of the same tree by the
 // determinism contract, but never gated on by -diff (they legitimately
@@ -182,7 +178,7 @@ func RunWitness() (BenchExperiment, error) {
 	}
 	sh := newStreamHash()
 	tr := obs.New(obs.Options{Sink: sh.Consume})
-	r, err := Scenario{Workload: b, M3Options: M3Options{Obs: tr, SampleEvery: witnessSampleEvery}}.Run()
+	r, err := Scenario{Workload: b, M3Options: M3Options{Obs: tr}}.Run()
 	if err != nil {
 		return exp, err
 	}

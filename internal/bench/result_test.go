@@ -12,8 +12,8 @@ import (
 )
 
 // Tests for the machine-readable bench output: JSON byte-determinism
-// (the acceptance witness), the regression gate's pass/fail behaviour,
-// and the sampler's zero-overhead contract.
+// (the acceptance witness), the metrics snapshot, the regression
+// gate's pass/fail behaviour, and the metrics' zero-overhead contract.
 
 // witnessJSON runs the determinism witness and serializes it.
 func witnessJSON(t *testing.T) []byte {
@@ -54,12 +54,12 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 	}
 	snap := func() string {
 		tr := obs.New(obs.Options{})
-		mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: tr, SampleEvery: 4096}})
+		mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: tr}})
 		return tr.Metrics().Snapshot()
 	}
 	s1 := snap()
 	if !strings.Contains(s1, "counter kernel_syscalls_total ") ||
-		!strings.Contains(s1, "series dtu_rx_queued[0] ") {
+		!strings.Contains(s1, "counter noc_link_busy_cycles_total[") {
 		t.Fatalf("snapshot missing expected metrics:\n%s", s1)
 	}
 	for i := 0; i < 2; i++ {
@@ -69,11 +69,10 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// TestSamplerOffBitIdentical: with the sampler off (the default), a
-// run with the full metrics instrumentation registered must execute
-// the exact event schedule of a run with no tracer at all — same
-// engine statistics, breakdown, and per-PE DTU, kernel and NoC
-// counters.
+// TestSamplerOffBitIdentical: the registry is never sampled, so a run
+// with the full metrics instrumentation registered must execute the
+// exact event schedule of a run with no tracer at all — same engine
+// statistics, breakdown, and per-PE DTU, kernel and NoC counters.
 func TestSamplerOffBitIdentical(t *testing.T) {
 	b, err := workload.ByName("tar")
 	if err != nil {
@@ -82,28 +81,6 @@ func TestSamplerOffBitIdentical(t *testing.T) {
 	base := fingerprint(mustRun(t, Scenario{Workload: b}))
 	if got := fingerprint(mustRun(t, Scenario{Workload: b, M3Options: M3Options{Obs: obs.New(obs.Options{})}})); got != base {
 		t.Fatalf("metrics instrumentation changed the run:\n%s\nvs baseline\n%s", got, base)
-	}
-}
-
-// TestSamplerOnLeavesTraceIntact: the sampler adds its own tick events
-// (RunStats may differ) but must never reorder or change the
-// simulation's own schedule — the structured event stream stays
-// identical.
-func TestSamplerOnLeavesTraceIntact(t *testing.T) {
-	b, err := workload.ByName("tar")
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace := func(every sim.Time) uint64 {
-		sh := newStreamHash()
-		mustRun(t, Scenario{Workload: b, M3Options: M3Options{
-			Obs:         obs.New(obs.Options{Sink: sh.Consume}),
-			SampleEvery: every,
-		}})
-		return sh.Sum64()
-	}
-	if off, on := trace(0), trace(4096); off != on {
-		t.Fatalf("sampler perturbed the event stream: %#x vs %#x", on, off)
 	}
 }
 
@@ -285,7 +262,8 @@ func TestExperimentFromTables(t *testing.T) {
 }
 
 // TestUtilizationSeries: the utilization experiment derives busy
-// fractions from registry-sampled idle series, sorted by PE id.
+// fractions from each DTU's idle-cycle counter, one row per PE in PE id
+// order.
 func TestUtilizationSeries(t *testing.T) {
 	b, err := workload.ByName("tar")
 	if err != nil {
@@ -295,29 +273,18 @@ func TestUtilizationSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.SampleEvery == 0 || len(r.PEs) == 0 {
-		t.Fatalf("no sampled utilization: %+v", r)
+	if r.Elapsed == 0 || len(r.PEs) == 0 {
+		t.Fatalf("no utilization measured: %+v", r)
 	}
 	for i, u := range r.PEs {
-		if i > 0 && r.PEs[i-1].PE >= u.PE {
-			t.Fatalf("PEs not sorted by id: %+v", r.PEs)
+		if u.PE != i {
+			t.Fatalf("row %d is pe%d; want PE id order: %+v", i, u.PE, r.PEs)
 		}
 		if u.Busy < 0 || u.Busy > 1 {
 			t.Fatalf("pe%d busy fraction out of range: %v", u.PE, u.Busy)
 		}
-		if len(u.IdleSeries) == 0 {
-			t.Fatalf("pe%d: empty idle series", u.PE)
-		}
 	}
 	if r.Mean <= 0 || r.Mean > 1 {
 		t.Fatalf("mean utilization out of range: %v", r.Mean)
-	}
-	// The series are cumulative idle cycles: non-decreasing.
-	for _, u := range r.PEs {
-		for i := 1; i < len(u.IdleSeries); i++ {
-			if u.IdleSeries[i] < u.IdleSeries[i-1] {
-				t.Fatalf("pe%d idle series decreases at %d: %v", u.PE, i, u.IdleSeries)
-			}
-		}
 	}
 }

@@ -109,10 +109,9 @@ func (sc Scenario) Run() (*Result, error) {
 
 // boot builds the system and queues its software — on M3 m3fs, every
 // instance and the fault layer, on Linux the one process — without
-// running the engine. Callers inside the package that must watch an M3
-// run from its first cycle (RunUtilization's per-PE idle series) hook
-// in between boot and run; a program that reads the Result mid-run
-// (RunEPMuxAblation's syscall counters) gets it from boot.
+// running the engine. A program that reads the Result mid-run
+// (RunUtilization's idle counters at the run's start,
+// RunEPMuxAblation's syscall counters) gets it from boot.
 func (sc Scenario) boot() (*Result, error) {
 	if sc.Lx != nil {
 		return sc.bootLx()

@@ -90,9 +90,6 @@ const (
 	// MSyscalls counts handled syscalls: index -1 is the total, index
 	// op the per-opcode count.
 	MSyscalls = "kernel_syscalls_total"
-	// MSyscallRate samples the cumulative syscall count on the
-	// sim clock; successive sample deltas are the syscall rate.
-	MSyscallRate = "kernel_syscall_rate"
 	// MEPReconfigs counts remote endpoint configurations the kernel
 	// issued (gate activations, std EP installs, invalidations).
 	MEPReconfigs = "kernel_ep_reconfigs_total"
@@ -205,8 +202,6 @@ func Boot(plat *tile.Platform, kernelPE int) *Kernel {
 		k.mEPReconfigs = m.Counter(MEPReconfigs, -1)
 		k.mCapRevocations = m.Counter(MCapRevocations, -1)
 		k.mSupervisorRestarts = m.Counter(MSupervisorRestarts, -1)
-		ctr := k.mSyscalls
-		m.Series(MSyscallRate, -1, func() int64 { return int64(ctr.Value()) })
 	}
 	kpe.Start("kernel", k.run)
 	return k

@@ -29,14 +29,16 @@ func (k *Kernel) sysCreateVPE(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dt
 		return
 	}
 	child := k.newVPE(name, pe)
-	if _, err := vpe.Caps.Install(vpeSel, CapVPE, child); err != kif.OK {
+	vpeCap, err := vpe.Caps.Install(vpeSel, CapVPE, child)
+	if err == kif.OK {
+		memObj := &MemObj{Node: pe.Node, Addr: 0, Size: pe.SPM.Size(), Perms: dtu.PermRW}
+		if _, err = vpe.Caps.Install(memSel, CapMem, memObj); err != kif.OK {
+			vpeCap.Revoke(nil) // fresh: no delegations, no endpoint
+		}
+	}
+	if err != kif.OK {
 		k.peUsed[pe.ID] = false
 		delete(k.vpes, child.ID)
-		k.replyErr(p, msg, err)
-		return
-	}
-	memObj := &MemObj{Node: pe.Node, Addr: 0, Size: pe.SPM.Size(), Perms: dtu.PermRW}
-	if _, err := vpe.Caps.Install(memSel, CapMem, memObj); err != kif.OK {
 		k.replyErr(p, msg, err)
 		return
 	}

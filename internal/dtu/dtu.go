@@ -132,9 +132,6 @@ const (
 	MRetransmits = "dtu_retransmits_total"
 	// MNacks counts NACKs this DTU sent for poisoned packets.
 	MNacks = "dtu_nacks_total"
-	// MRxQueued samples the occupied receive-ringbuffer slots across
-	// all endpoints (queue depth over simulated time).
-	MRxQueued = "dtu_rx_queued"
 )
 
 // SetObserver installs the structured tracer (wired by the platform)
@@ -146,20 +143,7 @@ func (d *DTU) SetObserver(tr *obs.Tracer) {
 		d.mCreditStalls = m.Counter(MCreditStalls, int(d.node))
 		d.mRetransmits = m.Counter(MRetransmits, int(d.node))
 		d.mNacks = m.Counter(MNacks, int(d.node))
-		m.Series(MRxQueued, int(d.node), func() int64 { return int64(d.RxQueued()) })
 	}
-}
-
-// RxQueued returns the occupied receive-ringbuffer slots across all
-// endpoints — the DTU's instantaneous receive queue depth.
-func (d *DTU) RxQueued() int {
-	n := 0
-	for i := range d.eps {
-		if d.eps[i].Type == EpReceive {
-			n += d.eps[i].occupied
-		}
-	}
-	return n
 }
 
 // newMessage takes a message from the freelist (or the heap on a pool

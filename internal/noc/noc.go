@@ -179,8 +179,6 @@ const (
 	// MLinkBusy accumulates the cycles each directed link was occupied
 	// by packet heads and bodies (router latency + serialization).
 	MLinkBusy = "noc_link_busy_cycles_total"
-	// MLinkQueued samples the packets waiting for each directed link.
-	MLinkQueued = "noc_link_queued"
 )
 
 // LinkIndex encodes the directed link from→to as a dense metric index.
@@ -675,7 +673,6 @@ func (n *Network) link(from, to NodeID) *link {
 		n.links[idx] = l
 		if tr := n.obs; tr.On() {
 			l.busy = tr.Metrics().Counter(MLinkBusy, idx)
-			tr.Metrics().Series(MLinkQueued, idx, func() int64 { return int64(res.QueueLen()) })
 		}
 	}
 	return l

@@ -34,12 +34,13 @@ type CapturePath struct {
 	Cycles uint64 `json:"cycles"`
 }
 
-// CaptureMetric is one registry entry's end-of-run scalar value (a
-// series reports its last sample).
+// CaptureMetric is one registry counter's end-of-run value.
 type CaptureMetric struct {
 	Name string `json:"name"`
 	// Idx distinguishes vector-metric instances; -1 marks a scalar.
-	Idx   int    `json:"idx"`
+	Idx int `json:"idx"`
+	// Kind is always "counter", the registry's only kind; it keeps
+	// the schema-1 layout.
 	Kind  string `json:"kind"`
 	Value int64  `json:"value"`
 }
@@ -129,7 +130,7 @@ func NewRunCapture(workload string, prof *Profiler, cp *CritPath, reg *Registry,
 	}
 	for _, e := range reg.Entries() {
 		c.Metrics = append(c.Metrics, CaptureMetric{
-			Name: e.Name, Idx: e.Idx, Kind: e.Kind.String(), Value: e.Value(),
+			Name: e.Name, Idx: e.Idx, Kind: "counter", Value: e.Value(),
 		})
 	}
 	for _, h := range hists {

@@ -238,7 +238,7 @@ func TestDiffMetricsChangedAddedRemoved(t *testing.T) {
 	a.Metrics = []CaptureMetric{
 		{Name: "same", Idx: -1, Kind: "counter", Value: 5},
 		{Name: "moved", Idx: -1, Kind: "counter", Value: 10},
-		{Name: "gone", Idx: -1, Kind: "gauge", Value: 1},
+		{Name: "gone", Idx: -1, Kind: "counter", Value: 1},
 		{Name: "vec", Idx: 2, Kind: "counter", Value: 7},
 	}
 	b := testCapture("tar", nil, nil, nil)

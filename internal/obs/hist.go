@@ -110,9 +110,10 @@ func bucketUpper(i int) uint64 {
 }
 
 // Quantile returns the upper bound of the bucket containing the q-th
-// quantile (0 < q <= 1) of the observed values, 0 when empty. The
-// result is a deterministic upper estimate: percentile tables are
-// stable run-to-run because only integer counts are compared.
+// quantile (0 < q <= 1) of the observed values, clamped to the largest
+// observed value, 0 when empty. The result is a deterministic upper
+// estimate that never exceeds Max: percentile tables are stable
+// run-to-run because only integer counts are compared.
 func (h *Histogram) Quantile(q float64) uint64 {
 	if h.n == 0 {
 		return 0
@@ -132,7 +133,7 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	for i := range h.counts {
 		cum += h.counts[i]
 		if cum >= rank {
-			return bucketUpper(i)
+			return min(bucketUpper(i), h.max)
 		}
 	}
 	return h.max

@@ -33,7 +33,8 @@ func TestHistogramBuckets(t *testing.T) {
 func TestHistogramQuantile(t *testing.T) {
 	var h Histogram
 	// 10 values: one in bucket 1 (1), eight in bucket 4 (8..15), one in
-	// bucket 7 (64). Quantiles return bucket upper bounds.
+	// bucket 7 (64). Quantiles return bucket upper bounds, clamped to
+	// the observed max.
 	h.Observe(1)
 	for i := 0; i < 8; i++ {
 		h.Observe(8)
@@ -43,12 +44,12 @@ func TestHistogramQuantile(t *testing.T) {
 		q    float64
 		want uint64
 	}{
-		{0.10, 1},   // rank 1 -> bucket 1, upper 1
-		{0.11, 15},  // rank 2 (ceil) -> bucket 4, upper 15
-		{0.50, 15},  // rank 5
-		{0.90, 15},  // rank 9
-		{0.91, 127}, // rank 10 -> bucket 7, upper 127
-		{1.00, 127},
+		{0.10, 1},  // rank 1 -> bucket 1, upper 1
+		{0.11, 15}, // rank 2 (ceil) -> bucket 4, upper 15
+		{0.50, 15}, // rank 5
+		{0.90, 15}, // rank 9
+		{0.91, 64}, // rank 10 -> bucket 7, upper 127, clamped to max 64
+		{1.00, 64},
 	}
 	for _, c := range cases {
 		if got := h.Quantile(c.q); got != c.want {
@@ -94,8 +95,8 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	if got := h.Quantile(0); got != 1 {
 		t.Fatalf("p0 = %d, want 1 (rank clamps to first observation)", got)
 	}
-	if got := h.Quantile(1); got != 1023 {
-		t.Fatalf("p100 = %d, want 1023", got)
+	if got := h.Quantile(1); got != 1000 {
+		t.Fatalf("p100 = %d, want 1000 (the bucket's upper bound 1023, clamped to max)", got)
 	}
 }
 
@@ -103,8 +104,8 @@ func TestHistogramSingleSample(t *testing.T) {
 	var h Histogram
 	h.Observe(42) // bucket 6, upper 63
 	for _, q := range []float64{0, 0.01, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 63 {
-			t.Fatalf("Quantile(%v) = %d, want 63 (every quantile is the one sample's bucket)", q, got)
+		if got := h.Quantile(q); got != 42 {
+			t.Fatalf("Quantile(%v) = %d, want 42 (every quantile is the one sample)", q, got)
 		}
 	}
 	if h.Count() != 1 || h.Sum() != 42 || h.Max() != 42 || h.Mean() != 42 {
@@ -164,12 +165,13 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 		}
 	}
 
-	// Single sample: every quantile lands in its bucket.
+	// Single sample: every quantile lands in its bucket, clamped to
+	// the sample itself.
 	var one Histogram
 	one.Observe(100) // bucket 7: [64, 128)
 	for _, q := range []float64{0.001, 0.5, 0.999, 1} {
-		if got := one.Quantile(q); got != 127 {
-			t.Fatalf("single-sample Quantile(%v) = %d, want 127", q, got)
+		if got := one.Quantile(q); got != 100 {
+			t.Fatalf("single-sample Quantile(%v) = %d, want 100", q, got)
 		}
 	}
 
@@ -182,11 +184,11 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	}
 
 	// Overflow bucket: values with the top bit set land in bucket 64,
-	// whose upper bound saturates at ^uint64(0).
+	// whose upper bound saturates at ^uint64(0) and clamps to the max.
 	var ovf Histogram
 	ovf.Observe(1 << 63)
-	if got := ovf.Quantile(0.999); got != ^uint64(0) {
-		t.Fatalf("overflow Quantile(0.999) = %d, want max uint64", got)
+	if got := ovf.Quantile(0.999); got != 1<<63 {
+		t.Fatalf("overflow Quantile(0.999) = %d, want 1<<63", got)
 	}
 
 	// Sparse two-bucket histogram at the exact q=0.999 rank boundary:
@@ -201,8 +203,8 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	if got := sparse.Quantile(0.999); got != 3 {
 		t.Fatalf("sparse Quantile(0.999) = %d, want 3 (rank 999 of 1000)", got)
 	}
-	if got := sparse.Quantile(1); got != 1<<41-1 {
-		t.Fatalf("sparse Quantile(1) = %d, want %d", got, uint64(1<<41-1))
+	if got := sparse.Quantile(1); got != 1<<40 {
+		t.Fatalf("sparse Quantile(1) = %d, want %d (the max)", got, uint64(1<<40))
 	}
 
 	// Exact boundary the other way: 1000 samples where rank 999 IS the
@@ -213,7 +215,26 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	}
 	edge.Observe(1 << 40)
 	edge.Observe(1 << 40)
-	if got := edge.Quantile(0.999); got != 1<<41-1 {
-		t.Fatalf("edge Quantile(0.999) = %d, want tail bucket upper", got)
+	if got := edge.Quantile(0.999); got != 1<<40 {
+		t.Fatalf("edge Quantile(0.999) = %d, want the tail bucket, clamped to max", got)
+	}
+}
+
+func TestHistogramQuantileNeverExceedsMax(t *testing.T) {
+	// Five values in bucket 10 ([512, 1024)): the bucket's upper bound
+	// 1023 lies above every observation, so each quantile is the max.
+	// The capture round trip reports the same.
+	var h Histogram
+	for _, v := range []uint64{520, 560, 600, 600, 610} {
+		h.Observe(v)
+	}
+	ch := CaptureHistogram(&h)
+	for _, q := range []float64{0.5, 0.9, 0.99, 1} {
+		if got := h.Quantile(q); got != 610 {
+			t.Fatalf("Quantile(%v) = %d, want the max 610", q, got)
+		}
+		if got := ch.Quantile(q); got != 610 {
+			t.Fatalf("capture Quantile(%v) = %d, want the max 610", q, got)
+		}
 	}
 }

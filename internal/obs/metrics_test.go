@@ -1,28 +1,25 @@
 package obs
 
 import (
+	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func TestMetricsNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x", -1)
-	g := r.Gauge("y", 0)
-	s := r.Series("z", -1, func() int64 { return 9 })
 	c.Inc()
 	c.Add(5)
-	g.Set(3)
-	g.Add(-1)
-	if c.Value() != 0 || g.Value() != 0 || s.Last() != 0 || s.Samples() != nil {
-		t.Fatalf("nil registry metrics not inert: c=%d g=%d s=%d", c.Value(), g.Value(), s.Last())
+	if c.Value() != 0 {
+		t.Fatalf("nil registry counter not inert: %d", c.Value())
 	}
-	if r.Entries() != nil || r.Interval() != 0 {
+	if r.Entries() != nil {
 		t.Fatalf("nil registry not empty")
 	}
-	r.StartSampler(sim.NewEngine(), 10) // must not panic
+	if got := r.Snapshot(); got != "# m3 metrics v1\n" {
+		t.Fatalf("nil registry snapshot = %q", got)
+	}
 }
 
 func TestMetricsIdentityAndOrder(t *testing.T) {
@@ -38,8 +35,8 @@ func TestMetricsIdentityAndOrder(t *testing.T) {
 	}
 	a.Inc()
 	b.Add(7)
-	r.Gauge("depth", -1).Set(-4)
-	got := make([]string, 0, len(r.Entries()))
+	r.Counter("depth", -1).Add(4)
+	var got []string
 	for _, e := range r.Entries() {
 		got = append(got, e.Name)
 	}
@@ -49,81 +46,17 @@ func TestMetricsIdentityAndOrder(t *testing.T) {
 	}
 }
 
-func TestMetricsKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("m", -1)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("re-registering a counter as a gauge did not panic")
-		}
-	}()
-	r.Gauge("m", -1)
-}
-
-func TestSamplerTicksOnSimClock(t *testing.T) {
-	eng := sim.NewEngine()
-	r := NewRegistry()
-	v := int64(0)
-	s := r.Series("load", -1, func() int64 { return v })
-	// A workload that advances v at known cycles and keeps the engine
-	// busy past three ticks.
-	eng.Schedule(5, func() { v = 10 })
-	eng.Schedule(15, func() { v = 20 })
-	eng.Schedule(35, func() {})
-	r.StartSampler(eng, 10)
-	eng.Run()
-	// Ticks at 10, 20, 30: the 40-tick finds the queue empty afterwards
-	// and stops; sample at 10 sees v=10, at 20 sees v=20.
-	samples := s.Samples()
-	if len(samples) < 3 {
-		t.Fatalf("got %d samples, want >= 3 (%v)", len(samples), samples)
-	}
-	if samples[0] != 10 || samples[1] != 20 || samples[2] != 20 {
-		t.Fatalf("samples = %v, want [10 20 20 ...]", samples)
-	}
-	if r.Interval() != 10 {
-		t.Fatalf("Interval() = %d, want 10", r.Interval())
-	}
-}
-
-func TestSamplerOffSchedulesNothing(t *testing.T) {
-	// Without StartSampler the registry must not touch the engine: a
-	// run with metrics registered executes exactly as many events as
-	// one without.
-	run := func(register bool) (uint64, sim.Time) {
-		eng := sim.NewEngine()
-		if register {
-			r := NewRegistry()
-			r.Counter("c", -1).Inc()
-			r.Series("s", -1, func() int64 { return 1 })
-		}
-		eng.Schedule(5, func() {})
-		eng.Schedule(9, func() {})
-		end := eng.Run()
-		return eng.ExecutedEvents(), end
-	}
-	withEv, withEnd := run(true)
-	withoutEv, withoutEnd := run(false)
-	if withEv != withoutEv || withEnd != withoutEnd {
-		t.Fatalf("registry without sampler perturbed the run: %d@%d vs %d@%d",
-			withEv, withEnd, withoutEv, withoutEnd)
-	}
-}
-
 func TestSnapshotDeterministicAndFormatted(t *testing.T) {
 	build := func() *Registry {
 		r := NewRegistry()
 		r.Counter("dtu_stalls_total", 2).Add(17)
-		r.Gauge("queue_depth", -1).Set(-3)
-		s := r.Series("pe_idle", 0, nil)
-		s.samples = []int64{0, 12, 40}
+		r.Counter("kernel_syscalls_total", -1).Add(3)
 		return r
 	}
 	snap := build().Snapshot()
-	want := `# m3 metrics v1 interval=0
+	want := `# m3 metrics v1
 counter dtu_stalls_total[2] 17
-gauge queue_depth -3
-series pe_idle[0] n=3: 0 12 40
+counter kernel_syscalls_total 3
 `
 	if snap != want {
 		t.Fatalf("snapshot:\n%s\nwant:\n%s", snap, want)
@@ -133,20 +66,19 @@ series pe_idle[0] n=3: 0 12 40
 	}
 }
 
+// TestEntryValueAndSamples: each entry reports its counter's value; the
+// registry keeps counts only, never sampled histories.
 func TestEntryValueAndSamples(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c", -1).Add(4)
-	r.Gauge("g", -1).Set(-2)
-	s := r.Series("s", -1, nil)
-	s.samples = []int64{1, 2, 3}
+	r.Counter("v", 1).Inc()
+	r.Counter("v", 0)
+	r.Counter("c", -1).Add(2)
 	vals := make(map[string]int64)
 	for _, e := range r.Entries() {
-		vals[e.Name] = e.Value()
-		if e.Kind != KindSeries && e.Samples() != nil {
-			t.Fatalf("%s: non-series entry reports samples", e.Name)
-		}
+		vals[e.Name+"/"+strconv.Itoa(e.Idx)] = e.Value()
 	}
-	if vals["c"] != 4 || vals["g"] != -2 || vals["s"] != 3 {
+	if len(vals) != 3 || vals["c/-1"] != 6 || vals["v/1"] != 1 || vals["v/0"] != 0 {
 		t.Fatalf("entry values = %v", vals)
 	}
 }

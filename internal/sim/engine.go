@@ -127,9 +127,6 @@ func (e *Engine) Schedule(delay Time, fn func()) {
 	e.queue.push(e.alloc(e.now+delay, fn))
 }
 
-// Pending reports whether any events remain queued.
-func (e *Engine) Pending() bool { return e.queue.len() > 0 }
-
 // LiveProcesses returns the number of spawned processes that have not
 // yet returned. Processes blocked forever (e.g. a server loop waiting
 // for requests after the workload finished) keep this non-zero without

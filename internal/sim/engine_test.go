@@ -61,7 +61,7 @@ func TestRunUntil(t *testing.T) {
 	if ran != 2 {
 		t.Fatalf("ran = %d, want 2", ran)
 	}
-	if !e.Pending() {
+	if e.queue.len() == 0 {
 		t.Fatal("expected event at t=30 still pending")
 	}
 	if e.Now() != 20 {

@@ -234,7 +234,7 @@ func TestSleepAcrossRunUntilLimit(t *testing.T) {
 		}
 	}
 	check(30, []Time{10}, 1)
-	if !e.Pending() {
+	if e.queue.len() == 0 {
 		t.Fatal("the wake-up at 60 must stay queued")
 	}
 	check(59, []Time{10}, 1)

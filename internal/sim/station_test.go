@@ -257,7 +257,7 @@ func TestAcquireThenImmediateGrantRunsInline(t *testing.T) {
 	r := NewResource(e, 1)
 	ran := false
 	r.AcquireThen(nil, 1, func() { ran = true })
-	if !ran || e.Pending() {
-		t.Fatalf("ran = %v, pending = %v; want an inline grant", ran, e.Pending())
+	if !ran || e.queue.len() != 0 {
+		t.Fatalf("ran = %v, queued = %d; want an inline grant", ran, e.queue.len())
 	}
 }
