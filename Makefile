@@ -24,14 +24,18 @@ bench:
 # empty-bucket search); one Process.Sleep round trip, engine to process
 # and back, with two sleepers tied so neither can skip the switch
 # (BenchmarkProcessSwitch); one Sleep with nothing else queued, which
-# advances the clock in place (BenchmarkSleepInline, 0 allocs/op); and
+# advances the clock in place (BenchmarkSleepInline, 0 allocs/op); one
+# park whose wake-up comes after 0, 1 or 4 callbacks, which the parked
+# process runs on its own stack without a switch (BenchmarkParkInPlace,
+# 0 allocs/op); and
 # one 4 KiB WriteMem plus ReadMem between a PE and DRAM
 # (BenchmarkRDMA4K, through the pooled payload buffers and RDMA
 # records, 0 allocs/op); one 64-byte
 # packet across six hops of a contended mesh as engine events
 # (BenchmarkSendThenMultiHop, 0 allocs/op once warm); one 64-byte and
 # one 4 KiB Network.Send across six hops of an uncontended mesh, riding
-# in its sender through a clear window or parking behind a busy one
+# in its sender through a clear window or parking behind a busy one,
+# and of a contended mesh, whose flight the parked sender runs itself
 # (BenchmarkSendRide, 0 allocs/op); one 8-byte control packet across
 # six hops with SendAsync, paced by an engine event, the way a DTU sends
 # acks and NACKs (BenchmarkSendAsync, 0 allocs/op once warm); one

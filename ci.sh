@@ -17,6 +17,11 @@
 #              would mean the engine's strict coroutine hand-off is
 #              broken — with shuffled test order, so no test can
 #              silently depend on a sibling running first
+#   perf tests the perf/ benchmark module's own tests, also under the
+#              race detector: its defaultWitness pins each workload's
+#              executed events and final cycle at seed 1, so a change
+#              that moves a benchmark workload's schedule fails here
+#              instead of as failed iterations in the benchmark run
 #   chaos      the fault-injection tier: determinism under faults, the
 #              isolation-survives-failure matrix, service crash
 #              recovery, and the chaos-overload tier — graceful
@@ -50,6 +55,7 @@ go vet ./...
 (cd perf && go vet ./...)
 go run ./cmd/m3vet ./...
 go test -race -shuffle=on ./...
+(cd perf && go test -race ./...)
 make chaos
 make fuzz
 make bench-smoke

@@ -195,18 +195,21 @@ func TestRideStopsAtRunUntilLimit(t *testing.T) {
 	}
 }
 
-// benchmarkSendRide times one size-byte Send corner to corner across
-// an uncontended 4×4 mesh (6 hops). With busy, a no-op event lands one
-// cycle into every flight, so the sender parks; otherwise nothing else
-// is queued and every flight rides.
-func benchmarkSendRide(b *testing.B, size int, busy bool) {
+// benchmarkSendRide times one size-byte Send corner to corner across a
+// 4×4 mesh (6 hops). On the uncontended mesh, the "clear" window has
+// nothing else queued, so every flight rides; in the "busy" one a
+// no-op event lands one cycle into every flight, so the sender parks
+// and runs the flight's events itself. On the "contended" mesh every
+// hop holds its link, so the flight is always events, which the parked
+// sender runs itself.
+func benchmarkSendRide(b *testing.B, size int, window string) {
 	e := sim.NewEngine()
-	n := New(e, Config{Width: 4, Height: 4, Unlimited: true})
+	n := New(e, Config{Width: 4, Height: 4, Unlimited: window != "contended"})
 	n.Attach(15, HandlerFunc(func(*Packet) {}))
 	noop := func() {}
 	e.Spawn("tx", func(p *sim.Process) {
 		for i := 0; i < b.N; i++ {
-			if busy {
+			if window == "busy" {
 				e.Schedule(1, noop)
 			}
 			pkt := n.NewPacket()
@@ -221,13 +224,9 @@ func benchmarkSendRide(b *testing.B, size int, busy bool) {
 
 func BenchmarkSendRide(b *testing.B) {
 	for _, size := range []int{64, 4096} {
-		for _, busy := range []bool{false, true} {
-			window := "clear"
-			if busy {
-				window = "busy"
-			}
+		for _, window := range []string{"clear", "busy", "contended"} {
 			b.Run(fmt.Sprintf("%s/%dB", window, size), func(b *testing.B) {
-				benchmarkSendRide(b, size, busy)
+				benchmarkSendRide(b, size, window)
 			})
 		}
 	}

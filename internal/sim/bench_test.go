@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkSchedule times one Schedule plus the step that runs it: a
 // chain of b.N events, each scheduling the next.
@@ -68,4 +71,29 @@ func BenchmarkSleepInline(b *testing.B) {
 	})
 	b.ResetTimer()
 	e.Run()
+}
+
+// BenchmarkParkInPlace times one park whose wake-up comes after k
+// callbacks queued at the same cycle: the process runs the callbacks
+// and its own wake-up on its stack and returns without a coroutine
+// switch (Process.park).
+func BenchmarkParkInPlace(b *testing.B) {
+	for _, k := range []int{0, 1, 4} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			e := NewEngine()
+			noop := func() {}
+			e.Spawn("parker", func(p *Process) {
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < k; j++ {
+						e.Schedule(1, noop)
+					}
+					e.Schedule(1, p.Waker())
+					p.Park()
+				}
+			})
+			b.ResetTimer()
+			e.Run()
+		})
+	}
 }

@@ -32,11 +32,12 @@ import (
 //   - bit i of occ is set exactly when bucket i is non-empty, so the
 //     next occupied cycle is found a 64-bucket word at a time instead
 //     of by walking empty one-cycle buckets;
-//   - cur advances in pop, to the at of the event being popped, and in
-//     advance, to a cycle before which nothing is queued. peek never
-//     commits a cursor move: between two engine run calls the host may
-//     legally schedule earlier than the last peeked time, and those
-//     pushes must still land inside the scanned window.
+//   - cur advances in popBy, to the at of the event being popped, and
+//     in advance, to a cycle before which nothing is queued. A popBy
+//     that finds the next event past its limit never commits a cursor
+//     move: between two engine run calls the host may legally schedule
+//     earlier than that event, and those pushes must still land inside
+//     the scanned window.
 type calendarQueue struct {
 	buckets [wheelSize]cqBucket
 	occ     [occWords]uint64
@@ -116,16 +117,22 @@ func (c *calendarQueue) next() Time {
 	panic("sim: calendar queue window invariant violated")
 }
 
-func (c *calendarQueue) pop() *event {
+// popBy removes and returns the next event if it is due at or before
+// t, and returns nil otherwise. It scans the occupancy bitmap once.
+func (c *calendarQueue) popBy(t Time) *event {
 	if c.size == 0 {
 		return nil
 	}
+	var cyc Time
 	if c.inWheel == 0 {
-		// Idle gap: jump straight to the overflow minimum.
-		c.cur = c.far[0].at
-		c.migrate()
+		cyc = c.far[0].at // idle gap: the overflow minimum is next
+	} else {
+		cyc = c.next()
 	}
-	if cyc := c.next(); cyc != c.cur {
+	if cyc > t {
+		return nil
+	}
+	if cyc != c.cur {
 		c.cur = cyc
 		c.migrate()
 	}
@@ -144,19 +151,8 @@ func (c *calendarQueue) pop() *event {
 	return ev
 }
 
-func (c *calendarQueue) peek() *event {
-	if c.size == 0 {
-		return nil
-	}
-	if c.inWheel == 0 {
-		return c.far[0]
-	}
-	b := &c.buckets[c.next()&wheelMask]
-	return b.evs[b.head]
-}
-
 // dueBy reports whether any queued event is due at or before t, for
-// t >= cur. Unlike peek it never scans past t: it tests the occupancy
+// t >= cur. Unlike popBy it never scans past t: it tests the occupancy
 // bits of [cur, t] only, answers from the overflow minimum when the
 // wheel is empty, and answers true at once when t lies beyond the
 // window and the wheel holds events.

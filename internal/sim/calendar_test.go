@@ -12,8 +12,7 @@ import (
 // order, and agree on whether any event is due at or before a time.
 type eventQueue interface {
 	push(ev *event)
-	pop() *event
-	peek() *event
+	popBy(t Time) *event
 	len() int
 	dueBy(t Time) bool
 	advance(t Time)
@@ -25,20 +24,16 @@ type heapQueue struct {
 	h eventHeap
 }
 
+// anyTime is a popBy limit that every event is due by.
+const anyTime = ^Time(0)
+
 func (q *heapQueue) push(ev *event) { heap.Push(&q.h, ev) }
 
-func (q *heapQueue) pop() *event {
-	if len(q.h) == 0 {
+func (q *heapQueue) popBy(t Time) *event {
+	if len(q.h) == 0 || q.h[0].at > t {
 		return nil
 	}
 	return heap.Pop(&q.h).(*event)
-}
-
-func (q *heapQueue) peek() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
 }
 
 func (q *heapQueue) len() int { return len(q.h) }
@@ -71,7 +66,7 @@ func drainCompare(t *testing.T, cal, hp eventQueue) int {
 	t.Helper()
 	n := 0
 	for {
-		a, b := cal.pop(), hp.pop()
+		a, b := cal.popBy(anyTime), hp.popBy(anyTime)
 		if (a == nil) != (b == nil) {
 			t.Fatalf("drain %d: cal nil=%v heap nil=%v", n, a == nil, b == nil)
 		}
@@ -93,7 +88,8 @@ func drainCompare(t *testing.T, cal, hp eventQueue) int {
 // bitmap search must skip whole words, wrap past the last word, and
 // find events at the far edge of the window. Between pushes and pops
 // the stream asks "any event due at or before now+d?" and, when none
-// is, advances the cursor to now+d, as an inline Sleep does.
+// is, advances the cursor to now+d, as an inline Sleep does. A third
+// of the pops carry a limit, as RunUntil's do, and may find nothing due.
 func TestCalendarMatchesHeap(t *testing.T) {
 	mixes := []struct {
 		name  string
@@ -135,7 +131,7 @@ func TestCalendarMatchesHeap(t *testing.T) {
 }
 
 // crossCheck runs one seeded push/pop/dueBy stream through both
-// queues, comparing every pop, peek, dueBy answer and length.
+// queues, comparing every pop, dueBy answer and length.
 func crossCheck(t *testing.T, mix string, seed int64, delay func(rng *rand.Rand) Time) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -157,20 +153,21 @@ func crossCheck(t *testing.T, mix string, seed int64, delay func(rng *rand.Rand)
 			hp.push(&event{at: now + d, seq: seq})
 			live++
 		} else {
-			a, b := cal.pop(), hp.pop()
-			if a.at != b.at || a.seq != b.seq {
-				t.Fatalf("%s seed %d op %d: cal (%d,%d) != heap (%d,%d)",
-					mix, seed, op, a.at, a.seq, b.at, b.seq)
+			limit := anyTime
+			if rng.Intn(3) == 0 {
+				limit = now + delay(rng)
 			}
-			now = a.at
-			live--
+			a, b := cal.popBy(limit), hp.popBy(limit)
+			if (a == nil) != (b == nil) || (a != nil && (a.at != b.at || a.seq != b.seq)) {
+				t.Fatalf("%s seed %d op %d: popBy(%d): cal %v != heap %v", mix, seed, op, limit, a, b)
+			}
+			if a != nil {
+				now = a.at
+				live--
+			}
 		}
 		if cal.len() != hp.len() {
 			t.Fatalf("%s seed %d op %d: len %d != %d", mix, seed, op, cal.len(), hp.len())
-		}
-		pa, pb := cal.peek(), hp.peek()
-		if (pa == nil) != (pb == nil) || (pa != nil && (pa.at != pb.at || pa.seq != pb.seq)) {
-			t.Fatalf("%s seed %d op %d: peek mismatch", mix, seed, op)
 		}
 	}
 	drainCompare(t, cal, hp)
@@ -185,22 +182,22 @@ func TestCalendarWrapsLastWord(t *testing.T) {
 	c := &calendarQueue{}
 	const base = Time(3*wheelSize + wheelSize - 8) // bucket 2040: last word, bit 56
 	c.push(&event{at: base, seq: 1})
-	if p := c.pop(); p.at != base {
+	if p := c.popBy(anyTime); p.at != base {
 		t.Fatalf("pop = %d, want %d", p.at, base)
 	}
 	c.push(&event{at: base + wheelMask, seq: 2}) // bucket 2039: same word, below the cursor
-	if p := c.peek(); p.at != base+wheelMask || p.seq != 2 {
-		t.Fatalf("peek = (%d,%d), want (%d,2)", p.at, p.seq, base+wheelMask)
+	if p := c.popBy(base + wheelMask - 1); p != nil {
+		t.Fatalf("popBy(%d) = (%d,%d), want nil", base+wheelMask-1, p.at, p.seq)
 	}
 	c.push(&event{at: base + 20, seq: 3}) // bucket 12: first word, after the wrap
 	for _, want := range []struct {
 		at  Time
 		seq uint64
 	}{{base + 20, 3}, {base + wheelMask, 2}} {
-		if p := c.peek(); p.at != want.at || p.seq != want.seq {
-			t.Fatalf("peek = (%d,%d), want (%d,%d)", p.at, p.seq, want.at, want.seq)
+		if p := c.popBy(want.at - 1); p != nil {
+			t.Fatalf("popBy(%d) = (%d,%d), want nil", want.at-1, p.at, p.seq)
 		}
-		if p := c.pop(); p.at != want.at || p.seq != want.seq {
+		if p := c.popBy(want.at); p.at != want.at || p.seq != want.seq {
 			t.Fatalf("pop = (%d,%d), want (%d,%d)", p.at, p.seq, want.at, want.seq)
 		}
 	}
@@ -210,23 +207,24 @@ func TestCalendarWrapsLastWord(t *testing.T) {
 }
 
 // TestCalendarPeekDoesNotCommitCursor is the regression test for the
-// subtle cursor bug: peeking a far event must not advance the cursor,
-// because between engine run calls the host may legally schedule
-// earlier than the peeked time (RunUntil bumps the clock past the last
-// executed event) and those pushes must still sort first.
+// subtle cursor bug: a popBy that peeks at a far event and finds it
+// past its limit must not advance the cursor, because between engine
+// run calls the host may legally schedule earlier than the peeked time
+// (RunUntil bumps the clock past the last executed event) and those
+// pushes must still sort first.
 func TestCalendarPeekDoesNotCommitCursor(t *testing.T) {
 	c := &calendarQueue{}
 	c.push(&event{at: 50, seq: 1})
-	if p := c.peek(); p.at != 50 {
-		t.Fatalf("peek = %d, want 50", p.at)
+	if p := c.popBy(45); p != nil {
+		t.Fatalf("popBy(45) = %d, want nil", p.at)
 	}
 	// Host schedules earlier than the peeked event (legal: nothing at
 	// 40 has been popped yet).
 	c.push(&event{at: 40, seq: 2})
-	if p := c.pop(); p.at != 40 || p.seq != 2 {
+	if p := c.popBy(anyTime); p.at != 40 || p.seq != 2 {
 		t.Fatalf("pop = (%d,%d), want (40,2)", p.at, p.seq)
 	}
-	if p := c.pop(); p.at != 50 || p.seq != 1 {
+	if p := c.popBy(anyTime); p.at != 50 || p.seq != 1 {
 		t.Fatalf("pop = (%d,%d), want (50,1)", p.at, p.seq)
 	}
 }
@@ -240,18 +238,18 @@ func TestCalendarOverflowMigrationOrder(t *testing.T) {
 	c.push(&event{at: far, seq: 1}) // overflow
 	c.push(&event{at: far, seq: 2}) // overflow, same cycle
 	c.push(&event{at: 10, seq: 3})
-	if p := c.pop(); p.seq != 3 {
+	if p := c.popBy(anyTime); p.seq != 3 {
 		t.Fatalf("pop seq = %d, want 3", p.seq)
 	}
 	// Cursor at 10: far is still beyond the horizon. Fast-forward pop
 	// migrates both, then a direct push to the same cycle must append
 	// after them.
-	if p := c.peek(); p.at != far || p.seq != 1 {
-		t.Fatalf("peek = (%d,%d), want (%d,1)", p.at, p.seq, far)
+	if p := c.popBy(far - 1); p != nil {
+		t.Fatalf("popBy(%d) = (%d,%d), want nil", far-1, p.at, p.seq)
 	}
-	got := []*event{c.pop()}
+	got := []*event{c.popBy(far)}
 	c.push(&event{at: far, seq: 4}) // now inside the window: direct push
-	got = append(got, c.pop(), c.pop())
+	got = append(got, c.popBy(far), c.popBy(far))
 	for i, want := range []uint64{1, 2, 4} {
 		if got[i].seq != want {
 			t.Fatalf("pop %d: seq = %d, want %d", i, got[i].seq, want)
@@ -276,7 +274,7 @@ func TestCalendarBucketReuse(t *testing.T) {
 		}
 		base := seq - 2
 		for i := 0; i < 3; i++ {
-			p := c.pop()
+			p := c.popBy(anyTime)
 			if p.seq != base+uint64(i) {
 				t.Fatalf("round %d pop %d: seq = %d, want %d", round, i, p.seq, base+uint64(i))
 			}
@@ -308,20 +306,21 @@ func TestFirstWheelPassAllocatesNothing(t *testing.T) {
 // TestCalendarEmpty covers the nil returns.
 func TestCalendarEmpty(t *testing.T) {
 	c := &calendarQueue{}
-	if c.pop() != nil || c.peek() != nil || c.len() != 0 {
+	if c.popBy(anyTime) != nil || c.popBy(0) != nil || c.len() != 0 {
 		t.Fatal("empty queue must return nil/0")
 	}
 	c.push(&event{at: 7, seq: 1})
-	c.pop()
-	if c.pop() != nil || c.peek() != nil {
+	c.popBy(anyTime)
+	if c.popBy(anyTime) != nil || c.popBy(0) != nil {
 		t.Fatal("drained queue must return nil")
 	}
 }
 
 // FuzzEventQueue cross-checks calendar vs heap pop order on random
 // (delay, op) streams — same-cycle tie-break stability included, since
-// delay 0 is a reachable case — and the "due at or before t" answer
-// with the cursor advance an inline Sleep makes when nothing is due.
+// delay 0 is a reachable case — with and without a pop limit, and the
+// "due at or before t" answer with the cursor advance an inline Sleep
+// makes when nothing is due.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 200, 255, 0, 0, 9})
 	f.Add([]byte{255, 254, 253, 7, 7, 7})
@@ -365,20 +364,24 @@ func FuzzEventQueue(f *testing.F) {
 				hp.push(&event{at: now + d, seq: seq})
 				live++
 			} else {
-				a, bb := cal.pop(), hp.pop()
-				if a.at != bb.at || a.seq != bb.seq {
-					t.Fatalf("op %d: cal (%d,%d) != heap (%d,%d)", i, a.at, a.seq, bb.at, bb.seq)
+				// Odd bytes pop only what is due within (b-160)*64
+				// cycles, as RunUntil does.
+				limit := anyTime
+				if b%2 == 1 {
+					limit = now + Time(b-160)*64
 				}
-				now = a.at
-				live--
-			}
-			pa, pb := cal.peek(), hp.peek()
-			if (pa == nil) != (pb == nil) || (pa != nil && (pa.at != pb.at || pa.seq != pb.seq)) {
-				t.Fatalf("op %d: peek mismatch", i)
+				a, bb := cal.popBy(limit), hp.popBy(limit)
+				if (a == nil) != (bb == nil) || (a != nil && (a.at != bb.at || a.seq != bb.seq)) {
+					t.Fatalf("op %d: popBy(%d): cal %v != heap %v", i, limit, a, bb)
+				}
+				if a != nil {
+					now = a.at
+					live--
+				}
 			}
 		}
 		for {
-			a, b := cal.pop(), hp.pop()
+			a, b := cal.popBy(anyTime), hp.popBy(anyTime)
 			if (a == nil) != (b == nil) {
 				t.Fatal("drain length mismatch")
 			}

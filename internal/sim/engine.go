@@ -10,9 +10,11 @@
 // moment, which makes the simulation deterministic despite each process
 // having its own stack. A switch between the engine and a process is a
 // direct goroutine switch in the runtime, with no scheduler wake-up.
-// A Sleep whose wake-up would be the next event takes no switch at all:
-// the process advances the clock in place, as that event would have
-// (Process.Sleep).
+// Two rules save most switches without changing the schedule. A Sleep
+// whose wake-up would be the next event advances the clock in place
+// (Process.Sleep). A parked process runs the engine's events on its own
+// stack until one of them wakes it, and returns without a switch
+// (Process.park); that rests on the rule that a wake-up ends its event.
 //
 // The pending events live in an O(1) calendar queue (calendar.go), the
 // engine's only event store. Its tests hold it to the pop order of a
@@ -48,18 +50,29 @@ type Engine struct {
 	queue calendarQueue
 	free  *event
 
+	// current is the process whose own code is running; nil while an
+	// event runs, on the engine's stack or on a parked process's.
 	current *Process
+	// looping is the parked process whose stack runs the events (see
+	// Process.park); nil while they run on the engine's.
+	looping *Process
+	// handoff is the process that an event run by looping woke: the
+	// loop stops, and switchTo switches to it.
+	handoff *Process
+	// woken is set once the running event has woken a process. A
+	// wake-up ends its event, so a Schedule, a Kill or a second wake-up
+	// after it panics.
+	woken bool
 	// limit is the last cycle the active Run or RunUntil may reach
-	// (zero until the first run call); a Sleep past it parks instead
-	// of advancing the clock in place.
+	// (zero until the first run call): no event past it runs, and a
+	// Sleep past it parks instead of advancing the clock in place.
 	limit Time
 
 	liveProcs   int
 	daemonProcs int
 	executed    uint64
-	// resumes counts switches into process coroutines: each start and
-	// each return from park. The process side counts them, which keeps
-	// resume small enough to inline into every wake callback.
+	// resumes counts each process start and each return from park;
+	// the process side counts them.
 	resumes    uint64
 	deadlocked bool
 }
@@ -85,10 +98,13 @@ func (e *Engine) ExecutedEvents() uint64 { return e.executed }
 // Two runs that are event for event identical issue the same number.
 func (e *Engine) Sequence() uint64 { return e.seq }
 
-// Resumes returns the number of switches into process coroutines so
-// far: each process start and each return from a park. It measures the
-// simulator's host cost, not simulated behaviour: a Sleep or a
-// Network.Send that runs in place takes none.
+// Resumes returns the number of times a process got control so far:
+// each process start and each return from a park, whether a coroutine
+// switch delivered it or the process's own loop did (Process.park). It
+// measures the simulator's host cost, not simulated behaviour: a Sleep
+// or a Network.Send that runs in place takes none. A return from park
+// without a switch counts, so Resumes does not tell how many parks ran
+// in place.
 func (e *Engine) Resumes() uint64 { return e.resumes }
 
 // alloc takes an event from the freelist (or the heap on a cold
@@ -112,17 +128,21 @@ func (e *Engine) release(ev *event) {
 	e.free = ev
 }
 
-// Schedule registers fn to run after delay cycles. Callbacks run in the
-// engine's goroutine and must not block; to model blocking behaviour use
-// a Process.
+// Schedule registers fn to run after delay cycles. Callbacks run on the
+// engine's stack or a parked process's, and must not block; to model
+// blocking behaviour use a Process.
 //
 // Scheduling onto a deadlocked engine (see Deadlocked) panics: any new
 // event could resume a process that the finished run already reported
 // as parked forever, silently contradicting Deadlocked. A panic names
-// the bug instead.
+// the bug instead. So does a Schedule after a wake-up in the same event
+// (see Process.Waker).
 func (e *Engine) Schedule(delay Time, fn func()) {
 	if e.deadlocked {
 		panic(fmt.Sprintf("sim: Schedule on deadlocked engine (%d processes parked forever)", e.liveProcs))
+	}
+	if e.woken {
+		panic("sim: Schedule after a wake-up in the same event; a wake-up ends its event")
 	}
 	e.queue.push(e.alloc(e.now+delay, fn))
 }
@@ -148,8 +168,7 @@ func (e *Engine) LiveProcesses() int { return e.liveProcs }
 // state in which scheduling new work is a bug; see Schedule.
 func (e *Engine) Run() Time {
 	e.limit = ^Time(0)
-	for e.queue.len() > 0 {
-		e.step()
+	for e.step() {
 	}
 	if e.liveProcs > e.daemonProcs {
 		e.deadlocked = true
@@ -169,12 +188,7 @@ func (e *Engine) Deadlocked() bool { return e.deadlocked }
 // and returns the new time.
 func (e *Engine) RunUntil(limit Time) Time {
 	e.limit = limit
-	for {
-		nx := e.queue.peek()
-		if nx == nil || nx.at > limit {
-			break
-		}
-		e.step()
+	for e.step() {
 	}
 	if e.now < limit {
 		e.now = limit
@@ -182,8 +196,14 @@ func (e *Engine) RunUntil(limit Time) Time {
 	return e.now
 }
 
-func (e *Engine) step() {
-	ev := e.queue.pop()
+// step runs the next event if it is due by the active run's limit and
+// reports whether it ran one. Run, RunUntil and a parked process's
+// loop (Process.park) all take their events through it.
+func (e *Engine) step() bool {
+	ev := e.queue.popBy(e.limit)
+	if ev == nil {
+		return false
+	}
 	if ev.at < e.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past (%d < %d)", ev.at, e.now))
 	}
@@ -192,6 +212,8 @@ func (e *Engine) step() {
 	e.release(ev)
 	e.executed++
 	fn()
+	e.woken = false
+	return true
 }
 
 // Clear reports whether the next d cycles are clear: no queued event
@@ -225,13 +247,37 @@ func (e *Engine) advance(d Time) bool {
 	return true
 }
 
-// resume hands control to p and returns when p parks or returns.
+// resume is the wake-up of p, and ends its event. While a parked
+// process runs the event, it records p as the handoff: the loop returns
+// to p in place, or stops and yields so that the switch that started it
+// goes on to p (see Process.park). It is small enough to inline into
+// every wake callback; the rest is switchTo.
 func (e *Engine) resume(p *Process) {
 	if p.dead {
 		return
 	}
-	prev := e.current
-	e.current = p
-	p.next()
-	e.current = prev
+	if e.looping == nil || e.woken {
+		e.switchTo(p)
+		return
+	}
+	e.handoff, e.woken = p, true
+}
+
+// switchTo is a wake-up on the engine's stack: it switches to p and
+// returns when p yields or returns, then switches to each process
+// handed off on the way. It panics on a second wake-up in one event
+// and on a wake-up from a process's own code.
+func (e *Engine) switchTo(p *Process) {
+	if e.woken {
+		panic(fmt.Sprintf("sim: second wake-up (%v) in one event; a wake-up ends its event", p))
+	}
+	if e.current != nil {
+		panic(fmt.Sprintf("sim: %v woken by %v's own code; wake it from an event", p, e.current))
+	}
+	for p != nil {
+		e.current = p
+		p.next()
+		p, e.handoff = e.handoff, nil
+	}
+	e.current, e.woken = nil, true
 }

@@ -15,9 +15,12 @@ import (
 
 // Process is a simulated thread of execution: a coroutine (iter.Pull)
 // that runs in strict hand-off with the engine. Process methods that
-// block (Sleep, Park, Signal.Wait, Resource.Acquire) yield control
-// back to the engine and are resumed by a later event. A switch is a
-// direct goroutine switch in the runtime, with no scheduler wake-up.
+// block (Sleep, Park, Signal.Wait, Resource.Acquire) park it until a
+// later event wakes it. While parked, the process runs the engine's
+// events on its own stack until one of them wakes it (see park), and
+// switches back to the engine only when an event wakes another process
+// or the loop must stop. A switch is a direct goroutine switch in the
+// runtime, with no scheduler wake-up.
 //
 // A Process must only be used from its own coroutine (the function
 // passed to Spawn).
@@ -97,8 +100,10 @@ func (p *Process) Dead() bool { return p.dead }
 //
 // Kill must not target the currently running process — a program
 // cannot crash itself between two of its own instructions here;
-// schedule the kill as an engine event instead. Killing an
-// already-dead process is a no-op.
+// schedule the kill as an engine event instead. An event may kill the
+// parked process that runs it (see park). Like a Schedule, a Kill
+// after a wake-up in the same event panics. Killing an already-dead
+// process is a no-op.
 //
 // A corpse leaks no resource capacity: every Resource unit a process
 // can hold across a blocking point is released by an event scheduled
@@ -113,6 +118,9 @@ func (p *Process) Kill() {
 	}
 	if p.eng.current == p {
 		panic("sim: Kill of the running process; schedule the kill as an event")
+	}
+	if p.eng.woken {
+		panic("sim: Kill after a wake-up in the same event; a wake-up ends its event")
 	}
 	p.killed = true
 	p.dead = true
@@ -139,11 +147,30 @@ func (p *Process) SetDaemon() {
 	}
 }
 
-// park yields control to the engine; the process stays blocked until an
-// event resumes it.
+// park blocks p until an event wakes it. Instead of yielding at once,
+// p runs the engine's events itself, through the same step as Run,
+// until one of them wakes p, and then returns without a coroutine
+// switch. The loop stops and p yields to the engine when an event
+// wakes another process (the handoff: the switchTo that switched to p
+// switches to that process at once), at the active run's limit, on an
+// empty queue, and when an event killed p, which then stays parked
+// forever. Every event runs in the same order, at the same cycle and
+// with the same sequence number as on the engine's stack; the wake-up
+// that ended its event (see Waker) is delivered right after it either
+// way. Every switch into a process starts on the engine's stack, so no
+// stack holds more than one loop.
 func (p *Process) park() {
-	p.yield(struct{}{})
-	p.eng.resumes++
+	e := p.eng
+	e.current, e.looping = nil, p
+	for e.step() && e.handoff == nil && !p.dead {
+	}
+	e.looping = nil
+	if e.handoff == p {
+		e.current, e.handoff = p, nil
+	} else {
+		p.yield(struct{}{})
+	}
+	e.resumes++
 }
 
 // Park blocks p until an event calls its Waker. It is the blocking
@@ -155,6 +182,11 @@ func (p *Process) Park() { p.park() }
 // Waker returns the callback that resumes p from Park. It is built
 // once at Spawn, so handing it to a continuation allocates nothing.
 // Calling it for a dead process is a no-op.
+//
+// A wake-up ends its event: calling the waker must be the last thing
+// the event does, since p may run only once the event has returned
+// (see park). A Schedule, a Kill or a second wake-up after it in the
+// same event panics, and so does a wake-up from a process's own code.
 func (p *Process) Waker() func() { return p.wake }
 
 // Sleep advances the process's simulated time by d cycles. Other events

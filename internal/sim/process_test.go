@@ -127,15 +127,16 @@ func TestSleepRoundTripAllocatesNothing(t *testing.T) {
 			p.Sleep(1)
 		}
 	})
-	// A fresh engine's run limit stays zero until Run or RunUntil sets
-	// one, so every Sleep here parks and each step is a real round
-	// trip. Warm up: start the
-	// process and touch every calendar bucket once, so the measurement
-	// sees only the steady state.
+	// Each RunUntil reaches exactly the sleeper's next wake-up, so its
+	// next Sleep ends past the limit and parks: every call is a real
+	// round trip, the wake-up event and two coroutine switches. Warm
+	// up: start the process and touch every calendar bucket once, so
+	// the measurement sees only the steady state.
+	round := func() { e.RunUntil(e.Now() + 1) }
 	for i := 0; i < wheelSize+1; i++ {
-		e.step()
+		round()
 	}
-	allocs := testing.AllocsPerRun(1000, e.step)
+	allocs := testing.AllocsPerRun(1000, round)
 	p.Kill()
 	if allocs != 0 {
 		t.Fatalf("Sleep round trip allocates %v times, want 0", allocs)

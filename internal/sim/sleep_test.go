@@ -7,8 +7,8 @@ import (
 )
 
 // refSleep is the reference Sleep: it always schedules the wake-up and
-// parks, taking two coroutine switches. Process.Sleep must match it
-// event for event.
+// parks, never advancing the clock in place. Process.Sleep must match
+// it event for event.
 func refSleep(p *Process, d Time) {
 	p.Engine().Schedule(d, p.Waker())
 	p.Park()
@@ -27,6 +27,8 @@ const (
 	opWait     // wait on the shared signal
 	opNotify   // notify the shared signal
 	opHold     // acquire a resource unit, sleep d, release it
+	opChain    // park on a chain of 1-4 callbacks, the last of which wakes the process
+	opThen     // queue a hardware holder of a resource unit, d%64 cycles
 	opKinds
 )
 
@@ -85,6 +87,7 @@ func newSleepLoad(seed uint64) sleepLoad {
 // sleepRun is what one run of a sleepLoad observably did.
 type sleepRun struct {
 	log      []string // "time actor" per step
+	onStack  int      // log entries made on a parked process's stack
 	executed uint64
 	seq      uint64
 	now      Time
@@ -98,7 +101,12 @@ func (l sleepLoad) run(sleep func(p *Process, d Time)) sleepRun {
 	sig := NewSignal(e)
 	res := NewResource(e, 2)
 	var r sleepRun
-	record := func(actor string) { r.log = append(r.log, fmt.Sprintf("%d %s", e.Now(), actor)) }
+	record := func(actor string) {
+		r.log = append(r.log, fmt.Sprintf("%d %s", e.Now(), actor))
+		if e.looping != nil {
+			r.onStack++
+		}
+	}
 	callback := func(actor string) func() { return func() { record(actor) } }
 
 	// A ticker broadcasts the signal every 300 cycles for a while, so
@@ -134,6 +142,26 @@ func (l sleepLoad) run(sleep func(p *Process, d Time)) sleepRun {
 					res.Acquire(p, 1)
 					sleep(p, op.d)
 					res.Release(1)
+				case opChain:
+					// A hardware flight the process waits out, as a
+					// parked Network.Send does.
+					k := op.d%4 + 1
+					var hop func()
+					hop = func() {
+						record(fmt.Sprintf("%s.%d-hop", name, j))
+						if k--; k > 0 {
+							e.Schedule(op.d%7, hop)
+							return
+						}
+						p.Waker()()
+					}
+					e.Schedule(op.d%7, hop)
+					p.Park()
+				case opThen:
+					res.AcquireThen(nil, 1, func() {
+						record(fmt.Sprintf("%s.%d-hw", name, j))
+						e.Schedule(op.d%64, func() { res.Release(1) })
+					})
 				}
 				record(fmt.Sprintf("%s.%d", name, j))
 			}
@@ -158,8 +186,9 @@ func (l sleepLoad) run(sleep func(p *Process, d Time)) sleepRun {
 
 // TestSleepInlineMatchesSwitch runs seeded mixes of sleeps (zero,
 // short, wheel-wide and past the horizon), yields, same-cycle
-// callbacks, signal waits and notifies, contended resource holds,
-// kills and RunUntil windows twice: with Process.Sleep and with the
+// callbacks, signal waits and notifies, resource holds contended by
+// processes and hardware, callback chains that end in a wake-up, kills
+// and RunUntil windows twice: with Process.Sleep and with the
 // reference that always parks. The per-step logs, executed events,
 // sequence numbers and final times must be equal.
 func TestSleepInlineMatchesSwitch(t *testing.T) {
