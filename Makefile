@@ -27,7 +27,10 @@ bench:
 # advances the clock in place (BenchmarkSleepInline, 0 allocs/op); one
 # park whose wake-up comes after 0, 1 or 4 callbacks, which the parked
 # process runs on its own stack without a switch (BenchmarkParkInPlace,
-# 0 allocs/op); and
+# 0 allocs/op); one spawn-and-join round, a process that spawns a
+# short child on a reused coroutine and joins it (BenchmarkSpawn,
+# 4 allocs/op: the Process, its wake closure, the caller's closure and
+# the join's waiter slot); and
 # one 4 KiB WriteMem plus ReadMem between a PE and DRAM
 # (BenchmarkRDMA4K, through the pooled payload buffers and RDMA
 # records, 0 allocs/op); one 64-byte

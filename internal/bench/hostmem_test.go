@@ -46,3 +46,24 @@ func TestFig6BootHeapFollowsWrittenPages(t *testing.T) {
 	}
 	runtime.KeepAlive(keep)
 }
+
+// TestBootLeavesOnlyDaemonGoroutines boots and runs one scenario three
+// times in one process. Each boot may leave the goroutines of its two
+// daemons, the kernel and m3fs, which stay parked when the queue
+// drains, and nothing else: a finished process's coroutine is reused
+// or stopped. The DRAM page store's slab helper of the last boot may
+// still be in flight (docs/ENGINE.md, "DRAM pages").
+func TestBootLeavesOnlyDaemonGoroutines(t *testing.T) {
+	const daemons = 2
+	sc := Scenario{Workload: workload.Tar(), Instances: 4, M3Options: Fig6Options()}
+	before := runtime.NumGoroutine()
+	for boot := 1; boot <= 3; boot++ {
+		if _, err := sc.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got, limit := runtime.NumGoroutine()-before, boot*daemons+1; got > limit {
+			t.Fatalf("after %d boots %d goroutines more than before, want <= %d (%d daemons a boot and one slab helper)",
+				boot, got, limit, daemons)
+		}
+	}
+}

@@ -97,3 +97,20 @@ func BenchmarkParkInPlace(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSpawn times one spawn-and-join round: a process spawns a
+// child, as the kernel spawns one for each session exchange it
+// forwards, and joins it. The child's closure captures the loop
+// counter, as the kernel's captures its request, and sleeps zero or
+// one cycle.
+func BenchmarkSpawn(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	e.Spawn("parent", func(p *Process) {
+		for i := 0; i < b.N; i++ {
+			p.Join(e.Spawn("child", func(c *Process) { c.Sleep(Time(i & 1)) }))
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+}

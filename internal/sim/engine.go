@@ -49,6 +49,9 @@ type Engine struct {
 	seq   uint64
 	queue calendarQueue
 	free  *event
+	// idle is the freelist of coroutines whose process function
+	// returned (see Spawn).
+	idle *coroutine
 
 	// current is the process whose own code is running; nil while an
 	// event runs, on the engine's stack or on a parked process's.
@@ -170,6 +173,7 @@ func (e *Engine) Run() Time {
 	e.limit = ^Time(0)
 	for e.step() {
 	}
+	e.stopIdle()
 	if e.liveProcs > e.daemonProcs {
 		e.deadlocked = true
 	}
@@ -189,6 +193,9 @@ func (e *Engine) Deadlocked() bool { return e.deadlocked }
 func (e *Engine) RunUntil(limit Time) Time {
 	e.limit = limit
 	for e.step() {
+	}
+	if e.queue.len() == 0 {
+		e.stopIdle()
 	}
 	if e.now < limit {
 		e.now = limit
@@ -276,7 +283,7 @@ func (e *Engine) switchTo(p *Process) {
 	}
 	for p != nil {
 		e.current = p
-		p.next()
+		p.co.next()
 		p, e.handoff = e.handoff, nil
 	}
 	e.current, e.woken = nil, true

@@ -10,73 +10,75 @@ import (
 // pinnedParkSchedules holds, for seeds 1 to 256, the FNV-64a hash of
 // one sleepLoad run with Process.Sleep: its per-step log, executed
 // events, sequence numbers, final time and resumes. They were recorded
-// while every park still took two coroutine switches, before a parked
-// process ran the engine's events itself.
+// while every Spawn still built a fresh coroutine, before Spawn reused
+// the coroutines of finished processes. (The loads then spawned no
+// children, and earlier pins, taken while every park still took two
+// coroutine switches, held the park loop to the same schedules.)
 var pinnedParkSchedules = [...]uint64{
-	0xd77e7cfa7f6a7517, 0xb76d649c92e5d202, 0x0f50630c49639f10, 0x25d26a40b9cddacc,
-	0x8c57c34fe425cf80, 0x934deb4bd631da61, 0x1dbba1d7ac52e6cb, 0x5a22861c6f2b4f91,
-	0x9e928c48ff8aa8ca, 0xaee6f19cb8a7f43e, 0xb529193132f2aa73, 0x5f0263753728c953,
-	0xab54a8ae63b0f17f, 0xf1c02cf2f6efec14, 0xbd749490036f4427, 0xc0da7b7918ff17a4,
-	0xd3bf87e108190547, 0xbad0c2cf3737e9d7, 0x0dccaecc82fd00c0, 0xa6b2fef647b1ebaa,
-	0x9a476fe3da48989d, 0x6e82f08372a594f2, 0xd284442dff67b6a0, 0xf70bfb24d8cad4d2,
-	0x9e2ccc649561942a, 0x5f99450744ba924e, 0x5a34ea09b2363a20, 0x11504ae8fb682aa7,
-	0xe3c3b8fa6c5f37d9, 0x221a850f0a5a9e8d, 0x23a149585672ce57, 0x963f73ba008ee788,
-	0x55c4f4988b58b3de, 0x5881ea3e56181140, 0x784d995418aa68cb, 0xa199b379e004bfb9,
-	0xe15ecdb851847367, 0xc10616a921a706bf, 0xd456fb8ffb136fef, 0x7bc73b65fa0941cf,
-	0x98b1a24f011cf242, 0xc3e1904fcecbc154, 0x4f75ccd10c787b13, 0x6c997a2953236e49,
-	0x23786b71aed4b7e5, 0xc8e9b64bfd302245, 0xab25b008dcb0ad2f, 0x6278138992111c15,
-	0x5d65f1cfa5b1e9f4, 0xeae77d4542b78e23, 0xe6c20b2dbd9c1808, 0x3df81ff192e21071,
-	0xfcb4c9972386e004, 0x4b5fd9b8295007b2, 0x26a69704c2272ed1, 0xfb2544dcb96d8888,
-	0x7767675a2a896530, 0x39706b2c7966f0f5, 0x90107b40262cfa08, 0xb9e94e918ab5598c,
-	0x49fc1f81042bc3d8, 0x94629dc47425a254, 0xb77631a06aaa5129, 0x16ec87179384a479,
-	0xe4fc5ab8e5e99352, 0x8d39c00efbd40835, 0x42a54e585673d803, 0xbffb646c11773b37,
-	0x4f0d269ab335e680, 0xb2dff8c8393d36ca, 0xb5860afdcc2e6582, 0x3f9e16d785ef3cde,
-	0x2c8bd57a17e95702, 0x04d89ba75ed9b61e, 0x9f6294e4aa038da6, 0xa07e70cb10c432d8,
-	0x4dd1fc59058e5fcb, 0xad09a63203689c93, 0x430061b732f26d9e, 0x5b1cc6bb7c5a20a9,
-	0xa21821be005be93a, 0xd739d0894ec4c8cf, 0x3a6bc90796bc6d58, 0x348b342554516a8e,
-	0xdbd0f695be3d9515, 0xe8d8fae4c94fd3a9, 0x657d402b2cbc77d9, 0xb84417ba68deacf9,
-	0x2b0f17593905e680, 0xccb6627c12fe9c86, 0x44949f3d0123cc84, 0x2af530aadea501f9,
-	0x2ce2043a6fb223b9, 0x4557329a25734e80, 0x82aa0790a7d95e6a, 0x5235dcebbf0752eb,
-	0xb24560fc1379d7c1, 0xeee8129d65b466fb, 0x034648e116ef92f6, 0x0c3f742d4659e1ca,
-	0x295495893ea70d4d, 0x8f6bab1b48a528c3, 0xdf6a7a4d785f2c71, 0xe19cb4310e1a5831,
-	0x07a9c5b8527a9de7, 0x44df511e19daf493, 0x238830bb7e6e5f55, 0x46f2d50121b55082,
-	0x258c6b0d08c450ca, 0x1280da5fba580d35, 0x12da3628d71f447c, 0x3b90684dc759387a,
-	0x08edbb24ba96e5ca, 0xca70396ddf089b60, 0xe2f1ba18eb9de751, 0x6dbbb5324b682449,
-	0xf26cf43915b941d8, 0xe6ca0ffb9d2f9ab5, 0x478d62f4ac064778, 0x5ded343b49c8e21e,
-	0xfedee91a2ab2ca93, 0x5a58e39948445fb2, 0xbcee693bfbabde95, 0x3636c76f035863f8,
-	0x976589e3e37adc6a, 0x94e40920a4bd3df2, 0xabfc31f9b7ff4498, 0x3dc0ff2d9abceb8f,
-	0x1bb37edb77ab4800, 0x446a9cf391f419d9, 0x8e35b0c1b181505e, 0xa2f980386ebfb21a,
-	0x74b0ae99f067bb76, 0x0517290c5061c75f, 0xec56371308232e6d, 0x2bf189474d459f71,
-	0xee2157a2c6c624e9, 0x02f60bf6ddb3e0ee, 0x905b28fa6e12cd44, 0xbef9373aafc3a53b,
-	0x350271a8ec78521c, 0xb83769cad2f96c32, 0x9b9742a3d49cb579, 0x6e834da0e618e6be,
-	0xc0d178e4adadca4c, 0x44e53e519eac9f1b, 0x8e0dc64c2af97497, 0x05a342543c2742e2,
-	0x7cf826fc962cd05d, 0x766808cb2ac22d75, 0x9d30d0165b510323, 0xb18b0f9713d23eef,
-	0x1218b5479ba09b2b, 0x837b591f675984f8, 0xa2ea0970f88cd120, 0xd4dfdf977961b571,
-	0xfed859104fb51498, 0xd6eb7619b1457927, 0x7d37592db11b779b, 0xce6f292d8c681edd,
-	0x5ac7bd458133f24d, 0x817ed3192ffaf1f6, 0xe85dd07b6723a2dc, 0xd7c5c2ae877c374d,
-	0xa9edb404809df46d, 0xe07a8996a3a344b6, 0x9104c927bd6e5d98, 0xc26ab1b460e84601,
-	0x7efa53ce17610be9, 0xc43b697e1b2cfaa9, 0x2198587133007a3c, 0x4675d0ec2dc0c52d,
-	0xb5db5c67ae8b68c7, 0xdce749910e9233bf, 0xc215cb449fca9157, 0xe2989ff3fcfc4f8c,
-	0xd72a82a69c764e60, 0xfa8413a040495e11, 0xe210636fa8d94e86, 0xa1c8329f9b248921,
-	0x825ade117ac8050e, 0x6f1be5000ff0bb80, 0x7c2d743f9c273fe8, 0x3b351b2e876a5f44,
-	0xd882d9f151303d38, 0x20f8fc9ef574f2bb, 0xd427898c339d12f4, 0xa5e37fad7153b06f,
-	0xd489e500ae06c874, 0xdb21cd07720b2a15, 0x7ce5b1b21662a89a, 0xa4237f53c29faf2f,
-	0x0d4e4becc1968fa9, 0xfd7b737203bbca00, 0x7bf52f3e881ea21d, 0x41816363856e800d,
-	0xbaaafb1c43a0bea6, 0xed3c64dfeaa59a2b, 0x54b00a770a4070b0, 0x9004e341da2022b8,
-	0x4e109f25f92bbba5, 0x3084b9cff674cc59, 0xa39fda4a124090a8, 0x66b77eef0638801f,
-	0x622e1ad6e3aa32ed, 0xd1b00b8b3c45c494, 0xcdba7667abbafbde, 0x75dcd552989dce28,
-	0x71a27653259fdfaa, 0x224c33e4a7cd2871, 0x8a1d1e2d5042a8fd, 0x5b0fe340f4a8c626,
-	0x0fe6e038724428be, 0x24060f388004f7ec, 0x84b30fcff30e8720, 0x1757252912a5b54d,
-	0x3f77808ba3f0b796, 0x3e10f42285652d28, 0x55793701e1efe3ef, 0xbf903392b0405b06,
-	0x9c069eefc7c618bb, 0xc72dddcc64e4ffdb, 0xa777211dd6b3de3d, 0x5f8834fb04fc45c2,
-	0x86902c9ae16dd86e, 0x1aa2e5118e3a8408, 0xc28330dea2d41d0f, 0xc41ce3604ed9509a,
-	0x116c1c57ff4760d7, 0xa0e2407a4fb00d5e, 0xc69d0c88705dcfc0, 0x6d63b3697f695e59,
-	0xcb9b270ba40680ab, 0x8d0ee06c0e7b3d8a, 0xf43ff4c41d81f51d, 0xd6cb2fc5f7a99f5a,
-	0x9ac38f9f9e6db072, 0xecaf8b62ed2ce1cc, 0xd70cff5afa0a7b5f, 0x296ee6267caf0460,
-	0xbaf0366af2ee735d, 0xa5ec619cef98d53a, 0x3f193a689164192b, 0x0e811defd9897355,
-	0xff69534db5a07a3d, 0xf656697f66eeb6e0, 0x2577483377de6c79, 0x68f6ef8d709fa4ff,
-	0x628b767b9695941a, 0xdaa10851f8e81b1d, 0x945e223b8258f2c6, 0x21d571cf54f1371f,
-	0x30be479e1d50f474, 0xd96470181a763d9f, 0x5e0c6eea67667c1c, 0xdddaf0d069a4eaec,
+	0xfe6f167a1e2a159b, 0x717c10bdae6c3e03, 0x4c0da04b4709ec99, 0x25ccd95f1134cb15,
+	0x42e6786dfd36803e, 0x57eac5199ef94e73, 0x53dbc5c9576bc6d2, 0x2049becf5afc2ab5,
+	0x7e1a200cc21b8153, 0x52ff2f4401a90d35, 0x93c52e3cbfa8ee5b, 0xd7097fbe84893795,
+	0xe795436929c12c99, 0x4094484906c5b707, 0xcf5e859fbaa8b1dc, 0xc2c757e9e9a23cc8,
+	0xf71f5c4a74b73882, 0x6184b87ce43a8574, 0x455e2fddb1abeda1, 0xd863653ffc372dce,
+	0x46d7b67d568926fd, 0x70049353f4198028, 0x41a96372633b9666, 0x61ee49b018466a83,
+	0x8d0d34578b9c602e, 0xa8b5a2c5ce225d88, 0x80e01c98d3fbb3e2, 0xf892bf6c08356973,
+	0x4e1c0c99211b0e10, 0xb431e6683bfd5e7f, 0x35160b2a76e17741, 0xf6a08c4f81513717,
+	0x2b95e1e3e3258d70, 0x1dbed332ddb62b8c, 0xabb3a55c18155611, 0x204c0de76ba56faa,
+	0x20dd3abc79f2b079, 0x415980d6073e25cd, 0xbab443a89df67623, 0x9eff29c3d46a0418,
+	0xe0011ed08e826af7, 0xda2c944b7a8504f6, 0x78f8805853a6d67a, 0xb6fc03ac008b63c1,
+	0x9cca8ccb2610d58d, 0x9bd87c0f72a872be, 0xb1370b19ebd24598, 0x246970ec7ba2c4f3,
+	0xe3796c3022dfe11e, 0xa0cc3c6ba4c2d400, 0xcd88ae23fc30e021, 0x7075330bf83373c2,
+	0xc22aacaaed358cbd, 0xd2ea96d3b1a5639b, 0x77d8bae90188f44d, 0x9aaaad355673e7ce,
+	0x582f900008c3b6e7, 0xa1fcf2d35144c147, 0xc28587d2451f7fa2, 0xf65c46b9446aa78f,
+	0xbca229d6f942ccff, 0xef30ab6ad8371e14, 0xfd082f522192aad4, 0x8c3f8d33c5244f21,
+	0xd0f297a9128d62d9, 0x006a4026a7c08da5, 0xa1b1cf5885bb57aa, 0x08aaa6923255fbbf,
+	0x682eb423aac73638, 0xa47e314f8af4d9ac, 0xddf3076259a4b741, 0x3104f3af303a1cae,
+	0x47beb514b8db03e6, 0xc74246827e88a5b2, 0x35b9eac2929f562a, 0x96438eae57b8aa91,
+	0x4dd1fc59058e5fcb, 0x06f94c3519c247cb, 0x957da723e016fef1, 0x4546ded428d0de45,
+	0xb764b541a4a5abd1, 0xb3190d1322b5ce57, 0x5fee5f6b04a21cf4, 0x57b537a18bace9ca,
+	0xd86b2af5204c3e8c, 0x0c080c57391bfa41, 0x678f62eee71d6d89, 0x75d67faa11eb1e87,
+	0x65053176a6211c1e, 0xc21d5902f0c62bcb, 0xb40a620d7dc125f7, 0x6b2669e71138b369,
+	0x606b653f2c76a2c8, 0xb3e330d3b357d02c, 0xbbc77fff71a42f0c, 0xbdca274d8b4ecd67,
+	0xde37c514697cdb93, 0x8c2af2b133237aa3, 0x3a8f51e881fecbfa, 0x5706f4791569ea6b,
+	0xd91784224315d0b1, 0x85224326f43fba56, 0xa0dd6bfdb7404a77, 0x9c0298077f74b762,
+	0x4bc37d10dd7b620d, 0x9e94c5015c495db6, 0x90c5e2f03b36f689, 0x152f41218f2f789f,
+	0x0a146358b611a0ec, 0xd9948872c826201d, 0x720c7593bb0aed57, 0x8bbade0b7958c35b,
+	0x2c4f1714a0cf475d, 0x3b3337bf31c14a04, 0x8a8891f7c02c11e1, 0xd759d9a9abc15bec,
+	0x967f7c9c03da7634, 0xe80c9c8423b495b0, 0xbba7871b6d6011b0, 0x20220ed042e6a8a9,
+	0xa8357ff013ca2bb3, 0x516bdcaea5dcac53, 0x5bc6632debba6ae7, 0x70f1604f2e718c16,
+	0x3b75e4162a49e972, 0x23915b1ca8e0577c, 0x70104971ce68a795, 0xeaf254b1b2dd14d2,
+	0x68288aca319f2dc8, 0xd854afa3236d4639, 0xe57df68722ff582d, 0x6064a655b6253e9c,
+	0x828bf6bf5f423ae3, 0xa5a56ba8de17c234, 0x923204e72d13a8d3, 0x338f0212f7dcd83a,
+	0xc20ce36d7bc97ec0, 0xbe19ac2066897ac3, 0x94d5feb7e79133a2, 0x57e9ecd586015407,
+	0x747373d754be2741, 0xd4c76e31ca0904ff, 0x710901f501de00ce, 0x9698f86b40530db2,
+	0xea90486e18d94c31, 0x56c745ee36e938a3, 0x6f00e2de925c2cb9, 0x38ad5c47765f1cd6,
+	0xf41ab61aaa48cfd6, 0xaed4600a66d4a636, 0x7f5cddb5dd5216b9, 0x7d6b8b6bdc4d9e0b,
+	0x36c359693a026149, 0x2b4e06d9cc6eb400, 0x800633998438fe12, 0x1453a7c47f8c3386,
+	0x49965c4fba674572, 0x14101717c0ff82ee, 0xda58fc531415b4cf, 0x6c66ad95d8c03c07,
+	0x091dfc9f4986d3fc, 0x8518f9d4ec6e404c, 0x36dc3d390ce37d72, 0x38ea34aa4169ba70,
+	0x5979bc3ba43ffe5d, 0x18e99bd13f337285, 0xe69cbde826045b25, 0xfe6f3c3b0f43d61d,
+	0x8c90f326458d57dd, 0x8f978dbdb6bcfd21, 0x6b9f4078e337ce5a, 0x499b09e794e7627a,
+	0x0b5f458f8538cacf, 0xbc99a7820c285d4d, 0xd388ac56dc845cd2, 0x9e4d58bf65db13f7,
+	0xd99cfa79beb1c2ef, 0xca0c0297244a0062, 0x68b1a5729f573ae3, 0xd64bebea27b0623b,
+	0x1c18e83509702e68, 0x6e66cd41a23ee318, 0xec1b05a018ba14d0, 0x2d340957bcab0e36,
+	0x49b0674b40a75c86, 0xa7608ed0329976f8, 0xedd6329ffc4d9765, 0x497686aab9e6e055,
+	0x301a57c0b644309a, 0x6cdae22a0ae370df, 0x1667aeec50b19dc4, 0xab5fa40a17e951f0,
+	0x7f74623b88fbd131, 0x285d0a1b699eea28, 0xea863626ad872875, 0xf52505a3804bdc3a,
+	0x4db45624bf078907, 0x00c0142c550b86a7, 0x02682901cb8bb92f, 0x34c0b6cbf1eda2e0,
+	0x499cd4a744508f09, 0xbc1e664467e39e95, 0x53480658542fcf17, 0x5ba902df97eadd44,
+	0x017d3cffd270532a, 0xbde91eddc378fd2d, 0x6b4ce7e913997bd4, 0xc2fc032a9eabba55,
+	0x71d9ab1a53feae1d, 0x00139665b70eca79, 0xb52605102a19cdea, 0x29e3f345cdaebec0,
+	0x077d308b78e323e2, 0xe70e1a13799625c6, 0x2de4f8e348b29c07, 0xd432fb5c8c57908a,
+	0xabc441ca5e640f47, 0x64cbb2a59cfae421, 0x10c580bf56ee9495, 0xd2c13163262cff58,
+	0x491813503abd6d79, 0x9b63a1bb0710a059, 0x420c0cab2297103d, 0x4b777c153eab3062,
+	0x13632d181ffa793f, 0x3468ead0fe06bf8c, 0xdf7945ba878e8886, 0xef2568dced7bcce2,
+	0xeafdc5dfe2203443, 0x952fcd3a52faac14, 0xf380db0db52732ec, 0x25349d67765fde22,
+	0xfa37829f84a66828, 0x854dcc419310bd43, 0x2ac553054ff86355, 0x9f79495fd33ee36a,
+	0x6ecfdebb8697ca2b, 0x1f44adffc0effd6b, 0x265628c8e9015a10, 0x47fc0d525a42692f,
+	0x0fa47f31c2226883, 0x907a7a8323966a53, 0xcd5ac98cf64a7c76, 0x65f10db47e951a4a,
+	0xb662512803a63ea0, 0x03402d1e6bdc2e8b, 0xd63e8982d6d19cc7, 0xe66dc50c06f2991e,
+	0x552b4d79d8bcae2a, 0x4ad08525e7bd16e3, 0x1f212d798b1bf0cb, 0x2e0995e7165e3088,
+	0xba80ef9d8ab075c6, 0xd5d0001dbdb12f39, 0x17201c5c4e408ab7, 0xbf16405ae4086b99,
 }
 
 // hash condenses everything the pins cover.
@@ -91,10 +93,11 @@ func (r sleepRun) hash() uint64 {
 
 // TestParkInPlaceSchedule runs the seeded mixes of sleeps, yields,
 // callbacks, signals, contended resources with process and hardware
-// holders, callback chains that end in a wake-up, kills and RunUntil
-// windows, and requires each to match its pinned hash: parks that run
-// the engine's events in place change nothing but the stack they run
-// on.
+// holders, callback chains that end in a wake-up, child processes
+// (joined, killed before their start or killed later), kills and
+// RunUntil windows, and requires each to match its pinned hash: parks
+// that run the engine's events in place, and children that run on
+// reused coroutines, change nothing but the stack they run on.
 func TestParkInPlaceSchedule(t *testing.T) {
 	onStack := 0
 	for i, want := range pinnedParkSchedules {

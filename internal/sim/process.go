@@ -13,24 +13,25 @@ import (
 	"iter"
 )
 
-// Process is a simulated thread of execution: a coroutine (iter.Pull)
-// that runs in strict hand-off with the engine. Process methods that
-// block (Sleep, Park, Signal.Wait, Resource.Acquire) park it until a
-// later event wakes it. While parked, the process runs the engine's
-// events on its own stack until one of them wakes it (see park), and
-// switches back to the engine only when an event wakes another process
-// or the loop must stop. A switch is a direct goroutine switch in the
-// runtime, with no scheduler wake-up.
+// Process is a simulated thread of execution: a function that runs on
+// a coroutine (iter.Pull) in strict hand-off with the engine. Process
+// methods that block (Sleep, Park, Signal.Wait, Resource.Acquire) park
+// it until a later event wakes it. While parked, the process runs the
+// engine's events on its own stack until one of them wakes it (see
+// park), and switches back to the engine only when an event wakes
+// another process or the loop must stop. A switch is a direct
+// goroutine switch in the runtime, with no scheduler wake-up. The
+// coroutine is the engine's: it may have run other processes before
+// (see Spawn).
 //
 // A Process must only be used from its own coroutine (the function
 // passed to Spawn).
 type Process struct {
 	eng  *Engine
 	name string
-	// next resumes the coroutine until it parks or returns.
-	next func() (struct{}, bool)
-	// yield parks the coroutine, handing control back to next's caller.
-	yield func(struct{}) bool
+	// co is the coroutine that runs the process; nil once a Kill
+	// before the start gave it back.
+	co *coroutine
 	// wake is the event callback that resumes the process, built once
 	// so that parking allocates no closure.
 	wake   func()
@@ -39,38 +40,102 @@ type Process struct {
 	daemon bool
 
 	// done is signalled when the process function returns.
-	done *Signal
+	done Signal
+}
+
+// coroutine runs process functions one after another. Between two it
+// is idle: it sits on the engine's freelist, parked in yield with no
+// frame of simulation code on its stack.
+type coroutine struct {
+	// next resumes the coroutine until it parks or its function
+	// returns; stop ends an idle coroutine's goroutine.
+	next func() (struct{}, bool)
+	stop func()
+	// yield parks the coroutine, handing control back to next's caller.
+	yield func(struct{}) bool
+	// p and fn are the process it runs and the function it has yet to
+	// start; fn is cleared at the start.
+	p  *Process
+	fn func(*Process)
+	// link chains the engine's freelist of idle coroutines.
+	link *coroutine
 }
 
 // Spawn creates a process named name and schedules it to start at the
 // current simulated time. The function fn runs as a coroutine in
 // hand-off with the engine; when fn returns the process terminates and
 // its Done signal fires. A panic in fn propagates out of Engine.Run.
+//
+// The coroutine is an idle one from the engine's freelist, or a new
+// one when the list is empty. Reuse changes no event: the start is the
+// same event, at the same cycle with the same sequence number, and
+// counts as a resume either way.
 func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 	p := &Process{eng: e, name: name}
-	p.done = NewSignal(e)
+	p.done.eng = e
 	p.wake = func() { e.resume(p) }
-	// stop is dropped: a process ends by returning or by Kill, and a
-	// killed coroutine must stay parked rather than unwind.
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		e.resumes++
-		fn(p)
-		// A killed process never gets here (its coroutine is never
-		// resumed); the guard protects the bookkeeping against any
-		// future path that could.
-		if !p.killed {
-			p.dead = true
-			e.liveProcs--
-			if p.daemon {
-				e.daemonProcs--
-			}
-			p.done.Broadcast()
-		}
-	})
+	co := e.idle
+	if co == nil {
+		co = e.newCoroutine()
+	} else {
+		e.idle, co.link = co.link, nil
+	}
+	co.p, co.fn, p.co = p, fn, co
 	e.liveProcs++
 	e.Schedule(0, p.wake)
 	return p
+}
+
+// newCoroutine builds a coroutine that runs one process function after
+// another. When a function returns, the coroutine does the process's
+// end-of-life bookkeeping, puts itself on the engine's freelist and
+// yields; the next Spawn that takes it resumes it with a new function.
+// Three ends keep it off the list for good. A killed process's
+// coroutine is never resumed again: it stays parked, as a crashed
+// PE's program counter never advances. A function that panics ends
+// its coroutine, and iter.Pull carries the panic to next's caller.
+// And stopIdle stops an idle coroutine, whose yield then returns
+// false.
+func (e *Engine) newCoroutine() *coroutine {
+	co := &coroutine{}
+	co.next, co.stop = iter.Pull(func(yield func(struct{}) bool) {
+		co.yield = yield
+		defer func() {
+			// Only a panic leaves a process on the coroutine: the
+			// process is dead, and the engine is out of its code and
+			// its loop.
+			if p := co.p; p != nil {
+				e.current, e.looping, e.handoff, e.woken = nil, nil, nil, false
+				if !p.dead {
+					p.retire()
+				}
+			}
+		}()
+		for {
+			p, fn := co.p, co.fn
+			co.fn = nil
+			e.resumes++
+			fn(p)
+			p.retire()
+			p.done.Broadcast()
+			co.p, p.co = nil, nil
+			co.link, e.idle = e.idle, co
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return co
+}
+
+// stopIdle ends the goroutines of the idle coroutines. A run call does
+// it when it leaves the queue empty: an idle coroutine has no frame of
+// simulation code on its stack, so stopping it unwinds nothing.
+func (e *Engine) stopIdle() {
+	for co := e.idle; co != nil; co = co.link {
+		co.stop()
+	}
+	e.idle = nil
 }
 
 // Name returns the name given at Spawn time.
@@ -84,7 +149,7 @@ func (p *Process) Now() Time { return p.eng.now }
 
 // Done returns a signal that fires when the process function returns.
 // Another process can Join by waiting on it.
-func (p *Process) Done() *Signal { return p.done }
+func (p *Process) Done() *Signal { return &p.done }
 
 // Dead reports whether the process function has returned or the
 // process was killed.
@@ -93,10 +158,12 @@ func (p *Process) Dead() bool { return p.dead }
 // Kill terminates a parked process without running the rest of its
 // function: the simulated core stopped mid-instruction. The process
 // counts as dead immediately — its Done signal fires and later resume
-// attempts (a Signal broadcast, a Resource grant) are ignored. Its
-// coroutine is never resumed again; it stays parked and is leaked
-// deliberately: a crashed PE's program counter never advances again,
-// and the leak is bounded by the number of injected crashes.
+// attempts (a Signal broadcast, a Resource grant) are ignored. Once the
+// process has started, its coroutine is never resumed again; it stays
+// parked and is leaked deliberately: a crashed PE's program counter
+// never advances again, and the leak is bounded by the number of
+// injected crashes. A process killed before its start never ran, and
+// its coroutine goes back to the engine's freelist.
 //
 // Kill must not target the currently running process — a program
 // cannot crash itself between two of its own instructions here;
@@ -123,12 +190,22 @@ func (p *Process) Kill() {
 		panic("sim: Kill after a wake-up in the same event; a wake-up ends its event")
 	}
 	p.killed = true
+	p.retire()
+	if co := p.co; co.fn != nil {
+		// Not started: the coroutine holds no frame of p's.
+		co.p, co.fn, p.co = nil, nil, nil
+		co.link, p.eng.idle = p.eng.idle, co
+	}
+	p.done.Broadcast()
+}
+
+// retire counts p dead.
+func (p *Process) retire() {
 	p.dead = true
 	p.eng.liveProcs--
 	if p.daemon {
 		p.eng.daemonProcs--
 	}
-	p.done.Broadcast()
 }
 
 // Killed reports whether the process was terminated by Kill rather
@@ -168,7 +245,7 @@ func (p *Process) park() {
 	if e.handoff == p {
 		e.current, e.handoff = p, nil
 	} else {
-		p.yield(struct{}{})
+		p.co.yield(struct{}{})
 	}
 	e.resumes++
 }

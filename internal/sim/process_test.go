@@ -1,22 +1,43 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"strings"
+	"testing"
+)
 
+// TestProcessPanicReachesRunCaller: a panic in a process function
+// reaches the caller of Run. Its coroutine is done and never reused: a
+// later Spawn on the same engine runs normally.
 func TestProcessPanicReachesRunCaller(t *testing.T) {
 	type boom struct{ at Time }
 	e := NewEngine()
-	e.Spawn("crasher", func(p *Process) {
+	crasher := e.Spawn("crasher", func(p *Process) {
 		p.Sleep(7)
 		panic(boom{at: p.Now()})
 	})
-	defer func() {
-		got, ok := recover().(boom)
-		if !ok || got.at != 7 {
-			t.Fatalf("recovered %#v, want boom{at: 7}", got)
-		}
-	}()
-	e.Run()
-	t.Fatal("Run returned normally after a process panicked")
+	run := func() (recovered any) {
+		defer func() { recovered = recover() }()
+		e.Run()
+		return nil
+	}
+	if got, ok := run().(boom); !ok || got.at != 7 {
+		t.Fatalf("recovered %#v, want boom{at: 7}", got)
+	}
+	if !crasher.Dead() || e.LiveProcesses() != 0 {
+		t.Fatalf("crasher dead %v, live %d; want true, 0", crasher.Dead(), e.LiveProcesses())
+	}
+	var ranAt Time
+	e.Spawn("after", func(p *Process) {
+		p.Sleep(3)
+		ranAt = p.Now()
+	})
+	if r := run(); r != nil {
+		t.Fatalf("the run after the panic panicked: %v", r)
+	}
+	if ranAt != 10 || e.Deadlocked() {
+		t.Fatalf("later process ran at %d, deadlocked %v; want 10, false", ranAt, e.Deadlocked())
+	}
 }
 
 func TestKillParkedProcess(t *testing.T) {
@@ -140,5 +161,144 @@ func TestSleepRoundTripAllocatesNothing(t *testing.T) {
 	p.Kill()
 	if allocs != 0 {
 		t.Fatalf("Sleep round trip allocates %v times, want 0", allocs)
+	}
+}
+
+// TestSpawnAllocs: once the engine holds an idle coroutine, a
+// spawn-and-join round allocates the Process, its wake closure and the
+// caller's closure, and no coroutine. The child runs and returns
+// before the parent's Join, which then returns at once.
+func TestSpawnAllocs(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	e.Spawn("parent", func(p *Process) {
+		for {
+			child := e.Spawn("child", func(c *Process) { n++ })
+			p.Sleep(1)
+			p.Join(child)
+		}
+	})
+	// Each RunUntil reaches the parent's next wake-up: one round.
+	round := func() { e.RunUntil(e.Now() + 1) }
+	for i := 0; i < wheelSize+1; i++ {
+		round()
+	}
+	n0 := n
+	allocs := testing.AllocsPerRun(1000, round)
+	if n-n0 != 1001 {
+		t.Fatalf("%d children ran in 1001 rounds, want one a round", n-n0)
+	}
+	if allocs > 3 {
+		t.Fatalf("a spawn-and-join round allocates %v times, want <= 3", allocs)
+	}
+}
+
+// TestSpawnReusesFinishedCoroutine: a process spawned after another
+// returned runs its own function on the finished one's coroutine.
+func TestSpawnReusesFinishedCoroutine(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	e.Spawn("parent", func(p *Process) {
+		first := e.Spawn("first", func(c *Process) {
+			c.Sleep(5)
+			log = append(log, "first")
+		})
+		co := first.co
+		p.Join(first)
+		second := e.Spawn("second", func(c *Process) { log = append(log, "second") })
+		if second.co != co {
+			t.Error("the second child got a new coroutine, want the first one's")
+		}
+		p.Join(second)
+	})
+	e.Run()
+	if strings.Join(log, ",") != "first,second" {
+		t.Fatalf("log %v, want [first second]", log)
+	}
+}
+
+// TestKilledParkedCoroutineNotReused: a process killed while parked
+// never runs again, and its coroutine serves no later Spawn.
+func TestKilledParkedCoroutineNotReused(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	victim := e.Spawn("victim", func(p *Process) {
+		p.Sleep(10)
+		log = append(log, "victim woke")
+	})
+	co := victim.co
+	e.Schedule(5, func() {
+		victim.Kill()
+		e.Schedule(0, func() {
+			next := e.Spawn("next", func(p *Process) {
+				p.Sleep(20)
+				log = append(log, "next")
+			})
+			if next.co == co {
+				t.Error("the next Spawn got the killed process's coroutine")
+			}
+		})
+	})
+	e.Run()
+	if strings.Join(log, ",") != "next" {
+		t.Fatalf("log %v, want [next]", log)
+	}
+	if e.LiveProcesses() != 0 || e.Deadlocked() {
+		t.Fatalf("live %d, deadlocked %v; want 0, false", e.LiveProcesses(), e.Deadlocked())
+	}
+}
+
+// TestKillBeforeStartReturnsCoroutine: a process killed before its
+// start never runs its function, and its coroutine serves the next
+// Spawn.
+func TestKillBeforeStartReturnsCoroutine(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	victim := e.Spawn("victim", func(p *Process) { log = append(log, "victim") })
+	co := victim.co
+	victim.Kill()
+	next := e.Spawn("next", func(p *Process) { log = append(log, "next") })
+	if next.co != co {
+		t.Error("the next Spawn got a new coroutine, want the killed process's")
+	}
+	e.Run()
+	if strings.Join(log, ",") != "next" || !victim.Killed() {
+		t.Fatalf("log %v, victim killed %v; want [next], true", log, victim.Killed())
+	}
+}
+
+// TestRunStopsIdleCoroutines: once a run call has drained the queue,
+// no goroutine of a finished process is left; only a process parked
+// forever keeps its own.
+func TestRunStopsIdleCoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	sig := NewSignal(e)
+	e.Spawn("daemon", func(p *Process) {
+		p.SetDaemon()
+		sig.Wait(p)
+	})
+	for i := 0; i < 8; i++ {
+		e.Spawn("worker", func(p *Process) {
+			for j := 0; j < 4; j++ {
+				p.Join(e.Spawn("child", func(c *Process) { c.Sleep(Time(j)) }))
+			}
+		})
+	}
+	// An event past the workers' end keeps the queue non-empty, so the
+	// finished workers' and children's coroutines stay idle.
+	e.Schedule(100, func() {})
+	e.RunUntil(50)
+	if e.idle == nil || runtime.NumGoroutine()-before <= 1 {
+		t.Fatal("no coroutine idle mid-run; the test measures nothing")
+	}
+	e.Run()
+	if got := runtime.NumGoroutine() - before; got > 1 {
+		t.Fatalf("%d goroutines left after the run, want at most 1 (the daemon's)", got)
+	}
+	e.Spawn("late", func(p *Process) {})
+	e.RunUntil(e.Now() + 10)
+	if got := runtime.NumGoroutine() - before; got > 1 || e.idle != nil {
+		t.Fatalf("a RunUntil that left the queue empty kept %d goroutines, want at most 1", got)
 	}
 }

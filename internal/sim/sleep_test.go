@@ -29,6 +29,7 @@ const (
 	opHold     // acquire a resource unit, sleep d, release it
 	opChain    // park on a chain of 1-4 callbacks, the last of which wakes the process
 	opThen     // queue a hardware holder of a resource unit, d%64 cycles
+	opSpawn    // spawn a child that sleeps d%32 cycles; join it, kill it before its start or kill it d%16 cycles later
 	opKinds
 )
 
@@ -162,6 +163,20 @@ func (l sleepLoad) run(sleep func(p *Process, d Time)) sleepRun {
 						record(fmt.Sprintf("%s.%d-hw", name, j))
 						e.Schedule(op.d%64, func() { res.Release(1) })
 					})
+				case opSpawn:
+					child := e.Spawn(fmt.Sprintf("%s.%d-child", name, j), func(c *Process) {
+						record(c.Name() + " start")
+						sleep(c, op.d%32)
+						record(c.Name() + " end")
+					})
+					switch op.d % 4 {
+					case 0:
+						p.Join(child)
+					case 1:
+						child.Kill()
+					case 2:
+						e.Schedule(op.d%16, child.Kill)
+					}
 				}
 				record(fmt.Sprintf("%s.%d", name, j))
 			}
@@ -187,7 +202,8 @@ func (l sleepLoad) run(sleep func(p *Process, d Time)) sleepRun {
 // TestSleepInlineMatchesSwitch runs seeded mixes of sleeps (zero,
 // short, wheel-wide and past the horizon), yields, same-cycle
 // callbacks, signal waits and notifies, resource holds contended by
-// processes and hardware, callback chains that end in a wake-up, kills
+// processes and hardware, callback chains that end in a wake-up,
+// spawned children (joined or killed), kills
 // and RunUntil windows twice: with Process.Sleep and with the
 // reference that always parks. The per-step logs, executed events,
 // sequence numbers and final times must be equal.
