@@ -49,9 +49,12 @@ bench:
 # whose B/op is the summaries kept); one SLO observation
 # (BenchmarkSLOObserve); and one 4 KiB Peek or Poke of the DRAM's page
 # store, within a written page, of a never-written page and straddling
-# two pages (BenchmarkDRAMAccess4K, 0 allocs/op).
+# two pages (BenchmarkDRAMAccess4K, 0 allocs/op); and, on the namespace
+# perf's meta16 walks, one m3fs path resolution (BenchmarkLookup) and
+# one nine-entry directory listed in the service's two reply chunks
+# (BenchmarkReadDir), both 0 allocs/op.
 bench-sim:
-	go test -run '^$$' -bench . -benchmem ./internal/sim ./internal/noc ./internal/tile ./internal/obs ./internal/mem
+	go test -run '^$$' -bench . -benchmem ./internal/sim ./internal/noc ./internal/tile ./internal/obs ./internal/mem ./internal/m3fs
 
 # The bench regression gate: rerun the fast experiment subset with run
 # captures bundled, keep the JSON artifact for inspection, and fail if

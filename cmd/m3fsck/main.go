@@ -121,7 +121,6 @@ func printTree(fs *m3fs.FsCore, path, indent string) {
 	if err != nil {
 		return
 	}
-	sort.Strings(names)
 	for _, name := range names {
 		child := fs.Child(dir, name)
 		if child == nil {

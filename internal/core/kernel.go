@@ -258,10 +258,12 @@ func (k *Kernel) VPEs() []*VPE {
 	return vpes
 }
 
-// VPEOnPE returns the non-exited VPE bound to the given PE, or nil.
+// VPEOnPE returns the non-exited VPE bound to the given PE, or nil. It
+// walks the ids in order, without building VPEs' sorted list, since
+// every program start asks it (m3.NewEnv).
 func (k *Kernel) VPEOnPE(peID int) *VPE {
-	for _, vpe := range k.VPEs() {
-		if !vpe.exited && vpe.PE != nil && vpe.PE.ID == peID {
+	for id := uint64(1); id <= k.nextVPE; id++ {
+		if vpe := k.vpes[id]; vpe != nil && !vpe.exited && vpe.PE != nil && vpe.PE.ID == peID {
 			return vpe
 		}
 	}

@@ -3,6 +3,7 @@ package kif
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 )
 
 // OStream marshals values into a message payload. The zero value is
@@ -118,6 +119,26 @@ func (i *IStream) Str() string {
 		return ""
 	}
 	s := string(i.buf[i.pos : i.pos+n])
+	i.pos += n
+	return s
+}
+
+// StrView decodes a length-prefixed string like Str, with the same
+// bounds checks and sticky error, but without copying: the string
+// aliases the stream's buffer, so it is valid only as long as those
+// bytes are (for a message payload, until the message is acked or
+// replied to, when the DTU recycles the buffer). A caller that keeps
+// the string past that point must copy it (strings.Clone).
+func (i *IStream) StrView() string {
+	n := int(i.U64())
+	if i.err != nil || n < 0 || n > len(i.buf)-i.pos {
+		i.fail("string")
+		return ""
+	}
+	if n == 0 {
+		return ""
+	}
+	s := unsafe.String(&i.buf[i.pos], n)
 	i.pos += n
 	return s
 }

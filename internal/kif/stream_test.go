@@ -138,22 +138,48 @@ func TestOStreamReset(t *testing.T) {
 	}
 }
 
+// TestStrViewInPlace: StrView decodes what Str does without copying,
+// so the view changes with the buffer under it and costs nothing.
+func TestStrViewInPlace(t *testing.T) {
+	var o OStream
+	o.Str("/dir/file").Str("").U64(5)
+	buf := o.Bytes()
+	i := NewIStream(buf)
+	path, empty, tail := i.StrView(), i.StrView(), i.U64()
+	if path != "/dir/file" || empty != "" || tail != 5 || i.Err() != nil {
+		t.Fatalf("StrView decoded %q, %q, %d, err %v", path, empty, tail, i.Err())
+	}
+	buf[8] = 'X'
+	if path != "Xdir/file" {
+		t.Fatalf("view %q does not alias the buffer", path)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		i := NewIStream(buf)
+		_ = i.StrView()
+	}); allocs != 0 {
+		t.Fatalf("StrView allocates %.0f objects, want 0", allocs)
+	}
+}
+
 // FuzzIStream decodes arbitrary bytes with an arbitrary sequence of
 // decode operations. Any PE can put such bytes on the kernel's syscall
 // gate or a service's request gate, so decoding must never panic, must
-// never read past the buffer, and must keep its error sticky.
+// never read past the buffer, and must keep its error sticky. The
+// in-place StrView must agree with Str on every input.
 func FuzzIStream(f *testing.F) {
 	var o OStream
 	o.Op(SysOpenSess).Sel(1).Str("m3fs").Blob([]byte{1, 2})
 	f.Add(o.Bytes(), []byte{0, 1, 2, 3})
+	f.Add(o.Bytes(), []byte{0, 1, 4, 4, 2})
 	f.Add([]byte{0xfc, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 'x'}, []byte{2})
+	f.Add([]byte{0xfc, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 'x'}, []byte{4, 2})
 	f.Add([]byte{}, []byte{0, 2, 3})
 	f.Fuzz(func(t *testing.T, data, ops []byte) {
 		i := NewIStream(data)
 		failed := false
 		for _, op := range ops {
 			before := i.Remaining()
-			switch op % 4 {
+			switch op % 5 {
 			case 0:
 				i.U64()
 			case 1:
@@ -162,6 +188,16 @@ func FuzzIStream(f *testing.F) {
 				i.Str()
 			case 3:
 				i.Blob()
+			case 4:
+				// The in-place view must decode what Str decodes from
+				// the same position, byte for byte, and fail the same
+				// way.
+				ref := i
+				want, got := ref.Str(), i.StrView()
+				if got != want || i.Remaining() != ref.Remaining() || (i.Err() == nil) != (ref.Err() == nil) {
+					t.Fatalf("StrView = %q (remaining %d, err %v), Str = %q (remaining %d, err %v)",
+						got, i.Remaining(), i.Err(), want, ref.Remaining(), ref.Err())
+				}
 			}
 			if i.Remaining() < 0 || i.Remaining() > before {
 				t.Fatalf("remaining went from %d to %d", before, i.Remaining())

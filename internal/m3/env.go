@@ -23,10 +23,16 @@ type Env struct {
 	Ctx  *tile.Ctx
 	Args []string
 	// kern stands in for the boot environment block: the program
-	// registry a child VPE's program is loaded from (ChildVPE.start).
-	// It is unexported so that a program reaches the kernel only
-	// through syscalls.
+	// registry a child VPE's program is loaded from (ChildVPE.start)
+	// and the id of the VPE the program runs as (NewEnv). It is
+	// unexported so that a program reaches the kernel only through
+	// syscalls.
 	kern *core.Kernel
+	// vpeID is the kernel's id of the VPE the program runs as, read
+	// from the boot environment block at start; clientKeys counts the
+	// keys NewClientKey handed out.
+	vpeID      uint64
+	clientKeys uint64
 
 	nextSel   kif.CapSel
 	nextLabel uint64
@@ -68,9 +74,25 @@ func NewEnv(ctx *tile.Ctx, kern *core.Kernel, args ...string) *Env {
 		stash:     make(map[uint64]*dtu.Message),
 		abandoned: make(map[uint64]bool),
 	}
+	if vpe := kern.VPEOnPE(ctx.PE.ID); vpe != nil {
+		e.vpeID = vpe.ID
+	}
 	e.eps = newEPManager(e)
 	e.VFS = NewVFS(e)
 	return e
+}
+
+// NewClientKey returns an idempotency key no other service client on
+// the platform holds: the VPE's id in the high 32 bits and a per-Env
+// count of the keys handed out in the low 32. A VPE id is never given
+// out twice, so neither a second client in the same program nor a later
+// VPE on the same PE shares a key with an earlier client, and a service
+// that keeps one replay slot per key (m3fs) never takes a newcomer's
+// request for a retransmit. A client keeps its key for its lifetime,
+// across session recovery.
+func (e *Env) NewClientKey() uint64 {
+	e.clientKeys++
+	return e.vpeID<<32 | e.clientKeys
 }
 
 // P returns the program's simulation process.

@@ -24,6 +24,9 @@ const (
 	// restart; with restarts disabled this degrades into a clean error
 	// after maxRecoverAttempts*costRecoverRetry cycles of back-off.
 	maxRecoverAttempts = 64
+	// maxDirPrealloc bounds the entries ReadDir reserves room for up
+	// front; a longer listing grows as it arrives.
+	maxDirPrealloc = 4096
 )
 
 // Client is the libm3-side m3fs driver: it implements m3.FileSystem on
@@ -46,8 +49,9 @@ type Client struct {
 	// marshalled into, reused across calls.
 	out kif.OStream
 
-	// key/seq form the idempotency tokens: key is the client's PE
-	// number, seq a monotonic counter for mutating operations.
+	// key/seq form the idempotency tokens: key tells the client apart
+	// from every other on the platform (m3.Env.NewClientKey), seq is a
+	// monotonic counter for mutating operations.
 	key uint64
 	seq uint64
 	// gen counts established sessions; files opened under an older gen
@@ -76,7 +80,7 @@ func Mount(env *m3.Env, service string) (*Client, error) {
 	if service == "" {
 		service = ServiceName
 	}
-	c := &Client{env: env, service: service, key: uint64(env.Ctx.PE.ID)}
+	c := &Client{env: env, service: service, key: env.NewClientKey()}
 	if tr := env.Ctx.PE.Obs(); tr.On() {
 		c.mSessionReopens = tr.Metrics().Counter(MSessionReopens, -1)
 	}
@@ -119,7 +123,7 @@ func ClientFromCaps(env *m3.Env, sess, sgate kif.CapSel) *Client {
 	return &Client{
 		env:     env,
 		service: ServiceName,
-		key:     uint64(env.Ctx.PE.ID),
+		key:     env.NewClientKey(),
 		sess:    sess,
 		sg:      env.SendGateAt(sgate),
 	}
@@ -385,6 +389,10 @@ func (c *Client) ReadDir(path string) ([]m3.DirEntry, error) {
 			return nil, fmt.Errorf("m3fs: readdir %s: %w", path, err)
 		}
 		total, n := int(is.U64()), int(is.U64())
+		if out == nil && total > 0 {
+			// The first chunk tells the size of the whole listing.
+			out = make([]m3.DirEntry, 0, min(total, maxDirPrealloc))
+		}
 		for i := 0; i < n; i++ {
 			name := is.Str()
 			isDir := is.U64() != 0

@@ -2,6 +2,7 @@ package m3fs
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -230,6 +231,127 @@ func TestPathWalkMatchesSplit(t *testing.T) {
 		}
 		if name != want[len(want)-1] || !slices.Equal(splitRef(p[:start]), want[:len(want)-1]) {
 			t.Errorf("lastComp(%q) = %q at %d, want %q after %q", p, name, start, want[len(want)-1], want[:len(want)-1])
+		}
+	}
+}
+
+// nsModel is a reference namespace: every path's inode number and
+// type, in a flat map, with the directory structure implied by the
+// paths.
+type nsModel struct {
+	ino map[string]uint64
+	dir map[string]bool
+}
+
+func (m *nsModel) parent(p string) string {
+	if i := strings.LastIndexByte(p, '/'); i > 0 {
+		return p[:i]
+	}
+	return "/"
+}
+
+// children returns the names directly below dir, sorted.
+func (m *nsModel) children(dir string) []string {
+	var names []string
+	for p := range m.ino {
+		if p != "/" && m.parent(p) == dir {
+			names = append(names, p[strings.LastIndexByte(p, '/')+1:])
+		}
+	}
+	slices.Sort(names)
+	return names
+}
+
+// canAdd reports whether a new entry may go at p.
+func (m *nsModel) canAdd(p string) bool {
+	_, exists := m.ino[p]
+	return !exists && m.dir[m.parent(p)]
+}
+
+// TestNamespaceMatchesMapModel drives random mkdir, create, unlink,
+// rename and link over a small name space and checks every directory
+// against a flat map of paths: the same operations succeed, every path
+// resolves to its inode, and each directory lists exactly its children
+// in name order.
+func TestNamespaceMatchesMapModel(t *testing.T) {
+	names := []string{"a", "b", "c", "d", "e"}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fs := newFS()
+		m := &nsModel{ino: map[string]uint64{"/": fs.Root().Ino}, dir: map[string]bool{"/": true}}
+		randPath := func() string {
+			p := ""
+			for d := rng.Intn(3); d >= 0; d-- {
+				p += "/" + names[rng.Intn(len(names))]
+			}
+			return p
+		}
+		for op := 0; op < 300; op++ {
+			p, q := randPath(), randPath()
+			ctx := fmt.Sprintf("seed %d op %d", seed, op)
+			var err error
+			var want bool
+			switch k := rng.Intn(5); k {
+			case 0, 1:
+				want = m.canAdd(p)
+				var ino *Inode
+				if k == 0 {
+					_, err = fs.Mkdir(p)
+					if err == nil {
+						ino, _, _ = fs.Lookup(p)
+					}
+				} else {
+					ino, _, err = fs.Create(p)
+				}
+				if err == nil {
+					m.ino[p], m.dir[p] = ino.Ino, k == 0
+				}
+			case 2:
+				_, exists := m.ino[p]
+				want = exists && (!m.dir[p] || len(m.children(p)) == 0)
+				if _, err = fs.Unlink(p); err == nil {
+					delete(m.ino, p)
+					delete(m.dir, p)
+				}
+			case 3:
+				_, exists := m.ino[p]
+				want = exists && m.canAdd(q) && q != p && !strings.HasPrefix(q, p+"/")
+				if _, err = fs.Rename(p, q); err == nil {
+					for old := range m.ino {
+						if old == p || strings.HasPrefix(old, p+"/") {
+							moved := q + old[len(p):]
+							m.ino[moved], m.dir[moved] = m.ino[old], m.dir[old]
+							delete(m.ino, old)
+							delete(m.dir, old)
+						}
+					}
+				}
+			case 4:
+				_, exists := m.ino[p]
+				want = exists && !m.dir[p] && m.canAdd(q)
+				if _, err = fs.Link(p, q); err == nil {
+					m.ino[q] = m.ino[p]
+				}
+			}
+			if (err == nil) != want {
+				t.Fatalf("%s: op on %s, %s: err %v, model says success %v", ctx, p, q, err, want)
+			}
+			for path, n := range m.ino {
+				ino, _, err := fs.Lookup(path)
+				if err != nil || ino.Ino != n {
+					t.Fatalf("%s: Lookup(%s) = %v, %v; want inode %d", ctx, path, ino, err, n)
+				}
+				if !m.dir[path] {
+					continue
+				}
+				got, _, err := fs.ReadDir(path)
+				if want := m.children(path); err != nil || !slices.Equal(got, want) {
+					t.Fatalf("%s: ReadDir(%s) = %v, %v; want %v", ctx, path, got, err, want)
+				}
+			}
+			if err := fs.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
 		}
 	}
 }

@@ -60,30 +60,17 @@ func (fs *FsCore) MarshalImage(blockData func(block int) []byte) []byte {
 		}
 	}
 
-	// Directory table.
-	type dent struct {
-		dir   uint64
-		name  string
-		child uint64
-	}
-	var dents []dent
+	// Directory table, by directory number, each directory's entries
+	// in the name order it keeps them in.
+	nDents := 0
 	for _, n := range inos {
-		ino := fs.inodes[n]
-		if !ino.Dir {
-			continue
-		}
-		names := make([]string, 0, len(ino.entries))
-		for name := range ino.entries {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			dents = append(dents, dent{dir: ino.Ino, name: name, child: ino.entries[name]})
-		}
+		nDents += len(fs.inodes[n].entries)
 	}
-	o.U64(uint64(len(dents)))
-	for _, d := range dents {
-		o.U64(d.dir).Str(d.name).U64(d.child)
+	o.U64(uint64(nDents))
+	for _, n := range inos {
+		for _, e := range fs.inodes[n].entries {
+			o.U64(n).Str(e.name).U64(e.ino.Ino)
+		}
 	}
 
 	// Data blocks.
@@ -153,9 +140,6 @@ func UnmarshalImage(data []byte, blockSink func(block int, content []byte) error
 		ino := &Inode{Ino: is.U64(), Dir: is.U64() != 0}
 		ino.Nlink = int(is.U64())
 		ino.Size = int64(is.U64())
-		if ino.Dir {
-			ino.entries = make(map[string]uint64)
-		}
 		nExt := int(is.U64())
 		if is.Err() != nil || nExt < 0 || nExt > totalBlocks {
 			return nil, fmt.Errorf("m3fs: corrupt extent count for inode %d", ino.Ino)
@@ -191,13 +175,17 @@ func UnmarshalImage(data []byte, blockSink func(block int, content []byte) error
 	}
 	for i := 0; i < nDents; i++ {
 		dirIno := is.U64()
-		name := is.Str()
-		child := is.U64()
+		name := is.StrView() // insert copies it
+		child := fs.inodes[is.U64()]
 		dir := fs.inodes[dirIno]
-		if is.Err() != nil || dir == nil || !dir.Dir || fs.inodes[child] == nil || name == "" {
+		if is.Err() != nil || dir == nil || !dir.Dir || child == nil || name == "" {
 			return nil, fmt.Errorf("m3fs: corrupt directory entry %d", i)
 		}
-		dir.entries[name] = child
+		idx, exists := dir.find(name)
+		if exists {
+			return nil, fmt.Errorf("m3fs: directory entry %d repeats a name", i)
+		}
+		dir.insert(idx, name, child)
 	}
 
 	nBlocks := int(is.U64())

@@ -95,22 +95,62 @@ func (r JRecord) KindName() string {
 	return fmt.Sprintf("kind%d", r.Kind)
 }
 
-// token is the dedup key of a client mutation.
+// token is the idempotency token of a client mutation: the client's
+// key and its seq.
 type token struct{ key, seq uint64 }
 
-// appliedEntry remembers the outcome of an applied mutation so a
-// retransmitted request (reply lost, or lost across a restart) can be
-// answered with the original result instead of being applied twice.
-type appliedEntry struct {
+// outcome is what a retransmitted mutation must be answered with: the
+// extent an append reserved (hasExt), or nothing beyond a bare OK.
+type outcome struct {
 	ext            Extent
 	extOff, extLen int64
 	hasExt         bool
 }
 
-// encodeRecord renders one record in its on-DRAM framing.
-func encodeRecord(r JRecord) []byte {
-	var p kif.OStream
-	p.U64(r.Kind).U64(r.Key).U64(r.Seq)
+// replaySlot is one client's entry in the dedup table: the seq of its
+// latest applied tokened mutation and that mutation's outcome. A client
+// waits for each mutation's reply before it sends the next, so only its
+// latest token can come back as a retransmit (reply lost, or lost with
+// the incarnation that sent it); a token at or below seq is never
+// applied again.
+type replaySlot struct {
+	seq uint64
+	out outcome
+}
+
+// replayTable maps a client key to its replay slot: one entry per
+// client that ever applied a tokened mutation, however many it applied.
+type replayTable map[uint64]replaySlot
+
+// record notes that tok's mutation was applied with out.
+func (t replayTable) record(tok token, out outcome) {
+	if tok.seq != 0 {
+		t[tok.key] = replaySlot{seq: tok.seq, out: out}
+	}
+}
+
+// lookup reports whether tok's mutation was applied and, if tok is its
+// client's latest, the outcome to answer it with (latest). An untokened
+// request (seq 0: stat, open, readdir, the idempotent ops) never was.
+func (t replayTable) lookup(tok token) (out outcome, latest, done bool) {
+	if tok.seq == 0 {
+		return outcome{}, false, false
+	}
+	slot, ok := t[tok.key]
+	if !ok || tok.seq > slot.seq {
+		return outcome{}, false, false
+	}
+	if tok.seq < slot.seq {
+		return outcome{}, false, true
+	}
+	return slot.out, true, true
+}
+
+// appendRecord renders r in its on-DRAM framing into o, reset first,
+// with p as scratch for the payload, and returns o's bytes: an owner
+// that encodes one record at a time reuses both streams.
+func appendRecord(o, p *kif.OStream, r JRecord) []byte {
+	p.Reset().U64(r.Kind).U64(r.Key).U64(r.Seq)
 	switch r.Kind {
 	case JMkdir, JCreate, JUnlink:
 		p.Str(r.Path)
@@ -126,16 +166,20 @@ func encodeRecord(r JRecord) []byte {
 			p.U64(0)
 		}
 	}
-	var o kif.OStream
-	o.Blob(p.Bytes())
-	return o.Bytes()
+	return o.Reset().Blob(p.Bytes()).Bytes()
 }
 
-// encodeJournalHeader renders the header for a committed length.
+// encodeJournalHeader renders the header for a committed length into a
+// fresh buffer.
 func encodeJournalHeader(committed int) []byte {
 	var o kif.OStream
-	o.U64(journalMagic).U64(journalVersion).U64(uint64(committed))
-	return o.Bytes()
+	return appendJournalHeader(&o, committed)
+}
+
+// appendJournalHeader renders the header for a committed length into
+// o, reset first, and returns o's bytes.
+func appendJournalHeader(o *kif.OStream, committed int) []byte {
+	return o.Reset().U64(journalMagic).U64(journalVersion).U64(uint64(committed)).Bytes()
 }
 
 // EncodeJournal renders records as a fully committed journal area —
@@ -144,9 +188,10 @@ func encodeJournalHeader(committed int) []byte {
 // live service never uses it (it appends and commits incrementally, see
 // service.go).
 func EncodeJournal(recs []JRecord) []byte {
+	var o, p kif.OStream
 	var body []byte
 	for _, r := range recs {
-		body = append(body, encodeRecord(r)...)
+		body = append(body, appendRecord(&o, &p, r)...)
 	}
 	return append(encodeJournalHeader(len(body)), body...)
 }
@@ -218,16 +263,17 @@ func DecodeJournal(area []byte) ([]JRecord, error) {
 }
 
 // ReplayJournal re-applies recs, in order, to a filesystem freshly
-// built from the boot base, and returns the rebuilt idempotency-token
-// map (the same entries the original incarnation held for these
-// mutations, append results included). Records were only ever written
-// for mutations that succeeded against the same base in the same
-// order, so any application failure means the journal does not belong
-// to this base — an error, not a tolerable skip.
-func ReplayJournal(fs *FsCore, recs []JRecord) (map[token]appliedEntry, error) {
-	applied := make(map[token]appliedEntry)
+// built from the boot base, and returns the rebuilt dedup table: per
+// client key, the latest tokened record's seq and outcome (append
+// results included), the slots the original incarnation held after
+// these mutations. Records were only ever written for mutations that
+// succeeded against the same base in the same order, so any
+// application failure means the journal does not belong to this base —
+// an error, not a tolerable skip.
+func ReplayJournal(fs *FsCore, recs []JRecord) (replayTable, error) {
+	applied := make(replayTable)
 	for i, r := range recs {
-		entry := appliedEntry{}
+		var entry outcome
 		var err error
 		switch r.Kind {
 		case JMkdir:
@@ -267,9 +313,7 @@ func ReplayJournal(fs *FsCore, recs []JRecord) (map[token]appliedEntry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("m3fs: journal replay of record %d (kind %d): %w", i, r.Kind, err)
 		}
-		if r.Seq != 0 {
-			applied[token{r.Key, r.Seq}] = entry
-		}
+		applied.record(token{r.Key, r.Seq}, entry)
 	}
 	return applied, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"repro/internal/kif"
 )
 
 // sampleRecs is a journal of every record kind, in an order that
@@ -97,11 +99,12 @@ func TestJournalCrashBetweenAppendAndCommit(t *testing.T) {
 
 // TestJournalDoubleReplayIdempotent replays the same journal twice —
 // a crash during recovery forces a second replay — and checks both
-// replays build bit-identical filesystems from the same base.
+// replays build bit-identical filesystems from the same base, and the
+// same dedup table: the one client's slot at its latest seq.
 func TestJournalDoubleReplayIdempotent(t *testing.T) {
 	recs := sampleRecs()
 	var images [][]byte
-	var tokens []int
+	var tables []replayTable
 	for i := 0; i < 2; i++ {
 		fs := NewFsCore(1<<20, 1024)
 		applied, err := ReplayJournal(fs, recs)
@@ -112,13 +115,54 @@ func TestJournalDoubleReplayIdempotent(t *testing.T) {
 			t.Fatalf("replay %d invariants: %v", i, err)
 		}
 		images = append(images, fs.MarshalImage(nil))
-		tokens = append(tokens, len(applied))
+		tables = append(tables, applied)
 	}
 	if !bytes.Equal(images[0], images[1]) {
 		t.Fatal("two replays of the same journal built different filesystems")
 	}
-	if tokens[0] != len(recs) || tokens[0] != tokens[1] {
-		t.Fatalf("idempotency-token maps differ: %d vs %d (want %d)", tokens[0], tokens[1], len(recs))
+	want := replayTable{7: {seq: 7}}
+	if !reflect.DeepEqual(tables[0], want) || !reflect.DeepEqual(tables[1], want) {
+		t.Fatalf("dedup tables %v and %v, want %v", tables[0], tables[1], want)
+	}
+}
+
+// TestReplayTableOneSlotPerClient: replay keeps one slot per client
+// key, holding the latest tokened record (an append's extent
+// included), and the table answers the latest token with its outcome,
+// an older one as applied with none, and a newer one as new.
+func TestReplayTableOneSlotPerClient(t *testing.T) {
+	recs := []JRecord{
+		{Kind: JMkdir, Key: 1, Seq: 1, Path: "/a"},
+		{Kind: JCreate, Path: "/a/f"}, // untokened: the open's create
+		{Kind: JMkdir, Key: 2, Seq: 1, Path: "/b"},
+		{Kind: JAppend, Key: 1, Seq: 2, Ino: 3, Blocks: 4},
+		{Kind: JUnlink, Key: 2, Seq: 2, Path: "/b"},
+	}
+	fs := NewFsCore(1<<20, 1024)
+	table, err := ReplayJournal(fs, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(table) != 2 {
+		t.Fatalf("%d slots for 2 clients: %v", len(table), table)
+	}
+	ext := outcome{ext: Extent{Start: 0, Blocks: 4}, extOff: 0, extLen: 4096, hasExt: true}
+	for _, tc := range []struct {
+		tok          token
+		out          outcome
+		latest, done bool
+	}{
+		{token{1, 2}, ext, true, true},
+		{token{1, 1}, outcome{}, false, true},
+		{token{1, 3}, outcome{}, false, false},
+		{token{2, 2}, outcome{}, true, true},
+		{token{3, 1}, outcome{}, false, false},
+		{token{1, 0}, outcome{}, false, false},
+	} {
+		out, latest, done := table.lookup(tc.tok)
+		if out != tc.out || latest != tc.latest || done != tc.done {
+			t.Errorf("lookup(%v) = %+v, %v, %v; want %+v, %v, %v", tc.tok, out, latest, done, tc.out, tc.latest, tc.done)
+		}
 	}
 }
 
@@ -161,6 +205,13 @@ func TestJournalReplayRejectsForeignJournal(t *testing.T) {
 	if err == nil {
 		t.Fatal("append to a nonexistent inode replayed without error")
 	}
+}
+
+// encodeRecord renders one record in its on-DRAM framing into a fresh
+// buffer.
+func encodeRecord(r JRecord) []byte {
+	var o, p kif.OStream
+	return appendRecord(&o, &p, r)
 }
 
 func mustDecode(t *testing.T, area []byte) []JRecord {

@@ -6,12 +6,15 @@ package m3fs
 //	op u64 | key u64 | seq u64 | op-specific arguments
 //
 // where (key, seq) is the client's idempotency token: key identifies
-// the client (its PE number), seq is a per-client monotonic counter
-// for mutating operations, and seq 0 means "no token" (reads and
-// naturally idempotent operations). The service remembers applied
-// tokens — across restarts, via the journal — so a retransmitted
-// mutation is answered with its original outcome instead of being
-// applied twice (docs/RECOVERY.md).
+// the client on the whole platform (its VPE's id and a per-program
+// client index, m3.Env.NewClientKey), seq is a per-client monotonic
+// counter for mutating operations, and seq 0 means "no token" (reads
+// and naturally idempotent operations). The service keeps one replay
+// slot per key — across restarts, via the journal — holding the latest
+// applied seq and its outcome, so a retransmitted mutation is answered
+// with its original outcome instead of being applied twice, and no
+// token at or below the latest seq is ever applied again
+// (docs/RECOVERY.md).
 const (
 	fsOpen uint64 = iota + 1
 	fsClose

@@ -61,7 +61,7 @@ func (c *Config) defaults() {
 // session is the per-client service state.
 type session struct {
 	ident  uint64
-	files  map[uint64]*openFile
+	files  map[uint64]openFile
 	nextFD uint64
 }
 
@@ -83,13 +83,15 @@ type Service struct {
 	nextIdent uint64
 
 	// out is the stream every reply is marshalled into, reused across
-	// requests: the service serves one message at a time.
-	out kif.OStream
+	// requests: the service serves one message at a time. jrec and
+	// jscratch hold the journal record (and its payload, then the
+	// header) being committed, xret an exchange's return arguments.
+	out, jrec, jscratch, xret kif.OStream
 
-	// applied remembers the outcome of every tokened mutation (lookup
-	// only, so it stays off m3vet's nondeterminism radar); with the
-	// journal on it is rebuilt across restarts by replay.
-	applied map[token]appliedEntry
+	// applied is the dedup table, one replay slot per client key
+	// (lookup only, so it stays off m3vet's nondeterminism radar); with
+	// the journal on it is rebuilt across restarts by replay.
+	applied replayTable
 	// jbase/jsize locate the journal area inside the region (jsize 0 =
 	// journaling off); jcommitted is the committed record bytes.
 	jbase, jsize, jcommitted int
@@ -104,8 +106,8 @@ type Service struct {
 	// earlier incarnation; ReplayedRecords counts its records.
 	Recovered       bool
 	ReplayedRecords int
-	// Deduped counts retransmitted mutations answered from the applied
-	// map instead of being re-executed.
+	// Deduped counts retransmitted mutations answered from the dedup
+	// table instead of being re-executed.
 	Deduped uint64
 
 	mJournalAppends *obs.Counter
@@ -148,7 +150,7 @@ func Start(env *m3.Env, cfg Config) (*Service, error) {
 		cfg:      cfg,
 		env:      env,
 		sessions: make(map[uint64]*session),
-		applied:  make(map[token]appliedEntry),
+		applied:  make(replayTable),
 	}
 	if tr := env.Ctx.PE.Obs(); tr.On() {
 		s.mJournalAppends = tr.Metrics().Counter(MJournalAppends, -1)
@@ -243,7 +245,7 @@ func (s *Service) readJournalHeader() (clen int, found bool, err error) {
 func (s *Service) initJournal(clen int, found bool) error {
 	if !found {
 		s.jcommitted = 0
-		if err := s.mem.Write(encodeJournalHeader(0), s.jbase); err != nil {
+		if err := s.mem.Write(appendJournalHeader(&s.jscratch, 0), s.jbase); err != nil {
 			return fmt.Errorf("m3fs: journal format: %w", err)
 		}
 		return nil
@@ -276,11 +278,18 @@ func (s *Service) journalFits(n int) bool {
 	return s.jsize == 0 || journalHdrSize+s.jcommitted+n <= s.jsize
 }
 
+// record encodes r into the service's reused record stream; the bytes
+// stay valid until the next record.
+func (s *Service) record(r JRecord) []byte {
+	return appendRecord(&s.jrec, &s.jscratch, r)
+}
+
 // commitMut makes an applied mutation durable and replayable: append
-// the record, commit the header, and remember the token's outcome. A
-// crash between the two DRAM writes leaves the record uncommitted —
-// exactly matching the reply the client never got.
-func (s *Service) commitMut(tok token, rec []byte, entry appliedEntry) {
+// the record, commit the header, and remember the token's outcome in
+// its client's replay slot. A crash between the two DRAM writes leaves
+// the record uncommitted — exactly matching the reply the client never
+// got.
+func (s *Service) commitMut(tok token, rec []byte, out outcome) {
 	if s.jsize > 0 && rec != nil {
 		s.compute(costJournalAppend)
 		if tr := s.env.Ctx.PE.Obs(); tr.On() {
@@ -290,24 +299,11 @@ func (s *Service) commitMut(tok token, rec []byte, entry appliedEntry) {
 			panic(fmt.Sprintf("m3fs: journal append failed: %v", err))
 		}
 		s.jcommitted += len(rec)
-		if err := s.mem.Write(encodeJournalHeader(s.jcommitted), s.jbase); err != nil {
+		if err := s.mem.Write(appendJournalHeader(&s.jscratch, s.jcommitted), s.jbase); err != nil {
 			panic(fmt.Sprintf("m3fs: journal commit failed: %v", err))
 		}
 	}
-	if tok.seq != 0 {
-		s.applied[tok] = entry
-	}
-}
-
-// appliedOf returns the remembered outcome of tok's mutation, if it
-// was applied. An untokened request (seq 0: stat, open, readdir, the
-// idempotent ops) never is, so it skips the map lookup.
-func (s *Service) appliedOf(tok token) (appliedEntry, bool) {
-	if tok.seq == 0 {
-		return appliedEntry{}, false
-	}
-	e, done := s.applied[tok]
-	return e, done
+	s.applied.record(tok, out)
 }
 
 // Serve handles control (kernel) and request (client) messages forever.
@@ -339,10 +335,10 @@ func (s *Service) handleCtrl(msg *dtu.Message) {
 	}
 	switch op {
 	case kif.ServOpen:
-		_ = is.Str() // session argument, unused by m3fs
+		_ = is.StrView() // session argument, unused by m3fs
 		s.compute(costOpenSess)
 		s.nextIdent++
-		sess := &session{ident: s.nextIdent, files: make(map[uint64]*openFile)}
+		sess := &session{ident: s.nextIdent, files: make(map[uint64]openFile)}
 		s.sessions[sess.ident] = sess
 		o := s.out.Reset()
 		o.Err(kif.OK).U64(sess.ident)
@@ -384,8 +380,8 @@ func (s *Service) handleExchange(sess *session, args *kif.IStream, msg *dtu.Mess
 		s.replyXchgCaps(msg, sgSel, nil)
 	case xLocate:
 		fd, off := args.U64(), int64(args.U64())
-		of := sess.files[fd]
-		if of == nil {
+		of, ok := sess.files[fd]
+		if !ok || args.Err() != nil {
 			s.replyXchgErr(msg, kif.ErrInvalidArgs)
 			return
 		}
@@ -395,29 +391,39 @@ func (s *Service) handleExchange(sess *session, args *kif.IStream, msg *dtu.Mess
 			s.replyXchgErr(msg, kif.ErrEndOfFile)
 			return
 		}
-		s.replyExtent(msg, of, ext, extOff, extLen)
+		s.replyExtent(msg, of.writable, ext, extOff, extLen)
 	case xAppend:
 		key, seq := args.U64(), args.U64()
 		fd, blocks, noMerge := args.U64(), int(args.U64()), args.U64() != 0
+		if args.Err() != nil {
+			s.replyXchgErr(msg, kif.ErrInvalidArgs)
+			return
+		}
 		tok := token{key, seq}
-		of := sess.files[fd]
-		if of == nil || !of.writable {
+		of, ok := sess.files[fd]
+		if !ok || !of.writable {
 			s.replyXchgErr(msg, kif.ErrNoPerm)
 			return
 		}
 		if blocks <= 0 {
 			blocks = s.cfg.AppendBlocks
 		}
-		if prev, done := s.appliedOf(tok); done {
+		if prev, latest, done := s.applied.lookup(tok); done {
 			// Retransmit (reply lost, or lost with the incarnation that
 			// sent it): hand back the original extent, never a new one,
-			// or the client's file offsets diverge from the metadata.
+			// or the client's file offsets diverge from the metadata. A
+			// token its client has moved past (or one that named no
+			// append) has no extent left to hand back.
 			s.Deduped++
 			s.compute(costLocate)
-			s.replyExtent(msg, of, prev.ext, prev.extOff, prev.extLen)
+			if !latest || !prev.hasExt {
+				s.replyXchgErr(msg, kif.ErrInvalidArgs)
+				return
+			}
+			s.replyExtent(msg, true, prev.ext, prev.extOff, prev.extLen)
 			return
 		}
-		rec := encodeRecord(JRecord{Kind: JAppend, Key: key, Seq: seq, Ino: of.ino.Ino, Blocks: blocks, NoMerge: noMerge})
+		rec := s.record(JRecord{Kind: JAppend, Key: key, Seq: seq, Ino: of.ino.Ino, Blocks: blocks, NoMerge: noMerge})
 		if !s.journalFits(len(rec)) {
 			s.replyXchgErr(msg, kif.ErrNoSpace)
 			return
@@ -431,18 +437,18 @@ func (s *Service) handleExchange(sess *session, args *kif.IStream, msg *dtu.Mess
 		// The new extent begins at the current allocation end.
 		extLen := int64(ext.Blocks) * int64(s.fs.BlockSize)
 		extOff := int64(of.ino.AllocBlocks-ext.Blocks) * int64(s.fs.BlockSize)
-		s.commitMut(tok, rec, appliedEntry{ext: ext, extOff: extOff, extLen: extLen, hasExt: true})
-		s.replyExtent(msg, of, ext, extOff, extLen)
+		s.commitMut(tok, rec, outcome{ext: ext, extOff: extOff, extLen: extLen, hasExt: true})
+		s.replyExtent(msg, true, ext, extOff, extLen)
 	default:
 		s.replyXchgErr(msg, kif.ErrUnsupported)
 	}
 }
 
-// replyExtent derives a memory capability for ext and answers the
-// exchange with it.
-func (s *Service) replyExtent(msg *dtu.Message, of *openFile, ext Extent, extOff, extLen int64) {
+// replyExtent derives a memory capability for ext, writable for a
+// file opened for writing, and answers the exchange with it.
+func (s *Service) replyExtent(msg *dtu.Message, writable bool, ext Extent, extOff, extLen int64) {
 	perms := dtu.PermRead
-	if of.writable {
+	if writable {
 		perms = dtu.PermRW
 	}
 	mg, err := s.mem.Derive(ext.Start*s.fs.BlockSize, int(extLen), perms)
@@ -450,8 +456,7 @@ func (s *Service) replyExtent(msg *dtu.Message, of *openFile, ext Extent, extOff
 		s.replyXchgErr(msg, kif.ErrNoSpace)
 		return
 	}
-	var ret kif.OStream
-	ret.U64(uint64(extOff)).U64(uint64(extLen))
+	ret := s.xret.Reset().U64(uint64(extOff)).U64(uint64(extLen))
 	s.replyXchgCaps(msg, mg.Sel(), ret.Bytes())
 }
 
@@ -470,7 +475,12 @@ func (s *Service) replyXchgErr(msg *dtu.Message, e kif.Error) {
 }
 
 // handleRequest processes direct client requests (meta-data only; data
-// moves through delegated memory capabilities).
+// moves through delegated memory capabilities). Paths are resolved from
+// views of the message bytes (kif.IStream.StrView), valid until the
+// reply recycles the message: FsCore copies a name only where it
+// stores one, and a record is encoded before the reply. Every request
+// is decoded whole before it acts, and one that ends early is refused
+// (truncated).
 func (s *Service) handleRequest(msg *dtu.Message) {
 	s.Requests++
 	sess := s.sessions[msg.Label]
@@ -486,7 +496,7 @@ func (s *Service) handleRequest(msg *dtu.Message) {
 		s.replyErr(s.reqs, msg, kif.ErrNoSuchSession)
 		return
 	}
-	if _, done := s.appliedOf(tok); done {
+	if _, _, done := s.applied.lookup(tok); done {
 		// Retransmit of an already applied mutation (all tokened
 		// request-gate ops reply a bare OK, so the original outcome
 		// needs no replaying beyond the status).
@@ -500,25 +510,34 @@ func (s *Service) handleRequest(msg *dtu.Message) {
 	case fsClose:
 		s.reqClose(sess, tok, &is, msg)
 	case fsStat:
-		path := is.Str()
-		ino, depth, err := s.lookup(path)
-		if err != nil {
+		path := is.StrView()
+		if s.truncated(&is, msg) {
+			return
+		}
+		ino, depth, e := s.fs.lookup(path)
+		if e != kif.OK {
 			s.replyErr(s.reqs, msg, kif.ErrNoSuchFile)
 			return
 		}
 		s.compute(costStat + costPerComponent*sim.Time(depth))
 		s.replyStat(msg, ino)
 	case fsFStat:
-		of := sess.files[is.U64()]
-		if of == nil {
+		of, ok := sess.files[is.U64()]
+		if s.truncated(&is, msg) {
+			return
+		}
+		if !ok {
 			s.replyErr(s.reqs, msg, kif.ErrInvalidArgs)
 			return
 		}
 		s.compute(costStat)
 		s.replyStat(msg, of.ino)
 	case fsMkdir:
-		path := is.Str()
-		rec := encodeRecord(JRecord{Kind: JMkdir, Key: key, Seq: seq, Path: path})
+		path := is.StrView()
+		if s.truncated(&is, msg) {
+			return
+		}
+		rec := s.record(JRecord{Kind: JMkdir, Key: key, Seq: seq, Path: path})
 		if !s.journalFits(len(rec)) {
 			s.replyErr(s.reqs, msg, kif.ErrNoSpace)
 			return
@@ -529,11 +548,14 @@ func (s *Service) handleRequest(msg *dtu.Message) {
 			s.replyErr(s.reqs, msg, errKind(err))
 			return
 		}
-		s.commitMut(tok, rec, appliedEntry{})
+		s.commitMut(tok, rec, outcome{})
 		s.replyOK(msg)
 	case fsUnlink:
-		path := is.Str()
-		rec := encodeRecord(JRecord{Kind: JUnlink, Key: key, Seq: seq, Path: path})
+		path := is.StrView()
+		if s.truncated(&is, msg) {
+			return
+		}
+		rec := s.record(JRecord{Kind: JUnlink, Key: key, Seq: seq, Path: path})
 		if !s.journalFits(len(rec)) {
 			s.replyErr(s.reqs, msg, kif.ErrNoSpace)
 			return
@@ -544,13 +566,16 @@ func (s *Service) handleRequest(msg *dtu.Message) {
 			s.replyErr(s.reqs, msg, errKind(err))
 			return
 		}
-		s.commitMut(tok, rec, appliedEntry{})
+		s.commitMut(tok, rec, outcome{})
 		s.replyOK(msg)
 	case fsReadDir:
 		s.reqReadDir(&is, msg)
 	case fsLink:
-		oldPath, newPath := is.Str(), is.Str()
-		rec := encodeRecord(JRecord{Kind: JLink, Key: key, Seq: seq, Path: oldPath, Path2: newPath})
+		oldPath, newPath := is.StrView(), is.StrView()
+		if s.truncated(&is, msg) {
+			return
+		}
+		rec := s.record(JRecord{Kind: JLink, Key: key, Seq: seq, Path: oldPath, Path2: newPath})
 		if !s.journalFits(len(rec)) {
 			s.replyErr(s.reqs, msg, kif.ErrNoSpace)
 			return
@@ -561,11 +586,14 @@ func (s *Service) handleRequest(msg *dtu.Message) {
 			s.replyErr(s.reqs, msg, kif.ErrExists)
 			return
 		}
-		s.commitMut(tok, rec, appliedEntry{})
+		s.commitMut(tok, rec, outcome{})
 		s.replyOK(msg)
 	case fsRename:
-		oldPath, newPath := is.Str(), is.Str()
-		rec := encodeRecord(JRecord{Kind: JRename, Key: key, Seq: seq, Path: oldPath, Path2: newPath})
+		oldPath, newPath := is.StrView(), is.StrView()
+		if s.truncated(&is, msg) {
+			return
+		}
+		rec := s.record(JRecord{Kind: JRename, Key: key, Seq: seq, Path: oldPath, Path2: newPath})
 		if !s.journalFits(len(rec)) {
 			s.replyErr(s.reqs, msg, kif.ErrNoSpace)
 			return
@@ -576,9 +604,12 @@ func (s *Service) handleRequest(msg *dtu.Message) {
 			s.replyErr(s.reqs, msg, kif.ErrExists)
 			return
 		}
-		s.commitMut(tok, rec, appliedEntry{})
+		s.commitMut(tok, rec, outcome{})
 		s.replyOK(msg)
 	case fsSync:
+		if s.truncated(&is, msg) {
+			return
+		}
 		img, err := s.DumpImage()
 		s.compute(costClose)
 		if err != nil {
@@ -592,9 +623,15 @@ func (s *Service) handleRequest(msg *dtu.Message) {
 	}
 }
 
-func (s *Service) lookup(path string) (*Inode, int, error) {
-	ino, depth, err := s.fs.Lookup(path)
-	return ino, depth, err
+// truncated refuses a request whose decoding failed, before the
+// request acts: a missing path would otherwise decode as "" and
+// resolve to the root.
+func (s *Service) truncated(is *kif.IStream, msg *dtu.Message) bool {
+	if is.Err() == nil {
+		return false
+	}
+	s.replyErr(s.reqs, msg, kif.ErrInvalidArgs)
+	return true
 }
 
 // reqOpen opens (and possibly creates or truncates) a file. Open is
@@ -602,41 +639,44 @@ func (s *Service) lookup(path string) (*Inode, int, error) {
 // truncate re-truncates to the same zero — so it carries no token, but
 // its side effects are still journaled. A directory opens read-only.
 func (s *Service) reqOpen(sess *session, is *kif.IStream, msg *dtu.Message) {
-	path, flags := is.Str(), is.U64()
-	ino, depth, err := s.fs.Lookup(path)
+	path, flags := is.StrView(), is.U64()
+	if s.truncated(is, msg) {
+		return
+	}
+	ino, depth, e := s.fs.lookup(path)
 	s.compute(costOpen + costPerComponent*sim.Time(depth))
-	if err == nil && ino.Dir && flags&(flagWrite|flagTrunc) != 0 {
+	if e == kif.OK && ino.Dir && flags&(flagWrite|flagTrunc) != 0 {
 		s.replyErr(s.reqs, msg, kif.ErrIsDir)
 		return
 	}
-	if err != nil {
+	if e != kif.OK {
 		if flags&flagCreate == 0 {
 			s.replyErr(s.reqs, msg, kif.ErrNoSuchFile)
 			return
 		}
-		rec := encodeRecord(JRecord{Kind: JCreate, Path: path})
+		rec := s.record(JRecord{Kind: JCreate, Path: path})
 		if !s.journalFits(len(rec)) {
 			s.replyErr(s.reqs, msg, kif.ErrNoSpace)
 			return
 		}
-		ino, _, err = s.fs.Create(path)
-		if err != nil {
+		var err error
+		if ino, _, err = s.fs.Create(path); err != nil {
 			s.replyErr(s.reqs, msg, kif.ErrNoSuchFile)
 			return
 		}
-		s.commitMut(token{}, rec, appliedEntry{})
+		s.commitMut(token{}, rec, outcome{})
 	} else if flags&flagTrunc != 0 {
-		rec := encodeRecord(JRecord{Kind: JTrunc, Ino: ino.Ino})
+		rec := s.record(JRecord{Kind: JTrunc, Ino: ino.Ino})
 		if !s.journalFits(len(rec)) {
 			s.replyErr(s.reqs, msg, kif.ErrNoSpace)
 			return
 		}
 		s.fs.Truncate(ino, 0)
-		s.commitMut(token{}, rec, appliedEntry{})
+		s.commitMut(token{}, rec, outcome{})
 	}
 	sess.nextFD++
 	fd := sess.nextFD
-	sess.files[fd] = &openFile{ino: ino, writable: flags&flagWrite != 0}
+	sess.files[fd] = openFile{ino: ino, writable: flags&flagWrite != 0}
 	o := s.out.Reset()
 	// The reply carries size AND allocated bytes, so the client knows
 	// which positions are covered by existing extents (append into a
@@ -648,58 +688,44 @@ func (s *Service) reqOpen(sess *session, is *kif.IStream, msg *dtu.Message) {
 
 func (s *Service) reqClose(sess *session, tok token, is *kif.IStream, msg *dtu.Message) {
 	fd, size := is.U64(), int64(is.U64())
-	of := sess.files[fd]
-	if of == nil {
+	if s.truncated(is, msg) {
+		return
+	}
+	of, ok := sess.files[fd]
+	if !ok {
 		s.replyErr(s.reqs, msg, kif.ErrInvalidArgs)
 		return
 	}
 	s.compute(costClose)
 	if of.writable {
-		rec := encodeRecord(JRecord{Kind: JTrunc, Ino: of.ino.Ino, Size: size})
+		rec := s.record(JRecord{Kind: JTrunc, Ino: of.ino.Ino, Size: size})
 		if !s.journalFits(len(rec)) {
 			s.replyErr(s.reqs, msg, kif.ErrNoSpace)
 			return
 		}
 		s.fs.Truncate(of.ino, size)
-		s.commitMut(tok, rec, appliedEntry{})
+		s.commitMut(tok, rec, outcome{})
 	} else {
-		s.commitMut(tok, nil, appliedEntry{})
+		s.commitMut(tok, nil, outcome{})
 	}
 	delete(sess.files, fd)
 	s.replyOK(msg)
 }
 
-// reqReadDir returns directory entries in chunks of up to 8, starting
-// at index.
+// reqReadDir returns the directory's entries in chunks, in name order,
+// starting at index (FsCore.listChunk).
 func (s *Service) reqReadDir(is *kif.IStream, msg *dtu.Message) {
-	path, idx := is.Str(), int(is.U64())
-	names, dir, err := s.fs.ReadDir(path)
-	if err != nil {
+	path, idx := is.StrView(), is.U64()
+	if s.truncated(is, msg) {
+		return
+	}
+	o := s.out.Reset()
+	o.Err(kif.OK)
+	if e := s.fs.listChunk(o, path, idx); e != kif.OK {
 		s.replyErr(s.reqs, msg, kif.ErrNoSuchFile)
 		return
 	}
-	sortStrings(names)
 	s.compute(costReadDir)
-	const chunk = 8
-	o := s.out.Reset()
-	o.Err(kif.OK)
-	end := idx + chunk
-	if end > len(names) {
-		end = len(names)
-	}
-	if idx > end {
-		idx = end
-	}
-	o.U64(uint64(len(names))).U64(uint64(end - idx))
-	for _, n := range names[idx:end] {
-		child := s.fs.Child(dir, n)
-		o.Str(n)
-		if child != nil && child.Dir {
-			o.U64(1)
-		} else {
-			o.U64(0)
-		}
-	}
 	s.reply(s.reqs, msg, o)
 }
 
@@ -750,16 +776,6 @@ func (s *Service) reply(rg *m3.RecvGate, msg *dtu.Message, o *kif.OStream) {
 }
 
 func (s *Service) compute(n sim.Time) { s.env.Ctx.Compute(n) }
-
-// sortStrings is a tiny insertion sort to avoid importing sort for hot
-// paths with small n.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
 
 // SessionCount returns the number of live sessions (tests).
 func (s *Service) SessionCount() int { return len(s.sessions) }

@@ -3,7 +3,6 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -285,21 +284,32 @@ func TestCalendarBucketReuse(t *testing.T) {
 
 // TestFirstWheelPassAllocatesNothing: a fresh engine's calendar has
 // room in every bucket, so the clock's first pass over the wheel
-// allocates no bucket array.
+// allocates no bucket array. testing.AllocsPerRun measures one pass,
+// each run on an engine of its own, so every measured pass is a first
+// one; it pins GOMAXPROCS to 1 while it measures, so what the test
+// binary's other goroutines allocate meanwhile does not count.
 func TestFirstWheelPassAllocatesNothing(t *testing.T) {
-	e := NewEngine()
+	const runs = 1
 	f := func() {}
-	e.Schedule(1, f)
-	e.Run() // the event freelist now holds the one event reused below
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 2*wheelSize; i++ {
+	// AllocsPerRun calls its function once more than runs, to warm up.
+	engines := make([]*Engine, runs+1)
+	for i := range engines {
+		e := NewEngine()
 		e.Schedule(1, f)
-		e.Run()
+		e.Run() // the event freelist now holds the one event reused below
+		engines[i] = e
 	}
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Errorf("two passes over the wheel allocate %d objects, want 0", n)
+	next := 0
+	pass := func() {
+		e := engines[next]
+		next++
+		for i := 0; i < wheelSize; i++ {
+			e.Schedule(1, f)
+			e.Run()
+		}
+	}
+	if n := testing.AllocsPerRun(runs, pass); n != 0 {
+		t.Errorf("a first pass over the wheel allocates %v objects, want 0", n)
 	}
 }
 
