@@ -59,20 +59,20 @@ bench-sim:
 # The bench regression gate: rerun the fast experiment subset with run
 # captures bundled, keep the JSON artifact for inspection, and fail if
 # any gated metric regressed past its tolerance against the committed
-# baseline (BENCH_7.json, refresh with `make bench-baseline` when a
+# baseline (BENCH_8.json, refresh with `make bench-baseline` when a
 # change legitimately moves the numbers — see docs/EXPERIMENTS.md).
 # When the gate is red, the diff attributes every regression via the
-# two files' captures (layer/path cycle deltas, histogram shift, blame
-# drift — docs/OBSERVABILITY.md) and the machine-readable attribution
+# two files' captures (layer/path cycle deltas, histogram shift —
+# docs/OBSERVABILITY.md) and the machine-readable attribution
 # is retained as artifacts/diff-report.json. Earlier generations'
 # baselines live only in git history.
 bench-smoke:
 	mkdir -p artifacts
 	go run ./cmd/m3bench -e smoke -capture -json artifacts/bench-smoke.json >artifacts/bench-smoke.log
-	go run ./cmd/m3bench -diff -report artifacts/diff-report.json BENCH_7.json artifacts/bench-smoke.json
+	go run ./cmd/m3bench -diff -report artifacts/diff-report.json BENCH_8.json artifacts/bench-smoke.json
 
 bench-baseline:
-	go run ./cmd/m3bench -e smoke -capture -json BENCH_7.json
+	go run ./cmd/m3bench -e smoke -capture -json BENCH_8.json
 
 # Every registered experiment, run twice: each one's JSON passes the
 # duplicate-metric check, not only the smoke subset, and the two JSON

@@ -30,7 +30,7 @@
 #   fuzz       a short smoke over the fault-plan and journal decoders
 #   bench      the bench regression gate: the smoke experiment subset
 #              (with run captures bundled) diffed against the committed
-#              BENCH_7.json baseline; the JSON artifact and the
+#              BENCH_8.json baseline; the JSON artifact and the
 #              machine-readable regression attribution are kept under
 #              artifacts/ — bench-smoke.json and diff-report.json —
 #              for inspection (docs/EXPERIMENTS.md)

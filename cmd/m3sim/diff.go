@@ -15,8 +15,9 @@ import (
 // standalone capture JSON files or the captures that `m3bench
 // -capture` bundles into bench JSON, and attributes their cycle delta:
 // per-(PE, layer, kind) profile deltas with the top span-path
-// contributors, per-bucket histogram shift with quantile deltas,
-// blame-category drift, and metric-by-metric changes.
+// contributors, one per-layer table of profile and critical-path
+// cycles, per-bucket histogram shift with quantile deltas, and
+// metric-by-metric changes.
 //
 // All reports are byte-deterministic, and two captures of the same run
 // are byte-identical, so a nonempty diff is a real behavior change,

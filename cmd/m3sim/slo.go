@@ -20,20 +20,15 @@ const (
 )
 
 // reportSchema versions the -json layout.
-const reportSchema = 1
-
-type blameJSON struct {
-	Category string `json:"category"`
-	Cycles   uint64 `json:"cycles"`
-}
+const reportSchema = 2
 
 type quantileJSON struct {
-	Q       float64     `json:"q"`
-	Span    uint64      `json:"span"`
-	Kind    string      `json:"kind"`
-	Latency uint64      `json:"latency_cycles"`
-	Fail    bool        `json:"fail"`
-	Blame   []blameJSON `json:"blame"`
+	Q       float64            `json:"q"`
+	Span    uint64             `json:"span"`
+	Kind    string             `json:"kind"`
+	Latency uint64             `json:"latency_cycles"`
+	Fail    bool               `json:"fail"`
+	Blame   []obs.CaptureBlame `json:"blame"`
 }
 
 type exemplarJSON struct {
@@ -57,32 +52,23 @@ type sloJSON struct {
 }
 
 type reportJSON struct {
-	Schema    int            `json:"schema"`
-	Workload  string         `json:"workload"`
-	Completed uint64         `json:"completed"`
-	Failed    uint64         `json:"failed"`
-	Evicted   uint64         `json:"evicted"`
-	Truncated uint64         `json:"truncated"`
-	Total     []blameJSON    `json:"total_blame"`
-	Quantiles []quantileJSON `json:"quantiles"`
-	Exemplars []exemplarJSON `json:"exemplars"`
-	SLOs      []sloJSON      `json:"slos"`
-}
-
-func blameList(v obs.BlameVec) []blameJSON {
-	out := make([]blameJSON, 0, obs.NumBlame)
-	for cat := obs.BlameCat(0); cat < obs.NumBlame; cat++ {
-		out = append(out, blameJSON{Category: cat.String(), Cycles: v[cat]})
-	}
-	return out
+	Schema    int                `json:"schema"`
+	Workload  string             `json:"workload"`
+	Completed uint64             `json:"completed"`
+	Failed    uint64             `json:"failed"`
+	Evicted   uint64             `json:"evicted"`
+	Truncated uint64             `json:"truncated"`
+	Total     []obs.CaptureBlame `json:"total_blame"`
+	Quantiles []quantileJSON     `json:"quantiles"`
+	Exemplars []exemplarJSON     `json:"exemplars"`
+	SLOs      []sloJSON          `json:"slos"`
 }
 
 // cmdSLO is the critical-path attribution and SLO reporter: it runs the
 // scenario with the structured tracer wired into the streaming
 // critical-path engine, registers the standard end-to-end objectives,
-// and reports where each request's latency went (app compute, DTU
-// queueing and credit stalls, NoC wire time, kernel service,
-// retransmit and backoff, overload shed) at p50, p99 and p99.9, with
+// and reports where each request's latency went (each layer's work and
+// the waits on it: obs.Paint) at p50, p99 and p99.9, with
 // the worst-N exemplar span trees and the SLO burn-rate table.
 //
 // The report is deterministic: identical (workload, flags) runs produce
@@ -119,12 +105,12 @@ func cmdSLO(args []string, w io.Writer) error {
 		Schema: reportSchema, Workload: sc.Workload.Name,
 		Completed: rep.Completed, Failed: rep.Failed,
 		Evicted: rep.Evicted, Truncated: rep.Truncated,
-		Total: blameList(rep.Total),
+		Total: obs.BlameList(rep.Total),
 	}
 	for _, q := range rep.Quantiles {
 		out.Quantiles = append(out.Quantiles, quantileJSON{
 			Q: q.Q, Span: uint64(q.Span), Kind: q.Kind,
-			Latency: q.Latency, Fail: q.Fail, Blame: blameList(q.Blame),
+			Latency: q.Latency, Fail: q.Fail, Blame: obs.BlameList(q.Blame),
 		})
 	}
 	for _, ex := range rep.Exemplars {
@@ -176,24 +162,29 @@ func printSLO(w io.Writer, end sim.Time, rep obs.Report, out reportJSON) {
 	fmt.Fprintln(w, "  aggregate blame (all completed requests):")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	total := rep.Total.Total()
-	fmt.Fprintln(tw, "  category\tcycles\tshare")
-	for cat := obs.BlameCat(0); cat < obs.NumBlame; cat++ {
+	fmt.Fprintln(tw, "  paint\tcycles\tshare")
+	for p, c := range rep.Total {
 		share := 0.0
 		if total > 0 {
-			share = 100 * float64(rep.Total[cat]) / float64(total)
+			share = 100 * float64(c) / float64(total)
 		}
-		fmt.Fprintf(tw, "  %s\t%d\t%.1f%%\n", cat, rep.Total[cat], share)
+		fmt.Fprintf(tw, "  %s\t%d\t%.1f%%\n", obs.Paint(p), c, share)
 	}
 	tw.Flush()
 
 	fmt.Fprintln(w, "  per-quantile blame (the request at each quantile):")
 	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "  q\tspan\tkind\tlatency\tapp\tqueue\tnoc\tkernel\tretry\tshed")
+	fmt.Fprint(tw, "  q\tspan\tkind\tlatency")
+	for p := range obs.NumPaints {
+		fmt.Fprintf(tw, "\t%s", p)
+	}
+	fmt.Fprintln(tw)
 	for _, q := range rep.Quantiles {
-		fmt.Fprintf(tw, "  p%g\t%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
-			q.Q*100, q.Span, q.Kind, q.Latency,
-			q.Blame[obs.BlameApp], q.Blame[obs.BlameQueue], q.Blame[obs.BlameNoC],
-			q.Blame[obs.BlameKernel], q.Blame[obs.BlameRetry], q.Blame[obs.BlameShed])
+		fmt.Fprintf(tw, "  p%g\t%d\t%s\t%d", q.Q*100, q.Span, q.Kind, q.Latency)
+		for _, c := range q.Blame {
+			fmt.Fprintf(tw, "\t%d", c)
+		}
+		fmt.Fprintln(tw)
 	}
 	tw.Flush()
 

@@ -111,7 +111,7 @@ func TestBenchFileCapturesRoundTrip(t *testing.T) {
 // degrade to a named missing-capture note instead of failing.
 func TestAttributeReport(t *testing.T) {
 	// The regressed capture is the battery's m3fs row: tar on a
-	// journaling m3fs, whose top blame is pinned as kernel.
+	// journaling m3fs, whose top blame is pinned as service.
 	base := tarCapture(t, M3Options{})
 	perturbed := tarCapture(t, M3Options{FS: m3fs.Config{Journal: true}})
 
@@ -136,7 +136,7 @@ func TestAttributeReport(t *testing.T) {
 	if len(a.Metrics) != 1 || a.Metrics[0] != "fig5:fig5/tar+M3/total_cycles" {
 		t.Fatalf("attributed metrics = %v", a.Metrics)
 	}
-	if top, ok := a.Diff.TopBlame(); !ok || top.Category != "kernel" {
+	if top, ok := a.Diff.TopBlame(); !ok || top.Layer != "service" {
 		t.Fatalf("attribution blame = %+v ok=%v", top, ok)
 	}
 
@@ -144,7 +144,7 @@ func TestAttributeReport(t *testing.T) {
 	if err := rep.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"fig5:fig5/tar+M3/total_cycles", "workload " + witnessWorkload, "blame drift"} {
+	for _, want := range []string{"fig5:fig5/tar+M3/total_cycles", "workload " + witnessWorkload, "critical path"} {
 		if !strings.Contains(text.String(), want) {
 			t.Fatalf("attribution text missing %q:\n%s", want, text.String())
 		}

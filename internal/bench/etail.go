@@ -17,12 +17,12 @@ import (
 // arrival machinery with a mid-run spike), the structured tracer
 // streams every span into the critical-path engine
 // (internal/obs/critpath.go), and the table reports the full blame
-// decomposition — app compute, DTU queueing/credit stalls, NoC wire
-// time, kernel/service handling, retransmit, shed — of the exact
-// request sitting at p50 and p99, per workload, M3 vs the Linux
-// model. On Linux the analog categories come from the per-operation
-// linuxos.Stats deltas (app/xfer/os mapped to app/queue/kernel; a
-// monolithic kernel has no NoC, retry or shed component to blame).
+// decomposition — each layer's work and the waits on it (obs.Paint) —
+// of the exact request sitting at p50 and p99, per workload, M3 vs the
+// Linux model. On Linux the analog paints come from the per-operation
+// linuxos.Stats deltas (os, xfer and the remainder mapped to kernel,
+// dtu and app; a monolithic kernel has no service, NoC or wait to
+// blame).
 // Everything is deterministic: the rows are exact-match gated in the
 // bench baseline, and the per-workload witness digests the entire
 // request population so the differential tests can compare engines.
@@ -167,34 +167,13 @@ func etailOp(w ETailWorkload, os workload.OS, i int, buf []byte) error {
 	}
 }
 
-// runETailM3 drives one workload on M3 with the critical-path engine
-// armed after setup (the measured population is the steady-state
-// fleet traffic, not the scaffolding).
+// runETailM3 drives one workload on M3 and reports its population.
 func runETailM3(w ETailWorkload) (*ETailWorkloadResult, error) {
 	slos := obs.NewSLOSet()
 	tail := slos.Objective(etailSLOLatency, obs.SLOConfig{
 		Objective: 0.99, LatencyBound: etailSLOBound, Window: 1 << 18})
 	slos.Objective(etailSLOAvail, obs.SLOConfig{Objective: 0.999, Window: 1 << 18})
-	cp := obs.NewCritPath(obs.CritPathOptions{Exemplars: 2, SLO: slos})
-	armed := false
-	tracer := obs.New(obs.Options{Sink: func(ev obs.Event) {
-		if armed {
-			cp.Consume(ev)
-		}
-	}})
-	buf := make([]byte, etailBufSize)
-	r, err := fleet{
-		clients:  etailClients,
-		setup:    func(os *workload.M3OS) error { return etailClientSetup(os) },
-		arrivals: func(k int) *overload.Gen { return etailGen(uint64(k)) },
-		op: func(_, i int, os *workload.M3OS) error {
-			// The first operation comes from the last client through the
-			// start barrier, before any other client resumes: from here
-			// on every span belongs to steady-state traffic.
-			armed = true
-			return etailOp(w, os, i, buf)
-		},
-	}.run(M3Options{Obs: tracer})
+	cp, r, err := etailM3(w, slos)
 	if err != nil {
 		return nil, err
 	}
@@ -225,6 +204,33 @@ func runETailM3(w ETailWorkload) (*ETailWorkloadResult, error) {
 	return res, nil
 }
 
+// etailM3 runs one workload's fleet on M3 with the critical-path
+// engine armed after setup (the measured population is the
+// steady-state fleet traffic, not the scaffolding), feeding slos.
+func etailM3(w ETailWorkload, slos *obs.SLOSet) (*obs.CritPath, *Result, error) {
+	cp := obs.NewCritPath(obs.CritPathOptions{Exemplars: 2, SLO: slos})
+	armed := false
+	tracer := obs.New(obs.Options{Sink: func(ev obs.Event) {
+		if armed {
+			cp.Consume(ev)
+		}
+	}})
+	buf := make([]byte, etailBufSize)
+	r, err := fleet{
+		clients:  etailClients,
+		setup:    func(os *workload.M3OS) error { return etailClientSetup(os) },
+		arrivals: func(k int) *overload.Gen { return etailGen(uint64(k)) },
+		op: func(_, i int, os *workload.M3OS) error {
+			// The first operation comes from the last client through the
+			// start barrier, before any other client resumes: from here
+			// on every span belongs to steady-state traffic.
+			armed = true
+			return etailOp(w, os, i, buf)
+		},
+	}.run(M3Options{Obs: tracer})
+	return cp, r, err
+}
+
 // lxReq is one timed Linux operation with its Stats-delta blame.
 type lxReq struct {
 	lat   sim.Time
@@ -251,10 +257,11 @@ func runETailLx(w ETailWorkload) (ETailSystem, error) {
 				}
 				lat := p.Now() - t0
 				var blame obs.BlameVec
-				blame[obs.BlameKernel] = uint64(sys.Stats.OS - pre.OS)
-				blame[obs.BlameQueue] = uint64(sys.Stats.Xfer - pre.Xfer)
-				if attributed := blame[obs.BlameKernel] + blame[obs.BlameQueue]; uint64(lat) > attributed {
-					blame[obs.BlameApp] = uint64(lat) - attributed
+				kern, xfer := sys.Stats.OS-pre.OS, sys.Stats.Xfer-pre.Xfer
+				blame[obs.PaintOf(obs.LKernel, false)] = uint32(kern)
+				blame[obs.PaintOf(obs.LDTU, false)] = uint32(xfer)
+				if lat > kern+xfer {
+					blame[obs.PaintOf(obs.LApp, false)] = uint32(lat - kern - xfer)
 				}
 				reqs = append(reqs, lxReq{lat: lat, blame: blame})
 				return nil
@@ -333,19 +340,19 @@ func qLabel(q float64) string {
 // Tables renders the E-tail tables. Every cell is deterministic, so the
 // default exact-match tolerance gates them.
 func (r *ETailResult) Tables() []*Table {
-	blame := &Table{Name: "etail_blame", Rows: [][]string{
-		{"workload", "system", "q", "latency_cycles",
-			"app", "queue", "noc", "kernel", "retry", "shed"},
-	}}
+	header := []string{"workload", "system", "q", "latency_cycles"}
+	for p := range obs.NumPaints {
+		header = append(header, p.String())
+	}
+	blame := &Table{Name: "etail_blame", Rows: [][]string{header}}
 	for _, wr := range r.Workloads {
 		for _, s := range []*ETailSystem{&wr.M3, &wr.Lx} {
 			for _, q := range s.Quantiles {
-				blame.Rows = append(blame.Rows, []string{
-					wr.Workload, s.System, qLabel(q.Q), fmt.Sprint(q.Latency),
-					fmt.Sprint(q.Blame[obs.BlameApp]), fmt.Sprint(q.Blame[obs.BlameQueue]),
-					fmt.Sprint(q.Blame[obs.BlameNoC]), fmt.Sprint(q.Blame[obs.BlameKernel]),
-					fmt.Sprint(q.Blame[obs.BlameRetry]), fmt.Sprint(q.Blame[obs.BlameShed]),
-				})
+				row := []string{wr.Workload, s.System, qLabel(q.Q), fmt.Sprint(q.Latency)}
+				for _, c := range q.Blame {
+					row = append(row, fmt.Sprint(c))
+				}
+				blame.Rows = append(blame.Rows, row)
 			}
 		}
 	}

@@ -16,7 +16,7 @@ type Experiment struct {
 	Name string
 	Desc string
 	// Smoke marks the experiment as part of the fast CI subset
-	// (`m3bench -e smoke`, the BENCH_7.json baseline).
+	// (`m3bench -e smoke`, the BENCH_8.json baseline).
 	Smoke bool
 	// Capture is the workload `m3bench -capture` runs for the
 	// experiment's regression attribution. Several experiments share

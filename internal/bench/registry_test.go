@@ -30,7 +30,7 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Errorf("experiment %s: capture workload: %v", e.Name, err)
 		}
 	}
-	data, err := os.ReadFile("../../BENCH_7.json")
+	data, err := os.ReadFile("../../BENCH_8.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestExperimentRegistry(t *testing.T) {
 		got = append(got, e.Name)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("smoke set = %v, BENCH_7.json has %v", got, want)
+		t.Fatalf("smoke set = %v, BENCH_8.json has %v", got, want)
 	}
 	if sel, err := SelectExperiments("efault, fig4"); err != nil || len(sel) != 2 || sel[0].Name != "fig4" {
 		t.Fatalf("SelectExperiments(efault, fig4) = %v, %v; want fig4, efault in registry order", sel, err)
@@ -86,7 +86,7 @@ func TestTablesRenderAlike(t *testing.T) {
 	}
 	q := func(q float64, lat uint64) ETailQ {
 		var b obs.BlameVec
-		b[obs.BlameKernel] = lat
+		b[obs.PaintOf(obs.LKernel, false)] = uint32(lat)
 		return ETailQ{Q: q, Latency: lat, Blame: b}
 	}
 	point := &ELoadPoint{Offered: 512, Admitted: 500, Shed: 12, GoodputMcyc: 700, MeanRTT: 1000, P99RTT: 2000, MeanShedLat: 80}

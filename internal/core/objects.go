@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/dtu"
+	"repro/internal/kif"
 	"repro/internal/noc"
 	"repro/internal/sim"
 	"repro/internal/tile"
@@ -98,6 +99,9 @@ type ServiceObj struct {
 	// sendEP is the kernel-DTU endpoint configured for the control
 	// channel.
 	sendEP int
+	// sel is where sysCreateSrv installed the service capability in
+	// Owner's table; sessions hang off it in the revocation tree.
+	sel kif.CapSel
 
 	// Epoch is the service incarnation number: 1 for the first
 	// registration of a name, bumped every time the supervisor (or

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sort"
 
 	"repro/internal/dtu"
 	"repro/internal/kif"
@@ -46,7 +45,7 @@ func (k *Kernel) sysCreateSrv(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dt
 		Label: 0, Credits: rg.Slots, MsgSize: rg.SlotSize,
 	}))
 	k.srvEpochs[name]++
-	obj := &ServiceObj{Name: name, Owner: vpe, RGate: rg, sendEP: sendEP, Epoch: k.srvEpochs[name]}
+	obj := &ServiceObj{Name: name, Owner: vpe, RGate: rg, sendEP: sendEP, sel: dstSel, Epoch: k.srvEpochs[name]}
 	if _, e := vpe.Caps.Install(dstSel, CapService, obj); e != kif.OK {
 		k.replyErr(p, msg, e)
 		return
@@ -194,9 +193,9 @@ func (k *Kernel) sysOpenSess(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dtu
 			k.replyErr(hp, msg, kif.ErrVPEGone)
 			return
 		}
-		svcCap, gerr := svc.Owner.Caps.Get(findServiceSel(svc), CapService)
+		svcCap, gerr := svc.Owner.Caps.Get(svc.sel, CapService)
 		var ierr kif.Error
-		if gerr == kif.OK {
+		if gerr == kif.OK && svcCap.Obj == svc {
 			_, ierr = vpe.Caps.InstallChild(svcCap, dstSel, CapSession, sess)
 		} else {
 			_, ierr = vpe.Caps.Install(dstSel, CapSession, sess)
@@ -207,25 +206,6 @@ func (k *Kernel) sysOpenSess(p *sim.Process, vpe *VPE, is *kif.IStream, msg *dtu
 		}
 		k.replyErr(hp, msg, kif.OK)
 	})
-}
-
-// findServiceSel locates the service capability in its owner's table so
-// sessions can hang off it in the revocation tree. The table is walked
-// in sorted selector order so a (hypothetical) duplicate registration
-// always resolves to the same parent across runs.
-func findServiceSel(svc *ServiceObj) kif.CapSel {
-	caps := svc.Owner.Caps.caps
-	sels := make([]kif.CapSel, 0, len(caps))
-	for sel := range caps {
-		sels = append(sels, sel)
-	}
-	sort.Slice(sels, func(i, j int) bool { return sels[i] < sels[j] })
-	for _, sel := range sels {
-		if caps[sel].Obj == svc {
-			return sel
-		}
-	}
-	return kif.InvalidSel
 }
 
 // sysExchangeSess: exchangesess(sessSel, obtain, capsStart, capsCount,

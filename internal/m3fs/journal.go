@@ -262,6 +262,20 @@ func DecodeJournal(area []byte) ([]JRecord, error) {
 	return recs, nil
 }
 
+// replayFile returns the regular file a JAppend or JTrunc record
+// names. Only files hold data: a record naming a directory, or no
+// inode at all, is damage.
+func replayFile(fs *FsCore, n uint64) (*Inode, error) {
+	ino := fs.Inode(n)
+	switch {
+	case ino == nil:
+		return nil, fmt.Errorf("inode %d not found", n)
+	case ino.Dir:
+		return nil, fmt.Errorf("inode %d is a directory", n)
+	}
+	return ino, nil
+}
+
 // ReplayJournal re-applies recs, in order, to a filesystem freshly
 // built from the boot base, and returns the rebuilt dedup table: per
 // client key, the latest tokened record's seq and outcome (append
@@ -287,16 +301,14 @@ func ReplayJournal(fs *FsCore, recs []JRecord) (replayTable, error) {
 		case JRename:
 			_, err = fs.Rename(r.Path, r.Path2)
 		case JTrunc:
-			ino := fs.Inode(r.Ino)
-			if ino == nil {
-				err = fmt.Errorf("inode %d not found", r.Ino)
+			var ino *Inode
+			if ino, err = replayFile(fs, r.Ino); err != nil {
 				break
 			}
 			fs.Truncate(ino, r.Size)
 		case JAppend:
-			ino := fs.Inode(r.Ino)
-			if ino == nil {
-				err = fmt.Errorf("inode %d not found", r.Ino)
+			var ino *Inode
+			if ino, err = replayFile(fs, r.Ino); err != nil {
 				break
 			}
 			var ext Extent

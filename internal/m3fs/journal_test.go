@@ -9,17 +9,35 @@ import (
 )
 
 // sampleRecs is a journal of every record kind, in an order that
-// replays cleanly onto an empty filesystem (inode 1 is /a/f, created by
-// the JCreate record itself).
+// replays cleanly onto an empty filesystem (inode 1 is the root, 2 is
+// /a and 3 is /a/f, created by the JCreate record itself).
 func sampleRecs() []JRecord {
 	return []JRecord{
 		{Kind: JMkdir, Key: 7, Seq: 1, Path: "/a"},
 		{Kind: JCreate, Key: 7, Seq: 2, Path: "/a/f"},
-		{Kind: JAppend, Key: 7, Seq: 3, Ino: 1, Blocks: 2},
-		{Kind: JTrunc, Key: 7, Seq: 4, Ino: 1, Size: 1500},
+		{Kind: JAppend, Key: 7, Seq: 3, Ino: 3, Blocks: 2},
+		{Kind: JTrunc, Key: 7, Seq: 4, Ino: 3, Size: 1500},
 		{Kind: JLink, Key: 7, Seq: 5, Path: "/a/f", Path2: "/a/g"},
 		{Kind: JRename, Key: 7, Seq: 6, Path: "/a/g", Path2: "/a/h"},
 		{Kind: JUnlink, Key: 7, Seq: 7, Path: "/a/h"},
+	}
+}
+
+// TestJournalReplayRefusesDirectory: a data record naming a directory
+// is damage, like one naming no inode; replaying it used to give the
+// directory blocks and a size.
+func TestJournalReplayRefusesDirectory(t *testing.T) {
+	for _, rec := range []JRecord{
+		{Kind: JAppend, Key: 7, Seq: 2, Ino: 1, Blocks: 2},
+		{Kind: JTrunc, Key: 7, Seq: 2, Ino: 1, Size: 1500},
+		{Kind: JAppend, Key: 7, Seq: 2, Ino: 2, Blocks: 1},
+		{Kind: JTrunc, Key: 7, Seq: 2, Ino: 99, Size: 10},
+	} {
+		fs := NewFsCore(1<<20, 1024)
+		recs := []JRecord{{Kind: JMkdir, Key: 7, Seq: 1, Path: "/a"}, rec}
+		if _, err := ReplayJournal(fs, recs); err == nil {
+			t.Errorf("replay of %+v onto inode %d succeeded", rec, rec.Ino)
+		}
 	}
 }
 

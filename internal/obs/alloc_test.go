@@ -59,6 +59,15 @@ func allocReq(span SpanID, at sim.Time) []Event {
 	return events
 }
 
+// TestRequestSize bounds the summary the engine keeps per completed
+// request: a run's population is most of the engine's memory, so a
+// wider blame vector must not grow it.
+func TestRequestSize(t *testing.T) {
+	if n := unsafe.Sizeof(Request{}); n > 96 {
+		t.Fatalf("Request is %d B, want <= 96", n)
+	}
+}
+
 // TestConsumeZeroAlloc pins the critical-path engine's steady state: a
 // warmed-up request that does not rank among the exemplars allocates
 // nothing — its state and event buffer come from the pool, pairing and

@@ -17,7 +17,7 @@ import (
 //
 // Determinism contract: a capture contains only simulation-derived
 // values in fixed orders (profile paths sorted, metrics in registration
-// order, histograms in id order, blame in category order), so identical
+// order, histograms in id order, blame in paint order), so identical
 // runs marshal to byte-identical JSON. Capturing is pure
 // post-processing over the existing event stream (Profiler and CritPath
 // are ordinary sinks); with no capture armed, nothing here runs.
@@ -25,7 +25,7 @@ import (
 // CaptureSchema is the run-capture schema version. Bump it whenever the
 // capture layout changes incompatibly; DiffCaptures refuses to align
 // captures of different schema versions.
-const CaptureSchema = 1
+const CaptureSchema = 2
 
 // CapturePath is one folded-profile line: a ';'-separated call path and
 // the self-cycles attributed to its leaf frame.
@@ -62,11 +62,20 @@ type CaptureHist struct {
 	Buckets []CaptureBucket `json:"buckets,omitempty"`
 }
 
-// CaptureBlame is one blame category's aggregate cycles over all
-// completed requests.
+// CaptureBlame is one paint's cycles: a layer working, or waited on.
 type CaptureBlame struct {
-	Category string `json:"category"`
-	Cycles   uint64 `json:"cycles"`
+	Layer  string `json:"layer"`
+	Wait   bool   `json:"wait"`
+	Cycles uint64 `json:"cycles"`
+}
+
+// BlameList lists a blame vector or total cell by cell, in paint order.
+func BlameList[T uint32 | uint64](v [NumPaints]T) []CaptureBlame {
+	out := make([]CaptureBlame, NumPaints)
+	for p := range NumPaints {
+		out[p] = CaptureBlame{Layer: p.Layer().String(), Wait: p.Wait(), Cycles: uint64(v[p])}
+	}
+	return out
 }
 
 // CaptureBlameSet is the critical-path summary of a capture.
@@ -137,12 +146,7 @@ func NewRunCapture(workload string, prof *Profiler, cp *CritPath, reg *Registry,
 		c.Hists = append(c.Hists, CaptureHistogram(h))
 	}
 	if cp != nil {
-		c.Blame = CaptureBlameSet{Completed: cp.completed, Failed: cp.failed}
-		for cat := BlameCat(0); cat < NumBlame; cat++ {
-			c.Blame.Total = append(c.Blame.Total, CaptureBlame{
-				Category: cat.String(), Cycles: cp.total[cat],
-			})
-		}
+		c.Blame = CaptureBlameSet{Completed: cp.completed, Failed: cp.failed, Total: BlameList(cp.total)}
 	}
 	return c
 }
@@ -169,7 +173,7 @@ func ReadCaptureJSON(data []byte) (*RunCapture, error) {
 		return nil, fmt.Errorf("obs: capture schema %d, this binary speaks %d", c.Schema, CaptureSchema)
 	}
 	// A capture always names its workload; its absence means this is
-	// some other schema-1 JSON (a bench file, say), not a capture.
+	// some other JSON with the same schema number (a bench file, say).
 	if c.Workload == "" {
 		return nil, fmt.Errorf("obs: capture JSON names no workload")
 	}

@@ -14,48 +14,79 @@ import (
 
 // Critical-path attribution: streaming request-trace assembly over the
 // span stream, decomposing each root span's end-to-end latency into
-// deterministic blame categories (docs/OBSERVABILITY.md). A CritPath
+// deterministic paints, a layer working or waited on
+// (docs/OBSERVABILITY.md). A CritPath
 // is a pure event consumer — install Consume as Options.Sink (or call
 // it from a fan-out sink). It schedules no engine events and holds
 // bounded state, so it follows the same zero-overhead-when-off
 // contract as the tracer itself: no tracer, no events, no work.
 
-// BlameCat is one latency blame category.
-type BlameCat uint8
+// Paint is where one critical-path cycle goes: a layer (obs.Layer),
+// and whether that layer is working or being waited on. A paint's
+// number is its priority: where paints overlap, the highest takes the
+// cycle. Handler work ranks below DTU work, waiting ranks above both,
+// and wire time above everything; what no paint covers is app work,
+// the lowest. In order: app, kernel, service, dtu, then app..noc
+// waited on, then noc.
+type Paint uint8
 
-// Blame categories, in report order. Every cycle of a request's
-// end-to-end window lands in exactly one category: painting is by
-// priority (Shed > NoC > Retry > Queue > Kernel), and whatever no
-// instrumented interval covers is app compute by definition.
-const (
-	BlameApp    BlameCat = iota // uninstrumented compute on the app PE
-	BlameQueue                  // DTU queueing: msg flights, credit stalls, recv→handler gaps, xfers
-	BlameNoC                    // wire time: packet inject→deliver flights
-	BlameKernel                 // kernel syscall handling, kernel→service calls, service handling
-	BlameRetry                  // retransmit/backoff gaps inside unreliable flights
-	BlameShed                   // overload fast-fail aftermath: first admission refusal → root end
-	NumBlame
-)
+// NumPaints counts the paints: each layer working and waited on.
+const NumPaints = 2 * Paint(numLayers)
 
-var blameNames = [NumBlame]string{"app", "queue", "noc", "kernel", "retry", "shed"}
+// appWork is app working: the remainder no interval paints.
+const appWork Paint = 0
 
-func (b BlameCat) String() string {
-	if int(b) < len(blameNames) {
-		return blameNames[b]
+// PaintOf returns the paint of layer l, waited on or working.
+func PaintOf(l Layer, wait bool) Paint {
+	switch {
+	case wait:
+		return Paint(LNoC + l) // after the work of app..dtu
+	case l == LNoC:
+		return NumPaints - 1
 	}
-	return fmt.Sprintf("blame%d", uint8(b))
+	return Paint(l)
 }
 
-// blamePrio maps a category to its painting priority (higher wins when
-// intervals overlap). BlameApp is the unpainted remainder.
-var blamePrio = [NumBlame]int{0, 2, 4, 1, 3, 5}
+// Layer returns the paint's layer.
+func (p Paint) Layer() Layer {
+	switch {
+	case p == NumPaints-1:
+		return LNoC
+	case p >= Paint(LNoC):
+		return Layer(p) - LNoC
+	}
+	return Layer(p)
+}
 
-// BlameVec is a per-category cycle decomposition. The categories sum
-// to the request's end-to-end latency.
-type BlameVec [NumBlame]uint64
+// Wait reports whether the paint is its layer being waited on.
+func (p Paint) Wait() bool { return p >= Paint(LNoC) && p < NumPaints-1 }
 
-// Total returns the sum over all categories.
+func (p Paint) String() string {
+	if p.Wait() {
+		return p.Layer().String() + "/wait"
+	}
+	return p.Layer().String()
+}
+
+// BlameVec is one request's cycles per paint; they sum to its
+// end-to-end latency. A cell holds 32 bits, four billion cycles: no
+// request of a simulated run comes near that.
+type BlameVec [NumPaints]uint32
+
+// Total returns the sum over all paints.
 func (v BlameVec) Total() uint64 {
+	var s uint64
+	for _, c := range v {
+		s += uint64(c)
+	}
+	return s
+}
+
+// BlameTotal is BlameVec summed over many requests.
+type BlameTotal [NumPaints]uint64
+
+// Total returns the sum over all paints.
+func (v BlameTotal) Total() uint64 {
 	var s uint64
 	for _, c := range v {
 		s += c
@@ -63,22 +94,23 @@ func (v BlameVec) Total() uint64 {
 	return s
 }
 
-func (v *BlameVec) add(o BlameVec) {
+func (v *BlameTotal) add(o BlameVec) {
 	for i, c := range o {
-		v[i] += c
+		v[i] += uint64(c)
 	}
 }
 
 // Request is the completed-request summary the engine keeps per root
-// span: identity, outcome, and the blame decomposition.
+// span: identity, outcome, and the blame decomposition. The engine
+// keeps one per completed request, so its fields are ordered to pack.
 type Request struct {
 	Span  SpanID
 	PE    int32    // root PE
 	Kind  Kind     // root kind (EvSyscallStart or EvSvcCallStart)
+	Fail  bool     // root closed with an error, or an admission refusal fired
 	Op    uint64   // root Arg0 (opcode / endpoint)
 	Start sim.Time // root open
 	End   sim.Time // root close
-	Fail  bool     // root closed with an error, or an admission refusal fired
 	Blame BlameVec
 }
 
@@ -163,7 +195,7 @@ type CritPath struct {
 	nSummary  int
 	exemplars []*Exemplar
 
-	total BlameVec
+	total BlameTotal
 	hist  Histogram
 
 	completed, failed, evicted, truncated, dropped uint64
@@ -286,9 +318,9 @@ func (c *CritPath) finish(span SpanID, st *reqState, end Event) {
 		Span: span, PE: st.root.PE, Kind: st.root.Kind, Op: st.root.Arg0,
 		Start: st.root.At, End: end.At,
 	}
-	shedAt, shed := firstShed(st.events)
-	req.Fail = end.Arg1 != 0 || shed
-	req.Blame = c.scratch.attribute(st.events, req.Start, req.End, shedAt, shed)
+	var refused bool
+	req.Blame, refused = c.scratch.attribute(st.events, req.Start, req.End)
+	req.Fail = end.Arg1 != 0 || refused
 	if st.truncated {
 		c.truncated++
 	}
@@ -348,46 +380,37 @@ func (c *CritPath) offerExemplar(req *Request, st *reqState) {
 	c.exemplars = slices.Insert(c.exemplars, i, ex)
 }
 
-// firstShed returns the timestamp of the request's first admission
-// refusal, if any: from there on the request lives in the shed path.
-func firstShed(events []Event) (sim.Time, bool) {
-	for _, ev := range events {
-		if ev.Kind == EvAdmitRefuse {
-			return ev.At, true
-		}
-	}
-	return 0, false
-}
-
-// peStart is a per-PE timestamp: a handler start, or the start of an
-// open service request or credit stall.
+// peStart is a per-PE timestamp and the layer of the event that set
+// it: a handler start, or the start of an open service request or
+// credit stall.
 type peStart struct {
-	pe int32
-	at sim.Time
+	pe    int32
+	layer Layer
+	at    sim.Time
 }
 
 // peOpens is a small per-PE set of open brackets: the first open on a
 // PE holds until a close on the same PE takes it.
 type peOpens []peStart
 
-func (m *peOpens) open(pe int32, at sim.Time) {
+func (m *peOpens) open(ev Event) {
 	for _, o := range *m {
-		if o.pe == pe {
+		if o.pe == ev.PE {
 			return
 		}
 	}
-	*m = append(*m, peStart{pe, at})
+	*m = append(*m, peStart{ev.PE, ev.Layer, ev.At})
 }
 
-func (m *peOpens) close(pe int32) (sim.Time, bool) {
+func (m *peOpens) close(pe int32) (peStart, bool) {
 	for i, o := range *m {
 		if o.pe == pe {
 			(*m)[i] = (*m)[len(*m)-1]
 			*m = (*m)[:len(*m)-1]
-			return o.at, true
+			return o, true
 		}
 	}
-	return 0, false
+	return peStart{}, false
 }
 
 // attrScratch is attribute's reusable working state. Every slice is
@@ -402,24 +425,29 @@ type attrScratch struct {
 	svc, stall peOpens
 }
 
-// A paint edge is one uint64, time<<4 | open<<3 | cat, so sorting the
-// edges orders them by time. Simulated time stays far below 1<<60.
-const edgeOpen = 1 << 3
+// A paint edge is one uint64, time<<5 | open<<4 | paint, so sorting
+// the edges orders them by time. Simulated time stays far below 1<<59.
+const edgeOpen = 1 << 4
 
-// paint adds [from,to) in cat, clipped to the request window, as an
-// open and a close edge; degenerate intervals paint nothing.
-func (a *attrScratch) paint(from, to sim.Time, cat BlameCat) {
+// paint adds [from,to) in p, clipped to the request window, as an open
+// and a close edge. Degenerate intervals paint nothing, and neither
+// does app work: it is the remainder.
+func (a *attrScratch) paint(from, to sim.Time, p Paint) {
 	from, to = max(from, a.s), min(to, a.e)
-	if to > from {
-		a.edges = append(a.edges, uint64(from)<<4|edgeOpen|uint64(cat), uint64(to)<<4|uint64(cat))
+	if to > from && p != appWork {
+		a.edges = append(a.edges, uint64(from)<<5|edgeOpen|uint64(p), uint64(to)<<5|uint64(p))
 	}
 }
 
 // attribute decomposes the window [s,e] of one request. It builds
-// category intervals from the request's own events and paints every
-// cycle with the highest-priority covering category; the unpainted
-// remainder is app compute. The categories sum exactly to e-s.
-func (a *attrScratch) attribute(events []Event, s, e sim.Time, shedAt sim.Time, shed bool) BlameVec {
+// painted intervals from the request's own events and gives every
+// cycle the highest-priority paint covering it; the unpainted
+// remainder is app work. The paints sum exactly to e-s. A working
+// interval paints the layer of the event that opens it; a wait paints
+// the layer waited on: the handler a message waits for, the DTU that
+// stalls or retransmits, the layer that refused the request. refused
+// reports an admission refusal.
+func (a *attrScratch) attribute(events []Event, s, e sim.Time) (v BlameVec, refused bool) {
 	a.s, a.e = s, e
 	a.edges, a.handlers, a.rexmits = a.edges[:0], a.handlers[:0], a.rexmits[:0]
 	a.svc, a.stall = a.svc[:0], a.stall[:0]
@@ -428,28 +456,34 @@ func (a *attrScratch) attribute(events []Event, s, e sim.Time, shedAt sim.Time, 
 		switch ev.Kind {
 		case EvKSyscallStart:
 			// Handler start: where kernel processing of this span begins
-			// on some PE. Used to close receiver-side queueing gaps.
-			a.handlers = append(a.handlers, peStart{ev.PE, ev.At})
+			// on some PE. Used to close receiver-side waiting gaps.
+			a.handlers = append(a.handlers, peStart{ev.PE, ev.Layer, ev.At})
 		case EvSvcReq:
 			// A service handling request is a handler start too, and runs
-			// until the next reply leaving the same PE; it is painted as
-			// kernel time like kernel-side intervals.
-			a.handlers = append(a.handlers, peStart{ev.PE, ev.At})
-			a.svc.open(ev.PE, ev.At)
+			// until the next reply leaving the same PE.
+			a.handlers = append(a.handlers, peStart{ev.PE, ev.Layer, ev.At})
+			a.svc.open(ev)
 		case EvReplySend:
-			if at, ok := a.svc.close(ev.PE); ok {
-				a.paint(at, ev.At, BlameKernel)
+			if o, ok := a.svc.close(ev.PE); ok {
+				a.paint(o.at, ev.At, PaintOf(o.layer, false))
 			}
 		case EvCreditStall:
-			a.stall.open(ev.PE, ev.At)
+			a.stall.open(ev)
 		case EvCreditOK:
-			if at, ok := a.stall.close(ev.PE); ok {
-				a.paint(at, ev.At, BlameQueue)
+			if o, ok := a.stall.close(ev.PE); ok {
+				a.paint(o.at, ev.At, PaintOf(o.layer, true))
 			}
 		case EvRetransmit, EvXmitAbort:
 			// Any message flight whose window contains one of these is a
-			// lossy flight: its non-wire time is retry/backoff.
+			// lossy flight: its non-wire time is retransmit backoff.
 			a.rexmits = append(a.rexmits, ev.At)
+		case EvAdmitRefuse:
+			// From the first refusal on, the request waits out the
+			// refusing layer's fast-fail path.
+			if !refused {
+				a.paint(ev.At, e, PaintOf(ev.Layer, true))
+				refused = true
+			}
 		}
 	}
 
@@ -458,64 +492,47 @@ func (a *attrScratch) attribute(events []Event, s, e sim.Time, shedAt sim.Time, 
 		open := &events[pr.open]
 		start, end := open.At, events[pr.close].At
 		switch open.Kind {
-		case EvKSyscallStart, EvSvcCallStart:
-			// Kernel-side processing. (The app-layer svccall root is the
-			// whole window and paints nothing; kernel-layer ones do.)
-			if open.Layer != LApp {
-				a.paint(start, end, BlameKernel)
-			}
-		case EvXferStart:
-			a.paint(start, end, BlameQueue)
+		case EvKSyscallStart, EvSvcCallStart, EvXferStart, EvPktInject:
+			// Handler work, kernel-to-service calls, transfers and packet
+			// flights. (The app-layer svccall root is the whole window
+			// and paints app, the remainder anyway.)
+			a.paint(start, end, PaintOf(open.Layer, false))
 		case EvMsgSend, EvReplySend:
-			a.paint(start, end, BlameQueue)
-			// Receiver-side queueing: the message landed at end but the
+			a.paint(start, end, PaintOf(open.Layer, false))
+			// Receiver-side waiting: the message landed at end but the
 			// handler on the destination PE (Arg1) picked it up later —
-			// paint the gap as queueing, not app.
+			// paint the gap as waiting on that handler's layer.
 			dst := int32(open.Arg1)
-			var gapEnd sim.Time
+			var gap peStart
+			found := false
 			for _, h := range a.handlers {
-				if h.pe == dst && h.at >= end && (gapEnd == 0 || h.at < gapEnd) {
-					gapEnd = h.at
+				if h.pe == dst && h.at >= end && (!found || h.at < gap.at) {
+					gap, found = h, true
 				}
 			}
-			if gapEnd > end {
-				a.paint(end, gapEnd, BlameQueue)
+			if found && gap.at > end {
+				a.paint(end, gap.at, PaintOf(gap.layer, true))
 			}
 			// Lossy flight: everything not covered by wire time inside
-			// it is retransmit/backoff.
+			// it is the flight's layer waited on.
 			for _, t := range a.rexmits {
 				if t >= start && t <= end {
-					a.paint(start, end, BlameRetry)
+					a.paint(start, end, PaintOf(open.Layer, true))
 					break
 				}
 			}
-		case EvPktInject:
-			a.paint(start, end, BlameNoC)
 		}
 	}
 
-	if shed {
-		a.paint(shedAt, e, BlameShed)
-	}
-
-	return a.paintSweep()
+	return a.paintSweep(), refused
 }
 
-// prioCat maps a painting priority back to its category.
-var prioCat = func() (p [NumBlame]BlameCat) {
-	for cat, prio := range blamePrio {
-		p[prio] = BlameCat(cat)
-	}
-	return p
-}()
-
 // paintSweep resolves overlapping paints by priority over [s,e] and
-// returns the per-category totals, with the remainder as BlameApp.
-// It sweeps the sorted edges, keeping how many paints of each category
-// are open; every segment between two edge times goes to the
-// highest-priority category open over it. Which paint wins a segment
-// depends only on the set of paints, never on their order: every
-// category has its own priority.
+// returns the per-paint totals, with the remainder as app work. It
+// sweeps the sorted edges, keeping how many intervals of each paint
+// are open; every segment between two edge times goes to the highest
+// paint open over it. Which paint wins a segment depends only on the
+// set of intervals, never on their order: a paint is its priority.
 func (a *attrScratch) paintSweep() BlameVec {
 	var v BlameVec
 	s, e := a.s, a.e
@@ -523,27 +540,27 @@ func (a *attrScratch) paintSweep() BlameVec {
 		return v
 	}
 	slices.Sort(a.edges)
-	var open [NumBlame]int32 // open paints per category
-	mask := uint8(1)         // bit blamePrio[cat] set while cat is open; app always is
+	var open [NumPaints]int32 // open intervals per paint
+	mask := uint16(1)         // bit p set while paint p is open; app work always is
 	at := s
 	for _, edge := range a.edges {
-		if t := sim.Time(edge >> 4); t > at {
-			v[prioCat[bits.Len8(mask)-1]] += uint64(t - at)
+		if t := sim.Time(edge >> 5); t > at {
+			v[bits.Len16(mask)-1] += uint32(t - at)
 			at = t
 		}
-		cat := BlameCat(edge & (edgeOpen - 1))
+		p := Paint(edge & (edgeOpen - 1))
 		if edge&edgeOpen != 0 {
-			open[cat]++
+			open[p]++
 		} else {
-			open[cat]--
+			open[p]--
 		}
-		if open[cat] > 0 {
-			mask |= 1 << blamePrio[cat]
+		if open[p] > 0 {
+			mask |= 1 << p
 		} else {
-			mask &^= 1 << blamePrio[cat]
+			mask &^= 1 << p
 		}
 	}
-	v[BlameApp] += uint64(e - at)
+	v[appWork] += uint32(e - at)
 	return v
 }
 
@@ -567,7 +584,7 @@ type Report struct {
 	Evicted   uint64 // active roots dropped by the MaxActive bound
 	Truncated uint64 // completed requests whose event list hit MaxEvents
 	Dropped   uint64 // completions past MaxRequests (not in quantiles)
-	Total     BlameVec
+	Total     BlameTotal
 	Quantiles []ReqQuantile
 	Exemplars []*Exemplar
 }
@@ -622,11 +639,11 @@ func (c *CritPath) ReportAt(qs []float64) Report {
 }
 
 // WriteFolded writes the aggregate blame decomposition in folded
-// flamegraph format (root-kind;category cycles), the same shape
+// flamegraph format (root-kind;paint cycles), the same shape
 // the profiler's WriteFolded emits (`m3sim prof -o`), so the two
 // collapse into one flamegraph.
 func (c *CritPath) WriteFolded(w io.Writer) error {
-	var agg [numKinds]BlameVec // by root kind
+	var agg [numKinds]BlameTotal // by root kind
 	for _, b := range c.summaries {
 		for _, req := range b {
 			agg[req.Kind].add(req.Blame)
@@ -638,9 +655,9 @@ func (c *CritPath) WriteFolded(w io.Writer) error {
 	}
 	var lines []line
 	for k := range agg {
-		for cat, cyc := range agg[k] {
+		for p, cyc := range agg[k] {
 			if cyc != 0 {
-				lines = append(lines, line{Kind(k).String() + ";" + BlameCat(cat).String(), cyc})
+				lines = append(lines, line{Kind(k).String() + ";" + Paint(p).String(), cyc})
 			}
 		}
 	}

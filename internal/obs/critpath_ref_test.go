@@ -31,7 +31,7 @@ type refCritPath struct {
 	summaries []Request
 	exemplars []*Exemplar
 
-	total BlameVec
+	total BlameTotal
 	hist  Histogram
 
 	completed, failed, evicted, truncated, dropped uint64
@@ -91,9 +91,9 @@ func (c *refCritPath) finish(span SpanID, st *refReqState, end Event) {
 		Span: span, PE: st.root.PE, Kind: st.root.Kind, Op: st.root.Arg0,
 		Start: st.root.At, End: end.At,
 	}
-	shedAt, shed := firstShed(st.events)
-	req.Fail = end.Arg1 != 0 || shed
-	req.Blame = refAttribute(st.events, req.Start, req.End, shedAt, shed)
+	var refused bool
+	req.Blame, refused = refAttribute(st.events, req.Start, req.End)
+	req.Fail = end.Arg1 != 0 || refused
 	if st.truncated {
 		c.truncated++
 	}
@@ -182,11 +182,11 @@ func (c *refCritPath) WriteFolded(w io.Writer) error {
 	}
 	agg := map[string]uint64{}
 	for _, req := range c.summaries {
-		for cat, cyc := range req.Blame {
+		for p, cyc := range req.Blame {
 			if cyc == 0 {
 				continue
 			}
-			agg[req.Kind.String()+";"+BlameCat(cat).String()] += cyc
+			agg[req.Kind.String()+";"+Paint(p).String()] += uint64(cyc)
 		}
 	}
 	lines := make([]line, 0, len(agg))
@@ -202,9 +202,11 @@ func (c *refCritPath) WriteFolded(w io.Writer) error {
 	return nil
 }
 
-func refAttribute(events []Event, s, e sim.Time, shedAt sim.Time, shed bool) BlameVec {
+// refAttribute paints the window [s,e] of one request interval by
+// interval, and reports whether the request was refused.
+func refAttribute(events []Event, s, e sim.Time) (BlameVec, bool) {
 	var paints []paintIv
-	add := func(a, b sim.Time, cat BlameCat) {
+	add := func(a, b sim.Time, l Layer, wait bool) {
 		if a < s {
 			a = s
 		}
@@ -212,20 +214,16 @@ func refAttribute(events []Event, s, e sim.Time, shedAt sim.Time, shed bool) Bla
 			b = e
 		}
 		if b > a {
-			paints = append(paints, paintIv{a, b, cat})
+			paints = append(paints, paintIv{a, b, l, wait})
 		}
 	}
 
 	intervals, _ := refIntervals(events)
 
-	type handlerStart struct {
-		pe int32
-		at sim.Time
-	}
-	var handlers []handlerStart
+	var handlers []Event
 	for _, ev := range events {
 		if ev.Kind == EvKSyscallStart || ev.Kind == EvSvcReq {
-			handlers = append(handlers, handlerStart{ev.PE, ev.At})
+			handlers = append(handlers, ev)
 		}
 	}
 
@@ -236,31 +234,40 @@ func refAttribute(events []Event, s, e sim.Time, shedAt sim.Time, shed bool) Bla
 		}
 	}
 
-	pendingSvc := map[int32]sim.Time{}
+	refused := false
+	for _, ev := range events {
+		if ev.Kind == EvAdmitRefuse {
+			add(ev.At, e, ev.Layer, true)
+			refused = true
+			break
+		}
+	}
+
+	pendingSvc := map[int32]Event{}
 	for _, ev := range events {
 		switch ev.Kind {
 		case EvSvcReq:
 			if _, busy := pendingSvc[ev.PE]; !busy {
-				pendingSvc[ev.PE] = ev.At
+				pendingSvc[ev.PE] = ev
 			}
 		case EvReplySend:
-			if at, busy := pendingSvc[ev.PE]; busy {
-				add(at, ev.At, BlameKernel)
+			if req, busy := pendingSvc[ev.PE]; busy {
+				add(req.At, ev.At, req.Layer, false)
 				delete(pendingSvc, ev.PE)
 			}
 		}
 	}
 
-	pendingStall := map[int32]sim.Time{}
+	pendingStall := map[int32]Event{}
 	for _, ev := range events {
 		switch ev.Kind {
 		case EvCreditStall:
 			if _, busy := pendingStall[ev.PE]; !busy {
-				pendingStall[ev.PE] = ev.At
+				pendingStall[ev.PE] = ev
 			}
 		case EvCreditOK:
-			if at, busy := pendingStall[ev.PE]; busy {
-				add(at, ev.At, BlameQueue)
+			if stall, busy := pendingStall[ev.PE]; busy {
+				add(stall.At, ev.At, stall.Layer, true)
 				delete(pendingStall, ev.PE)
 			}
 		}
@@ -268,55 +275,63 @@ func refAttribute(events []Event, s, e sim.Time, shedAt sim.Time, shed bool) Bla
 
 	for _, iv := range intervals {
 		switch iv.Kind {
-		case EvKSyscallStart, EvSvcCallStart:
-			if iv.Layer != LApp {
-				add(iv.Start, iv.End, BlameKernel)
-			}
-		case EvXferStart:
-			add(iv.Start, iv.End, BlameQueue)
+		case EvKSyscallStart, EvSvcCallStart, EvXferStart, EvPktInject:
+			add(iv.Start, iv.End, iv.Layer, false)
 		case EvMsgSend, EvReplySend:
-			add(iv.Start, iv.End, BlameQueue)
+			add(iv.Start, iv.End, iv.Layer, false)
 			dst := int32(iv.Arg1)
-			var gapEnd sim.Time
-			for _, h := range handlers {
-				if h.pe == dst && h.at >= iv.End && (gapEnd == 0 || h.at < gapEnd) {
-					gapEnd = h.at
+			var gap *Event
+			for i, h := range handlers {
+				if h.PE == dst && h.At >= iv.End && (gap == nil || h.At < gap.At) {
+					gap = &handlers[i]
 				}
 			}
-			if gapEnd > iv.End {
-				add(iv.End, gapEnd, BlameQueue)
+			if gap != nil && gap.At > iv.End {
+				add(iv.End, gap.At, gap.Layer, true)
 			}
 			for _, t := range rexmits {
 				if t >= iv.Start && t <= iv.End {
-					add(iv.Start, iv.End, BlameRetry)
+					add(iv.Start, iv.End, iv.Layer, true)
 					break
 				}
 			}
-		case EvPktInject:
-			add(iv.Start, iv.End, BlameNoC)
 		}
 	}
 
-	if shed {
-		add(shedAt, e, BlameShed)
-	}
-
-	return refPaintSweep(paints, s, e)
+	return refPaintSweep(paints, s, e), refused
 }
 
-// paintIv is one blame-painted interval.
+// paintIv is one painted interval: a layer working or waited on.
 type paintIv struct {
 	start, end sim.Time
-	cat        BlameCat
+	layer      Layer
+	wait       bool
+}
+
+// refRank is the painting priority, written out apart from the
+// engine's numbering of paints: the wire beats every wait, a wait
+// beats all work, DTU work beats handler work, and a service handler
+// beats the kernel that called it. App work is the unpainted
+// remainder and loses to everything.
+func refRank(l Layer, wait bool) int {
+	switch {
+	case l == LNoC && !wait:
+		return 100
+	case wait:
+		return 50 + int(l)
+	case l == LDTU:
+		return 30
+	case l == LService:
+		return 20
+	case l == LKernel:
+		return 10
+	}
+	return 0
 }
 
 func refPaintSweep(paints []paintIv, s, e sim.Time) BlameVec {
 	var v BlameVec
 	if e <= s {
-		return v
-	}
-	if len(paints) == 0 {
-		v[BlameApp] = uint64(e - s)
 		return v
 	}
 	bounds := make([]sim.Time, 0, 2*len(paints)+2)
@@ -333,13 +348,13 @@ func refPaintSweep(paints []paintIv, s, e sim.Time) BlameVec {
 	}
 	for i := 0; i+1 < len(uniq); i++ {
 		t0, t1 := uniq[i], uniq[i+1]
-		best, bestPrio := BlameApp, -1
+		best := paintIv{layer: LApp}
 		for _, p := range paints {
-			if p.start <= t0 && p.end >= t1 && blamePrio[p.cat] > bestPrio {
-				best, bestPrio = p.cat, blamePrio[p.cat]
+			if p.start <= t0 && p.end >= t1 && refRank(p.layer, p.wait) > refRank(best.layer, best.wait) {
+				best = p
 			}
 		}
-		v[best] += uint64(t1 - t0)
+		v[PaintOf(best.layer, best.wait)] += uint32(t1 - t0)
 	}
 	return v
 }

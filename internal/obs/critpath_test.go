@@ -51,10 +51,10 @@ func TestCritPathBlameDecomposition(t *testing.T) {
 		t.Fatalf("fault-free request marked failed")
 	}
 	want := BlameVec{}
-	want[BlameNoC] = 20    // both wire flights, 0-10 and 50-60
-	want[BlameQueue] = 10  // recv→handler pickup gap, 10-20
-	want[BlameKernel] = 30 // kernel handling, 20-50
-	want[BlameApp] = 10    // client unmarshal, 60-70
+	want[PaintOf(LNoC, false)] = 20    // both wire flights, 0-10 and 50-60
+	want[PaintOf(LKernel, true)] = 10  // recv→handler pickup gap, 10-20
+	want[PaintOf(LKernel, false)] = 30 // kernel handling, 20-50
+	want[PaintOf(LApp, false)] = 10    // client unmarshal, 60-70
 	if req.Blame != want {
 		t.Fatalf("blame = %v, want %v", req.Blame, want)
 	}
@@ -63,33 +63,57 @@ func TestCritPathBlameDecomposition(t *testing.T) {
 	}
 }
 
+// TestPaintNames pins the paints: every (layer, wait) pair once, in
+// priority order, and each paint naming its own layer and wait.
+func TestPaintNames(t *testing.T) {
+	var names []string
+	for p := range NumPaints {
+		names = append(names, p.String())
+		if PaintOf(p.Layer(), p.Wait()) != p {
+			t.Errorf("paint %d (%s) does not round-trip", p, p)
+		}
+	}
+	want := []string{"app", "kernel", "service", "dtu",
+		"app/wait", "kernel/wait", "service/wait", "dtu/wait", "noc/wait", "noc"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("paints = %v, want %v", names, want)
+	}
+}
+
+// TestCritPathShedPainting: from the DTU's refusal on, the request
+// waits on the DTU, except while the refusal's reply is on the wire.
+// Before paints were layers, the whole of 30-70 was "shed", the
+// highest category, and the reply's flight 30-40 was shed too; now
+// the wire beats every wait, so 10 of the 40 cycles move to noc.
 func TestCritPathShedPainting(t *testing.T) {
 	span := SpanID(4)
 	events := []Event{
 		{At: 0, PE: 0, Layer: LApp, Kind: EvSvcCallStart, Span: span, Arg0: 9},
 		{At: 0, PE: 0, Layer: LDTU, Kind: EvMsgSend, Span: span, Arg0: 1, Arg1: 2},
 		{At: 30, PE: 2, Layer: LDTU, Kind: EvAdmitRefuse, Span: span},
+		{At: 30, PE: 2, Layer: LNoC, Kind: EvPktInject, Span: span},
+		{At: 40, PE: 0, Layer: LNoC, Kind: EvPktDeliver, Span: span},
 		{At: 70, PE: 0, Layer: LApp, Kind: EvSvcCallEnd, Span: span, Arg0: 9},
 	}
 	c := NewCritPath(CritPathOptions{})
 	feedCP(c, events)
 	req := c.Requests()[0]
 	if !req.Fail {
-		t.Fatalf("shed request not marked failed")
+		t.Fatalf("refused request not marked failed")
 	}
-	if got := req.Blame[BlameShed]; got != 40 {
-		t.Fatalf("shed blame = %d, want 40 (verdict at 30 → end at 70)", got)
-	}
-	if got := req.Blame.Total(); got != 70 {
-		t.Fatalf("blame total = %d, want 70", got)
+	want := BlameVec{}
+	want[PaintOf(LApp, false)] = 30 // 0-30: the request flight never received
+	want[PaintOf(LNoC, false)] = 10 // 30-40: the refusal's reply on the wire
+	want[PaintOf(LDTU, true)] = 30  // 40-70: the rest, waiting out the refusal
+	if req.Blame != want {
+		t.Fatalf("blame = %v, want %v", req.Blame, want)
 	}
 }
 
 func TestCritPathRetryPainting(t *testing.T) {
 	span := SpanID(6)
 	// A lossy flight: first packet dropped, retransmit at 40 after
-	// backoff, delivery at 50. Wire time inside the flight is 0-10 and
-	// 40-50; the rest of the flight window is retry/backoff.
+	// backoff, delivery at 50.
 	events := []Event{
 		{At: 0, PE: 0, Layer: LApp, Kind: EvSyscallStart, Span: span, Arg0: 7},
 		{At: 0, PE: 0, Layer: LDTU, Kind: EvMsgSend, Span: span, Arg0: 1, Arg1: 2},
@@ -105,15 +129,15 @@ func TestCritPathRetryPainting(t *testing.T) {
 	feedCP(c, events)
 	req := c.Requests()[0]
 	// Pkt pairing is FIFO per span: the dropped inject at 0 pairs with
-	// the delivery at 50, so wire covers 0-50 minus nothing visible —
-	// the second inject stays unpaired. Retry still claims nothing
-	// under the wire interval; what matters is the flight is not
-	// blamed on app.
-	if req.Blame[BlameApp] != 10 {
-		t.Fatalf("app blame = %d, want 10 (only 50-60)", req.Blame[BlameApp])
-	}
-	if req.Blame[BlameRetry]+req.Blame[BlameNoC]+req.Blame[BlameQueue] != 50 {
-		t.Fatalf("flight window not fully attributed: %v", req.Blame)
+	// the delivery at 50, so the wire covers the whole message flight
+	// 0-50 and the second inject stays unpaired. The flight, lossy, is
+	// painted dtu/wait (it was "retry"), but the wire beats it, as
+	// "noc" beat "retry": nothing moves but the names.
+	want := BlameVec{}
+	want[PaintOf(LNoC, false)] = 50
+	want[PaintOf(LApp, false)] = 10
+	if req.Blame != want {
+		t.Fatalf("blame = %v, want %v", req.Blame, want)
 	}
 }
 
@@ -128,11 +152,11 @@ func TestCritPathCreditStallBlame(t *testing.T) {
 	c := NewCritPath(CritPathOptions{})
 	feedCP(c, events)
 	req := c.Requests()[0]
-	if req.Blame[BlameQueue] != 40 {
-		t.Fatalf("queue blame = %d, want 40 (credit stall 5-45)", req.Blame[BlameQueue])
-	}
-	if req.Blame[BlameApp] != 20 {
-		t.Fatalf("app blame = %d, want 20", req.Blame[BlameApp])
+	want := BlameVec{}
+	want[PaintOf(LDTU, true)] = 40 // credit stall 5-45
+	want[PaintOf(LApp, false)] = 20
+	if req.Blame != want {
+		t.Fatalf("blame = %v, want %v", req.Blame, want)
 	}
 }
 

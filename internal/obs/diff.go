@@ -11,13 +11,13 @@ import (
 // The differential-observability engine: align two run captures
 // (capture.go) and attribute their cycle delta. The output answers the
 // question a red bench gate raises — *where* did the regression go —
-// in four complementary views:
+// in three complementary views:
 //
 //   - profile deltas per (PE, layer, kind) leaf frame, each with its
-//     top-k contributing span paths, plus per-layer rollups;
+//     top-k contributing span paths, plus one per-layer table that
+//     carries each layer's profile self-cycles and its critical-path
+//     cycles (its work and the waits on it, over completed requests);
 //   - per-bucket histogram shift with p50/p90/p99 quantile deltas;
-//   - blame-category drift (app/queue/noc/kernel/retry/shed share of
-//     end-to-end latency, the critical-path view);
 //   - metric-by-metric deltas (changed, added, removed).
 //
 // Every slice in a CaptureDiff is sorted by a deterministic rule, so
@@ -55,16 +55,22 @@ type GroupDelta struct {
 // Delta returns new-old.
 func (g GroupDelta) Delta() int64 { return int64(g.New) - int64(g.Old) }
 
-// LayerDelta rolls a profile delta up to one architectural layer
-// across all PEs and kinds.
+// LayerDelta is one architectural layer's drift across all PEs: its
+// profile self-cycles (Old, New), and its critical-path cycles, the
+// layer's work and the waits on it summed over completed requests.
 type LayerDelta struct {
-	Layer string `json:"layer"`
-	Old   uint64 `json:"old"`
-	New   uint64 `json:"new"`
+	Layer   string `json:"layer"`
+	Old     uint64 `json:"old"`
+	New     uint64 `json:"new"`
+	OldCrit uint64 `json:"old_critpath"`
+	NewCrit uint64 `json:"new_critpath"`
 }
 
-// Delta returns new-old.
+// Delta returns the profile's new-old.
 func (l LayerDelta) Delta() int64 { return int64(l.New) - int64(l.Old) }
+
+// CritDelta returns the critical path's new-old.
+func (l LayerDelta) CritDelta() int64 { return int64(l.NewCrit) - int64(l.OldCrit) }
 
 // QuantileDelta is one histogram quantile's shift.
 type QuantileDelta struct {
@@ -102,19 +108,6 @@ func (h HistDelta) Changed() bool {
 	return len(h.Buckets) > 0
 }
 
-// BlameDelta is one blame category's drift: absolute cycles and the
-// category's share of the total end-to-end latency.
-type BlameDelta struct {
-	Category string  `json:"category"`
-	Old      uint64  `json:"old"`
-	New      uint64  `json:"new"`
-	OldShare float64 `json:"old_share"`
-	NewShare float64 `json:"new_share"`
-}
-
-// Delta returns new-old.
-func (b BlameDelta) Delta() int64 { return int64(b.New) - int64(b.Old) }
-
 // Metric delta statuses.
 const (
 	MetricChanged = "changed"
@@ -142,16 +135,13 @@ type CaptureDiff struct {
 	// Groups lists every (PE, layer, kind) whose self-cycles moved,
 	// largest absolute delta first.
 	Groups []GroupDelta `json:"groups,omitempty"`
-	// Layers is the per-layer rollup over all groups (including layers
-	// whose total did not move, when any group under them did).
+	// Layers is the per-layer table, every layer either capture names,
+	// present when any group or any layer's critical-path cycles moved.
 	Layers []LayerDelta `json:"layers,omitempty"`
 	// Hists lists every histogram that shifted.
 	Hists []HistDelta `json:"hists,omitempty"`
-	// Blame is the full blame-category drift table (all categories,
-	// category order) — present whenever either capture completed
-	// requests and any category moved.
-	Blame []BlameDelta `json:"blame,omitempty"`
-	// BlameCompleted* carry the request counts behind the drift table.
+	// Old/NewCompleted count the requests behind the critical-path
+	// cycles.
 	OldCompleted uint64 `json:"old_completed"`
 	NewCompleted uint64 `json:"new_completed"`
 	// Metrics lists changed/added/removed metrics in name order.
@@ -189,15 +179,16 @@ func DiffCaptures(old, new *RunCapture) (*CaptureDiff, error) {
 	if old.Workload != new.Workload {
 		return nil, fmt.Errorf("obs: capture workload mismatch: old %q, new %q", old.Workload, new.Workload)
 	}
-	d := &CaptureDiff{Workload: old.Workload}
+	d := &CaptureDiff{Workload: old.Workload,
+		OldCompleted: old.Blame.Completed, NewCompleted: new.Blame.Completed}
 	d.diffProfile(old, new)
+	d.diffLayers(old, new)
 	d.diffHists(old, new)
-	d.diffBlame(old, new)
 	d.diffMetrics(old, new)
 	return d, nil
 }
 
-// diffProfile builds the group, layer, and path deltas.
+// diffProfile builds the group and path deltas.
 func (d *CaptureDiff) diffProfile(old, new *RunCapture) {
 	type cyc struct{ old, new uint64 }
 	paths := map[string]*cyc{}
@@ -224,8 +215,6 @@ func (d *CaptureDiff) diffProfile(old, new *RunCapture) {
 	type gkey struct{ pe, layer, kind string }
 	groups := map[gkey]*GroupDelta{}
 	var gorder []gkey
-	layers := map[string]*LayerDelta{}
-	var lorder []string
 	for _, p := range order {
 		c := paths[p]
 		pe, layer, kind := pathLeaf(p)
@@ -241,14 +230,6 @@ func (d *CaptureDiff) diffProfile(old, new *RunCapture) {
 		if c.old != c.new {
 			g.Paths = append(g.Paths, PathDelta{Path: p, Old: c.old, New: c.new})
 		}
-		l, ok := layers[layer]
-		if !ok {
-			l = &LayerDelta{Layer: layer}
-			layers[layer] = l
-			lorder = append(lorder, layer)
-		}
-		l.Old += c.old
-		l.New += c.new
 	}
 	for _, gk := range gorder {
 		g := groups[gk]
@@ -281,18 +262,53 @@ func (d *CaptureDiff) diffProfile(old, new *RunCapture) {
 		}
 		return gi.Kind < gj.Kind
 	})
-	if len(d.Groups) > 0 {
-		for _, l := range lorder {
-			d.Layers = append(d.Layers, *layers[l])
+}
+
+// diffLayers builds the per-layer table: the profile self-cycles of
+// every path whose leaf frame is in the layer, and the critical-path
+// cycles of the layer's work and waits. Rows are ordered by profile
+// delta, largest growth first, then by name.
+func (d *CaptureDiff) diffLayers(old, new *RunCapture) {
+	var rows []LayerDelta
+	idx := map[string]int{}
+	row := func(layer string) *LayerDelta {
+		i, ok := idx[layer]
+		if !ok {
+			i = len(rows)
+			idx[layer] = i
+			rows = append(rows, LayerDelta{Layer: layer})
 		}
-		sort.SliceStable(d.Layers, func(i, j int) bool {
-			di, dj := d.Layers[i].Delta(), d.Layers[j].Delta()
-			if di != dj {
-				return di > dj
-			}
-			return d.Layers[i].Layer < d.Layers[j].Layer
-		})
+		return &rows[i]
 	}
+	for _, pc := range old.Profile {
+		_, layer, _ := pathLeaf(pc.Path)
+		row(layer).Old += pc.Cycles
+	}
+	for _, pc := range new.Profile {
+		_, layer, _ := pathLeaf(pc.Path)
+		row(layer).New += pc.Cycles
+	}
+	for _, b := range old.Blame.Total {
+		row(b.Layer).OldCrit += b.Cycles
+	}
+	for _, b := range new.Blame.Total {
+		row(b.Layer).NewCrit += b.Cycles
+	}
+	moved := len(d.Groups) > 0
+	for _, l := range rows {
+		moved = moved || l.CritDelta() != 0
+	}
+	if !moved {
+		return
+	}
+	sort.SliceStable(rows, func(i, j int) bool {
+		di, dj := rows[i].Delta(), rows[j].Delta()
+		if di != dj {
+			return di > dj
+		}
+		return rows[i].Layer < rows[j].Layer
+	})
+	d.Layers = rows
 }
 
 // diffHists aligns histograms by name and keeps the ones that shifted.
@@ -333,51 +349,6 @@ func (d *CaptureDiff) diffHists(old, new *RunCapture) {
 		if hd.Changed() {
 			d.Hists = append(d.Hists, hd)
 		}
-	}
-}
-
-// diffBlame builds the category drift table.
-func (d *CaptureDiff) diffBlame(old, new *RunCapture) {
-	d.OldCompleted = old.Blame.Completed
-	d.NewCompleted = new.Blame.Completed
-	oldC := map[string]uint64{}
-	var oldTotal uint64
-	for _, b := range old.Blame.Total {
-		oldC[b.Category] += b.Cycles
-		oldTotal += b.Cycles
-	}
-	newC := map[string]uint64{}
-	var newTotal uint64
-	var order []string
-	for _, b := range new.Blame.Total {
-		if _, dup := newC[b.Category]; !dup {
-			order = append(order, b.Category)
-		}
-		newC[b.Category] += b.Cycles
-		newTotal += b.Cycles
-	}
-	for _, b := range old.Blame.Total {
-		if _, ok := newC[b.Category]; !ok {
-			order = append(order, b.Category)
-		}
-	}
-	moved := false
-	var table []BlameDelta
-	for _, cat := range order {
-		bd := BlameDelta{Category: cat, Old: oldC[cat], New: newC[cat]}
-		if oldTotal > 0 {
-			bd.OldShare = float64(bd.Old) / float64(oldTotal)
-		}
-		if newTotal > 0 {
-			bd.NewShare = float64(bd.New) / float64(newTotal)
-		}
-		if bd.Old != bd.New {
-			moved = true
-		}
-		table = append(table, bd)
-	}
-	if moved {
-		d.Blame = table
 	}
 }
 
@@ -426,7 +397,7 @@ func (d *CaptureDiff) diffMetrics(old, new *RunCapture) {
 // Empty reports whether the two captures were observably identical:
 // an empty diff renders as "no drift".
 func (d *CaptureDiff) Empty() bool {
-	return len(d.Groups) == 0 && len(d.Hists) == 0 && len(d.Blame) == 0 &&
+	return len(d.Groups) == 0 && len(d.Hists) == 0 && len(d.Layers) == 0 &&
 		len(d.Metrics) == 0 && d.OldTotal == d.NewTotal &&
 		d.OldCompleted == d.NewCompleted
 }
@@ -442,15 +413,15 @@ func (d *CaptureDiff) TopLayer() (LayerDelta, bool) {
 	return LayerDelta{}, false
 }
 
-// TopBlame returns the blame category with the largest positive cycle
-// drift — where the added end-to-end latency landed (false when no
-// category grew). Categories tie-break in table order.
-func (d *CaptureDiff) TopBlame() (BlameDelta, bool) {
-	var best BlameDelta
+// TopBlame returns the layer whose critical-path cycles grew most —
+// where the added end-to-end latency landed (false when none grew).
+// Ties go to the first in table order.
+func (d *CaptureDiff) TopBlame() (LayerDelta, bool) {
+	var best LayerDelta
 	found := false
-	for _, b := range d.Blame {
-		if b.Delta() > 0 && (!found || b.Delta() > best.Delta()) {
-			best, found = b, true
+	for _, l := range d.Layers {
+		if l.CritDelta() > 0 && (!found || l.CritDelta() > best.CritDelta()) {
+			best, found = l, true
 		}
 	}
 	return best, found
@@ -479,7 +450,7 @@ func pct(old, new uint64) string {
 func signed(v int64) string { return fmt.Sprintf("%+d", v) }
 
 // Summary renders the diff's headline in one line: total profile
-// movement plus the top layer and blame drift.
+// movement plus the top layer of the profile and of the critical path.
 func (d *CaptureDiff) Summary() string {
 	if d.Empty() {
 		return fmt.Sprintf("capture %s: no drift", d.Workload)
@@ -490,7 +461,7 @@ func (d *CaptureDiff) Summary() string {
 		s += fmt.Sprintf("; top layer %s %s (%s cycles)", l.Layer, pct(l.Old, l.New), signed(l.Delta()))
 	}
 	if b, ok := d.TopBlame(); ok {
-		s += fmt.Sprintf("; blame %s %.0f%%->%.0f%%", b.Category, 100*b.OldShare, 100*b.NewShare)
+		s += fmt.Sprintf("; top blame %s %s (%s cycles)", b.Layer, pct(b.OldCrit, b.NewCrit), signed(b.CritDelta()))
 	}
 	return s
 }
@@ -511,12 +482,14 @@ func (d *CaptureDiff) WriteText(w io.Writer, topGroups int) error {
 		return err
 	}
 	if len(d.Layers) > 0 {
-		if err := pr("  layer deltas (self-cycles, all PEs):\n"); err != nil {
+		if err := pr("  layer deltas (profile self-cycles, all PEs | critical path, %d -> %d requests):\n",
+			d.OldCompleted, d.NewCompleted); err != nil {
 			return err
 		}
 		for _, l := range d.Layers {
-			if err := pr("    %-8s %10d -> %10d  %8s (%s)\n",
-				l.Layer, l.Old, l.New, signed(l.Delta()), pct(l.Old, l.New)); err != nil {
+			if err := pr("    %-8s %10d -> %10d  %8s (%s) | %10d -> %10d  %8s (%s)\n",
+				l.Layer, l.Old, l.New, signed(l.Delta()), pct(l.Old, l.New),
+				l.OldCrit, l.NewCrit, signed(l.CritDelta()), pct(l.OldCrit, l.NewCrit)); err != nil {
 				return err
 			}
 		}
@@ -561,17 +534,6 @@ func (d *CaptureDiff) WriteText(w io.Writer, topGroups int) error {
 		}
 		for _, b := range h.Buckets {
 			if err := pr("    bucket 2^%d: %d -> %d\n", b.Bit, b.Old, b.New); err != nil {
-				return err
-			}
-		}
-	}
-	if len(d.Blame) > 0 {
-		if err := pr("  blame drift (%d -> %d completed requests):\n", d.OldCompleted, d.NewCompleted); err != nil {
-			return err
-		}
-		for _, b := range d.Blame {
-			if err := pr("    %-8s %10d -> %10d  %8s  share %.1f%% -> %.1f%%\n",
-				b.Category, b.Old, b.New, signed(b.Delta()), 100*b.OldShare, 100*b.NewShare); err != nil {
 				return err
 			}
 		}

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -39,9 +41,9 @@ func TestCaptureSchemaMismatchRejected(t *testing.T) {
 	if _, err := ReadCaptureJSON([]byte(`{"schema": 99, "workload": "tar"}`)); err == nil {
 		t.Fatal("schema 99 capture accepted")
 	}
-	// Other schema-1 JSON (a bench file) must not parse as a capture —
-	// captures always name their workload.
-	if _, err := ReadCaptureJSON([]byte(`{"schema": 1, "experiments": []}`)); err == nil {
+	// Other JSON with the capture's schema number (a bench file) must
+	// not parse as a capture — captures always name their workload.
+	if _, err := ReadCaptureJSON([]byte(fmt.Sprintf(`{"schema": %d, "experiments": []}`, CaptureSchema))); err == nil {
 		t.Fatal("workload-less JSON accepted as a capture")
 	}
 	old := testCapture("tar", nil, nil, nil)
@@ -73,7 +75,7 @@ func TestDiffSelfComparisonNoDrift(t *testing.T) {
 	c := testCapture("tar",
 		[]CapturePath{{Path: "pe2;app/syscall", Cycles: 500}, {Path: "pe2;app/syscall;dtu/flight", Cycles: 40}},
 		[]CaptureHist{CaptureHistogram(&h)},
-		[]CaptureBlame{{Category: "app", Cycles: 300}, {Category: "kernel", Cycles: 200}})
+		[]CaptureBlame{{Layer: "app", Cycles: 300}, {Layer: "kernel", Cycles: 200}})
 	d, err := DiffCaptures(c, c)
 	if err != nil {
 		t.Fatal(err)
@@ -211,25 +213,39 @@ func TestDiffDisjointSpanPaths(t *testing.T) {
 	}
 }
 
+// TestDiffBlameDrift: the layer table carries each layer's profile
+// and critical-path cycles, work and waits summed, and the top layer
+// and top blame each read their own column of it.
 func TestDiffBlameDrift(t *testing.T) {
-	a := testCapture("tar", nil, nil,
-		[]CaptureBlame{{Category: "app", Cycles: 600}, {Category: "kernel", Cycles: 400}})
-	b := testCapture("tar", nil, nil,
-		[]CaptureBlame{{Category: "app", Cycles: 600}, {Category: "kernel", Cycles: 600}})
+	a := testCapture("tar", []CapturePath{{Path: "pe1;app/compute", Cycles: 50}}, nil,
+		[]CaptureBlame{{Layer: "app", Cycles: 600}, {Layer: "kernel", Cycles: 400}})
+	b := testCapture("tar", []CapturePath{{Path: "pe1;app/compute", Cycles: 80}}, nil,
+		[]CaptureBlame{{Layer: "app", Cycles: 600}, {Layer: "kernel", Cycles: 500},
+			{Layer: "kernel", Wait: true, Cycles: 100}})
 	d, err := DiffCaptures(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, ok := d.TopBlame()
-	if !ok || top.Category != "kernel" || top.Delta() != 200 {
+	want := []LayerDelta{
+		{Layer: "app", Old: 50, New: 80, OldCrit: 600, NewCrit: 600},
+		{Layer: "kernel", OldCrit: 400, NewCrit: 600},
+	}
+	if !reflect.DeepEqual(d.Layers, want) {
+		t.Fatalf("layers = %+v, want %+v", d.Layers, want)
+	}
+	if top, ok := d.TopLayer(); !ok || top.Layer != "app" {
+		t.Fatalf("top layer = %+v ok=%v", top, ok)
+	}
+	if top, ok := d.TopBlame(); !ok || top.Layer != "kernel" || top.CritDelta() != 200 {
 		t.Fatalf("top blame = %+v ok=%v", top, ok)
 	}
-	if top.OldShare != 0.4 || top.NewShare != 0.5 {
-		t.Fatalf("shares %g -> %g", top.OldShare, top.NewShare)
+	// A critical-path move alone keeps the table.
+	b.Profile = a.Profile
+	if d, err = DiffCaptures(a, b); err != nil {
+		t.Fatal(err)
 	}
-	// The full category table is retained in order.
-	if len(d.Blame) != 2 || d.Blame[0].Category != "app" {
-		t.Fatalf("blame table = %+v", d.Blame)
+	if d.Empty() || len(d.Layers) != 2 {
+		t.Fatalf("critical-path drift lost: %+v", d)
 	}
 }
 
@@ -310,12 +326,12 @@ func TestDiffTextAndJSONDeterministic(t *testing.T) {
 	a := testCapture("tar",
 		[]CapturePath{{Path: "pe1;app/compute", Cycles: 100}},
 		[]CaptureHist{CaptureHistogram(&h)},
-		[]CaptureBlame{{Category: "app", Cycles: 100}})
+		[]CaptureBlame{{Layer: "app", Cycles: 100}})
 	h.Observe(90000)
 	b := testCapture("tar",
 		[]CapturePath{{Path: "pe1;app/compute", Cycles: 100}, {Path: "pe0;kernel/ksyscall", Cycles: 30}},
 		[]CaptureHist{CaptureHistogram(&h)},
-		[]CaptureBlame{{Category: "app", Cycles: 100}, {Category: "kernel", Cycles: 30}})
+		[]CaptureBlame{{Layer: "app", Cycles: 100}, {Layer: "kernel", Cycles: 30}})
 	render := func() (string, string) {
 		d, err := DiffCaptures(a, b)
 		if err != nil {
@@ -335,7 +351,7 @@ func TestDiffTextAndJSONDeterministic(t *testing.T) {
 	if t1 != t2 || j1 != j2 {
 		t.Fatal("diff rendering not byte-stable across repeated diffs")
 	}
-	if !strings.Contains(t1, "kernel") || !strings.Contains(t1, "blame drift") {
+	if !strings.Contains(t1, "kernel") || !strings.Contains(t1, "critical path") {
 		t.Fatalf("text report missing sections:\n%s", t1)
 	}
 }
@@ -347,7 +363,7 @@ func TestCaptureWriteReadRoundTrip(t *testing.T) {
 	c := testCapture("find",
 		[]CapturePath{{Path: "pe1;app/compute", Cycles: 9}},
 		[]CaptureHist{CaptureHistogram(&h)},
-		[]CaptureBlame{{Category: "app", Cycles: 9}})
+		[]CaptureBlame{{Layer: "app", Cycles: 9}})
 	var buf bytes.Buffer
 	if err := c.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
